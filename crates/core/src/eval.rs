@@ -1174,6 +1174,9 @@ impl Evaluator {
     /// computes — fanned out over the evaluator's execution policy, so cached,
     /// fresh, serial and threaded golden outputs are bit-identical. Repeated
     /// suite construction over overlapping test prefixes replays no inference.
+    /// Convolutions run the blocked im2col + `gemm` kernel of
+    /// [`dnnip_nn::layers::Layer::infer`], the same one an IP user's
+    /// `FloatIp`/`AcceleratorIp` replay runs.
     ///
     /// # Errors
     ///

@@ -507,14 +507,23 @@ impl Graph {
         Ok(sample.reshape(&shape)?)
     }
 
-    fn eval_node(&self, id: NodeId, outputs: &[Tensor]) -> Result<(Tensor, Option<LayerCache>)> {
+    /// Evaluate node `id` on the outputs of the nodes before it. With
+    /// `cached`, layer nodes run [`Layer::forward`] and return their backward
+    /// cache; without, they run the cacheless [`Layer::infer`].
+    fn eval_node(
+        &self,
+        id: NodeId,
+        outputs: &[Tensor],
+        cached: bool,
+    ) -> Result<(Tensor, Option<LayerCache>)> {
         let node = &self.nodes[id];
         match &node.op {
             GraphOp::Input => unreachable!("input node is seeded before execution"),
-            GraphOp::Layer(layer) => {
+            GraphOp::Layer(layer) if cached => {
                 let (out, cache) = layer.forward(&outputs[node.inputs[0]])?;
                 Ok((out, Some(cache)))
             }
+            GraphOp::Layer(layer) => Ok((layer.infer(&outputs[node.inputs[0]])?, None)),
             GraphOp::Add => {
                 let mut acc = outputs[node.inputs[0]].clone();
                 for &input in &node.inputs[1..] {
@@ -532,9 +541,11 @@ impl Graph {
     /// Forward pass over a batch `[N, ...input_shape]`, returning the final
     /// node's output.
     ///
-    /// Nodes execute in topological order; a lowered sequential graph invokes
-    /// the identical layer kernels in the identical order the source
-    /// [`dnnip_nn::Network::forward`] would, so the result is bit-identical.
+    /// Nodes execute in topological order through [`Layer::infer`], so
+    /// convolutions take the blocked im2col + `gemm` kernel. A lowered
+    /// sequential graph invokes the identical layer kernels in the identical
+    /// order the source [`dnnip_nn::Network::forward`] would, so the result is
+    /// bit-identical.
     ///
     /// # Errors
     ///
@@ -545,7 +556,7 @@ impl Graph {
         let mut outputs: Vec<Tensor> = Vec::with_capacity(self.nodes.len());
         outputs.push(input.clone());
         for id in 1..self.nodes.len() {
-            let (out, _) = self.eval_node(id, &outputs)?;
+            let (out, _) = self.eval_node(id, &outputs, false)?;
             outputs.push(out);
         }
         Ok(outputs.pop().expect("graph has at least two nodes"))
@@ -565,6 +576,11 @@ impl Graph {
     /// Forward pass that records every node output and the layer caches needed
     /// by [`Graph::backward`].
     ///
+    /// Layer nodes run [`Layer::forward`] (direct-loop convolutions), like
+    /// [`dnnip_nn::Network::forward_cached`]: the output matches
+    /// [`Graph::forward`] within rounding, and bit for bit when every
+    /// convolution bias is zero.
+    ///
     /// # Errors
     ///
     /// Returns [`NnError::BadInputShape`] for a mismatched batch shape and
@@ -576,7 +592,7 @@ impl Graph {
         outputs.push(input.clone());
         caches.push(None);
         for id in 1..self.nodes.len() {
-            let (out, cache) = self.eval_node(id, &outputs)?;
+            let (out, cache) = self.eval_node(id, &outputs, true)?;
             outputs.push(out);
             caches.push(cache);
         }
@@ -716,7 +732,7 @@ impl Graph {
         outputs.push(input.clone());
         let mut captured = Vec::new();
         for id in 1..self.nodes.len() {
-            let (out, _) = self.eval_node(id, &outputs)?;
+            let (out, _) = self.eval_node(id, &outputs, false)?;
             if matches!(&self.nodes[id].op, GraphOp::Layer(l) if l.is_activation()) {
                 captured.push(out.clone());
             }

@@ -328,13 +328,7 @@ impl BatchGradientEngine {
         for (i, layer) in self.network.layers().iter().enumerate() {
             x = match layer {
                 Layer::Conv2d(l) => self.conv_forward_batch(i, l, &x, false, &mut arena)?.0,
-                // Apply directly: `ActivationLayer::forward` also clones its
-                // input into a backward cache this forward-only path discards.
-                Layer::Activation(l) => {
-                    let act = l.activation();
-                    x.map(|v| act.apply(v))
-                }
-                other => other.forward(&x)?.0,
+                other => other.infer(&x)?,
             };
             if layer.is_activation() {
                 outputs.push(x.clone());
@@ -431,7 +425,10 @@ impl BatchGradientEngine {
     /// blocks (what the backward pass consumes) with its `(ckk, per)` block
     /// dimensions. Both the gradient path and the forward-only activation
     /// capture go through this single implementation, so their intermediate
-    /// values are bit-identical by construction.
+    /// values are bit-identical by construction. The arithmetic (one im2col
+    /// block per sample, `kernels::gemm`, bias added after the product) is
+    /// that of `conv2d_forward_im2col`, which [`Layer::infer`] runs, so
+    /// [`Network::forward`] agrees with the engine bit for bit.
     fn conv_forward_batch(
         &self,
         layer_index: usize,
@@ -510,10 +507,7 @@ impl BatchGradientEngine {
                     });
                 }
                 Layer::Dense(l) => {
-                    // Same ops as `Dense::forward`, minus the input clone that
-                    // call makes for a `LayerCache` this engine discards.
-                    let (wt, bias) = l.parameters();
-                    let out = ops::add_row_vector(&ops::matmul(&x, wt)?, bias)?;
+                    let out = l.infer(&x)?;
                     caches.push(BatchCache::Dense { input: x });
                     x = out;
                 }
@@ -538,11 +532,8 @@ impl BatchGradientEngine {
                     x = out;
                 }
                 Layer::Activation(l) => {
-                    // Apply directly (`ActivationLayer::forward` clones its
-                    // input into a cache the engine discards) and retain the
-                    // output: backward recovers derivatives from it.
-                    let act = l.activation();
-                    let out = x.map(|v| act.apply(v));
+                    // Retain the output: backward recovers derivatives from it.
+                    let out = l.infer(&x);
                     caches.push(BatchCache::Act {
                         output: out.clone(),
                     });

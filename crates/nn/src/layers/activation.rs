@@ -154,16 +154,21 @@ impl ActivationLayer {
         format!("Activation({:?})", self.activation)
     }
 
-    /// Forward pass: apply the activation element-wise.
+    /// Inference: apply the activation element-wise.
+    pub fn infer(&self, input: &Tensor) -> Tensor {
+        let act = self.activation;
+        input.map(|x| act.apply(x))
+    }
+
+    /// Forward pass: [`ActivationLayer::infer`] plus the pre-activation input
+    /// [`ActivationLayer::backward`] needs.
     ///
     /// # Errors
     ///
     /// Never fails; the signature matches the other layers for uniform dispatch.
     pub fn forward(&self, input: &Tensor) -> Result<(Tensor, LayerCache)> {
-        let act = self.activation;
-        let out = input.map(|x| act.apply(x));
         Ok((
-            out,
+            self.infer(input),
             LayerCache::Activation {
                 input: input.clone(),
             },

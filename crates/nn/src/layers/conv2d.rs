@@ -1,6 +1,6 @@
 //! 2-D convolution layer.
 
-use dnnip_tensor::conv::{conv2d_backward, conv2d_forward, Conv2dGeometry};
+use dnnip_tensor::conv::{conv2d_backward, conv2d_forward, conv2d_forward_im2col, Conv2dGeometry};
 use dnnip_tensor::{init, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -119,13 +119,7 @@ impl Conv2d {
         (&mut self.weight, &mut self.bias)
     }
 
-    /// Forward pass.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the input is not `[N, in_channels, H, W]` or the
-    /// window does not fit.
-    pub fn forward(&self, input: &Tensor) -> Result<(Tensor, LayerCache)> {
+    fn check_input(&self, input: &Tensor) -> Result<()> {
         if input.ndim() != 4 || input.shape()[1] != self.in_channels() {
             return Err(NnError::BadInputShape {
                 layer: self.name(),
@@ -133,6 +127,37 @@ impl Conv2d {
                 expected: format!("[N, {}, H, W]", self.in_channels()),
             });
         }
+        Ok(())
+    }
+
+    /// Inference: the output alone, through the blocked im2col + `gemm`
+    /// convolution ([`conv2d_forward_im2col`]) — the arithmetic of the batched
+    /// gradient engine, so the two agree bit for bit.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when the input is not `[N, in_channels, H, W]` or the
+    /// window does not fit.
+    pub fn infer(&self, input: &Tensor) -> Result<Tensor> {
+        self.check_input(input)?;
+        Ok(conv2d_forward_im2col(
+            input,
+            &self.weight,
+            &self.bias,
+            self.geom,
+        )?)
+    }
+
+    /// Forward pass for [`Conv2d::backward`], through the direct loop nest
+    /// ([`conv2d_forward`]): the independent per-sample reference the engine
+    /// and [`Conv2d::infer`] are checked against.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when the input is not `[N, in_channels, H, W]` or the
+    /// window does not fit.
+    pub fn forward(&self, input: &Tensor) -> Result<(Tensor, LayerCache)> {
+        self.check_input(input)?;
         let out = conv2d_forward(input, &self.weight, &self.bias, self.geom)?;
         Ok((
             out,

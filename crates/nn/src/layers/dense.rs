@@ -82,12 +82,12 @@ impl Dense {
         (&mut self.weight, &mut self.bias)
     }
 
-    /// Forward pass.
+    /// Inference: the output alone, without a backward cache.
     ///
     /// # Errors
     ///
     /// Returns [`NnError::BadInputShape`] when the input is not `[N, in_features]`.
-    pub fn forward(&self, input: &Tensor) -> Result<(Tensor, LayerCache)> {
+    pub fn infer(&self, input: &Tensor) -> Result<Tensor> {
         if input.ndim() != 2 || input.shape()[1] != self.in_features() {
             return Err(NnError::BadInputShape {
                 layer: self.name(),
@@ -96,7 +96,16 @@ impl Dense {
             });
         }
         let out = ops::matmul(input, &self.weight)?;
-        let out = ops::add_row_vector(&out, &self.bias)?;
+        Ok(ops::add_row_vector(&out, &self.bias)?)
+    }
+
+    /// Forward pass: [`Dense::infer`] plus the cache [`Dense::backward`] needs.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::BadInputShape`] when the input is not `[N, in_features]`.
+    pub fn forward(&self, input: &Tensor) -> Result<(Tensor, LayerCache)> {
+        let out = self.infer(input)?;
         Ok((
             out,
             LayerCache::Dense {

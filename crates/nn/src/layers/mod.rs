@@ -7,8 +7,12 @@
 //!
 //! Every layer supports:
 //!
+//! * [`Layer::infer`] — compute the output alone. Convolutions take the blocked
+//!   im2col + `gemm` kernel the batched engine uses, so inference and the
+//!   engine agree bit for bit.
 //! * [`Layer::forward`] — compute the output and a [`LayerCache`] holding exactly
-//!   what the backward pass will need.
+//!   what the backward pass will need. Convolutions take the direct loop nest:
+//!   this path is the independent per-sample reference for the engine.
 //! * [`Layer::backward`] — given that cache and the gradient of the loss with
 //!   respect to the layer's output, produce the gradient with respect to the
 //!   layer's **input** and (for parameterized layers) with respect to its
@@ -101,6 +105,25 @@ impl Layer {
             Layer::MaxPool2d(l) => l.name(),
             Layer::Flatten(_) => "Flatten".to_string(),
             Layer::Activation(l) => l.name(),
+        }
+    }
+
+    /// Run the layer for inference: the output alone, with no backward cache.
+    ///
+    /// A [`Conv2d`] runs the blocked im2col + `gemm` convolution (bit-identical
+    /// to the batched gradient engine); every other layer runs the kernel of
+    /// [`Layer::forward`] without building its cache.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when the input shape is incompatible with the layer.
+    pub fn infer(&self, input: &Tensor) -> Result<Tensor> {
+        match self {
+            Layer::Conv2d(l) => l.infer(input),
+            Layer::Dense(l) => l.infer(input),
+            Layer::MaxPool2d(l) => Ok(l.forward(input)?.0),
+            Layer::Flatten(l) => Ok(l.forward(input)?.0),
+            Layer::Activation(l) => Ok(l.infer(input)),
         }
     }
 

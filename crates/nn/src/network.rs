@@ -193,16 +193,22 @@ impl Network {
     /// Forward pass over a batch `[N, ...input_shape]`, returning logits
     /// `[N, classes]`.
     ///
+    /// Runs [`Layer::infer`]: convolutions take the blocked im2col + `gemm`
+    /// kernel, the same arithmetic as
+    /// [`crate::batch::BatchGradientEngine::forward_batch`], so the logits are
+    /// bit-identical to the engine's. Golden outputs, IP replay and
+    /// [`Network::predict`] all run here.
+    ///
     /// # Errors
     ///
     /// Returns [`NnError::BadInputShape`] when the batch shape does not match the
     /// network's input shape.
     pub fn forward(&self, input: &Tensor) -> Result<Tensor> {
         self.check_batch_input(input)?;
-        let mut x = input.clone();
-        for layer in &self.layers {
-            let (out, _) = layer.forward(&x)?;
-            x = out;
+        let (first, rest) = self.layers.split_first().expect("network is non-empty");
+        let mut x = first.infer(input)?;
+        for layer in rest {
+            x = layer.infer(&x)?;
         }
         Ok(x)
     }
@@ -239,6 +245,13 @@ impl Network {
     }
 
     /// Forward pass that records per-layer caches and outputs.
+    ///
+    /// Runs [`Layer::forward`]: convolutions take the direct loop nest, not the
+    /// engine's im2col kernel. That keeps this path (and [`Network::backward`],
+    /// training and [`Network::parameter_gradients`] on top of it) an
+    /// independent per-sample reference. Its output matches
+    /// [`Network::forward`] within rounding, and bit for bit when every
+    /// convolution bias is zero.
     ///
     /// # Errors
     ///

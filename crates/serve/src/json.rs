@@ -15,6 +15,12 @@
 
 use std::fmt;
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser recurses
+/// once per level, so without a limit one line of `[`s overflows the stack;
+/// past this depth the line is a parse error instead. No protocol message
+/// nests deeper than a few levels.
+const MAX_DEPTH: usize = 64;
+
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -102,7 +108,7 @@ impl Json {
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing characters at byte {pos}"));
@@ -144,7 +150,8 @@ fn expect(bytes: &[u8], pos: &mut usize, token: &[u8]) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parse one value that sits `depth` arrays/objects deep.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_string()),
@@ -152,8 +159,11 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         Some(b't') => expect(bytes, pos, b"true").map(|()| Json::Bool(true)),
         Some(b'f') => expect(bytes, pos, b"false").map(|()| Json::Bool(false)),
         Some(b'"') => parse_string(bytes, pos).map(Json::Str),
-        Some(b'[') => parse_array(bytes, pos),
-        Some(b'{') => parse_object(bytes, pos),
+        Some(b'[' | b'{') if depth >= MAX_DEPTH => {
+            Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", *pos))
+        }
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
         Some(b'-' | b'0'..=b'9') => parse_number(bytes, pos),
         Some(&other) => Err(format!(
             "unexpected character {:?} at byte {}",
@@ -237,7 +247,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(bytes, pos, b"[")?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -246,7 +256,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -259,7 +269,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(bytes, pos, b"{")?;
     let mut members = Vec::new();
     skip_ws(bytes, pos);
@@ -272,7 +282,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         let key = parse_string(bytes, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b":")?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         members.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -406,6 +416,20 @@ mod tests {
         assert_eq!(back, v);
         // Control characters re-escape on output.
         assert_eq!(Json::Str("\u{1}".into()).to_string(), "\"\\u0001\"");
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |open: &str, close: &str, depth: usize| {
+            format!("{}0{}", open.repeat(depth), close.repeat(depth))
+        };
+        for (open, close) in [("[", "]"), ("{\"k\":", "}")] {
+            assert!(Json::parse(&nested(open, close, MAX_DEPTH)).is_ok());
+            let err = Json::parse(&nested(open, close, MAX_DEPTH + 1)).unwrap_err();
+            assert!(err.contains("nesting deeper than"), "{err}");
+        }
+        // A line far past any sane depth is an error, not a stack overflow.
+        assert!(Json::parse(&"[".repeat(200_000)).is_err());
     }
 
     #[test]

@@ -133,6 +133,30 @@ fn a_timed_out_request_does_not_poison_the_session() {
 }
 
 #[test]
+fn a_deeply_nested_line_is_a_bad_request_and_the_next_request_is_served() {
+    // 200 KB of `[` once overflowed the recursive parser's stack and killed
+    // the process before the request queued behind it was answered.
+    let input = format!(
+        "{}\n{}\n",
+        "[".repeat(200_000),
+        r#"{"id":"m","op":"models"}"#
+    );
+    let responses = session(1, &input);
+    assert_eq!(responses.len(), 2, "both lines answered");
+    let error = responses[0].get("error").expect("first answer is an error");
+    assert_eq!(
+        error.get("kind").and_then(Json::as_str),
+        Some("bad_request")
+    );
+    assert!(error
+        .get("message")
+        .and_then(Json::as_str)
+        .is_some_and(|m| m.contains("nesting deeper than")));
+    assert_eq!(responses[1].get("id").and_then(Json::as_str), Some("m"));
+    assert_eq!(responses[1].get("ok").and_then(Json::as_bool), Some(true));
+}
+
+#[test]
 fn the_binary_serves_a_pipe_session_and_exits_zero() {
     let mut child = Command::new(env!("CARGO_BIN_EXE_dnnip-serve"))
         .args(["--workers", "2"])

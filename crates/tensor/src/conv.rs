@@ -1,10 +1,18 @@
 //! Convolution and pooling primitives on `[N, C, H, W]` tensors.
 //!
 //! Two independent forward implementations of the 2-D convolution are provided:
-//! a direct 7-deep loop nest ([`conv2d_forward`]) and an im2col + matmul
-//! formulation ([`conv2d_forward_im2col`]). They are required to agree bit-for-bit
-//! on the same inputs, which gives the test suite a strong cross-check and the
-//! benchmark crate an ablation point (direct vs im2col throughput).
+//! a direct 7-deep loop nest ([`conv2d_forward`]) and an im2col + blocked
+//! `gemm` formulation ([`conv2d_forward_im2col`]). They agree within
+//! floating-point rounding. The direct loop starts each sum from the bias,
+//! im2col adds the bias after the product, so the last bits can differ when
+//! the bias is nonzero; with a zero bias they are bit-identical (both sum the
+//! same products in the same order). That gives the test suite a strong
+//! cross-check and the benchmark crate an ablation point (direct vs im2col
+//! throughput).
+//!
+//! In `dnnip-nn`, inference (`Layer::infer`, hence `Network::forward`) and the
+//! batched gradient engine run im2col; `Network::forward_cached`, the
+//! per-sample reference gradients and training run the direct loop nest.
 //!
 //! All functions operate on single-precision tensors in the layouts used by
 //! `dnnip-nn`:
@@ -65,6 +73,11 @@ fn expect_rank4(t: &Tensor, op: &'static str) -> Result<(usize, usize, usize, us
 }
 
 /// Direct (loop-nest) 2-D convolution forward pass.
+///
+/// Each output starts from its bias and accumulates the window's products.
+/// `dnnip-nn` runs this kernel on its cached (training and reference
+/// gradient) path; see the module docs for how it relates to
+/// [`conv2d_forward_im2col`].
 ///
 /// * `input` — `[N, C, H, W]`
 /// * `weight` — `[OC, C, KH, KW]`
@@ -476,47 +489,6 @@ pub fn im2col_block_into(
     Ok((rows, per))
 }
 
-/// Forward one `[C, H, W]` sample through an im2col convolution, keeping the
-/// column matrix.
-///
-/// `wmat` is the convolution weight reshaped to `[OC, C*KH*KW]`. Returns the
-/// output matrix `[OC, OH*OW]` with the bias already added, together with the
-/// lowered column matrix — the shared kernel behind
-/// [`conv2d_forward_im2col`] and the batched gradient engine in `dnnip-nn`,
-/// which retains the columns for its matmul-based backward pass.
-///
-/// # Errors
-///
-/// Returns a [`TensorError`] when the sample is not rank-3, the bias length
-/// disagrees with `wmat`'s row count, or the window geometry is invalid.
-pub fn conv2d_sample_forward_cols(
-    sample: &Tensor,
-    wmat: &Tensor,
-    bias: &Tensor,
-    geom: Conv2dGeometry,
-) -> Result<(Tensor, Tensor)> {
-    let oc = wmat.shape()[0];
-    if bias.ndim() != 1 || bias.shape()[0] != oc {
-        return Err(TensorError::ShapeMismatch {
-            lhs: vec![oc],
-            rhs: bias.shape().to_vec(),
-            op: "conv2d_sample_forward_cols(bias)",
-        });
-    }
-    let cols = im2col(sample, geom)?;
-    let mut prod = crate::ops::matmul(wmat, &cols)?; // [OC, OH*OW]
-    let per = cols.shape()[1];
-    let bd = bias.data();
-    let pd = prod.data_mut();
-    for oci in 0..oc {
-        let b = bd[oci];
-        for v in &mut pd[oci * per..(oci + 1) * per] {
-            *v += b;
-        }
-    }
-    Ok((prod, cols))
-}
-
 /// Batched 2-D convolution forward pass: the whole `[N, C, H, W]` batch in a
 /// single im2col + matrix multiplication.
 ///
@@ -559,8 +531,11 @@ pub fn conv2d_forward_im2col_batch(
 
 /// 2-D convolution forward pass via im2col + matrix multiplication.
 ///
-/// Produces exactly the same output as [`conv2d_forward`]; used as a cross-check
-/// and as the faster path for wide layers.
+/// Each sample is lowered into one column matrix and multiplied by the blocked
+/// [`crate::kernels::gemm`]; the bias is added after the product. Matches
+/// [`conv2d_forward`] within rounding, and bit for bit when the bias is zero.
+/// This is the inference kernel of `dnnip-nn` (`Layer::infer`), the same
+/// arithmetic as its batched gradient engine's convolution forward.
 ///
 /// # Errors
 ///

@@ -130,6 +130,14 @@ proptest! {
         let a = conv2d_forward(&input, &weight, &bias, geom).unwrap();
         let b = conv2d_forward_im2col(&input, &weight, &bias, geom).unwrap();
         prop_assert!(a.approx_eq(&b, 1e-3));
+        // With a zero bias both kernels sum the same products in the same
+        // order, so they agree bit for bit.
+        let zero = Tensor::zeros(&[oc]);
+        let bits = |t: Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(
+            bits(conv2d_forward(&input, &weight, &zero, geom).unwrap()),
+            bits(conv2d_forward_im2col(&input, &weight, &zero, geom).unwrap())
+        );
     }
 
     #[test]
