@@ -12,8 +12,9 @@
 //!
 //! * the **network fingerprint** — a 128-bit digest of the serialized model
 //!   ([`NetworkFingerprint`]), so any parameter change invalidates silently;
-//! * the **sample content hash** — two independent FNV-1a streams over the
-//!   sample's shape and exact `f32` bit patterns;
+//! * the **sample content hash** — 128 bits from two independently keyed
+//!   multi-lane multiply chains over the sample's exact `f32` bit patterns,
+//!   finalised with its length and shape (`sample_hash`);
 //! * the **criterion digest** — the coverage criterion's id and configuration
 //!   ([`crate::criterion::criterion_digest`]), so two criteria (or two
 //!   configurations of one criterion) never alias each other's sets.
@@ -836,38 +837,94 @@ fn mix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Content hash of a sample tensor: shape and exact `f32` bit patterns
-/// through two independent splitmix64-style streams (128 bits total). Also
-/// the identity [`crate::workspace::Workspace::run_coalesced`] dedupes
+/// Lanes per hash half: independent multiply chains, so the hash runs at the
+/// multiplier's throughput instead of the latency of one dependent chain.
+const HASH_LANES: usize = 4;
+
+/// Content hash of a sample tensor: shape, length and exact `f32` bit
+/// patterns, 128 bits from two independently keyed 64-bit halves. Also the
+/// identity [`crate::workspace::Workspace::run_coalesced`] dedupes
 /// cross-request candidate pools by, so "same content hash" always means
 /// "same cache entry".
 ///
 /// This runs on **every** cache probe — one hash per candidate per
-/// `activation_sets` call — so it absorbs two `f32`s per mixing step
-/// instead of byte-at-a-time FNV. Packing a trailing odd element as a lone
-/// low word cannot collide with a `[x, 0.0]` pair: the data length is the
-/// shape's element product and the shape is hashed first.
+/// `activation_sets` call — so it is built for throughput. The data is read
+/// as 64-bit words (two `f32`s each), and each half keeps
+/// [`HASH_LANES`] independent lanes: word `i` goes to lane `i mod 4` by the
+/// step `s = ((s ^ w) · K).rotate_left(29)`. At the end each half folds its
+/// lanes, the trailing elements that fill no whole block (a lone last
+/// element as a low word), the data length and the shape through the
+/// splitmix64 finalizer, which gives full avalanche.
+///
+/// **No collision on one element.** With `K` odd, every lane step and every
+/// finalizer step is a bijection in both the state and the word. Two
+/// same-shape samples that differ in one element therefore differ in one
+/// word of one lane (or one tail word), keep differing through every later
+/// step, and end in different values of **both** halves. Samples of
+/// different shape or length differ in what the finalizer folds last.
+///
+/// Why lanes: with one dependent chain per half, every word waits for the
+/// previous multiply. Under `target-cpu=native` on AVX-512 hosts LLVM packs
+/// the two halves into one vector and multiplies with `vpmullq`, whose
+/// latency is several times a scalar `imul`'s, so such a chain ran ~3×
+/// slower than in a baseline `x86-64` build. Four lanes per half give the
+/// multiplier independent work in a scalar and in a vectorised build.
+///
+/// The keys are what the disk tier stores entries under: any change to this
+/// derivation must bump the persistent format version.
 pub(crate) fn sample_hash(sample: &Tensor) -> (u64, u64) {
-    const C_LO: u64 = 0x9e37_79b9_7f4a_7c15;
-    const C_HI: u64 = 0xc2b2_ae3d_27d4_eb4f;
-    let mut lo = mix64(0x2545_f491_4f6c_dd1d ^ sample.shape().len() as u64);
-    let mut hi = mix64(0x6a09_e667_f3bc_c909 ^ sample.shape().len() as u64);
-    for &d in sample.shape() {
-        lo = mix64(lo ^ (d as u64).wrapping_mul(C_LO));
-        hi = mix64(hi ^ (d as u64).wrapping_mul(C_HI));
+    const K_LO: u64 = 0x9e37_79b9_7f4a_7c15;
+    const K_HI: u64 = 0xc2b2_ae3d_27d4_eb4f;
+    const ROT: u32 = 29;
+    const SEED_LO: [u64; HASH_LANES] = [
+        0x243f_6a88_85a3_08d3,
+        0x1319_8a2e_0370_7344,
+        0xa409_3822_299f_31d0,
+        0x082e_fa98_ec4e_6c89,
+    ];
+    const SEED_HI: [u64; HASH_LANES] = [
+        0x4528_21e6_38d0_1377,
+        0xbe54_66cf_34e9_0c6c,
+        0xc0ac_29b7_c97c_50dd,
+        0x3f84_d5b5_b547_0917,
+    ];
+    /// One or two `f32`s as a word, the first in the low half.
+    #[inline(always)]
+    fn word(pair: &[f32]) -> u64 {
+        pair.iter()
+            .rev()
+            .fold(0, |w, x| (w << 32) | x.to_bits() as u64)
     }
-    let mut chunks = sample.data().chunks_exact(2);
-    for pair in &mut chunks {
-        let word = (pair[0].to_bits() as u64) | ((pair[1].to_bits() as u64) << 32);
-        lo = mix64(lo ^ word.wrapping_mul(C_LO));
-        hi = mix64(hi ^ word.wrapping_mul(C_HI));
+    let data = sample.data();
+    let shape = sample.shape();
+    let (mut lo, mut hi) = (SEED_LO, SEED_HI);
+    let mut blocks = data.chunks_exact(2 * HASH_LANES);
+    for block in &mut blocks {
+        for (l, pair) in block.chunks_exact(2).enumerate() {
+            let w = word(pair);
+            lo[l] = ((lo[l] ^ w).wrapping_mul(K_LO)).rotate_left(ROT);
+            hi[l] = ((hi[l] ^ w).wrapping_mul(K_HI)).rotate_left(ROT);
+        }
     }
-    if let [last] = chunks.remainder() {
-        let word = last.to_bits() as u64;
-        lo = mix64(lo ^ word.wrapping_mul(C_LO));
-        hi = mix64(hi ^ word.wrapping_mul(C_HI));
-    }
-    (lo, hi)
+    let tail = blocks.remainder();
+    let finish = |lanes: [u64; HASH_LANES], key: u64| {
+        let mut h = mix64(key ^ data.len() as u64);
+        for lane in lanes {
+            h = mix64(h ^ lane);
+        }
+        for pair in tail.chunks(2) {
+            h = mix64(h ^ word(pair));
+        }
+        h = mix64(h ^ shape.len() as u64);
+        for &d in shape {
+            h = mix64(h ^ d as u64);
+        }
+        h
+    };
+    (
+        finish(lo, 0x2545_f491_4f6c_dd1d),
+        finish(hi, 0x6a09_e667_f3bc_c909),
+    )
 }
 
 /// Criterion-id label used for forward-output cache counters (outputs are
@@ -960,8 +1017,10 @@ impl Evaluator {
         } else {
             DEFAULT_OUTPUT_CACHE_BYTES
         };
+        let fingerprint = NetworkFingerprint::of(analyzer.network());
         Self::with_shared_caches(
             analyzer,
+            fingerprint,
             Arc::new(CoveredSetCache::new(max_bytes)),
             Arc::new(ContentCache::new(output_bytes)),
         )
@@ -971,12 +1030,17 @@ impl Evaluator {
     /// caches. The cache keys carry the network fingerprint and criterion
     /// digest, so arbitrarily many evaluators can share one cache without any
     /// chance of aliasing each other's entries.
+    ///
+    /// `fingerprint` must be `NetworkFingerprint::of` the analyzer's network;
+    /// a [`crate::workspace::Workspace`] passes its registry key, which is
+    /// exactly that, instead of serialising and hashing the model again.
     pub(crate) fn with_shared_caches(
         analyzer: CoverageAnalyzer,
+        fingerprint: NetworkFingerprint,
         cache: Arc<CoveredSetCache>,
         output_cache: Arc<ContentCache<Tensor>>,
     ) -> Self {
-        let fingerprint = NetworkFingerprint::of(analyzer.network());
+        debug_assert_eq!(fingerprint, NetworkFingerprint::of(analyzer.network()));
         // Sets computed on the int8 round-tripped network must never alias
         // cached full-precision sets: fold a fixed tag into the criterion key
         // when (and only when) the analyzer takes the quantized path, so every
@@ -1748,5 +1812,132 @@ mod tests {
         assert_eq!(stats.insertions, 1);
         assert_eq!(stats.flight_hits, 0);
         assert_eq!(stats.entries, 1);
+    }
+}
+
+#[cfg(test)]
+mod sample_hash_tests {
+    //! The sample hash addresses every memory and disk cache entry. Its
+    //! known answers pin the key derivation: a change to them must come with
+    //! a bump of the persistent format version (`persist::FORMAT_VERSION`).
+
+    use super::sample_hash;
+    use dnnip_tensor::Tensor;
+    use proptest::prelude::*;
+
+    fn tensor(data: &[f32], shape: &[usize]) -> Tensor {
+        Tensor::from_vec(data.to_vec(), shape).unwrap()
+    }
+
+    fn vector(data: &[f32]) -> Tensor {
+        tensor(data, &[data.len()])
+    }
+
+    /// Both halves differ, so neither half alone aliases the two samples.
+    fn differ(a: &Tensor, b: &Tensor) -> bool {
+        let (x, y) = (sample_hash(a), sample_hash(b));
+        x.0 != y.0 && x.1 != y.1
+    }
+
+    /// Values from -1.0 to 1.0 in steps of 1/8, exact in `f32` on every ISA.
+    fn ramp(i: usize) -> f32 {
+        (i % 17) as f32 * 0.125 - 1.0
+    }
+
+    #[test]
+    fn sample_hash_known_answers() {
+        let cases: [(Tensor, (u64, u64)); 5] = [
+            (
+                tensor(&[], &[0]),
+                (0xfae6_1bee_a522_8378, 0x7b32_f2be_30dc_ca0b),
+            ),
+            (
+                vector(&[1.5]),
+                (0x4132_ceb6_4f7b_bfb1, 0xbba2_64ca_2f06_36cb),
+            ),
+            (
+                vector(&[1.0, -2.0, 3.0]),
+                (0x3024_b2bd_4086_6a21, 0x3956_53ec_0bc0_232b),
+            ),
+            (
+                Tensor::from_fn(&[2, 3], ramp),
+                (0x71a9_0bf3_5946_bc5c, 0xbba4_68ae_ef7e_c946),
+            ),
+            (
+                Tensor::from_fn(&[3, 16, 16], ramp),
+                (0xc706_6657_4d80_ddf7, 0xec72_3177_3f36_ee06),
+            ),
+        ];
+        for (t, expected) in &cases {
+            assert_eq!(sample_hash(t), *expected, "shape {:?}", t.shape());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn sample_hash_changes_both_halves_on_any_single_element(
+            data in prop::collection::vec(-1e3f32..1e3, 1..70),
+            index in 0usize..70,
+            bits in 0u32..u32::MAX,
+        ) {
+            let index = index % data.len();
+            // Any other bit pattern, NaNs and infinities included.
+            let old = data[index].to_bits();
+            let mut changed = data.clone();
+            changed[index] = f32::from_bits(if bits == old { !bits } else { bits });
+            prop_assert!(differ(&vector(&data), &vector(&changed)));
+            // Same data as a matrix: the guarantee holds for any shape.
+            let shape = [1, data.len()];
+            prop_assert!(differ(&tensor(&data, &shape), &tensor(&changed, &shape)));
+        }
+
+        #[test]
+        fn sample_hash_keys_the_shape_not_just_the_data(
+            data in prop::collection::vec(-1e3f32..1e3, 6..7),
+        ) {
+            prop_assert!(differ(&tensor(&data, &[2, 3]), &tensor(&data, &[3, 2])));
+            prop_assert!(differ(&tensor(&data, &[6]), &tensor(&data, &[1, 6])));
+        }
+
+        #[test]
+        fn sample_hash_covers_every_tail_length(
+            data in prop::collection::vec(-1e3f32..1e3, 18..19),
+        ) {
+            // Lengths 0-17 leave every remainder of an 8-element block, and
+            // a trailing 0.0 packs into the word a lone element leaves half
+            // empty: the length must still tell them apart.
+            for len in 0..18 {
+                let prefix = &data[..len];
+                let mut padded = prefix.to_vec();
+                padded.push(0.0);
+                prop_assert!(differ(&vector(prefix), &vector(&padded)), "len {}", len);
+                for i in 0..len {
+                    let mut changed = prefix.to_vec();
+                    changed[i] = f32::from_bits(changed[i].to_bits() ^ 1);
+                    prop_assert!(differ(&vector(prefix), &vector(&changed)), "len {} index {}", len, i);
+                }
+            }
+        }
+
+        #[test]
+        fn sample_hash_sees_signed_zeros_and_nan_payloads(
+            data in prop::collection::vec(-1e3f32..1e3, 1..20),
+            index in 0usize..20,
+            payload in 1u32..0x0040_0000,
+        ) {
+            let index = index % data.len();
+            let with = |x: f32| {
+                let mut v = data.clone();
+                v[index] = x;
+                vector(&v)
+            };
+            prop_assert!(differ(&with(0.0), &with(-0.0)));
+            // Quiet NaNs that differ only in their payload bits.
+            let nan = |p: u32| f32::from_bits(0x7fc0_0000 | p);
+            prop_assert!(nan(payload).is_nan() && nan(payload - 1).is_nan());
+            prop_assert!(differ(&with(nan(payload)), &with(nan(payload - 1))));
+        }
     }
 }

@@ -56,11 +56,15 @@ use crate::eval::{CacheKey, CacheValue};
 
 /// Segment-file magic: identifies a dnnip persistent-cache segment.
 const SEG_MAGIC: u64 = u64::from_le_bytes(*b"DNIPSEG2");
-/// On-disk format version; bump on any layout change — **or** on any change
-/// to what a criterion computes (its covered-unit semantics): the cache key
-/// digests a criterion's id and configuration, not its implementation, so a
-/// semantic change without a version bump would serve stale entries.
-const FORMAT_VERSION: u64 = 2;
+/// On-disk format version; bump on any layout change, on any change to what
+/// a criterion computes (its covered-unit semantics), **and** on any change
+/// to how a cache key is derived (`crate::eval::sample_hash`, the criterion
+/// digest, the network fingerprint). The key digests a criterion's id and
+/// configuration, not its implementation, so a semantic change without a
+/// version bump would serve stale entries; a new key derivation without one
+/// would leave every old entry unreachable but still on disk. Version 3: the
+/// multi-lane sample hash.
+const FORMAT_VERSION: u64 = 3;
 
 /// The version field actually written: the format version mixed with the
 /// crate version, so entries written by a different release are never read

@@ -611,6 +611,7 @@ impl Workspace {
             let analyzer = CoverageAnalyzer::with_criterion(network, coverage, resolved);
             let evaluator = Evaluator::with_shared_caches(
                 analyzer,
+                model,
                 Arc::clone(&self.set_cache),
                 Arc::clone(&self.output_cache),
             );
@@ -1043,6 +1044,25 @@ mod tests {
         assert!(ws
             .default_evaluator(NetworkFingerprint { lo: 1, hi: 2 })
             .is_err());
+    }
+
+    #[test]
+    fn minted_evaluators_reuse_the_registry_fingerprint() {
+        let ws = Workspace::new();
+        let network = net(5);
+        let model = ws.register("m", network.clone(), CoverageConfig::default());
+        let lowered = ws.register_graph(
+            "g",
+            dnnip_graph::Graph::from(&net(6)),
+            CoverageConfig::default(),
+        );
+        for spec in ["param-gradient", "neuron-activation:0.25"] {
+            let spec = CriterionSpec::Spec(spec.into());
+            let evaluator = ws.evaluator(model, &spec).unwrap();
+            assert_eq!(evaluator.fingerprint(), NetworkFingerprint::of(&network));
+            let evaluator = ws.evaluator(lowered, &spec).unwrap();
+            assert_eq!(evaluator.fingerprint(), NetworkFingerprint::of(&net(6)));
+        }
     }
 
     #[test]

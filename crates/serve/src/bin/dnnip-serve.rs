@@ -16,11 +16,11 @@
 //! binaries: `DNNIP_CACHE_DIR`, `DNNIP_CACHE_PERSIST`,
 //! `DNNIP_CACHE_MAX_BYTES`.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufReader, Write};
 use std::process::ExitCode;
 use std::sync::mpsc;
 
-use dnnip_serve::{run_stdio, shutdown_response, Engine, EngineConfig, Handled};
+use dnnip_serve::{run_stdio, serve_lines, shutdown_response, Engine, EngineConfig};
 
 struct Args {
     config: EngineConfig,
@@ -129,17 +129,8 @@ fn serve_socket(engine: Engine, path: &std::path::Path) -> std::io::Result<()> {
             }
         });
         let active = engine.as_ref().expect("engine alive while accepting");
-        let mut shutdown_id = None;
-        for line in reader.lines() {
-            let Ok(line) = line else { break };
-            if line.trim().is_empty() {
-                continue;
-            }
-            if let Handled::Shutdown { id } = active.handle(&line, &out_tx) {
-                shutdown_id = Some(id);
-                break;
-            }
-        }
+        // A read error ends this connection like EOF; the listener goes on.
+        let shutdown_id = serve_lines(active, reader, &out_tx).unwrap_or(None);
         if let Some(id) = shutdown_id {
             engine.take().expect("engine alive at shutdown").drain();
             let _ = out_tx.send(shutdown_response(&id));

@@ -9,7 +9,9 @@
 //!   names an operation (`generate`, `models`, `stats`, `vacuum`,
 //!   `shutdown`) and gets exactly one response line, correlated by `id`.
 //!   Responses may arrive out of submission order; errors are structured
-//!   (`"ok":false` with a machine-readable `kind`), never dropped lines.
+//!   (`"ok":false` with a machine-readable `kind`), never dropped lines. A
+//!   line that is not UTF-8 or is longer than [`MAX_LINE_BYTES`] is such an
+//!   error too, and the session reads on.
 //! * **Engine** ([`engine`]): a bounded worker pool over one shared
 //!   workspace — concurrent requests reuse each other's cached activation
 //!   sets — with per-request deadlines (expired-in-queue requests fail
@@ -27,8 +29,16 @@ pub mod protocol;
 
 pub use engine::{shutdown_response, CoalesceSnapshot, Engine, EngineConfig, Handled};
 
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 use std::sync::mpsc;
+
+use engine::error_response;
+
+/// Longest request line accepted, in bytes, newline excluded: room for an
+/// inline pool of 1024 samples of the largest built-in input (`mnist-scaled`,
+/// 1×16×16) at 30 bytes per number. A longer line is answered with a
+/// `bad_request` and skipped, buffering no more than the cap of it.
+pub const MAX_LINE_BYTES: usize = 8 << 20;
 
 /// Serve the NDJSON protocol over an arbitrary reader/writer pair until
 /// EOF or a `shutdown` request, then drain the engine (every accepted
@@ -57,22 +67,79 @@ where
             }
             Ok(())
         });
-        let mut shutdown_id = None;
-        for line in input.lines() {
-            let line = line?;
-            if line.trim().is_empty() {
-                continue;
+        let read = serve_lines(&engine, input, &out_tx);
+        engine.drain();
+        if let Ok(Some(id)) = &read {
+            let _ = out_tx.send(shutdown_response(id));
+        }
+        drop(out_tx);
+        let written = writer.join().expect("writer thread panicked");
+        read.and(written)
+    })
+}
+
+/// Hand each request line of `input` to `engine` until EOF or a `shutdown`
+/// request, and return the shutdown's id (`None` at EOF). Blank lines are
+/// skipped. A line that is not UTF-8 or is longer than [`MAX_LINE_BYTES`]
+/// is answered on `out` with a `bad_request`, and the session goes on.
+///
+/// # Errors
+///
+/// Propagates I/O errors from the reader; requests accepted before one
+/// are still answered.
+pub fn serve_lines<R: BufRead>(
+    engine: &Engine,
+    mut input: R,
+    out: &mpsc::Sender<String>,
+) -> std::io::Result<Option<String>> {
+    let mut buf = Vec::new();
+    while let Some(line) = read_line(&mut input, &mut buf)? {
+        match line {
+            Ok(text) if text.trim().is_empty() => {}
+            Ok(text) => {
+                if let Handled::Shutdown { id } = engine.handle(text, out) {
+                    return Ok(Some(id));
+                }
             }
-            if let Handled::Shutdown { id } = engine.handle(&line, &out_tx) {
-                shutdown_id = Some(id);
+            Err(message) => {
+                let _ = out.send(error_response("", "bad_request", &message).to_string());
+            }
+        }
+    }
+    Ok(None)
+}
+
+/// Read one line into `buf` and return it without its `\n` or `\r\n`, or
+/// the reason it is rejected; `None` at EOF. At most `MAX_LINE_BYTES + 1`
+/// bytes of a line are ever buffered.
+fn read_line<'a, R: BufRead>(
+    input: &mut R,
+    buf: &'a mut Vec<u8>,
+) -> std::io::Result<Option<Result<&'a str, String>>> {
+    let cap = MAX_LINE_BYTES as u64 + 1;
+    buf.clear();
+    if input.by_ref().take(cap).read_until(b'\n', buf)? == 0 {
+        return Ok(None);
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+    } else if buf.len() > MAX_LINE_BYTES {
+        // Skip the rest of the over-long line in bounded chunks.
+        loop {
+            buf.clear();
+            let n = input.by_ref().take(cap).read_until(b'\n', buf)?;
+            if n == 0 || buf.last() == Some(&b'\n') {
                 break;
             }
         }
-        engine.drain();
-        if let Some(id) = shutdown_id {
-            let _ = out_tx.send(shutdown_response(&id));
-        }
-        drop(out_tx);
-        writer.join().expect("writer thread panicked")
-    })
+        return Ok(Some(Err(format!(
+            "request line longer than {MAX_LINE_BYTES} bytes"
+        ))));
+    }
+    Ok(Some(std::str::from_utf8(buf).map_err(|e| {
+        format!("request line is not valid UTF-8: {e}")
+    })))
 }

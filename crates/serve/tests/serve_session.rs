@@ -9,7 +9,7 @@ use std::io::Write;
 use std::process::{Command, Stdio};
 
 use dnnip_serve::json::Json;
-use dnnip_serve::{run_stdio, Engine, EngineConfig};
+use dnnip_serve::{run_stdio, Engine, EngineConfig, MAX_LINE_BYTES};
 
 fn engine(workers: usize) -> Engine {
     Engine::in_memory(EngineConfig {
@@ -21,8 +21,12 @@ fn engine(workers: usize) -> Engine {
 }
 
 fn session(workers: usize, input: &str) -> Vec<Json> {
+    session_bytes(workers, input.as_bytes().to_vec())
+}
+
+fn session_bytes(workers: usize, input: Vec<u8>) -> Vec<Json> {
     let mut output = Vec::new();
-    run_stdio(engine(workers), Cursor::new(input.to_string()), &mut output).unwrap();
+    run_stdio(engine(workers), Cursor::new(input), &mut output).unwrap();
     String::from_utf8(output)
         .unwrap()
         .lines()
@@ -154,6 +158,74 @@ fn a_deeply_nested_line_is_a_bad_request_and_the_next_request_is_served() {
         .is_some_and(|m| m.contains("nesting deeper than")));
     assert_eq!(responses[1].get("id").and_then(Json::as_str), Some("m"));
     assert_eq!(responses[1].get("ok").and_then(Json::as_bool), Some(true));
+}
+
+/// The `bad_request` message of a response, panicking on anything else.
+fn bad_request_message(response: &Json) -> &str {
+    let error = response.get("error").expect("an error response");
+    assert_eq!(
+        error.get("kind").and_then(Json::as_str),
+        Some("bad_request")
+    );
+    error.get("message").and_then(Json::as_str).unwrap()
+}
+
+#[test]
+fn a_non_utf8_line_is_a_bad_request_and_the_next_request_is_served() {
+    let mut input = b"\xff\xfe\n".to_vec();
+    input.extend_from_slice(b"{\"id\":\"m\",\"op\":\"models\"}\n");
+    let responses = session_bytes(1, input);
+    assert_eq!(responses.len(), 2, "both lines answered, in order");
+    assert!(bad_request_message(&responses[0]).contains("not valid UTF-8"));
+    assert_eq!(responses[1].get("id").and_then(Json::as_str), Some("m"));
+    assert_eq!(responses[1].get("ok").and_then(Json::as_bool), Some(true));
+}
+
+#[test]
+fn an_over_long_line_is_a_bad_request_and_the_next_request_is_served() {
+    // A line at the cap is read (and rejected only as malformed JSON); one
+    // byte more is skipped unread.
+    let input = format!(
+        "{}\n{}\n{}\n",
+        "x".repeat(MAX_LINE_BYTES),
+        "x".repeat(MAX_LINE_BYTES + 1),
+        r#"{"id":"m","op":"models"}"#
+    );
+    let responses = session(1, &input);
+    assert_eq!(responses.len(), 3, "every line answered, in order");
+    assert!(bad_request_message(&responses[0]).contains("malformed JSON"));
+    assert!(bad_request_message(&responses[1]).contains("longer than"));
+    assert_eq!(responses[2].get("id").and_then(Json::as_str), Some("m"));
+    assert_eq!(responses[2].get("ok").and_then(Json::as_bool), Some(true));
+}
+
+#[test]
+fn the_binary_answers_the_request_after_a_non_utf8_line() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_dnnip-serve"))
+        .env("DNNIP_CACHE_PERSIST", "0")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn dnnip-serve");
+    child
+        .stdin
+        .take()
+        .unwrap()
+        .write_all(b"\xff\xfe\n{\"id\":\"m\",\"op\":\"models\"}\n")
+        .unwrap();
+    let output = child.wait_with_output().expect("binary runs to completion");
+    assert!(
+        output.status.success(),
+        "exit status {:?}, stderr: {}",
+        output.status,
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let stdout = String::from_utf8(output.stdout).unwrap();
+    let responses: Vec<Json> = stdout.lines().map(|l| Json::parse(l).unwrap()).collect();
+    assert_eq!(responses.len(), 2, "stdout was: {stdout}");
+    bad_request_message(&responses[0]);
+    assert_eq!(responses[1].get("id").and_then(Json::as_str), Some("m"));
 }
 
 #[test]
