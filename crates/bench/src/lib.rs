@@ -304,7 +304,7 @@ pub fn register_model(ws: &Workspace, model: &PreparedModel) -> NetworkFingerpri
 }
 
 /// Register `model` and mint its evaluator under the `DNNIP_CRITERION`
-/// selection — the [`Workspace`]-era replacement for [`evaluator_for`].
+/// selection.
 ///
 /// # Panics
 ///
@@ -314,25 +314,6 @@ pub fn evaluator_in(ws: &Workspace, model: &PreparedModel) -> Evaluator {
     let fingerprint = register_model(ws, model);
     ws.evaluator(fingerprint, &criterion_spec_from_env())
         .expect("valid DNNIP_CRITERION spec")
-}
-
-/// Build a standalone evaluator for one model (private caches, no registry,
-/// no persistent tier).
-///
-/// # Panics
-///
-/// Panics on a malformed `DNNIP_CRITERION` value.
-#[deprecated(
-    since = "0.1.0",
-    note = "go through a Workspace: `evaluator_in(&workspace_from_env(), model)` \
-            shares one cache budget across models and persists across processes"
-)]
-pub fn evaluator_for(model: &PreparedModel) -> Evaluator {
-    Evaluator::with_criterion(
-        &model.network,
-        model.coverage,
-        criterion_from_env(&model.coverage),
-    )
 }
 
 /// Which model family an experiment binary should run, resolved from the

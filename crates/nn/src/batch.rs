@@ -9,15 +9,22 @@
 //! * **Batched forward** — the whole chunk of samples is stacked along the
 //!   batch axis and pushed through every layer once. Dense layers become one
 //!   matrix–matrix product instead of per-sample matrix–vector products, and
-//!   convolutions run as im2col + matmul with the lowered column matrices
-//!   retained for the backward pass.
-//! * **Per-sample backward with matmul kernels** — parameter gradients for each
-//!   sample reuse the cached im2col matrices: `∂L/∂W = ∂L/∂out · colsᵀ` and
-//!   `∂L/∂x = col2im(Wᵀ · ∂L/∂out)` are two dense products per convolution
-//!   layer instead of the branchy seven-deep direct loop nest.
+//!   convolutions run as im2col + matmul, one sample's column block at a time
+//!   in a single reused scratch buffer. A convolution keeps only its stacked
+//!   input for the backward pass, never the lowered columns (those are
+//!   `C·KH·KW` times larger and would fall out of cache between the passes).
+//! * **Per-sample backward with matmul kernels** — `∂L/∂W = ∂L/∂out · colsᵀ`
+//!   and `∂L/∂x = col2im(Wᵀ · ∂L/∂out)` are two dense products per
+//!   convolution layer instead of the branchy seven-deep direct loop nest.
+//!   Only the weight gradient needs the columns: before a sample's backward
+//!   passes, its blocks for every convolution are lowered again into one
+//!   cache-resident scratch buffer. The input gradient below the first
+//!   parameterized layer is never needed for parameter gradients and is
+//!   skipped.
 //! * **Multi-projection amortization** — several output projections (e.g. one
 //!   per class for the `PerClassMax` coverage policy) share a single forward
-//!   pass; only the cheap per-sample backward repeats.
+//!   pass and a single re-lowering per sample; only the cheap per-sample
+//!   backward repeats.
 //!
 //! The engine is deterministic and purely functional over `&Network`, so
 //! callers may freely share one engine across worker threads; results do not
@@ -31,10 +38,6 @@ use dnnip_tensor::{kernels, ops, ScratchArena, Tensor};
 use crate::layers::{Activation, Conv2d, Layer, LayerCache};
 use crate::{Network, NnError, Result};
 
-/// A batch's flat im2col column blocks plus their `(ckk, per)` block
-/// dimensions — what [`BatchCache::Conv`] retains for the backward passes.
-type ColBlocks = (Vec<f32>, usize, usize);
-
 /// Per-layer state captured by the engine's batched forward pass.
 ///
 /// Every variant stores **batch-level** data; the per-sample backward passes
@@ -42,15 +45,11 @@ type ColBlocks = (Vec<f32>, usize, usize);
 /// batch-of-one tensors per sample.
 #[derive(Debug)]
 enum BatchCache {
-    /// Convolution: all samples' im2col matrices as one flat buffer (sample
-    /// `s` is the contiguous `[ckk, per]` block at `s*ckk*per`), plus the
-    /// spatial geometry of the layer input, for `col2im`.
-    Conv {
-        cols: Vec<f32>,
-        ckk: usize,
-        per: usize,
-        chw: (usize, usize, usize),
-    },
+    /// Convolution: the stacked layer input `[B, C, H, W]`, moved in
+    /// without a copy. A sample's im2col block is lowered from it again only
+    /// when its weight gradient is requested; the input gradient needs just
+    /// the `(C, H, W)` geometry for `col2im`.
+    Conv { input: Tensor },
     /// Dense: the stacked layer input `[B, in_features]`.
     Dense { input: Tensor },
     /// Max pooling: batch-level argmax bookkeeping and the batched input shape.
@@ -167,6 +166,33 @@ pub struct BatchGradientEngine {
     conv_mats: Arc<[Option<(Tensor, Tensor)>]>,
     /// Per layer: `Some(weightᵀ)` for Dense layers, `None` otherwise.
     dense_t: Arc<[Option<Tensor>]>,
+    /// Index of the first layer with parameters (the layer count when there
+    /// is none): a parameter-gradient backward pass ends there.
+    first_param_layer: usize,
+}
+
+/// Where a parameter-gradient backward pass writes, and the column blocks
+/// its convolution weight gradients read.
+struct ParamSink<'a> {
+    /// The flat parameter-gradient vector, one range per parameterized layer.
+    grads: &'a mut [f32],
+    /// The sample's im2col blocks, as [`BatchGradientEngine::lower_sample`]
+    /// lays them out.
+    cols: &'a [f32],
+}
+
+/// `(B, C, H, W)` of a stacked convolution input.
+fn nchw(x: &Tensor) -> (usize, usize, usize, usize) {
+    (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3])
+}
+
+/// Length of one sample's `[C*KH*KW, OH*OW]` im2col block for convolution
+/// `l` over the stacked input `input`.
+fn conv_block_len(input: &Tensor, l: &Conv2d) -> Result<usize> {
+    let (_, c, h, w) = nchw(input);
+    let geom = l.geometry();
+    let (oh, ow) = geom.output_hw(h, w)?;
+    Ok(c * geom.kh * geom.kw * oh * ow)
 }
 
 impl BatchGradientEngine {
@@ -204,10 +230,15 @@ impl BatchGradientEngine {
             })
             .collect::<Vec<_>>()
             .into();
+        let layout = network.param_layout();
+        let first_param_layer = (0..network.num_layers())
+            .find(|&i| layout.layer_range(i).is_some())
+            .unwrap_or(network.num_layers());
         Self {
             network,
             conv_mats,
             dense_t,
+            first_param_layer,
         }
     }
 
@@ -260,14 +291,23 @@ impl BatchGradientEngine {
         let pass = self.forward_batch_with(samples, &mut arena)?;
 
         let mut grads = vec![0.0f32; self.network.num_parameters()];
+        // The sample's column blocks leave the arena while the backward
+        // passes borrow it mutably, and go back afterwards for reuse.
+        let mut cols = std::mem::take(&mut arena.cols);
         for s in 0..samples.len() {
+            // Lower once per sample; every projection replays the blocks.
+            self.lower_sample(&pass.caches, s, &mut cols)?;
             for (pi, proj) in projections.iter().enumerate() {
-                let g =
-                    self.backward_sample(&pass.caches, s, proj, Some(&mut grads), &mut arena)?;
+                let sink = ParamSink {
+                    grads: &mut grads,
+                    cols: &cols,
+                };
+                let g = self.backward_sample(&pass.caches, s, proj, Some(sink), &mut arena)?;
                 arena.grad_a = g;
                 visit(s, pi, &grads);
             }
         }
+        arena.cols = cols;
         Ok(())
     }
 
@@ -299,7 +339,7 @@ impl BatchGradientEngine {
     ) -> Result<BatchForwardPass> {
         let batch = ops::stack(samples)?;
         self.network.check_batch_input(&batch)?;
-        let (output, caches) = self.forward(&batch, arena)?;
+        let (output, caches) = self.forward(batch, arena)?;
         Ok(BatchForwardPass {
             output,
             caches,
@@ -327,7 +367,7 @@ impl BatchGradientEngine {
         let mut arena = ScratchArena::new();
         for (i, layer) in self.network.layers().iter().enumerate() {
             x = match layer {
-                Layer::Conv2d(l) => self.conv_forward_batch(i, l, &x, false, &mut arena)?.0,
+                Layer::Conv2d(l) => self.conv_forward_batch(i, l, &x, &mut arena)?,
                 other => other.infer(&x)?,
             };
             if layer.is_activation() {
@@ -420,24 +460,23 @@ impl BatchGradientEngine {
     }
 
     /// One convolution layer's batched forward through its precomputed weight
-    /// matrix: batch-blocked im2col + per-sample matmul. Returns the stacked
-    /// output and, when `keep_cols`, the flat buffer of per-sample column
-    /// blocks (what the backward pass consumes) with its `(ckk, per)` block
-    /// dimensions. Both the gradient path and the forward-only activation
-    /// capture go through this single implementation, so their intermediate
-    /// values are bit-identical by construction. The arithmetic (one im2col
-    /// block per sample, `kernels::gemm`, bias added after the product) is
-    /// that of `conv2d_forward_im2col`, which [`Layer::infer`] runs, so
-    /// [`Network::forward`] agrees with the engine bit for bit.
+    /// matrix: per-sample im2col + matmul, returning the stacked output. Each
+    /// sample is lowered into the same `arena.cols` block and multiplied while
+    /// the block is still cache-hot. Both the gradient path and the
+    /// forward-only activation capture go through this single implementation,
+    /// so their intermediate values are bit-identical by construction. The
+    /// arithmetic (one im2col block per sample, `kernels::gemm`, bias added
+    /// after the product) is that of `conv2d_forward_im2col`, which
+    /// [`Layer::infer`] runs, so [`Network::forward`] agrees with the engine
+    /// bit for bit.
     fn conv_forward_batch(
         &self,
         layer_index: usize,
         l: &Conv2d,
         x: &Tensor,
-        keep_cols: bool,
         arena: &mut ScratchArena,
-    ) -> Result<(Tensor, Option<ColBlocks>)> {
-        let (b, h, w) = (x.shape()[0], x.shape()[2], x.shape()[3]);
+    ) -> Result<Tensor> {
+        let (b, c, h, w) = nchw(x);
         let geom = l.geometry();
         let (oh, ow) = geom.output_hw(h, w)?;
         let oc = l.out_channels();
@@ -445,32 +484,14 @@ impl BatchGradientEngine {
         let (wmat, _) = self.conv_mats[layer_index]
             .as_ref()
             .expect("conv layer has precomputed weight matrices");
-        // Retained column blocks need their own storage for the backward
-        // passes; the forward-only path lowers into the arena instead.
-        let mut fresh = Vec::new();
-        let cols = if keep_cols {
-            &mut fresh
-        } else {
-            &mut arena.cols
-        };
-        let c = x.shape()[1];
         let (rows, per) = (c * geom.kh * geom.kw, oh * ow);
-        cols.resize(b * rows * per, 0.0);
-        let out_len = oc * oh * ow;
+        let block = ScratchArena::sized(&mut arena.cols, rows * per);
+        let out_len = oc * per;
         let mut out = vec![0.0f32; b * out_len];
         let sample_len = c * h * w;
         for s in 0..b {
-            // Lower this sample's block, then multiply it while it is still
-            // cache-hot — interleaving matters more than batching the scatter.
-            let block = &mut cols[s * rows * per..(s + 1) * rows * per];
-            im2col_block_into(
-                &x.data()[s * sample_len..(s + 1) * sample_len],
-                c,
-                h,
-                w,
-                geom,
-                block,
-            )?;
+            let sample = &x.data()[s * sample_len..(s + 1) * sample_len];
+            im2col_block_into(sample, c, h, w, geom, block)?;
             let dst = &mut out[s * out_len..(s + 1) * out_len];
             kernels::gemm(oc, rows, per, wmat.data(), block, dst);
             for (oci, &bv) in bd.iter().enumerate() {
@@ -479,32 +500,53 @@ impl BatchGradientEngine {
                 }
             }
         }
-        let kept = keep_cols.then_some((fresh, rows, per));
-        Ok((Tensor::from_vec(out, &[b, oc, oh, ow])?, kept))
+        Ok(Tensor::from_vec(out, &[b, oc, oh, ow])?)
+    }
+
+    /// Lower sample `s`'s im2col block for every convolution layer into
+    /// `cols`, side by side in layer order (`[C*KH*KW, OH*OW]` each, from the
+    /// stacked inputs the forward pass kept). The backward pass walks the
+    /// layers in reverse and takes the blocks from the end of the buffer.
+    fn lower_sample(&self, caches: &[BatchCache], s: usize, cols: &mut Vec<f32>) -> Result<()> {
+        let convs = || {
+            caches
+                .iter()
+                .zip(self.network.layers())
+                .filter_map(|pair| match pair {
+                    (BatchCache::Conv { input }, Layer::Conv2d(l)) => Some((input, l)),
+                    _ => None,
+                })
+        };
+        let total = convs()
+            .map(|(input, l)| conv_block_len(input, l))
+            .sum::<Result<usize>>()?;
+        let mut rest = ScratchArena::sized(cols, total);
+        for (input, l) in convs() {
+            let (_, c, h, w) = nchw(input);
+            let (block, tail) = rest.split_at_mut(conv_block_len(input, l)?);
+            let sample_len = c * h * w;
+            let sample = &input.data()[s * sample_len..(s + 1) * sample_len];
+            im2col_block_into(sample, c, h, w, l.geometry(), block)?;
+            rest = tail;
+        }
+        Ok(())
     }
 
     /// Batched forward pass recording the per-layer state the per-sample
     /// backward passes need, returning the final stacked output alongside.
     fn forward(
         &self,
-        batch: &Tensor,
+        batch: Tensor,
         arena: &mut ScratchArena,
     ) -> Result<(Tensor, Vec<BatchCache>)> {
         let mut caches = Vec::with_capacity(self.network.num_layers());
-        let mut x = batch.clone();
+        let mut x = batch;
         for (i, layer) in self.network.layers().iter().enumerate() {
             match layer {
                 Layer::Conv2d(l) => {
-                    let chw = (x.shape()[1], x.shape()[2], x.shape()[3]);
-                    let (out, kept) = self.conv_forward_batch(i, l, &x, true, arena)?;
+                    let out = self.conv_forward_batch(i, l, &x, arena)?;
+                    caches.push(BatchCache::Conv { input: x });
                     x = out;
-                    let (cols, ckk, per) = kept.expect("keep_cols retains the column blocks");
-                    caches.push(BatchCache::Conv {
-                        cols,
-                        ckk,
-                        per,
-                        chw,
-                    });
                 }
                 Layer::Dense(l) => {
                     let out = l.infer(&x)?;
@@ -552,35 +594,43 @@ impl BatchGradientEngine {
     /// the arena — no per-layer or per-sample tensor allocations. Every layer
     /// reads its slice of the batch-level caches directly.
     ///
-    /// When `param_out` is `Some`, the flat parameter-gradient vector is
-    /// written into it (every parameterized range is fully overwritten, so the
-    /// buffer needs no zeroing between calls); when `None`, parameter-gradient
-    /// work is skipped entirely — the input-gradient-only mode used by the
-    /// stacked gradient-descent loop.
+    /// When `params` is `Some`, the flat parameter-gradient vector is
+    /// written into its `grads` (every parameterized range is fully
+    /// overwritten, so the buffer needs no zeroing between calls), the
+    /// convolution weight gradients read the sample's blocks from its `cols`
+    /// (as [`BatchGradientEngine::lower_sample`] laid them out), and the pass
+    /// stops at the first parameterized layer without computing that layer's
+    /// input gradient — the returned buffer is then scratch. When `None`,
+    /// parameter-gradient work is skipped entirely — the input-gradient-only
+    /// mode used by the stacked gradient-descent loop.
     fn backward_sample(
         &self,
         caches: &[BatchCache],
         s: usize,
         projection: &[f32],
-        mut param_out: Option<&mut [f32]>,
+        mut params: Option<ParamSink<'_>>,
         arena: &mut ScratchArena,
     ) -> Result<Vec<f32>> {
         let mut cur = std::mem::take(&mut arena.grad_a);
         let mut nxt = std::mem::take(&mut arena.grad_b);
         cur.clear();
         cur.extend_from_slice(projection);
-        for (i, layer) in self.network.layers().iter().enumerate().rev() {
+        let stop = if params.is_some() {
+            self.first_param_layer
+        } else {
+            0
+        };
+        // Unconsumed prefix of the sample's column blocks; the backward walk
+        // takes each convolution's block off its end.
+        let mut cols_left = params.as_ref().map_or(0, |p| p.cols.len());
+        for (i, layer) in self.network.layers().iter().enumerate().skip(stop).rev() {
+            let input_grad = params.is_none() || i > stop;
             match (&caches[i], layer) {
-                (
-                    BatchCache::Conv {
-                        cols,
-                        ckk,
-                        per,
-                        chw,
-                    },
-                    Layer::Conv2d(l),
-                ) => {
-                    let (ckk, per) = (*ckk, *per);
+                (BatchCache::Conv { input }, Layer::Conv2d(l)) => {
+                    let (_, c, h, w) = nchw(input);
+                    let geom = l.geometry();
+                    let (oh, ow) = geom.output_hw(h, w)?;
+                    let (ckk, per) = (c * geom.kh * geom.kw, oh * ow);
                     let (_, wmat_t) = self.conv_mats[i]
                         .as_ref()
                         .expect("conv layer has precomputed weight matrices");
@@ -589,14 +639,15 @@ impl BatchGradientEngine {
                     // storage *is* the [OC, OH*OW] matrix, so no reshape copy.
                     debug_assert_eq!(cur.len(), oc * per);
                     let god = cur.as_slice();
-                    let block = &cols[s * ckk * per..(s + 1) * ckk * per];
-                    if let Some(out) = param_out.as_deref_mut() {
+                    if let Some(p) = params.as_mut() {
+                        cols_left -= ckk * per;
+                        let block = &p.cols[cols_left..cols_left + ckk * per];
                         let range = self
                             .network
                             .param_layout()
                             .layer_range(i)
                             .expect("parameterized layer present in layout");
-                        let dst = &mut out[range];
+                        let dst = &mut p.grads[range];
                         let w_len = oc * ckk;
                         // ∂L/∂W = ∂L/∂out · colsᵀ, written straight into the
                         // flat parameter-gradient slice.
@@ -605,12 +656,13 @@ impl BatchGradientEngine {
                             *slot = god[oci * per..(oci + 1) * per].iter().sum();
                         }
                     }
-                    // ∂L/∂x = col2im(Wᵀ · ∂L/∂out), product in arena scratch.
-                    let gi_cols = ScratchArena::sized(&mut arena.grad_cols, ckk * per);
-                    kernels::gemm(ckk, oc, per, wmat_t.data(), god, gi_cols);
-                    let (c, h, w) = *chw;
-                    col2im_slice_into(gi_cols, l.geometry(), c, h, w, &mut nxt)?;
-                    std::mem::swap(&mut cur, &mut nxt);
+                    if input_grad {
+                        // ∂L/∂x = col2im(Wᵀ · ∂L/∂out), product in arena scratch.
+                        let gi_cols = ScratchArena::sized(&mut arena.grad_cols, ckk * per);
+                        kernels::gemm(ckk, oc, per, wmat_t.data(), god, gi_cols);
+                        col2im_slice_into(gi_cols, geom, c, h, w, &mut nxt)?;
+                        std::mem::swap(&mut cur, &mut nxt);
+                    }
                 }
                 (BatchCache::Dense { input }, Layer::Dense(_)) => {
                     let w_t = self.dense_t[i]
@@ -619,14 +671,14 @@ impl BatchGradientEngine {
                     let (out_f, in_f) = (w_t.shape()[0], w_t.shape()[1]);
                     debug_assert_eq!(cur.len(), out_f);
                     let god = cur.as_slice();
-                    if let Some(out) = param_out.as_deref_mut() {
+                    if let Some(p) = params.as_mut() {
                         let input_s = &input.data()[s * in_f..(s + 1) * in_f];
                         let range = self
                             .network
                             .param_layout()
                             .layer_range(i)
                             .expect("parameterized layer present in layout");
-                        let dst = &mut out[range];
+                        let dst = &mut p.grads[range];
                         let w_len = in_f * out_f;
                         // ∂L/∂W = inputᵀ · ∂L/∂out; one sample's input slice
                         // is already its own [in, 1] transpose, so the product
@@ -639,11 +691,13 @@ impl BatchGradientEngine {
                             *slot = 0.0 + g;
                         }
                     }
-                    // ∂L/∂x = ∂L/∂out · Wᵀ — the same kernel call
-                    // `ops::matmul(grad, w_t)` makes, minus the tensor wrap.
-                    let grad_in = ScratchArena::sized(&mut nxt, in_f);
-                    kernels::gemm(1, out_f, in_f, god, w_t.data(), grad_in);
-                    std::mem::swap(&mut cur, &mut nxt);
+                    if input_grad {
+                        // ∂L/∂x = ∂L/∂out · Wᵀ — the same kernel call
+                        // `ops::matmul(grad, w_t)` makes, minus the tensor wrap.
+                        let grad_in = ScratchArena::sized(&mut nxt, in_f);
+                        kernels::gemm(1, out_f, in_f, god, w_t.data(), grad_in);
+                        std::mem::swap(&mut cur, &mut nxt);
+                    }
                 }
                 (
                     BatchCache::Pool {
@@ -763,6 +817,33 @@ mod tests {
         let engine = BatchGradientEngine::new(&net);
         let inputs = samples(4, &[5]);
         let ones = vec![1.0f32; 4];
+        let batched = engine.parameter_gradients_batch(&inputs, &ones).unwrap();
+        for (i, x) in inputs.iter().enumerate() {
+            let reference = net.parameter_gradients(x, &ones).unwrap();
+            assert_eq!(batched[i], reference, "sample {i}");
+        }
+    }
+
+    #[test]
+    fn parameter_gradients_stop_at_the_first_parameterized_layer() {
+        // Layers below the first Dense carry no parameters, so the
+        // parameter-gradient backward never visits them — the gradients must
+        // still be bit-identical to the per-sample reference.
+        let net = Network::new(
+            vec![
+                ActivationLayer::new(Activation::Tanh).into(),
+                Flatten::new().into(),
+                Dense::with_seed(2 * 3 * 3, 7, 4).into(),
+                ActivationLayer::new(Activation::Relu).into(),
+                Dense::with_seed(7, 3, 5).into(),
+            ],
+            &[2, 3, 3],
+        )
+        .unwrap();
+        let engine = BatchGradientEngine::new(&net);
+        assert_eq!(engine.first_param_layer, 2);
+        let inputs = samples(4, &[2, 3, 3]);
+        let ones = vec![1.0f32; 3];
         let batched = engine.parameter_gradients_batch(&inputs, &ones).unwrap();
         for (i, x) in inputs.iter().enumerate() {
             let reference = net.parameter_gradients(x, &ones).unwrap();

@@ -18,11 +18,13 @@
 /// amortize across a whole chunk.
 #[derive(Debug, Default, Clone)]
 pub struct ScratchArena {
-    /// im2col column-matrix scratch (`[C*KH*KW, OH*OW]` per sample), used by
-    /// forward passes that do not need to retain the columns.
+    /// im2col column scratch, never kept past the sample it was lowered for.
+    /// A convolution's forward lowers each sample into one `[C*KH*KW, OH*OW]`
+    /// block here and multiplies it while it is cache-hot; before a sample's
+    /// parameter-gradient backward passes, its blocks for every convolution
+    /// layer are lowered here side by side, once, and every output
+    /// projection's backward reads them.
     pub cols: Vec<f32>,
-    /// Matrix-product scratch: the per-sample `[OC, OH*OW]` forward product.
-    pub prod: Vec<f32>,
     /// Gradient column-matrix scratch (`Wᵀ · ∂L/∂out` before col2im).
     pub grad_cols: Vec<f32>,
     /// One side of the backward pass's ping-pong gradient buffer (the running

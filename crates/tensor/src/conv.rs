@@ -170,13 +170,35 @@ fn check_conv_args(
     Ok(())
 }
 
+/// The output positions `o` in `0..out_len` whose window tap at offset `k`
+/// lands inside an input axis of length `in_len`, i.e. `lo..hi` such that
+/// `o * stride + k - pad` lies in `0..in_len` exactly when `lo <= o < hi`.
+///
+/// The valid positions of one tap are contiguous, so the lowering loops
+/// compute this range once per tap instead of testing two bounds per element.
+/// The range is empty (`lo == hi`) when every position of the tap falls into
+/// the padding.
+fn tap_range(k: usize, pad: usize, stride: usize, in_len: usize, out_len: usize) -> (usize, usize) {
+    let hi = (in_len + pad)
+        .saturating_sub(k)
+        .div_ceil(stride)
+        .min(out_len);
+    let lo = pad.saturating_sub(k).div_ceil(stride).min(hi);
+    (lo, hi)
+}
+
 /// Copy one sample's receptive fields into an im2col layout.
 ///
-/// `out` must be zeroed where padding positions land; this writes only the
-/// in-bounds entries. Row `r` of the im2col matrix starts at `out[r *
-/// row_stride + col_offset]` — `row_stride`/`col_offset` are what let the
+/// Row `r` of the im2col matrix starts at `out[r * row_stride + col_offset]`
+/// and spans `oh * ow` entries; `row_stride`/`col_offset` are what let the
 /// batched lowering write each sample's columns straight into its slot of the
 /// shared `[C*KH*KW, N*OH*OW]` matrix without a per-sample staging tensor.
+/// Every entry of those row spans is written — zeros where padding lands — so
+/// the target needs no clearing beforehand.
+///
+/// Each `(row, output row)` pair copies one contiguous run of valid output
+/// columns ([`tap_range`]): a single `copy_from_slice` at stride 1, a strided
+/// gather otherwise, with the padded ends zero-filled around it.
 #[allow(clippy::too_many_arguments)] // internal hot loop; the args are the full addressing scheme
 fn im2col_scatter(
     sd: &[f32],
@@ -190,24 +212,42 @@ fn im2col_scatter(
     row_stride: usize,
     col_offset: usize,
 ) {
+    let Conv2dGeometry {
+        kh,
+        kw,
+        stride,
+        pad,
+    } = geom;
     for ci in 0..c {
-        for khi in 0..geom.kh {
-            for kwi in 0..geom.kw {
-                let r = (ci * geom.kh + khi) * geom.kw + kwi;
-                for ohi in 0..oh {
-                    let ih = ohi * geom.stride + khi;
-                    if ih < geom.pad || ih - geom.pad >= h {
-                        continue;
-                    }
-                    let ih = ih - geom.pad;
-                    for owi in 0..ow {
-                        let iw = owi * geom.stride + kwi;
-                        if iw < geom.pad || iw - geom.pad >= w {
-                            continue;
+        let plane = &sd[ci * h * w..(ci + 1) * h * w];
+        for khi in 0..kh {
+            let (oh_lo, oh_hi) = tap_range(khi, pad, stride, h, oh);
+            for kwi in 0..kw {
+                let (ow_lo, ow_hi) = tap_range(kwi, pad, stride, w, ow);
+                let r = (ci * kh + khi) * kw + kwi;
+                let row = &mut out[r * row_stride + col_offset..][..oh * ow];
+                if ow_lo == ow_hi {
+                    // Every column of this tap falls into the padding.
+                    row.fill(0.0);
+                    continue;
+                }
+                row[..oh_lo * ow].fill(0.0);
+                row[oh_hi * ow..].fill(0.0);
+                // First input column the valid run reads.
+                let iw0 = ow_lo * stride + kwi - pad;
+                for ohi in oh_lo..oh_hi {
+                    let ih = ohi * stride + khi - pad;
+                    let src = &plane[ih * w + iw0..(ih + 1) * w];
+                    let dst = &mut row[ohi * ow..(ohi + 1) * ow];
+                    dst[..ow_lo].fill(0.0);
+                    dst[ow_hi..].fill(0.0);
+                    let dst = &mut dst[ow_lo..ow_hi];
+                    if stride == 1 {
+                        dst.copy_from_slice(&src[..dst.len()]);
+                    } else {
+                        for (d, &v) in dst.iter_mut().zip(src.iter().step_by(stride)) {
+                            *d = v;
                         }
-                        let iw = iw - geom.pad;
-                        out[r * row_stride + col_offset + ohi * ow + owi] =
-                            sd[(ci * h + ih) * w + iw];
                     }
                 }
             }
@@ -244,7 +284,6 @@ pub fn im2col_slice_into(
     let (oh, ow) = geom.output_hw(h, w)?;
     let rows = c * geom.kh * geom.kw;
     let cols = oh * ow;
-    out.clear();
     out.resize(rows * cols, 0.0);
     im2col_scatter(sample, c, h, w, geom, oh, ow, out, cols, 0);
     Ok((rows, cols))
@@ -337,23 +376,38 @@ pub fn col2im_slice_into(
     }
     out.clear();
     out.resize(c * h * w, 0.0);
+    let Conv2dGeometry {
+        kh,
+        kw,
+        stride,
+        pad,
+    } = geom;
+    // Same (ci, kh, kw, oh, ow) visiting order as the per-element loop, so
+    // every input pixel accumulates its terms in the same order; only the
+    // bounds tests move out of the inner loop.
     for ci in 0..c {
-        for khi in 0..geom.kh {
-            for kwi in 0..geom.kw {
-                let r = (ci * geom.kh + khi) * geom.kw + kwi;
-                for ohi in 0..oh {
-                    let ih = ohi * geom.stride + khi;
-                    if ih < geom.pad || ih - geom.pad >= h {
-                        continue;
-                    }
-                    let ih = ih - geom.pad;
-                    for owi in 0..ow {
-                        let iw = owi * geom.stride + kwi;
-                        if iw < geom.pad || iw - geom.pad >= w {
-                            continue;
+        let plane = &mut out[ci * h * w..(ci + 1) * h * w];
+        for khi in 0..kh {
+            let (oh_lo, oh_hi) = tap_range(khi, pad, stride, h, oh);
+            for kwi in 0..kw {
+                let (ow_lo, ow_hi) = tap_range(kwi, pad, stride, w, ow);
+                if ow_lo == ow_hi {
+                    continue;
+                }
+                let r = (ci * kh + khi) * kw + kwi;
+                let iw0 = ow_lo * stride + kwi - pad;
+                for ohi in oh_lo..oh_hi {
+                    let ih = ohi * stride + khi - pad;
+                    let src = &cols[r * ncols + ohi * ow..][ow_lo..ow_hi];
+                    let dst = &mut plane[ih * w + iw0..(ih + 1) * w];
+                    if stride == 1 {
+                        for (d, &v) in dst.iter_mut().zip(src) {
+                            *d += v;
                         }
-                        let iw = iw - geom.pad;
-                        out[(ci * h + ih) * w + iw] += cols[r * ncols + ohi * ow + owi];
+                    } else {
+                        for (d, &v) in dst.iter_mut().step_by(stride).zip(src) {
+                            *d += v;
+                        }
                     }
                 }
             }
@@ -385,7 +439,7 @@ pub fn im2col_batch(input: &Tensor, geom: Conv2dGeometry) -> Result<Tensor> {
 ///
 /// The allocation-free core of [`im2col_batch`]: each sample's receptive
 /// fields are scattered straight into its column slot of the shared matrix —
-/// no per-sample staging tensor, no row-by-row copy. The buffer is resized
+/// no per-sample staging tensor copied in afterwards. The buffer is resized
 /// and fully overwritten, so arena reuse is bit-identical to fresh allocation.
 ///
 /// # Errors
@@ -401,7 +455,6 @@ pub fn im2col_batch_into(
     let rows = c * geom.kh * geom.kw;
     let per_sample = oh * ow;
     let ncols = n * per_sample;
-    out.clear();
     out.resize(rows * ncols, 0.0);
     let sample_len = c * h * w;
     for ni in 0..n {
@@ -411,51 +464,16 @@ pub fn im2col_batch_into(
     Ok((rows, ncols))
 }
 
-/// Lower a whole batch into per-sample im2col **blocks** written into a
-/// caller-owned buffer; returns the per-sample matrix dimensions
-/// `(C*KH*KW, OH*OW)`.
-///
-/// Unlike [`im2col_batch_into`], which concatenates samples along the column
-/// axis of one shared matrix, this layout keeps each sample's `[C*KH*KW,
-/// OH*OW]` matrix **contiguous**: sample `s` occupies
-/// `out[s*rows*per .. (s+1)*rows*per]`, bit-identical to what
-/// [`im2col_slice_into`] produces for that sample alone. That makes each block
-/// directly consumable by the matmul kernels (which want a contiguous
-/// right-hand side) without a per-sample staging allocation — the batched
-/// gradient engine retains exactly this buffer for its backward pass. The
-/// buffer is resized and fully overwritten, so arena reuse is bit-identical
-/// to fresh allocation.
-///
-/// # Errors
-///
-/// Returns a [`TensorError`] for non-rank-4 input or invalid window geometry.
-pub fn im2col_batch_blocks_into(
-    input: &Tensor,
-    geom: Conv2dGeometry,
-    out: &mut Vec<f32>,
-) -> Result<(usize, usize)> {
-    let (n, c, h, w) = expect_rank4(input, "im2col_batch_blocks")?;
-    let (oh, ow) = geom.output_hw(h, w)?;
-    let rows = c * geom.kh * geom.kw;
-    let per = oh * ow;
-    out.resize(n * rows * per, 0.0);
-    let sample_len = c * h * w;
-    for ni in 0..n {
-        let sample = &input.data()[ni * sample_len..(ni + 1) * sample_len];
-        let block = &mut out[ni * rows * per..(ni + 1) * rows * per];
-        im2col_block_into(sample, c, h, w, geom, block)?;
-    }
-    Ok((rows, per))
-}
-
 /// Lower one raw `[C, H, W]` sample into a caller-provided im2col block of
-/// exactly `rows * per` elements (one contiguous block of the layout built by
-/// [`im2col_batch_blocks_into`]); returns `(rows, per)`.
+/// exactly `rows * per` elements, `rows = C*KH*KW` and `per = OH*OW`;
+/// returns `(rows, per)`.
 ///
 /// The block is fully overwritten (zeros where padding lands), so stale
 /// contents never leak through — bit-identical to [`im2col_slice_into`] on a
-/// fresh buffer. Exists so a caller holding one flat multi-sample buffer can
-/// interleave lowering with consuming each block while it is still cache-hot.
+/// fresh buffer. Exists so a caller can lower into a slice of a larger
+/// scratch buffer (the batched gradient engine keeps one sample's blocks for
+/// every convolution layer side by side) and consume each block while it is
+/// still cache-hot.
 ///
 /// # Errors
 ///
@@ -484,7 +502,6 @@ pub fn im2col_block_into(
             data_len: block.len(),
         });
     }
-    block.fill(0.0);
     im2col_scatter(sample, c, h, w, geom, oh, ow, block, per, 0);
     Ok((rows, per))
 }
@@ -849,29 +866,6 @@ mod tests {
             }
         }
         assert!(im2col_batch(&Tensor::zeros(&[4, 4]), geom).is_err());
-    }
-
-    #[test]
-    fn im2col_batch_blocks_are_per_sample_im2col() {
-        // Padded geometry so zero-fill positions are exercised too.
-        let input = Tensor::from_fn(&[3, 2, 4, 5], |i| ((i as f32) * 0.13).sin());
-        let geom = Conv2dGeometry::square(3, 1, 1);
-        let mut blocks = vec![f32::NAN; 7]; // dirty buffer: must be overwritten
-        let (rows, per) = im2col_batch_blocks_into(&input, geom, &mut blocks).unwrap();
-        assert_eq!((rows, per), (2 * 9, 4 * 5));
-        assert_eq!(blocks.len(), 3 * rows * per);
-        let sample_len = 2 * 4 * 5;
-        for ni in 0..3 {
-            let mut single = Vec::new();
-            let sd = &input.data()[ni * sample_len..(ni + 1) * sample_len];
-            im2col_slice_into(sd, 2, 4, 5, geom, &mut single).unwrap();
-            assert_eq!(
-                &blocks[ni * rows * per..(ni + 1) * rows * per],
-                single.as_slice(),
-                "sample {ni} block must be bit-identical to its solo lowering"
-            );
-        }
-        assert!(im2col_batch_blocks_into(&Tensor::zeros(&[4, 4]), geom, &mut blocks).is_err());
     }
 
     #[test]
