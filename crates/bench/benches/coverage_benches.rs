@@ -4,13 +4,15 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use dnnip_core::bitset::Bitset;
 use dnnip_core::coverage::{CoverageAnalyzer, CoverageConfig};
-use dnnip_core::select::{greedy_select, greedy_select_naive};
+use dnnip_core::covered::CoveredSet;
+use dnnip_core::select::{greedy_select_covered, greedy_select_naive};
 use dnnip_nn::layers::Activation;
 use dnnip_nn::zoo;
 use dnnip_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
+use std::sync::Arc;
 
 fn bench_activation_set(c: &mut Criterion) {
     let net = zoo::mnist_model_scaled(1).unwrap();
@@ -50,10 +52,14 @@ fn random_sets(n: usize, bits: usize, density: f64, seed: u64) -> Vec<Bitset> {
 fn bench_greedy_selection(c: &mut Criterion) {
     // Ablation: lazy (CELF) greedy vs the paper's naive Algorithm 1 loop.
     let sets = random_sets(200, 12_000, 0.05, 7);
+    let covered: Vec<Arc<CoveredSet>> = sets
+        .iter()
+        .map(|b| Arc::new(CoveredSet::from_bitset(b)))
+        .collect();
     let mut group = c.benchmark_group("greedy_select_200x12k");
     group.sample_size(10);
     group.bench_function("lazy", |bench| {
-        bench.iter(|| greedy_select(black_box(&sets), 12_000, 30).unwrap())
+        bench.iter(|| greedy_select_covered(black_box(&covered), 12_000, 30).unwrap())
     });
     group.bench_function("naive", |bench| {
         bench.iter(|| greedy_select_naive(black_box(&sets), 12_000, 30).unwrap())

@@ -11,6 +11,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use dnnip_core::coverage::CoverageConfig;
 use dnnip_core::criterion::builtin_criteria;
 use dnnip_core::eval::Evaluator;
+use dnnip_core::generator::GenerationMethod;
+use dnnip_core::workspace::{TestGenRequest, Workspace};
 use dnnip_nn::zoo;
 use dnnip_tensor::Tensor;
 use std::hint::black_box;
@@ -42,19 +44,19 @@ fn bench_selection_per_criterion(c: &mut Criterion) {
         .map(|i| Tensor::from_fn(&[1, 8, 8], |j| ((i * 64 + j) as f32 * 0.17).sin().abs()))
         .collect();
     let config = CoverageConfig::default();
+    let ws = Workspace::new();
+    let key = ws.register("tiny-cnn", net, config);
     let mut group = c.benchmark_group("greedy_select_budget8");
     group.sample_size(10);
     for criterion in builtin_criteria(&config) {
-        let evaluator = Evaluator::with_criterion(&net, config, criterion.clone());
+        let request = TestGenRequest::new(key, GenerationMethod::TrainingSetSelection, 8)
+            .with_criterion(criterion.clone())
+            .with_candidates(pool.clone());
         // Warm the covered-set cache so the bench isolates selection itself —
         // the repeated-sweep shape the detection tables actually run.
-        evaluator.select_from_training_set(&pool, 8).unwrap();
+        ws.run(&request).unwrap();
         group.bench_function(criterion.id(), |b| {
-            b.iter(|| {
-                evaluator
-                    .select_from_training_set(black_box(&pool), 8)
-                    .unwrap()
-            })
+            b.iter(|| ws.run(black_box(&request)).unwrap())
         });
     }
     group.finish();

@@ -3,8 +3,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dnnip_core::coverage::CoverageConfig;
-use dnnip_core::eval::Evaluator;
-use dnnip_core::generator::{generate_tests, GenerationConfig, GenerationMethod};
+use dnnip_core::generator::GenerationMethod;
+use dnnip_core::workspace::{TestGenRequest, Workspace};
 use dnnip_faults::attacks::{GradientDescentAttack, RandomPerturbation, SingleBiasAttack};
 use dnnip_faults::detection::{detection_rate, DetectionConfig, MatchPolicy};
 use dnnip_nn::layers::Activation;
@@ -17,18 +17,15 @@ fn bench_detection(c: &mut Criterion) {
     let pool: Vec<Tensor> = (0..40)
         .map(|i| Tensor::from_fn(&[1, 8, 8], |j| ((i * 64 + j) as f32 * 0.21).sin().abs()))
         .collect();
-    let evaluator = Evaluator::new(&net, CoverageConfig::default());
-    let tests = generate_tests(
-        &evaluator,
-        &pool,
-        GenerationMethod::Combined,
-        &GenerationConfig {
-            max_tests: 10,
-            ..GenerationConfig::default()
-        },
-    )
-    .unwrap()
-    .inputs;
+    let ws = Workspace::new();
+    let key = ws.register("tiny-cnn", net.clone(), CoverageConfig::default());
+    let tests = ws
+        .run(
+            &TestGenRequest::new(key, GenerationMethod::Combined, 10).with_candidates(pool.clone()),
+        )
+        .unwrap()
+        .tests
+        .inputs;
     let probes = &pool[..8];
     let config = DetectionConfig {
         trials: 10,

@@ -3,9 +3,9 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dnnip_core::coverage::CoverageConfig;
-use dnnip_core::eval::Evaluator;
-use dnnip_core::generator::{generate_tests, GenerationConfig, GenerationMethod};
+use dnnip_core::generator::GenerationMethod;
 use dnnip_core::gradgen::{GradGenConfig, GradientGenerator};
+use dnnip_core::workspace::{TestGenRequest, Workspace, WorkspaceConfig};
 use dnnip_nn::layers::Activation;
 use dnnip_nn::zoo;
 use dnnip_tensor::Tensor;
@@ -20,16 +20,12 @@ fn pool(n: usize) -> Vec<Tensor> {
 fn bench_generation_methods(c: &mut Criterion) {
     let net = zoo::tiny_cnn(6, 10, Activation::Relu, 5).unwrap();
     // Cache disabled so every iteration measures real generation work.
-    let evaluator = Evaluator::with_cache_bytes(&net, CoverageConfig::default(), 0);
+    let ws = Workspace::with_config(WorkspaceConfig {
+        cache_bytes: 0,
+        ..WorkspaceConfig::default()
+    });
+    let key = ws.register("tiny-cnn", net, CoverageConfig::default());
     let candidates = pool(60);
-    let config = GenerationConfig {
-        max_tests: 10,
-        gradgen: GradGenConfig {
-            steps: 10,
-            ..GradGenConfig::default()
-        },
-        ..GenerationConfig::default()
-    };
     let mut group = c.benchmark_group("generate_10_tests_tiny_cnn");
     group.sample_size(10);
     for method in [
@@ -38,16 +34,14 @@ fn bench_generation_methods(c: &mut Criterion) {
         GenerationMethod::Combined,
         GenerationMethod::NeuronCoverageBaseline,
     ] {
-        group.bench_function(method.name(), |bench| {
-            bench.iter(|| {
-                generate_tests(
-                    black_box(&evaluator),
-                    black_box(&candidates),
-                    method,
-                    &config,
-                )
-                .unwrap()
+        let request = TestGenRequest::new(key, method, 10)
+            .with_gradgen(GradGenConfig {
+                steps: 10,
+                ..GradGenConfig::default()
             })
+            .with_candidates(candidates.clone());
+        group.bench_function(method.name(), |bench| {
+            bench.iter(|| ws.run(black_box(&request)).unwrap())
         });
     }
     group.finish();

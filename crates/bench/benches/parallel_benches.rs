@@ -87,8 +87,8 @@ fn bench_parallel_selection_pipeline(c: &mut Criterion) {
         );
         group.bench_function(name, |b| {
             b.iter(|| {
-                dnnip_core::select::select_from_training_set(&evaluator, black_box(&pool), 10)
-                    .unwrap()
+                let sets = evaluator.activation_sets(black_box(&pool)).unwrap();
+                dnnip_core::select::greedy_select_covered(&sets, evaluator.num_units(), 10).unwrap()
             })
         });
     }

@@ -2,7 +2,6 @@
 
 use dnnip_core::generator::GenerationMethod;
 use dnnip_core::gradgen::GradGenConfig;
-use dnnip_core::neuron::{NeuronCoverageAnalyzer, NeuronCoverageConfig};
 use dnnip_core::par::ExecPolicy;
 use dnnip_core::workspace::{TestGenRequest, Workspace};
 use dnnip_faults::attacks::{Attack, GradientDescentAttack, RandomPerturbation, SingleBiasAttack};
@@ -40,7 +39,6 @@ pub fn detection_table(
     // `DNNIP_CRITERION` (the paper's parameter-gradient metric when unset);
     // the comparison baseline stays fixed at neuron coverage either way.
     let fingerprint = register_model(ws, model);
-    let neuron = NeuronCoverageAnalyzer::new(&model.network, NeuronCoverageConfig::default());
     let pool_size = profile.candidate_pool().min(model.dataset.len());
     let pool = &model.dataset.inputs[..pool_size];
     let probes: Vec<Tensor> = model.dataset.inputs[..profile.probe_count().min(pool_size)].to_vec();
@@ -66,14 +64,18 @@ pub fn detection_table(
         .expect("combined generation")
         .tests
         .inputs;
-    let baseline_selection = neuron
-        .select_by_neuron_coverage(pool, max_budget)
-        .expect("neuron-coverage selection");
-    let baseline_all: Vec<Tensor> = baseline_selection
-        .selected
-        .iter()
-        .map(|&i| pool[i].clone())
-        .collect();
+    let baseline_all = ws
+        .run(
+            &TestGenRequest::new(
+                fingerprint,
+                GenerationMethod::NeuronCoverageBaseline,
+                max_budget,
+            )
+            .with_candidates(pool.to_vec()),
+        )
+        .expect("neuron-coverage selection")
+        .tests
+        .inputs;
 
     // The paper does not say how many parameters its "random gaussian noise"
     // perturbation touches. A fixed handful (e.g. 16) out of tens of thousands is

@@ -25,91 +25,35 @@ pub enum TestSource {
     Synthetic(usize),
 }
 
-/// Configuration of the combined generator.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CombinedConfig {
-    /// Maximum number of functional tests to produce.
-    pub max_tests: usize,
-    /// Configuration of the gradient-based generator used after the switch.
-    pub gradgen: GradGenConfig,
-}
-
-impl Default for CombinedConfig {
-    fn default() -> Self {
-        Self {
-            max_tests: 30,
-            gradgen: GradGenConfig::default(),
-        }
-    }
-}
-
-/// Result of the combined generation.
-#[derive(Debug, Clone, Default)]
-pub struct CombinedResult {
-    /// The generated functional tests, in generation order.
-    pub tests: Vec<Tensor>,
-    /// Provenance of each test (parallel to `tests`).
-    pub sources: Vec<TestSource>,
-    /// Validation coverage after each test was added (parallel to `tests`).
-    pub coverage_curve: Vec<f32>,
-    /// Index in `tests` at which the generator switched to Algorithm 2, if it did.
-    pub switch_point: Option<usize>,
-}
-
-impl CombinedResult {
-    /// Final validation coverage (0.0 if no tests were generated).
-    pub fn final_coverage(&self) -> f32 {
-        self.coverage_curve.last().copied().unwrap_or(0.0)
-    }
-
-    /// Number of tests selected from the training set.
-    pub fn num_training_tests(&self) -> usize {
-        self.sources
-            .iter()
-            .filter(|s| matches!(s, TestSource::TrainingSample(_)))
-            .count()
-    }
-
-    /// Number of synthesized tests.
-    pub fn num_synthetic_tests(&self) -> usize {
-        self.sources
-            .iter()
-            .filter(|s| matches!(s, TestSource::Synthetic(_)))
-            .count()
-    }
-}
-
 /// Run the combined generator: Algorithm 1 until Algorithm 2 offers a better
-/// per-test coverage gain, then Algorithm 2 until the budget is exhausted.
+/// per-test coverage gain, then Algorithm 2 until `max_tests` tests exist.
+/// Returns the tests in generation order with the provenance of each; the
+/// first [`TestSource::Synthetic`] entry is the switch point.
 ///
 /// `candidates` is the training set (or a representative subsample of it).
 ///
 /// # Errors
 ///
-/// Returns [`CoreError::EmptyCandidatePool`] when `candidates` is empty,
-/// [`CoreError::InvalidConfig`] for a zero budget, and propagates gradient /
-/// coverage errors.
-pub fn generate_combined(
+/// Returns [`CoreError::EmptyCandidatePool`] when `candidates` is empty and
+/// propagates gradient / coverage errors.
+pub(crate) fn generate_combined(
     evaluator: &Evaluator,
     candidates: &[Tensor],
-    config: &CombinedConfig,
-) -> Result<CombinedResult> {
+    max_tests: usize,
+    gradgen: GradGenConfig,
+) -> Result<(Vec<Tensor>, Vec<TestSource>)> {
     if candidates.is_empty() {
         return Err(CoreError::EmptyCandidatePool);
-    }
-    if config.max_tests == 0 {
-        return Err(CoreError::InvalidConfig {
-            reason: "max_tests must be at least 1".to_string(),
-        });
     }
 
     let num_units = evaluator.num_units();
     let candidate_sets = evaluator.activation_sets(candidates)?;
     let mut taken = vec![false; candidates.len()];
     let mut covered = CoveredSet::new(num_units);
-    let mut result = CombinedResult::default();
+    let mut tests: Vec<Tensor> = Vec::with_capacity(max_tests);
+    let mut sources: Vec<TestSource> = Vec::with_capacity(max_tests);
 
-    let mut generator = evaluator.gradient_generator(config.gradgen);
+    let mut generator = evaluator.gradient_generator(gradgen);
     // One synthetic batch is kept pending: its per-test gain against the current
     // covered set is the "benefit achieved by Algorithm 2" the switch rule
     // compares against. Generating it lazily (only once Algorithm 1 starts
@@ -118,7 +62,7 @@ pub fn generate_combined(
     let mut pending_batch: Vec<(Tensor, usize, Arc<CoveredSet>)> = Vec::new();
     let mut switched = false;
 
-    while result.tests.len() < config.max_tests {
+    while tests.len() < max_tests {
         if switched {
             // Algorithm 2 only: add the pending batch (or a fresh one), test by test.
             if pending_batch.is_empty() {
@@ -126,11 +70,8 @@ pub fn generate_combined(
             }
             let (input, class, set) = pending_batch.remove(0);
             covered.union_with(&set);
-            result.tests.push(input);
-            result.sources.push(TestSource::Synthetic(class));
-            result
-                .coverage_curve
-                .push(covered.count_ones() as f32 / num_units as f32);
+            tests.push(input);
+            sources.push(TestSource::Synthetic(class));
             continue;
         }
 
@@ -166,20 +107,16 @@ pub fn generate_combined(
         // exceeds Algorithm 1's. Also switch if the training set is exhausted.
         if best.is_none() || synthetic_gain_per_test > train_gain {
             switched = true;
-            result.switch_point = Some(result.tests.len());
             continue;
         }
 
         let (_, index) = best.expect("checked above");
         taken[index] = true;
         covered.union_with(&candidate_sets[index]);
-        result.tests.push(candidates[index].clone());
-        result.sources.push(TestSource::TrainingSample(index));
-        result
-            .coverage_curve
-            .push(covered.count_ones() as f32 / num_units as f32);
+        tests.push(candidates[index].clone());
+        sources.push(TestSource::TrainingSample(index));
     }
-    Ok(result)
+    Ok((tests, sources))
 }
 
 fn materialize_batch(
@@ -202,15 +139,10 @@ fn materialize_batch(
 mod tests {
     use super::*;
     use crate::coverage::CoverageConfig;
-    use crate::eval::Evaluator;
-    use crate::select::select_from_training_set;
+    use crate::generator::{GeneratedTests, GenerationMethod};
+    use crate::workspace::{TestGenRequest, Workspace};
     use dnnip_nn::layers::Activation;
     use dnnip_nn::zoo;
-    use dnnip_nn::Network;
-
-    fn net() -> Network {
-        zoo::tiny_mlp(6, 16, 4, Activation::Relu, 17).unwrap()
-    }
 
     fn candidates(n: usize) -> Vec<Tensor> {
         (0..n)
@@ -218,23 +150,35 @@ mod tests {
             .collect()
     }
 
+    /// Run `method` through a fresh workspace's front door.
+    fn generate(
+        method: GenerationMethod,
+        budget: usize,
+        pool: Vec<Tensor>,
+    ) -> Result<GeneratedTests> {
+        let ws = Workspace::new();
+        let network = zoo::tiny_mlp(6, 16, 4, Activation::Relu, 17).unwrap();
+        let key = ws.register("m", network, CoverageConfig::default());
+        Ok(ws
+            .run(&TestGenRequest::new(key, method, budget).with_candidates(pool))?
+            .tests)
+    }
+
+    fn num_synthetic(tests: &GeneratedTests) -> usize {
+        tests
+            .provenance
+            .iter()
+            .filter(|s| matches!(s, TestSource::Synthetic(_)))
+            .count()
+    }
+
     #[test]
     fn produces_the_requested_number_of_tests() {
-        let network = net();
-        let evaluator = Evaluator::new(&network, CoverageConfig::default());
-        let pool = candidates(20);
-        let config = CombinedConfig {
-            max_tests: 12,
-            ..CombinedConfig::default()
-        };
-        let result = generate_combined(&evaluator, &pool, &config).unwrap();
-        assert_eq!(result.tests.len(), 12);
-        assert_eq!(result.sources.len(), 12);
+        let result = generate(GenerationMethod::Combined, 12, candidates(20)).unwrap();
+        assert_eq!(result.inputs.len(), 12);
+        assert_eq!(result.provenance.len(), 12);
         assert_eq!(result.coverage_curve.len(), 12);
-        assert_eq!(
-            result.num_training_tests() + result.num_synthetic_tests(),
-            12
-        );
+        assert_eq!(result.pool_indices().len() + num_synthetic(&result), 12);
         // Coverage curve is non-decreasing.
         for w in result.coverage_curve.windows(2) {
             assert!(w[1] >= w[0] - 1e-6);
@@ -243,36 +187,30 @@ mod tests {
 
     #[test]
     fn switches_to_synthesis_when_training_set_saturates() {
-        let network = net();
-        let evaluator = Evaluator::new(&network, CoverageConfig::default());
         // A tiny, highly redundant candidate pool saturates almost immediately.
         let pool: Vec<Tensor> = vec![candidates(1)[0].clone(); 5];
-        let config = CombinedConfig {
-            max_tests: 8,
-            ..CombinedConfig::default()
-        };
-        let result = generate_combined(&evaluator, &pool, &config).unwrap();
-        assert!(result.switch_point.is_some(), "generator never switched");
-        assert!(result.num_synthetic_tests() > 0);
-        assert_eq!(result.tests.len(), 8);
+        let result = generate(GenerationMethod::Combined, 8, pool).unwrap();
+        assert!(num_synthetic(&result) > 0, "generator never switched");
+        // Once switched, it never goes back to the training set.
+        let switch = result
+            .provenance
+            .iter()
+            .position(|s| matches!(s, TestSource::Synthetic(_)))
+            .unwrap();
+        assert_eq!(num_synthetic(&result), 8 - switch);
+        assert_eq!(result.inputs.len(), 8);
     }
 
     #[test]
     fn combined_matches_or_beats_pure_training_selection() {
-        let network = net();
-        let evaluator = Evaluator::new(&network, CoverageConfig::default());
-        let pool = candidates(15);
         let budget = 10usize;
-        let combined = generate_combined(
-            &evaluator,
-            &pool,
-            &CombinedConfig {
-                max_tests: budget,
-                ..CombinedConfig::default()
-            },
+        let combined = generate(GenerationMethod::Combined, budget, candidates(15)).unwrap();
+        let training_only = generate(
+            GenerationMethod::TrainingSetSelection,
+            budget,
+            candidates(15),
         )
         .unwrap();
-        let training_only = select_from_training_set(&evaluator, &pool, budget).unwrap();
         assert!(
             combined.final_coverage() >= training_only.final_coverage() - 1e-6,
             "combined {} vs training-only {}",
@@ -283,17 +221,10 @@ mod tests {
 
     #[test]
     fn rejects_bad_inputs() {
-        let network = net();
-        let evaluator = Evaluator::new(&network, CoverageConfig::default());
         assert!(matches!(
-            generate_combined(&evaluator, &[], &CombinedConfig::default()),
+            generate(GenerationMethod::Combined, 30, Vec::new()),
             Err(CoreError::EmptyCandidatePool)
         ));
-        let pool = candidates(3);
-        let config = CombinedConfig {
-            max_tests: 0,
-            ..CombinedConfig::default()
-        };
-        assert!(generate_combined(&evaluator, &pool, &config).is_err());
+        assert!(generate(GenerationMethod::Combined, 0, candidates(3)).is_err());
     }
 }

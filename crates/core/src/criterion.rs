@@ -722,6 +722,9 @@ mod tests {
             ParamGradient::default().num_units(&network),
             network.num_parameters()
         );
+        // One activation layer after the 4-channel 8x8 convolution.
+        let cnn = zoo::tiny_cnn(4, 3, Activation::Relu, 1).unwrap();
+        assert_eq!(NeuronActivation::default().num_units(&cnn), 4 * 8 * 8);
     }
 
     #[test]

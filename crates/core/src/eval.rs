@@ -35,21 +35,16 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 use std::sync::{Condvar, Mutex};
 
-use dnnip_faults::attacks::Attack;
-use dnnip_faults::detection::{self, DetectionConfig, DetectionReport};
 use dnnip_nn::fingerprint::NetworkFingerprint;
 use dnnip_nn::Network;
 use dnnip_tensor::Tensor;
 
 use crate::bitset::Bitset;
-use crate::combined::{self, CombinedConfig, CombinedResult};
 use crate::coverage::{CoverageAnalyzer, CoverageConfig};
 use crate::covered::CoveredSet;
 use crate::criterion::{criterion_digest, CoverageCriterion};
-use crate::generator::{self, GeneratedTests, GenerationConfig, GenerationMethod};
 use crate::gradgen::{GradGenConfig, GradientGenerator};
 use crate::persist::{DiskStats, DiskTier};
-use crate::select::{self, SelectionResult};
 use crate::{CoreError, Result};
 
 /// Default LRU byte budget of an evaluator's covered-unit-set cache (64 MiB —
@@ -931,17 +926,17 @@ pub(crate) fn sample_hash(sample: &Tensor) -> (u64, u64) {
 /// criterion-independent, so they get their own slice).
 const FORWARD_OUTPUT_LABEL: &str = "forward-output";
 
-/// The unified evaluation front-end: coverage analysis, test generation and
-/// detection experiments over one network and one coverage criterion, with
-/// every covered-unit set flowing through one content-addressed cache.
+/// The unified evaluation layer: coverage analysis and test synthesis over
+/// one network and one coverage criterion, with every covered-unit set
+/// flowing through one content-addressed cache.
 ///
 /// The evaluator owns a [`CoverageAnalyzer`] (which owns the shared
 /// [`dnnip_nn::batch::BatchGradientEngine`] and the
 /// [`crate::criterion::CoverageCriterion`]), the network's
 /// [`NetworkFingerprint`], a [`CoveredSetCache`] and a golden forward-output
-/// cache. All higher stages — [`crate::select`], [`crate::gradgen`],
-/// [`crate::combined`], [`crate::generator`], the protocol's vendor side and
-/// the detection harness — take an `&Evaluator`, so repeated sweeps over
+/// cache. Every generation strategy behind
+/// [`crate::workspace::Workspace::run`] and the protocol's vendor side take
+/// an `&Evaluator`, so repeated sweeps over
 /// overlapping sample pools (Fig. 3 budgets, Table II/III prefixes) pay for
 /// each distinct `(network, sample, criterion)` evaluation exactly once.
 ///
@@ -1265,21 +1260,6 @@ impl Evaluator {
         Ok(outputs.iter().map(|t| (**t).clone()).collect())
     }
 
-    /// Algorithm 1 end to end: covered-unit sets for `candidates` (through the
-    /// cache), then greedy max-coverage selection under this evaluator's
-    /// criterion.
-    ///
-    /// # Errors
-    ///
-    /// Same error conditions as [`crate::select::select_from_training_set`].
-    pub fn select_from_training_set(
-        &self,
-        candidates: &[Tensor],
-        max_tests: usize,
-    ) -> Result<SelectionResult> {
-        select::select_from_training_set(self, candidates, max_tests)
-    }
-
     /// A gradient generator sharing this evaluator's batched engine (its
     /// precomputed per-layer weight matrices are cloned, not re-derived) and
     /// the criterion's synthesis objective, when it supplies one (criteria
@@ -1288,70 +1268,6 @@ impl Evaluator {
     pub fn gradient_generator(&self, config: GradGenConfig) -> GradientGenerator {
         GradientGenerator::with_engine(self.inner.analyzer.engine().clone(), config)
             .with_objective(self.criterion().gradient_objective())
-    }
-
-    /// The combined generator (Section IV-D) through this evaluator.
-    ///
-    /// # Errors
-    ///
-    /// Same error conditions as [`crate::combined::generate_combined`].
-    pub fn generate_combined(
-        &self,
-        candidates: &[Tensor],
-        config: &CombinedConfig,
-    ) -> Result<CombinedResult> {
-        combined::generate_combined(self, candidates, config)
-    }
-
-    /// Uniform generation front-end (every [`GenerationMethod`]) through this
-    /// evaluator.
-    ///
-    /// # Errors
-    ///
-    /// Same error conditions as [`crate::generator::generate_tests`].
-    pub fn generate_tests(
-        &self,
-        training_pool: &[Tensor],
-        method: GenerationMethod,
-        config: &GenerationConfig,
-    ) -> Result<GeneratedTests> {
-        generator::generate_tests(self, training_pool, method, config)
-    }
-
-    /// Run a detection-rate experiment against this evaluator's network,
-    /// honoring the caller's [`DetectionConfig`] as-is (including its `exec`
-    /// fan-out policy — reports are bit-identical across policies either way).
-    ///
-    /// Use [`Evaluator::detection_config`] to derive a config that shares this
-    /// evaluator's execution policy.
-    ///
-    /// # Errors
-    ///
-    /// Same error conditions as [`dnnip_faults::detection::detection_rate`].
-    pub fn detection_rate(
-        &self,
-        attack: &dyn Attack,
-        probes: &[Tensor],
-        tests: &[Tensor],
-        config: &DetectionConfig,
-    ) -> Result<DetectionReport> {
-        Ok(detection::detection_rate(
-            self.network(),
-            attack,
-            probes,
-            tests,
-            config,
-        )?)
-    }
-
-    /// A copy of `config` whose trial fan-out uses this evaluator's execution
-    /// policy — the one-knob convenience for callers that want coverage and
-    /// detection to share thread settings.
-    pub fn detection_config(&self, config: &DetectionConfig) -> DetectionConfig {
-        DetectionConfig {
-            exec: self.inner.analyzer.config().exec,
-            ..*config
-        }
     }
 }
 
@@ -1419,7 +1335,6 @@ mod tests {
             analyzer.coverage_of_sample(&pool[0]).unwrap()
         );
         assert!(evaluator.mean_sample_coverage(&[]).is_err());
-        assert!(evaluator.select_from_training_set(&[], 3).is_err());
     }
 
     #[test]

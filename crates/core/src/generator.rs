@@ -1,21 +1,22 @@
-//! Uniform front-end over every functional-test generation strategy.
+//! The functional-test generation strategies behind
+//! [`crate::workspace::Workspace::run`].
 //!
 //! The benchmark harness (Fig. 3, Tables II/III) sweeps several generation
-//! methods over the same model and budget; this module gives them one entry
-//! point, [`generate_tests`], plus a random-selection control that the paper does
-//! not plot but which is useful as a sanity floor.
+//! methods over the same model and budget. A [`GenerationMethod`] names one
+//! of them, including a random-selection control that the paper does not
+//! plot but which is useful as a sanity floor; every method runs through one
+//! declarative [`crate::workspace::TestGenRequest`].
 
 use dnnip_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use crate::combined::{generate_combined, CombinedConfig, TestSource};
-use crate::coverage::CoverageConfig;
+use crate::combined::{generate_combined, TestSource};
+use crate::covered::CoveredSet;
 use crate::eval::Evaluator;
-use crate::gradgen::GradGenConfig;
-use crate::neuron::{NeuronCoverageAnalyzer, NeuronCoverageConfig};
-use crate::select::select_from_training_set;
+use crate::select::greedy_select_covered;
+use crate::workspace::TestGenRequest;
 use crate::{CoreError, Result};
 
 /// Which functional-test generation strategy to run.
@@ -28,7 +29,8 @@ pub enum GenerationMethod {
     /// The combined generator (Section IV-D).
     Combined,
     /// Baseline: greedy selection from the training set by **neuron** coverage
-    /// (the comparison method of Tables II/III).
+    /// (the comparison method of Tables II/III), i.e. by the covered sets of
+    /// [`crate::criterion::NeuronActivation::default`].
     NeuronCoverageBaseline,
     /// Control: uniformly random selection from the training set.
     RandomSelection,
@@ -47,13 +49,14 @@ impl GenerationMethod {
     }
 
     /// Whether the strategy scores the **whole** candidate pool's covered-unit
-    /// sets under the evaluator's criterion (Algorithm 1's selection input).
+    /// sets under the request's criterion (Algorithm 1's selection input).
     /// These are the pools a coalesced group may precompute in one shared
     /// batched pass ([`crate::workspace::Workspace::run_coalesced`]) without
     /// ever computing a set that an isolated run would not.
-    /// `NeuronCoverageBaseline` scores its pool under its *own* neuron
-    /// analyzer (not the evaluator's cache) and `RandomSelection` only
-    /// evaluates the tests it draws, so neither benefits from pre-warming.
+    /// `NeuronCoverageBaseline` scores its pool under the neuron-activation
+    /// criterion whatever the request's criterion is, and `RandomSelection`
+    /// only evaluates the tests it draws, so neither benefits from that
+    /// pre-warming.
     pub fn consumes_pool(self) -> bool {
         matches!(
             self,
@@ -73,35 +76,8 @@ impl GenerationMethod {
     }
 }
 
-/// Configuration shared by every generation method.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GenerationConfig {
-    /// Maximum number of functional tests to produce.
-    pub max_tests: usize,
-    /// Parameter-coverage configuration (threshold policy, projection).
-    pub coverage: CoverageConfig,
-    /// Gradient-generator configuration (used by `GradientBased` and `Combined`).
-    pub gradgen: GradGenConfig,
-    /// Neuron-coverage configuration (used by the baseline).
-    pub neuron: NeuronCoverageConfig,
-    /// Seed for the random-selection control.
-    pub seed: u64,
-}
-
-impl Default for GenerationConfig {
-    fn default() -> Self {
-        Self {
-            max_tests: 30,
-            coverage: CoverageConfig::default(),
-            gradgen: GradGenConfig::default(),
-            neuron: NeuronCoverageConfig::default(),
-            seed: 0,
-        }
-    }
-}
-
-/// Output of [`generate_tests`]: the functional tests plus their
-/// parameter-coverage curve.
+/// The functional tests one [`crate::workspace::Workspace::run`] generated,
+/// plus their coverage curve.
 #[derive(Debug, Clone)]
 pub struct GeneratedTests {
     /// The functional-test inputs, in generation order.
@@ -148,106 +124,88 @@ impl GeneratedTests {
     }
 }
 
-/// Compute the coverage curve of an ordered list of tests under the
-/// evaluator's criterion: one batched (possibly multi-threaded, cache-aware)
-/// coverage pass, then a serial prefix-union. Tests whose sets were already computed during generation —
-/// e.g. every training sample the combined generator scored — are cache hits.
-fn coverage_curve(evaluator: &Evaluator, inputs: &[Tensor]) -> Result<Vec<f32>> {
-    let sets = evaluator.activation_sets(inputs)?;
-    let mut covered = crate::covered::CoveredSet::new(evaluator.num_units());
-    let mut curve = Vec::with_capacity(inputs.len());
-    for set in &sets {
-        covered.union_with(set);
-        curve.push(covered.density());
-    }
-    Ok(curve)
+/// Coverage after each of `sets` is added to a running union: the curve
+/// every strategy reports.
+pub(crate) fn prefix_curve<'a>(
+    sets: impl IntoIterator<Item = &'a CoveredSet>,
+    num_units: usize,
+) -> Vec<f32> {
+    let mut covered = CoveredSet::new(num_units);
+    sets.into_iter()
+        .map(|set| {
+            covered.union_with(set);
+            covered.density()
+        })
+        .collect()
 }
 
-/// Generate functional tests with the requested method.
+/// The first `budget` indices of a seeded shuffle of `0..len`: the
+/// random-selection control's draw.
+pub(crate) fn random_indices(len: usize, budget: usize, seed: u64) -> Vec<usize> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut indices: Vec<usize> = (0..len).collect();
+    indices.shuffle(&mut rng);
+    indices.truncate(budget);
+    indices
+}
+
+/// Run `request`'s strategy on a network model.
 ///
-/// `training_pool` is the candidate training set; the gradient-based method
-/// ignores it (but still requires the network via `analyzer`).
+/// `evaluator` is the evaluator of the request's criterion: it drives
+/// Algorithms 1 and 2 and scores the coverage curve, so methods are always
+/// compared on one metric. `selector` supplies the covered sets greedy pool
+/// selection maximises: `evaluator` itself, except for the neuron-coverage
+/// baseline, whose selector runs [`crate::criterion::NeuronActivation`].
 ///
 /// # Errors
 ///
 /// Returns [`CoreError::InvalidConfig`] for a zero budget,
 /// [`CoreError::EmptyCandidatePool`] when a selection-based method receives an
 /// empty pool, and propagates coverage/gradient errors.
-pub fn generate_tests(
+pub(crate) fn generate_tests(
     evaluator: &Evaluator,
-    training_pool: &[Tensor],
-    method: GenerationMethod,
-    config: &GenerationConfig,
+    selector: &Evaluator,
+    request: &TestGenRequest,
 ) -> Result<GeneratedTests> {
-    if config.max_tests == 0 {
+    let (pool, budget, method) = (&request.candidates, request.budget, request.strategy);
+    if budget == 0 {
         return Err(CoreError::InvalidConfig {
             reason: "max_tests must be at least 1".to_string(),
         });
     }
-    let (inputs, provenance): (Vec<Tensor>, Vec<TestSource>) = match method {
-        GenerationMethod::TrainingSetSelection => {
-            let result = select_from_training_set(evaluator, training_pool, config.max_tests)?;
-            (
-                result
-                    .selected
-                    .iter()
-                    .map(|&i| training_pool[i].clone())
-                    .collect(),
-                result
-                    .selected
-                    .iter()
-                    .map(|&i| TestSource::TrainingSample(i))
-                    .collect(),
-            )
-        }
-        GenerationMethod::GradientBased => {
-            let mut generator = evaluator.gradient_generator(config.gradgen);
-            generator
-                .generate(config.max_tests)?
-                .into_iter()
-                .take(config.max_tests)
-                .map(|t| (t.input, TestSource::Synthetic(t.target_class)))
-                .unzip()
-        }
-        GenerationMethod::Combined => {
-            let combined_config = CombinedConfig {
-                max_tests: config.max_tests,
-                gradgen: config.gradgen,
-            };
-            let result = generate_combined(evaluator, training_pool, &combined_config)?;
-            (result.tests, result.sources)
-        }
-        GenerationMethod::NeuronCoverageBaseline => {
-            let neuron = NeuronCoverageAnalyzer::new(evaluator.network(), config.neuron);
-            let result = neuron.select_by_neuron_coverage(training_pool, config.max_tests)?;
-            (
-                result
-                    .selected
-                    .iter()
-                    .map(|&i| training_pool[i].clone())
-                    .collect(),
-                result
-                    .selected
-                    .iter()
-                    .map(|&i| TestSource::TrainingSample(i))
-                    .collect(),
-            )
-        }
-        GenerationMethod::RandomSelection => {
-            if training_pool.is_empty() {
+    let from_pool = |indices: Vec<usize>| -> (Vec<Tensor>, Vec<TestSource>) {
+        indices
+            .into_iter()
+            .map(|i| (pool[i].clone(), TestSource::TrainingSample(i)))
+            .unzip()
+    };
+    let (inputs, provenance) = match method {
+        GenerationMethod::TrainingSetSelection | GenerationMethod::NeuronCoverageBaseline => {
+            if pool.is_empty() {
                 return Err(CoreError::EmptyCandidatePool);
             }
-            let mut rng = StdRng::seed_from_u64(config.seed);
-            let mut indices: Vec<usize> = (0..training_pool.len()).collect();
-            indices.shuffle(&mut rng);
-            indices
-                .into_iter()
-                .take(config.max_tests)
-                .map(|i| (training_pool[i].clone(), TestSource::TrainingSample(i)))
-                .unzip()
+            let sets = selector.activation_sets(pool)?;
+            from_pool(greedy_select_covered(&sets, selector.num_units(), budget)?.selected)
+        }
+        GenerationMethod::GradientBased => evaluator
+            .gradient_generator(request.gradgen)
+            .generate(budget)?
+            .into_iter()
+            .take(budget)
+            .map(|t| (t.input, TestSource::Synthetic(t.target_class)))
+            .unzip(),
+        GenerationMethod::Combined => generate_combined(evaluator, pool, budget, request.gradgen)?,
+        GenerationMethod::RandomSelection => {
+            if pool.is_empty() {
+                return Err(CoreError::EmptyCandidatePool);
+            }
+            from_pool(random_indices(pool.len(), budget, request.seed))
         }
     };
-    let coverage_curve = coverage_curve(evaluator, &inputs)?;
+    // One batched, cache-aware coverage pass: tests whose sets were computed
+    // during generation (every pool sample a selection scored) are hits.
+    let sets = evaluator.activation_sets(&inputs)?;
+    let coverage_curve = prefix_curve(sets.iter().map(|s| &**s), evaluator.num_units());
     Ok(GeneratedTests {
         inputs,
         coverage_curve,
@@ -259,13 +217,10 @@ pub fn generate_tests(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coverage::CoverageConfig;
+    use crate::workspace::Workspace;
     use dnnip_nn::layers::Activation;
     use dnnip_nn::zoo;
-    use dnnip_nn::Network;
-
-    fn net() -> Network {
-        zoo::tiny_mlp(6, 16, 4, Activation::Relu, 23).unwrap()
-    }
 
     fn pool(n: usize) -> Vec<Tensor> {
         (0..n)
@@ -273,17 +228,24 @@ mod tests {
             .collect()
     }
 
+    /// Run `method` through a fresh workspace's front door.
+    fn generate(
+        method: GenerationMethod,
+        budget: usize,
+        pool: &[Tensor],
+    ) -> Result<GeneratedTests> {
+        let ws = Workspace::new();
+        let network = zoo::tiny_mlp(6, 16, 4, Activation::Relu, 23).unwrap();
+        let key = ws.register("m", network, CoverageConfig::default());
+        let request = TestGenRequest::new(key, method, budget).with_candidates(pool.to_vec());
+        Ok(ws.run(&request)?.tests)
+    }
+
     #[test]
     fn every_method_produces_tests_and_a_curve() {
-        let network = net();
-        let evaluator = Evaluator::new(&network, CoverageConfig::default());
         let candidates = pool(25);
-        let config = GenerationConfig {
-            max_tests: 8,
-            ..GenerationConfig::default()
-        };
         for method in GenerationMethod::all() {
-            let out = generate_tests(&evaluator, &candidates, method, &config).unwrap();
+            let out = generate(method, 8, &candidates).unwrap();
             assert!(!out.is_empty(), "{} produced nothing", method.name());
             assert!(out.len() <= 8, "{} exceeded the budget", method.name());
             assert_eq!(out.inputs.len(), out.coverage_curve.len());
@@ -295,27 +257,9 @@ mod tests {
 
     #[test]
     fn greedy_selection_dominates_random_selection() {
-        let network = net();
-        let evaluator = Evaluator::new(&network, CoverageConfig::default());
         let candidates = pool(40);
-        let config = GenerationConfig {
-            max_tests: 6,
-            ..GenerationConfig::default()
-        };
-        let greedy = generate_tests(
-            &evaluator,
-            &candidates,
-            GenerationMethod::TrainingSetSelection,
-            &config,
-        )
-        .unwrap();
-        let random = generate_tests(
-            &evaluator,
-            &candidates,
-            GenerationMethod::RandomSelection,
-            &config,
-        )
-        .unwrap();
+        let greedy = generate(GenerationMethod::TrainingSetSelection, 6, &candidates).unwrap();
+        let random = generate(GenerationMethod::RandomSelection, 6, &candidates).unwrap();
         assert!(
             greedy.final_coverage() >= random.final_coverage() - 1e-6,
             "greedy {} vs random {}",
@@ -326,24 +270,13 @@ mod tests {
 
     #[test]
     fn combined_dominates_each_individual_method_at_equal_budget() {
-        let network = net();
-        let evaluator = Evaluator::new(&network, CoverageConfig::default());
         let candidates = pool(25);
-        let config = GenerationConfig {
-            max_tests: 10,
-            ..GenerationConfig::default()
-        };
-        let combined = generate_tests(&evaluator, &candidates, GenerationMethod::Combined, &config)
+        let combined = generate(GenerationMethod::Combined, 10, &candidates)
             .unwrap()
             .final_coverage();
-        let training = generate_tests(
-            &evaluator,
-            &candidates,
-            GenerationMethod::TrainingSetSelection,
-            &config,
-        )
-        .unwrap()
-        .final_coverage();
+        let training = generate(GenerationMethod::TrainingSetSelection, 10, &candidates)
+            .unwrap()
+            .final_coverage();
         assert!(
             combined >= training - 1e-6,
             "combined {combined} vs training {training}"
@@ -352,30 +285,16 @@ mod tests {
 
     #[test]
     fn zero_budget_and_empty_pool_are_rejected() {
-        let network = net();
-        let evaluator = Evaluator::new(&network, CoverageConfig::default());
-        let candidates = pool(5);
-        let bad_config = GenerationConfig {
-            max_tests: 0,
-            ..GenerationConfig::default()
-        };
-        assert!(generate_tests(
-            &evaluator,
-            &candidates,
-            GenerationMethod::Combined,
-            &bad_config
-        )
-        .is_err());
-        let config = GenerationConfig::default();
-        assert!(
-            generate_tests(&evaluator, &[], GenerationMethod::RandomSelection, &config).is_err()
-        );
-        assert!(generate_tests(
-            &evaluator,
-            &[],
+        assert!(generate(GenerationMethod::Combined, 0, &pool(5)).is_err());
+        for method in [
+            GenerationMethod::RandomSelection,
             GenerationMethod::TrainingSetSelection,
-            &config
-        )
-        .is_err());
+            GenerationMethod::NeuronCoverageBaseline,
+        ] {
+            assert!(matches!(
+                generate(method, 30, &[]),
+                Err(CoreError::EmptyCandidatePool)
+            ));
+        }
     }
 }

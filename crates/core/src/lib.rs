@@ -20,21 +20,23 @@
 //!   this is the paper's validation-coverage metric (Eq. 2–5): a parameter is
 //!   *activated* by input `x` when `∇θ F(x)` is non-zero (ReLU) or exceeds an
 //!   ε threshold (saturating activations).
-//! * [`neuron`] — the neuron-coverage metric used by the hardware-testing
-//!   baseline the paper compares against (its Tables II/III "tests with neuron
-//!   coverage" columns).
 //! * [`select`] — **Algorithm 1**: greedy selection of functional tests from the
-//!   training set, maximizing marginal coverage gain.
+//!   training set, maximizing marginal coverage gain. The Tables II/III
+//!   baseline ("tests with neuron coverage") is the same selection over
+//!   [`criterion::NeuronActivation`] sets.
 //! * [`gradgen`] — **Algorithm 2**: gradient-based synthesis of new tests that
 //!   the model classifies as each output category.
 //! * [`combined`] — the combined generator with the automatic switch point
 //!   (Section IV-D).
-//! * [`eval`] — the unified [`eval::Evaluator`] front-end: one object owning
+//! * [`eval`] — the unified [`eval::Evaluator`] layer: one object owning
 //!   the network reference, execution policy, batched gradient engine and a
 //!   content-addressed LRU activation-set cache; every stage above routes its
 //!   activation-set computation through it.
-//! * [`generator`] — a uniform front-end over all generation strategies (plus a
-//!   random-selection control), used by the benchmark harness.
+//! * [`generator`] — the [`generator::GenerationMethod`] strategies (plus a
+//!   random-selection control) and the tests they produce.
+//! * [`workspace`] — the [`workspace::Workspace`] front door: a model
+//!   registry with shared caches whose [`workspace::Workspace::run`] is the
+//!   only way to generate tests.
 //! * [`par`] — the [`par::ExecPolicy`] execution knob and a std-only
 //!   scoped-thread worker pool; every per-input stage of the pipeline routes
 //!   through it, with serial and parallel execution guaranteed bit-identical.
@@ -73,7 +75,6 @@ pub mod criterion;
 pub mod eval;
 pub mod generator;
 pub mod gradgen;
-pub mod neuron;
 pub mod par;
 pub mod persist;
 pub mod protocol;

@@ -3,20 +3,19 @@
 //! Each iteration adds the candidate whose activation set contributes the most
 //! not-yet-covered parameters (Eq. 7). Because the activation set of a sample
 //! does not change as the selection grows, the selection can run entirely over
-//! pre-computed [`Bitset`]s; a lazy-greedy (CELF-style) priority queue avoids
-//! re-evaluating every candidate at every iteration while producing exactly the
-//! same selection as the naive double loop in the paper's Algorithm 1 (the
-//! marginal-gain function is submodular, so stale upper bounds are safe).
+//! pre-computed covered-unit sets; a lazy-greedy (CELF-style) priority queue
+//! avoids re-evaluating every candidate at every iteration while producing
+//! exactly the same selection as the naive double loop in the paper's
+//! Algorithm 1 (the marginal-gain function is submodular, so stale upper
+//! bounds are safe). [`greedy_select_naive`] is that double loop, kept as the
+//! test oracle.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
-use dnnip_tensor::Tensor;
-
 use crate::bitset::Bitset;
 use crate::covered::CoveredSet;
-use crate::eval::Evaluator;
 use crate::{CoreError, Result};
 
 /// Result of a greedy training-set selection.
@@ -39,18 +38,23 @@ impl SelectionResult {
 
 /// Greedy max-coverage selection over pre-computed covered-unit sets (any
 /// [`crate::criterion::CoverageCriterion`]'s — the algorithm only sees
-/// bitsets over `num_units` positions).
+/// sets over `num_units` positions). The sets are block-compressed
+/// [`CoveredSet`]s, so cached sets are consumed in place (no dense
+/// expansion); wrap dense sets with [`CoveredSet::from_bitset`].
 ///
 /// Selects at most `max_tests` candidates; stops early when no candidate adds any
-/// new coverage (additional tests would be wasted).
+/// new coverage (additional tests would be wasted). Ties go to the lowest
+/// index, so the selection and coverage curve equal
+/// [`greedy_select_naive`]'s (pinned by the differential suites in
+/// `tests/proptests.rs`).
 ///
 /// # Errors
 ///
 /// Returns [`CoreError::EmptyCandidatePool`] when `sets` is empty and
 /// [`CoreError::InvalidConfig`] when `num_units` is zero or a set has the
 /// wrong length.
-pub fn greedy_select(
-    sets: &[Bitset],
+pub fn greedy_select_covered(
+    sets: &[Arc<CoveredSet>],
     num_units: usize,
     max_tests: usize,
 ) -> Result<SelectionResult> {
@@ -71,16 +75,12 @@ pub fn greedy_select(
         });
     }
 
-    let mut covered = Bitset::new(num_units);
-    let mut result = SelectionResult {
-        covered: Bitset::new(num_units),
-        ..SelectionResult::default()
-    };
+    let mut covered = CoveredSet::new(num_units);
+    let mut result = SelectionResult::default();
     // Running cardinality of `covered`: a fresh bound IS the exact marginal
     // gain of the accepted candidate, so the union's popcount is tracked by
     // integer addition instead of re-scanning every word each round.
     let mut covered_count = 0usize;
-
     // Lazy greedy: heap of (upper-bound gain, candidate, round the bound was
     // computed in). Gains only shrink as `covered` grows, so a bound computed in
     // an earlier round is still an upper bound now.
@@ -119,100 +119,8 @@ pub fn greedy_select(
             heap.push((gain, Reverse(candidate), round));
         }
     }
-    result.covered = covered;
-    Ok(result)
-}
-
-/// [`greedy_select`] over block-compressed [`CoveredSet`]s — the variant the
-/// evaluator pipeline runs so cached sets are consumed in place (no dense
-/// expansion). The heap discipline, tie-breaking and coverage-curve
-/// arithmetic are identical to the dense version, so for equal input sets the
-/// selections and curves are byte-identical (pinned by the differential
-/// suites in `tests/proptests.rs`).
-///
-/// # Errors
-///
-/// Same error conditions as [`greedy_select`].
-pub fn greedy_select_covered(
-    sets: &[Arc<CoveredSet>],
-    num_units: usize,
-    max_tests: usize,
-) -> Result<SelectionResult> {
-    if sets.is_empty() {
-        return Err(CoreError::EmptyCandidatePool);
-    }
-    if num_units == 0 {
-        return Err(CoreError::InvalidConfig {
-            reason: "criterion has no coverable units".to_string(),
-        });
-    }
-    if let Some(bad) = sets.iter().find(|s| s.len() != num_units) {
-        return Err(CoreError::InvalidConfig {
-            reason: format!(
-                "covered-unit set length {} does not match unit count {num_units}",
-                bad.len()
-            ),
-        });
-    }
-
-    let mut covered = CoveredSet::new(num_units);
-    let mut result = SelectionResult::default();
-    let mut covered_count = 0usize;
-    let mut heap: BinaryHeap<(usize, Reverse<usize>, usize)> = sets
-        .iter()
-        .enumerate()
-        .map(|(i, s)| (s.count_ones(), Reverse(i), 0usize))
-        .collect();
-    let mut round = 0usize;
-    let mut taken = vec![false; sets.len()];
-
-    while result.selected.len() < max_tests {
-        let Some((bound, Reverse(candidate), computed_round)) = heap.pop() else {
-            break;
-        };
-        if taken[candidate] {
-            continue;
-        }
-        if bound == 0 {
-            break;
-        }
-        if computed_round == round {
-            covered.union_with(&sets[candidate]);
-            covered_count += bound;
-            taken[candidate] = true;
-            result.selected.push(candidate);
-            result
-                .coverage_curve
-                .push(covered_count as f32 / num_units as f32);
-            round += 1;
-        } else {
-            let gain = covered.union_gain(&sets[candidate]);
-            heap.push((gain, Reverse(candidate), round));
-        }
-    }
     result.covered = covered.to_bitset();
     Ok(result)
-}
-
-/// Convenience wrapper: compute covered-unit sets for `candidates` through
-/// `evaluator`'s content-addressed cache (under its coverage criterion) and
-/// run [`greedy_select`] — Algorithm 1 end to end. Re-running a selection over
-/// an overlapping pool (e.g. a larger budget on the same candidates) reuses
-/// every cached set.
-///
-/// # Errors
-///
-/// Propagates coverage-analysis and selection errors.
-pub fn select_from_training_set(
-    evaluator: &Evaluator,
-    candidates: &[Tensor],
-    max_tests: usize,
-) -> Result<SelectionResult> {
-    if candidates.is_empty() {
-        return Err(CoreError::EmptyCandidatePool);
-    }
-    let sets = evaluator.activation_sets(candidates)?;
-    greedy_select_covered(&sets, evaluator.num_units(), max_tests)
 }
 
 /// Reference implementation of Algorithm 1 exactly as written in the paper
@@ -222,7 +130,7 @@ pub fn select_from_training_set(
 ///
 /// # Errors
 ///
-/// Same error conditions as [`greedy_select`].
+/// Same error conditions as [`greedy_select_covered`].
 pub fn greedy_select_naive(
     sets: &[Bitset],
     num_units: usize,
@@ -283,8 +191,18 @@ mod tests {
     use crate::eval::Evaluator;
     use dnnip_nn::layers::Activation;
     use dnnip_nn::zoo;
+    use dnnip_tensor::Tensor;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// [`greedy_select_covered`] over dense sets.
+    fn lazy(sets: &[Bitset], num_units: usize, max_tests: usize) -> Result<SelectionResult> {
+        let sets: Vec<Arc<CoveredSet>> = sets
+            .iter()
+            .map(|b| Arc::new(CoveredSet::from_bitset(b)))
+            .collect();
+        greedy_select_covered(&sets, num_units, max_tests)
+    }
 
     fn random_sets(n: usize, bits: usize, density: f64, seed: u64) -> Vec<Bitset> {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -315,7 +233,7 @@ mod tests {
         for i in 0..20 {
             sets[2].set(i);
         }
-        let result = greedy_select(&sets, 40, 3).unwrap();
+        let result = lazy(&sets, 40, 3).unwrap();
         assert_eq!(result.selected[..2], [2, 1]);
         assert!((result.final_coverage() - 30.0 / 40.0).abs() < 1e-6);
         // Coverage curve is non-decreasing.
@@ -329,7 +247,7 @@ mod tests {
         let mut a = Bitset::new(10);
         a.set(1);
         let sets = vec![a.clone(), a.clone(), a];
-        let result = greedy_select(&sets, 10, 3).unwrap();
+        let result = lazy(&sets, 10, 3).unwrap();
         assert_eq!(result.selected.len(), 1, "duplicates add nothing");
     }
 
@@ -337,7 +255,7 @@ mod tests {
     fn lazy_and_naive_selection_agree() {
         for seed in 0..5 {
             let sets = random_sets(60, 300, 0.05, seed);
-            let lazy = greedy_select(&sets, 300, 20).unwrap();
+            let lazy = lazy(&sets, 300, 20).unwrap();
             let naive = greedy_select_naive(&sets, 300, 20).unwrap();
             assert_eq!(lazy.coverage_curve, naive.coverage_curve, "seed {seed}");
             assert_eq!(
@@ -351,7 +269,7 @@ mod tests {
     #[test]
     fn respects_the_test_budget() {
         let sets = random_sets(50, 200, 0.1, 3);
-        let result = greedy_select(&sets, 200, 7).unwrap();
+        let result = lazy(&sets, 200, 7).unwrap();
         assert!(result.selected.len() <= 7);
         assert_eq!(result.selected.len(), result.coverage_curve.len());
     }
@@ -359,13 +277,13 @@ mod tests {
     #[test]
     fn rejects_bad_inputs() {
         assert!(matches!(
-            greedy_select(&[], 10, 5),
+            lazy(&[], 10, 5),
             Err(CoreError::EmptyCandidatePool)
         ));
         let sets = vec![Bitset::new(10)];
-        assert!(greedy_select(&sets, 0, 5).is_err());
+        assert!(lazy(&sets, 0, 5).is_err());
         let mismatched = vec![Bitset::new(10), Bitset::new(20)];
-        assert!(greedy_select(&mismatched, 10, 5).is_err());
+        assert!(lazy(&mismatched, 10, 5).is_err());
         assert!(greedy_select_naive(&[], 10, 5).is_err());
     }
 
@@ -376,19 +294,23 @@ mod tests {
         let candidates: Vec<Tensor> = (0..20)
             .map(|i| Tensor::from_fn(&[6], |j| ((i * 6 + j) as f32 * 0.29).sin()))
             .collect();
-        let result = select_from_training_set(&evaluator, &candidates, 5).unwrap();
+        let select = |budget| {
+            let sets = evaluator.activation_sets(&candidates)?;
+            greedy_select_covered(&sets, evaluator.num_units(), budget)
+        };
+        let result = select(5).unwrap();
         assert!(!result.selected.is_empty());
         assert!(result.final_coverage() > 0.0);
         // Selecting more tests never hurts coverage — and the second, larger
         // selection over the same pool is answered entirely from the cache.
         let misses_before = evaluator.cache_stats().misses;
-        let more = select_from_training_set(&evaluator, &candidates, 10).unwrap();
+        let more = select(10).unwrap();
         assert!(more.final_coverage() >= result.final_coverage());
         assert_eq!(
             evaluator.cache_stats().misses,
             misses_before,
             "repeat selection recomputed activation sets"
         );
-        assert!(select_from_training_set(&evaluator, &[], 5).is_err());
+        assert!(greedy_select_covered(&evaluator.activation_sets(&[]).unwrap(), 10, 5).is_err());
     }
 }

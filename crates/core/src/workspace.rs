@@ -21,10 +21,11 @@
 //!   starts warm ([`crate::persist`]).
 //! * **One entry point** — [`Workspace::run`] takes a declarative
 //!   [`TestGenRequest`] (strategy + budget + seed + criterion spec) and
-//!   returns a [`TestGenReport`]; it subsumes the older
-//!   `select_from_training_set` / `gradient_generator` / `generate_combined`
-//!   / `generate_tests` call patterns and is bit-identical to them (pinned by
-//!   `tests/workspace_equivalence.rs`).
+//!   returns a [`TestGenReport`]; it is the only way to generate tests.
+//!   [`Workspace::run_coalesced`] runs a group of requests through it after
+//!   one shared warm pass, bit-identical to running each alone. Selections
+//!   are pinned against the reference oracle by
+//!   `tests/workspace_equivalence.rs`.
 //!
 //! ```
 //! use dnnip_core::coverage::CoverageConfig;
@@ -61,22 +62,19 @@ use dnnip_graph::Graph;
 use dnnip_nn::fingerprint::NetworkFingerprint;
 use dnnip_nn::Network;
 use dnnip_tensor::Tensor;
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
 
 use crate::combined::TestSource;
 use crate::coverage::{CoverageAnalyzer, CoverageConfig};
 use crate::covered::CoveredSet;
-use crate::criterion::{criterion_digest, criterion_from_spec, CoverageCriterion, ParamGradient};
+use crate::criterion::{
+    criterion_digest, criterion_from_spec, CoverageCriterion, NeuronActivation, ParamGradient,
+};
 use crate::eval::{
     sample_hash, CacheKey, CacheStats, ContentCache, CoveredSetCache, Evaluator,
     DEFAULT_CACHE_BYTES, DEFAULT_OUTPUT_CACHE_BYTES,
 };
-use crate::generator::{GeneratedTests, GenerationConfig, GenerationMethod};
+use crate::generator::{prefix_curve, random_indices, GeneratedTests, GenerationMethod};
 use crate::gradgen::GradGenConfig;
-use crate::neuron::NeuronCoverageConfig;
-use crate::par::ExecPolicy;
 use crate::persist::{DiskStats, DiskTier, VacuumStats};
 use crate::select::greedy_select_covered;
 use crate::{CoreError, Result};
@@ -248,8 +246,6 @@ pub struct TestGenRequest {
     /// Gradient-generator configuration (used by `GradientBased` and
     /// `Combined`).
     pub gradgen: GradGenConfig,
-    /// Neuron-coverage configuration (used by the baseline strategy).
-    pub neuron: NeuronCoverageConfig,
     /// Candidate training pool for selection-based strategies (may stay empty
     /// for pure synthesis).
     pub candidates: Vec<Tensor>,
@@ -257,7 +253,7 @@ pub struct TestGenRequest {
 
 impl TestGenRequest {
     /// A request with the default seed (0), criterion (model default),
-    /// gradgen/neuron configurations and an empty candidate pool.
+    /// gradgen configuration and an empty candidate pool.
     pub fn new(model: NetworkFingerprint, strategy: GenerationMethod, budget: usize) -> Self {
         Self {
             model,
@@ -266,7 +262,6 @@ impl TestGenRequest {
             seed: 0,
             criterion: CriterionSpec::default(),
             gradgen: GradGenConfig::default(),
-            neuron: NeuronCoverageConfig::default(),
             candidates: Vec::new(),
         }
     }
@@ -299,12 +294,6 @@ impl TestGenRequest {
     /// Set the gradient-generator configuration.
     pub fn with_gradgen(mut self, gradgen: GradGenConfig) -> Self {
         self.gradgen = gradgen;
-        self
-    }
-
-    /// Set the neuron-coverage baseline configuration.
-    pub fn with_neuron(mut self, neuron: NeuronCoverageConfig) -> Self {
-        self.neuron = neuron;
         self
     }
 
@@ -642,12 +631,13 @@ impl Workspace {
         self.evaluator(model, &CriterionSpec::ModelDefault)
     }
 
-    /// Run one declarative [`TestGenRequest`] end to end and report.
+    /// Run one declarative [`TestGenRequest`] end to end and report: the
+    /// only way to generate tests.
     ///
-    /// Dispatches to the same generation code every pre-workspace call site
-    /// used ([`crate::generator::generate_tests`] through the shared
-    /// evaluator), so results are bit-identical to the legacy
-    /// `Evaluator`-method spellings for equal inputs.
+    /// The request's criterion scores the coverage curve of every strategy.
+    /// The neuron-coverage baseline selects by the covered sets of a
+    /// [`NeuronActivation::default`] evaluator on the same model, minted
+    /// from (and cached in) this workspace like any other.
     ///
     /// # Errors
     ///
@@ -668,27 +658,21 @@ impl Workspace {
             return self.run_graph(&name, &graph, &coverage, request);
         }
         let evaluator = self.evaluator(request.model, &request.criterion)?;
-        let (model_name, coverage) = {
+        let model_name = {
             let models = self.models.lock().expect("workspace registry lock");
             let entry = models
                 .get(&request.model)
                 .expect("model present: evaluator() just resolved it");
-            (entry.name.clone(), entry.coverage)
-        };
-        let config = GenerationConfig {
-            max_tests: request.budget,
-            coverage,
-            gradgen: request.gradgen,
-            neuron: request.neuron,
-            seed: request.seed,
+            entry.name.clone()
         };
         let start = Instant::now();
-        let tests = crate::generator::generate_tests(
-            &evaluator,
-            &request.candidates,
-            request.strategy,
-            &config,
-        )?;
+        let selector = if request.strategy == GenerationMethod::NeuronCoverageBaseline {
+            let neuron = CriterionSpec::Instance(Arc::new(NeuronActivation::default()));
+            self.evaluator(request.model, &neuron)?
+        } else {
+            evaluator.clone()
+        };
+        let tests = crate::generator::generate_tests(&evaluator, &selector, request)?;
         let wall_ms = start.elapsed().as_secs_f64() * 1e3;
         Ok(TestGenReport {
             model: request.model,
@@ -707,9 +691,9 @@ impl Workspace {
     /// sets come from the criterion's graph hooks (cached under the graph
     /// fingerprint in the shared budget), selection reuses the exact greedy /
     /// random machinery of the network path, and the coverage curve is the
-    /// same prefix-union density [`crate::generator::generate_tests`]
-    /// computes — so a request against a *lowered* copy of a linear graph is
-    /// bit-identical on both paths (pinned by `tests/graph_equivalence.rs`).
+    /// same prefix-union density — so a request against a *lowered* copy of a
+    /// linear graph is bit-identical on both paths (pinned by
+    /// `tests/graph_equivalence.rs`).
     fn run_graph(
         &self,
         name: &str,
@@ -760,25 +744,14 @@ impl Workspace {
             GenerationMethod::TrainingSetSelection => {
                 greedy_select_covered(&sets, num_units, request.budget)?.selected
             }
+            // Identical draw to the network path's random strategy, so a
+            // fixed seed selects the same indices on both.
             GenerationMethod::RandomSelection => {
-                // Identical draw to the network path's random strategy, so a
-                // fixed seed selects the same indices on both.
-                let mut rng = StdRng::seed_from_u64(request.seed);
-                let mut indices: Vec<usize> = (0..request.candidates.len()).collect();
-                indices.shuffle(&mut rng);
-                indices.truncate(request.budget);
-                indices
+                random_indices(request.candidates.len(), request.budget, request.seed)
             }
             _ => unreachable!("strategy gated above"),
         };
-        // Prefix-union density over the selected sets — the same curve
-        // arithmetic as `generator::coverage_curve`.
-        let mut covered = CoveredSet::new(num_units);
-        let mut coverage_curve = Vec::with_capacity(selected.len());
-        for &i in &selected {
-            covered.union_with(&sets[i]);
-            coverage_curve.push(covered.density());
-        }
+        let coverage_curve = prefix_curve(selected.iter().map(|&i| &*sets[i]), num_units);
         let tests = GeneratedTests {
             inputs: selected
                 .iter()
@@ -839,45 +812,6 @@ impl Workspace {
         )
     }
 
-    /// Run many independent requests, fanned out over
-    /// [`ExecPolicy::auto`] (one worker per hardware thread).
-    ///
-    /// See [`Workspace::run_all_with`] for the full contract.
-    pub fn run_all(&self, requests: &[TestGenRequest]) -> Vec<Result<TestGenReport>> {
-        self.run_all_with(requests, ExecPolicy::auto())
-    }
-
-    /// Run many independent requests, fanned out over an explicit
-    /// [`ExecPolicy`], returning one result per request **in request order**.
-    ///
-    /// Each request runs exactly the sequential [`Workspace::run`] path, and
-    /// every strategy draws its randomness from the request's own seeds
-    /// (`seed`, `gradgen.seed`) — never from thread identity or schedule — so
-    /// each report's payload (tests, coverage curve, provenance, criterion)
-    /// is **bit-identical** to a sequential `run` of the same request (pinned
-    /// by `tests/run_all_equivalence.rs`). The snapshot fields
-    /// ([`TestGenReport::cache`], [`TestGenReport::disk`],
-    /// [`TestGenReport::wall_ms`]) observe whatever cache traffic happened to
-    /// precede them and are the one part of a report that is
-    /// schedule-dependent.
-    ///
-    /// A failing request yields its error in its own slot without affecting
-    /// the others (the serving layer reports per-request errors).
-    pub fn run_all_with(
-        &self,
-        requests: &[TestGenRequest],
-        policy: ExecPolicy,
-    ) -> Vec<Result<TestGenReport>> {
-        // Pre-mint each request's evaluator serially: concurrent first-use
-        // mints of the same (model, criterion digest) would each build a full
-        // gradient engine and throw all but one away. Resolution errors are
-        // ignored here — the failing request reports them from `run` below.
-        for request in requests {
-            let _ = self.evaluator(request.model, &request.criterion);
-        }
-        crate::par::map(policy, requests, |request| self.run(request))
-    }
-
     /// Run a group of requests **coalesced**: candidate tensors are deduped
     /// across the group's pools by content hash, all missing covered-unit
     /// sets of each `(model × criterion key)` bucket are computed in one
@@ -893,9 +827,9 @@ impl Workspace {
     /// entirely when the covered-set cache is disabled — coalescing never
     /// computes a set that sequential execution would not.
     ///
+    /// A group of one skips the warm pass and is exactly [`Workspace::run`].
     /// The returned [`CoalesceStats`] quantify what the group shared; the
-    /// serving layer's micro-batching dispatcher aggregates them into its
-    /// `stats` counters.
+    /// serving layer's dispatcher aggregates them into its `stats` counters.
     pub fn run_coalesced(
         &self,
         requests: &[TestGenRequest],
@@ -1139,9 +1073,9 @@ mod tests {
         assert_eq!(report.model_name, "m");
         assert_eq!(report.criterion_id, "param-gradient");
         assert_eq!(report.tests.len(), report.tests.provenance.len());
-        let direct = Evaluator::new(net(7), CoverageConfig::default())
-            .select_from_training_set(&candidates, 5)
-            .unwrap();
+        let evaluator = Evaluator::new(net(7), CoverageConfig::default());
+        let sets = evaluator.activation_sets(&candidates).unwrap();
+        let direct = greedy_select_covered(&sets, evaluator.num_units(), 5).unwrap();
         assert_eq!(report.selected_indices(), direct.selected);
         assert_eq!(
             report.final_coverage().to_bits(),
@@ -1214,46 +1148,10 @@ mod tests {
                         ..GradGenConfig::default()
                     })
                     .with_seed(3)
-                    .with_neuron(NeuronCoverageConfig::default())
                     .with_candidates(pool(8)),
             )
             .unwrap();
         assert_eq!(combined.tests.len(), 6);
-    }
-
-    #[test]
-    fn run_all_preserves_order_and_isolates_errors() {
-        let ws = Workspace::new();
-        let model = ws.register("m", net(11), CoverageConfig::default());
-        let candidates = pool(12);
-        let requests: Vec<TestGenRequest> = (0..5)
-            .map(|i| {
-                if i == 2 {
-                    // An unregistered model: this slot must fail alone.
-                    TestGenRequest::new(
-                        NetworkFingerprint { lo: 9, hi: 9 },
-                        GenerationMethod::TrainingSetSelection,
-                        3,
-                    )
-                } else {
-                    TestGenRequest::new(model, GenerationMethod::RandomSelection, 3)
-                        .with_seed(i as u64)
-                        .with_candidates(candidates.clone())
-                }
-            })
-            .collect();
-        let reports = ws.run_all_with(&requests, ExecPolicy::Threads(4));
-        assert_eq!(reports.len(), 5);
-        assert!(reports[2].is_err(), "bad request fails in its own slot");
-        for (i, report) in reports.iter().enumerate() {
-            if i == 2 {
-                continue;
-            }
-            let report = report.as_ref().unwrap();
-            // Slot order matches request order: the seed round-trips.
-            let sequential = ws.run(&requests[i]).unwrap();
-            assert_eq!(report.selected_indices(), sequential.selected_indices());
-        }
     }
 
     #[test]

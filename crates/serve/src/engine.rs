@@ -9,6 +9,11 @@
 //! answered inline by the submitting thread: they only read counters and
 //! must not queue behind minute-long generations.
 //!
+//! A worker runs every job it takes through one dispatcher: the jobs it
+//! pulled together (a batch of one unless `max_batch > 1`) go through
+//! [`Workspace::run_coalesced`], which runs a lone request exactly as
+//! [`Workspace::run`] does.
+//!
 //! Deadlines have two trip points. A request whose deadline expired while it
 //! sat in the queue is failed **without computing anything**; a live request
 //! runs on a helper thread the worker waits on for the remaining time, and
@@ -51,8 +56,8 @@ pub struct EngineConfig {
     /// `deadline_ms` (`None` = no default deadline).
     pub default_deadline_ms: Option<u64>,
     /// Maximum `generate` jobs one worker pulls into a single coalesced
-    /// batch. `1` (the default) disables coalescing entirely — the worker
-    /// loop is then bit-identical to the pre-batching engine.
+    /// batch. `1` (the default) disables coalescing: every job runs as a
+    /// batch of one.
     pub max_batch: usize,
     /// How long a worker lingers on the queue for more jobs after receiving
     /// the first of a batch, in milliseconds. `0` (the default) grabs only
@@ -457,7 +462,7 @@ fn worker_loop(
         // job (lingering up to `batch_window` for stragglers) — holding the
         // lock through the linger is deliberate, since the jobs a sibling
         // worker would steal are exactly the ones this batch coalesces.
-        let mut jobs = {
+        let jobs = {
             let queue = rx.lock().expect("job queue lock");
             let first = match queue.recv() {
                 Ok(job) => job,
@@ -485,24 +490,16 @@ fn worker_loop(
             }
             jobs
         };
-        if jobs.len() == 1 {
-            // One job (always the case at `max_batch <= 1`): exactly the
-            // pre-batching engine, bit for bit.
-            let job = jobs.pop().expect("one job");
-            let response = process(state, job.id.clone(), job.spec, job.enqueued, job.deadline);
-            let _ = job.out.send(response.to_string());
-        } else {
-            process_batch(state, jobs);
-        }
+        process_batch(state, jobs);
     }
 }
 
-/// Execute a coalesced batch: fail jobs whose deadline already expired in
-/// queue (same trip point and message as the sequential path), resolve the
-/// rest into workspace requests, and issue **one** grouped
-/// [`Workspace::run_coalesced`] call — which buckets by (model fingerprint ×
-/// criterion digest × quant mode) internally and dedupes candidate tensors
-/// across each bucket's pools.
+/// Execute the jobs a worker took (one or more): fail jobs whose deadline
+/// already expired in queue, resolve the rest into workspace requests, and
+/// issue **one** grouped [`Workspace::run_coalesced`] call — which buckets by
+/// (model fingerprint × criterion digest × quant mode) internally and dedupes
+/// candidate tensors across each bucket's pools. A batch of one is the
+/// degenerate case: `run_coalesced` then skips the warm pass.
 fn process_batch(state: &Arc<ServiceState>, jobs: Vec<Job>) {
     let mut runnable: Vec<Job> = Vec::with_capacity(jobs.len());
     for job in jobs {
@@ -528,7 +525,7 @@ fn process_batch(state: &Arc<ServiceState>, jobs: Vec<Job>) {
     let mut requests: Vec<TestGenRequest> = Vec::with_capacity(runnable.len());
     let mut pool_memo = PoolMemo::new();
     for job in runnable {
-        match build_request(state, &job.id, &job.spec, Some(&mut pool_memo)) {
+        match build_request(state, &job.id, &job.spec, &mut pool_memo) {
             Ok(request) => {
                 requests.push(request);
                 members.push(job);
@@ -540,14 +537,8 @@ fn process_batch(state: &Arc<ServiceState>, jobs: Vec<Job>) {
     }
     match members.len() {
         0 => return,
-        1 => {
-            // A batch that collapsed to one live job runs the sequential
-            // path so its deadline semantics stay identical.
-            let job = members.pop().expect("one job");
-            let response = process(state, job.id.clone(), job.spec, job.enqueued, job.deadline);
-            let _ = job.out.send(response.to_string());
-            return;
-        }
+        // A lone job is not a coalesced batch: the counters track sharing.
+        1 => {}
         n => {
             state.coalesce.batches.fetch_add(1, Ordering::Relaxed);
             state
@@ -570,8 +561,8 @@ fn process_batch(state: &Arc<ServiceState>, jobs: Vec<Job>) {
     }
     // Some members still carry live deadlines: run the grouped call on a
     // helper thread and time out each job at its own deadline. Once every
-    // member is answered the helper is abandoned — like the sequential
-    // path's helper, it finishes in the background warming caches.
+    // member is answered the helper is abandoned: it finishes in the
+    // background warming caches.
     let (tx, rx) = mpsc::channel();
     let helper_state = Arc::clone(state);
     std::thread::spawn(move || {
@@ -650,52 +641,15 @@ fn process_batch(state: &Arc<ServiceState>, jobs: Vec<Job>) {
     }
 }
 
-fn process(
-    state: &Arc<ServiceState>,
-    id: String,
-    spec: GenerateSpec,
-    enqueued: Instant,
-    deadline: Option<Duration>,
-) -> Json {
-    let Some(deadline) = deadline else {
-        return execute(state, &id, &spec);
-    };
-    let elapsed = enqueued.elapsed();
-    if elapsed >= deadline {
-        // Expired while queued: fail before spending any compute on it.
-        return error_response(
-            &id,
-            "timeout",
-            &format!("deadline of {} ms expired in queue", deadline.as_millis()),
-        );
-    }
-    let remaining = deadline - elapsed;
-    let (tx, rx) = mpsc::channel();
-    let helper_state = Arc::clone(state);
-    let helper_id = id.clone();
-    let helper_spec = spec;
-    std::thread::spawn(move || {
-        let _ = tx.send(execute(&helper_state, &helper_id, &helper_spec));
-    });
-    match rx.recv_timeout(remaining) {
-        Ok(response) => response,
-        Err(_) => error_response(
-            &id,
-            "timeout",
-            &format!("deadline of {} ms exceeded", deadline.as_millis()),
-        ),
-    }
-}
-
 /// Resolve a generate spec into the workspace request it runs, or the
-/// structured `bad_request` response that rejects it. A batch passes a
-/// [`PoolMemo`] so identical synthetic pool specs materialize once per
+/// structured `bad_request` response that rejects it. The batch's
+/// [`PoolMemo`] makes identical synthetic pool specs materialize once per
 /// batch instead of once per member.
 fn build_request(
     state: &Arc<ServiceState>,
     id: &str,
     spec: &GenerateSpec,
-    pool_memo: Option<&mut PoolMemo>,
+    pool_memo: &mut PoolMemo,
 ) -> std::result::Result<TestGenRequest, Json> {
     let Some(model) = state.model(&spec.model) else {
         return Err(error_response(
@@ -704,9 +658,9 @@ fn build_request(
             &format!("unknown model {:?}", spec.model),
         ));
     };
-    let candidates = match (&spec.pool, pool_memo) {
-        (&PoolSpec::Synthetic { size, seed }, Some(memo)) => {
-            match memo.entry((spec.model.clone(), size, seed)) {
+    let candidates = match spec.pool {
+        PoolSpec::Synthetic { size, seed } => {
+            match pool_memo.entry((spec.model.clone(), size, seed)) {
                 std::collections::hash_map::Entry::Occupied(hit) => hit.get().clone(),
                 std::collections::hash_map::Entry::Vacant(slot) => {
                     let pool = spec
@@ -730,16 +684,6 @@ fn build_request(
         request = request.with_criterion_spec(criterion.clone());
     }
     Ok(request)
-}
-
-/// Run one generate spec to a response object. Infallible at the signature:
-/// every failure becomes a structured error response.
-fn execute(state: &Arc<ServiceState>, id: &str, spec: &GenerateSpec) -> Json {
-    let request = match build_request(state, id, spec, None) {
-        Ok(request) => request,
-        Err(response) => return response,
-    };
-    report_response(id, &state.workspace.run(&request))
 }
 
 /// Map one request's workspace outcome to its response line.
@@ -954,6 +898,66 @@ mod tests {
             .and_then(Json::as_str)
             .unwrap()
             .contains("queue"));
+    }
+
+    /// A `generate` line whose work runs a few hundred milliseconds, far
+    /// past its `deadline_ms` of 100. Unoptimised builds run this work about
+    /// 100× slower, so they synthesise with fewer steps: the abandoned
+    /// helper then finishes shortly after the test in either build.
+    fn slow_line(id: &str) -> String {
+        let steps = if cfg!(debug_assertions) { 2 } else { 200 };
+        format!(
+            r#"{{"id":"{id}","model":"mnist-scaled","strategy":"gradient-based","budget":10,"gradgen_steps":{steps},"deadline_ms":100,"pool":{{"synthetic":4,"seed":1}}}}"#
+        )
+    }
+
+    /// Send the slow lines, then one fast request, through one worker; the
+    /// slow ones must time out while running and the fast one be served.
+    fn deadline_session(max_batch: usize, slow_ids: &[&str]) -> CoalesceSnapshot {
+        let engine = Engine::in_memory(EngineConfig {
+            workers: 1,
+            queue_depth: 8,
+            max_batch,
+            batch_window_ms: 20,
+            ..EngineConfig::default()
+        });
+        let (tx, rx) = mpsc::channel();
+        for id in slow_ids {
+            engine.handle(&slow_line(id), &tx);
+        }
+        engine.handle(
+            r#"{"id":"next","model":"tiny-relu","budget":2,"pool":{"synthetic":6,"seed":2}}"#,
+            &tx,
+        );
+        let stats = engine.drain();
+        drop(tx);
+        let responses: Vec<Json> = rx.into_iter().map(|l| Json::parse(&l).unwrap()).collect();
+        assert_eq!(responses.len(), slow_ids.len() + 1);
+        for id in slow_ids {
+            let error = by_id(&responses, id).get("error").expect("a timeout");
+            assert_eq!(error.get("kind").and_then(Json::as_str), Some("timeout"));
+            let message = error.get("message").and_then(Json::as_str).unwrap();
+            assert!(message.contains("exceeded"), "{id}: {message}");
+        }
+        assert_eq!(
+            by_id(&responses, "next").get("ok").and_then(Json::as_bool),
+            Some(true),
+            "the worker must keep serving after abandoning a request"
+        );
+        stats
+    }
+
+    #[test]
+    fn a_running_batch_of_one_times_out_at_its_deadline() {
+        let stats = deadline_session(1, &["slow"]);
+        assert_eq!(stats.batches, 0, "a batch of one is not counted");
+    }
+
+    #[test]
+    fn a_running_coalesced_batch_times_out_at_each_deadline() {
+        let stats = deadline_session(2, &["slow1", "slow2"]);
+        assert_eq!(stats.batches, 1, "the two slow requests ran as one batch");
+        assert_eq!(stats.requests, 2);
     }
 
     #[test]

@@ -40,6 +40,12 @@ use engine::error_response;
 /// `bad_request` and skipped, buffering no more than the cap of it.
 pub const MAX_LINE_BYTES: usize = 8 << 20;
 
+/// Most `f32` elements one request's candidate pool may hold (size × input
+/// elements; 64 MiB of samples): far above any pool the benchmarks send,
+/// and small enough that materializing it cannot exhaust memory. A larger
+/// pool is answered with a `bad_request`.
+pub const MAX_POOL_ELEMENTS: usize = 1 << 24;
+
 /// Serve the NDJSON protocol over an arbitrary reader/writer pair until
 /// EOF or a `shutdown` request, then drain the engine (every accepted
 /// request is answered) and — when shutdown was requested — acknowledge it

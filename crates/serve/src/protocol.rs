@@ -27,6 +27,7 @@ use dnnip_nn::{zoo, Network};
 use dnnip_tensor::Tensor;
 
 use crate::json::Json;
+use crate::MAX_POOL_ELEMENTS;
 
 /// Names of the models every service instance registers at startup, in
 /// presentation order. The mix spans activations (ReLU/Tanh), widths and one
@@ -104,10 +105,21 @@ impl PoolSpec {
     ///
     /// # Errors
     ///
-    /// Returns a message when an inline sample's length does not match the
-    /// shape's element count.
+    /// Returns a message when the pool would hold more than
+    /// [`MAX_POOL_ELEMENTS`] elements, or when an inline sample's length does
+    /// not match the shape's element count.
     pub fn materialize(&self, shape: &[usize]) -> Result<Vec<Tensor>, String> {
         let elements: usize = shape.iter().product();
+        let size = match self {
+            PoolSpec::Synthetic { size, .. } => *size,
+            PoolSpec::Inline(rows) => rows.len(),
+        };
+        if size.saturating_mul(elements) > MAX_POOL_ELEMENTS {
+            return Err(format!(
+                "pool of {size} samples × {elements} elements exceeds the limit of \
+                 {MAX_POOL_ELEMENTS} elements"
+            ));
+        }
         match self {
             PoolSpec::Synthetic { size, seed } => Ok((0..*size)
                 .map(|i| {
@@ -453,6 +465,29 @@ mod tests {
                 assert!((0.0..=2.0).contains(&v));
             }
         }
+    }
+
+    #[test]
+    fn pools_over_the_element_limit_are_rejected_before_allocating() {
+        // 16 elements per sample: the limit admits exactly MAX / 16 samples.
+        let shape = [4, 4];
+        let at_limit = MAX_POOL_ELEMENTS / 16;
+        let over = PoolSpec::Synthetic {
+            size: at_limit + 1,
+            seed: 1,
+        };
+        assert!(over.materialize(&shape).unwrap_err().contains("exceeds"));
+        let huge = PoolSpec::Synthetic {
+            size: usize::MAX,
+            seed: 1,
+        };
+        assert!(
+            huge.materialize(&shape).is_err(),
+            "no overflow past the cap"
+        );
+        assert!(PoolSpec::Synthetic { size: 3, seed: 1 }
+            .materialize(&shape)
+            .is_ok());
     }
 
     #[test]

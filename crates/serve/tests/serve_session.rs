@@ -229,6 +229,43 @@ fn the_binary_answers_the_request_after_a_non_utf8_line() {
 }
 
 #[test]
+fn the_binary_rejects_a_huge_synthetic_pool_and_serves_the_next_request() {
+    use std::io::{BufRead, BufReader};
+
+    // A trillion-sample pool once made the worker allocate 48 TB and abort
+    // the process. Each line is answered before the next is sent, so the
+    // two answers also come back in order.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_dnnip-serve"))
+        .args(["--workers", "1"])
+        .env("DNNIP_CACHE_PERSIST", "0")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn dnnip-serve");
+    let mut stdin = child.stdin.take().unwrap();
+    let mut stdout = BufReader::new(child.stdout.take().unwrap());
+    let mut ask = |line: &str| -> Json {
+        writeln!(stdin, "{line}").unwrap();
+        stdin.flush().unwrap();
+        let mut answer = String::new();
+        stdout.read_line(&mut answer).unwrap();
+        Json::parse(answer.trim_end()).unwrap_or_else(|e| panic!("bad answer {answer:?}: {e}"))
+    };
+    let rejected = ask(
+        r#"{"id":"p","model":"tiny-relu","budget":3,"pool":{"synthetic":1000000000000,"seed":1}}"#,
+    );
+    assert_eq!(rejected.get("id").and_then(Json::as_str), Some("p"));
+    assert!(bad_request_message(&rejected).contains("exceeds the limit"));
+    let models = ask(r#"{"id":"m","op":"models"}"#);
+    assert_eq!(models.get("id").and_then(Json::as_str), Some("m"));
+    assert_eq!(models.get("ok").and_then(Json::as_bool), Some(true));
+    drop(stdin);
+    let status = child.wait().expect("binary exits at EOF");
+    assert!(status.success(), "exit status {status:?}");
+}
+
+#[test]
 fn the_binary_serves_a_pipe_session_and_exits_zero() {
     let mut child = Command::new(env!("CARGO_BIN_EXE_dnnip-serve"))
         .args(["--workers", "2"])

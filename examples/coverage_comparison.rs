@@ -10,7 +10,6 @@
 //! ```
 
 use dnnip::core::criterion::builtin_criteria;
-use dnnip::core::neuron::{NeuronCoverageAnalyzer, NeuronCoverageConfig};
 use dnnip::dataset::digits::{synthetic_mnist, DigitConfig};
 use dnnip::dataset::{noise, ood};
 use dnnip::nn::train::{train, TrainConfig};
@@ -62,24 +61,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .with_candidates(data.inputs.clone()),
         )?
         .tests;
-    let neuron_analyzer = NeuronCoverageAnalyzer::new(&model, NeuronCoverageConfig::default());
-    let neuron_selection = neuron_analyzer.select_by_neuron_coverage(&data.inputs, budget)?;
-    let neuron_tests: Vec<Tensor> = neuron_selection
-        .selected
-        .iter()
-        .map(|&i| data.inputs[i].clone())
-        .collect();
+    let neuron_tests = ws
+        .run(
+            &TestGenRequest::new(key, GenerationMethod::NeuronCoverageBaseline, budget)
+                .with_candidates(data.inputs.clone()),
+        )?
+        .tests
+        .inputs;
+    // The baseline's own metric, for scoring both suites under it.
+    let neuron_evaluator = ws.evaluator(key, &CriterionSpec::Spec("neuron-activation".into()))?;
 
     println!("\nWith a budget of {budget} functional tests:");
     println!(
         "  proposed (parameter coverage) : parameter coverage {:.1}%, neuron coverage {:.1}%",
         param_tests.final_coverage() * 100.0,
-        neuron_analyzer.coverage_of_set(&param_tests.inputs)? * 100.0
+        neuron_evaluator.coverage_of_set(&param_tests.inputs)? * 100.0
     );
     println!(
         "  baseline (neuron coverage)    : parameter coverage {:.1}%, neuron coverage {:.1}%",
         evaluator.coverage_of_set(&neuron_tests)? * 100.0,
-        neuron_selection.final_coverage() * 100.0
+        neuron_evaluator.coverage_of_set(&neuron_tests)? * 100.0
     );
 
     // --- Every pluggable criterion over the same suite: one greedy selection

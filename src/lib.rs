@@ -64,13 +64,12 @@ pub use dnnip_tensor as tensor;
 pub mod prelude {
     pub use dnnip_accel::ip::{AcceleratorIp, DnnIp, FloatIp};
     pub use dnnip_accel::quant::BitWidth;
-    pub use dnnip_core::combined::{generate_combined, CombinedConfig};
     pub use dnnip_core::coverage::{CoverageAnalyzer, CoverageConfig};
     pub use dnnip_core::criterion::{
         CoverageCriterion, NeuronActivation, ParamGradient, TopKNeuron,
     };
     pub use dnnip_core::eval::{CacheStats, CoveredSetCache, Evaluator};
-    pub use dnnip_core::generator::{generate_tests, GenerationConfig, GenerationMethod};
+    pub use dnnip_core::generator::GenerationMethod;
     pub use dnnip_core::persist::DiskStats;
     pub use dnnip_core::protocol::FunctionalTestSuite;
     pub use dnnip_core::workspace::{

@@ -8,13 +8,31 @@
 //! `dnnip-bench` and recorded in EXPERIMENTS.md, because they depend on model
 //! scale and training budget rather than on code correctness.
 
-use dnnip::core::neuron::{NeuronCoverageAnalyzer, NeuronCoverageConfig};
-use dnnip::core::select::select_from_training_set;
 use dnnip::dataset::digits::{synthetic_mnist, DigitConfig};
 use dnnip::dataset::{noise, ood};
 use dnnip::nn::train::{train, TrainConfig};
 use dnnip::nn::zoo;
 use dnnip::prelude::*;
+
+/// `budget` tests from `pool` with `method` under `criterion`, through a
+/// fresh workspace.
+fn generate(
+    model: &Network,
+    pool: &[Tensor],
+    method: GenerationMethod,
+    criterion: &str,
+    budget: usize,
+) -> dnnip::core::generator::GeneratedTests {
+    let ws = Workspace::new();
+    let key = ws.register("model", model.clone(), CoverageConfig::default());
+    ws.run(
+        &TestGenRequest::new(key, method, budget)
+            .with_criterion_spec(criterion)
+            .with_candidates(pool.to_vec()),
+    )
+    .unwrap()
+    .tests
+}
 
 fn trained_relu_cnn() -> (Network, Vec<Tensor>) {
     let data = synthetic_mnist(&DigitConfig::with_size(8), 150, 21);
@@ -69,8 +87,13 @@ fn image_families_produce_valid_and_distinct_coverage() {
 #[test]
 fn greedy_selection_curve_is_monotone_and_saturates() {
     let (model, training) = trained_relu_cnn();
-    let evaluator = Evaluator::new(&model, CoverageConfig::default());
-    let result = select_from_training_set(&evaluator, &training, 40).unwrap();
+    let result = generate(
+        &model,
+        &training,
+        GenerationMethod::TrainingSetSelection,
+        "param-gradient",
+        40,
+    );
     let curve = &result.coverage_curve;
     assert!(!curve.is_empty());
     for w in curve.windows(2) {
@@ -95,31 +118,11 @@ fn greedy_selection_curve_is_monotone_and_saturates() {
 #[test]
 fn combined_generation_beats_training_only_at_equal_budget() {
     let (model, training) = trained_relu_cnn();
-    let evaluator = Evaluator::new(&model, CoverageConfig::default());
-    let budget = 20usize;
-    let config = GenerationConfig {
-        max_tests: budget,
-        ..GenerationConfig::default()
-    };
-    let combined = generate_tests(&evaluator, &training, GenerationMethod::Combined, &config)
-        .unwrap()
-        .final_coverage();
-    let training_only = generate_tests(
-        &evaluator,
-        &training,
-        GenerationMethod::TrainingSetSelection,
-        &config,
-    )
-    .unwrap()
-    .final_coverage();
-    let random = generate_tests(
-        &evaluator,
-        &training,
-        GenerationMethod::RandomSelection,
-        &config,
-    )
-    .unwrap()
-    .final_coverage();
+    let coverage =
+        |method| generate(&model, &training, method, "param-gradient", 20).final_coverage();
+    let combined = coverage(GenerationMethod::Combined);
+    let training_only = coverage(GenerationMethod::TrainingSetSelection);
+    let random = coverage(GenerationMethod::RandomSelection);
     assert!(combined >= training_only - 1e-6);
     assert!(training_only >= random - 1e-6);
 }
@@ -131,16 +134,22 @@ fn full_neuron_coverage_does_not_imply_full_parameter_coverage() {
     // source and destination neurons active in the *same* test.
     let (model, training) = trained_relu_cnn();
     let param = CoverageAnalyzer::new(&model, CoverageConfig::default());
-    let neuron = NeuronCoverageAnalyzer::new(&model, NeuronCoverageConfig { threshold: 0.0 });
+    let neuron = Evaluator::with_criterion(
+        &model,
+        CoverageConfig::default(),
+        std::sync::Arc::new(NeuronActivation { threshold: 0.0 }),
+    );
     // Use the whole training pool: neuron coverage gets as high as it ever will.
     let neuron_cov = neuron.coverage_of_set(&training).unwrap();
     let param_cov_best_10 = {
-        let selection = neuron.select_by_neuron_coverage(&training, 10).unwrap();
-        let chosen: Vec<Tensor> = selection
-            .selected
-            .iter()
-            .map(|&i| training[i].clone())
-            .collect();
+        let chosen = generate(
+            &model,
+            &training,
+            GenerationMethod::TrainingSetSelection,
+            "neuron-activation:0",
+            10,
+        )
+        .inputs;
         param.coverage_of_set(&chosen).unwrap()
     };
     assert!(

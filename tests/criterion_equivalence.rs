@@ -10,19 +10,19 @@
 //!    That reference path predates the criterion refactor and is unchanged,
 //!    so agreement here pins the refactor against pre-refactor behaviour.
 //! 2. **Every criterion is a first-class citizen end to end.** All three
-//!    built-in criteria run through `Evaluator::select_from_training_set` and
-//!    `generate_combined`, with cached, fresh, serial and threaded results all
-//!    bit-identical per criterion.
+//!    built-in criteria run through `Workspace::run` (selection and the
+//!    combined generator), with cached, fresh, serial and threaded results
+//!    all bit-identical per criterion, and selections equal to the reference
+//!    oracle: `greedy_select_naive` over `covered_units_reference` sets.
 
 use std::sync::Arc;
 
-use dnnip::core::combined::CombinedConfig;
 use dnnip::core::coverage::CoverageConfig;
 use dnnip::core::criterion::builtin_criteria;
 use dnnip::core::eval::Evaluator;
 use dnnip::core::gradgen::GradGenConfig;
 use dnnip::core::par::ExecPolicy;
-use dnnip::core::select::greedy_select;
+use dnnip::core::select::{greedy_select_naive, SelectionResult};
 use dnnip::dataset::digits::{synthetic_mnist, DigitConfig};
 use dnnip::nn::zoo;
 use dnnip::prelude::*;
@@ -59,6 +59,62 @@ fn seeded_inputs(net: &Network, n: usize, seed: u64) -> Vec<Tensor> {
     }
 }
 
+/// A workspace with `net` registered, plus its key.
+fn workspace(net: &Network) -> (Workspace, dnnip::nn::fingerprint::NetworkFingerprint) {
+    let ws = Workspace::new();
+    let key = ws.register("net", net.clone(), CoverageConfig::default());
+    (ws, key)
+}
+
+/// Greedy selection of `budget` tests from `pool` under `criterion`,
+/// through the workspace front door.
+fn select(
+    ws: &Workspace,
+    key: dnnip::nn::fingerprint::NetworkFingerprint,
+    criterion: &Arc<dyn CoverageCriterion>,
+    pool: &[Tensor],
+    budget: usize,
+) -> TestGenReport {
+    ws.run(
+        &TestGenRequest::new(key, GenerationMethod::TrainingSetSelection, budget)
+            .with_criterion(Arc::clone(criterion))
+            .with_candidates(pool.to_vec()),
+    )
+    .unwrap()
+}
+
+/// The reference oracle: the paper's naive Algorithm 1 over the criterion's
+/// independent per-sample reference sets (`covered_units_reference`).
+fn reference_selection(
+    net: &Network,
+    criterion: &Arc<dyn CoverageCriterion>,
+    pool: &[Tensor],
+    budget: usize,
+) -> SelectionResult {
+    let evaluator =
+        Evaluator::with_criterion(net, CoverageConfig::default(), Arc::clone(criterion));
+    let sets: Vec<_> = pool
+        .iter()
+        .map(|x| evaluator.analyzer().activation_set_reference(x).unwrap())
+        .collect();
+    greedy_select_naive(&sets, evaluator.num_units(), budget).unwrap()
+}
+
+/// A report's selection and coverage curve equal the oracle's, bit for bit.
+fn assert_matches_oracle(report: &TestGenReport, oracle: &SelectionResult, what: &str) {
+    assert_eq!(
+        report.selected_indices(),
+        oracle.selected,
+        "{what}: indices"
+    );
+    let bits = |curve: &[f32]| curve.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+    assert_eq!(
+        bits(&report.tests.coverage_curve),
+        bits(&oracle.coverage_curve),
+        "{what}: coverage curve"
+    );
+}
+
 #[test]
 fn param_gradient_criterion_is_bit_identical_to_the_reference_pipeline() {
     for (name, net) in zoo_networks() {
@@ -87,13 +143,17 @@ fn param_gradient_criterion_is_bit_identical_to_the_reference_pipeline() {
             dnnip::core::coverage::coverage_of_sets(&reference, net.num_parameters());
         assert_eq!(direct, from_reference, "{name}: coverage fraction diverged");
 
-        // Greedy selection over the evaluator equals greedy over the
-        // reference sets — indices, curve and covered union.
-        let via_eval = implicit.select_from_training_set(&pool, 6).unwrap();
-        let via_reference = greedy_select(&reference, net.num_parameters(), 6).unwrap();
-        assert_eq!(via_eval.selected, via_reference.selected, "{name}");
-        assert_eq!(via_eval.coverage_curve, via_reference.coverage_curve);
-        assert_eq!(via_eval.covered, via_reference.covered);
+        // Greedy selection through the workspace, under its default
+        // criterion, equals the naive greedy over the reference sets.
+        let (ws, key) = workspace(&net);
+        let via_workspace = ws
+            .run(
+                &TestGenRequest::new(key, GenerationMethod::TrainingSetSelection, 6)
+                    .with_candidates(pool.clone()),
+            )
+            .unwrap();
+        let via_reference = greedy_select_naive(&reference, net.num_parameters(), 6).unwrap();
+        assert_matches_oracle(&via_workspace, &via_reference, name);
     }
 }
 
@@ -101,29 +161,27 @@ fn param_gradient_criterion_is_bit_identical_to_the_reference_pipeline() {
 fn every_criterion_selects_end_to_end_with_cached_equals_fresh() {
     for (name, net) in zoo_networks() {
         let pool = seeded_inputs(&net, 14, 7);
+        let (ws, key) = workspace(&net);
         for criterion in builtin_criteria(&CoverageConfig::default()) {
             let id = criterion.id();
-            let evaluator =
-                Evaluator::with_criterion(&net, CoverageConfig::default(), criterion.clone());
-            let cold = evaluator.select_from_training_set(&pool, 6).unwrap();
-            let misses = evaluator.criterion_cache_stats().misses;
-            let warm = evaluator.select_from_training_set(&pool, 6).unwrap();
+            let cold = select(&ws, key, &criterion, &pool, 6);
+            let warm = select(&ws, key, &criterion, &pool, 6);
             assert_eq!(
-                evaluator.criterion_cache_stats().misses,
-                misses,
+                warm.cache.misses, cold.cache.misses,
                 "{name}/{id}: warm selection recomputed covered sets"
             );
-            assert_eq!(cold.selected, warm.selected, "{name}/{id}");
-            assert_eq!(cold.coverage_curve, warm.coverage_curve, "{name}/{id}");
-            assert!(!cold.selected.is_empty(), "{name}/{id}: nothing selected");
+            assert!(
+                !cold.selected_indices().is_empty(),
+                "{name}/{id}: nothing selected"
+            );
             assert!(cold.final_coverage() > 0.0, "{name}/{id}");
-            // A brand-new evaluator (fresh cache) agrees bit for bit.
-            let fresh =
-                Evaluator::with_criterion(&net, CoverageConfig::default(), criterion.clone())
-                    .select_from_training_set(&pool, 6)
-                    .unwrap();
-            assert_eq!(fresh.selected, cold.selected, "{name}/{id}: fresh diverged");
-            assert_eq!(fresh.covered, cold.covered, "{name}/{id}");
+            let oracle = reference_selection(&net, &criterion, &pool, 6);
+            assert_matches_oracle(&cold, &oracle, &format!("{name}/{id} cold"));
+            assert_matches_oracle(&warm, &oracle, &format!("{name}/{id} warm"));
+            // A brand-new workspace (fresh cache) agrees bit for bit.
+            let (fresh_ws, fresh_key) = workspace(&net);
+            let fresh = select(&fresh_ws, fresh_key, &criterion, &pool, 6);
+            assert_matches_oracle(&fresh, &oracle, &format!("{name}/{id} fresh"));
         }
     }
 }
@@ -132,28 +190,30 @@ fn every_criterion_selects_end_to_end_with_cached_equals_fresh() {
 fn every_criterion_generates_combined_suites_deterministically() {
     let net = zoo::tiny_mlp(6, 16, 4, Activation::Relu, 17).unwrap();
     let pool = seeded_inputs(&net, 10, 11);
-    let config = CombinedConfig {
-        max_tests: 8,
-        gradgen: GradGenConfig {
-            steps: 5,
-            ..GradGenConfig::default()
-        },
-    };
     for criterion in builtin_criteria(&CoverageConfig::default()) {
         let id = criterion.id();
-        let run = |crit: &Arc<dyn dnnip::core::criterion::CoverageCriterion>| {
-            let evaluator =
-                Evaluator::with_criterion(&net, CoverageConfig::default(), crit.clone());
-            evaluator.generate_combined(&pool, &config).unwrap()
+        let run = || {
+            let (ws, key) = workspace(&net);
+            ws.run(
+                &TestGenRequest::new(key, GenerationMethod::Combined, 8)
+                    .with_criterion(Arc::clone(&criterion))
+                    .with_gradgen(GradGenConfig {
+                        steps: 5,
+                        ..GradGenConfig::default()
+                    })
+                    .with_candidates(pool.clone()),
+            )
+            .unwrap()
+            .tests
         };
-        let a = run(&criterion);
-        let b = run(&criterion);
-        assert_eq!(a.tests.len(), 8, "{id}");
+        let a = run();
+        let b = run();
+        assert_eq!(a.inputs.len(), 8, "{id}");
         assert_eq!(
-            a.tests, b.tests,
+            a.inputs, b.inputs,
             "{id}: combined generation not deterministic"
         );
-        assert_eq!(a.sources, b.sources, "{id}");
+        assert_eq!(a.provenance, b.provenance, "{id}");
         assert_eq!(a.coverage_curve, b.coverage_curve, "{id}");
         // The curve is non-decreasing under every criterion.
         for w in a.coverage_curve.windows(2) {
@@ -206,15 +266,13 @@ fn criterion_generated_suites_detect_tampering() {
     // passes, a parameter-tampered IP fails.
     let net = zoo::tiny_mlp(6, 16, 4, Activation::Relu, 29).unwrap();
     let pool = seeded_inputs(&net, 12, 19);
+    let (ws, key) = workspace(&net);
     for criterion in builtin_criteria(&CoverageConfig::default()) {
         let id = criterion.id();
-        let evaluator = Evaluator::with_criterion(&net, CoverageConfig::default(), criterion);
-        let selection = evaluator.select_from_training_set(&pool, 6).unwrap();
-        let tests: Vec<Tensor> = selection
-            .selected
-            .iter()
-            .map(|&i| pool[i].clone())
-            .collect();
+        let tests = select(&ws, key, &criterion, &pool, 6).tests.inputs;
+        let evaluator = ws
+            .evaluator(key, &CriterionSpec::Instance(criterion))
+            .unwrap();
         let suite = FunctionalTestSuite::from_evaluator(
             &evaluator,
             tests,

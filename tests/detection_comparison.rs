@@ -1,8 +1,6 @@
 //! Detection-rate behaviour across attacks and test-generation methods — the
 //! qualitative claims behind the paper's Tables II and III on a small model.
 
-use dnnip::core::eval::Evaluator;
-use dnnip::core::neuron::{NeuronCoverageAnalyzer, NeuronCoverageConfig};
 use dnnip::core::par::ExecPolicy;
 use dnnip::dataset::digits::{synthetic_mnist, DigitConfig};
 use dnnip::nn::train::{train, TrainConfig};
@@ -34,30 +32,23 @@ fn fixture() -> Fixture {
     }
 }
 
+/// `budget` tests from the training pool with `method`, through a fresh
+/// workspace.
+fn generate(fix: &Fixture, method: GenerationMethod, budget: usize) -> Vec<Tensor> {
+    let ws = Workspace::new();
+    let key = ws.register("model", fix.model.clone(), CoverageConfig::default());
+    ws.run(&TestGenRequest::new(key, method, budget).with_candidates(fix.training.clone()))
+        .unwrap()
+        .tests
+        .inputs
+}
+
 fn proposed_tests(fix: &Fixture, budget: usize) -> Vec<Tensor> {
-    let evaluator = Evaluator::new(&fix.model, CoverageConfig::default());
-    generate_tests(
-        &evaluator,
-        &fix.training,
-        GenerationMethod::Combined,
-        &GenerationConfig {
-            max_tests: budget,
-            ..GenerationConfig::default()
-        },
-    )
-    .unwrap()
-    .inputs
+    generate(fix, GenerationMethod::Combined, budget)
 }
 
 fn baseline_tests(fix: &Fixture, budget: usize) -> Vec<Tensor> {
-    let neuron = NeuronCoverageAnalyzer::new(&fix.model, NeuronCoverageConfig::default());
-    neuron
-        .select_by_neuron_coverage(&fix.training, budget)
-        .unwrap()
-        .selected
-        .iter()
-        .map(|&i| fix.training[i].clone())
-        .collect()
+    generate(fix, GenerationMethod::NeuronCoverageBaseline, budget)
 }
 
 #[test]

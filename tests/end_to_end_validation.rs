@@ -23,20 +23,25 @@ fn trained_model() -> (Network, Vec<Tensor>, Vec<usize>) {
     (model, data.inputs, data.labels)
 }
 
+/// Generate `budget` tests from `pool` with `method` through a fresh
+/// workspace.
+fn generate(
+    model: &Network,
+    pool: &[Tensor],
+    method: GenerationMethod,
+    budget: usize,
+) -> dnnip::core::generator::GeneratedTests {
+    let ws = Workspace::new();
+    let key = ws.register("model", model.clone(), CoverageConfig::default());
+    ws.run(&TestGenRequest::new(key, method, budget).with_candidates(pool.to_vec()))
+        .unwrap()
+        .tests
+}
+
 #[test]
 fn clean_ip_passes_and_tampered_ip_fails() {
     let (model, training, _) = trained_model();
-    let evaluator = Evaluator::new(&model, CoverageConfig::default());
-    let tests = generate_tests(
-        &evaluator,
-        &training,
-        GenerationMethod::Combined,
-        &GenerationConfig {
-            max_tests: 15,
-            ..GenerationConfig::default()
-        },
-    )
-    .unwrap();
+    let tests = generate(&model, &training, GenerationMethod::Combined, 15);
     assert!(
         tests.final_coverage() > 0.5,
         "combined tests should cover most parameters"
@@ -71,17 +76,12 @@ fn clean_ip_passes_and_tampered_ip_fails() {
 #[test]
 fn suite_survives_serialization_and_still_detects_attacks() {
     let (model, training, _) = trained_model();
-    let evaluator = Evaluator::new(&model, CoverageConfig::default());
-    let tests = generate_tests(
-        &evaluator,
+    let tests = generate(
+        &model,
         &training,
         GenerationMethod::TrainingSetSelection,
-        &GenerationConfig {
-            max_tests: 10,
-            ..GenerationConfig::default()
-        },
-    )
-    .unwrap();
+        10,
+    );
     let suite =
         FunctionalTestSuite::from_network(&model, tests.inputs, MatchPolicy::OutputTolerance(1e-3))
             .unwrap();
@@ -100,17 +100,7 @@ fn suite_survives_serialization_and_still_detects_attacks() {
 #[test]
 fn bit_flips_in_weight_memory_are_detected() {
     let (model, training, _) = trained_model();
-    let evaluator = Evaluator::new(&model, CoverageConfig::default());
-    let tests = generate_tests(
-        &evaluator,
-        &training,
-        GenerationMethod::Combined,
-        &GenerationConfig {
-            max_tests: 12,
-            ..GenerationConfig::default()
-        },
-    )
-    .unwrap();
+    let tests = generate(&model, &training, GenerationMethod::Combined, 12);
     // A strict output-tolerance policy catches even small memory corruptions.
     let suite =
         FunctionalTestSuite::from_network(&model, tests.inputs, MatchPolicy::OutputTolerance(1e-4))

@@ -9,12 +9,12 @@
 //! order-dependent reduction, thread-dependent RNG use) fails exactly, not
 //! within a tolerance.
 
-use dnnip::core::combined::{generate_combined, CombinedConfig};
+use dnnip::core::combined::TestSource;
 use dnnip::core::coverage::CoverageConfig;
 use dnnip::core::eval::Evaluator;
 use dnnip::core::gradgen::{GradGenConfig, GradientGenerator};
 use dnnip::core::par::ExecPolicy;
-use dnnip::core::select::select_from_training_set;
+use dnnip::core::select::greedy_select_naive;
 use dnnip::dataset::digits::{synthetic_mnist, DigitConfig};
 use dnnip::nn::zoo;
 use dnnip::prelude::*;
@@ -146,20 +146,49 @@ fn coverage_fractions_are_bit_identical_across_policies() {
     }
 }
 
+/// `Workspace::run` of `request` (built for the registered key) on `net`
+/// registered under `config`.
+fn run(
+    net: &Network,
+    config: CoverageConfig,
+    request: impl FnOnce(dnnip::nn::fingerprint::NetworkFingerprint) -> TestGenRequest,
+) -> TestGenReport {
+    let ws = Workspace::new();
+    let key = ws.register("net", net.clone(), config);
+    ws.run(&request(key)).unwrap()
+}
+
 #[test]
 fn greedy_selection_picks_identical_tests_under_every_policy() {
     for (name, net) in zoo_networks() {
         let pool = seeded_inputs(&net, 18, 13);
-        let serial = Evaluator::new(&net, config_with(ExecPolicy::Serial, 32));
-        let threaded = Evaluator::new(&net, config_with(ExecPolicy::Threads(4), 5));
-        let a = select_from_training_set(&serial, &pool, 8).unwrap();
-        let b = select_from_training_set(&threaded, &pool, 8).unwrap();
-        assert_eq!(a.selected, b.selected, "{name}: selected indices diverged");
+        let select = |config| {
+            run(&net, config, |key| {
+                TestGenRequest::new(key, GenerationMethod::TrainingSetSelection, 8)
+                    .with_candidates(pool.clone())
+            })
+        };
+        let a = select(config_with(ExecPolicy::Serial, 32));
+        let b = select(config_with(ExecPolicy::Threads(4), 5));
         assert_eq!(
-            a.coverage_curve, b.coverage_curve,
+            a.selected_indices(),
+            b.selected_indices(),
+            "{name}: selected indices diverged"
+        );
+        assert_eq!(
+            a.tests.coverage_curve, b.tests.coverage_curve,
             "{name}: coverage curve diverged"
         );
-        assert_eq!(a.covered, b.covered, "{name}: covered union diverged");
+        // Both equal the reference oracle: the naive greedy over the
+        // per-sample reference sets.
+        let analyzer = CoverageAnalyzer::new(&net, CoverageConfig::default());
+        let reference: Vec<_> = pool
+            .iter()
+            .map(|x| analyzer.activation_set_reference(x).unwrap())
+            .collect();
+        let oracle = greedy_select_naive(&reference, net.num_parameters(), 8).unwrap();
+        assert_eq!(a.selected_indices(), oracle.selected, "{name}: oracle");
+        assert_eq!(a.tests.coverage_curve, oracle.coverage_curve, "{name}");
     }
 }
 
@@ -203,27 +232,31 @@ fn gradient_generator_is_execution_policy_invariant() {
 fn combined_generator_is_execution_policy_invariant() {
     let net = zoo::tiny_cnn(6, 10, Activation::Relu, 17).unwrap();
     let pool = seeded_inputs(&net, 12, 29);
-    let run = |exec: ExecPolicy| {
-        let evaluator = Evaluator::new(&net, config_with(exec, 4));
-        let config = CombinedConfig {
-            max_tests: 8,
-            gradgen: GradGenConfig {
-                steps: 5,
-                exec,
-                ..GradGenConfig::default()
-            },
-        };
-        generate_combined(&evaluator, &pool, &config).unwrap()
+    let combined = |exec: ExecPolicy| {
+        run(&net, config_with(exec, 4), |key| {
+            TestGenRequest::new(key, GenerationMethod::Combined, 8)
+                .with_gradgen(GradGenConfig {
+                    steps: 5,
+                    exec,
+                    ..GradGenConfig::default()
+                })
+                .with_candidates(pool.clone())
+        })
+        .tests
     };
-    let a = run(ExecPolicy::Serial);
-    let b = run(ExecPolicy::Threads(4));
-    assert_eq!(a.tests, b.tests, "combined tests diverged");
-    assert_eq!(a.sources, b.sources, "combined sources diverged");
+    let a = combined(ExecPolicy::Serial);
+    let b = combined(ExecPolicy::Threads(4));
+    assert_eq!(a.inputs, b.inputs, "combined tests diverged");
+    // Equal provenance also pins the switch point: the first synthetic test.
+    assert_eq!(a.provenance, b.provenance, "combined sources diverged");
     assert_eq!(
         a.coverage_curve, b.coverage_curve,
         "combined curve diverged"
     );
-    assert_eq!(a.switch_point, b.switch_point, "switch point diverged");
+    assert!(a
+        .provenance
+        .iter()
+        .any(|s| matches!(s, TestSource::TrainingSample(_))));
 }
 
 #[test]
@@ -297,32 +330,4 @@ fn detection_reports_are_bit_identical_across_policies() {
             "detection report diverged under Threads({threads})"
         );
     }
-}
-
-#[test]
-fn evaluator_detection_wrapper_matches_the_direct_harness() {
-    let net = zoo::tiny_mlp(6, 14, 4, Activation::Relu, 5).unwrap();
-    let probes = seeded_inputs(&net, 6, 23);
-    let tests = seeded_inputs(&net, 8, 31);
-    let attack = SingleBiasAttack::with_magnitude(5.0);
-    let config = DetectionConfig {
-        trials: 16,
-        seed: 3,
-        policy: MatchPolicy::ArgMax,
-        exec: ExecPolicy::Serial,
-    };
-    let evaluator = Evaluator::new(&net, config_with(ExecPolicy::Threads(4), 8));
-    let via_evaluator = evaluator
-        .detection_rate(&attack, &probes, &tests, &config)
-        .unwrap();
-    let direct = detection_rate(&net, &attack, &probes, &tests, &config).unwrap();
-    assert_eq!(via_evaluator, direct);
-    // Fanning the trials over the evaluator's own exec policy (Threads(4))
-    // still produces the identical report: per-trial streams are seed-derived.
-    let shared_knob = evaluator.detection_config(&config);
-    assert_eq!(shared_knob.exec, ExecPolicy::Threads(4));
-    let via_shared = evaluator
-        .detection_rate(&attack, &probes, &tests, &shared_knob)
-        .unwrap();
-    assert_eq!(via_shared, direct);
 }

@@ -29,18 +29,15 @@ fn quickstart_pipeline_end_to_end() {
     assert!(report.final_accuracy().is_finite());
 
     // Vendor side: generate functional tests with the paper's combined method.
-    let evaluator = Evaluator::new(&model, CoverageConfig::default());
-    let generation = GenerationConfig {
-        max_tests: 6,
-        ..GenerationConfig::default()
-    };
-    let tests = generate_tests(
-        &evaluator,
-        &train_set.inputs,
-        GenerationMethod::Combined,
-        &generation,
-    )
-    .expect("test generation");
+    let ws = Workspace::new();
+    let key = ws.register("tiny-cnn", model.clone(), CoverageConfig::default());
+    let tests = ws
+        .run(
+            &TestGenRequest::new(key, GenerationMethod::Combined, 6)
+                .with_candidates(train_set.inputs.clone()),
+        )
+        .expect("test generation")
+        .tests;
     assert!(!tests.inputs.is_empty());
     assert!(tests.len() <= 6);
     let coverage = tests.final_coverage();

@@ -1,8 +1,9 @@
-//! Differential pinning of `Workspace::run_all` against sequential
-//! `Workspace::run`: fanning a mixed request set over worker threads must not
+//! Differential pinning of concurrent `Workspace::run` calls against
+//! sequential ones: fanning a mixed request set over worker threads that
+//! share one workspace (as the `dnnip-serve` worker pool does) must not
 //! change a single generated bit.
 //!
-//! The contract under test (see `Workspace::run_all_with`):
+//! The contract under test (see [`run_all`]):
 //!
 //! * reports come back **in request order**, one per request;
 //! * every strategy draws randomness only from its request's own seeds, so a
@@ -60,6 +61,16 @@ fn workspace() -> (Workspace, Vec<NetworkFingerprint>) {
     (ws, keys)
 }
 
+/// Run every request against one shared workspace, fanned out over
+/// `policy`, returning the results in request order.
+fn run_all(
+    ws: &Workspace,
+    requests: &[TestGenRequest],
+    policy: ExecPolicy,
+) -> Vec<dnnip::core::Result<TestGenReport>> {
+    dnnip::core::par::map(policy, requests, |request| ws.run(request))
+}
+
 /// The mixed request set: both models × three criteria × several strategies
 /// and seeds — the shape of traffic `dnnip-serve` handles.
 fn mixed_requests(keys: &[NetworkFingerprint]) -> Vec<TestGenRequest> {
@@ -97,11 +108,7 @@ fn mixed_requests(keys: &[NetworkFingerprint]) -> Vec<TestGenRequest> {
 
 /// Exact comparison of everything in a report that the determinism contract
 /// covers (counters and wall time excluded by design).
-fn assert_reports_identical(
-    a: &dnnip::core::workspace::TestGenReport,
-    b: &dnnip::core::workspace::TestGenReport,
-    context: &str,
-) {
+fn assert_reports_identical(a: &TestGenReport, b: &TestGenReport, context: &str) {
     assert_eq!(a.model, b.model, "{context}: model");
     assert_eq!(a.model_name, b.model_name, "{context}: model name");
     assert_eq!(a.strategy, b.strategy, "{context}: strategy");
@@ -152,7 +159,7 @@ fn run_all_under_threads_is_bit_identical_to_sequential_run() {
     // A fresh workspace (cold caches) fanned out over 4 workers: same bits.
     let (threaded_ws, threaded_keys) = workspace();
     assert_eq!(keys, threaded_keys, "registration must be deterministic");
-    let threaded = threaded_ws.run_all_with(&requests, ExecPolicy::Threads(4));
+    let threaded = run_all(&threaded_ws, &requests, ExecPolicy::Threads(4));
     assert_eq!(threaded.len(), requests.len());
     for (i, (fanned, sequential)) in threaded.iter().zip(&sequential).enumerate() {
         let fanned = fanned.as_ref().expect("request succeeds under fan-out");
@@ -168,9 +175,9 @@ fn run_all_under_threads_is_bit_identical_to_sequential_run() {
 fn serial_policy_and_auto_fanout_agree() {
     let (ws_a, keys) = workspace();
     let requests = mixed_requests(&keys)[..6].to_vec();
-    let serial = ws_a.run_all_with(&requests, ExecPolicy::Serial);
+    let serial = run_all(&ws_a, &requests, ExecPolicy::Serial);
     let (ws_b, _) = workspace();
-    let auto = ws_b.run_all(&requests);
+    let auto = run_all(&ws_b, &requests, ExecPolicy::auto());
     for (i, (a, b)) in serial.iter().zip(&auto).enumerate() {
         assert_reports_identical(
             a.as_ref().unwrap(),
@@ -186,8 +193,8 @@ fn warm_and_cold_fanout_return_the_same_bits() {
     // served largely from the shared cache, and must still be bit-identical.
     let (ws, keys) = workspace();
     let requests = mixed_requests(&keys)[..9].to_vec();
-    let cold = ws.run_all_with(&requests, ExecPolicy::Threads(3));
-    let warm = ws.run_all_with(&requests, ExecPolicy::Threads(3));
+    let cold = run_all(&ws, &requests, ExecPolicy::Threads(3));
+    let warm = run_all(&ws, &requests, ExecPolicy::Threads(3));
     for (i, (c, w)) in cold.iter().zip(&warm).enumerate() {
         assert_reports_identical(
             c.as_ref().unwrap(),
@@ -204,7 +211,7 @@ fn failing_requests_keep_their_slots_under_fanout() {
     // Slot 1: unregistered model. Slot 3: malformed criterion spec.
     requests[1].model = NetworkFingerprint { lo: 1, hi: 2 };
     requests[3] = requests[3].clone().with_criterion_spec("no-such-criterion");
-    let results = ws.run_all_with(&requests, ExecPolicy::Threads(4));
+    let results = run_all(&ws, &requests, ExecPolicy::Threads(4));
     assert_eq!(results.len(), 4);
     assert!(results[0].is_ok());
     assert!(results[1].is_err(), "unregistered model fails alone");

@@ -1,19 +1,18 @@
-//! Differential pinning of the `Workspace` front-door against the
-//! pre-redesign `Evaluator` call patterns, under the paper's default
+//! Differential pinning of the `Workspace` front door against the reference
+//! oracle (the paper's naive Algorithm 1, `greedy_select_naive`, over the
+//! per-sample reference covered sets), under the paper's default
 //! `ParamGradient` criterion and a fixed (or `DNNIP_SEED`-overridden) seed:
 //!
 //! * greedy-selection **indices** and coverage fractions,
-//! * gradient-based and combined generation outputs (exact `f32` bits),
 //! * the detection table built from both suites.
 //!
-//! Any drift between `Workspace::run(TestGenRequest)` and the legacy
-//! spellings is a correctness regression, not a tolerance question — every
-//! comparison below is exact.
+//! Any drift between `Workspace::run(TestGenRequest)` and the oracle is a
+//! correctness regression, not a tolerance question — every comparison
+//! below is exact.
 
-use dnnip::core::coverage::CoverageConfig;
-use dnnip::core::eval::Evaluator;
-use dnnip::core::generator::{generate_tests, GenerationConfig, GenerationMethod};
-use dnnip::core::gradgen::GradGenConfig;
+use dnnip::core::coverage::{CoverageAnalyzer, CoverageConfig};
+use dnnip::core::generator::GenerationMethod;
+use dnnip::core::select::{greedy_select_naive, SelectionResult};
 use dnnip::core::workspace::{TestGenRequest, Workspace};
 use dnnip::prelude::*;
 
@@ -44,6 +43,17 @@ fn workspace() -> (Workspace, dnnip::nn::fingerprint::NetworkFingerprint) {
     (ws, key)
 }
 
+/// The reference oracle's selection of `budget` tests from `candidates`.
+fn oracle(candidates: &[Tensor], budget: usize) -> SelectionResult {
+    let network = model();
+    let analyzer = CoverageAnalyzer::new(&network, CoverageConfig::default());
+    let sets: Vec<_> = candidates
+        .iter()
+        .map(|x| analyzer.activation_set_reference(x).unwrap())
+        .collect();
+    greedy_select_naive(&sets, network.num_parameters(), budget).unwrap()
+}
+
 #[test]
 fn selection_indices_and_coverage_fractions_are_bit_identical() {
     let (ws, key) = workspace();
@@ -57,114 +67,44 @@ fn selection_indices_and_coverage_fractions_are_bit_identical() {
         )
         .unwrap();
 
-    // Legacy path: a standalone evaluator with private caches.
-    let evaluator = Evaluator::new(model(), CoverageConfig::default());
-    let legacy = evaluator
-        .select_from_training_set(&candidates, budget)
-        .unwrap();
-
-    assert_eq!(report.selected_indices(), legacy.selected);
+    let expected = oracle(&candidates, budget);
+    assert_eq!(report.selected_indices(), expected.selected);
     assert_eq!(
         report.tests.coverage_curve.len(),
-        legacy.coverage_curve.len()
+        expected.coverage_curve.len()
     );
     for (a, b) in report
         .tests
         .coverage_curve
         .iter()
-        .zip(&legacy.coverage_curve)
+        .zip(&expected.coverage_curve)
     {
         assert_eq!(a.to_bits(), b.to_bits(), "coverage fraction drifted");
     }
     assert_eq!(
         report.final_coverage().to_bits(),
-        legacy.final_coverage().to_bits()
+        expected.final_coverage().to_bits()
     );
-}
-
-#[test]
-fn every_strategy_matches_the_legacy_generate_tests_path() {
-    let (ws, key) = workspace();
-    let candidates = pool(14);
-    let gradgen = GradGenConfig {
-        steps: 5,
-        ..GradGenConfig::default()
-    };
-    let evaluator = Evaluator::new(model(), CoverageConfig::default());
-    for method in GenerationMethod::all() {
-        let report = ws
-            .run(
-                &TestGenRequest::new(key, method, 6)
-                    .with_seed(seed())
-                    .with_gradgen(gradgen)
-                    .with_candidates(candidates.clone()),
-            )
-            .unwrap();
-        let legacy = generate_tests(
-            &evaluator,
-            &candidates,
-            method,
-            &GenerationConfig {
-                max_tests: 6,
-                coverage: CoverageConfig::default(),
-                gradgen,
-                seed: seed(),
-                ..GenerationConfig::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(
-            report.tests.inputs.len(),
-            legacy.inputs.len(),
-            "{} count",
-            method.name()
-        );
-        for (i, (a, b)) in report.tests.inputs.iter().zip(&legacy.inputs).enumerate() {
-            assert_eq!(a, b, "{} input {i} drifted", method.name());
-        }
-        for (a, b) in report
-            .tests
-            .coverage_curve
-            .iter()
-            .zip(&legacy.coverage_curve)
-        {
-            assert_eq!(a.to_bits(), b.to_bits(), "{} curve drifted", method.name());
-        }
-        assert_eq!(report.tests.provenance, legacy.provenance);
-    }
 }
 
 #[test]
 fn detection_tables_from_both_paths_are_identical() {
     let (ws, key) = workspace();
     let candidates = pool(16);
-    let gradgen = GradGenConfig {
-        steps: 5,
-        ..GradGenConfig::default()
-    };
 
     let via_workspace = ws
         .run(
-            &TestGenRequest::new(key, GenerationMethod::Combined, 8)
-                .with_gradgen(gradgen)
+            &TestGenRequest::new(key, GenerationMethod::TrainingSetSelection, 8)
                 .with_candidates(candidates.clone()),
         )
         .unwrap()
         .tests
         .inputs;
-    let evaluator = Evaluator::new(model(), CoverageConfig::default());
-    let legacy = generate_tests(
-        &evaluator,
-        &candidates,
-        GenerationMethod::Combined,
-        &GenerationConfig {
-            max_tests: 8,
-            gradgen,
-            ..GenerationConfig::default()
-        },
-    )
-    .unwrap()
-    .inputs;
+    let oracle_tests: Vec<Tensor> = oracle(&candidates, 8)
+        .selected
+        .iter()
+        .map(|&i| candidates[i].clone())
+        .collect();
 
     let network = model();
     let probes = &candidates[..6];
@@ -181,12 +121,25 @@ fn detection_tables_from_both_paths_are_identical() {
             std: 0.5,
         }),
     ];
+    // Greedy selection saturates early on this small model: compare the
+    // tables of the first test and of the whole suite.
+    assert_eq!(
+        via_workspace.len(),
+        oracle_tests.len(),
+        "suite sizes differ"
+    );
     for (n, attack) in attacks.iter().enumerate() {
-        for tests in [&via_workspace[..4], &via_workspace[..]] {
+        for tests in [&via_workspace[..1], &via_workspace[..]] {
             let m = tests.len();
             let a = detection_rate(&network, attack.as_ref(), probes, tests, &config).unwrap();
-            let b =
-                detection_rate(&network, attack.as_ref(), probes, &legacy[..m], &config).unwrap();
+            let b = detection_rate(
+                &network,
+                attack.as_ref(),
+                probes,
+                &oracle_tests[..m],
+                &config,
+            )
+            .unwrap();
             assert_eq!(a, b, "attack {n} at budget {m}: detection table drifted");
         }
     }

@@ -13,7 +13,10 @@
 //!   gradient-synthesis path);
 //! * `Workspace::run` selected indices, coverage curves, generated inputs and
 //!   their golden outputs for `training-set-selection` and `combined`, under
-//!   `param-gradient` and `neuron-activation:0.25`.
+//!   `param-gradient` and `neuron-activation:0.25`;
+//! * the Tables II/III baseline (`neuron-coverage`): selected indices and the
+//!   coverage curve's bits under both criteria, pinned while the baseline
+//!   still ran on its own unbatched neuron analyzer.
 //!
 //! A mismatch prints the observed digest in hex so a deliberate change of
 //! semantics can re-pin it; a performance change never should.
@@ -242,6 +245,56 @@ fn workspace_selections_and_coverage_are_pinned() {
         }
         for (i, (&g, &w)) in got.iter().zip(&want).enumerate() {
             assert_golden(&format!("{name} workspace run {i}"), g, w);
+        }
+    }
+}
+
+/// The Tables II/III baseline through `Workspace::run`: greedy selection by
+/// neuron coverage over a seeded pool. Returns the selected pool indices and
+/// a digest of the coverage curve's bits, which is scored under `criterion`.
+fn baseline_run(
+    ws: &Workspace,
+    key: dnnip::nn::fingerprint::NetworkFingerprint,
+    network: &Network,
+    criterion: &str,
+) -> (Vec<usize>, u64) {
+    let candidates = seeded_inputs(network.input_shape(), 40, 0x5eed_0005);
+    let report = ws
+        .run(
+            &TestGenRequest::new(key, GenerationMethod::NeuronCoverageBaseline, 8)
+                .with_criterion_spec(criterion)
+                .with_candidates(candidates),
+        )
+        .unwrap();
+    let mut h = Fnv::new();
+    h.f32s(&report.tests.coverage_curve);
+    (report.selected_indices(), h.0)
+}
+
+#[test]
+fn neuron_coverage_baseline_is_pinned() {
+    // Per model: the selection (independent of the scoring criterion), then
+    // the curve digest under `param-gradient` and `neuron-activation:0.25`.
+    let expected: [([usize; 8], [u64; 2]); 2] = [
+        (
+            [6, 16, 26, 8, 13, 23, 17, 25],
+            [0x03af_5a7f_2885_183c, 0x4636_71ab_c428_4444],
+        ),
+        (
+            [19, 29, 34, 25, 39, 1, 32, 5],
+            [0x8cb5_180b_9273_f978, 0xf09e_2ce2_d59c_79ed],
+        ),
+    ];
+    for ((name, network), (selection, curves)) in zoo_models().into_iter().zip(expected) {
+        let ws = Workspace::new();
+        let key = ws.register(name, network.clone(), CoverageConfig::default());
+        for (criterion, want) in ["param-gradient", "neuron-activation:0.25"]
+            .into_iter()
+            .zip(curves)
+        {
+            let (selected, curve) = baseline_run(&ws, key, &network, criterion);
+            assert_eq!(selected, selection, "{name} baseline selection");
+            assert_golden(&format!("{name} baseline curve ({criterion})"), curve, want);
         }
     }
 }
