@@ -13,14 +13,20 @@
 //!   in a single reused scratch buffer. A convolution keeps only its stacked
 //!   input for the backward pass, never the lowered columns (those are
 //!   `C·KH·KW` times larger and would fall out of cache between the passes).
-//! * **Per-sample backward with matmul kernels** — `∂L/∂W = ∂L/∂out · colsᵀ`
+//! * **Per-sample backward with matmul kernels** — `∂L/∂Wᵀ = cols · ∂L/∂outᵀ`
 //!   and `∂L/∂x = col2im(Wᵀ · ∂L/∂out)` are two dense products per
 //!   convolution layer instead of the branchy seven-deep direct loop nest.
-//!   Only the weight gradient needs the columns: before a sample's backward
-//!   passes, its blocks for every convolution are lowered again into one
-//!   cache-resident scratch buffer. The input gradient below the first
-//!   parameterized layer is never needed for parameter gradients and is
-//!   skipped.
+//!   The weight gradient takes the large column block as the *left* operand,
+//!   which `gemm_nt` reads in place, so only the small `∂L/∂out` is packed;
+//!   a small `[C·KH·KW, OC]` transpose then writes `∂L/∂W`. Only the weight
+//!   gradient needs the columns: before a sample's backward passes, its
+//!   blocks for every convolution are lowered again into one cache-resident
+//!   scratch buffer. The input gradient below the first parameterized layer
+//!   is never needed for parameter gradients and is skipped. A Dense layer's
+//!   two degenerate products are written out: the weight gradient as the
+//!   outer product `0.0 + a·g`, the input gradient as an axpy over the rows
+//!   of the precomputed `Wᵀ`. Both are the exact folds `gemm` performs for
+//!   those shapes, without packing a panel per sample.
 //! * **Multi-projection amortization** — several output projections (e.g. one
 //!   per class for the `PerClassMax` coverage policy) share a single forward
 //!   pass and a single re-lowering per sample; only the cheap per-sample
@@ -649,9 +655,19 @@ impl BatchGradientEngine {
                             .expect("parameterized layer present in layout");
                         let dst = &mut p.grads[range];
                         let w_len = oc * ckk;
-                        // ∂L/∂W = ∂L/∂out · colsᵀ, written straight into the
-                        // flat parameter-gradient slice.
-                        kernels::gemm_nt(oc, per, ckk, god, block, &mut dst[..w_len]);
+                        // ∂L/∂Wᵀ = cols · ∂L/∂outᵀ: the large block is read in
+                        // place as the left operand and only the small ∂L/∂out
+                        // is packed. Each element folds the same products over
+                        // the same ascending `per`, operands swapped, so the
+                        // small transpose into the flat slice gives ∂L/∂W.
+                        let dw_t = ScratchArena::sized(&mut arena.grad_cols, ckk * oc);
+                        kernels::gemm_nt(ckk, per, oc, block, god, dw_t);
+                        for oci in 0..oc {
+                            let row = &mut dst[oci * ckk..(oci + 1) * ckk];
+                            for (slot, &v) in row.iter_mut().zip(dw_t[oci..].iter().step_by(oc)) {
+                                *slot = v;
+                            }
+                        }
                         for (oci, slot) in dst[w_len..].iter_mut().enumerate() {
                             *slot = god[oci * per..(oci + 1) * per].iter().sum();
                         }
@@ -680,10 +696,14 @@ impl BatchGradientEngine {
                             .expect("parameterized layer present in layout");
                         let dst = &mut p.grads[range];
                         let w_len = in_f * out_f;
-                        // ∂L/∂W = inputᵀ · ∂L/∂out; one sample's input slice
-                        // is already its own [in, 1] transpose, so the product
-                        // runs straight into the flat parameter slice.
-                        kernels::gemm(in_f, 1, out_f, input_s, god, &mut dst[..w_len]);
+                        // ∂L/∂W = inputᵀ · ∂L/∂out is an outer product: each
+                        // element is `gemm`'s single-term fold `0.0 + a * g`.
+                        for (i, &a) in input_s.iter().enumerate() {
+                            let row = &mut dst[i * out_f..(i + 1) * out_f];
+                            for (slot, &g) in row.iter_mut().zip(god) {
+                                *slot = 0.0 + a * g;
+                            }
+                        }
                         // ∂L/∂b over a batch of one is `sum_rows`' single-term
                         // fold `0.0 + g` — written out as such (not a copy) so
                         // -0.0 normalizes to +0.0 exactly like the reference.
@@ -692,10 +712,18 @@ impl BatchGradientEngine {
                         }
                     }
                     if input_grad {
-                        // ∂L/∂x = ∂L/∂out · Wᵀ — the same kernel call
-                        // `ops::matmul(grad, w_t)` makes, minus the tensor wrap.
+                        // ∂L/∂x = ∂L/∂out · Wᵀ as an axpy over the rows of Wᵀ:
+                        // every element starts at +0.0 and folds `out_f` in
+                        // ascending order, which is `gemm`'s fold, without
+                        // repacking Wᵀ for a one-row product.
                         let grad_in = ScratchArena::sized(&mut nxt, in_f);
-                        kernels::gemm(1, out_f, in_f, god, w_t.data(), grad_in);
+                        grad_in.fill(0.0);
+                        for (o, &g) in god.iter().enumerate() {
+                            let w_row = &w_t.data()[o * in_f..(o + 1) * in_f];
+                            for (acc, &w) in grad_in.iter_mut().zip(w_row) {
+                                *acc += g * w;
+                            }
+                        }
                         std::mem::swap(&mut cur, &mut nxt);
                     }
                 }
@@ -811,16 +839,18 @@ mod tests {
 
     #[test]
     fn batched_gradients_are_bit_identical_on_dense_networks() {
-        // For Dense/Activation-only networks the engine reuses the exact same
-        // kernels as the per-sample path, so results must agree bitwise.
+        // For Dense/Activation-only networks the engine performs the exact
+        // folds of the per-sample path, so results must agree bitwise: the
+        // ReLU zeros make signed-zero slips visible, which `==` would hide.
         let net = zoo::tiny_mlp(5, 9, 4, Activation::Relu, 3).unwrap();
         let engine = BatchGradientEngine::new(&net);
         let inputs = samples(4, &[5]);
         let ones = vec![1.0f32; 4];
         let batched = engine.parameter_gradients_batch(&inputs, &ones).unwrap();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for (i, x) in inputs.iter().enumerate() {
             let reference = net.parameter_gradients(x, &ones).unwrap();
-            assert_eq!(batched[i], reference, "sample {i}");
+            assert_eq!(bits(&batched[i]), bits(&reference), "sample {i}");
         }
     }
 

@@ -9,6 +9,7 @@
 
 use dnnip_nn::batch::BatchGradientEngine;
 use dnnip_nn::{zoo, Network};
+use dnnip_tensor::kernels::bit_mismatch;
 use dnnip_tensor::{init, ops, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -46,8 +47,10 @@ fn samples(net: &Network, n: usize, seed: u64) -> Vec<Tensor> {
         .collect()
 }
 
-fn bits(t: &Tensor) -> Vec<u32> {
-    t.data().iter().map(|v| v.to_bits()).collect()
+/// First element at which `a` and `b` break bit-identity (see
+/// `kernels::bit_mismatch`), or `None`.
+fn mismatch(a: &Tensor, b: &Tensor) -> Option<usize> {
+    bit_mismatch(a.data(), b.data())
 }
 
 #[test]
@@ -66,19 +69,26 @@ fn network_forward_is_bit_identical_to_the_engine() {
         let forward = net.forward(&ops::stack(&xs).unwrap()).unwrap();
         let engine = BatchGradientEngine::new(&net);
         let pass = engine.forward_batch(&xs).unwrap();
-        assert_eq!(bits(&forward), bits(pass.output()), "{name}: forward_batch");
+        assert_eq!(
+            mismatch(&forward, pass.output()),
+            None,
+            "{name}: forward_batch"
+        );
         let capture = engine.activation_outputs(&xs).unwrap();
         assert_eq!(
-            bits(&forward),
-            bits(capture.logits()),
+            mismatch(&forward, capture.logits()),
+            None,
             "{name}: activation_outputs"
         );
         // One sample at a time (golden outputs, IP replay) equals its row of
         // the batch.
         for (s, x) in xs.iter().enumerate() {
             assert_eq!(
-                bits(&net.forward_sample(x).unwrap()),
-                bits(&ops::row(&forward, s).unwrap()),
+                mismatch(
+                    &net.forward_sample(x).unwrap(),
+                    &ops::row(&forward, s).unwrap()
+                ),
+                None,
                 "{name}: forward_sample {s}"
             );
         }
@@ -96,9 +106,8 @@ fn cached_forward_stays_the_independent_direct_reference() {
         // (bias first) and im2col (bias last) round differently somewhere.
         let inferred = net.layers()[0].infer(&batch).unwrap();
         assert!(pass.layer_outputs[0].approx_eq(&inferred, 1e-4), "{name}");
-        assert_ne!(
-            bits(&pass.layer_outputs[0]),
-            bits(&inferred),
+        assert!(
+            mismatch(&pass.layer_outputs[0], &inferred).is_some(),
             "{name}: forward_cached must not run the inference kernel"
         );
     }

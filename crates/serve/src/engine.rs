@@ -658,6 +658,8 @@ fn build_request(
             &format!("unknown model {:?}", spec.model),
         ));
     };
+    spec.check_work(model.input_shape.iter().product())
+        .map_err(|message| error_response(id, "bad_request", &message))?;
     let candidates = match spec.pool {
         PoolSpec::Synthetic { size, seed } => {
             match pool_memo.entry((spec.model.clone(), size, seed)) {

@@ -43,8 +43,14 @@ pub const MAX_LINE_BYTES: usize = 8 << 20;
 /// Most `f32` elements one request's candidate pool may hold (size × input
 /// elements; 64 MiB of samples): far above any pool the benchmarks send,
 /// and small enough that materializing it cannot exhaust memory. A larger
-/// pool is answered with a `bad_request`.
+/// pool, or a `budget` × input elements above it, is answered with a
+/// `bad_request`.
 pub const MAX_POOL_ELEMENTS: usize = 1 << 24;
+
+/// Most gradient-descent steps one `generate` may ask the gradient
+/// generator for (`gradgen_steps`): a hundred times the largest count any
+/// test or benchmark sends. A larger count is answered with a `bad_request`.
+pub const MAX_GRADGEN_STEPS: usize = 20_000;
 
 /// Serve the NDJSON protocol over an arbitrary reader/writer pair until
 /// EOF or a `shutdown` request, then drain the engine (every accepted

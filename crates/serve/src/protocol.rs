@@ -27,7 +27,7 @@ use dnnip_nn::{zoo, Network};
 use dnnip_tensor::Tensor;
 
 use crate::json::Json;
-use crate::MAX_POOL_ELEMENTS;
+use crate::{MAX_GRADGEN_STEPS, MAX_POOL_ELEMENTS};
 
 /// Names of the models every service instance registers at startup, in
 /// presentation order. The mix spans activations (ReLU/Tanh), widths and one
@@ -178,6 +178,30 @@ pub struct GenerateSpec {
 }
 
 impl GenerateSpec {
+    /// Check the work this spec asks for against the per-request caps: a
+    /// suite of `budget` samples of `input_elements` each may hold at most
+    /// [`MAX_POOL_ELEMENTS`] elements, and `gradgen_steps` may be at most
+    /// [`MAX_GRADGEN_STEPS`].
+    ///
+    /// # Errors
+    ///
+    /// Returns the message of the `bad_request` that rejects the spec.
+    pub(crate) fn check_work(&self, input_elements: usize) -> Result<(), String> {
+        if self.budget.saturating_mul(input_elements) > MAX_POOL_ELEMENTS {
+            return Err(format!(
+                "budget of {} samples × {input_elements} elements exceeds the limit of \
+                 {MAX_POOL_ELEMENTS} elements",
+                self.budget
+            ));
+        }
+        match self.gradgen_steps {
+            Some(steps) if steps > MAX_GRADGEN_STEPS => Err(format!(
+                "gradgen_steps of {steps} exceeds the limit of {MAX_GRADGEN_STEPS}"
+            )),
+            _ => Ok(()),
+        }
+    }
+
     /// The gradient-generator configuration this spec implies.
     pub fn gradgen(&self) -> GradGenConfig {
         let mut config = GradGenConfig::default();
@@ -488,6 +512,38 @@ mod tests {
         assert!(PoolSpec::Synthetic { size: 3, seed: 1 }
             .materialize(&shape)
             .is_ok());
+    }
+
+    #[test]
+    fn work_over_the_caps_is_rejected() {
+        let generate = |line: &str| match parse_request(line).unwrap().op {
+            RequestOp::Generate(spec) => spec,
+            op => panic!("not a generate op: {op:?}"),
+        };
+        // 16 elements per sample: the cap admits a budget of exactly MAX / 16.
+        let at_limit = MAX_POOL_ELEMENTS / 16;
+        let line = format!(r#"{{"id":"b","model":"m","budget":{at_limit}}}"#);
+        assert!(generate(&line).check_work(16).is_ok());
+        let line = format!(r#"{{"id":"b","model":"m","budget":{}}}"#, at_limit + 1);
+        assert!(generate(&line)
+            .check_work(16)
+            .unwrap_err()
+            .contains("budget"));
+        let line = r#"{"id":"b","model":"m","budget":1000000000000}"#;
+        assert!(
+            generate(line).check_work(usize::MAX).is_err(),
+            "no overflow past the cap"
+        );
+        let line = format!(r#"{{"id":"s","model":"m","gradgen_steps":{MAX_GRADGEN_STEPS}}}"#);
+        assert!(generate(&line).check_work(16).is_ok());
+        let line = format!(
+            r#"{{"id":"s","model":"m","gradgen_steps":{}}}"#,
+            MAX_GRADGEN_STEPS + 1
+        );
+        assert!(generate(&line)
+            .check_work(16)
+            .unwrap_err()
+            .contains("gradgen_steps"));
     }
 
     #[test]

@@ -200,6 +200,29 @@ fn an_over_long_line_is_a_bad_request_and_the_next_request_is_served() {
 }
 
 #[test]
+fn over_cap_work_is_a_bad_request_and_the_next_request_is_served() {
+    // A gradient-based request for a trillion tests was still unanswered
+    // after a minute, with nothing to stop its work; a billion descent steps
+    // is the same hazard through `gradgen_steps`.
+    let input = concat!(
+        r#"{"id":"b","model":"tiny-relu","strategy":"gradient-based","budget":1000000000000,"pool":{"synthetic":4,"seed":1}}"#,
+        "\n",
+        r#"{"id":"s","model":"tiny-relu","strategy":"gradient-based","budget":2,"gradgen_steps":1000000000,"pool":{"synthetic":4,"seed":1}}"#,
+        "\n",
+        r#"{"id":"g","model":"tiny-relu","budget":2,"pool":{"synthetic":6,"seed":2}}"#,
+        "\n",
+    );
+    let responses = session(1, input);
+    assert_eq!(responses.len(), 3, "every line answered");
+    assert!(bad_request_message(by_id(&responses, "b")).contains("exceeds the limit"));
+    assert!(bad_request_message(by_id(&responses, "s")).contains("exceeds the limit"));
+    assert_eq!(
+        by_id(&responses, "g").get("ok").and_then(Json::as_bool),
+        Some(true)
+    );
+}
+
+#[test]
 fn the_binary_answers_the_request_after_a_non_utf8_line() {
     let mut child = Command::new(env!("CARGO_BIN_EXE_dnnip-serve"))
         .env("DNNIP_CACHE_PERSIST", "0")

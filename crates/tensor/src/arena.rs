@@ -25,7 +25,8 @@ pub struct ScratchArena {
     /// layer are lowered here side by side, once, and every output
     /// projection's backward reads them.
     pub cols: Vec<f32>,
-    /// Gradient column-matrix scratch (`Wᵀ · ∂L/∂out` before col2im).
+    /// Gradient column-matrix scratch: a convolution's `∂L/∂Wᵀ` before its
+    /// transpose into the flat gradient, then `Wᵀ · ∂L/∂out` before col2im.
     pub grad_cols: Vec<f32>,
     /// One side of the backward pass's ping-pong gradient buffer (the running
     /// `∂L/∂x` as it propagates through the layer stack).

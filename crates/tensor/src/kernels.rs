@@ -9,25 +9,59 @@
 //! constant trip counts (`MR`, `NR`), so they unroll and auto-vectorize —
 //! SIMD lanes map *across output columns*, never across the `k` reduction.
 //!
+//! # Tile size
+//!
+//! The tile is 6×16, the BLIS-style sgemm tile for a 16-register vector file
+//! (AVX2's `ymm0..15`): a tile row is two 8-lane vectors, so the twelve
+//! two-vector accumulators, the two vectors of the current panel row and one
+//! broadcast of `a[i][p]` fit in sixteen registers without spilling. With
+//! AVX-512 a tile row is one vector. On the engine's convolution GEMM shapes
+//! 6×16 was faster than 8×8, 12×16 and 8×32.
+//!
 //! # Bit-identity contract
 //!
 //! Every output element is produced by **one** accumulator that starts at
-//! `0.0` and folds `a[i][p] * b[p][j]` over `p = 0..k` in ascending order —
+//! `+0.0` and folds `a[i][p] * b[p][j]` over `p = 0..k` in ascending order —
 //! exactly the accumulation order of the naive reference loops
 //! ([`crate::ops::matmul_reference`] / [`crate::ops::matmul_nt_reference`]).
 //! Tiling only interleaves *independent* per-element folds; it never splits,
-//! reorders or pairwise-reduces a single fold. Results are therefore
-//! bit-identical to the references for all inputs, including NaN, ±Inf and
-//! signed zeros. Edge tiles (when `m % MR != 0` or `n % NR != 0`) run the same
-//! micro-kernel with fewer live rows/columns; padded panel columns are zeroed
-//! and their accumulators discarded, so they cannot contaminate real outputs.
-//! The differential proptests in `crates/tensor/tests/proptests.rs` pin this
-//! contract across ragged shapes.
+//! reorders or pairwise-reduces a single fold, and rustc never contracts a
+//! multiply and an add into an FMA. Results are therefore bit-identical to
+//! the references for all inputs, ±Inf and signed zeros included. A NaN
+//! result is NaN at exactly the same positions, but its sign and payload are
+//! not pinned: Rust leaves them unspecified, and LLVM may commute an `fadd`
+//! or `fmul`, which changes which operand's NaN survives. [`bit_mismatch`]
+//! is the comparison this contract is stated in. Edge tiles (when
+//! `m % MR != 0` or `n % NR != 0`) run the same micro-kernel with fewer live
+//! rows/columns; padded panel columns are zeroed and their accumulators
+//! discarded, so they cannot contaminate real outputs. The differential
+//! proptests in `crates/tensor/tests/proptests.rs` pin this contract across
+//! ragged shapes.
 
 /// Rows per register tile (live accumulator rows in the micro-kernel).
-pub const MR: usize = 8;
-/// Columns per register tile (one or two SIMD vectors of `f32` per row).
-pub const NR: usize = 8;
+pub const MR: usize = 6;
+/// Columns per register tile (two AVX2 vectors, or one AVX-512 vector, of
+/// `f32` per row).
+pub const NR: usize = 16;
+
+/// First lane at which `a` and `b` break the bit-identity contract, or `None`
+/// when they keep it.
+///
+/// Lanes that are not NaN must agree bit for bit (so `+0.0` and `-0.0`
+/// differ); NaN must appear in both at exactly the same lanes, with any sign
+/// and payload. Slices of different lengths mismatch at the shorter length.
+/// This is the comparison the kernel, lowering and engine differentials use.
+pub fn bit_mismatch(a: &[f32], b: &[f32]) -> Option<usize> {
+    let same = |(x, y): (&f32, &f32)| match (x.is_nan(), y.is_nan()) {
+        (true, true) => true,
+        (false, false) => x.to_bits() == y.to_bits(),
+        _ => false,
+    };
+    a.iter()
+        .zip(b)
+        .position(|pair| !same(pair))
+        .or((a.len() != b.len()).then(|| a.len().min(b.len())))
+}
 
 /// `MR`×`NR` register-tile micro-kernel with `M ∈ 1..=MR` live rows.
 ///
@@ -121,8 +155,6 @@ fn gemm_tiles(
             let a_tile = &a[i0 * k..];
             let out_tile = &mut out[i0 * n + j0..];
             match mr {
-                8 => kernel::<8>(k, a_tile, k, &panel, out_tile, n, nr),
-                7 => kernel::<7>(k, a_tile, k, &panel, out_tile, n, nr),
                 6 => kernel::<6>(k, a_tile, k, &panel, out_tile, n, nr),
                 5 => kernel::<5>(k, a_tile, k, &panel, out_tile, n, nr),
                 4 => kernel::<4>(k, a_tile, k, &panel, out_tile, n, nr),
@@ -163,8 +195,8 @@ pub fn gemm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32])
 /// The transpose happens during panel packing, so the micro-kernel (and
 /// therefore the accumulation order) is exactly the one [`gemm`] uses: results
 /// are bit-identical to [`crate::ops::matmul_nt_reference`] *and* to
-/// `gemm(m, k, n, a, transpose(b), out)` for all inputs, non-finite values
-/// included.
+/// `gemm(m, k, n, a, transpose(b), out)` for all inputs, in the sense of the
+/// module's contract (NaN at the same positions, sign and payload free).
 ///
 /// # Panics
 ///
@@ -219,8 +251,8 @@ mod tests {
             gemm(m, k, n, &a, &b, &mut out);
             let expect = naive(m, k, n, &a, &b);
             assert_eq!(
-                out.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                expect.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                bit_mismatch(&out, &expect),
+                None,
                 "gemm mismatch at [{m},{k}]x[{k},{n}]"
             );
         }
@@ -241,10 +273,19 @@ mod tests {
         let mut reference = vec![0.0f32; m * n];
         gemm_nt(m, k, n, &a, &bt, &mut fast);
         gemm(m, k, n, &a, &b, &mut reference);
-        assert_eq!(
-            fast.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            reference.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        );
+        assert_eq!(bit_mismatch(&fast, &reference), None);
+    }
+
+    #[test]
+    fn bit_mismatch_compares_bits_but_not_nan_sign_or_payload() {
+        let neg_nan = f32::from_bits(0xFFC0_0000);
+        let payload_nan = f32::from_bits(0x7FC0_0001);
+        assert_eq!(bit_mismatch(&[1.0, f32::NAN], &[1.0, neg_nan]), None);
+        assert_eq!(bit_mismatch(&[payload_nan], &[f32::NAN]), None);
+        assert_eq!(bit_mismatch(&[1.0, 0.0], &[1.0, -0.0]), Some(1));
+        assert_eq!(bit_mismatch(&[f32::NAN], &[f32::INFINITY]), Some(0));
+        assert_eq!(bit_mismatch(&[2.0, 3.0], &[2.0]), Some(1));
+        assert_eq!(bit_mismatch(&[], &[]), None);
     }
 
     #[test]

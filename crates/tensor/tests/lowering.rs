@@ -3,12 +3,17 @@
 //! The kernels in `dnnip_tensor::conv` copy each tap's valid run of output
 //! columns at once instead of testing the padding bounds per element. The
 //! per-element loops they replaced live on here as naive references, and the
-//! proptests below require **bit** equality (`to_bits`) against them over
+//! proptests below require **bit** equality against them (in the sense of
+//! `kernels::bit_mismatch`: a NaN's sign and payload are free) over
 //! kernels 1–5, strides 1–3 and paddings 0–3 (padding at or beyond the kernel
 //! included), spatial sizes smaller than the kernel wherever the geometry is
 //! valid, and data salted with NaN, ±Inf and ±0.0.
 
+mod common;
+
+use common::salted;
 use dnnip_tensor::conv::{col2im_slice_into, im2col_batch, im2col_block_into, Conv2dGeometry};
+use dnnip_tensor::kernels::bit_mismatch;
 use dnnip_tensor::Tensor;
 use proptest::prelude::*;
 
@@ -73,33 +78,6 @@ fn col2im_reference(cols: &[f32], geom: Conv2dGeometry, c: usize, h: usize, w: u
     out
 }
 
-/// `len` deterministic values from `seed`: mostly finite (of both signs),
-/// with roughly one in six drawn from NaN, +Inf, -Inf, +0.0 and -0.0.
-fn salted(len: usize, seed: u64) -> Vec<f32> {
-    let mut state = seed;
-    (0..len)
-        .map(|_| {
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^= z >> 31;
-            match z % 30 {
-                0 => f32::NAN,
-                1 => f32::INFINITY,
-                2 => f32::NEG_INFINITY,
-                3 => 0.0,
-                4 => -0.0,
-                _ => ((z >> 40) as f32 / (1u64 << 24) as f32 - 0.5) * 8.0,
-            }
-        })
-        .collect()
-}
-
-fn bits(v: &[f32]) -> Vec<u32> {
-    v.iter().map(|x| x.to_bits()).collect()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -131,10 +109,10 @@ proptest! {
             let mut block = vec![f32::NAN; rows * per];
             let dims = im2col_block_into(sample, c, h, w, geom, &mut block).unwrap();
             prop_assert_eq!(dims, (rows, per));
-            prop_assert_eq!(bits(&block), bits(&reference));
+            prop_assert_eq!(bit_mismatch(&block, &reference), None);
             for r in 0..rows {
                 let got = &batched.data()[r * n * per + s * per..][..per];
-                prop_assert_eq!(bits(got), bits(&reference[r * per..(r + 1) * per]));
+                prop_assert_eq!(bit_mismatch(got, &reference[r * per..(r + 1) * per]), None);
             }
         }
     }
@@ -155,7 +133,7 @@ proptest! {
         // A dirty, oversized buffer must come back exactly `c*h*w` long.
         let mut out = vec![f32::NAN; c * h * w + 5];
         col2im_slice_into(&cols, geom, c, h, w, &mut out).unwrap();
-        prop_assert_eq!(bits(&out), bits(&reference));
+        prop_assert_eq!(bit_mismatch(&out, &reference), None);
     }
 }
 

@@ -10,8 +10,17 @@ use dnnip_tensor::conv::{
     conv2d_forward_im2col_batch, im2col_batch_into, im2col_slice_into, maxpool2d_backward,
     maxpool2d_forward, Conv2dGeometry,
 };
+use dnnip_tensor::kernels::{self, bit_mismatch, MR, NR};
 use dnnip_tensor::{ops, Tensor};
 use proptest::prelude::*;
+
+mod common;
+
+use common::salted;
+
+/// Dimensions around the register tile: 1, `MR`±1, `NR`±1 and past two
+/// full column panels.
+const TILE_EDGES: [usize; 8] = [1, MR - 1, MR, MR + 1, NR - 1, NR, NR + 1, 2 * NR + 3];
 
 /// Strategy producing a tensor of the given shape with values in [-10, 10].
 fn tensor_of(shape: Vec<usize>) -> impl Strategy<Value = Tensor> {
@@ -263,6 +272,24 @@ proptest! {
             ops::matmul_nt(&a, &bt).unwrap(),
             ops::matmul_nt_reference(&a, &bt).unwrap()
         );
+    }
+
+    #[test]
+    fn gemm_nt_with_swapped_operands_is_the_transpose(
+        mi in 0usize..8, ni in 0usize..8, ki in 0usize..8, seed in 0u64..1_000_000
+    ) {
+        // (b · aᵀ)ᵀ = a · bᵀ with every product's operands swapped. This is
+        // the identity the engine's conv weight gradient relies on when it
+        // computes ∂L/∂Wᵀ = cols · ∂L/∂outᵀ instead of ∂L/∂out · colsᵀ.
+        let (m, n, k) = (TILE_EDGES[mi], TILE_EDGES[ni], TILE_EDGES[ki]);
+        let a = salted(m * k, seed);
+        let b = salted(n * k, seed ^ 0x5eed);
+        let mut direct = vec![f32::NAN; m * n];
+        kernels::gemm_nt(m, k, n, &a, &b, &mut direct);
+        let mut swapped = vec![f32::NAN; n * m];
+        kernels::gemm_nt(n, k, m, &b, &a, &mut swapped);
+        let transposed: Vec<f32> = (0..m * n).map(|e| swapped[(e % n) * m + e / n]).collect();
+        prop_assert_eq!(bit_mismatch(&transposed, &direct), None);
     }
 
     #[test]

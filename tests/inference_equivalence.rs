@@ -12,6 +12,7 @@ use dnnip::core::eval::Evaluator;
 use dnnip::graph::Graph;
 use dnnip::nn::batch::BatchGradientEngine;
 use dnnip::prelude::*;
+use dnnip::tensor::kernels::bit_mismatch;
 use dnnip::tensor::{init, ops};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -49,8 +50,10 @@ fn samples(net: &Network, n: usize, seed: u64) -> Vec<Tensor> {
         .collect()
 }
 
-fn bits(t: &Tensor) -> Vec<u32> {
-    t.data().iter().map(|v| v.to_bits()).collect()
+/// First element at which `a` and `b` break bit-identity (see
+/// `kernels::bit_mismatch`), or `None`.
+fn mismatch(a: &Tensor, b: &Tensor) -> Option<usize> {
+    bit_mismatch(a.data(), b.data())
 }
 
 #[test]
@@ -60,8 +63,11 @@ fn lowered_graph_forward_is_bit_identical_to_network_forward() {
         let batch = ops::stack(&xs).unwrap();
         let graph = Graph::from(&net);
         assert_eq!(
-            bits(&graph.forward(&batch).unwrap()),
-            bits(&net.forward(&batch).unwrap()),
+            mismatch(
+                &graph.forward(&batch).unwrap(),
+                &net.forward(&batch).unwrap()
+            ),
+            None,
             "{name}"
         );
         // The graph's forward-only activation surface matches the engine's
@@ -72,7 +78,7 @@ fn lowered_graph_forward_is_bit_identical_to_network_forward() {
         let graph_acts = graph.activation_outputs(&batch).unwrap();
         assert_eq!(graph_acts.len(), capture.per_layer().len(), "{name}");
         for (g, e) in graph_acts.iter().zip(capture.per_layer()) {
-            assert_eq!(bits(g), bits(e), "{name}: activation outputs");
+            assert_eq!(mismatch(g, e), None, "{name}: activation outputs");
         }
     }
 }
@@ -91,13 +97,13 @@ fn golden_outputs_are_bit_identical_to_the_ip_replay() {
         for (i, x) in tests.iter().enumerate() {
             let replay = ip.infer(x).unwrap();
             assert_eq!(
-                bits(&suite.golden_outputs[i]),
-                bits(&replay),
+                mismatch(&suite.golden_outputs[i], &replay),
+                None,
                 "{name}: test {i}"
             );
             assert_eq!(
-                bits(&from_network.golden_outputs[i]),
-                bits(&replay),
+                mismatch(&from_network.golden_outputs[i], &replay),
+                None,
                 "{name}: test {i}"
             );
         }
