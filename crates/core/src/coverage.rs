@@ -113,8 +113,10 @@ pub struct CoverageConfig {
     /// How multi-sample analyses execute. Serial and threaded execution are
     /// guaranteed to produce bit-identical activation sets.
     pub exec: ExecPolicy,
-    /// Samples per batched forward pass (work unit handed to each worker);
-    /// `0` is treated as `1`. The value never affects results, only throughput.
+    /// Most samples per chunk, the work unit handed to a worker; a request of
+    /// fewer than `batch_size × workers` samples is split into one chunk per
+    /// worker instead. `0` is treated as `1`. The value never affects
+    /// results, only throughput.
     pub batch_size: usize,
     /// Forward-pass precision for forward-only criteria (see
     /// [`ForwardPrecision`]); gradient criteria ignore it.
@@ -247,18 +249,24 @@ impl CoverageAnalyzer {
         self.num_units
     }
 
-    /// Covered-unit sets for one contiguous chunk of samples: one batched pass
-    /// through the criterion (a stacked forward + per-sample gradient
-    /// extraction for [`ParamGradient`]; forward-only for the neuron criteria).
+    /// Covered-unit sets for one contiguous chunk of samples: one engine call
+    /// through the criterion (a sample-major forward + backward per sample
+    /// for [`ParamGradient`]; one stacked forward for the neuron criteria).
     fn sets_for_chunk(&self, chunk: &[Tensor]) -> Result<Vec<Bitset>> {
         let engine = self.quant_engine.as_ref().unwrap_or(&self.engine);
         self.criterion.covered_units(engine, chunk)
     }
 
-    /// The [`CoverageConfig::batch_size`] chunking of `samples` — formed before
-    /// any work distribution, so it is identical for every execution policy.
+    /// Contiguous chunks of `samples`, each of
+    /// `min(batch_size, ⌈n / workers⌉)` samples (the last may be shorter), so
+    /// a request smaller than `batch_size × workers` still gives every
+    /// [`CoverageConfig::exec`] worker a chunk. Per-sample arithmetic does not
+    /// depend on the chunk, so the chunking never changes results.
     fn chunks<'s>(&self, samples: &'s [Tensor]) -> Vec<&'s [Tensor]> {
-        samples.chunks(self.config.batch_size.max(1)).collect()
+        let per_worker = samples.len().div_ceil(self.config.exec.threads());
+        samples
+            .chunks(self.config.batch_size.min(per_worker).max(1))
+            .collect()
     }
 
     /// The activation set of a single input: bit `i` is set iff parameter `i` is
@@ -302,10 +310,11 @@ impl CoverageAnalyzer {
     /// Activation sets for a collection of inputs — the batched, multi-threaded
     /// hot path of the whole reproduction.
     ///
-    /// Samples are split into [`CoverageConfig::batch_size`] chunks; each chunk
-    /// runs one batched forward pass with per-sample gradient extraction, and
-    /// chunks are distributed over [`CoverageConfig::exec`] workers. Chunking is
-    /// independent of the worker count, so results are bit-identical across
+    /// Samples are split into chunks of at most [`CoverageConfig::batch_size`]
+    /// (fewer when that gives every worker a chunk); each chunk runs through
+    /// the batched engine in one call, and chunks are distributed over
+    /// [`CoverageConfig::exec`] workers. Per-sample arithmetic does not depend
+    /// on the chunk or the worker, so results are bit-identical across
     /// execution policies.
     ///
     /// # Errors
@@ -515,6 +524,27 @@ mod tests {
         let a = sum_proj.coverage_of_sample(&x).unwrap();
         let b = per_class.coverage_of_sample(&x).unwrap();
         assert!(b >= a - 1e-6, "per-class {b} vs sum {a}");
+    }
+
+    #[test]
+    fn small_requests_form_one_chunk_per_worker() {
+        let net = relu_net();
+        let samples: Vec<Tensor> = (0..10).map(sample).collect();
+        let lens = |exec, batch_size| {
+            let config = CoverageConfig {
+                exec,
+                batch_size,
+                ..CoverageConfig::default()
+            };
+            let analyzer = CoverageAnalyzer::new(&net, config);
+            let chunks = analyzer.chunks(&samples);
+            chunks.iter().map(|c| c.len()).collect::<Vec<_>>()
+        };
+        assert_eq!(lens(ExecPolicy::Threads(2), 32), [5, 5]);
+        assert_eq!(lens(ExecPolicy::Threads(3), 32), [4, 4, 2]);
+        assert_eq!(lens(ExecPolicy::Threads(2), 3), [3, 3, 3, 1]);
+        assert_eq!(lens(ExecPolicy::Serial, 32), [10]);
+        assert_eq!(lens(ExecPolicy::Threads(16), 0), [1; 10]);
     }
 
     #[test]

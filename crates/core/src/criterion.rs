@@ -65,7 +65,7 @@ pub trait CoverageCriterion: fmt::Debug + Send + Sync {
     fn num_units(&self, network: &Network) -> usize;
 
     /// Covered-unit sets for one contiguous chunk of samples, computed through
-    /// the shared batched `engine` (one stacked pass per chunk).
+    /// the shared batched `engine` in one call per chunk.
     ///
     /// # Errors
     ///

@@ -7,13 +7,14 @@
 //! synthetic sample is classified as category `i` and, like a real training
 //! sample of that category, activates the corresponding parameters.
 //!
-//! The `k` per-class descents of one batch are driven as **one stacked batch
-//! per step** through the shared [`BatchGradientEngine`]: each step runs a
-//! single batched forward pass over all `k` current states, then extracts one
-//! per-sample input gradient per class (fanned out over
-//! [`GradGenConfig::exec`] workers). Per-sample arithmetic is independent of
-//! the batch composition, so a batch of one ([`GradientGenerator::synthesize`])
-//! and the stacked batch produce bit-identical trajectories — pinned by the
+//! The `k` per-class descents of one batch run in **shards** through the
+//! shared [`BatchGradientEngine`]: the states are split into one contiguous
+//! shard per [`GradGenConfig::exec`] worker, and each worker runs all `T`
+//! steps of its shard with its own scratch arena — one stacked forward pass
+//! over the shard's states per step, then one input gradient per state — and
+//! classifies its final states. Per-sample arithmetic is independent of the
+//! shard, so a batch of one ([`GradientGenerator::synthesize`]) and every
+//! shard layout produce bit-identical trajectories — pinned by the
 //! differential tests below and in `tests/parallel_equivalence.rs`.
 //!
 //! One detail is under-specified in the paper: Algorithm 2 re-initializes every
@@ -24,12 +25,13 @@
 //! via [`GradGenConfig::init_noise`]); round 0 uses the paper's all-zero start.
 //! The deviation is recorded in DESIGN.md.
 
+use std::ops::Range;
 use std::sync::Arc;
 
-use dnnip_nn::batch::BatchGradientEngine;
+use dnnip_nn::batch::{BatchForwardPass, BatchGradientEngine};
 use dnnip_nn::loss::cross_entropy;
 use dnnip_nn::Network;
-use dnnip_tensor::{ops, Tensor};
+use dnnip_tensor::{ops, ScratchArena, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -45,8 +47,8 @@ use crate::{CoreError, Result};
 /// proposals shrink η by `shrink` and retry, up to `max_backtracks` times
 /// (after which the last proposal is taken so the descent always advances).
 /// All candidate evaluations of one trial round run as **one stacked batched
-/// forward pass** over every not-yet-accepted class, so the line search rides
-/// the same amortization as the descent itself.
+/// forward pass** over the shard's not-yet-accepted classes, so the line
+/// search rides the same amortization as the descent itself.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LineSearchConfig {
     /// Multiplicative η shrink factor per rejected trial, in `(0, 1)`.
@@ -82,14 +84,14 @@ pub struct GradGenConfig {
     pub clamp: Option<(f32, f32)>,
     /// RNG seed for the random initializations.
     pub seed: u64,
-    /// How the per-sample gradient extractions of each stacked descent step
-    /// execute. Initial states are drawn serially from the seeded RNG before
-    /// any step runs, and per-sample work is pure, so results are identical
-    /// for every policy.
+    /// How many shards the states of one batch are split into, each descended
+    /// on its own worker. Initial states are drawn serially from the seeded
+    /// RNG before any step runs, and per-sample work is pure, so results are
+    /// identical for every policy.
     pub exec: ExecPolicy,
     /// Optional backtracking line search on η. `None` (the default) runs the
     /// paper's fixed-step descent bit for bit; `Some` amortizes the candidate
-    /// evaluations over the stacked per-step batch.
+    /// evaluations of each shard over one stacked forward per trial.
     pub line_search: Option<LineSearchConfig>,
 }
 
@@ -181,86 +183,74 @@ impl GradientGenerator {
         self.network().num_classes()
     }
 
-    /// Run the stacked gradient descent: all states advance together, one
-    /// batched forward per step, per-sample gradient extraction fanned out
-    /// over [`GradGenConfig::exec`].
-    fn descend(&self, inits: Vec<Tensor>, targets: &[usize]) -> Result<Vec<SyntheticTest>> {
+    /// Run the gradient descent over `inits`, split into one contiguous shard
+    /// per [`GradGenConfig::exec`] worker (sizes differ by at most one, the
+    /// larger first), each descended by [`GradientGenerator::descend_shard`].
+    fn descend(&self, inits: &[Tensor], targets: &[usize]) -> Result<Vec<SyntheticTest>> {
         let classes = self.network().num_classes();
         if let Some(&bad) = targets.iter().find(|&&t| t >= classes) {
             return Err(CoreError::InvalidConfig {
                 reason: format!("target class {bad} out of range for {classes} classes"),
             });
         }
-        let mut states = inits;
-        let mut losses = vec![f32::INFINITY; states.len()];
-        let indices: Vec<usize> = (0..states.len()).collect();
-        if let Some(ls) = self.config.line_search {
-            for _ in 0..self.config.steps {
-                self.line_search_step(&ls, &mut states, &mut losses, targets, &indices)?;
-            }
-            return self.finish(states, targets, losses);
-        }
-        for _ in 0..self.config.steps {
-            let pass = self.engine.forward_batch(&states)?;
-            let stepped: Vec<(Tensor, f32)> =
-                par::try_map(self.config.exec, &indices, |&s| -> Result<(Tensor, f32)> {
-                    let target = targets[s];
-                    let logits = ops::row(pass.output(), s)?.reshape(&[1, classes])?;
-                    // The gradient extraction stays inside each arm so the
-                    // default cross-entropy path passes its logit-gradient
-                    // slice straight through without a per-step allocation.
-                    let (loss_value, grad) = match &self.objective {
-                        Some(objective) => {
-                            let (value, grad_logits) =
-                                objective.loss_and_logit_grad(&logits, target)?;
-                            (value, self.engine.input_gradient(&pass, s, &grad_logits)?)
-                        }
-                        None => {
-                            let loss = cross_entropy(&logits, &[target])?;
-                            let grad =
-                                self.engine
-                                    .input_gradient(&pass, s, loss.grad_logits.data())?;
-                            (loss.value, grad)
-                        }
-                    };
-                    let mut x = states[s].clone();
-                    if grad.max_abs() == 0.0 {
-                        // Dead start: with an all-zero input a ReLU network can
-                        // have every hidden unit inactive, so ∇x J is identically
-                        // zero and Eq. 8 cannot make progress. Nudge the input
-                        // with a small deterministic jitter (keyed by the target
-                        // class) to leave the dead region.
-                        x.add_assign(&Self::dead_start_jitter(x.shape(), target))?;
-                    } else {
-                        // x ← x − η ∇x J(x, y_i, θ)   (Eq. 8)
-                        x.axpy(-self.config.eta, &grad)?;
-                    }
-                    if let Some((lo, hi)) = self.config.clamp {
-                        x = x.clamp(lo, hi);
-                    }
-                    Ok((x, loss_value))
-                })?;
-            for (s, (next, loss)) in stepped.into_iter().enumerate() {
-                states[s] = next;
-                losses[s] = loss;
-            }
-        }
-        self.finish(states, targets, losses)
+        let n = inits.len();
+        let shards = self.config.exec.threads().min(n);
+        let bounds: Vec<Range<usize>> = (0..shards)
+            .map(|i| (i * n).div_ceil(shards)..((i + 1) * n).div_ceil(shards))
+            .collect();
+        let tests = par::try_map(self.config.exec, &bounds, |r| {
+            self.descend_shard(&inits[r.clone()], &targets[r.clone()])
+        })?;
+        Ok(tests.into_iter().flatten().collect())
     }
 
-    /// Wrap the final descent states into [`SyntheticTest`]s.
-    fn finish(
-        &self,
-        states: Vec<Tensor>,
-        targets: &[usize],
-        losses: Vec<f32>,
-    ) -> Result<Vec<SyntheticTest>> {
+    /// All `T` steps of one shard on the calling worker, with its own scratch
+    /// arena: per step one stacked forward over the shard's states, then per
+    /// state its loss, input gradient and update (Eq. 8, or the line search).
+    /// A last forward classifies the final states.
+    fn descend_shard(&self, inits: &[Tensor], targets: &[usize]) -> Result<Vec<SyntheticTest>> {
+        let mut arena = ScratchArena::new();
+        let mut states = inits.to_vec();
+        let mut losses = vec![f32::INFINITY; states.len()];
+        for _ in 0..self.config.steps {
+            let pass = self.engine.forward_batch_with(&states, &mut arena)?;
+            // States the line search still has to step, with their ∇x J.
+            let mut pending = Vec::new();
+            for (s, &target) in targets.iter().enumerate() {
+                let logits = self.logits(&pass, s)?;
+                let (loss, grad_logits) = self.loss(&logits, target)?;
+                let grad = self
+                    .engine
+                    .input_gradient_with(&pass, s, &grad_logits, &mut arena)?;
+                losses[s] = loss;
+                if grad.max_abs() == 0.0 {
+                    // Dead start: with an all-zero input a ReLU network can
+                    // have every hidden unit inactive, so ∇x J is identically
+                    // zero and Eq. 8 cannot make progress. Nudge the input
+                    // with a small deterministic jitter (keyed by the target
+                    // class) to leave the dead region.
+                    let mut x = states[s].clone();
+                    x.add_assign(&Self::dead_start_jitter(x.shape(), target))?;
+                    states[s] = self.clamped(x);
+                } else if self.config.line_search.is_some() {
+                    pending.push((s, grad));
+                } else {
+                    // x ← x − η ∇x J(x, y_i, θ)   (Eq. 8)
+                    states[s] = self.step(&states[s], self.config.eta, &grad)?;
+                }
+            }
+            if let Some(ls) = &self.config.line_search {
+                self.line_search(ls, &mut states, &losses, targets, pending, &mut arena)?;
+            }
+        }
+        let pass = self.engine.forward_batch_with(&states, &mut arena)?;
         states
             .into_iter()
             .zip(targets)
             .zip(losses)
-            .map(|((input, &target_class), final_loss)| {
-                let predicted = self.network().predict_sample(&input)?;
+            .enumerate()
+            .map(|(s, ((input, &target_class), final_loss))| {
+                let predicted = self.logits(&pass, s)?.argmax()?;
                 Ok(SyntheticTest {
                     input,
                     target_class,
@@ -271,8 +261,41 @@ impl GradientGenerator {
             .collect()
     }
 
-    /// The deterministic dead-start jitter of the fixed-step path (keyed by
-    /// the target class), used when `∇x J` is identically zero.
+    /// Sample `s`'s logits row of a stacked pass, shaped `[1, classes]`.
+    fn logits(&self, pass: &BatchForwardPass, s: usize) -> Result<Tensor> {
+        let classes = self.network().num_classes();
+        Ok(ops::row(pass.output(), s)?.reshape(&[1, classes])?)
+    }
+
+    /// Loss of one `[1, classes]` logits row towards `target` under the
+    /// active objective, with its gradient with respect to the logits.
+    fn loss(&self, logits: &Tensor, target: usize) -> Result<(f32, Vec<f32>)> {
+        match &self.objective {
+            Some(objective) => objective.loss_and_logit_grad(logits, target),
+            None => {
+                let loss = cross_entropy(logits, &[target])?;
+                Ok((loss.value, loss.grad_logits.into_data()))
+            }
+        }
+    }
+
+    /// `x − η·grad`, clamped to [`GradGenConfig::clamp`].
+    fn step(&self, x: &Tensor, eta: f32, grad: &Tensor) -> Result<Tensor> {
+        let mut x = x.clone();
+        x.axpy(-eta, grad)?;
+        Ok(self.clamped(x))
+    }
+
+    /// `x` clamped to [`GradGenConfig::clamp`], if one is set.
+    fn clamped(&self, x: Tensor) -> Tensor {
+        match self.config.clamp {
+            Some((lo, hi)) => x.clamp(lo, hi),
+            None => x,
+        }
+    }
+
+    /// The deterministic dead-start jitter (keyed by the target class), used
+    /// when `∇x J` is identically zero.
     fn dead_start_jitter(shape: &[usize], target: usize) -> Tensor {
         Tensor::from_fn(shape, |i| {
             let h = (i as u64)
@@ -282,136 +305,70 @@ impl GradientGenerator {
         })
     }
 
-    /// Loss of one candidate's logits row under the active objective.
-    fn loss_of(&self, logits: &Tensor, target: usize) -> Result<f32> {
-        Ok(match &self.objective {
-            Some(objective) => objective.loss_and_logit_grad(logits, target)?.0,
-            None => cross_entropy(logits, &[target])?.value,
-        })
-    }
-
-    /// One descent step under the backtracking line search: a single stacked
-    /// forward + per-sample gradient extraction (exactly like the fixed-step
-    /// path), then up to `max_backtracks + 1` trial rounds where every
-    /// not-yet-accepted candidate is evaluated in **one** batched forward pass
-    /// and accepted on the Armijo condition.
-    fn line_search_step(
+    /// The backtracking line search of one step over the `pending` states of
+    /// a shard (each with its `∇x J`): up to `max_backtracks + 1` trial
+    /// rounds, each evaluating every not-yet-accepted candidate in **one**
+    /// batched forward pass and accepting it on the Armijo condition.
+    fn line_search(
         &self,
         ls: &LineSearchConfig,
         states: &mut [Tensor],
-        losses: &mut [f32],
+        losses: &[f32],
         targets: &[usize],
-        indices: &[usize],
+        pending: Vec<(usize, Tensor)>,
+        arena: &mut ScratchArena,
     ) -> Result<()> {
-        let classes = self.network().num_classes();
-        let pass = self.engine.forward_batch(states)?;
-        // Per sample: (loss at the current state, ∇x J, ‖∇x J‖²). The squared
-        // norm is fixed for the whole step, so it is computed once here, not
-        // once per backtracking trial.
-        let evals: Vec<(f32, Tensor, f32)> = par::try_map(
-            self.config.exec,
-            indices,
-            |&s| -> Result<(f32, Tensor, f32)> {
-                let target = targets[s];
-                let logits = ops::row(pass.output(), s)?.reshape(&[1, classes])?;
-                let (value, grad) = match &self.objective {
-                    Some(objective) => {
-                        let (value, grad_logits) =
-                            objective.loss_and_logit_grad(&logits, target)?;
-                        (value, self.engine.input_gradient(&pass, s, &grad_logits)?)
-                    }
-                    None => {
-                        let loss = cross_entropy(&logits, &[target])?;
-                        let grad = self
-                            .engine
-                            .input_gradient(&pass, s, loss.grad_logits.data())?;
-                        (loss.value, grad)
-                    }
-                };
+        // Per pending state: (index, ∇x J, ‖∇x J‖², η). The squared norm is
+        // fixed for the whole step, so it is computed once, not per trial.
+        let mut pending: Vec<(usize, Tensor, f32, f32)> = pending
+            .into_iter()
+            .map(|(s, grad)| {
                 let gnorm2: f32 = grad.data().iter().map(|g| g * g).sum();
-                Ok((value, grad, gnorm2))
-            },
-        )?;
-
-        let clamp = self.config.clamp;
-        let candidate = |s: usize, eta: f32, states: &[Tensor]| -> Result<Tensor> {
-            let mut x = states[s].clone();
-            x.axpy(-eta, &evals[s].1)?;
-            if let Some((lo, hi)) = clamp {
-                x = x.clamp(lo, hi);
-            }
-            Ok(x)
-        };
-
-        let mut accepted: Vec<Option<Tensor>> = vec![None; states.len()];
-        let mut pending: Vec<usize> = Vec::new();
-        for (s, (loss_value, grad, _)) in evals.iter().enumerate() {
-            losses[s] = *loss_value;
-            if grad.max_abs() == 0.0 {
-                // Dead start: identical jitter handling to the fixed-step path.
-                let mut x = states[s].clone();
-                x.add_assign(&Self::dead_start_jitter(x.shape(), targets[s]))?;
-                if let Some((lo, hi)) = clamp {
-                    x = x.clamp(lo, hi);
-                }
-                accepted[s] = Some(x);
-            } else {
-                pending.push(s);
-            }
-        }
-
-        let mut etas = vec![self.config.eta; states.len()];
-        let mut candidates: Vec<Tensor> = pending
-            .iter()
-            .map(|&s| candidate(s, etas[s], states))
-            .collect::<Result<_>>()?;
+                (s, grad, gnorm2, self.config.eta)
+            })
+            .collect();
         for trial in 0..=ls.max_backtracks {
             if pending.is_empty() {
                 break;
             }
-            // One stacked forward over every not-yet-accepted candidate.
-            let cand_pass = self.engine.forward_batch(&candidates)?;
-            let mut next_pending = Vec::new();
-            let mut next_candidates = Vec::new();
-            for (k, &s) in pending.iter().enumerate() {
-                let logits = ops::row(cand_pass.output(), k)?.reshape(&[1, classes])?;
-                let cand_loss = self.loss_of(&logits, targets[s])?;
-                let gnorm2 = evals[s].2;
-                // Armijo sufficient decrease; the last trial is always taken so
-                // the descent can never stall on a hard step.
-                if cand_loss <= losses[s] - ls.c * etas[s] * gnorm2 || trial == ls.max_backtracks {
-                    accepted[s] = Some(candidates[k].clone());
+            let candidates: Vec<Tensor> = pending
+                .iter()
+                .map(|(s, grad, _, eta)| self.step(&states[*s], *eta, grad))
+                .collect::<Result<_>>()?;
+            let pass = self.engine.forward_batch_with(&candidates, arena)?;
+            let mut next = Vec::new();
+            for (k, ((s, grad, gnorm2, eta), x)) in pending.into_iter().zip(candidates).enumerate()
+            {
+                let cand_loss = self.loss(&self.logits(&pass, k)?, targets[s])?.0;
+                // Armijo sufficient decrease; the last trial is always taken
+                // so the descent can never stall on a hard step.
+                if cand_loss <= losses[s] - ls.c * eta * gnorm2 || trial == ls.max_backtracks {
+                    states[s] = x;
                 } else {
-                    etas[s] *= ls.shrink;
-                    next_pending.push(s);
-                    next_candidates.push(candidate(s, etas[s], states)?);
+                    next.push((s, grad, gnorm2, eta * ls.shrink));
                 }
             }
-            pending = next_pending;
-            candidates = next_candidates;
-        }
-        for (s, x) in accepted.into_iter().enumerate() {
-            states[s] = x.expect("every sample accepted, jittered, or forced on the last trial");
+            pending = next;
         }
         Ok(())
     }
 
     /// Synthesize one sample steered towards `target_class`, starting from `init`.
     ///
-    /// Runs the same stacked-descent code path with a batch of one, so the
-    /// result is bit-identical to the corresponding entry of a full
+    /// Runs the same descent code path with a shard of one, so the result is
+    /// bit-identical to the corresponding entry of a full
     /// [`GradientGenerator::generate_batch`] started from the same state.
     ///
     /// # Errors
     ///
     /// Returns an error when `target_class` is out of range or shapes mismatch.
     pub fn synthesize(&self, init: &Tensor, target_class: usize) -> Result<SyntheticTest> {
-        let mut tests = self.descend(vec![init.clone()], &[target_class])?;
+        let mut tests = self.descend(std::slice::from_ref(init), &[target_class])?;
         Ok(tests.pop().expect("one test per init"))
     }
 
     /// Generate one batch of `k` synthetic tests, one per output category
-    /// (Algorithm 2, lines 3–12), as a single stacked descent.
+    /// (Algorithm 2, lines 3–12), as one sharded descent.
     ///
     /// Initial states are drawn from the seeded RNG in class order **before**
     /// the descent runs, so the produced batch is identical for every
@@ -440,7 +397,7 @@ impl GradientGenerator {
             })
             .collect();
         self.round += 1;
-        self.descend(inits, &targets)
+        self.descend(&inits, &targets)
     }
 
     /// Generate synthetic tests until at least `max_tests` inputs exist (whole

@@ -1,40 +1,38 @@
-//! Batched evaluation engine: one stacked forward pass, per-sample parameter
+//! Batched evaluation engine: stacked forward passes, per-sample parameter
 //! gradients.
 //!
 //! The validation-coverage metric needs `∇θ F(x)` **per sample** — the batch
 //! dimension cannot simply be summed away like in training. The naive engine
-//! therefore ran one full forward + backward per sample, wrapping each input in
-//! a batch of one. [`BatchGradientEngine`] restructures that hot path:
+//! therefore ran one full forward + backward per sample through the layer
+//! objects, allocating tensors at every step. [`BatchGradientEngine`]
+//! restructures that hot path:
 //!
-//! * **Batched forward** — the whole chunk of samples is stacked along the
-//!   batch axis and pushed through every layer once. Dense layers become one
-//!   matrix–matrix product instead of per-sample matrix–vector products, and
-//!   convolutions run as im2col + matmul, one sample's column block at a time
-//!   in a single reused scratch buffer. A convolution keeps only its stacked
-//!   input for the backward pass, never the lowered columns (those are
-//!   `C·KH·KW` times larger and would fall out of cache between the passes).
-//! * **Per-sample backward with matmul kernels** — `∂L/∂Wᵀ = cols · ∂L/∂outᵀ`
-//!   and `∂L/∂x = col2im(Wᵀ · ∂L/∂out)` are two dense products per
-//!   convolution layer instead of the branchy seven-deep direct loop nest.
-//!   The weight gradient takes the large column block as the *left* operand,
-//!   which `gemm_nt` reads in place, so only the small `∂L/∂out` is packed;
-//!   a small `[C·KH·KW, OC]` transpose then writes `∂L/∂W`. Only the weight
-//!   gradient needs the columns: before a sample's backward passes, its
-//!   blocks for every convolution are lowered again into one cache-resident
-//!   scratch buffer. The input gradient below the first parameterized layer
-//!   is never needed for parameter gradients and is skipped. A Dense layer's
-//!   two degenerate products are written out: the weight gradient as the
-//!   outer product `0.0 + a·g`, the input gradient as an axpy over the rows
-//!   of the precomputed `Wᵀ`. Both are the exact folds `gemm` performs for
-//!   those shapes, without packing a panel per sample.
+//! * **One layer loop** — every forward pass, stacked or not, is the same loop
+//!   over the network's layers. Dense layers over a stacked batch are one
+//!   matrix–matrix product; over a single sample they are an axpy over the
+//!   weight's rows (`gemm`'s fold at m = 1, without packing a panel).
+//!   Convolutions run as im2col + matmul, one sample's column block at a time
+//!   in a reused scratch buffer, multiplied while it is cache-hot.
+//! * **Sample-major parameter gradients** — a sample's forward and backward
+//!   passes run back to back. Its forward lowers each convolution's block
+//!   once and keeps the blocks side by side in the arena, and its backward
+//!   passes read them in place for the weight gradient
+//!   `∂L/∂Wᵀ = cols · ∂L/∂outᵀ` (`gemm_nt` takes the large block as the left
+//!   operand, so only the small `∂L/∂out` is packed; a small
+//!   `[C·KH·KW, OC]` transpose then writes `∂L/∂W`). The input gradient is
+//!   `col2im(Wᵀ · ∂L/∂out)`; below the first parameterized layer it is never
+//!   needed and is skipped. A Dense layer's two degenerate products are
+//!   written out: the weight gradient as the outer product `0.0 + a·g`, the
+//!   input gradient as an axpy over the rows of the precomputed `Wᵀ`. Both
+//!   are the exact folds `gemm` performs for those shapes.
 //! * **Multi-projection amortization** — several output projections (e.g. one
-//!   per class for the `PerClassMax` coverage policy) share a single forward
-//!   pass and a single re-lowering per sample; only the cheap per-sample
-//!   backward repeats.
+//!   per class for the `PerClassMax` coverage policy) share a sample's single
+//!   forward pass and its lowered blocks; only the cheap backward repeats.
 //!
 //! The engine is deterministic and purely functional over `&Network`, so
-//! callers may freely share one engine across worker threads; results do not
-//! depend on how samples are distributed over engines or threads.
+//! callers may freely share one engine across worker threads. Per-sample
+//! arithmetic does not depend on what else is in the batch, so results do not
+//! depend on how samples are distributed over batches, engines or threads.
 
 use std::sync::Arc;
 
@@ -52,9 +50,9 @@ use crate::{Network, NnError, Result};
 #[derive(Debug)]
 enum BatchCache {
     /// Convolution: the stacked layer input `[B, C, H, W]`, moved in
-    /// without a copy. A sample's im2col block is lowered from it again only
-    /// when its weight gradient is requested; the input gradient needs just
-    /// the `(C, H, W)` geometry for `col2im`.
+    /// without a copy. The input gradient needs just its `(C, H, W)`
+    /// geometry for `col2im`; the weight gradient reads the blocks a
+    /// sample-major forward kept.
     Conv { input: Tensor },
     /// Dense: the stacked layer input `[B, in_features]`.
     Dense { input: Tensor },
@@ -182,8 +180,8 @@ pub struct BatchGradientEngine {
 struct ParamSink<'a> {
     /// The flat parameter-gradient vector, one range per parameterized layer.
     grads: &'a mut [f32],
-    /// The sample's im2col blocks, as [`BatchGradientEngine::lower_sample`]
-    /// lays them out.
+    /// The sample's im2col blocks, side by side in layer order, as its
+    /// forward pass left them.
     cols: &'a [f32],
 }
 
@@ -192,13 +190,17 @@ fn nchw(x: &Tensor) -> (usize, usize, usize, usize) {
     (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3])
 }
 
-/// Length of one sample's `[C*KH*KW, OH*OW]` im2col block for convolution
-/// `l` over the stacked input `input`.
-fn conv_block_len(input: &Tensor, l: &Conv2d) -> Result<usize> {
-    let (_, c, h, w) = nchw(input);
-    let geom = l.geometry();
-    let (oh, ow) = geom.output_hw(h, w)?;
-    Ok(c * geom.kh * geom.kw * oh * ow)
+/// `out = x · mat` for a row vector `x` and a row-major `[x.len(), out.len()]`
+/// matrix, as an axpy over `mat`'s rows: every element starts at `+0.0` and
+/// folds the rows in ascending order, which is `gemm`'s fold at m = 1.
+fn row_times(x: &[f32], mat: &[f32], out: &mut [f32]) {
+    debug_assert_eq!(mat.len(), x.len() * out.len());
+    out.fill(0.0);
+    for (&a, row) in x.iter().zip(mat.chunks_exact(out.len())) {
+        for (acc, &w) in out.iter_mut().zip(row) {
+            *acc += a * w;
+        }
+    }
 }
 
 impl BatchGradientEngine {
@@ -263,10 +265,12 @@ impl BatchGradientEngine {
     ///
     /// `projections` are rows of output weights `c`; for each sample `x` and
     /// each projection the engine computes `∇θ (Σ_j c_j · F_j(x))` — exactly
-    /// what [`Network::parameter_gradients`] computes per call — but with one
-    /// shared batched forward pass for the whole sample slice. `visit` receives
-    /// `(sample_index, projection_index, grads)`; the gradient slice is only
-    /// valid for the duration of the call (the buffer is reused).
+    /// what [`Network::parameter_gradients`] computes per call. Samples run
+    /// one after another: each sample's forward lowers every convolution's
+    /// block once, and all of its projections' backward passes read them
+    /// while they are cache-hot. `visit` receives `(sample_index,
+    /// projection_index, grads)`; the gradient slice is only valid for the
+    /// duration of the call (the buffer is reused).
     ///
     /// # Errors
     ///
@@ -291,29 +295,26 @@ impl BatchGradientEngine {
                 got: bad.len(),
             });
         }
-        // One arena for the whole call: the forward pass and every
+        // One arena for the whole call: every sample's forward and every
         // (sample, projection) backward reuse the same scratch buffers.
         let mut arena = ScratchArena::new();
-        let pass = self.forward_batch_with(samples, &mut arena)?;
-
         let mut grads = vec![0.0f32; self.network.num_parameters()];
-        // The sample's column blocks leave the arena while the backward
-        // passes borrow it mutably, and go back afterwards for reuse.
-        let mut cols = std::mem::take(&mut arena.cols);
-        for s in 0..samples.len() {
-            // Lower once per sample; every projection replays the blocks.
-            self.lower_sample(&pass.caches, s, &mut cols)?;
+        for (s, sample) in samples.iter().enumerate() {
+            let pass = self.forward(std::slice::from_ref(sample), &mut arena, true)?;
+            // The kept blocks leave the arena while the backward passes
+            // borrow it mutably, and go back afterwards for reuse.
+            let cols = std::mem::take(&mut arena.cols);
             for (pi, proj) in projections.iter().enumerate() {
                 let sink = ParamSink {
                     grads: &mut grads,
                     cols: &cols,
                 };
-                let g = self.backward_sample(&pass.caches, s, proj, Some(sink), &mut arena)?;
+                let g = self.backward_sample(&pass.caches, 0, proj, Some(sink), &mut arena)?;
                 arena.grad_a = g;
                 visit(s, pi, &grads);
             }
+            arena.cols = cols;
         }
-        arena.cols = cols;
         Ok(())
     }
 
@@ -343,47 +344,35 @@ impl BatchGradientEngine {
         samples: &[Tensor],
         arena: &mut ScratchArena,
     ) -> Result<BatchForwardPass> {
-        let batch = ops::stack(samples)?;
-        self.network.check_batch_input(&batch)?;
-        let (output, caches) = self.forward(batch, arena)?;
-        Ok(BatchForwardPass {
-            output,
-            caches,
-            batch: samples.len(),
-        })
+        self.forward(samples, arena, false)
     }
 
     /// Forward-only batched pass capturing every activation layer's
     /// **post-activation** output (stacked `[B, ...]`) plus the final logits.
     ///
-    /// This is the fast path for coverage criteria that only look at neuron
-    /// outputs: no backward caches are built and no gradients are computed.
-    /// Convolutions run through the same precomputed im2col weight matrices as
-    /// [`BatchGradientEngine::forward_batch`], so captured values are
-    /// bit-identical to the gradient path's intermediate activations.
+    /// This is the entry point for coverage criteria that only look at neuron
+    /// outputs: no gradients are computed. It is the forward pass of
+    /// [`BatchGradientEngine::forward_batch`] with the activation caches
+    /// handed out, so captured values are the gradient path's intermediate
+    /// activations, bit for bit.
     ///
     /// # Errors
     ///
     /// Returns an error when any sample shape does not match the network input.
     pub fn activation_outputs(&self, samples: &[Tensor]) -> Result<ActivationCapture> {
-        let batch = ops::stack(samples)?;
-        self.network.check_batch_input(&batch)?;
-        let mut x = batch;
-        let mut outputs = Vec::new();
-        let mut arena = ScratchArena::new();
-        for (i, layer) in self.network.layers().iter().enumerate() {
-            x = match layer {
-                Layer::Conv2d(l) => self.conv_forward_batch(i, l, &x, &mut arena)?,
-                other => other.infer(&x)?,
-            };
-            if layer.is_activation() {
-                outputs.push(x.clone());
-            }
-        }
+        let pass = self.forward(samples, &mut ScratchArena::new(), false)?;
+        let outputs = pass
+            .caches
+            .into_iter()
+            .filter_map(|cache| match cache {
+                BatchCache::Act { output } => Some(output),
+                _ => None,
+            })
+            .collect();
         Ok(ActivationCapture {
             outputs,
-            logits: x,
-            batch: samples.len(),
+            logits: pass.output,
+            batch: pass.batch,
         })
     }
 
@@ -393,7 +382,7 @@ impl BatchGradientEngine {
     ///
     /// Returns a tensor with the network's single-sample input shape. Parameter
     /// gradients are not materialized on this path, which is what makes the
-    /// stacked gradient-descent loop of Algorithm 2 cheap.
+    /// gradient-descent loops of Algorithm 2 cheap.
     ///
     /// # Errors
     ///
@@ -467,20 +456,21 @@ impl BatchGradientEngine {
 
     /// One convolution layer's batched forward through its precomputed weight
     /// matrix: per-sample im2col + matmul, returning the stacked output. Each
-    /// sample is lowered into the same `arena.cols` block and multiplied while
-    /// the block is still cache-hot. Both the gradient path and the
-    /// forward-only activation capture go through this single implementation,
-    /// so their intermediate values are bit-identical by construction. The
-    /// arithmetic (one im2col block per sample, `kernels::gemm`, bias added
-    /// after the product) is that of `conv2d_forward_im2col`, which
-    /// [`Layer::infer`] runs, so [`Network::forward`] agrees with the engine
-    /// bit for bit.
+    /// sample is lowered into one block of `cols` and multiplied while the
+    /// block is still cache-hot. The block starts at `cols`' beginning, or,
+    /// when `keep` is set (a batch of one), after the blocks already kept
+    /// there, so the sample's blocks for every convolution end up side by
+    /// side in layer order. The arithmetic (one im2col block per sample,
+    /// `kernels::gemm`, bias added after the product) is that of
+    /// `conv2d_forward_im2col`, which [`Layer::infer`] runs, so
+    /// [`Network::forward`] agrees with the engine bit for bit.
     fn conv_forward_batch(
         &self,
         layer_index: usize,
         l: &Conv2d,
         x: &Tensor,
-        arena: &mut ScratchArena,
+        cols: &mut Vec<f32>,
+        keep: bool,
     ) -> Result<Tensor> {
         let (b, c, h, w) = nchw(x);
         let geom = l.geometry();
@@ -491,7 +481,9 @@ impl BatchGradientEngine {
             .as_ref()
             .expect("conv layer has precomputed weight matrices");
         let (rows, per) = (c * geom.kh * geom.kw, oh * ow);
-        let block = ScratchArena::sized(&mut arena.cols, rows * per);
+        debug_assert!(!keep || b == 1, "only a batch of one keeps its blocks");
+        let base = if keep { cols.len() } else { 0 };
+        let block = &mut ScratchArena::sized(cols, base + rows * per)[base..];
         let out_len = oc * per;
         let mut out = vec![0.0f32; b * out_len];
         let sample_len = c * h * w;
@@ -509,50 +501,41 @@ impl BatchGradientEngine {
         Ok(Tensor::from_vec(out, &[b, oc, oh, ow])?)
     }
 
-    /// Lower sample `s`'s im2col block for every convolution layer into
-    /// `cols`, side by side in layer order (`[C*KH*KW, OH*OW]` each, from the
-    /// stacked inputs the forward pass kept). The backward pass walks the
-    /// layers in reverse and takes the blocks from the end of the buffer.
-    fn lower_sample(&self, caches: &[BatchCache], s: usize, cols: &mut Vec<f32>) -> Result<()> {
-        let convs = || {
-            caches
-                .iter()
-                .zip(self.network.layers())
-                .filter_map(|pair| match pair {
-                    (BatchCache::Conv { input }, Layer::Conv2d(l)) => Some((input, l)),
-                    _ => None,
-                })
-        };
-        let total = convs()
-            .map(|(input, l)| conv_block_len(input, l))
-            .sum::<Result<usize>>()?;
-        let mut rest = ScratchArena::sized(cols, total);
-        for (input, l) in convs() {
-            let (_, c, h, w) = nchw(input);
-            let (block, tail) = rest.split_at_mut(conv_block_len(input, l)?);
-            let sample_len = c * h * w;
-            let sample = &input.data()[s * sample_len..(s + 1) * sample_len];
-            im2col_block_into(sample, c, h, w, l.geometry(), block)?;
-            rest = tail;
-        }
-        Ok(())
-    }
-
-    /// Batched forward pass recording the per-layer state the per-sample
-    /// backward passes need, returning the final stacked output alongside.
+    /// The engine's one forward pass: stacks `samples`, runs every layer
+    /// over the batch and records the per-layer state the per-sample backward
+    /// passes need. With `keep_cols` (a batch of one), each convolution's
+    /// im2col block stays in `arena.cols`, side by side in layer order, for
+    /// that sample's parameter-gradient backward passes.
     fn forward(
         &self,
-        batch: Tensor,
+        samples: &[Tensor],
         arena: &mut ScratchArena,
-    ) -> Result<(Tensor, Vec<BatchCache>)> {
+        keep_cols: bool,
+    ) -> Result<BatchForwardPass> {
+        let mut x = ops::stack(samples)?;
+        self.network.check_batch_input(&x)?;
+        if keep_cols {
+            arena.cols.clear();
+        }
         let mut caches = Vec::with_capacity(self.network.num_layers());
-        let mut x = batch;
         for (i, layer) in self.network.layers().iter().enumerate() {
             match layer {
                 Layer::Conv2d(l) => {
-                    let out = self.conv_forward_batch(i, l, &x, arena)?;
+                    let out = self.conv_forward_batch(i, l, &x, &mut arena.cols, keep_cols)?;
                     caches.push(BatchCache::Conv { input: x });
                     x = out;
+                }
+                Layer::Dense(l) if samples.len() == 1 => {
+                    // One sample: `gemm`'s fold at m = 1 without repacking
+                    // the weight, then the bias, as `add_row_vector` adds it.
+                    let (w, bias) = l.parameters();
+                    let mut out = vec![0.0f32; l.out_features()];
+                    row_times(x.data(), w.data(), &mut out);
+                    for (v, &b) in out.iter_mut().zip(bias.data()) {
+                        *v += b;
+                    }
+                    caches.push(BatchCache::Dense { input: x });
+                    x = Tensor::from_vec(out, &[1, l.out_features()])?;
                 }
                 Layer::Dense(l) => {
                     let out = l.infer(&x)?;
@@ -589,7 +572,11 @@ impl BatchGradientEngine {
                 }
             }
         }
-        Ok((x, caches))
+        Ok(BatchForwardPass {
+            output: x,
+            caches,
+            batch: samples.len(),
+        })
     }
 
     /// Backward pass for sample `s` of a completed batched forward, returning
@@ -604,11 +591,11 @@ impl BatchGradientEngine {
     /// written into its `grads` (every parameterized range is fully
     /// overwritten, so the buffer needs no zeroing between calls), the
     /// convolution weight gradients read the sample's blocks from its `cols`
-    /// (as [`BatchGradientEngine::lower_sample`] laid them out), and the pass
-    /// stops at the first parameterized layer without computing that layer's
-    /// input gradient — the returned buffer is then scratch. When `None`,
+    /// (as a sample-major forward kept them), and the pass stops at the first
+    /// parameterized layer without computing that layer's input gradient —
+    /// the returned buffer is then scratch. When `None`,
     /// parameter-gradient work is skipped entirely — the input-gradient-only
-    /// mode used by the stacked gradient-descent loop.
+    /// mode the gradient-descent loops use.
     fn backward_sample(
         &self,
         caches: &[BatchCache],
@@ -712,18 +699,9 @@ impl BatchGradientEngine {
                         }
                     }
                     if input_grad {
-                        // ∂L/∂x = ∂L/∂out · Wᵀ as an axpy over the rows of Wᵀ:
-                        // every element starts at +0.0 and folds `out_f` in
-                        // ascending order, which is `gemm`'s fold, without
-                        // repacking Wᵀ for a one-row product.
-                        let grad_in = ScratchArena::sized(&mut nxt, in_f);
-                        grad_in.fill(0.0);
-                        for (o, &g) in god.iter().enumerate() {
-                            let w_row = &w_t.data()[o * in_f..(o + 1) * in_f];
-                            for (acc, &w) in grad_in.iter_mut().zip(w_row) {
-                                *acc += g * w;
-                            }
-                        }
+                        // ∂L/∂x = ∂L/∂out · Wᵀ, without repacking Wᵀ for a
+                        // one-row product.
+                        row_times(god, w_t.data(), ScratchArena::sized(&mut nxt, in_f));
                         std::mem::swap(&mut cur, &mut nxt);
                     }
                 }
@@ -842,15 +820,30 @@ mod tests {
         // For Dense/Activation-only networks the engine performs the exact
         // folds of the per-sample path, so results must agree bitwise: the
         // ReLU zeros make signed-zero slips visible, which `==` would hide.
+        // Inputs salted with ±0.0, ±Inf and NaN pin the single-sample Dense
+        // forward (an axpy over W's rows) to `gemm`'s fold, non-finite
+        // values included.
         let net = zoo::tiny_mlp(5, 9, 4, Activation::Relu, 3).unwrap();
         let engine = BatchGradientEngine::new(&net);
-        let inputs = samples(4, &[5]);
+        let salts = [0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+        let mut inputs = samples(4 + 2 * salts.len(), &[5]);
+        for (i, &salt) in salts.iter().enumerate() {
+            // One salted element per sample, then a sample with every salt.
+            inputs[4 + i].data_mut()[i] = salt;
+            inputs[4 + salts.len() + i]
+                .data_mut()
+                .copy_from_slice(&salts);
+            inputs[4 + salts.len() + i].data_mut().rotate_left(i);
+        }
         let ones = vec![1.0f32; 4];
         let batched = engine.parameter_gradients_batch(&inputs, &ones).unwrap();
-        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for (i, x) in inputs.iter().enumerate() {
             let reference = net.parameter_gradients(x, &ones).unwrap();
-            assert_eq!(bits(&batched[i]), bits(&reference), "sample {i}");
+            assert_eq!(
+                kernels::bit_mismatch(&batched[i], &reference),
+                None,
+                "sample {i}"
+            );
         }
     }
 

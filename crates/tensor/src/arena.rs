@@ -20,9 +20,9 @@
 pub struct ScratchArena {
     /// im2col column scratch, never kept past the sample it was lowered for.
     /// A convolution's forward lowers each sample into one `[C*KH*KW, OH*OW]`
-    /// block here and multiplies it while it is cache-hot; before a sample's
-    /// parameter-gradient backward passes, its blocks for every convolution
-    /// layer are lowered here side by side, once, and every output
+    /// block here and multiplies it while it is cache-hot. A sample's own
+    /// forward ahead of its parameter gradients keeps the blocks of every
+    /// convolution layer here side by side, lowered once, and every output
     /// projection's backward reads them.
     pub cols: Vec<f32>,
     /// Gradient column-matrix scratch: a convolution's `∂L/∂Wᵀ` before its

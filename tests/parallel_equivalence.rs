@@ -9,15 +9,21 @@
 //! order-dependent reduction, thread-dependent RNG use) fails exactly, not
 //! within a tolerance.
 
+use std::sync::Arc;
+
 use dnnip::core::combined::TestSource;
 use dnnip::core::coverage::CoverageConfig;
+use dnnip::core::criterion::{criterion_from_spec, GradientObjective};
 use dnnip::core::eval::Evaluator;
-use dnnip::core::gradgen::{GradGenConfig, GradientGenerator};
+use dnnip::core::gradgen::{GradGenConfig, GradientGenerator, LineSearchConfig, SyntheticTest};
 use dnnip::core::par::ExecPolicy;
 use dnnip::core::select::greedy_select_naive;
 use dnnip::dataset::digits::{synthetic_mnist, DigitConfig};
 use dnnip::nn::zoo;
 use dnnip::prelude::*;
+use dnnip::tensor::kernels::bit_mismatch;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// The networks the differential harness sweeps: MLPs and CNNs, saturating and
 /// non-saturating activations.
@@ -72,32 +78,33 @@ fn config_with(exec: ExecPolicy, batch_size: usize) -> CoverageConfig {
 
 #[test]
 fn activation_sets_are_bit_identical_across_policies_and_chunkings() {
+    // Requests shorter than `batch_size × workers` are cut into one chunk
+    // per worker, so the sizes below give full, ragged, one-sample and
+    // more-workers-than-samples chunkings.
     for (name, net) in zoo_networks() {
-        let inputs = seeded_inputs(&net, 10, 3);
-        let serial = CoverageAnalyzer::new(&net, config_with(ExecPolicy::Serial, 32));
-        let baseline = serial.activation_sets(&inputs).unwrap();
-        for (exec, batch_size) in [
-            (ExecPolicy::Serial, 1),
-            (ExecPolicy::Serial, 3),
-            (ExecPolicy::Threads(2), 3),
-            (ExecPolicy::Threads(4), 1),
-            (ExecPolicy::Threads(4), 4),
-            (ExecPolicy::Threads(4), 64),
-        ] {
-            let analyzer = CoverageAnalyzer::new(&net, config_with(exec, batch_size));
-            let sets = analyzer.activation_sets(&inputs).unwrap();
-            assert_eq!(
-                sets, baseline,
-                "{name}: activation sets diverged under {exec:?} batch {batch_size}"
-            );
-        }
-        // The single-sample entry point agrees bit-for-bit with the batch path.
-        for (i, x) in inputs.iter().enumerate() {
-            assert_eq!(
-                serial.activation_set(x).unwrap(),
-                baseline[i],
-                "{name}: single-sample path diverged at {i}"
-            );
+        for n in [1, 2, 5, 10, 33] {
+            let inputs = seeded_inputs(&net, n, 3);
+            let serial = CoverageAnalyzer::new(&net, config_with(ExecPolicy::Serial, 32));
+            let baseline = serial.activation_sets(&inputs).unwrap();
+            for threads in 1..=4 {
+                for batch_size in [1, 7, 32] {
+                    let exec = ExecPolicy::Threads(threads);
+                    let analyzer = CoverageAnalyzer::new(&net, config_with(exec, batch_size));
+                    let sets = analyzer.activation_sets(&inputs).unwrap();
+                    assert_eq!(
+                        sets, baseline,
+                        "{name}: {n} activation sets diverged under {exec:?} batch {batch_size}"
+                    );
+                }
+            }
+            // The single-sample entry point agrees bit-for-bit with the batch path.
+            for (i, x) in inputs.iter().enumerate() {
+                assert_eq!(
+                    serial.activation_set(x).unwrap(),
+                    baseline[i],
+                    "{name}: single-sample path diverged at {i} of {n}"
+                );
+            }
         }
     }
 }
@@ -192,71 +199,182 @@ fn greedy_selection_picks_identical_tests_under_every_policy() {
     }
 }
 
+/// The synthesis variants the sharded-descent tests sweep: `(name, line
+/// search, criterion spec)`. A criterion spec brings that criterion's
+/// gradient objective; `None` is the paper's cross-entropy descent.
+fn gradgen_variants() -> [(&'static str, Option<LineSearchConfig>, Option<&'static str>); 4] {
+    let ls = Some(LineSearchConfig::default());
+    let neuron = Some("neuron-activation:0.25");
+    [
+        ("fixed step", None, None),
+        ("line search", ls, None),
+        ("criterion objective", None, neuron),
+        ("criterion objective, line search", ls, neuron),
+    ]
+}
+
+/// The synthesis objective of the criterion `spec`, if it supplies one.
+fn objective_of(spec: Option<&str>) -> Option<Arc<dyn GradientObjective>> {
+    let criterion = criterion_from_spec(spec?, &CoverageConfig::default()).unwrap();
+    criterion.gradient_objective()
+}
+
+/// Panics unless `test` is, bit for bit, the one-state descent
+/// `generator.synthesize(init, class)` of its class.
+fn assert_one_state_descent(
+    generator: &GradientGenerator,
+    init: &Tensor,
+    test: &SyntheticTest,
+    what: &str,
+) {
+    let class = test.target_class;
+    let reference = generator.synthesize(init, class).unwrap();
+    assert_eq!(
+        bit_mismatch(test.input.data(), reference.input.data()),
+        None,
+        "{what}: class {class} input diverged from the one-state descent"
+    );
+    assert_eq!(
+        bit_mismatch(&[test.final_loss], &[reference.final_loss]),
+        None,
+        "{what}: class {class} loss diverged"
+    );
+    assert_eq!(
+        test.classified_correctly, reference.classified_correctly,
+        "{what}: class {class} prediction diverged"
+    );
+}
+
 #[test]
 fn gradient_generator_is_execution_policy_invariant() {
-    let net = zoo::tiny_mlp(6, 16, 4, Activation::Relu, 33).unwrap();
-    let mut serial = GradientGenerator::new(
-        &net,
-        GradGenConfig {
-            steps: 8,
-            seed: 21,
-            exec: ExecPolicy::Serial,
-            ..GradGenConfig::default()
-        },
-    );
-    let mut threaded = GradientGenerator::new(
-        &net,
-        GradGenConfig {
-            steps: 8,
-            seed: 21,
-            exec: ExecPolicy::Threads(4),
-            ..GradGenConfig::default()
-        },
-    );
-    // Two rounds: round 0 is the all-zeros start, round 1 draws RNG inits —
-    // both must match because inits are drawn before the workers fan out.
-    for round in 0..2 {
-        let a = serial.generate_batch().unwrap();
-        let b = threaded.generate_batch().unwrap();
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.input, y.input, "round {round}: synthetic input diverged");
-            assert_eq!(x.target_class, y.target_class);
-            assert_eq!(x.classified_correctly, y.classified_correctly);
-            assert_eq!(x.final_loss.to_bits(), y.final_loss.to_bits());
+    // k = 10 states per batch: Threads(3) cuts uneven 4/3/3 shards and
+    // Threads(k + 3) has more workers than states. Round 0 starts all-zero,
+    // which on the ReLU net (zero biases) is the dead start: no hidden unit
+    // is active and ∇x J is zero. Round 1 starts from the seeded RNG's
+    // draws, made class by class before any descent runs.
+    for activation in [Activation::Relu, Activation::Tanh] {
+        let net = zoo::tiny_mlp(6, 16, 10, activation, 33).unwrap();
+        let (k, shape) = (net.num_classes(), net.input_shape().to_vec());
+        for (variant, line_search, spec) in gradgen_variants() {
+            let config = GradGenConfig {
+                steps: 8,
+                seed: 21,
+                line_search,
+                ..GradGenConfig::default()
+            };
+            let generator = |exec| {
+                GradientGenerator::new(&net, GradGenConfig { exec, ..config })
+                    .with_objective(objective_of(spec))
+            };
+            let mut rng = StdRng::seed_from_u64(config.seed);
+            let rounds: [Vec<Tensor>; 2] = [
+                vec![Tensor::zeros(&shape); k],
+                (0..k)
+                    .map(|_| Tensor::from_fn(&shape, |_| rng.gen_range(0.0..config.init_noise)))
+                    .collect(),
+            ];
+            let single = generator(ExecPolicy::Serial);
+            for exec in [
+                ExecPolicy::Serial,
+                ExecPolicy::Threads(2),
+                ExecPolicy::Threads(3),
+                ExecPolicy::Threads(4),
+                ExecPolicy::Threads(k + 3),
+            ] {
+                let mut sharded = generator(exec);
+                for (round, inits) in rounds.iter().enumerate() {
+                    let batch = sharded.generate_batch().unwrap();
+                    assert_eq!(batch.len(), k);
+                    let what = format!("{activation:?} {variant} {exec:?} round {round}");
+                    for (class, (test, init)) in batch.iter().zip(inits).enumerate() {
+                        assert_eq!(test.target_class, class, "{what}");
+                        assert_one_state_descent(&single, init, test, &what);
+                    }
+                }
+            }
         }
     }
 }
 
 #[test]
 fn combined_generator_is_execution_policy_invariant() {
+    // 10 classes, so Threads(3) cuts uneven 4/3/3 shards and Threads(13)
+    // has more workers than states. The budget outgrows the 12-sample pool,
+    // so every run switches to synthesis.
     let net = zoo::tiny_cnn(6, 10, Activation::Relu, 17).unwrap();
+    let k = net.num_classes();
     let pool = seeded_inputs(&net, 12, 29);
-    let combined = |exec: ExecPolicy| {
-        run(&net, config_with(exec, 4), |key| {
-            TestGenRequest::new(key, GenerationMethod::Combined, 8)
-                .with_gradgen(GradGenConfig {
-                    steps: 5,
-                    exec,
-                    ..GradGenConfig::default()
-                })
-                .with_candidates(pool.clone())
-        })
-        .tests
-    };
-    let a = combined(ExecPolicy::Serial);
-    let b = combined(ExecPolicy::Threads(4));
-    assert_eq!(a.inputs, b.inputs, "combined tests diverged");
-    // Equal provenance also pins the switch point: the first synthetic test.
-    assert_eq!(a.provenance, b.provenance, "combined sources diverged");
-    assert_eq!(
-        a.coverage_curve, b.coverage_curve,
-        "combined curve diverged"
-    );
-    assert!(a
-        .provenance
-        .iter()
-        .any(|s| matches!(s, TestSource::TrainingSample(_))));
+    for (variant, line_search, spec) in gradgen_variants() {
+        let gradgen = |exec| GradGenConfig {
+            steps: 5,
+            exec,
+            line_search,
+            ..GradGenConfig::default()
+        };
+        let combined = |exec: ExecPolicy| {
+            run(&net, config_with(exec, 4), |key| {
+                let request = TestGenRequest::new(key, GenerationMethod::Combined, 16)
+                    .with_gradgen(gradgen(exec))
+                    .with_candidates(pool.clone());
+                match spec {
+                    Some(spec) => request.with_criterion_spec(spec),
+                    None => request,
+                }
+            })
+            .tests
+        };
+        let a = combined(ExecPolicy::Serial);
+        for exec in [
+            ExecPolicy::Threads(2),
+            ExecPolicy::Threads(3),
+            ExecPolicy::Threads(4),
+            ExecPolicy::Threads(k + 3),
+        ] {
+            let b = combined(exec);
+            assert_eq!(
+                a.inputs, b.inputs,
+                "{variant} {exec:?}: combined tests diverged"
+            );
+            // Equal provenance also pins the switch point: the first synthetic test.
+            assert_eq!(
+                a.provenance, b.provenance,
+                "{variant} {exec:?}: combined sources diverged"
+            );
+            assert_eq!(
+                a.coverage_curve, b.coverage_curve,
+                "{variant} {exec:?}: combined curve diverged"
+            );
+        }
+        assert!(a
+            .provenance
+            .iter()
+            .any(|s| matches!(s, TestSource::TrainingSample(_))));
+        // The first synthetic tests come from round 0, the all-zero (on this
+        // ReLU net, dead) start, in class order: each is its class's
+        // one-state descent.
+        let single = GradientGenerator::new(&net, gradgen(ExecPolicy::Serial))
+            .with_objective(objective_of(spec));
+        let zeros = Tensor::zeros(net.input_shape());
+        let synthetic: Vec<(&Tensor, usize)> = a
+            .inputs
+            .iter()
+            .zip(&a.provenance)
+            .filter_map(|(x, source)| match source {
+                TestSource::Synthetic(class) => Some((x, *class)),
+                TestSource::TrainingSample(_) => None,
+            })
+            .take(k)
+            .collect();
+        assert!(!synthetic.is_empty(), "{variant}: no synthetic test");
+        for (x, class) in synthetic {
+            let reference = single.synthesize(&zeros, class).unwrap();
+            assert_eq!(
+                bit_mismatch(x.data(), reference.input.data()),
+                None,
+                "{variant}: class {class} diverged from the one-state descent"
+            );
+        }
+    }
 }
 
 #[test]
