@@ -456,8 +456,9 @@ impl BatchGradientEngine {
 
     /// One convolution layer's batched forward through its precomputed weight
     /// matrix: per-sample im2col + matmul, returning the stacked output. Each
-    /// sample is lowered into one block of `cols` and multiplied while the
-    /// block is still cache-hot. The block starts at `cols`' beginning, or,
+    /// sample is lowered (through `arena.padded`) into one block of
+    /// `arena.cols` and multiplied while the block is still cache-hot. The
+    /// block starts at `arena.cols`' beginning, or,
     /// when `keep` is set (a batch of one), after the blocks already kept
     /// there, so the sample's blocks for every convolution end up side by
     /// side in layer order. The arithmetic (one im2col block per sample,
@@ -469,7 +470,7 @@ impl BatchGradientEngine {
         layer_index: usize,
         l: &Conv2d,
         x: &Tensor,
-        cols: &mut Vec<f32>,
+        arena: &mut ScratchArena,
         keep: bool,
     ) -> Result<Tensor> {
         let (b, c, h, w) = nchw(x);
@@ -482,14 +483,14 @@ impl BatchGradientEngine {
             .expect("conv layer has precomputed weight matrices");
         let (rows, per) = (c * geom.kh * geom.kw, oh * ow);
         debug_assert!(!keep || b == 1, "only a batch of one keeps its blocks");
-        let base = if keep { cols.len() } else { 0 };
-        let block = &mut ScratchArena::sized(cols, base + rows * per)[base..];
+        let base = if keep { arena.cols.len() } else { 0 };
+        let block = &mut ScratchArena::sized(&mut arena.cols, base + rows * per)[base..];
         let out_len = oc * per;
         let mut out = vec![0.0f32; b * out_len];
         let sample_len = c * h * w;
         for s in 0..b {
             let sample = &x.data()[s * sample_len..(s + 1) * sample_len];
-            im2col_block_into(sample, c, h, w, geom, block)?;
+            im2col_block_into(sample, c, h, w, geom, block, &mut arena.padded)?;
             let dst = &mut out[s * out_len..(s + 1) * out_len];
             kernels::gemm(oc, rows, per, wmat.data(), block, dst);
             for (oci, &bv) in bd.iter().enumerate() {
@@ -521,7 +522,7 @@ impl BatchGradientEngine {
         for (i, layer) in self.network.layers().iter().enumerate() {
             match layer {
                 Layer::Conv2d(l) => {
-                    let out = self.conv_forward_batch(i, l, &x, &mut arena.cols, keep_cols)?;
+                    let out = self.conv_forward_batch(i, l, &x, arena, keep_cols)?;
                     caches.push(BatchCache::Conv { input: x });
                     x = out;
                 }

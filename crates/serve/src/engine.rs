@@ -20,8 +20,14 @@
 //! is abandoned (the helper finishes in the background, warming caches; its
 //! result is discarded) when the deadline fires first. Either way the client
 //! gets a structured `"kind":"timeout"` error, never a hung connection.
+//!
+//! A panic inside the grouped call does not take the worker down: every job
+//! of that batch gets a structured `"kind":"internal"` error, and the worker
+//! goes on draining the queue.
 
+use std::any::Any;
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
@@ -549,13 +555,11 @@ fn process_batch(state: &Arc<ServiceState>, jobs: Vec<Job>) {
     }
     if members.iter().all(|job| job.deadline.is_none()) {
         // No deadlines anywhere in the batch: run inline on this worker.
-        let (reports, stats) = state.workspace.run_coalesced(&requests);
-        state
-            .coalesce
-            .shared_samples
-            .fetch_add(stats.shared_samples as u64, Ordering::Relaxed);
-        for (job, report) in members.iter().zip(&reports) {
-            let _ = job.out.send(report_response(&job.id, report).to_string());
+        let outcome = run_grouped(state, &requests);
+        for (i, job) in members.iter().enumerate() {
+            let _ = job
+                .out
+                .send(outcome_response(&job.id, &outcome, i).to_string());
         }
         return;
     }
@@ -566,12 +570,7 @@ fn process_batch(state: &Arc<ServiceState>, jobs: Vec<Job>) {
     let (tx, rx) = mpsc::channel();
     let helper_state = Arc::clone(state);
     std::thread::spawn(move || {
-        let (reports, stats) = helper_state.workspace.run_coalesced(&requests);
-        helper_state
-            .coalesce
-            .shared_samples
-            .fetch_add(stats.shared_samples as u64, Ordering::Relaxed);
-        let _ = tx.send(reports);
+        let _ = tx.send(run_grouped(&helper_state, &requests));
     });
     let mut answered = vec![false; members.len()];
     loop {
@@ -594,10 +593,12 @@ fn process_batch(state: &Arc<ServiceState>, jobs: Vec<Job>) {
             }
         };
         match received {
-            Ok(reports) => {
-                for (i, (job, report)) in members.iter().zip(&reports).enumerate() {
+            Ok(outcome) => {
+                for (i, job) in members.iter().enumerate() {
                     if !answered[i] {
-                        let _ = job.out.send(report_response(&job.id, report).to_string());
+                        let _ = job
+                            .out
+                            .send(outcome_response(&job.id, &outcome, i).to_string());
                     }
                 }
                 return;
@@ -638,6 +639,42 @@ fn process_batch(state: &Arc<ServiceState>, jobs: Vec<Job>) {
                 return;
             }
         }
+    }
+}
+
+/// The reports of one grouped call, in request order, or the message of the
+/// panic that cut it short.
+type GroupedOutcome = std::result::Result<Vec<dnnip_core::Result<TestGenReport>>, String>;
+
+/// Run one batch's grouped [`Workspace::run_coalesced`] call. A panic inside
+/// it is caught here, so the worker (or deadline helper) that runs it
+/// survives to answer every member and take the next job.
+fn run_grouped(state: &ServiceState, requests: &[TestGenRequest]) -> GroupedOutcome {
+    let (reports, stats) =
+        catch_unwind(AssertUnwindSafe(|| state.workspace.run_coalesced(requests)))
+            .map_err(|payload| format!("generation panicked: {}", panic_message(&*payload)))?;
+    state
+        .coalesce
+        .shared_samples
+        .fetch_add(stats.shared_samples as u64, Ordering::Relaxed);
+    Ok(reports)
+}
+
+/// The text of a panic payload (`panic!` produces a `&str` or a `String`).
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload")
+}
+
+/// Member `i`'s response to its batch's grouped call: its report, or an
+/// `internal` error when the call panicked.
+fn outcome_response(id: &str, outcome: &GroupedOutcome, i: usize) -> Json {
+    match outcome {
+        Ok(reports) => report_response(id, &reports[i]),
+        Err(message) => error_response(id, "internal", message),
     }
 }
 
@@ -684,6 +721,10 @@ fn build_request(
         .with_candidates(candidates);
     if let Some(criterion) = &spec.criterion {
         request = request.with_criterion_spec(criterion.clone());
+    }
+    #[cfg(test)]
+    if spec.criterion.as_deref() == Some(tests::PANICKING_CRITERION) {
+        request = request.with_criterion(Arc::new(tests::Panicking));
     }
     Ok(request)
 }
@@ -745,6 +786,35 @@ mod tests {
             default_deadline_ms: None,
             ..EngineConfig::default()
         })
+    }
+
+    /// The criterion spec a test build resolves to [`Panicking`].
+    pub(super) const PANICKING_CRITERION: &str = "test-panicking";
+
+    /// A criterion whose covered-set computation panics.
+    #[derive(Debug)]
+    pub(super) struct Panicking;
+
+    impl dnnip_core::criterion::CoverageCriterion for Panicking {
+        fn id(&self) -> &'static str {
+            PANICKING_CRITERION
+        }
+
+        fn config_digest(&self) -> u64 {
+            0
+        }
+
+        fn num_units(&self, network: &dnnip_nn::Network) -> usize {
+            network.num_parameters()
+        }
+
+        fn covered_units(
+            &self,
+            _engine: &dnnip_nn::batch::BatchGradientEngine,
+            _chunk: &[Tensor],
+        ) -> dnnip_core::Result<Vec<dnnip_core::bitset::Bitset>> {
+            panic!("test criterion panicked")
+        }
     }
 
     /// Submit `lines` and gather one response per line (shutdown excluded),
@@ -881,6 +951,40 @@ mod tests {
         assert_eq!(kind("m"), "bad_request");
         assert_eq!(kind("c"), "generation");
         assert_eq!(kind("p"), "bad_request");
+    }
+
+    #[test]
+    fn a_panicking_job_gets_internal_and_the_worker_keeps_serving() {
+        let engine = Engine::in_memory(EngineConfig {
+            workers: 1,
+            queue_depth: 4,
+            default_deadline_ms: None,
+            ..EngineConfig::default()
+        });
+        // `inline` runs on the worker itself; `helper`, which carries a
+        // deadline, on the worker's deadline helper thread.
+        let responses = roundtrip(
+            engine,
+            &[
+                r#"{"id":"inline","model":"tiny-relu","budget":2,"criterion":"test-panicking","pool":{"synthetic":6,"seed":2}}"#,
+                r#"{"id":"helper","model":"tiny-relu","budget":2,"criterion":"test-panicking","deadline_ms":60000,"pool":{"synthetic":6,"seed":2}}"#,
+                r#"{"id":"next","model":"tiny-relu","budget":2,"pool":{"synthetic":6,"seed":2}}"#,
+            ],
+        );
+        for id in ["inline", "helper"] {
+            let error = by_id(&responses, id).get("error").expect("an error");
+            assert_eq!(error.get("kind").and_then(Json::as_str), Some("internal"));
+            let message = error.get("message").and_then(Json::as_str).unwrap();
+            assert!(
+                message.contains("test criterion panicked"),
+                "{id}: {message}"
+            );
+        }
+        assert_eq!(
+            by_id(&responses, "next").get("ok").and_then(Json::as_bool),
+            Some(true),
+            "the one worker must keep serving after a panicking job"
+        );
     }
 
     #[test]

@@ -25,6 +25,9 @@ pub struct ScratchArena {
     /// convolution layer here side by side, lowered once, and every output
     /// projection's backward reads them.
     pub cols: Vec<f32>,
+    /// The zero-padded `[C, H+2p, W+2p]` copy of the sample a convolution is
+    /// lowering, which im2col reads its whole-width runs from.
+    pub padded: Vec<f32>,
     /// Gradient column-matrix scratch: a convolution's `∂L/∂Wᵀ` before its
     /// transpose into the flat gradient, then `Wᵀ · ∂L/∂out` before col2im.
     pub grad_cols: Vec<f32>,

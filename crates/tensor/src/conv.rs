@@ -14,6 +14,13 @@
 //! batched gradient engine run im2col; `Network::forward_cached`, the
 //! per-sample reference gradients and training run the direct loop nest.
 //!
+//! The lowering kernels move whole rows in fixed 8-lane chunks.
+//! [`im2col_block_into`] (under every im2col entry point) reads a zero-padded
+//! copy of the sample, in which each run of an im2col row is one whole
+//! `OW`-wide copy. [`col2im_slice_into`] builds each input-gradient row
+//! destination-major, in registers. Both are bit-identical to the
+//! per-element loops (`tests/lowering.rs` checks them against those loops).
+//!
 //! All functions operate on single-precision tensors in the layouts used by
 //! `dnnip-nn`:
 //!
@@ -170,38 +177,98 @@ fn check_conv_args(
     Ok(())
 }
 
-/// The output positions `o` in `0..out_len` whose window tap at offset `k`
-/// lands inside an input axis of length `in_len`, i.e. `lo..hi` such that
-/// `o * stride + k - pad` lies in `0..in_len` exactly when `lo <= o < hi`.
+/// Lanes per fixed-width chunk in the lowering loops: one 256-bit vector of
+/// `f32`.
+const LANES: usize = 8;
+
+/// Start of each `LANES`-wide chunk that covers `0..len`. When `len` is not a
+/// multiple of `LANES` the last chunk is pulled back to end at `len`,
+/// overlapping its predecessor, so every chunk of a run of at least `LANES`
+/// elements is full width. A shorter run has the one chunk at `0`.
+fn lane_chunks(len: usize) -> impl Iterator<Item = usize> {
+    let last = len.saturating_sub(LANES);
+    (0..len.div_ceil(LANES).max(1)).map(move |i| (i * LANES).min(last))
+}
+
+/// Copy `runs` runs of `len` elements, run `i` from `src[i * src_step..]`
+/// to `dst[i * dst_step..]`.
 ///
-/// The valid positions of one tap are contiguous, so the lowering loops
-/// compute this range once per tap instead of testing two bounds per element.
-/// The range is empty (`lo == hi`) when every position of the tap falls into
-/// the padding.
-fn tap_range(k: usize, pad: usize, stride: usize, in_len: usize, out_len: usize) -> (usize, usize) {
-    let hi = (in_len + pad)
-        .saturating_sub(k)
-        .div_ceil(stride)
-        .min(out_len);
-    let lo = pad.saturating_sub(k).div_ceil(stride).min(hi);
-    (lo, hi)
+/// A `copy_from_slice` of runtime length compiles to a `memcpy` call, and so
+/// does a loop over one run's chunks, which LLVM recognises as a copy idiom.
+/// Lowering moves thousands of short runs per sample, so the loops here run
+/// chunk-major: the inner loop steps across runs, each step one fixed
+/// `[f32; LANES]` move, and compiles to plain vector loads and stores. Runs
+/// shorter than `LANES` move element by element in the same order.
+fn copy_runs(
+    dst: &mut [f32],
+    dst_step: usize,
+    src: &[f32],
+    src_step: usize,
+    len: usize,
+    runs: usize,
+) {
+    if len < LANES {
+        for j in 0..len {
+            for i in 0..runs {
+                dst[i * dst_step + j] = src[i * src_step + j];
+            }
+        }
+        return;
+    }
+    for j in lane_chunks(len) {
+        for i in 0..runs {
+            let from: &[f32; LANES] = src[i * src_step + j..][..LANES]
+                .try_into()
+                .expect("LANES-wide chunk");
+            let to: &mut [f32; LANES] = (&mut dst[i * dst_step + j..][..LANES])
+                .try_into()
+                .expect("LANES-wide chunk");
+            *to = *from;
+        }
+    }
+}
+
+/// The plane [`im2col_scatter`] reads for one `[C, H, W]` sample: a
+/// `[C, H+2p, W+2p]` copy in `padded` with a border of `+0.0`, or the sample
+/// itself when there is no padding.
+fn padded_plane<'a>(
+    sd: &'a [f32],
+    c: usize,
+    h: usize,
+    w: usize,
+    pad: usize,
+    padded: &'a mut Vec<f32>,
+) -> &'a [f32] {
+    if pad == 0 {
+        return sd;
+    }
+    let (hp, wp) = (h + 2 * pad, w + 2 * pad);
+    padded.clear();
+    padded.resize(c * hp * wp, 0.0);
+    for ci in 0..c {
+        let dst = &mut padded[(ci * hp + pad) * wp + pad..];
+        copy_runs(dst, wp, &sd[ci * h * w..], w, w, h);
+    }
+    padded
 }
 
 /// Copy one sample's receptive fields into an im2col layout.
 ///
-/// Row `r` of the im2col matrix starts at `out[r * row_stride + col_offset]`
-/// and spans `oh * ow` entries; `row_stride`/`col_offset` are what let the
-/// batched lowering write each sample's columns straight into its slot of the
-/// shared `[C*KH*KW, N*OH*OW]` matrix without a per-sample staging tensor.
-/// Every entry of those row spans is written — zeros where padding lands — so
-/// the target needs no clearing beforehand.
+/// `plane` is the sample's `[C, H+2p, W+2p]` zero-padded plane
+/// ([`padded_plane`]). Row `r` of the im2col matrix starts at
+/// `out[r * row_stride + col_offset]` and spans `oh * ow` entries;
+/// `row_stride`/`col_offset` are what let the batched lowering write each
+/// sample's columns straight into its slot of the shared
+/// `[C*KH*KW, N*OH*OW]` matrix without a per-sample staging tensor. Every
+/// entry of those row spans is written, so the target needs no clearing.
 ///
-/// Each `(row, output row)` pair copies one contiguous run of valid output
-/// columns ([`tap_range`]): a single `copy_from_slice` at stride 1, a strided
-/// gather otherwise, with the padded ends zero-filled around it.
+/// In the padded plane every window lies wholly inside the plane, so each
+/// `(row, output row)` pair is one whole `OW`-wide run with no edge cases:
+/// fixed-width chunks ([`copy_runs`]) at stride 1, a strided gather
+/// otherwise.
 #[allow(clippy::too_many_arguments)] // internal hot loop; the args are the full addressing scheme
 fn im2col_scatter(
-    sd: &[f32],
+    plane: &[f32],
     c: usize,
     h: usize,
     w: usize,
@@ -218,35 +285,20 @@ fn im2col_scatter(
         stride,
         pad,
     } = geom;
+    let (hp, wp) = (h + 2 * pad, w + 2 * pad);
     for ci in 0..c {
-        let plane = &sd[ci * h * w..(ci + 1) * h * w];
+        let chan = &plane[ci * hp * wp..(ci + 1) * hp * wp];
         for khi in 0..kh {
-            let (oh_lo, oh_hi) = tap_range(khi, pad, stride, h, oh);
             for kwi in 0..kw {
-                let (ow_lo, ow_hi) = tap_range(kwi, pad, stride, w, ow);
                 let r = (ci * kh + khi) * kw + kwi;
                 let row = &mut out[r * row_stride + col_offset..][..oh * ow];
-                if ow_lo == ow_hi {
-                    // Every column of this tap falls into the padding.
-                    row.fill(0.0);
-                    continue;
-                }
-                row[..oh_lo * ow].fill(0.0);
-                row[oh_hi * ow..].fill(0.0);
-                // First input column the valid run reads.
-                let iw0 = ow_lo * stride + kwi - pad;
-                for ohi in oh_lo..oh_hi {
-                    let ih = ohi * stride + khi - pad;
-                    let src = &plane[ih * w + iw0..(ih + 1) * w];
-                    let dst = &mut row[ohi * ow..(ohi + 1) * ow];
-                    dst[..ow_lo].fill(0.0);
-                    dst[ow_hi..].fill(0.0);
-                    let dst = &mut dst[ow_lo..ow_hi];
-                    if stride == 1 {
-                        dst.copy_from_slice(&src[..dst.len()]);
-                    } else {
-                        for (d, &v) in dst.iter_mut().zip(src.iter().step_by(stride)) {
-                            *d = v;
+                let src = &chan[khi * wp + kwi..];
+                if stride == 1 {
+                    copy_runs(row, ow, src, wp, ow, oh);
+                } else {
+                    for owi in 0..ow {
+                        for ohi in 0..oh {
+                            row[ohi * ow + owi] = src[(ohi * wp + owi) * stride];
                         }
                     }
                 }
@@ -259,9 +311,9 @@ fn im2col_scatter(
 /// caller-owned buffer; returns the matrix dimensions `(C*KH*KW, OH*OW)`.
 ///
 /// The buffer is resized and **fully overwritten** (zeros where padding
-/// lands), so a reused arena buffer produces bit-identical results to a fresh
-/// allocation. This is the allocation-free core of [`im2col`], threaded
-/// through the batched gradient engine's [`crate::ScratchArena`].
+/// lands), so a reused buffer produces bit-identical results to a fresh
+/// allocation. Allocating wrapper around [`im2col_block_into`], with a
+/// padded plane of its own.
 ///
 /// # Errors
 ///
@@ -275,18 +327,9 @@ pub fn im2col_slice_into(
     geom: Conv2dGeometry,
     out: &mut Vec<f32>,
 ) -> Result<(usize, usize)> {
-    if sample.len() != c * h * w {
-        return Err(TensorError::ShapeDataMismatch {
-            shape: vec![c, h, w],
-            data_len: sample.len(),
-        });
-    }
     let (oh, ow) = geom.output_hw(h, w)?;
-    let rows = c * geom.kh * geom.kw;
-    let cols = oh * ow;
-    out.resize(rows * cols, 0.0);
-    im2col_scatter(sample, c, h, w, geom, oh, ow, out, cols, 0);
-    Ok((rows, cols))
+    out.resize(c * geom.kh * geom.kw * oh * ow, 0.0);
+    im2col_block_into(sample, c, h, w, geom, out, &mut Vec::new())
 }
 
 /// Lower one `[C, H, W]` sample into an im2col matrix `[C*KH*KW, OH*OW]`.
@@ -347,11 +390,36 @@ pub fn col2im(cols: &Tensor, geom: Conv2dGeometry, c: usize, h: usize, w: usize)
     Tensor::from_vec(out, &[c, h, w])
 }
 
+/// Add `terms` to `acc`, lane by lane, with the lanes whose `keep` mask is
+/// clear reading `+0.0` (their bits cleared).
+#[inline(always)]
+fn add_masked(acc: &mut [f32; LANES], terms: &[f32; LANES], keep: &[u32; LANES]) {
+    for l in 0..LANES {
+        acc[l] += f32::from_bits(terms[l].to_bits() & keep[l]);
+    }
+}
+
 /// Scatter a raw im2col-layout slice back onto a `[C, H, W]` image written
 /// into a caller-owned buffer — the allocation-free core of [`col2im`].
 ///
-/// The buffer is resized to `c*h*w`, zeroed, and then accumulated into, so a
-/// reused arena buffer produces bit-identical results to a fresh allocation.
+/// The buffer is resized to `c*h*w` and every element is stored exactly once,
+/// so a reused arena buffer produces bit-identical results to a fresh
+/// allocation.
+///
+/// The loop is destination-major. Each input row is built in `LANES`-wide
+/// chunks of accumulators that start at `+0.0`, add their `KH·KW` taps in
+/// `(kh, kw)` order in registers and are stored once. A pixel receives at
+/// most one term per tap, so it sums the same terms in the same order as the
+/// source-major loop `for (ci, kh, kw, oh, ow) { out[pixel] += cols[..] }`
+/// over a zeroed image, without that loop's read-modify-write of
+/// overlapping, one-element-shifted runs.
+///
+/// At stride 1 a tap's terms for a chunk are one whole-width window of
+/// `cols`; at larger strides they are gathered. Either way, the lanes the
+/// tap does not reach are masked to `+0.0` (their bits cleared). Adding that
+/// zero leaves a sum unchanged bit for bit: the sum starts at `+0.0`, so it
+/// is never `-0.0`, and `x + 0.0 == x` for every other `x`, NaN and ±Inf
+/// included.
 ///
 /// # Errors
 ///
@@ -374,7 +442,6 @@ pub fn col2im_slice_into(
             data_len: cols.len(),
         });
     }
-    out.clear();
     out.resize(c * h * w, 0.0);
     let Conv2dGeometry {
         kh,
@@ -382,34 +449,79 @@ pub fn col2im_slice_into(
         stride,
         pad,
     } = geom;
-    // Same (ci, kh, kw, oh, ow) visiting order as the per-element loop, so
-    // every input pixel accumulates its terms in the same order; only the
-    // bounds tests move out of the inner loop.
-    for ci in 0..c {
-        let plane = &mut out[ci * h * w..(ci + 1) * h * w];
-        for khi in 0..kh {
-            let (oh_lo, oh_hi) = tap_range(khi, pad, stride, h, oh);
-            for kwi in 0..kw {
-                let (ow_lo, ow_hi) = tap_range(kwi, pad, stride, w, ow);
-                if ow_lo == ow_hi {
-                    continue;
-                }
-                let r = (ci * kh + khi) * kw + kwi;
-                let iw0 = ow_lo * stride + kwi - pad;
-                for ohi in oh_lo..oh_hi {
-                    let ih = ohi * stride + khi - pad;
-                    let src = &cols[r * ncols + ohi * ow..][ow_lo..ow_hi];
-                    let dst = &mut plane[ih * w + iw0..(ih + 1) * w];
-                    if stride == 1 {
-                        for (d, &v) in dst.iter_mut().zip(src) {
-                            *d += v;
-                        }
-                    } else {
-                        for (d, &v) in dst.iter_mut().step_by(stride).zip(src) {
-                            *d += v;
+    let live = w.min(LANES);
+    // Per (chunk, kernel column): the output column each lane reads (0 where
+    // the tap does not reach it) and the mask that keeps the lanes it does.
+    let lanes: Vec<([usize; LANES], [u32; LANES])> = lane_chunks(w)
+        .flat_map(|j| {
+            (0..kw).map(move |kwi| {
+                let (mut at, mut keep) = ([0; LANES], [0; LANES]);
+                for l in 0..live {
+                    if let Some(t) = (j + l + pad).checked_sub(kwi) {
+                        if t % stride == 0 && t / stride < ow {
+                            (at[l], keep[l]) = (t / stride, u32::MAX);
                         }
                     }
                 }
+                (at, keep)
+            })
+        })
+        .collect();
+    // Where the output rows of the kernel rows that reach the current input
+    // row start in `cols` (kernel column 0).
+    let mut reach = Vec::with_capacity(kh);
+    for ci in 0..c {
+        // `ih + pad == q * stride + rem`, kept up to date without dividing:
+        // kernel row `rem + m * stride` reaches input row `ih` from output
+        // row `q - m`.
+        let (mut q, mut rem) = (pad / stride, pad % stride);
+        for ih in 0..h {
+            reach.clear();
+            for (m, khi) in (rem..kh).step_by(stride).enumerate() {
+                if let Some(ohi) = q.checked_sub(m).filter(|&ohi| ohi < oh) {
+                    reach.push((ci * kh + khi) * kw * ncols + ohi * ow);
+                }
+            }
+            let dst_row = &mut out[(ci * h + ih) * w..][..w];
+            // With `w >= LANES` every chunk is full width; an overlapping
+            // last chunk recomputes its shared lanes to the same bits.
+            for (ch, j) in lane_chunks(w).enumerate() {
+                let mut acc = [0.0f32; LANES];
+                for &row_run in &reach {
+                    for (kwi, (at, keep)) in lanes[ch * kw..(ch + 1) * kw].iter().enumerate() {
+                        let run = row_run + kwi * ncols;
+                        let start = (run + j + pad).wrapping_sub(kwi);
+                        let window = match stride {
+                            1 => cols.get(start..start.wrapping_add(LANES)),
+                            _ => None,
+                        };
+                        match window {
+                            Some(window) => {
+                                let terms = window.try_into().expect("LANES-wide window");
+                                add_masked(&mut acc, terms, keep);
+                            }
+                            // Strided taps, and windows that run off an end
+                            // of `cols`: gather each lane's term.
+                            None => {
+                                let terms = std::array::from_fn(|l| cols[run + at[l]]);
+                                add_masked(&mut acc, &terms, keep);
+                            }
+                        }
+                    }
+                }
+                match <&mut [f32; LANES]>::try_from(&mut dst_row[j..j + live]) {
+                    Ok(dst) => *dst = acc,
+                    Err(_) => {
+                        for (d, &a) in dst_row.iter_mut().zip(&acc) {
+                            *d = a;
+                        }
+                    }
+                }
+            }
+            rem += 1;
+            if rem == stride {
+                rem = 0;
+                q += 1;
             }
         }
     }
@@ -441,6 +553,8 @@ pub fn im2col_batch(input: &Tensor, geom: Conv2dGeometry) -> Result<Tensor> {
 /// fields are scattered straight into its column slot of the shared matrix —
 /// no per-sample staging tensor copied in afterwards. The buffer is resized
 /// and fully overwritten, so arena reuse is bit-identical to fresh allocation.
+/// The samples share one local zero-padded plane (see
+/// [`im2col_block_into`]).
 ///
 /// # Errors
 ///
@@ -457,9 +571,11 @@ pub fn im2col_batch_into(
     let ncols = n * per_sample;
     out.resize(rows * ncols, 0.0);
     let sample_len = c * h * w;
+    let mut padded = Vec::new();
     for ni in 0..n {
         let sample = &input.data()[ni * sample_len..(ni + 1) * sample_len];
-        im2col_scatter(sample, c, h, w, geom, oh, ow, out, ncols, ni * per_sample);
+        let plane = padded_plane(sample, c, h, w, geom.pad, &mut padded);
+        im2col_scatter(plane, c, h, w, geom, oh, ow, out, ncols, ni * per_sample);
     }
     Ok((rows, ncols))
 }
@@ -475,6 +591,15 @@ pub fn im2col_batch_into(
 /// every convolution layer side by side) and consume each block while it is
 /// still cache-hot.
 ///
+/// With padding, the sample is first copied once into `padded`, a
+/// caller-owned `[C, H+2p, W+2p]` plane with a `+0.0` border (resized and
+/// overwritten here, so its previous contents do not matter). Inside that
+/// plane every window lies wholly in bounds, so each of the block's
+/// `C·KH·KW·OH` runs is one whole `OW`-wide copy: no per-run split into a
+/// zero-filled edge and a valid middle, no bounds arithmetic per tap, and
+/// no `memcpy` call per short run. The zeros the padding contributes are
+/// the border's `+0.0`, exactly the values a per-element loop writes.
+///
 /// # Errors
 ///
 /// Returns a [`TensorError`] when `sample` is not `c*h*w` long, the window
@@ -486,6 +611,7 @@ pub fn im2col_block_into(
     w: usize,
     geom: Conv2dGeometry,
     block: &mut [f32],
+    padded: &mut Vec<f32>,
 ) -> Result<(usize, usize)> {
     if sample.len() != c * h * w {
         return Err(TensorError::ShapeDataMismatch {
@@ -502,7 +628,8 @@ pub fn im2col_block_into(
             data_len: block.len(),
         });
     }
-    im2col_scatter(sample, c, h, w, geom, oh, ow, block, per, 0);
+    let plane = padded_plane(sample, c, h, w, geom.pad, padded);
+    im2col_scatter(plane, c, h, w, geom, oh, ow, block, per, 0);
     Ok((rows, per))
 }
 
@@ -571,14 +698,16 @@ pub fn conv2d_forward_im2col(
     // Weight matrix [OC, C*KH*KW].
     let wmat = weight.reshape(&[oc, c * kh * kw])?;
     let mut out = vec![0.0f32; n * oc * oh * ow];
-    let mut cols = Vec::new();
+    let (rows, per) = (c * kh * kw, oh * ow);
+    let mut cols = vec![0.0f32; rows * per];
+    let mut padded = Vec::new();
     let bd = bias.data();
     let sample_len = c * h * w;
-    let out_len = oc * oh * ow;
+    let out_len = oc * per;
 
     for ni in 0..n {
         let sample = &input.data()[ni * sample_len..(ni + 1) * sample_len];
-        let (rows, per) = im2col_slice_into(sample, c, h, w, geom, &mut cols)?;
+        im2col_block_into(sample, c, h, w, geom, &mut cols, &mut padded)?;
         let dst = &mut out[ni * out_len..(ni + 1) * out_len];
         crate::kernels::gemm(oc, rows, per, wmat.data(), &cols, dst);
         for oci in 0..oc {

@@ -14,9 +14,27 @@
 //! The tile is 6×16, the BLIS-style sgemm tile for a 16-register vector file
 //! (AVX2's `ymm0..15`): a tile row is two 8-lane vectors, so the twelve
 //! two-vector accumulators, the two vectors of the current panel row and one
-//! broadcast of `a[i][p]` fit in sixteen registers without spilling. With
-//! AVX-512 a tile row is one vector. On the engine's convolution GEMM shapes
-//! 6×16 was faster than 8×8, 12×16 and 8×32.
+//! broadcast of `a[i][p]` fit in sixteen registers without spilling. On the
+//! engine's convolution GEMM shapes 6×16 was faster than 8×8, 12×16 and
+//! 8×32.
+//!
+//! The native build (`target-cpu=native`) runs 256-bit vectors, not 512-bit
+//! ones, even on an AVX-512 host: LLVM prefers 256-bit vectors for such CPUs.
+//! On an AVX-512 Xeon, `objdump -d perfbench/target/release/perfbench`
+//! showed 231 packed `vmulps`/`vaddps` on `ymm` registers, 59 on `xmm` and
+//! none on `zmm`, and native and `x86-64-v3` builds measured the same GEMM
+//! GFLOP/s.
+//!
+//! # Full-width panels
+//!
+//! A panel is full width when `NR` output columns remain (`nr == NR`), which
+//! is every panel but the last of a ragged `n`. There, `pack_panel` and
+//! `pack_panel_t` write each panel row, and the micro-kernel stores each
+//! tile row, as one fixed `[f32; NR]` array. A `copy_from_slice` of runtime
+//! length compiles to a `memcpy` call, and on small-`k` products (a
+//! convolution's input gradient has `k` = output channels) those calls cost
+//! as much as the arithmetic. Edge panels copy `nr` columns and zero the
+//! rest.
 //!
 //! # Bit-identity contract
 //!
@@ -40,8 +58,7 @@
 
 /// Rows per register tile (live accumulator rows in the micro-kernel).
 pub const MR: usize = 6;
-/// Columns per register tile (two AVX2 vectors, or one AVX-512 vector, of
-/// `f32` per row).
+/// Columns per register tile: two 256-bit vectors of `f32` per row.
 pub const NR: usize = 16;
 
 /// First lane at which `a` and `b` break the bit-identity contract, or `None`
@@ -90,15 +107,35 @@ fn kernel<const M: usize>(
             }
         }
     }
-    for r in 0..M {
-        out[r * ldc..r * ldc + nr].copy_from_slice(&acc[r][..nr]);
+    if nr == NR {
+        // A full-width tile row is one fixed-size store, not a copy call.
+        for (r, row) in acc.iter().enumerate() {
+            let dst: &mut [f32; NR] = (&mut out[r * ldc..r * ldc + NR])
+                .try_into()
+                .expect("NR-wide tile row");
+            *dst = *row;
+        }
+    } else {
+        for (r, row) in acc.iter().enumerate() {
+            out[r * ldc..r * ldc + nr].copy_from_slice(&row[..nr]);
+        }
     }
 }
 
 /// Pack columns `j0 .. j0+nr` of a row-major `[k, n]` matrix into a `[k × NR]`
 /// panel; panel columns past `nr` are zeroed so edge tiles read defined data.
 fn pack_panel(b: &[f32], n: usize, j0: usize, nr: usize, panel: &mut [f32]) {
-    for (brow, dst) in b.chunks_exact(n).zip(panel.chunks_exact_mut(NR)) {
+    let rows = b.chunks_exact(n).zip(panel.chunks_exact_mut(NR));
+    if nr == NR {
+        // Full-width panel: each row is one fixed `[f32; NR]` move.
+        for (brow, dst) in rows {
+            let src: &[f32; NR] = brow[j0..j0 + NR].try_into().expect("NR-wide run");
+            let dst: &mut [f32; NR] = dst.try_into().expect("NR-wide panel row");
+            *dst = *src;
+        }
+        return;
+    }
+    for (brow, dst) in rows {
         dst[..nr].copy_from_slice(&brow[j0..j0 + nr]);
         for v in &mut dst[nr..] {
             *v = 0.0;
@@ -110,6 +147,16 @@ fn pack_panel(b: &[f32], n: usize, j0: usize, nr: usize, panel: &mut [f32]) {
 /// `[k × NR]` panel (panel entry `(p, c)` = `b[j0+c][p]`); columns past `nr`
 /// are zeroed.
 fn pack_panel_t(b: &[f32], k: usize, j0: usize, nr: usize, panel: &mut [f32]) {
+    if nr == NR {
+        // Full-width panel: gather each panel row from the NR source rows and
+        // store it as one fixed `[f32; NR]` array.
+        let srcs: [&[f32]; NR] = std::array::from_fn(|c| &b[(j0 + c) * k..(j0 + c) * k + k]);
+        for (p, dst) in panel.chunks_exact_mut(NR).take(k).enumerate() {
+            let dst: &mut [f32; NR] = dst.try_into().expect("NR-wide panel row");
+            *dst = std::array::from_fn(|c| srcs[c][p]);
+        }
+        return;
+    }
     for c in 0..nr {
         let brow = &b[(j0 + c) * k..(j0 + c) * k + k];
         for (p, &v) in brow.iter().enumerate() {

@@ -1,13 +1,15 @@
 //! Oracle tests for the im2col / col2im lowering kernels.
 //!
-//! The kernels in `dnnip_tensor::conv` copy each tap's valid run of output
-//! columns at once instead of testing the padding bounds per element. The
-//! per-element loops they replaced live on here as naive references, and the
-//! proptests below require **bit** equality against them (in the sense of
-//! `kernels::bit_mismatch`: a NaN's sign and payload are free) over
-//! kernels 1–5, strides 1–3 and paddings 0–3 (padding at or beyond the kernel
-//! included), spatial sizes smaller than the kernel wherever the geometry is
-//! valid, and data salted with NaN, ±Inf and ±0.0.
+//! The kernels in `dnnip_tensor::conv` lower from a zero-padded copy of the
+//! sample in whole-width runs and build col2im's input gradient
+//! destination-major, in fixed 8-lane chunks, instead of testing the padding
+//! bounds per element. The per-element loops live on here as naive
+//! references, and the proptests below require **bit** equality against them
+//! (in the sense of `kernels::bit_mismatch`: a NaN's sign and payload are
+//! free) over kernels 1–5, strides 1–3 and paddings 0–3 (padding at or beyond
+//! the kernel included), spatial sizes 1–18 (so rows of whole 8-lane chunks,
+//! ragged tails and sizes smaller than the kernel all occur wherever the
+//! geometry is valid), and data salted with NaN, ±Inf and ±0.0.
 
 mod common;
 
@@ -84,7 +86,7 @@ proptest! {
     #[test]
     fn im2col_kernels_match_the_per_element_reference(
         kh in 1usize..6, kw in 1usize..6, stride in 1usize..4, pad in 0usize..4,
-        c in 1usize..4, h in 1usize..9, w in 1usize..9, n in 1usize..4, seed in 0u64..1_000_000
+        c in 1usize..4, h in 1usize..19, w in 1usize..19, n in 1usize..4, seed in 0u64..1_000_000
     ) {
         let geom = Conv2dGeometry { kh, kw, stride, pad };
         let data = salted(n * c * h * w, seed);
@@ -96,7 +98,7 @@ proptest! {
             prop_assert!(im2col_batch(&input, geom).is_err());
             let mut block = vec![0.0f32; 1];
             let sample = &data[..sample_len];
-            prop_assert!(im2col_block_into(sample, c, h, w, geom, &mut block).is_err());
+            prop_assert!(im2col_block_into(sample, c, h, w, geom, &mut block, &mut Vec::new()).is_err());
             return Ok(());
         };
         let (rows, per) = (c * kh * kw, oh * ow);
@@ -105,9 +107,11 @@ proptest! {
         for s in 0..n {
             let sample = &data[s * sample_len..(s + 1) * sample_len];
             let reference = im2col_reference(sample, c, h, w, geom);
-            // A NaN-filled block proves every entry is written, padding included.
+            // A NaN-filled block proves every entry is written, padding
+            // included; a dirty padded-plane buffer, that its border is.
             let mut block = vec![f32::NAN; rows * per];
-            let dims = im2col_block_into(sample, c, h, w, geom, &mut block).unwrap();
+            let mut padded = vec![f32::NAN; 7];
+            let dims = im2col_block_into(sample, c, h, w, geom, &mut block, &mut padded).unwrap();
             prop_assert_eq!(dims, (rows, per));
             prop_assert_eq!(bit_mismatch(&block, &reference), None);
             for r in 0..rows {
@@ -120,7 +124,7 @@ proptest! {
     #[test]
     fn col2im_matches_the_per_element_reference(
         kh in 1usize..6, kw in 1usize..6, stride in 1usize..4, pad in 0usize..4,
-        c in 1usize..4, h in 1usize..9, w in 1usize..9, seed in 0u64..1_000_000
+        c in 1usize..4, h in 1usize..19, w in 1usize..19, seed in 0u64..1_000_000
     ) {
         let geom = Conv2dGeometry { kh, kw, stride, pad };
         let Ok((oh, ow)) = geom.output_hw(h, w) else {
