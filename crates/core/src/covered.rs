@@ -537,20 +537,23 @@ impl CoveredSet {
                 _ => return None,
             };
             // Re-canonicalize: tolerate non-canonical but valid payloads, and
-            // honor the escape hatch for the in-memory form.
-            let block = if compress {
-                match block {
-                    b @ (Block::Empty | Block::Full) => b,
+            // honor the escape hatch for the in-memory form. A block already
+            // in its canonical form is kept as decoded.
+            let block = match block {
+                b @ (Block::Empty | Block::Full) if compress => b,
+                Block::Sparse(idx)
+                    if compress
+                        && !idx.is_empty()
+                        && idx.len() <= SPARSE_MAX.min(block_len - 1) =>
+                {
                     Block::Sparse(idx)
-                        if !idx.is_empty() && idx.len() <= SPARSE_MAX.min(block_len - 1) =>
-                    {
-                        Block::Sparse(idx)
-                    }
-                    other => canonical_block(&block_to_words(&other, block_len), block_len, true),
                 }
-            } else {
-                let words = block_to_words(&block, block_len);
-                canonical_block(&words, block_len, false)
+                b @ Block::Dense { ones, .. }
+                    if !compress || (SPARSE_MAX < ones as usize && (ones as usize) < block_len) =>
+                {
+                    b
+                }
+                other => canonical_block(&block_to_words(&other, block_len), block_len, compress),
             };
             blocks.push(block);
         }

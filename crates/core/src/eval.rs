@@ -45,6 +45,7 @@ use crate::covered::CoveredSet;
 use crate::criterion::{criterion_digest, CoverageCriterion};
 use crate::gradgen::{GradGenConfig, GradientGenerator};
 use crate::persist::{DiskStats, DiskTier};
+use crate::select::SelectionSlot;
 use crate::{CoreError, Result};
 
 /// Default LRU byte budget of an evaluator's covered-unit-set cache (64 MiB —
@@ -824,7 +825,7 @@ impl<V: CacheValue> ContentCache<V> {
 
 /// The splitmix64 finalizer: a cheap bijective mixer with full avalanche.
 #[inline]
-fn mix64(mut x: u64) -> u64 {
+pub(crate) fn mix64(mut x: u64) -> u64 {
     x ^= x >> 30;
     x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x ^= x >> 27;
@@ -933,8 +934,9 @@ const FORWARD_OUTPUT_LABEL: &str = "forward-output";
 /// The evaluator owns a [`CoverageAnalyzer`] (which owns the shared
 /// [`dnnip_nn::batch::BatchGradientEngine`] and the
 /// [`crate::criterion::CoverageCriterion`]), the network's
-/// [`NetworkFingerprint`], a [`CoveredSetCache`] and a golden forward-output
-/// cache. Every generation strategy behind
+/// [`NetworkFingerprint`], a [`CoveredSetCache`], a golden forward-output
+/// cache and its last greedy selection, suspended for the next budget over
+/// the same pool. Every generation strategy behind
 /// [`crate::workspace::Workspace::run`] and the protocol's vendor side take
 /// an `&Evaluator`, so repeated sweeps over
 /// overlapping sample pools (Fig. 3 budgets, Table II/III prefixes) pay for
@@ -959,6 +961,9 @@ struct EvalInner {
     criterion_key: u64,
     cache: Arc<CoveredSetCache>,
     output_cache: Arc<ContentCache<Tensor>>,
+    /// The last greedy selection, suspended for the next budget over the
+    /// same pool.
+    selection: SelectionSlot,
 }
 
 impl Evaluator {
@@ -1052,6 +1057,7 @@ impl Evaluator {
                 criterion_key,
                 cache,
                 output_cache,
+                selection: SelectionSlot::default(),
             }),
         }
     }
@@ -1176,6 +1182,23 @@ impl Evaluator {
             self.criterion().id(),
             |misses| Ok(compress(self.inner.analyzer.activation_sets(misses)?)),
         )
+    }
+
+    /// The first `budget` picks of Algorithm 1's greedy selection over
+    /// `sets` (this evaluator's covered sets of a candidate pool): exactly
+    /// [`crate::select::greedy_select_covered`]'s, resumed from this
+    /// evaluator's last selection when `sets` is the same pool of cached
+    /// handles (see [`SelectionSlot`]).
+    ///
+    /// # Errors
+    ///
+    /// Same error conditions as [`crate::select::greedy_select_covered`].
+    pub(crate) fn greedy_select(
+        &self,
+        sets: &[Arc<CoveredSet>],
+        budget: usize,
+    ) -> Result<Vec<usize>> {
+        self.inner.selection.select(sets, self.num_units(), budget)
     }
 
     /// The covered-unit set of a single input (cache-aware).

@@ -15,7 +15,6 @@ use rand::SeedableRng;
 use crate::combined::{generate_combined, TestSource};
 use crate::covered::CoveredSet;
 use crate::eval::Evaluator;
-use crate::select::greedy_select_covered;
 use crate::workspace::TestGenRequest;
 use crate::{CoreError, Result};
 
@@ -185,7 +184,7 @@ pub(crate) fn generate_tests(
                 return Err(CoreError::EmptyCandidatePool);
             }
             let sets = selector.activation_sets(pool)?;
-            from_pool(greedy_select_covered(&sets, selector.num_units(), budget)?.selected)
+            from_pool(selector.greedy_select(&sets, budget)?)
         }
         GenerationMethod::GradientBased => evaluator
             .gradient_generator(request.gradgen)

@@ -9,10 +9,18 @@
 //! Algorithm 1 (the marginal-gain function is submodular, so stale upper
 //! bounds are safe). [`greedy_select_naive`] is that double loop, kept as the
 //! test oracle.
+//!
+//! **Prefix stability.** The loop's state evolves the same way whatever the
+//! budget is, until no candidate adds coverage: the budget only decides when
+//! it stops. So the selection at budget `b` is the first `b` picks of the
+//! selection at any larger budget. A Fig. 3 sweep runs several budgets over
+//! one pool, and an [`crate::eval::Evaluator`] keeps its last selection
+//! suspended: the next budget over the same pool resumes it, or returns a
+//! prefix of it, instead of starting from an empty union.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
 
 use crate::bitset::Bitset;
 use crate::covered::CoveredSet;
@@ -58,69 +66,169 @@ pub fn greedy_select_covered(
     num_units: usize,
     max_tests: usize,
 ) -> Result<SelectionResult> {
-    if sets.is_empty() {
-        return Err(CoreError::EmptyCandidatePool);
-    }
-    if num_units == 0 {
-        return Err(CoreError::InvalidConfig {
-            reason: "criterion has no coverable units".to_string(),
-        });
-    }
-    if let Some(bad) = sets.iter().find(|s| s.len() != num_units) {
-        return Err(CoreError::InvalidConfig {
-            reason: format!(
-                "covered-unit set length {} does not match unit count {num_units}",
-                bad.len()
-            ),
-        });
+    let mut greedy = LazyGreedy::start(sets, num_units)?;
+    greedy.extend_to(sets, max_tests);
+    Ok(SelectionResult {
+        selected: greedy.selected,
+        coverage_curve: greedy.curve,
+        covered: greedy.covered.to_bitset(),
+    })
+}
+
+/// The lazy-greedy loop of [`greedy_select_covered`], suspendable between
+/// budgets. It holds no sets: every call passes the pool it started on.
+#[derive(Debug)]
+struct LazyGreedy {
+    num_units: usize,
+    /// Union of the selected candidates' sets.
+    covered: CoveredSet,
+    /// Running cardinality of `covered`: a fresh bound IS the exact marginal
+    /// gain of the accepted candidate, so the union's popcount is tracked by
+    /// integer addition instead of re-scanning every word each round.
+    covered_count: usize,
+    /// Heap of (upper-bound gain, candidate, round the bound was computed
+    /// in). Gains only shrink as `covered` grows, so a bound computed in an
+    /// earlier round is still an upper bound now.
+    heap: BinaryHeap<(usize, Reverse<usize>, usize)>,
+    round: usize,
+    taken: Vec<bool>,
+    selected: Vec<usize>,
+    curve: Vec<f32>,
+    /// No remaining candidate adds coverage: the selection is final.
+    exhausted: bool,
+}
+
+impl LazyGreedy {
+    /// An empty selection over `sets`.
+    fn start(sets: &[Arc<CoveredSet>], num_units: usize) -> Result<Self> {
+        if sets.is_empty() {
+            return Err(CoreError::EmptyCandidatePool);
+        }
+        if num_units == 0 {
+            return Err(CoreError::InvalidConfig {
+                reason: "criterion has no coverable units".to_string(),
+            });
+        }
+        if let Some(bad) = sets.iter().find(|s| s.len() != num_units) {
+            return Err(CoreError::InvalidConfig {
+                reason: format!(
+                    "covered-unit set length {} does not match unit count {num_units}",
+                    bad.len()
+                ),
+            });
+        }
+        Ok(Self {
+            num_units,
+            covered: CoveredSet::new(num_units),
+            covered_count: 0,
+            heap: sets
+                .iter()
+                .enumerate()
+                .map(|(i, s)| (s.count_ones(), Reverse(i), 0usize))
+                .collect(),
+            round: 0,
+            taken: vec![false; sets.len()],
+            selected: Vec::new(),
+            curve: Vec::new(),
+            exhausted: false,
+        })
     }
 
-    let mut covered = CoveredSet::new(num_units);
-    let mut result = SelectionResult::default();
-    // Running cardinality of `covered`: a fresh bound IS the exact marginal
-    // gain of the accepted candidate, so the union's popcount is tracked by
-    // integer addition instead of re-scanning every word each round.
-    let mut covered_count = 0usize;
-    // Lazy greedy: heap of (upper-bound gain, candidate, round the bound was
-    // computed in). Gains only shrink as `covered` grows, so a bound computed in
-    // an earlier round is still an upper bound now.
-    let mut heap: BinaryHeap<(usize, Reverse<usize>, usize)> = sets
-        .iter()
-        .enumerate()
-        .map(|(i, s)| (s.count_ones(), Reverse(i), 0usize))
-        .collect();
-    let mut round = 0usize;
-    let mut taken = vec![false; sets.len()];
+    /// Select until `max_tests` candidates are selected or none adds
+    /// coverage. `sets` must be the pool the selection started on.
+    fn extend_to(&mut self, sets: &[Arc<CoveredSet>], max_tests: usize) {
+        debug_assert_eq!(sets.len(), self.taken.len());
+        while !self.exhausted && self.selected.len() < max_tests {
+            let Some((bound, Reverse(candidate), computed_round)) = self.heap.pop() else {
+                self.exhausted = true;
+                break;
+            };
+            if self.taken[candidate] {
+                continue;
+            }
+            if bound == 0 {
+                // Best possible gain is zero: every remaining candidate is redundant.
+                self.exhausted = true;
+                break;
+            }
+            if computed_round == self.round {
+                // The bound is fresh: this candidate really is the arg-max.
+                self.covered.union_with(&sets[candidate]);
+                self.covered_count += bound;
+                self.taken[candidate] = true;
+                self.selected.push(candidate);
+                self.curve
+                    .push(self.covered_count as f32 / self.num_units as f32);
+                self.round += 1;
+            } else {
+                // Stale bound: recompute against the current covered set and re-queue.
+                let gain = self.covered.union_gain(&sets[candidate]);
+                self.heap.push((gain, Reverse(candidate), self.round));
+            }
+        }
+    }
+}
 
-    while result.selected.len() < max_tests {
-        let Some((bound, Reverse(candidate), computed_round)) = heap.pop() else {
-            break;
+/// One suspended selection and the pool it ran over: an [`crate::eval::Evaluator`]'s
+/// memory of its last selection, so a budget sweep over one pool resumes
+/// instead of starting again.
+///
+/// The pool is identified by the addresses of its cached set handles, held
+/// as [`Weak`]s: the slot never keeps an evicted set alive, and an address a
+/// `Weak` still points at is never reused by another allocation. A set that
+/// was evicted and reloaded gets a new handle, so its pool starts afresh.
+#[derive(Debug, Default)]
+pub(crate) struct SelectionSlot {
+    /// Holds nothing or a complete state, so a poisoned lock is safe to reuse.
+    suspended: Mutex<Option<(Vec<Weak<CoveredSet>>, LazyGreedy)>>,
+}
+
+impl SelectionSlot {
+    /// The first `budget` picks of the greedy selection over `sets`: exactly
+    /// [`greedy_select_covered`]'s `selected`, resumed from the suspended
+    /// state when `sets` holds the same handles in the same order.
+    ///
+    /// The state is taken out of the slot, extended without holding the lock
+    /// and put back, so concurrent selections never wait on each other (the
+    /// last one to finish is the one kept).
+    ///
+    /// # Errors
+    ///
+    /// Same error conditions as [`greedy_select_covered`].
+    pub(crate) fn select(
+        &self,
+        sets: &[Arc<CoveredSet>],
+        num_units: usize,
+        budget: usize,
+    ) -> Result<Vec<usize>> {
+        let same_pool = |pool: &[Weak<CoveredSet>]| {
+            pool.len() == sets.len()
+                && pool
+                    .iter()
+                    .zip(sets)
+                    .all(|(w, s)| std::ptr::eq(w.as_ptr(), Arc::as_ptr(s)))
         };
-        if taken[candidate] {
-            continue;
-        }
-        if bound == 0 {
-            // Best possible gain is zero: every remaining candidate is redundant.
-            break;
-        }
-        if computed_round == round {
-            // The bound is fresh: this candidate really is the arg-max.
-            covered.union_with(&sets[candidate]);
-            covered_count += bound;
-            taken[candidate] = true;
-            result.selected.push(candidate);
-            result
-                .coverage_curve
-                .push(covered_count as f32 / num_units as f32);
-            round += 1;
-        } else {
-            // Stale bound: recompute against the current covered set and re-queue.
-            let gain = covered.union_gain(&sets[candidate]);
-            heap.push((gain, Reverse(candidate), round));
-        }
+        let suspended = self.lock().take();
+        let (pool, mut greedy) = match suspended {
+            Some((pool, greedy)) if greedy.num_units == num_units && same_pool(&pool) => {
+                (pool, greedy)
+            }
+            _ => (
+                sets.iter().map(Arc::downgrade).collect(),
+                LazyGreedy::start(sets, num_units)?,
+            ),
+        };
+        greedy.extend_to(sets, budget);
+        let picks = greedy.selected[..budget.min(greedy.selected.len())].to_vec();
+        *self.lock() = Some((pool, greedy));
+        Ok(picks)
     }
-    result.covered = covered.to_bitset();
-    Ok(result)
+
+    fn lock(&self) -> MutexGuard<'_, Option<(Vec<Weak<CoveredSet>>, LazyGreedy)>> {
+        self.suspended
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// Reference implementation of Algorithm 1 exactly as written in the paper
@@ -195,13 +303,15 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
+    fn handles(sets: &[Bitset]) -> Vec<Arc<CoveredSet>> {
+        sets.iter()
+            .map(|b| Arc::new(CoveredSet::from_bitset(b)))
+            .collect()
+    }
+
     /// [`greedy_select_covered`] over dense sets.
     fn lazy(sets: &[Bitset], num_units: usize, max_tests: usize) -> Result<SelectionResult> {
-        let sets: Vec<Arc<CoveredSet>> = sets
-            .iter()
-            .map(|b| Arc::new(CoveredSet::from_bitset(b)))
-            .collect();
-        greedy_select_covered(&sets, num_units, max_tests)
+        greedy_select_covered(&handles(sets), num_units, max_tests)
     }
 
     fn random_sets(n: usize, bits: usize, density: f64, seed: u64) -> Vec<Bitset> {
@@ -285,6 +395,62 @@ mod tests {
         let mismatched = vec![Bitset::new(10), Bitset::new(20)];
         assert!(lazy(&mismatched, 10, 5).is_err());
         assert!(greedy_select_naive(&[], 10, 5).is_err());
+    }
+
+    #[test]
+    fn a_suspended_selection_resumes_to_the_fresh_one() {
+        let dense = random_sets(40, 256, 0.06, 11);
+        let sets = handles(&dense);
+        let slot = SelectionSlot::default();
+        for budget in [1, 5, 3, 12, 40, 2] {
+            let fresh = greedy_select_naive(&dense, 256, budget).unwrap().selected;
+            assert_eq!(
+                slot.select(&sets, 256, budget).unwrap(),
+                fresh,
+                "budget {budget}"
+            );
+        }
+        // The same sets under new handles (a reloaded pool) start afresh and
+        // agree too; a pool with a different order is a different pool.
+        let reloaded = handles(&dense);
+        let fresh = greedy_select_naive(&dense, 256, 7).unwrap().selected;
+        assert_eq!(slot.select(&reloaded, 256, 7).unwrap(), fresh);
+        let mut reversed_dense = dense.clone();
+        reversed_dense.reverse();
+        let reversed: Vec<Arc<CoveredSet>> = sets.iter().rev().cloned().collect();
+        let fresh = greedy_select_naive(&reversed_dense, 256, 7)
+            .unwrap()
+            .selected;
+        assert_eq!(slot.select(&reversed, 256, 7).unwrap(), fresh);
+        assert!(matches!(
+            slot.select(&[], 256, 3),
+            Err(CoreError::EmptyCandidatePool)
+        ));
+        assert!(slot.select(&sets, 255, 3).is_err(), "wrong unit count");
+    }
+
+    #[test]
+    fn a_poisoned_selection_slot_still_selects_correctly() {
+        let dense = random_sets(30, 200, 0.08, 5);
+        let sets = handles(&dense);
+        let slot = SelectionSlot::default();
+        slot.select(&sets, 200, 4).unwrap();
+        std::thread::scope(|scope| {
+            let poisoner = scope.spawn(|| {
+                let _held = slot.suspended.lock().unwrap();
+                panic!("poisoning the selection slot");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert!(slot.suspended.is_poisoned());
+        for budget in [9, 2] {
+            let fresh = greedy_select_naive(&dense, 200, budget).unwrap().selected;
+            assert_eq!(
+                slot.select(&sets, 200, budget).unwrap(),
+                fresh,
+                "budget {budget}"
+            );
+        }
     }
 
     #[test]

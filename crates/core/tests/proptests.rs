@@ -9,11 +9,14 @@ use dnnip_core::criterion::{
     TopKNeuron,
 };
 use dnnip_core::eval::Evaluator;
+use dnnip_core::generator::GenerationMethod;
 use dnnip_core::protocol::FunctionalTestSuite;
 use dnnip_core::select::{greedy_select_covered, greedy_select_naive, SelectionResult};
+use dnnip_core::workspace::{TestGenReport, TestGenRequest, Workspace, WorkspaceConfig};
 use dnnip_faults::detection::MatchPolicy;
+use dnnip_nn::batch::BatchGradientEngine;
 use dnnip_nn::layers::Activation;
-use dnnip_nn::zoo;
+use dnnip_nn::{zoo, Network};
 use dnnip_tensor::Tensor;
 use proptest::prelude::*;
 
@@ -48,19 +51,81 @@ fn bitset_family() -> impl Strategy<Value = (usize, Vec<Vec<usize>>)> {
 /// 4096-bit block boundary, and member sets spanning the density spectrum
 /// (empty, sparse, dense, all-ones — every `CoveredSet` block variant).
 fn covered_family() -> impl Strategy<Value = (usize, Vec<Vec<usize>>)> {
-    prop_oneof![1usize..90, 4090usize..4110, 8185usize..8205, 500usize..3000,].prop_flat_map(
-        |len| {
-            let member = prop_oneof![
-                // Sparse: well under the per-block sparse threshold.
-                prop::collection::vec(0..len, 0..24),
-                // Dense: enough positions to exceed the sparse threshold per block.
-                prop::collection::vec(0..len, 0..len.min(1600)),
-                // Full: every position, canonicalizing to Full blocks.
-                Just((0..len).collect::<Vec<usize>>()),
-            ];
-            (Just(len), prop::collection::vec(member, 1..6))
-        },
-    )
+    covered_len().prop_flat_map(|len| (Just(len), prop::collection::vec(covered_member(len), 1..6)))
+}
+
+/// [`covered_family`]'s lengths.
+fn covered_len() -> impl Strategy<Value = usize> {
+    prop_oneof![1usize..90, 4090usize..4110, 8185usize..8205, 500usize..3000,]
+}
+
+/// One of [`covered_family`]'s member sets over `len` positions.
+fn covered_member(len: usize) -> impl Strategy<Value = Vec<usize>> {
+    prop_oneof![
+        // Sparse: well under the per-block sparse threshold.
+        prop::collection::vec(0..len, 0..24),
+        // Dense: enough positions to exceed the sparse threshold per block.
+        prop::collection::vec(0..len, 0..len.min(1600)),
+        // Full: every position, canonicalizing to Full blocks.
+        Just((0..len).collect::<Vec<usize>>()),
+    ]
+}
+
+/// Candidate pools for budget sweeps: [`covered_member`]'s sets, weighted
+/// towards sparse ones so that most selections run many rounds before no
+/// candidate adds coverage.
+fn sweep_pool() -> impl Strategy<Value = (usize, Vec<Vec<usize>>)> {
+    covered_len().prop_flat_map(|len| {
+        let sparse = || prop::collection::vec(0..len, 0..24);
+        let member = prop_oneof![
+            sparse(),
+            sparse(),
+            sparse(),
+            sparse(),
+            sparse(),
+            covered_member(len)
+        ];
+        (Just(len), prop::collection::vec(member, 1..32))
+    })
+}
+
+/// A criterion that looks its covered sets up in a table: the one-element
+/// sample `[i]` covers `table[i]`. It drives any family of sets through a
+/// workspace's evaluator, cache and selection.
+#[derive(Debug)]
+struct TableCriterion {
+    len: usize,
+    table: Vec<Bitset>,
+}
+
+impl CoverageCriterion for TableCriterion {
+    fn id(&self) -> &'static str {
+        "test-table"
+    }
+
+    fn config_digest(&self) -> u64 {
+        0x7ab1e
+    }
+
+    fn num_units(&self, _network: &Network) -> usize {
+        self.len
+    }
+
+    fn covered_units(
+        &self,
+        _engine: &BatchGradientEngine,
+        chunk: &[Tensor],
+    ) -> dnnip_core::Result<Vec<Bitset>> {
+        Ok(chunk
+            .iter()
+            .map(|sample| self.table[sample.data()[0] as usize].clone())
+            .collect())
+    }
+}
+
+/// Coverage-curve bits, so curves compare exactly.
+fn curve_bits(curve: &[f32]) -> Vec<u32> {
+    curve.iter().map(|c| c.to_bits()).collect()
 }
 
 proptest! {
@@ -456,6 +521,75 @@ proptest! {
                 padded.push(0);
                 prop_assert!(CoveredSet::decode_bytes(&padded).is_none());
             }
+            // Decoding keeps canonical block forms as they were encoded:
+            // re-encoding a compressed set's decoded copy gives its bytes.
+            if dnnip_core::covered::compress_enabled() {
+                let mut bytes = Vec::new();
+                CoveredSet::from_bitset_compressed(&dense).encode_into(&mut bytes);
+                let mut again = Vec::new();
+                CoveredSet::decode_bytes(&bytes).unwrap().encode_into(&mut again);
+                prop_assert_eq!(again, bytes);
+            }
+        }
+    }
+
+    #[test]
+    fn budget_sweep_resumes_to_fresh_selections(
+        (len, families) in sweep_pool(),
+        budget_fractions in prop::collection::vec(0usize..1000, 1..12),
+        evicting in 0u8..2,
+    ) {
+        // Pool A is the table in order, pool B the same sets reversed: the
+        // same handles in another order, which must not resume A's selection.
+        let table: Vec<Bitset> = families.iter().map(|f| bitset_from_indices(len, f)).collect();
+        // Budgets from 1 to two past the length of the full selection:
+        // ascending, descending and repeated steps, and budgets past the
+        // point where no candidate adds coverage.
+        let full = greedy_select_naive(&table, len, table.len()).unwrap().selected.len();
+        let budgets: Vec<usize> = budget_fractions
+            .iter()
+            .map(|f| 1 + f * (full + 2) / 1000)
+            .collect();
+        let sample = |i: usize| Tensor::from_vec(vec![i as f32], &[1]).unwrap();
+        let pool_a: Vec<usize> = (0..table.len()).collect();
+        let pool_b: Vec<usize> = pool_a.iter().rev().copied().collect();
+        // An evicting cache holds about half the pool, so sets are dropped
+        // and recomputed (new handles) between calls.
+        let cache_bytes = if evicting == 1 {
+            let bytes: usize = table
+                .iter()
+                .map(|b| CoveredSet::from_bitset(b).resident_bytes() + 96)
+                .sum();
+            (bytes / 2).max(1)
+        } else {
+            WorkspaceConfig::default().cache_bytes
+        };
+        let ws = Workspace::with_config(WorkspaceConfig {
+            cache_bytes,
+            ..WorkspaceConfig::default()
+        });
+        let model = ws.register(
+            "table",
+            zoo::tiny_mlp(1, 2, 2, Activation::Relu, 3).unwrap(),
+            CoverageConfig::default(),
+        );
+        let criterion = std::sync::Arc::new(TableCriterion { len, table: table.clone() });
+        for pool in [&pool_a, &pool_b, &pool_a] {
+            let candidates: Vec<Tensor> = pool.iter().map(|&i| sample(i)).collect();
+            let sets: Vec<Bitset> = pool.iter().map(|&i| table[i].clone()).collect();
+            for &budget in &budgets {
+                let request =
+                    TestGenRequest::new(model, GenerationMethod::TrainingSetSelection, budget)
+                        .with_criterion(criterion.clone())
+                        .with_candidates(candidates.clone());
+                let report = ws.run(&request).unwrap();
+                let fresh = greedy_select_naive(&sets, len, budget).unwrap();
+                prop_assert_eq!(&report.selected_indices(), &fresh.selected, "budget {}", budget);
+                prop_assert_eq!(
+                    curve_bits(&report.tests.coverage_curve),
+                    curve_bits(&fresh.coverage_curve)
+                );
+            }
         }
     }
 
@@ -478,6 +612,54 @@ proptest! {
                 covered_result.coverage_curve.iter().map(|f| f.to_bits()).collect();
             prop_assert_eq!(covered_bits, dense_bits);
             prop_assert_eq!(&covered_result.covered, &dense_result.covered);
+        }
+    }
+}
+
+/// One model's Fig. 3 sweep requests: the paper's budgets, plus one past
+/// the pool size, under Algorithm 1 and the neuron-coverage baseline.
+fn fig3_requests(ws: &Workspace, seed: u64, pool: &[Tensor]) -> Vec<TestGenRequest> {
+    let network = zoo::tiny_mlp(6, 32, 4, Activation::Relu, seed).unwrap();
+    let model = ws.register("fig3", network, CoverageConfig::default());
+    [
+        GenerationMethod::TrainingSetSelection,
+        GenerationMethod::NeuronCoverageBaseline,
+    ]
+    .into_iter()
+    .flat_map(|method| {
+        [1usize, 5, 10, 20, 30, 50]
+            .map(|budget| TestGenRequest::new(model, method, budget).with_candidates(pool.to_vec()))
+    })
+    .collect()
+}
+
+/// Selected indices and coverage-curve bits of a report.
+fn outcome(report: &TestGenReport) -> (Vec<usize>, Vec<u32>) {
+    (
+        report.selected_indices(),
+        curve_bits(&report.tests.coverage_curve),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    #[test]
+    fn budget_sweep_in_one_workspace_equals_fresh_workspaces(seed in 0u64..1000) {
+        let pool: Vec<Tensor> = (0..60)
+            .map(|i| {
+                Tensor::from_fn(&[6], |j| ((seed as usize * 13 + i * 7 + j) as f32 * 0.37).sin())
+            })
+            .collect();
+        let ws = Workspace::new();
+        for request in fig3_requests(&ws, seed, &pool) {
+            let swept = outcome(&ws.run(&request).unwrap());
+            let fresh_ws = Workspace::new();
+            let fresh = fig3_requests(&fresh_ws, seed, &pool)
+                .into_iter()
+                .find(|r| r.strategy == request.strategy && r.budget == request.budget)
+                .unwrap();
+            prop_assert_eq!(swept, outcome(&fresh_ws.run(&fresh).unwrap()), "budget {}", request.budget);
         }
     }
 }
