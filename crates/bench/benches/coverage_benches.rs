@@ -4,7 +4,6 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use dnnip_core::bitset::Bitset;
 use dnnip_core::coverage::{CoverageAnalyzer, CoverageConfig};
-use dnnip_core::covered::CoveredSet;
 use dnnip_core::select::{greedy_select_covered, greedy_select_naive};
 use dnnip_nn::layers::Activation;
 use dnnip_nn::zoo;
@@ -52,14 +51,11 @@ fn random_sets(n: usize, bits: usize, density: f64, seed: u64) -> Vec<Bitset> {
 fn bench_greedy_selection(c: &mut Criterion) {
     // Ablation: lazy (CELF) greedy vs the paper's naive Algorithm 1 loop.
     let sets = random_sets(200, 12_000, 0.05, 7);
-    let covered: Vec<Arc<CoveredSet>> = sets
-        .iter()
-        .map(|b| Arc::new(CoveredSet::from_bitset(b)))
-        .collect();
+    let handles: Vec<Arc<Bitset>> = sets.iter().cloned().map(Arc::new).collect();
     let mut group = c.benchmark_group("greedy_select_200x12k");
     group.sample_size(10);
     group.bench_function("lazy", |bench| {
-        bench.iter(|| greedy_select_covered(black_box(&covered), 12_000, 30).unwrap())
+        bench.iter(|| greedy_select_covered(black_box(&handles), 12_000, 30).unwrap())
     });
     group.bench_function("naive", |bench| {
         bench.iter(|| greedy_select_naive(black_box(&sets), 12_000, 30).unwrap())

@@ -59,7 +59,7 @@ struct ReplayOutcome {
     errors: usize,
     timeouts: usize,
     coalesce: CoalesceSnapshot,
-    /// Final activation-set cache statistics (residency + compression).
+    /// Final activation-set cache statistics (hits, misses, residency).
     cache: CacheStats,
 }
 
@@ -254,11 +254,9 @@ fn main() {
         mixed.errors, mixed.timeouts
     );
     println!(
-        "  cache:      {} entries resident in {} bytes ({} logical, {:.2}x compression, {:.0} bytes/entry)",
+        "  cache:      {} entries resident in {} bytes ({:.0} bytes/entry)",
         mixed.cache.entries,
         mixed.cache.resident_bytes,
-        mixed.cache.logical_bytes,
-        mixed.cache.compression_ratio(),
         mixed.cache.bytes_per_entry()
     );
     if coalesce {
@@ -320,8 +318,7 @@ fn main() {
          \"p95_ms\": {:.3},\n  \"p99_ms\": {:.3},\n  \"errors\": {},\n  \
          \"timeouts\": {},\n  \"cache\": {{\n    \
          \"entries\": {},\n    \"resident_bytes\": {},\n    \
-         \"logical_bytes\": {},\n    \"bytes_per_entry\": {:.2},\n    \
-         \"compression_ratio\": {:.3}\n  }},\n  \"burst\": {{\n    \
+         \"bytes_per_entry\": {:.2}\n  }},\n  \"burst\": {{\n    \
          \"model\": \"{BURST_MODEL}\",\n    \"criterion\": \"{BURST_CRITERION}\",\n    \
          \"requests\": {burst_requests},\n    \"rounds\": {burst_rounds},\n    \"off\": {{\n      \
          \"wall_s\": {:.3},\n      \"throughput_rps\": {:.2},\n      \
@@ -340,9 +337,7 @@ fn main() {
         mixed.timeouts,
         mixed.cache.entries,
         mixed.cache.resident_bytes,
-        mixed.cache.logical_bytes,
         mixed.cache.bytes_per_entry(),
-        mixed.cache.compression_ratio(),
         burst_off.wall_s,
         burst_off.throughput_rps(),
         burst_off.p(50.0),

@@ -112,31 +112,11 @@ const EXPECTED: &[(&str, &[&str])] = &[
             "results",
         ],
     ),
-    (
-        "cache_density.json",
-        &[
-            "bench",
-            "profile",
-            "seed",
-            "pool_size",
-            "rounds",
-            "budget_bytes",
-            "dense",
-            "compressed",
-            "speedup",
-            "selection_identical",
-        ],
-    ),
 ];
 
-/// Fields every cache-stats block (in-memory tier residency + compression)
-/// must carry, wherever an artifact embeds one.
-const CACHE_STATS_KEYS: &[&str] = &[
-    "resident_bytes",
-    "logical_bytes",
-    "bytes_per_entry",
-    "compression_ratio",
-];
+/// Fields every cache-stats block (in-memory tier residency) must carry,
+/// wherever an artifact embeds one.
+const CACHE_STATS_KEYS: &[&str] = &["resident_bytes", "bytes_per_entry"];
 
 /// Per-row keys of `parallel_coverage.json`'s `results` array — the fields the
 /// CI speedup gate greps for and the oversubscription warnings derive from.
@@ -217,7 +197,7 @@ fn check_serve_load(value: &Json) -> Result<(), String> {
 }
 
 /// Deep checks for `workspace_cache.json`'s `shared_budget` block: the
-/// residency/compression fields of the shared in-memory tier are present
+/// residency fields of the shared in-memory tier are present
 /// and numeric.
 fn check_workspace_cache(value: &Json) -> Result<(), String> {
     let shared = value
@@ -232,64 +212,6 @@ fn check_workspace_cache(value: &Json) -> Result<(), String> {
         if shared.get(key).and_then(Json::as_f64).is_none() {
             return Err(format!("shared_budget: missing numeric key {key:?}"));
         }
-    }
-    Ok(())
-}
-
-/// Deep checks for `cache_density.json`: both modes carry their sweep and
-/// hit-rate numbers, the compressed mode carries the residency/compression
-/// fields, the recorded speedup clears the acceptance bar and the selection
-/// equality flag is set — a regression that slows the compressed cache or
-/// breaks bit-identity fails CI through the committed artifact.
-fn check_cache_density(value: &Json) -> Result<(), String> {
-    for side in ["dense", "compressed"] {
-        let mode = value
-            .get(side)
-            .ok_or_else(|| format!("{side:?} is missing"))?;
-        for key in ["wall_s", "sweeps_per_s", "hits", "misses", "hit_rate"] {
-            if mode.get(key).and_then(Json::as_f64).is_none() {
-                return Err(format!("{side}: missing numeric key {key:?}"));
-            }
-        }
-    }
-    let compressed = value.get("compressed").expect("checked above");
-    for key in CACHE_STATS_KEYS {
-        if compressed.get(key).and_then(Json::as_f64).is_none() {
-            return Err(format!("compressed: missing numeric key {key:?}"));
-        }
-    }
-    let ratio = compressed
-        .get("compression_ratio")
-        .and_then(Json::as_f64)
-        .expect("checked above");
-    if ratio <= 1.0 {
-        return Err(format!("compression_ratio {ratio} is not > 1"));
-    }
-    let dense_rate = value
-        .get("dense")
-        .and_then(|d| d.get("hit_rate"))
-        .and_then(Json::as_f64)
-        .expect("checked above");
-    let compressed_rate = compressed
-        .get("hit_rate")
-        .and_then(Json::as_f64)
-        .expect("checked above");
-    if compressed_rate <= dense_rate {
-        return Err(format!(
-            "compressed hit rate {compressed_rate} does not beat dense {dense_rate}"
-        ));
-    }
-    let speedup = value
-        .get("speedup")
-        .and_then(Json::as_f64)
-        .ok_or_else(|| "\"speedup\" is not numeric".to_string())?;
-    if speedup < 1.3 {
-        return Err(format!(
-            "speedup {speedup} is below the 1.3x acceptance bar"
-        ));
-    }
-    if value.get("selection_identical").and_then(Json::as_bool) != Some(true) {
-        return Err("\"selection_identical\" is not true".to_string());
     }
     Ok(())
 }
@@ -352,9 +274,6 @@ fn check_artifact(path: &Path) -> Result<(), String> {
     }
     if name == "workspace_cache.json" {
         check_workspace_cache(&value).map_err(|e| format!("{}: {e}", path.display()))?;
-    }
-    if name == "cache_density.json" {
-        check_cache_density(&value).map_err(|e| format!("{}: {e}", path.display()))?;
     }
     if name == "graph_sweep.json" {
         check_graph_sweep(&value).map_err(|e| format!("{}: {e}", path.display()))?;

@@ -186,10 +186,8 @@ fn main() {
         by_model.len()
     );
     println!(
-        "  compressed residency: {} bytes for {} logical ({:.2}x, {:.0} bytes/entry)",
+        "  residency: {} payload bytes ({:.0} bytes/entry)",
         shared.resident_bytes,
-        shared.logical_bytes,
-        shared.compression_ratio(),
         shared.bytes_per_entry()
     );
     println!(
@@ -210,15 +208,12 @@ fn main() {
     json.push_str(&format!("  \"seed\": {seed},\n"));
     json.push_str(&format!(
         "  \"shared_budget\": {{\"entries\": {}, \"bytes\": {}, \"models\": {}, \
-         \"resident_bytes\": {}, \"logical_bytes\": {}, \
-         \"bytes_per_entry\": {:.2}, \"compression_ratio\": {:.3}}},\n",
+         \"resident_bytes\": {}, \"bytes_per_entry\": {:.2}}},\n",
         shared.entries,
         shared.bytes,
         by_model.len(),
         shared.resident_bytes,
-        shared.logical_bytes,
-        shared.bytes_per_entry(),
-        shared.compression_ratio()
+        shared.bytes_per_entry()
     ));
     json.push_str(&format!(
         "  \"disk\": {{\"cold_writes\": {}, \"second_process_hits\": {}, \"second_process_misses\": {}}},\n",

@@ -5,6 +5,9 @@
 //! union of its members' bitsets — exactly Eq. 4 of the paper — so the two
 //! operations that matter are fast union and fast "how many new bits would this
 //! set contribute" queries, both implemented word-wise over `u64`s.
+//!
+//! It is the only covered-set type: criteria write it, both cache tiers store
+//! it (its words are the disk payload) and greedy selection scans it.
 
 /// A fixed-length bitset backed by `u64` words.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -168,6 +171,13 @@ impl Bitset {
         &self.words
     }
 
+    /// A copy of `bits`: the identity conversion the benchmark package still
+    /// calls by its old name. Removed by the next benchmark change.
+    #[doc(hidden)]
+    pub fn from_bitset(bits: &Bitset) -> Self {
+        bits.clone()
+    }
+
     /// Rebuild a bitset from its backing words and position count.
     ///
     /// Returns `None` when the word count does not match `len` or a bit
@@ -184,6 +194,14 @@ impl Bitset {
             }
         }
         Some(Self { words, len })
+    }
+}
+
+/// A shared handle (what the caches hand out) compares with a freshly
+/// computed set by value.
+impl PartialEq<Bitset> for std::sync::Arc<Bitset> {
+    fn eq(&self, other: &Bitset) -> bool {
+        **self == *other
     }
 }
 

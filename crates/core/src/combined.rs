@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use dnnip_tensor::Tensor;
 
-use crate::covered::CoveredSet;
+use crate::bitset::Bitset;
 use crate::eval::Evaluator;
 use crate::gradgen::{GradGenConfig, GradientGenerator};
 use crate::{CoreError, Result};
@@ -49,7 +49,7 @@ pub(crate) fn generate_combined(
     let num_units = evaluator.num_units();
     let candidate_sets = evaluator.activation_sets(candidates)?;
     let mut taken = vec![false; candidates.len()];
-    let mut covered = CoveredSet::new(num_units);
+    let mut covered = Bitset::new(num_units);
     let mut tests: Vec<Tensor> = Vec::with_capacity(max_tests);
     let mut sources: Vec<TestSource> = Vec::with_capacity(max_tests);
 
@@ -59,7 +59,7 @@ pub(crate) fn generate_combined(
     // compares against. Generating it lazily (only once Algorithm 1 starts
     // saturating would be cheaper, but the paper's rule compares benefits from
     // the start, and one batch of k gradient descents is affordable).
-    let mut pending_batch: Vec<(Tensor, usize, Arc<CoveredSet>)> = Vec::new();
+    let mut pending_batch: Vec<(Tensor, usize, Arc<Bitset>)> = Vec::new();
     let mut switched = false;
 
     while tests.len() < max_tests {
@@ -122,7 +122,7 @@ pub(crate) fn generate_combined(
 fn materialize_batch(
     generator: &mut GradientGenerator,
     evaluator: &Evaluator,
-) -> Result<Vec<(Tensor, usize, Arc<CoveredSet>)>> {
+) -> Result<Vec<(Tensor, usize, Arc<Bitset>)>> {
     let batch = generator.generate_batch()?;
     // One batched (and possibly multi-threaded) coverage pass over the whole
     // synthetic batch instead of per-input analyses.

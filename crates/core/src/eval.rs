@@ -33,7 +33,7 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 use dnnip_nn::fingerprint::NetworkFingerprint;
 use dnnip_nn::Network;
@@ -41,7 +41,6 @@ use dnnip_tensor::Tensor;
 
 use crate::bitset::Bitset;
 use crate::coverage::{CoverageAnalyzer, CoverageConfig};
-use crate::covered::CoveredSet;
 use crate::criterion::{criterion_digest, CoverageCriterion};
 use crate::gradgen::{GradGenConfig, GradientGenerator};
 use crate::persist::{DiskStats, DiskTier};
@@ -81,14 +80,6 @@ pub trait CacheValue: Clone {
     /// per-entry overhead, which the cache adds itself).
     fn resident_bytes(&self) -> usize;
 
-    /// Bytes an *uncompressed* encoding of this value would occupy. Equal to
-    /// [`CacheValue::resident_bytes`] for plain values; compressed values
-    /// (see [`CoveredSet`]) override it, and the ratio of the two is the
-    /// cache's compression ratio.
-    fn logical_bytes(&self) -> usize {
-        self.resident_bytes()
-    }
-
     /// Append the value's stable on-disk payload to `out`.
     fn encode(&self, out: &mut Vec<u8>);
 
@@ -99,6 +90,9 @@ pub trait CacheValue: Clone {
         Self: Sized;
 }
 
+/// The one covered-set payload: the length as a little-endian `u64`, then
+/// the words, little-endian. [`Bitset::from_words`] validates a decoded
+/// payload, so a stray bit past the length is a miss, not a bogus set.
 impl CacheValue for Bitset {
     const KIND: u8 = 1;
 
@@ -124,30 +118,6 @@ impl CacheValue for Bitset {
             .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
             .collect();
         Bitset::from_words(words, len)
-    }
-}
-
-impl CacheValue for CoveredSet {
-    /// Same kind tag as the dense [`Bitset`] it supersedes: both encode a
-    /// covered-unit set, and [`CoveredSet::decode_bytes`] understands the
-    /// legacy dense payload, so segments written by earlier releases still
-    /// load.
-    const KIND: u8 = 1;
-
-    fn resident_bytes(&self) -> usize {
-        self.resident_bytes()
-    }
-
-    fn logical_bytes(&self) -> usize {
-        self.logical_bytes()
-    }
-
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.encode_into(out);
-    }
-
-    fn decode(bytes: &[u8]) -> Option<Self> {
-        CoveredSet::decode_bytes(bytes)
     }
 }
 
@@ -205,9 +175,8 @@ impl CacheValue for Tensor {
 #[derive(Debug)]
 struct CacheEntry<V> {
     value: Arc<V>,
+    /// Value bytes plus the per-entry overhead.
     bytes: usize,
-    /// Dense-equivalent payload bytes ([`CacheValue::logical_bytes`]).
-    logical: usize,
     tick: u64,
     /// Criterion id the entry is attributed to in the per-criterion counters.
     criterion: &'static str,
@@ -215,8 +184,8 @@ struct CacheEntry<V> {
 
 /// One slice of the cache counters. The whole-cache slice (`total`) only uses
 /// the event counters — its entry/byte gauges are derived from the resident
-/// map at read time; the per-criterion slices maintain their gauges
-/// incrementally (attributed by each entry's criterion id).
+/// map at read time; the per-criterion and per-model slices maintain their
+/// gauges incrementally (attributed by each entry's criterion id and key).
 #[derive(Debug, Default, Clone, Copy)]
 struct Counters {
     hits: u64,
@@ -226,8 +195,33 @@ struct Counters {
     evictions: u64,
     entries: usize,
     bytes: usize,
-    resident_bytes: usize,
-    logical_bytes: usize,
+}
+
+impl Counters {
+    fn stats(&self, max_bytes: usize) -> CacheStats {
+        CacheStats {
+            hits: self.hits,
+            misses: self.misses,
+            flight_hits: self.flight_hits,
+            insertions: self.insertions,
+            evictions: self.evictions,
+            entries: self.entries,
+            bytes: self.bytes,
+            resident_bytes: self.bytes - self.entries * ENTRY_OVERHEAD_BYTES,
+            max_bytes,
+        }
+    }
+
+    fn admit(&mut self, bytes: usize) {
+        self.insertions += 1;
+        self.entries += 1;
+        self.bytes += bytes;
+    }
+
+    fn release(&mut self, bytes: usize) {
+        self.entries -= 1;
+        self.bytes -= bytes;
+    }
 }
 
 #[derive(Debug)]
@@ -238,12 +232,6 @@ struct CacheInner<V> {
     order: BTreeMap<u64, CacheKey>,
     tick: u64,
     bytes: usize,
-    /// Resident value-payload bytes (no per-entry overhead) — the compressed
-    /// footprint the stats report.
-    resident_bytes: usize,
-    /// Dense-equivalent payload bytes of the residents — the numerator of the
-    /// compression ratio.
-    logical_bytes: usize,
     total: Counters,
     /// Counters split by criterion id (insertion order preserved by sorting on
     /// read; the handful of criteria makes this map tiny).
@@ -262,11 +250,43 @@ impl<V> Default for CacheInner<V> {
             order: BTreeMap::new(),
             tick: 0,
             bytes: 0,
-            resident_bytes: 0,
-            logical_bytes: 0,
             total: Counters::default(),
             per_criterion: HashMap::new(),
             per_model: HashMap::new(),
+        }
+    }
+}
+
+impl<V> CacheInner<V> {
+    /// Take `key`'s entry out of the map, the LRU order and every gauge.
+    fn remove(&mut self, key: &CacheKey) -> Option<CacheEntry<V>> {
+        let entry = self.map.remove(key)?;
+        self.order.remove(&entry.tick);
+        self.bytes -= entry.bytes;
+        self.per_criterion
+            .entry(entry.criterion)
+            .or_default()
+            .release(entry.bytes);
+        self.per_model
+            .entry(key.net)
+            .or_default()
+            .release(entry.bytes);
+        Some(entry)
+    }
+
+    /// Drop every resident entry and zero the entry/byte gauges; the event
+    /// counters are kept.
+    fn drop_residents(&mut self) {
+        self.map.clear();
+        self.order.clear();
+        self.bytes = 0;
+        for c in self
+            .per_criterion
+            .values_mut()
+            .chain(self.per_model.values_mut())
+        {
+            c.entries = 0;
+            c.bytes = 0;
         }
     }
 }
@@ -291,12 +311,9 @@ pub struct CacheStats {
     pub entries: usize,
     /// Resident bytes (value bytes + per-entry overhead).
     pub bytes: usize,
-    /// Resident value-payload bytes alone — for compressed values (see
-    /// [`CoveredSet`]) this is the actual compressed footprint.
+    /// Resident value-payload bytes alone: `ceil(units / 64) × 8` per
+    /// covered set.
     pub resident_bytes: usize,
-    /// Bytes the residents' dense (uncompressed) payloads would occupy;
-    /// `logical_bytes / resident_bytes` is the compression ratio.
-    pub logical_bytes: usize,
     /// Configured byte budget (0 disables the cache).
     pub max_bytes: usize,
 }
@@ -312,14 +329,12 @@ impl CacheStats {
         }
     }
 
-    /// Dense-equivalent bytes per resident compressed byte (`1.0` for an
-    /// empty cache or plain uncompressed values).
+    /// Always `1.0`: covered sets are stored as plain words. Kept only for
+    /// the benchmark package's `cache.compression_ratio` metric; removed by
+    /// the next benchmark change.
+    #[doc(hidden)]
     pub fn compression_ratio(&self) -> f64 {
-        if self.resident_bytes == 0 {
-            1.0
-        } else {
-            self.logical_bytes as f64 / self.resident_bytes as f64
-        }
+        1.0
     }
 
     /// Mean budget-relevant bytes per resident entry (value + overhead;
@@ -329,23 +344,6 @@ impl CacheStats {
             0.0
         } else {
             self.bytes as f64 / self.entries as f64
-        }
-    }
-}
-
-impl Counters {
-    fn stats(&self, max_bytes: usize) -> CacheStats {
-        CacheStats {
-            hits: self.hits,
-            misses: self.misses,
-            flight_hits: self.flight_hits,
-            insertions: self.insertions,
-            evictions: self.evictions,
-            entries: self.entries,
-            bytes: self.bytes,
-            resident_bytes: self.resident_bytes,
-            logical_bytes: self.logical_bytes,
-            max_bytes,
         }
     }
 }
@@ -360,6 +358,10 @@ impl Counters {
 /// samples). Claims are always released through a [`FlightGuard`], so an
 /// erroring — or even panicking — computation wakes its waiters, who re-probe
 /// the cache and fall back to their own computation instead of hanging.
+///
+/// The key set is complete after every operation (one `insert` or `remove`
+/// under the lock), so a poisoned lock is recovered and used as it is: a
+/// guard released while a panic unwinds must never panic a second time.
 #[derive(Debug, Default)]
 struct FlightTable {
     keys: Mutex<HashSet<CacheKey>>,
@@ -367,15 +369,19 @@ struct FlightTable {
 }
 
 impl FlightTable {
+    fn lock(&self) -> MutexGuard<'_, HashSet<CacheKey>> {
+        self.keys.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Claim `key` for this thread's computation; `false` when another
     /// thread's computation of it is already in flight.
     fn claim(&self, key: CacheKey) -> bool {
-        self.keys.lock().expect("flight table lock").insert(key)
+        self.lock().insert(key)
     }
 
     /// Release claims and wake every waiter.
     fn release(&self, keys: &[CacheKey]) {
-        let mut set = self.keys.lock().expect("flight table lock");
+        let mut set = self.lock();
         for key in keys {
             set.remove(key);
         }
@@ -386,9 +392,9 @@ impl FlightTable {
     /// Block until `key` is not in flight (returns immediately when it never
     /// was).
     fn wait_idle(&self, key: &CacheKey) {
-        let mut set = self.keys.lock().expect("flight table lock");
+        let mut set = self.lock();
         while set.contains(key) {
-            set = self.wake.wait(set).expect("flight table lock");
+            set = self.wake.wait(set).unwrap_or_else(PoisonError::into_inner);
         }
     }
 }
@@ -427,9 +433,9 @@ pub struct ContentCache<V: CacheValue> {
     disk: Option<Arc<DiskTier>>,
 }
 
-/// The evaluator's covered-unit-set cache (one block-compressed
-/// [`CoveredSet`] per `(network, sample, criterion)`).
-pub type CoveredSetCache = ContentCache<CoveredSet>;
+/// The evaluator's covered-unit-set cache (one [`Bitset`] per
+/// `(network, sample, criterion)`).
+pub type CoveredSetCache = ContentCache<Bitset>;
 
 impl<V: CacheValue> ContentCache<V> {
     /// Create a cache with the given LRU byte budget (0 disables caching).
@@ -459,8 +465,17 @@ impl<V: CacheValue> ContentCache<V> {
         self.disk.as_ref().map(|d| d.stats())
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, CacheInner<V>> {
-        self.inner.lock().expect("content cache lock")
+    /// The cache state. A panic under the lock may have left the map, the
+    /// LRU order and the gauges out of step, so a poisoned cache drops its
+    /// residents (every value can be recomputed) and keeps its event
+    /// counters.
+    fn lock(&self) -> MutexGuard<'_, CacheInner<V>> {
+        self.inner.lock().unwrap_or_else(|poisoned| {
+            let mut inner = poisoned.into_inner();
+            inner.drop_residents();
+            self.inner.clear_poison();
+            inner
+        })
     }
 
     fn get(&self, key: &CacheKey, criterion: &'static str) -> Option<Arc<V>> {
@@ -485,80 +500,44 @@ impl<V: CacheValue> ContentCache<V> {
     }
 
     fn insert(&self, key: CacheKey, value: &Arc<V>, criterion: &'static str) {
-        let resident = value.resident_bytes();
-        let logical = value.logical_bytes();
-        let bytes = resident + ENTRY_OVERHEAD_BYTES;
+        let bytes = value.resident_bytes() + ENTRY_OVERHEAD_BYTES;
         if bytes > self.max_bytes {
             // A single entry larger than the whole budget can never reside.
             return;
         }
         let mut inner = self.lock();
-        if let Some(existing) = inner.map.remove(&key) {
-            // Duplicate insert (e.g. the same sample twice in one batch):
-            // replace, keeping the accounting exact.
-            inner.order.remove(&existing.tick);
-            inner.bytes -= existing.bytes;
-            inner.resident_bytes -= existing.bytes - ENTRY_OVERHEAD_BYTES;
-            inner.logical_bytes -= existing.logical;
-            let prev = inner.per_criterion.entry(existing.criterion).or_default();
-            prev.entries -= 1;
-            prev.bytes -= existing.bytes;
-            prev.resident_bytes -= existing.bytes - ENTRY_OVERHEAD_BYTES;
-            prev.logical_bytes -= existing.logical;
-            let model = inner.per_model.entry(key.net).or_default();
-            model.entries -= 1;
-            model.bytes -= existing.bytes;
-            model.resident_bytes -= existing.bytes - ENTRY_OVERHEAD_BYTES;
-            model.logical_bytes -= existing.logical;
-        }
+        // Duplicate insert (e.g. the same sample twice in one batch):
+        // replace, keeping the accounting exact.
+        inner.remove(&key);
         while inner.bytes + bytes > self.max_bytes {
-            let Some((&oldest_tick, &oldest_key)) = inner.order.iter().next() else {
+            let Some((_, &oldest_key)) = inner.order.iter().next() else {
                 break;
             };
-            inner.order.remove(&oldest_tick);
-            let evicted = inner.map.remove(&oldest_key).expect("ordered key resident");
-            inner.bytes -= evicted.bytes;
-            inner.resident_bytes -= evicted.bytes - ENTRY_OVERHEAD_BYTES;
-            inner.logical_bytes -= evicted.logical;
+            let evicted = inner.remove(&oldest_key).expect("ordered key resident");
             inner.total.evictions += 1;
-            let prev = inner.per_criterion.entry(evicted.criterion).or_default();
-            prev.evictions += 1;
-            prev.entries -= 1;
-            prev.bytes -= evicted.bytes;
-            prev.resident_bytes -= evicted.bytes - ENTRY_OVERHEAD_BYTES;
-            prev.logical_bytes -= evicted.logical;
-            let model = inner.per_model.entry(oldest_key.net).or_default();
-            model.evictions += 1;
-            model.entries -= 1;
-            model.bytes -= evicted.bytes;
-            model.resident_bytes -= evicted.bytes - ENTRY_OVERHEAD_BYTES;
-            model.logical_bytes -= evicted.logical;
+            inner
+                .per_criterion
+                .entry(evicted.criterion)
+                .or_default()
+                .evictions += 1;
+            inner.per_model.entry(oldest_key.net).or_default().evictions += 1;
         }
         inner.tick += 1;
         let tick = inner.tick;
         inner.order.insert(tick, key);
         inner.bytes += bytes;
-        inner.resident_bytes += resident;
-        inner.logical_bytes += logical;
         inner.total.insertions += 1;
-        let per = inner.per_criterion.entry(criterion).or_default();
-        per.insertions += 1;
-        per.entries += 1;
-        per.bytes += bytes;
-        per.resident_bytes += resident;
-        per.logical_bytes += logical;
-        let model = inner.per_model.entry(key.net).or_default();
-        model.insertions += 1;
-        model.entries += 1;
-        model.bytes += bytes;
-        model.resident_bytes += resident;
-        model.logical_bytes += logical;
+        inner
+            .per_criterion
+            .entry(criterion)
+            .or_default()
+            .admit(bytes);
+        inner.per_model.entry(key.net).or_default().admit(bytes);
         inner.map.insert(
             key,
             CacheEntry {
                 value: Arc::clone(value),
                 bytes,
-                logical,
                 tick,
                 criterion,
             },
@@ -592,13 +571,12 @@ impl<V: CacheValue> ContentCache<V> {
     /// accounting; only the per-criterion split is maintained incrementally.
     pub fn stats(&self) -> CacheStats {
         let inner = self.lock();
-        CacheStats {
+        Counters {
             entries: inner.map.len(),
             bytes: inner.bytes,
-            resident_bytes: inner.resident_bytes,
-            logical_bytes: inner.logical_bytes,
-            ..inner.total.stats(self.max_bytes)
+            ..inner.total
         }
+        .stats(self.max_bytes)
     }
 
     /// Counters attributed to one criterion id (zeroes when the criterion has
@@ -802,24 +780,7 @@ impl<V: CacheValue> ContentCache<V> {
     /// Drop every resident entry (hit/miss/insertion/eviction counters are
     /// kept; entry/byte gauges reset).
     pub fn clear(&self) {
-        let mut inner = self.lock();
-        inner.map.clear();
-        inner.order.clear();
-        inner.bytes = 0;
-        inner.resident_bytes = 0;
-        inner.logical_bytes = 0;
-        for c in inner.per_criterion.values_mut() {
-            c.entries = 0;
-            c.bytes = 0;
-            c.resident_bytes = 0;
-            c.logical_bytes = 0;
-        }
-        for c in inner.per_model.values_mut() {
-            c.entries = 0;
-            c.bytes = 0;
-            c.resident_bytes = 0;
-            c.logical_bytes = 0;
-        }
+        self.lock().drop_residents();
     }
 }
 
@@ -1153,25 +1114,25 @@ impl Evaluator {
 
     /// Covered-unit sets for a collection of inputs — the cache-aware version
     /// of [`CoverageAnalyzer::activation_sets`], returning shared handles to
-    /// block-compressed [`CoveredSet`]s (a hit is a reference-count bump, not
-    /// a deep copy of the words).
+    /// the sets (a hit is a reference-count bump, not a deep copy of the
+    /// words).
     ///
     /// Cached samples are served without touching the network; the misses run
     /// through the analyzer's batched, possibly multi-threaded path in one
-    /// call, are compressed and are then inserted. Results are bit-identical
-    /// to an uncached analyzer under every execution policy.
+    /// call and are inserted as computed. Results are bit-identical to an
+    /// uncached analyzer under every execution policy.
     ///
     /// # Errors
     ///
     /// Returns an error when any sample shape does not match the network input.
-    pub fn activation_sets(&self, samples: &[Tensor]) -> Result<Vec<Arc<CoveredSet>>> {
-        let compress = |sets: Vec<Bitset>| -> Vec<CoveredSet> {
-            sets.iter().map(CoveredSet::from_bitset).collect()
-        };
+    pub fn activation_sets(&self, samples: &[Tensor]) -> Result<Vec<Arc<Bitset>>> {
         if self.inner.cache.max_bytes == 0 {
             // Cache disabled: skip hashing and miss bookkeeping entirely so a
             // budget of zero really is the raw analyzer path.
-            return Ok(compress(self.inner.analyzer.activation_sets(samples)?)
+            return Ok(self
+                .inner
+                .analyzer
+                .activation_sets(samples)?
                 .into_iter()
                 .map(Arc::new)
                 .collect());
@@ -1180,7 +1141,7 @@ impl Evaluator {
             samples,
             |sample| self.key_for(sample),
             self.criterion().id(),
-            |misses| Ok(compress(self.inner.analyzer.activation_sets(misses)?)),
+            |misses| self.inner.analyzer.activation_sets(misses),
         )
     }
 
@@ -1193,11 +1154,7 @@ impl Evaluator {
     /// # Errors
     ///
     /// Same error conditions as [`crate::select::greedy_select_covered`].
-    pub(crate) fn greedy_select(
-        &self,
-        sets: &[Arc<CoveredSet>],
-        budget: usize,
-    ) -> Result<Vec<usize>> {
+    pub(crate) fn greedy_select(&self, sets: &[Arc<Bitset>], budget: usize) -> Result<Vec<usize>> {
         self.inner.selection.select(sets, self.num_units(), budget)
     }
 
@@ -1206,7 +1163,7 @@ impl Evaluator {
     /// # Errors
     ///
     /// Returns an error when the sample shape does not match the network input.
-    pub fn activation_set(&self, sample: &Tensor) -> Result<Arc<CoveredSet>> {
+    pub fn activation_set(&self, sample: &Tensor) -> Result<Arc<Bitset>> {
         let mut sets = self.activation_sets(std::slice::from_ref(sample))?;
         Ok(sets.pop().expect("one set per sample"))
     }
@@ -1230,7 +1187,7 @@ impl Evaluator {
     /// Returns an error when any sample shape does not match the network input.
     pub fn coverage_of_set(&self, samples: &[Tensor]) -> Result<f32> {
         let sets = self.activation_sets(samples)?;
-        Ok(CoveredSet::union_of(self.num_units(), sets.iter().map(Arc::as_ref)).density())
+        Ok(Bitset::union_of(self.num_units(), sets.iter().map(Arc::as_ref)).density())
     }
 
     /// Mean per-sample coverage (Fig. 2 comparison), cache-aware.
@@ -1430,12 +1387,12 @@ mod tests {
         let analyzer = CoverageAnalyzer::new(&network, CoverageConfig::default());
         let pool = samples(10);
         // Budget for roughly two entries (sized from the pool's real
-        // compressed footprints): every new insert evicts.
+        // footprints): every new insert evicts.
         let entry = analyzer
             .activation_sets(&pool)
             .unwrap()
             .iter()
-            .map(|b| CoveredSet::from_bitset(b).resident_bytes() + ENTRY_OVERHEAD_BYTES)
+            .map(|b| b.resident_bytes() + ENTRY_OVERHEAD_BYTES)
             .max()
             .unwrap();
         let evaluator = Evaluator::with_cache_bytes(&network, CoverageConfig::default(), entry * 2);
@@ -1637,12 +1594,16 @@ mod tests {
         set
     }
 
-    #[test]
-    fn racing_threads_on_one_cold_key_compute_it_once() {
+    /// Two threads look up one cold `key`: the owner blocks inside its
+    /// compute until the waiter has had time to park on the flight table.
+    /// Returns both results and the number of computations run.
+    fn race_one_cold_key(
+        cache: &Arc<ContentCache<Bitset>>,
+        key: CacheKey,
+    ) -> (Vec<Arc<Bitset>>, Vec<Arc<Bitset>>, usize) {
         use std::sync::atomic::{AtomicUsize, Ordering};
         use std::sync::mpsc;
 
-        let cache: Arc<ContentCache<Bitset>> = Arc::new(ContentCache::new(1 << 20));
         let computes = Arc::new(AtomicUsize::new(0));
         let sample = samples(1).pop().unwrap();
         // The owner signals from inside its compute closure, then blocks until
@@ -1650,13 +1611,13 @@ mod tests {
         let (in_compute_tx, in_compute_rx) = mpsc::channel::<()>();
         let (proceed_tx, proceed_rx) = mpsc::channel::<()>();
         let owner = {
-            let cache = Arc::clone(&cache);
+            let cache = Arc::clone(cache);
             let computes = Arc::clone(&computes);
             let sample = sample.clone();
             std::thread::spawn(move || {
                 cache.get_or_compute(
                     std::slice::from_ref(&sample),
-                    |_| race_key((1, 2)),
+                    |_| key,
                     "race",
                     move |misses| {
                         computes.fetch_add(1, Ordering::SeqCst);
@@ -1671,12 +1632,12 @@ mod tests {
         // The key is now claimed and mid-compute: a second lookup of it must
         // park on the flight table, not run its own computation.
         let waiter = {
-            let cache = Arc::clone(&cache);
+            let cache = Arc::clone(cache);
             let computes = Arc::clone(&computes);
             std::thread::spawn(move || {
                 cache.get_or_compute(
                     std::slice::from_ref(&sample),
-                    |_| race_key((1, 2)),
+                    |_| key,
                     "race",
                     move |misses| {
                         computes.fetch_add(1, Ordering::SeqCst);
@@ -1687,14 +1648,22 @@ mod tests {
         };
         // Give the waiter time to reach the flight table, then let the owner
         // finish. (If the waiter instead lands after the insert, it scores a
-        // plain hit and the assertions below still hold except `flight_hits`,
-        // which the sleep makes effectively impossible to miss.)
+        // plain hit and the callers' assertions still hold except
+        // `flight_hits`, which the sleep makes effectively impossible to
+        // miss.)
         std::thread::sleep(std::time::Duration::from_millis(50));
         proceed_tx.send(()).unwrap();
         let a = owner.join().unwrap().unwrap();
         let b = waiter.join().unwrap().unwrap();
+        (a, b, computes.load(Ordering::SeqCst))
+    }
+
+    #[test]
+    fn racing_threads_on_one_cold_key_compute_it_once() {
+        let cache: Arc<ContentCache<Bitset>> = Arc::new(ContentCache::new(1 << 20));
+        let (a, b, computes) = race_one_cold_key(&cache, race_key((1, 2)));
         assert_eq!(a, b);
-        assert_eq!(computes.load(Ordering::SeqCst), 1, "duplicated compute");
+        assert_eq!(computes, 1, "duplicated compute");
         let stats = cache.stats();
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.insertions, 1);
@@ -1750,6 +1719,76 @@ mod tests {
         assert_eq!(stats.insertions, 1);
         assert_eq!(stats.flight_hits, 0);
         assert_eq!(stats.entries, 1);
+    }
+
+    /// Panic while holding `mutex`, leaving it poisoned.
+    fn poison<T>(mutex: &Mutex<T>) {
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _held = mutex.lock();
+            panic!("poisoning a cache lock on purpose");
+        }));
+        assert!(result.is_err());
+        assert!(mutex.is_poisoned());
+    }
+
+    #[test]
+    fn a_poisoned_cache_drops_its_entries_and_keeps_its_counters() {
+        let network = net();
+        let evaluator = Evaluator::new(&network, CoverageConfig::default());
+        let pool = samples(6);
+        let fresh = CoverageAnalyzer::new(&network, CoverageConfig::default())
+            .activation_sets(&pool)
+            .unwrap();
+        evaluator.activation_sets(&pool).unwrap();
+        poison(&evaluator.inner.cache.inner);
+        // The next lookup finds the cache emptied and recomputes.
+        assert_eq!(evaluator.activation_sets(&pool).unwrap(), fresh);
+        assert!(!evaluator.inner.cache.inner.is_poisoned());
+        let stats = evaluator.cache_stats();
+        assert_eq!((stats.misses, stats.hits, stats.insertions), (12, 0, 12));
+        assert_eq!(stats.entries, 6);
+        let per = evaluator.criterion_cache_stats();
+        assert_eq!((per.entries, per.bytes), (stats.entries, stats.bytes));
+        // Refilled, it serves hits again.
+        assert_eq!(evaluator.activation_sets(&pool).unwrap(), fresh);
+        assert_eq!(evaluator.cache_stats().hits, 6);
+    }
+
+    #[test]
+    fn a_poisoned_flight_table_still_serves_and_wakes_waiters() {
+        let network = net();
+        let evaluator = Evaluator::new(&network, CoverageConfig::default());
+        poison(&evaluator.inner.cache.flight.keys);
+        let pool = samples(5);
+        assert_eq!(
+            evaluator.activation_sets(&pool).unwrap(),
+            CoverageAnalyzer::new(&network, CoverageConfig::default())
+                .activation_sets(&pool)
+                .unwrap()
+        );
+
+        let cache: Arc<ContentCache<Bitset>> = Arc::new(ContentCache::new(1 << 20));
+        poison(&cache.flight.keys);
+        // A compute that panics releases its claim while unwinding; on a
+        // poisoned table that release must not panic a second time (which
+        // would abort the process).
+        let sample = samples(1).pop().unwrap();
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cache.get_or_compute(
+                std::slice::from_ref(&sample),
+                |_| race_key((5, 6)),
+                "race",
+                |_| -> Result<Vec<Bitset>> { panic!("a compute that panics") },
+            )
+        }));
+        assert!(panicked.is_err());
+        assert!(cache.flight.lock().is_empty(), "the claim was released");
+        // A waiter parked on the poisoned table wakes and reuses the owner's
+        // value.
+        let (a, b, computes) = race_one_cold_key(&cache, race_key((5, 6)));
+        assert_eq!(a, b);
+        assert_eq!(computes, 1, "duplicated compute");
+        assert_eq!(cache.stats().flight_hits, 1);
     }
 }
 

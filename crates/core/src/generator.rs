@@ -12,8 +12,8 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
+use crate::bitset::Bitset;
 use crate::combined::{generate_combined, TestSource};
-use crate::covered::CoveredSet;
 use crate::eval::Evaluator;
 use crate::workspace::TestGenRequest;
 use crate::{CoreError, Result};
@@ -126,10 +126,10 @@ impl GeneratedTests {
 /// Coverage after each of `sets` is added to a running union: the curve
 /// every strategy reports.
 pub(crate) fn prefix_curve<'a>(
-    sets: impl IntoIterator<Item = &'a CoveredSet>,
+    sets: impl IntoIterator<Item = &'a Bitset>,
     num_units: usize,
 ) -> Vec<f32> {
-    let mut covered = CoveredSet::new(num_units);
+    let mut covered = Bitset::new(num_units);
     sets.into_iter()
         .map(|set| {
             covered.union_with(set);

@@ -69,8 +69,9 @@ const SEG_MAGIC: u64 = u64::from_le_bytes(*b"DNIPSEG2");
 /// configuration, not its implementation, so a semantic change without a
 /// version bump would serve stale entries; a new key derivation without one
 /// would leave every old entry unreachable but still on disk. Version 3: the
-/// multi-lane sample hash. Version 4: word-wise record checksum.
-const FORMAT_VERSION: u64 = 4;
+/// multi-lane sample hash. Version 4: word-wise record checksum. Version 5:
+/// one dense covered-set payload.
+const FORMAT_VERSION: u64 = 5;
 
 /// The version field actually written: the format version mixed with the
 /// crate version, so entries written by a different release are never read
@@ -686,6 +687,7 @@ fn parse_segment(bytes: &[u8]) -> Vec<SegRecord> {
 mod tests {
     use super::*;
     use crate::bitset::Bitset;
+    use proptest::prelude::*;
 
     fn key(seed: u64) -> CacheKey {
         CacheKey {
@@ -875,103 +877,54 @@ mod tests {
         }
     }
 
-    #[test]
-    fn compressed_covered_sets_round_trip_through_segments() {
-        use crate::covered::CoveredSet;
+    /// Arbitrary bytes (the shim has no `any::<u8>()`).
+    fn bytes(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<u8>> {
+        prop::collection::vec((0u16..256).prop_map(|b| b as u8), len)
+    }
 
-        let root = temp_root("covered");
-        let tier = DiskTier::new(&root);
-        // Mixed block forms: sparse, dense-ish and a full run, over a length
-        // spanning a block boundary.
-        let len = 4096 + 900;
-        let dense_refs: Vec<Bitset> = vec![
-            set(&[3, 700, 4096, 4900], len),
-            set(&(0..900).map(|i| i * 5).collect::<Vec<_>>(), len),
-            set(&(4096..len).collect::<Vec<_>>(), len),
-        ];
-        let values: Vec<CoveredSet> = dense_refs
-            .iter()
-            .map(CoveredSet::from_bitset_compressed)
-            .collect();
-        let batch: Vec<(CacheKey, &CoveredSet)> = values
-            .iter()
-            .enumerate()
-            .map(|(i, v)| {
-                let mut k = key(7);
-                k.sample = (i as u64, 2000 + i as u64);
-                (k, v)
-            })
-            .collect();
-        tier.store_batch(&batch);
-        only_segment(&root);
-        // A fresh tier ("second process") decodes every compressed payload
-        // back to exactly the original bits.
-        let second = DiskTier::new(&root);
-        for ((k, v), dense) in batch.iter().zip(&dense_refs) {
-            let loaded = second.load::<CoveredSet>(k).expect("compressed hit");
-            assert_eq!(&loaded, *v);
-            assert_eq!(loaded.to_bitset(), *dense);
+    /// A record header with small, often lying, kind and length fields, so
+    /// the parser walks several records before the garbage stops it.
+    fn record() -> impl Strategy<Value = Vec<u8>> {
+        (0u64..u64::MAX, 0u64..300, 0u64..96, bytes(0..80)).prop_map(
+            |(sample, kind, len, payload)| {
+                let mut out = Vec::new();
+                for field in [sample, !sample, kind, len, record_checksum(&payload)] {
+                    out.extend_from_slice(&field.to_le_bytes());
+                }
+                out.extend_from_slice(&payload);
+                out
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn parse_segment_stays_inside_arbitrary_bytes(
+            records in prop::collection::vec(record(), 0..6),
+            tail in bytes(0..120),
+            cut in 0usize..1000,
+        ) {
+            let mut segment = Vec::new();
+            segment.extend_from_slice(&SEG_MAGIC.to_le_bytes());
+            segment.extend_from_slice(&version_tag().to_le_bytes());
+            segment.extend(records.concat());
+            segment.extend_from_slice(&tail);
+            // Truncate anywhere, the header included.
+            segment.truncate(cut % (segment.len() + 1));
+            let mut end = SEG_HEADER_BYTES;
+            for rec in parse_segment(&segment) {
+                prop_assert!(rec.offset >= end + RECORD_HEADER_BYTES);
+                prop_assert!(rec.offset + rec.len <= segment.len());
+                end = rec.offset + rec.len;
+                // Whatever the record holds, the decoders answer without
+                // panicking.
+                let payload = &segment[rec.offset..end];
+                let _ = <Bitset as CacheValue>::decode(payload);
+                let _ = <dnnip_tensor::Tensor as CacheValue>::decode(payload);
+            }
         }
-        let _ = std::fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn legacy_dense_segments_load_as_covered_sets() {
-        use crate::covered::CoveredSet;
-
-        let root = temp_root("legacy");
-        let tier = DiskTier::new(&root);
-        // A segment written with the historical dense `Bitset` encoding...
-        let dense = set(&[0, 64, 129, 199], 200);
-        tier.store_batch(&[(key(11), &dense)]);
-        // ...is readable as a compressed `CoveredSet` (same KIND, and the
-        // decoder understands the legacy payload), bit for bit.
-        let second = DiskTier::new(&root);
-        let loaded = second.load::<CoveredSet>(&key(11)).expect("legacy hit");
-        assert_eq!(loaded.to_bitset(), dense);
-        // And the reverse: a compressed payload written now still satisfies a
-        // reader asking for the dense type only when the payload happens to be
-        // the legacy layout (all-dense sets); a sparse compressed payload is a
-        // silent miss for the old decoder rather than an error.
-        let sparse = CoveredSet::from_bitset_compressed(&set(&[5], 200));
-        let mut k = key(11);
-        k.sample = (77, 78);
-        tier.store_batch(&[(k, &sparse)]);
-        let third = DiskTier::new(&root);
-        assert_eq!(third.load::<CoveredSet>(&k).as_ref(), Some(&sparse));
-        assert!(
-            third.load::<Bitset>(&k).is_none(),
-            "new payload, old reader"
-        );
-        let _ = std::fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn corrupt_compressed_payload_degrades_to_a_miss() {
-        use crate::covered::CoveredSet;
-
-        let root = temp_root("covered-corrupt");
-        let tier = DiskTier::new(&root);
-        let value = CoveredSet::from_bitset_compressed(&set(&[9, 4100], 8000));
-        tier.store_batch(&[(key(13), &value)]);
-        let path = only_segment(&root);
-        let pristine = std::fs::read(&path).unwrap();
-        // Flip one payload byte anywhere in the record: checksum (or the
-        // decoder's structural validation) turns it into a silent miss.
-        let mut flipped = pristine.clone();
-        let last = flipped.len() - 1;
-        flipped[last] ^= 0x01;
-        std::fs::write(&path, &flipped).unwrap();
-        assert!(DiskTier::new(&root).load::<CoveredSet>(&key(13)).is_none());
-        // Truncation mid-record is a miss too.
-        std::fs::write(&path, &pristine[..pristine.len() - 3]).unwrap();
-        assert!(DiskTier::new(&root).load::<CoveredSet>(&key(13)).is_none());
-        std::fs::write(&path, &pristine).unwrap();
-        assert_eq!(
-            DiskTier::new(&root).load::<CoveredSet>(&key(13)).as_ref(),
-            Some(&value)
-        );
-        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

@@ -23,7 +23,6 @@ use std::collections::BinaryHeap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
 
 use crate::bitset::Bitset;
-use crate::covered::CoveredSet;
 use crate::{CoreError, Result};
 
 /// Result of a greedy training-set selection.
@@ -46,9 +45,8 @@ impl SelectionResult {
 
 /// Greedy max-coverage selection over pre-computed covered-unit sets (any
 /// [`crate::criterion::CoverageCriterion`]'s — the algorithm only sees
-/// sets over `num_units` positions). The sets are block-compressed
-/// [`CoveredSet`]s, so cached sets are consumed in place (no dense
-/// expansion); wrap dense sets with [`CoveredSet::from_bitset`].
+/// sets over `num_units` positions). The sets are shared handles, so an
+/// evaluator's cached sets are scanned in place without copies.
 ///
 /// Selects at most `max_tests` candidates; stops early when no candidate adds any
 /// new coverage (additional tests would be wasted). Ties go to the lowest
@@ -62,7 +60,7 @@ impl SelectionResult {
 /// [`CoreError::InvalidConfig`] when `num_units` is zero or a set has the
 /// wrong length.
 pub fn greedy_select_covered(
-    sets: &[Arc<CoveredSet>],
+    sets: &[Arc<Bitset>],
     num_units: usize,
     max_tests: usize,
 ) -> Result<SelectionResult> {
@@ -71,7 +69,7 @@ pub fn greedy_select_covered(
     Ok(SelectionResult {
         selected: greedy.selected,
         coverage_curve: greedy.curve,
-        covered: greedy.covered.to_bitset(),
+        covered: greedy.covered,
     })
 }
 
@@ -81,7 +79,7 @@ pub fn greedy_select_covered(
 struct LazyGreedy {
     num_units: usize,
     /// Union of the selected candidates' sets.
-    covered: CoveredSet,
+    covered: Bitset,
     /// Running cardinality of `covered`: a fresh bound IS the exact marginal
     /// gain of the accepted candidate, so the union's popcount is tracked by
     /// integer addition instead of re-scanning every word each round.
@@ -100,7 +98,7 @@ struct LazyGreedy {
 
 impl LazyGreedy {
     /// An empty selection over `sets`.
-    fn start(sets: &[Arc<CoveredSet>], num_units: usize) -> Result<Self> {
+    fn start(sets: &[Arc<Bitset>], num_units: usize) -> Result<Self> {
         if sets.is_empty() {
             return Err(CoreError::EmptyCandidatePool);
         }
@@ -119,7 +117,7 @@ impl LazyGreedy {
         }
         Ok(Self {
             num_units,
-            covered: CoveredSet::new(num_units),
+            covered: Bitset::new(num_units),
             covered_count: 0,
             heap: sets
                 .iter()
@@ -136,7 +134,7 @@ impl LazyGreedy {
 
     /// Select until `max_tests` candidates are selected or none adds
     /// coverage. `sets` must be the pool the selection started on.
-    fn extend_to(&mut self, sets: &[Arc<CoveredSet>], max_tests: usize) {
+    fn extend_to(&mut self, sets: &[Arc<Bitset>], max_tests: usize) {
         debug_assert_eq!(sets.len(), self.taken.len());
         while !self.exhausted && self.selected.len() < max_tests {
             let Some((bound, Reverse(candidate), computed_round)) = self.heap.pop() else {
@@ -180,7 +178,7 @@ impl LazyGreedy {
 #[derive(Debug, Default)]
 pub(crate) struct SelectionSlot {
     /// Holds nothing or a complete state, so a poisoned lock is safe to reuse.
-    suspended: Mutex<Option<(Vec<Weak<CoveredSet>>, LazyGreedy)>>,
+    suspended: Mutex<Option<(Vec<Weak<Bitset>>, LazyGreedy)>>,
 }
 
 impl SelectionSlot {
@@ -197,11 +195,11 @@ impl SelectionSlot {
     /// Same error conditions as [`greedy_select_covered`].
     pub(crate) fn select(
         &self,
-        sets: &[Arc<CoveredSet>],
+        sets: &[Arc<Bitset>],
         num_units: usize,
         budget: usize,
     ) -> Result<Vec<usize>> {
-        let same_pool = |pool: &[Weak<CoveredSet>]| {
+        let same_pool = |pool: &[Weak<Bitset>]| {
             pool.len() == sets.len()
                 && pool
                     .iter()
@@ -224,7 +222,7 @@ impl SelectionSlot {
         Ok(picks)
     }
 
-    fn lock(&self) -> MutexGuard<'_, Option<(Vec<Weak<CoveredSet>>, LazyGreedy)>> {
+    fn lock(&self) -> MutexGuard<'_, Option<(Vec<Weak<Bitset>>, LazyGreedy)>> {
         self.suspended
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
@@ -303,10 +301,8 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    fn handles(sets: &[Bitset]) -> Vec<Arc<CoveredSet>> {
-        sets.iter()
-            .map(|b| Arc::new(CoveredSet::from_bitset(b)))
-            .collect()
+    fn handles(sets: &[Bitset]) -> Vec<Arc<Bitset>> {
+        sets.iter().cloned().map(Arc::new).collect()
     }
 
     /// [`greedy_select_covered`] over dense sets.
@@ -417,7 +413,7 @@ mod tests {
         assert_eq!(slot.select(&reloaded, 256, 7).unwrap(), fresh);
         let mut reversed_dense = dense.clone();
         reversed_dense.reverse();
-        let reversed: Vec<Arc<CoveredSet>> = sets.iter().rev().cloned().collect();
+        let reversed: Vec<Arc<Bitset>> = sets.iter().rev().cloned().collect();
         let fresh = greedy_select_naive(&reversed_dense, 256, 7)
             .unwrap()
             .selected;

@@ -63,9 +63,9 @@ use dnnip_nn::fingerprint::NetworkFingerprint;
 use dnnip_nn::Network;
 use dnnip_tensor::Tensor;
 
+use crate::bitset::Bitset;
 use crate::combined::TestSource;
 use crate::coverage::{CoverageAnalyzer, CoverageConfig};
-use crate::covered::CoveredSet;
 use crate::criterion::{
     criterion_digest, criterion_from_spec, CoverageCriterion, NeuronActivation, ParamGradient,
 };
@@ -789,12 +789,11 @@ impl Workspace {
         graph: &Arc<Graph>,
         criterion: &dyn CoverageCriterion,
         samples: &[Tensor],
-    ) -> Result<Vec<Arc<CoveredSet>>> {
-        let compute = |chunk: &[Tensor]| -> Result<Vec<CoveredSet>> {
-            let sets = criterion
+    ) -> Result<Vec<Arc<Bitset>>> {
+        let compute = |chunk: &[Tensor]| -> Result<Vec<Bitset>> {
+            criterion
                 .covered_units_graph(graph, chunk)
-                .expect("caller verified the criterion's graph path")?;
-            Ok(sets.iter().map(CoveredSet::from_bitset).collect())
+                .expect("caller verified the criterion's graph path")
         };
         if self.set_cache.max_bytes() == 0 {
             return Ok(compute(samples)?.into_iter().map(Arc::new).collect());

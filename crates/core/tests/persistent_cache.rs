@@ -5,8 +5,8 @@
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use dnnip_core::coverage::{CoverageAnalyzer, CoverageConfig};
-use dnnip_core::workspace::{DiskCacheConfig, Workspace, WorkspaceConfig};
+use dnnip_core::coverage::{CoverageAnalyzer, CoverageConfig, EpsilonPolicy};
+use dnnip_core::workspace::{CriterionSpec, DiskCacheConfig, Workspace, WorkspaceConfig};
 use dnnip_nn::layers::Activation;
 use dnnip_nn::zoo;
 use dnnip_tensor::Tensor;
@@ -241,6 +241,81 @@ fn two_sequential_workspaces_share_work_through_disk() {
     e2.activation_sets(&pool).unwrap();
     assert_eq!(second.disk_stats().unwrap().hits as usize, pool.len());
     assert_eq!(second.cache_stats().hits as usize, pool.len());
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The covered-set cache stores plain words. On both scaled models under
+/// the paper's criterion and the neuron baseline, the resident bytes are
+/// exactly one `ceil(units / 64)`-word set per entry, and a fresh workspace
+/// reloads every set from the disk tier bit for bit.
+#[test]
+fn scaled_models_cache_exactly_their_words_and_reload_them() {
+    let dir = temp_dir("scaled-words");
+    let models = [
+        (
+            "cifar-scaled",
+            zoo::cifar_model_scaled(7).unwrap(),
+            CoverageConfig::default(),
+        ),
+        (
+            "mnist-scaled",
+            zoo::mnist_model_scaled(14).unwrap(),
+            CoverageConfig {
+                epsilon: EpsilonPolicy::RelativeToMax(1e-2),
+                ..CoverageConfig::default()
+            },
+        ),
+    ];
+    let criteria = [
+        CriterionSpec::ModelDefault,
+        CriterionSpec::Spec("neuron-activation:0.25".to_string()),
+    ];
+    let pools: Vec<Vec<Tensor>> = models
+        .iter()
+        .map(|(_, net, _)| {
+            (0..64)
+                .map(|i| {
+                    Tensor::from_fn(net.input_shape(), |j| ((i * 7919 + j) as f32 * 0.37).sin())
+                })
+                .collect()
+        })
+        .collect();
+
+    let first = workspace_at(&dir);
+    let mut cold = Vec::new();
+    let mut word_bytes = 0;
+    for ((name, net, coverage), pool) in models.iter().zip(&pools) {
+        let model = first.register(*name, net.clone(), *coverage);
+        for spec in &criteria {
+            let evaluator = first.evaluator(model, spec).unwrap();
+            let sets = evaluator.activation_sets(pool).unwrap();
+            word_bytes += sets.len() * evaluator.num_units().div_ceil(64) * 8;
+            cold.push(sets);
+        }
+    }
+    let stats = first.cache_stats();
+    assert_eq!(stats.entries, 4 * 64);
+    assert_eq!(stats.evictions, 0);
+    assert_eq!(stats.resident_bytes, word_bytes);
+
+    let second = workspace_at(&dir);
+    let mut cold = cold.into_iter();
+    for ((name, net, coverage), pool) in models.iter().zip(&pools) {
+        let model = second.register(*name, net.clone(), *coverage);
+        for spec in &criteria {
+            let reloaded = second
+                .evaluator(model, spec)
+                .unwrap()
+                .activation_sets(pool)
+                .unwrap();
+            assert_eq!(reloaded, cold.next().unwrap(), "{name} {spec:?}");
+        }
+    }
+    let disk = second.disk_stats().unwrap();
+    assert_eq!(disk.hits, 4 * 64, "every set reloads from the tier");
+    assert_eq!(disk.misses, 0);
+    assert_eq!(second.cache_stats().resident_bytes, word_bytes);
 
     let _ = std::fs::remove_dir_all(&dir);
 }

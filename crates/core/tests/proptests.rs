@@ -3,12 +3,11 @@
 
 use dnnip_core::bitset::Bitset;
 use dnnip_core::coverage::{CoverageAnalyzer, CoverageConfig, EpsilonPolicy};
-use dnnip_core::covered::CoveredSet;
 use dnnip_core::criterion::{
     builtin_criteria, criterion_digest, CoverageCriterion, NeuronActivation, ParamGradient,
     TopKNeuron,
 };
-use dnnip_core::eval::Evaluator;
+use dnnip_core::eval::{CacheValue, Evaluator};
 use dnnip_core::generator::GenerationMethod;
 use dnnip_core::protocol::FunctionalTestSuite;
 use dnnip_core::select::{greedy_select_covered, greedy_select_naive, SelectionResult};
@@ -30,10 +29,7 @@ fn bitset_from_indices(len: usize, indices: &[usize]) -> Bitset {
 
 /// The lazy greedy selection ([`greedy_select_covered`]) over dense sets.
 fn lazy_greedy(sets: &[Bitset], len: usize, budget: usize) -> SelectionResult {
-    let sets: Vec<std::sync::Arc<CoveredSet>> = sets
-        .iter()
-        .map(|b| std::sync::Arc::new(CoveredSet::from_bitset(b)))
-        .collect();
+    let sets: Vec<std::sync::Arc<Bitset>> = sets.iter().cloned().map(std::sync::Arc::new).collect();
     greedy_select_covered(&sets, len, budget).unwrap()
 }
 
@@ -47,9 +43,9 @@ fn bitset_family() -> impl Strategy<Value = (usize, Vec<Vec<usize>>)> {
     })
 }
 
-/// Strategy for the compressed-set differentials: lengths that straddle the
-/// 4096-bit block boundary, and member sets spanning the density spectrum
-/// (empty, sparse, dense, all-ones — every `CoveredSet` block variant).
+/// Strategy for the covered-set properties: lengths from a few words to past
+/// 8192 bits, and member sets spanning the density spectrum (empty, sparse,
+/// dense, all-ones).
 fn covered_family() -> impl Strategy<Value = (usize, Vec<Vec<usize>>)> {
     covered_len().prop_flat_map(|len| (Just(len), prop::collection::vec(covered_member(len), 1..6)))
 }
@@ -62,11 +58,11 @@ fn covered_len() -> impl Strategy<Value = usize> {
 /// One of [`covered_family`]'s member sets over `len` positions.
 fn covered_member(len: usize) -> impl Strategy<Value = Vec<usize>> {
     prop_oneof![
-        // Sparse: well under the per-block sparse threshold.
+        // Sparse.
         prop::collection::vec(0..len, 0..24),
-        // Dense: enough positions to exceed the sparse threshold per block.
+        // Dense.
         prop::collection::vec(0..len, 0..len.min(1600)),
-        // Full: every position, canonicalizing to Full blocks.
+        // Full: every position.
         Just((0..len).collect::<Vec<usize>>()),
     ]
 }
@@ -252,12 +248,9 @@ proptest! {
             .collect();
         let fresh = analyzer.activation_sets(&pool).unwrap();
         // Budget measured in whole entries — sized from the pool's actual
-        // compressed footprints — so eviction pressure scales with the pool:
-        // budgets smaller than the pool force constant turnover.
-        let entry_sizes: Vec<usize> = fresh
-            .iter()
-            .map(|b| CoveredSet::from_bitset(b).resident_bytes() + 96)
-            .collect();
+        // footprints — so eviction pressure scales with the pool: budgets
+        // smaller than the pool force constant turnover.
+        let entry_sizes: Vec<usize> = fresh.iter().map(|b| b.resident_bytes() + 96).collect();
         let entry_bytes = entry_sizes.iter().copied().max().unwrap();
         let budget = entry_bytes * budget_entries;
         let evaluator = Evaluator::with_cache_bytes(&net, CoverageConfig::default(), budget);
@@ -326,7 +319,7 @@ proptest! {
             );
             // Per-sample sets are subsets of the union too.
             let sets = evaluator.activation_sets(&pool).unwrap();
-            let mut union = CoveredSet::new(evaluator.num_units());
+            let mut union = Bitset::new(evaluator.num_units());
             for s in &sets {
                 union.union_with(s);
             }
@@ -445,90 +438,68 @@ proptest! {
     }
 
     #[test]
-    fn compressed_sets_mirror_dense_sets_exactly((len, families) in covered_family()) {
-        // Both the adaptively compressed form and the forced-uncompressed form
-        // must agree with the dense `Bitset` reference on every observable:
-        // length, cardinality, density bits, point probes and iteration order.
-        for family in &families {
-            let dense = bitset_from_indices(len, family);
-            for covered in [
-                CoveredSet::from_bitset_compressed(&dense),
-                CoveredSet::from_bitset_uncompressed(&dense),
-            ] {
-                prop_assert_eq!(covered.len(), dense.len());
-                prop_assert_eq!(covered.count_ones(), dense.count_ones());
-                prop_assert_eq!(covered.density().to_bits(), dense.density().to_bits());
-                prop_assert_eq!(
-                    covered.iter_ones().collect::<Vec<_>>(),
-                    dense.iter_ones().collect::<Vec<_>>()
-                );
-                for i in (0..len).step_by(1 + len / 97) {
-                    prop_assert_eq!(covered.get(i), dense.get(i));
-                }
-                prop_assert_eq!(covered.to_bitset(), dense.clone());
-                prop_assert!(covered == dense);
-            }
-        }
-    }
-
-    #[test]
-    fn compressed_union_algebra_matches_dense((len, families) in covered_family()) {
-        // Running union over the family, mixing compressed and uncompressed
-        // operands, must track the dense reference step for step — including
-        // the `union_gain` previews the greedy selector relies on.
-        let mut dense_union = Bitset::new(len);
-        let mut covered_union = CoveredSet::new(len);
-        for (i, family) in families.iter().enumerate() {
-            let dense = bitset_from_indices(len, family);
-            let operand = if i % 2 == 0 {
-                CoveredSet::from_bitset_compressed(&dense)
-            } else {
-                CoveredSet::from_bitset_uncompressed(&dense)
-            };
-            prop_assert_eq!(covered_union.union_gain(&operand), dense_union.union_gain(&dense));
-            dense_union.union_with(&dense);
-            covered_union.union_with(&operand);
-            prop_assert_eq!(covered_union.count_ones(), dense_union.count_ones());
-        }
-        prop_assert!(covered_union == dense_union);
-        // And the one-shot union constructor agrees with the incremental one.
-        let sets: Vec<CoveredSet> = families
-            .iter()
-            .map(|f| CoveredSet::from_bitset_compressed(&bitset_from_indices(len, f)))
-            .collect();
-        prop_assert_eq!(CoveredSet::union_of(len, sets.iter()), covered_union);
-    }
-
-    #[test]
     fn covered_encoding_round_trips_and_rejects_truncation((len, families) in covered_family()) {
         for family in &families {
-            let dense = bitset_from_indices(len, family);
-            for covered in [
-                CoveredSet::from_bitset_compressed(&dense),
-                CoveredSet::from_bitset_uncompressed(&dense),
-            ] {
-                let mut bytes = Vec::new();
-                covered.encode_into(&mut bytes);
-                let decoded = CoveredSet::decode_bytes(&bytes).expect("round trip");
-                prop_assert_eq!(&decoded, &covered);
-                prop_assert_eq!(decoded.to_bitset(), dense.clone());
-                // Structural validation: a truncated or padded payload is
-                // rejected rather than misread.
-                if !bytes.is_empty() {
-                    prop_assert!(CoveredSet::decode_bytes(&bytes[..bytes.len() - 1]).is_none());
-                }
-                let mut padded = bytes.clone();
-                padded.push(0);
-                prop_assert!(CoveredSet::decode_bytes(&padded).is_none());
+            let set = bitset_from_indices(len, family);
+            let mut bytes = Vec::new();
+            set.encode(&mut bytes);
+            prop_assert_eq!(bytes.len(), 8 + set.resident_bytes());
+            prop_assert_eq!(Bitset::decode(&bytes), Some(set.clone()));
+            // Structural validation: a truncated or padded payload is
+            // rejected rather than misread.
+            prop_assert!(Bitset::decode(&bytes[..bytes.len() - 1]).is_none());
+            let mut padded = bytes.clone();
+            padded.push(0);
+            prop_assert!(Bitset::decode(&padded).is_none());
+        }
+    }
+
+    #[test]
+    fn covered_payload_round_trips_at_every_length(
+        words in prop::collection::vec(0u64..u64::MAX, 4..5),
+    ) {
+        for len in 0..=200usize {
+            let mut words = words[..len.div_ceil(64)].to_vec();
+            let tail = len % 64;
+            if tail != 0 {
+                *words.last_mut().unwrap() &= (1u64 << tail) - 1;
             }
-            // Decoding keeps canonical block forms as they were encoded:
-            // re-encoding a compressed set's decoded copy gives its bytes.
-            if dnnip_core::covered::compress_enabled() {
-                let mut bytes = Vec::new();
-                CoveredSet::from_bitset_compressed(&dense).encode_into(&mut bytes);
+            let set = Bitset::from_words(words.clone(), len).expect("no stray bits");
+            let mut bytes = Vec::new();
+            set.encode(&mut bytes);
+            prop_assert_eq!(bytes.len(), 8 + 8 * len.div_ceil(64));
+            prop_assert_eq!(Bitset::decode(&bytes), Some(set), "len {}", len);
+            if tail != 0 {
+                // A bit past the length, in the payload or in the words, is
+                // rejected.
+                let last = bytes.len() - 8;
+                for bit in tail..64 {
+                    let mut stray = bytes.clone();
+                    stray[last + bit / 8] |= 1 << (bit % 8);
+                    prop_assert!(Bitset::decode(&stray).is_none(), "len {} bit {}", len, bit);
+                }
+                let mut high = words;
+                *high.last_mut().unwrap() |= 1 << 63;
+                prop_assert!(Bitset::from_words(high, len).is_none());
+            }
+        }
+    }
+
+    #[test]
+    fn covered_payload_decode_survives_arbitrary_bytes(
+        claimed_len in prop_oneof![0u64..300, 0u64..u64::MAX],
+        body in prop::collection::vec((0u16..256).prop_map(|b| b as u8), 0..64),
+    ) {
+        // Arbitrary bytes behind an arbitrary (often plausible) length field:
+        // the decoder returns `None` or a set that re-encodes to the input.
+        let mut bytes = claimed_len.to_le_bytes().to_vec();
+        bytes.extend_from_slice(&body);
+        for input in [&bytes[..], &body[..]] {
+            if let Some(set) = Bitset::decode(input) {
                 let mut again = Vec::new();
-                CoveredSet::decode_bytes(&bytes).unwrap().encode_into(&mut again);
-                prop_assert_eq!(again, bytes);
+                set.encode(&mut again);
+                prop_assert_eq!(&again[..], input);
+                prop_assert_eq!(set.words().len(), set.len().div_ceil(64));
             }
         }
     }
@@ -556,10 +527,7 @@ proptest! {
         // An evicting cache holds about half the pool, so sets are dropped
         // and recomputed (new handles) between calls.
         let cache_bytes = if evicting == 1 {
-            let bytes: usize = table
-                .iter()
-                .map(|b| CoveredSet::from_bitset(b).resident_bytes() + 96)
-                .sum();
+            let bytes: usize = table.iter().map(|b| b.resident_bytes() + 96).sum();
             (bytes / 2).max(1)
         } else {
             WorkspaceConfig::default().cache_bytes
@@ -597,10 +565,7 @@ proptest! {
     fn covered_greedy_selection_equals_dense_greedy((len, families) in covered_family()) {
         use std::sync::Arc;
         let sets: Vec<Bitset> = families.iter().map(|f| bitset_from_indices(len, f)).collect();
-        let covered: Vec<Arc<CoveredSet>> = sets
-            .iter()
-            .map(|b| Arc::new(CoveredSet::from_bitset_compressed(b)))
-            .collect();
+        let covered: Vec<Arc<Bitset>> = sets.iter().cloned().map(Arc::new).collect();
         for budget in [1usize, families.len()] {
             // The naive oracle runs on the dense sets.
             let dense_result = greedy_select_naive(&sets, len, budget).unwrap();

@@ -319,8 +319,8 @@ impl Engine {
     }
 
     /// [`Engine::drain`], additionally returning the final activation-set
-    /// cache statistics — for harnesses that report cache residency and
-    /// compression alongside the coalescing totals.
+    /// cache statistics — for harnesses that report cache residency
+    /// alongside the coalescing totals.
     pub fn drain_with_cache_stats(self) -> (CoalesceSnapshot, dnnip_core::eval::CacheStats) {
         let state = Arc::clone(&self.state);
         let coalesce = self.drain();
@@ -384,9 +384,7 @@ impl Engine {
                     ("entries", Json::Num(cache.entries as f64)),
                     ("bytes", Json::Num(cache.bytes as f64)),
                     ("resident_bytes", Json::Num(cache.resident_bytes as f64)),
-                    ("logical_bytes", Json::Num(cache.logical_bytes as f64)),
                     ("bytes_per_entry", Json::Num(cache.bytes_per_entry())),
-                    ("compression_ratio", Json::Num(cache.compression_ratio())),
                 ]),
             ),
             (
@@ -1118,19 +1116,15 @@ mod tests {
         let stats = by_id(&responses, "s");
         assert!(stats.get("cache").is_some());
         let cache = stats.get("cache").unwrap();
-        for key in [
-            "flight_hits",
-            "resident_bytes",
-            "logical_bytes",
-            "bytes_per_entry",
-            "compression_ratio",
-        ] {
+        for key in ["flight_hits", "resident_bytes", "bytes_per_entry"] {
             assert!(cache.get(key).is_some(), "missing cache.{key}");
         }
-        // An empty cache reports a neutral compression ratio, not NaN.
+        // Covered sets are plain words: there is no compression to report.
+        assert!(cache.get("compression_ratio").is_none());
+        // An empty cache reports zero bytes per entry, not NaN.
         assert_eq!(
-            cache.get("compression_ratio").and_then(Json::as_f64),
-            Some(1.0)
+            cache.get("bytes_per_entry").and_then(Json::as_f64),
+            Some(0.0)
         );
         let coalesce = stats.get("coalesce").expect("coalesce counters");
         for key in ["batches", "requests", "mean_batch_size", "shared_samples"] {
