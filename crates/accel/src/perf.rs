@@ -93,15 +93,10 @@ impl PerfModel {
     /// Layers without arithmetic (flatten, activation, pooling) contribute zero
     /// MACs but still move their activations.
     pub fn layer_costs(&self, network: &Network) -> Vec<LayerCost> {
-        let mut shape = vec![1usize];
-        shape.extend_from_slice(network.input_shape());
         let mut costs = Vec::with_capacity(network.num_layers());
-        for layer in network.layers() {
-            let out_shape = layer
-                .output_shape(&shape)
-                .expect("network shape chain validated at construction");
-            let out_elems: usize = out_shape[1..].iter().product();
-            let in_elems: usize = shape[1..].iter().product();
+        for (layer, in_shape, out_shape) in network.layer_shapes() {
+            let out_elems: usize = out_shape.iter().product();
+            let in_elems: usize = in_shape.iter().product();
             let (macs, weight_params) = match layer {
                 Layer::Conv2d(conv) => {
                     let k = conv.kernel();
@@ -129,7 +124,6 @@ impl PerfModel {
                 activation_bytes: ((in_elems + out_elems) * self.activation_bytes) as u64,
                 cycles,
             });
-            shape = out_shape;
         }
         costs
     }

@@ -24,7 +24,6 @@ use dnnip_core::workspace::{CriterionSpec, Workspace};
 use dnnip_dataset::digits::{synthetic_mnist, DigitConfig};
 use dnnip_dataset::objects::{synthetic_cifar, ObjectConfig};
 use dnnip_dataset::LabeledDataset;
-use dnnip_graph::{zoo as graph_zoo, Graph};
 use dnnip_nn::fingerprint::NetworkFingerprint;
 use dnnip_nn::layers::Activation;
 use dnnip_nn::train::{evaluate, train, TrainConfig};
@@ -321,15 +320,15 @@ pub fn evaluator_in(ws: &Workspace, model: &PreparedModel) -> Evaluator {
 ///
 /// The sequential experiment binaries default to their own trained Table-I
 /// models ([`ModelSpec::Default`]); setting `DNNIP_MODEL=residual` or
-/// `DNNIP_MODEL=branching` swaps in a graph-zoo model so the same binary can
-/// exercise the non-sequential path without code changes.
+/// `DNNIP_MODEL=branching` swaps in a zoo model with Add or Concat nodes, so
+/// the same binary runs it without code changes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ModelSpec {
     /// The binary's own default model (`DNNIP_MODEL` unset).
     Default,
-    /// [`dnnip_graph::zoo::residual_classifier`] — the ResNet-style Add model.
+    /// [`dnnip_nn::zoo::residual_classifier`] — the ResNet-style Add model.
     Residual,
-    /// [`dnnip_graph::zoo::branching_classifier`] — the two-branch Concat model.
+    /// [`dnnip_nn::zoo::branching_classifier`] — the two-branch Concat model.
     Branching,
 }
 
@@ -374,11 +373,11 @@ impl ModelSpec {
 
     /// Build the graph-zoo model this spec names, or `None` for
     /// [`ModelSpec::Default`] (the binary keeps its own sequential model).
-    pub fn build_graph(self, seed: u64) -> Option<Graph> {
+    pub fn build_graph(self, seed: u64) -> Option<Network> {
         let graph = match self {
             Self::Default => return None,
-            Self::Residual => graph_zoo::residual_classifier(seed),
-            Self::Branching => graph_zoo::branching_classifier(seed),
+            Self::Residual => zoo::residual_classifier(seed),
+            Self::Branching => zoo::branching_classifier(seed),
         };
         Some(graph.expect("graph zoo geometries are statically valid"))
     }
@@ -388,7 +387,7 @@ impl ModelSpec {
 /// the seed — the same formula as `dnnip-import`'s synthetic pool, so bench
 /// runs and importer runs over the same (shape, size, seed) triple share
 /// covered-set cache entries.
-pub fn graph_pool(graph: &Graph, size: usize, seed: u64) -> Vec<Tensor> {
+pub fn graph_pool(graph: &Network, size: usize, seed: u64) -> Vec<Tensor> {
     let shape = graph.input_shape().to_vec();
     let per: usize = shape.iter().product();
     (0..size)

@@ -29,13 +29,12 @@
 use std::fmt;
 use std::sync::Arc;
 
-use dnnip_graph::Graph;
-use dnnip_nn::batch::{ActivationCapture, BatchGradientEngine};
+use dnnip_nn::batch::BatchGradientEngine;
 use dnnip_nn::fingerprint::Fnv1a;
 use dnnip_nn::layers::Layer;
 use dnnip_nn::loss::cross_entropy;
 use dnnip_nn::Network;
-use dnnip_tensor::{ops, Tensor};
+use dnnip_tensor::Tensor;
 
 use crate::bitset::Bitset;
 use crate::coverage::{CoverageConfig, EpsilonPolicy, OutputProjection};
@@ -102,30 +101,22 @@ pub trait CoverageCriterion: fmt::Debug + Send + Sync {
         false
     }
 
-    /// Number of coverable units of a (possibly non-sequential) model
-    /// [`Graph`], or `None` when the criterion has no graph evaluation path.
-    ///
-    /// Criteria that support graphs must index units so that a graph lowered
-    /// from a `Network` produces bit-identical covered sets on both paths
-    /// (pinned by `tests/graph_equivalence.rs`). The default is `None`:
-    /// gradient-based criteria run non-linear graphs only after lowering,
-    /// which the workspace refuses with an actionable error for graphs that
-    /// cannot lower.
-    fn num_units_graph(&self, graph: &Graph) -> Option<usize> {
-        let _ = graph;
-        None
+    /// [`CoverageCriterion::num_units`], under the name older callers use for
+    /// graph models (every model is a `Network`).
+    #[doc(hidden)]
+    fn num_units_graph(&self, graph: &Network) -> Option<usize> {
+        Some(self.num_units(graph))
     }
 
-    /// Covered-unit sets of one chunk of samples evaluated directly on a model
-    /// [`Graph`], or `None` when the criterion has no graph evaluation path.
-    ///
-    /// # Errors
-    ///
-    /// The inner result is an error when a sample shape does not match the
-    /// graph input.
-    fn covered_units_graph(&self, graph: &Graph, chunk: &[Tensor]) -> Option<Result<Vec<Bitset>>> {
-        let _ = (graph, chunk);
-        None
+    /// [`CoverageCriterion::covered_units`] on a fresh engine, under the name
+    /// older callers use for graph models.
+    #[doc(hidden)]
+    fn covered_units_graph(
+        &self,
+        graph: &Network,
+        chunk: &[Tensor],
+    ) -> Option<Result<Vec<Bitset>>> {
+        Some(self.covered_units(&BatchGradientEngine::new(graph), chunk))
     }
 }
 
@@ -370,60 +361,33 @@ impl Default for NeuronActivation {
     }
 }
 
-/// Visit one sample's `(unit offset, post-activation slice)` pair for every
-/// activation layer of a capture — the shared frame of the forward-only
-/// criteria (each supplies only the per-slice coverage rule).
-fn for_each_layer_slice(
-    capture: &ActivationCapture,
-    sample: usize,
-    mut visit: impl FnMut(usize, &[f32]),
-) {
-    let mut offset = 0usize;
-    for layer in 0..capture.per_layer().len() {
-        visit(offset, capture.sample_slice(layer, sample));
-        offset += capture.units_per_sample(layer);
-    }
-}
-
-/// Visit one sample's `(unit offset, post-activation slice)` pair for every
-/// activation node of a graph evaluation — the graph analogue of
-/// [`for_each_layer_slice`]. `outputs` is [`Graph::activation_outputs`]'s
-/// batched per-node tensors; for a graph lowered from a `Network` the nodes
-/// appear in layer order, so unit offsets coincide with the engine path's.
-fn for_each_graph_slice(outputs: &[Tensor], sample: usize, mut visit: impl FnMut(usize, &[f32])) {
-    let mut offset = 0usize;
-    for out in outputs {
-        let per = out.len() / out.shape()[0];
-        visit(offset, &out.data()[sample * per..(sample + 1) * per]);
-        offset += per;
-    }
-}
-
-/// Shared graph evaluation frame of the forward-only neuron criteria: one
-/// stacked forward pass over `chunk` through [`Graph::activation_outputs`],
-/// then `mark` applied to each sample's slice of each activation node.
-fn graph_neuron_sets(
-    graph: &Graph,
+/// The shared frame of the forward-only criteria: one stacked forward pass
+/// over `chunk`, then `mark(values, unit offset, set)` for each sample's
+/// slice of each activation layer (each criterion supplies only the
+/// per-slice coverage rule).
+fn neuron_sets(
+    engine: &BatchGradientEngine,
     chunk: &[Tensor],
     mark: impl Fn(&[f32], usize, &mut Bitset),
 ) -> Result<Vec<Bitset>> {
-    let n = graph.num_neuron_units();
     if chunk.is_empty() {
         return Ok(Vec::new());
     }
-    let batch = ops::stack(chunk)?;
-    let outputs = graph.activation_outputs(&batch)?;
+    let n = engine.network().num_neuron_units();
+    let capture = engine.activation_outputs(chunk)?;
     let mut sets: Vec<Bitset> = (0..chunk.len()).map(|_| Bitset::new(n)).collect();
     for (s, set) in sets.iter_mut().enumerate() {
-        for_each_graph_slice(&outputs, s, |offset, values| {
-            mark(values, offset, set);
-        });
+        let mut offset = 0usize;
+        for layer in 0..capture.per_layer().len() {
+            mark(capture.sample_slice(layer, s), offset, set);
+            offset += capture.units_per_sample(layer);
+        }
     }
     Ok(sets)
 }
 
 /// Mark units whose `|value|` exceeds `threshold` — the [`NeuronActivation`]
-/// coverage rule, shared between the engine and graph paths.
+/// coverage rule.
 fn threshold_mark(values: &[f32], threshold: f32, offset: usize, set: &mut Bitset) {
     for (i, &v) in values.iter().enumerate() {
         if v.abs() > threshold {
@@ -433,7 +397,7 @@ fn threshold_mark(values: &[f32], threshold: f32, offset: usize, set: &mut Bitse
 }
 
 /// Mark the `k` most strongly activated units of one slice — the [`TopKNeuron`]
-/// coverage rule, shared between the engine and graph paths. Descending by
+/// coverage rule. Descending by
 /// value, ascending by index on ties: a strict total order, so the top-k *set*
 /// is uniquely determined and an O(m) partition suffices (the order within the
 /// covered prefix is irrelevant to a bitset).
@@ -446,23 +410,6 @@ fn topk_mark(values: &[f32], k: usize, offset: usize, set: &mut Bitset) {
     for &i in order.iter().take(k) {
         set.set(offset + i);
     }
-}
-
-/// Count the neuron units of `network`: every element of every activation
-/// layer's single-sample output.
-fn count_neurons(network: &Network) -> usize {
-    let mut shape = vec![1usize];
-    shape.extend_from_slice(network.input_shape());
-    let mut num = 0usize;
-    for layer in network.layers() {
-        shape = layer
-            .output_shape(&shape)
-            .expect("network shape chain validated at construction");
-        if layer.is_activation() {
-            num += shape[1..].iter().product::<usize>();
-        }
-    }
-    num
 }
 
 impl CoverageCriterion for NeuronActivation {
@@ -481,33 +428,17 @@ impl CoverageCriterion for NeuronActivation {
     }
 
     fn num_units(&self, network: &Network) -> usize {
-        count_neurons(network)
+        network.num_neuron_units()
     }
 
     fn covered_units(&self, engine: &BatchGradientEngine, chunk: &[Tensor]) -> Result<Vec<Bitset>> {
-        let n = self.num_units(engine.network());
-        let capture = engine.activation_outputs(chunk)?;
-        let mut sets: Vec<Bitset> = (0..chunk.len()).map(|_| Bitset::new(n)).collect();
-        for (s, set) in sets.iter_mut().enumerate() {
-            for_each_layer_slice(&capture, s, |offset, values| {
-                threshold_mark(values, self.threshold, offset, set);
-            });
-        }
-        Ok(sets)
+        neuron_sets(engine, chunk, |values, offset, set| {
+            threshold_mark(values, self.threshold, offset, set);
+        })
     }
 
     fn gradient_objective(&self) -> Option<Arc<dyn GradientObjective>> {
         Some(Arc::new(TargetLogitObjective))
-    }
-
-    fn num_units_graph(&self, graph: &Graph) -> Option<usize> {
-        Some(graph.num_neuron_units())
-    }
-
-    fn covered_units_graph(&self, graph: &Graph, chunk: &[Tensor]) -> Option<Result<Vec<Bitset>>> {
-        Some(graph_neuron_sets(graph, chunk, |values, offset, set| {
-            threshold_mark(values, self.threshold, offset, set);
-        }))
     }
 }
 
@@ -546,33 +477,17 @@ impl CoverageCriterion for TopKNeuron {
     }
 
     fn num_units(&self, network: &Network) -> usize {
-        count_neurons(network)
+        network.num_neuron_units()
     }
 
     fn covered_units(&self, engine: &BatchGradientEngine, chunk: &[Tensor]) -> Result<Vec<Bitset>> {
-        let n = self.num_units(engine.network());
-        let capture = engine.activation_outputs(chunk)?;
-        let mut sets: Vec<Bitset> = (0..chunk.len()).map(|_| Bitset::new(n)).collect();
-        for (s, set) in sets.iter_mut().enumerate() {
-            for_each_layer_slice(&capture, s, |offset, values| {
-                topk_mark(values, self.k, offset, set);
-            });
-        }
-        Ok(sets)
+        neuron_sets(engine, chunk, |values, offset, set| {
+            topk_mark(values, self.k, offset, set);
+        })
     }
 
     fn gradient_objective(&self) -> Option<Arc<dyn GradientObjective>> {
         Some(Arc::new(TargetLogitObjective))
-    }
-
-    fn num_units_graph(&self, graph: &Graph) -> Option<usize> {
-        Some(graph.num_neuron_units())
-    }
-
-    fn covered_units_graph(&self, graph: &Graph, chunk: &[Tensor]) -> Option<Result<Vec<Bitset>>> {
-        Some(graph_neuron_sets(graph, chunk, |values, offset, set| {
-            topk_mark(values, self.k, offset, set);
-        }))
     }
 }
 
@@ -799,39 +714,37 @@ mod tests {
 
     #[test]
     fn graph_hooks_match_engine_path_on_lowered_network() {
-        // A graph lowered from a Network must produce bit-identical covered
-        // sets through the graph hooks and through the batched engine path —
-        // the property the workspace's graph dispatch relies on.
-        let network = net();
-        let graph = Graph::from(&network);
-        let engine = BatchGradientEngine::new(&network);
-        let pool = samples(3);
-        let criteria: Vec<Arc<dyn CoverageCriterion>> = vec![
-            Arc::new(NeuronActivation::default()),
-            Arc::new(TopKNeuron::default()),
-        ];
-        for crit in criteria {
-            assert_eq!(
-                crit.num_units_graph(&graph),
-                Some(crit.num_units(&network)),
-                "{}",
-                crit.id()
-            );
-            let engine_sets = crit.covered_units(&engine, &pool).unwrap();
-            let graph_sets = crit.covered_units_graph(&graph, &pool).unwrap().unwrap();
-            assert_eq!(engine_sets, graph_sets, "{}", crit.id());
-            assert!(graph_sets[0].count_ones() > 0, "{}", crit.id());
+        // The older graph-named hooks are the engine path on a fresh engine,
+        // for every criterion — the paper's gradient criterion included — and
+        // on chains and graphs alike.
+        for (network, pool) in [
+            (net(), samples(3)),
+            (
+                zoo::residual_classifier(2).unwrap(),
+                (0..3)
+                    .map(|i| Tensor::from_fn(&[1, 8, 8], |j| ((i * 64 + j) as f32 * 0.23).sin()))
+                    .collect(),
+            ),
+        ] {
+            let engine = BatchGradientEngine::new(&network);
+            for crit in builtin_criteria(&CoverageConfig::default()) {
+                assert_eq!(
+                    crit.num_units_graph(&network),
+                    Some(crit.num_units(&network)),
+                    "{}",
+                    crit.id()
+                );
+                let engine_sets = crit.covered_units(&engine, &pool).unwrap();
+                let graph_sets = crit.covered_units_graph(&network, &pool).unwrap().unwrap();
+                assert_eq!(engine_sets, graph_sets, "{}", crit.id());
+                assert!(graph_sets[0].count_ones() > 0, "{}", crit.id());
+            }
         }
-        // The paper's gradient criterion has no graph path: non-linear graphs
-        // must be rejected upstream, not silently mis-scored.
-        let pg = ParamGradient::default();
-        assert!(pg.num_units_graph(&graph).is_none());
-        assert!(pg.covered_units_graph(&graph, &pool).is_none());
         // Empty chunks are fine (the evaluator never sends them, but the
         // contract should not be load-bearing).
         assert_eq!(
             NeuronActivation::default()
-                .covered_units_graph(&graph, &[])
+                .covered_units_graph(&net(), &[])
                 .unwrap()
                 .unwrap(),
             Vec::<Bitset>::new()

@@ -70,8 +70,9 @@ const SEG_MAGIC: u64 = u64::from_le_bytes(*b"DNIPSEG2");
 /// version bump would serve stale entries; a new key derivation without one
 /// would leave every old entry unreachable but still on disk. Version 3: the
 /// multi-lane sample hash. Version 4: word-wise record checksum. Version 5:
-/// one dense covered-set payload.
-const FORMAT_VERSION: u64 = 5;
+/// one dense covered-set payload. Version 6: chains fingerprinted through the
+/// one node-list model format.
+const FORMAT_VERSION: u64 = 6;
 
 /// The version field actually written: the format version mixed with the
 /// crate version, so entries written by a different release are never read

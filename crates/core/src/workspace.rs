@@ -55,28 +55,24 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
-use dnnip_graph::Graph;
 use dnnip_nn::fingerprint::NetworkFingerprint;
 use dnnip_nn::Network;
 use dnnip_tensor::Tensor;
 
-use crate::bitset::Bitset;
-use crate::combined::TestSource;
 use crate::coverage::{CoverageAnalyzer, CoverageConfig};
 use crate::criterion::{
     criterion_digest, criterion_from_spec, CoverageCriterion, NeuronActivation, ParamGradient,
 };
 use crate::eval::{
-    sample_hash, CacheKey, CacheStats, ContentCache, CoveredSetCache, Evaluator,
-    DEFAULT_CACHE_BYTES, DEFAULT_OUTPUT_CACHE_BYTES,
+    CacheStats, ContentCache, CoveredSetCache, Evaluator, DEFAULT_CACHE_BYTES,
+    DEFAULT_OUTPUT_CACHE_BYTES,
 };
-use crate::generator::{prefix_curve, random_indices, GeneratedTests, GenerationMethod};
+use crate::generator::{GeneratedTests, GenerationMethod};
 use crate::gradgen::GradGenConfig;
 use crate::persist::{DiskStats, DiskTier, VacuumStats};
-use crate::select::greedy_select_covered;
 use crate::{CoreError, Result};
 
 /// Environment variable overriding the persistent-cache directory.
@@ -184,17 +180,6 @@ struct ModelEntry {
     coverage: CoverageConfig,
     /// Evaluators by criterion digest ([`criterion_digest`]).
     evaluators: HashMap<u64, Evaluator>,
-}
-
-/// One registered **non-sequential** graph model: the shared graph handle and
-/// its base coverage configuration. Keyed by [`Graph::fingerprint`] in the
-/// workspace's graph registry; linear graphs never land here (registration
-/// lowers them to a [`Network`] entry instead).
-#[derive(Debug)]
-struct GraphEntry {
-    name: String,
-    graph: Arc<Graph>,
-    coverage: CoverageConfig,
 }
 
 /// Summary of one registered model ([`Workspace::models`]).
@@ -361,14 +346,16 @@ pub struct CoalesceStats {
 ///
 /// A `Workspace` is `Send + Sync`: the registry is mutex-guarded and the
 /// caches are internally synchronized, so one workspace can serve requests
-/// from many threads.
+/// from many threads. A panic while the registry lock is held (say, in a
+/// caller-supplied criterion) leaves the registry whole — every insert or
+/// replace completes under one guard — so later calls recover the lock and
+/// go on.
 #[derive(Debug)]
 pub struct Workspace {
     set_cache: Arc<CoveredSetCache>,
     output_cache: Arc<ContentCache<Tensor>>,
     disk: Option<Arc<DiskTier>>,
     models: Mutex<HashMap<NetworkFingerprint, ModelEntry>>,
-    graphs: Mutex<HashMap<NetworkFingerprint, GraphEntry>>,
 }
 
 impl Default for Workspace {
@@ -398,8 +385,12 @@ impl Workspace {
             output_cache: Arc::new(ContentCache::new(config.output_cache_bytes)),
             disk,
             models: Mutex::new(HashMap::new()),
-            graphs: Mutex::new(HashMap::new()),
         }
+    }
+
+    /// The model registry, recovered if a panic poisoned its lock.
+    fn registry(&self) -> MutexGuard<'_, HashMap<NetworkFingerprint, ModelEntry>> {
+        self.models.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// A workspace whose persistent tier is resolved from the environment
@@ -416,8 +407,9 @@ impl Workspace {
         self.disk.as_ref().map(|d| d.root())
     }
 
-    /// Register a model under `name` with its base coverage configuration and
-    /// return its fingerprint (the registry key).
+    /// Register a model — a chain or a graph — under `name` with its base
+    /// coverage configuration and return its fingerprint (the registry key).
+    /// Every registered model runs every criterion and every strategy.
     ///
     /// Registering a byte-identical network with the **same** coverage
     /// configuration is a no-op returning the same key. Re-registering it
@@ -433,21 +425,21 @@ impl Workspace {
         network: impl Into<Arc<Network>>,
         coverage: CoverageConfig,
     ) -> NetworkFingerprint {
-        let network = network.into();
+        let (name, network) = (name.into(), network.into());
         let fingerprint = NetworkFingerprint::of(&network);
-        let mut models = self.models.lock().expect("workspace registry lock");
+        let mut models = self.registry();
         match models.entry(fingerprint) {
             std::collections::hash_map::Entry::Occupied(mut occupied) => {
                 let entry = occupied.get_mut();
                 if entry.coverage != coverage {
-                    entry.name = name.into();
+                    entry.name = name;
                     entry.coverage = coverage;
                     entry.evaluators.clear();
                 }
             }
             std::collections::hash_map::Entry::Vacant(vacant) => {
                 vacant.insert(ModelEntry {
-                    name: name.into(),
+                    name,
                     network,
                     coverage,
                     evaluators: HashMap::new(),
@@ -457,104 +449,44 @@ impl Workspace {
         fingerprint
     }
 
-    /// Register a **graph** model (typically one imported via
-    /// `dnnip_graph::serialize`) under `name` and return the fingerprint it is
-    /// addressable by in [`TestGenRequest::model`].
-    ///
-    /// Single-path graphs are lowered to their bit-identical [`Network`] and
-    /// registered through [`Workspace::register`] — they get the full strategy
-    /// and criterion surface (including the paper's parameter-gradient
-    /// criterion) and are keyed by the **network** fingerprint. Non-sequential
-    /// graphs (Add/Concat, branching) are stored in the graph registry keyed
-    /// by [`Graph::fingerprint`]; requests against them run the forward-only
-    /// graph path (see [`Workspace::run`]). Either way the model shares the
-    /// workspace's covered-set cache budget and persistent tier.
-    ///
-    /// Re-registration follows the same latest-wins rule as
-    /// [`Workspace::register`].
+    /// [`Workspace::register`], under the name older callers use for graph
+    /// models.
+    #[doc(hidden)]
     pub fn register_graph(
         &self,
         name: impl Into<String>,
-        graph: impl Into<Arc<Graph>>,
+        graph: impl Into<Arc<Network>>,
         coverage: CoverageConfig,
     ) -> NetworkFingerprint {
-        let graph = graph.into();
-        if graph.is_linear() {
-            let network = graph
-                .to_network()
-                .expect("a linear graph always lowers to a Network");
-            return self.register(name, network, coverage);
-        }
-        let fingerprint = graph.fingerprint();
-        let mut graphs = self.graphs.lock().expect("workspace graph registry lock");
-        graphs.insert(
-            fingerprint,
-            GraphEntry {
-                name: name.into(),
-                graph,
-                coverage,
-            },
-        );
-        fingerprint
+        self.register(name, graph, coverage)
     }
 
-    /// The shared graph handle of a registered non-sequential graph model
-    /// (`None` for unknown fingerprints *and* for linear graphs, which
-    /// registration lowers into the network registry).
-    pub fn graph(&self, model: NetworkFingerprint) -> Option<Arc<Graph>> {
-        self.graphs
-            .lock()
-            .expect("workspace graph registry lock")
-            .get(&model)
-            .map(|entry| Arc::clone(&entry.graph))
-    }
-
-    /// Summaries of every registered model — sequential networks and graph
-    /// models alike — sorted by name.
+    /// Summaries of every registered model, sorted by name.
     pub fn models(&self) -> Vec<ModelInfo> {
-        let mut out: Vec<ModelInfo> = {
-            let models = self.models.lock().expect("workspace registry lock");
-            models
-                .iter()
-                .map(|(&fingerprint, entry)| ModelInfo {
-                    fingerprint,
-                    name: entry.name.clone(),
-                    num_parameters: entry.network.num_parameters(),
-                    num_evaluators: entry.evaluators.len(),
-                })
-                .collect()
-        };
-        {
-            let graphs = self.graphs.lock().expect("workspace graph registry lock");
-            out.extend(graphs.iter().map(|(&fingerprint, entry)| ModelInfo {
+        let mut out: Vec<ModelInfo> = self
+            .registry()
+            .iter()
+            .map(|(&fingerprint, entry)| ModelInfo {
                 fingerprint,
                 name: entry.name.clone(),
-                num_parameters: entry.graph.num_parameters(),
-                // Graph requests resolve criteria per run; no evaluator
-                // handles are minted for them.
-                num_evaluators: 0,
-            }));
-        }
+                num_parameters: entry.network.num_parameters(),
+                num_evaluators: entry.evaluators.len(),
+            })
+            .collect();
         out.sort_unstable_by(|a, b| a.name.cmp(&b.name).then(a.fingerprint.cmp(&b.fingerprint)));
         out
     }
 
     /// The shared network handle of a registered model.
     pub fn network(&self, model: NetworkFingerprint) -> Option<Arc<Network>> {
-        self.models
-            .lock()
-            .expect("workspace registry lock")
+        self.registry()
             .get(&model)
             .map(|entry| Arc::clone(&entry.network))
     }
 
     /// The registered base [`CoverageConfig`] of a model.
     pub fn coverage_config(&self, model: NetworkFingerprint) -> Option<CoverageConfig> {
-        self.models
-            .lock()
-            .expect("workspace registry lock")
-            .get(&model)
-            .map(|entry| entry.coverage)
+        self.registry().get(&model).map(|entry| entry.coverage)
     }
 
     fn resolve_criterion(
@@ -586,7 +518,7 @@ impl Workspace {
             // analyzer (and its engine, which transposes every weight matrix)
             // OUTSIDE it so a first-use mint never stalls other threads.
             let (network, coverage, resolved, digest) = {
-                let models = self.models.lock().expect("workspace registry lock");
+                let models = self.registry();
                 let entry = models.get(&model).ok_or_else(|| CoreError::InvalidConfig {
                     reason: format!("model {model} is not registered in this workspace"),
                 })?;
@@ -604,7 +536,7 @@ impl Workspace {
                 Arc::clone(&self.set_cache),
                 Arc::clone(&self.output_cache),
             );
-            let mut models = self.models.lock().expect("workspace registry lock");
+            let mut models = self.registry();
             let Some(entry) = models.get_mut(&model) else {
                 return Err(CoreError::InvalidConfig {
                     reason: format!("model {model} is not registered in this workspace"),
@@ -646,25 +578,13 @@ impl Workspace {
     /// when a selection strategy receives no candidates, and propagates
     /// coverage/gradient errors.
     pub fn run(&self, request: &TestGenRequest) -> Result<TestGenReport> {
-        // Non-sequential graph models live in their own registry and run the
-        // forward-only graph path; everything else is the network path below.
-        let graph_entry = {
-            let graphs = self.graphs.lock().expect("workspace graph registry lock");
-            graphs
-                .get(&request.model)
-                .map(|entry| (entry.name.clone(), Arc::clone(&entry.graph), entry.coverage))
-        };
-        if let Some((name, graph, coverage)) = graph_entry {
-            return self.run_graph(&name, &graph, &coverage, request);
-        }
         let evaluator = self.evaluator(request.model, &request.criterion)?;
-        let model_name = {
-            let models = self.models.lock().expect("workspace registry lock");
-            let entry = models
-                .get(&request.model)
-                .expect("model present: evaluator() just resolved it");
-            entry.name.clone()
-        };
+        let model_name = self
+            .registry()
+            .get(&request.model)
+            .expect("model present: evaluator() just resolved it")
+            .name
+            .clone();
         let start = Instant::now();
         let selector = if request.strategy == GenerationMethod::NeuronCoverageBaseline {
             let neuron = CriterionSpec::Instance(Arc::new(NeuronActivation::default()));
@@ -685,130 +605,6 @@ impl Workspace {
             cache: self.set_cache.stats(),
             disk: self.disk_stats(),
         })
-    }
-
-    /// One [`TestGenRequest`] against a non-sequential graph model: covered
-    /// sets come from the criterion's graph hooks (cached under the graph
-    /// fingerprint in the shared budget), selection reuses the exact greedy /
-    /// random machinery of the network path, and the coverage curve is the
-    /// same prefix-union density — so a request against a *lowered* copy of a
-    /// linear graph is bit-identical on both paths (pinned by
-    /// `tests/graph_equivalence.rs`).
-    fn run_graph(
-        &self,
-        name: &str,
-        graph: &Arc<Graph>,
-        coverage: &CoverageConfig,
-        request: &TestGenRequest,
-    ) -> Result<TestGenReport> {
-        if request.budget == 0 {
-            return Err(CoreError::InvalidConfig {
-                reason: "max_tests must be at least 1".to_string(),
-            });
-        }
-        let criterion = Self::resolve_criterion(coverage, &request.criterion)?;
-        let Some(num_units) = criterion.num_units_graph(graph) else {
-            return Err(CoreError::InvalidConfig {
-                reason: format!(
-                    "criterion {:?} has no graph evaluation path, and graph model {name:?} is \
-                     not sequential (it cannot lower to a Network); use a forward-only \
-                     criterion such as neuron-activation or topk-neuron",
-                    criterion.id()
-                ),
-            });
-        };
-        if !matches!(
-            request.strategy,
-            GenerationMethod::TrainingSetSelection | GenerationMethod::RandomSelection
-        ) {
-            return Err(CoreError::InvalidConfig {
-                reason: format!(
-                    "strategy {:?} needs the gradient engine, which only sequential models \
-                     have; graph model {name:?} supports training-set-selection and \
-                     random-selection",
-                    request.strategy.name()
-                ),
-            });
-        }
-        if request.candidates.is_empty() {
-            return Err(CoreError::EmptyCandidatePool);
-        }
-        let start = Instant::now();
-        let sets = self.graph_activation_sets(
-            request.model,
-            graph,
-            criterion.as_ref(),
-            &request.candidates,
-        )?;
-        let selected: Vec<usize> = match request.strategy {
-            GenerationMethod::TrainingSetSelection => {
-                greedy_select_covered(&sets, num_units, request.budget)?.selected
-            }
-            // Identical draw to the network path's random strategy, so a
-            // fixed seed selects the same indices on both.
-            GenerationMethod::RandomSelection => {
-                random_indices(request.candidates.len(), request.budget, request.seed)
-            }
-            _ => unreachable!("strategy gated above"),
-        };
-        let coverage_curve = prefix_curve(selected.iter().map(|&i| &*sets[i]), num_units);
-        let tests = GeneratedTests {
-            inputs: selected
-                .iter()
-                .map(|&i| request.candidates[i].clone())
-                .collect(),
-            coverage_curve,
-            method: request.strategy,
-            provenance: selected
-                .iter()
-                .map(|&i| TestSource::TrainingSample(i))
-                .collect(),
-        };
-        let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-        Ok(TestGenReport {
-            model: request.model,
-            model_name: name.to_string(),
-            strategy: request.strategy,
-            criterion_id: criterion.id(),
-            num_units,
-            tests,
-            wall_ms,
-            cache: self.set_cache.stats(),
-            disk: self.disk_stats(),
-        })
-    }
-
-    /// Cache-aware covered-unit sets of `samples` evaluated through a
-    /// criterion's graph hooks: entries live in the workspace's **shared**
-    /// covered-set cache (and persistent tier) under
-    /// `(graph fingerprint, sample hash, criterion digest)`, exactly like the
-    /// network path's.
-    fn graph_activation_sets(
-        &self,
-        fingerprint: NetworkFingerprint,
-        graph: &Arc<Graph>,
-        criterion: &dyn CoverageCriterion,
-        samples: &[Tensor],
-    ) -> Result<Vec<Arc<Bitset>>> {
-        let compute = |chunk: &[Tensor]| -> Result<Vec<Bitset>> {
-            criterion
-                .covered_units_graph(graph, chunk)
-                .expect("caller verified the criterion's graph path")
-        };
-        if self.set_cache.max_bytes() == 0 {
-            return Ok(compute(samples)?.into_iter().map(Arc::new).collect());
-        }
-        let digest = criterion_digest(criterion);
-        self.set_cache.get_or_compute(
-            samples,
-            |sample| CacheKey {
-                net: fingerprint,
-                sample: sample_hash(sample),
-                criterion: digest,
-            },
-            criterion.id(),
-            compute,
-        )
     }
 
     /// Run a group of requests **coalesced**: candidate tensors are deduped
@@ -889,20 +685,7 @@ impl Workspace {
     /// from the registry stop occupying cache space at the next vacuum.
     pub fn vacuum(&self) -> Option<VacuumStats> {
         let disk = self.disk.as_ref()?;
-        let mut keep: HashSet<NetworkFingerprint> = self
-            .models
-            .lock()
-            .expect("workspace registry lock")
-            .keys()
-            .copied()
-            .collect();
-        keep.extend(
-            self.graphs
-                .lock()
-                .expect("workspace graph registry lock")
-                .keys()
-                .copied(),
-        );
+        let keep: HashSet<NetworkFingerprint> = self.registry().keys().copied().collect();
         Some(disk.vacuum(&keep))
     }
 
@@ -944,6 +727,7 @@ impl Workspace {
 mod tests {
     use super::*;
     use crate::criterion::NeuronActivation;
+    use crate::select::greedy_select_covered;
     use dnnip_nn::layers::Activation;
     use dnnip_nn::zoo;
 
@@ -984,11 +768,7 @@ mod tests {
         let ws = Workspace::new();
         let network = net(5);
         let model = ws.register("m", network.clone(), CoverageConfig::default());
-        let lowered = ws.register_graph(
-            "g",
-            dnnip_graph::Graph::from(&net(6)),
-            CoverageConfig::default(),
-        );
+        let lowered = ws.register_graph("g", net(6), CoverageConfig::default());
         for spec in ["param-gradient", "neuron-activation:0.25"] {
             let spec = CriterionSpec::Spec(spec.into());
             let evaluator = ws.evaluator(model, &spec).unwrap();
@@ -1205,26 +985,26 @@ mod tests {
         assert_eq!(ws.set_cache.stats_for_model(m1).entries, 10);
     }
 
+    fn residual_pool(n: usize, salt: usize) -> Vec<Tensor> {
+        (0..n)
+            .map(|i| Tensor::from_fn(&[1, 8, 8], |j| (((i + salt) * 64 + j) as f32 * 0.11).sin()))
+            .collect()
+    }
+
     #[test]
     fn graph_models_register_and_run_forward_only_requests() {
         let ws = Workspace::new();
-        let graph = dnnip_graph::zoo::residual_classifier(5).unwrap();
-        let expected = graph.fingerprint();
+        let graph = zoo::residual_classifier(5).unwrap();
+        let expected = NetworkFingerprint::of(&graph);
         let model = ws.register_graph("residual", graph, CoverageConfig::default());
-        assert_eq!(
-            model, expected,
-            "non-linear graphs key by graph fingerprint"
-        );
-        assert!(ws.graph(model).is_some());
-        assert!(ws.network(model).is_none());
+        assert_eq!(model, expected, "graphs key by their fingerprint");
+        assert!(ws.network(model).is_some());
         let info = ws.models();
         assert_eq!(info.len(), 1);
         assert_eq!(info[0].name, "residual");
-        assert!(info[0].num_parameters > 0);
+        assert_eq!(info[0].num_parameters, 986);
 
-        let candidates: Vec<Tensor> = (0..10)
-            .map(|i| Tensor::from_fn(&[1, 8, 8], |j| ((i * 64 + j) as f32 * 0.11).sin()))
-            .collect();
+        let candidates = residual_pool(10, 0);
         let report = ws
             .run(
                 &TestGenRequest::new(model, GenerationMethod::TrainingSetSelection, 4)
@@ -1234,7 +1014,7 @@ mod tests {
             .unwrap();
         assert_eq!(report.model_name, "residual");
         assert_eq!(report.criterion_id, "neuron-activation");
-        assert!(report.num_units > 0);
+        assert_eq!(report.num_units, 768);
         assert!(report.final_coverage() > 0.0);
         assert_eq!(report.tests.len(), report.selected_indices().len());
         // Second identical run is served from the shared covered-set cache.
@@ -1248,47 +1028,69 @@ mod tests {
         assert_eq!(again.selected_indices(), report.selected_indices());
         assert!(again.cache.hits >= candidates.len() as u64);
 
-        // Random selection draws the same indices as the network strategy
-        // would for the same seed.
         let random = ws
             .run(
                 &TestGenRequest::new(model, GenerationMethod::RandomSelection, 3)
                     .with_criterion_spec("topk-neuron:2")
                     .with_seed(9)
-                    .with_candidates(candidates.clone()),
+                    .with_candidates(candidates),
             )
             .unwrap();
         assert_eq!(random.tests.len(), 3);
+    }
 
-        // Gradient-needing criterion and synthesis strategies fail with
-        // actionable messages instead of mis-scoring.
-        let err = ws
-            .run(
-                &TestGenRequest::new(model, GenerationMethod::TrainingSetSelection, 3)
-                    .with_candidates(candidates.clone()),
-            )
-            .unwrap_err();
-        assert!(err.to_string().contains("neuron-activation"), "{err}");
-        let err = ws
-            .run(
-                &TestGenRequest::new(model, GenerationMethod::GradientBased, 3)
-                    .with_criterion_spec("neuron-activation")
-                    .with_candidates(candidates),
-            )
-            .unwrap_err();
-        assert!(err.to_string().contains("training-set-selection"), "{err}");
+    #[test]
+    fn run_coalesced_shares_overlapping_graph_pools() {
+        let ws = Workspace::new();
+        let model = ws.register(
+            "residual",
+            zoo::residual_classifier(5).unwrap(),
+            CoverageConfig::default(),
+        );
+        let pool = residual_pool(12, 0);
+        let requests: Vec<TestGenRequest> = [pool.clone(), pool[4..].to_vec()]
+            .into_iter()
+            .map(|candidates| {
+                TestGenRequest::new(model, GenerationMethod::TrainingSetSelection, 3)
+                    .with_candidates(candidates)
+            })
+            .collect();
+        let (reports, stats) = ws.run_coalesced(&requests);
+        assert_eq!(stats.groups, 1);
+        assert_eq!(stats.shared_samples, 8);
+        let reference = Workspace::new();
+        reference.register(
+            "residual",
+            zoo::residual_classifier(5).unwrap(),
+            CoverageConfig::default(),
+        );
+        for (report, request) in reports.iter().zip(&requests) {
+            let alone = reference.run(request).unwrap();
+            let report = report.as_ref().unwrap();
+            assert_eq!(report.selected_indices(), alone.selected_indices());
+            assert_eq!(report.tests.coverage_curve, alone.tests.coverage_curve);
+        }
     }
 
     #[test]
     fn linear_graphs_lower_into_the_network_registry() {
-        let ws = Workspace::new();
+        // A chain written through the graph builder is the same model as
+        // `Network::new` builds: one fingerprint, one registry entry.
         let network = net(13);
-        let graph = dnnip_graph::Graph::from(&network);
-        let model = ws.register_graph("lowered", graph, CoverageConfig::default());
-        // The key is the NETWORK fingerprint: full strategy/criterion surface.
+        let mut b = dnnip_nn::graph::GraphBuilder::new(network.input_shape());
+        let mut prev = 0;
+        for layer in network.layers() {
+            prev = b.layer(prev, layer.clone()).unwrap();
+        }
+        let built = b.finish().unwrap();
+        let ws = Workspace::new();
+        let model = ws.register_graph("built", built, CoverageConfig::default());
         assert_eq!(model, NetworkFingerprint::of(&network));
-        assert!(ws.graph(model).is_none());
-        assert!(ws.network(model).is_some());
+        assert_eq!(
+            ws.register("chain", network, CoverageConfig::default()),
+            model
+        );
+        assert_eq!(ws.models().len(), 1);
         let report = ws
             .run(
                 &TestGenRequest::new(model, GenerationMethod::TrainingSetSelection, 3)
@@ -1297,6 +1099,67 @@ mod tests {
             .unwrap();
         assert_eq!(report.criterion_id, "param-gradient");
         assert!(report.final_coverage() > 0.0);
+    }
+
+    /// A criterion whose configuration digest panics: the registry lock is
+    /// held while a request's criterion is resolved and digested.
+    #[derive(Debug)]
+    struct PanickingDigest;
+
+    impl CoverageCriterion for PanickingDigest {
+        fn id(&self) -> &'static str {
+            "panicking-digest"
+        }
+        fn config_digest(&self) -> u64 {
+            panic!("digest failed")
+        }
+        fn num_units(&self, network: &Network) -> usize {
+            network.num_parameters()
+        }
+        fn covered_units(
+            &self,
+            _: &dnnip_nn::batch::BatchGradientEngine,
+            _: &[Tensor],
+        ) -> Result<Vec<crate::bitset::Bitset>> {
+            unreachable!("never minted")
+        }
+    }
+
+    #[test]
+    fn a_panic_under_the_registry_lock_does_not_poison_the_workspace() {
+        let ws = Workspace::new();
+        let first = ws.register("first", net(3), CoverageConfig::default());
+        let spec = CriterionSpec::Instance(Arc::new(PanickingDigest));
+        let caught =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ws.evaluator(first, &spec)));
+        assert!(caught.is_err(), "the digest panicked under the lock");
+        assert!(ws.models.is_poisoned());
+
+        // Another model still registers, mints and runs, bit-identical to a
+        // fresh workspace.
+        let request = |model| {
+            TestGenRequest::new(model, GenerationMethod::TrainingSetSelection, 4)
+                .with_candidates(pool(12))
+        };
+        let second = ws.register("second", net(4), CoverageConfig::default());
+        ws.default_evaluator(second).unwrap();
+        let report = ws.run(&request(second)).unwrap();
+        let fresh = Workspace::new();
+        let alone = fresh
+            .run(&request(fresh.register(
+                "second",
+                net(4),
+                CoverageConfig::default(),
+            )))
+            .unwrap();
+        assert_eq!(report.selected_indices(), alone.selected_indices());
+        assert_eq!(
+            report.final_coverage().to_bits(),
+            alone.final_coverage().to_bits()
+        );
+        assert_eq!(ws.models().len(), 2);
+        assert!(ws.run(&request(first)).is_ok());
+        assert!(ws.vacuum().is_none());
     }
 
     #[test]

@@ -1,41 +1,26 @@
-//! Graph IR and versioned model-import front-end for the `dnnip` workspace.
+//! Older names of the model graph.
 //!
-//! The DATE 2019 pipeline assumed a flat sequential layer stack
-//! ([`dnnip_nn::Network`]); this crate generalizes the model representation to
-//! a directed acyclic graph so skip connections and branches can be
-//! fingerprinted, registered, and driven through the same test-generation
-//! machinery:
-//!
-//! * [`graph`] — the IR itself: [`Graph`]/[`GraphBuilder`] with explicit
-//!   input edges per node, deterministic topological execution, per-node shape
-//!   inference at construction, and the **Add** (residual) and **Concat** ops
-//!   alongside the existing `dnnip-nn` layer kernels.
-//! * [`lower`] — conversion in both directions between [`Graph`] and the
-//!   sequential [`dnnip_nn::Network`]; a lowered graph executes bit-identically
-//!   to its source network (pinned by `tests/graph_equivalence.rs`).
-//! * [`serialize`] — a versioned, FNV-checksummed on-disk format
-//!   (`to_bytes`/`from_bytes`) so externally produced model files can be
-//!   imported, verified, and fingerprinted.
-//! * [`zoo`] — graph-native models: a ResNet-style [`zoo::residual_classifier`]
-//!   and a Concat-based [`zoo::branching_classifier`].
-//!
-//! # Example
+//! Every model — a chain or a graph with residual Add and branch Concat
+//! nodes — is a [`dnnip_nn::Network`]: its node list, builder
+//! ([`dnnip_nn::graph::GraphBuilder`]), executor, serializer and fingerprint
+//! all live in `dnnip-nn`, and the residual and branching models in
+//! [`dnnip_nn::zoo`]. This crate keeps two names that callers written
+//! against the separate graph type still use: `Graph`, which is `Network`,
+//! and `zoo`, which re-exports the two graph models.
 //!
 //! ```
-//! use dnnip_graph::zoo;
+//! use dnnip_nn::{zoo, Network};
 //! use dnnip_tensor::Tensor;
 //!
 //! # fn main() -> Result<(), dnnip_nn::NnError> {
-//! let graph = zoo::residual_classifier(42)?;
-//! assert!(!graph.is_linear()); // a Network cannot express this model
+//! let net: Network = zoo::residual_classifier(42)?;
+//! assert!(!net.is_linear()); // an Add node joins the skip connection
 //! let x = Tensor::from_fn(&[2, 1, 8, 8], |i| (i as f32 * 0.05).sin());
-//! let logits = graph.forward(&x)?;
-//! assert_eq!(logits.shape(), &[2, 10]);
+//! assert_eq!(net.forward(&x)?.shape(), &[2, 10]);
 //!
-//! // Export, re-import, and check the content fingerprint survived.
-//! let bytes = dnnip_graph::serialize::to_bytes(&graph);
-//! let imported = dnnip_graph::serialize::from_bytes(&bytes)?;
-//! assert_eq!(imported.fingerprint(), graph.fingerprint());
+//! // The older names are the same type and the same models.
+//! let graph: dnnip_graph::Graph = dnnip_graph::zoo::residual_classifier(42)?;
+//! assert_eq!(graph.nodes(), net.nodes());
 //! # Ok(())
 //! # }
 //! ```
@@ -43,9 +28,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod graph;
-pub mod lower;
-pub mod serialize;
-pub mod zoo;
+#[doc(hidden)]
+pub use dnnip_nn::Network as Graph;
 
-pub use graph::{Graph, GraphBuilder, GraphForwardPass, GraphOp, Node, NodeId};
+#[doc(hidden)]
+pub mod zoo {
+    pub use dnnip_nn::zoo::{branching_classifier, residual_classifier};
+}

@@ -7,12 +7,15 @@
 //! objects, allocating tensors at every step. [`BatchGradientEngine`]
 //! restructures that hot path:
 //!
-//! * **One layer loop** — every forward pass, stacked or not, is the same loop
-//!   over the network's layers. Dense layers over a stacked batch are one
-//!   matrix–matrix product; over a single sample they are an axpy over the
-//!   weight's rows (`gemm`'s fold at m = 1, without packing a panel).
-//!   Convolutions run as im2col + matmul, one sample's column block at a time
-//!   in a reused scratch buffer, multiplied while it is cache-hot.
+//! * **One node walk** — every forward pass, stacked or not, is the same walk
+//!   over the network's nodes in topological order. Each node's stacked
+//!   output stays in the pass, and the backward passes read layer inputs and
+//!   activation outputs from there in place, so nothing is copied between
+//!   nodes. Dense layers over a stacked batch are one matrix–matrix product;
+//!   over a single sample they are an axpy over the weight's rows (`gemm`'s
+//!   fold at m = 1, without packing a panel). Convolutions run as im2col +
+//!   matmul, one sample's column block at a time in a reused scratch buffer,
+//!   multiplied while it is cache-hot.
 //! * **Sample-major parameter gradients** — a sample's forward and backward
 //!   passes run back to back. Its forward lowers each convolution's block
 //!   once and keeps the blocks side by side in the arena, and its backward
@@ -20,11 +23,15 @@
 //!   `∂L/∂Wᵀ = cols · ∂L/∂outᵀ` (`gemm_nt` takes the large block as the left
 //!   operand, so only the small `∂L/∂out` is packed; a small
 //!   `[C·KH·KW, OC]` transpose then writes `∂L/∂W`). The input gradient is
-//!   `col2im(Wᵀ · ∂L/∂out)`; below the first parameterized layer it is never
-//!   needed and is skipped. A Dense layer's two degenerate products are
+//!   `col2im(Wᵀ · ∂L/∂out)`; where no parameterized layer lies upstream it is
+//!   never needed and is skipped. A Dense layer's two degenerate products are
 //!   written out: the weight gradient as the outer product `0.0 + a·g`, the
 //!   input gradient as an axpy over the rows of the precomputed `Wᵀ`. Both
 //!   are the exact folds `gemm` performs for those shapes.
+//! * **Add and Concat** — an Add hands its gradient to every input, a Concat
+//!   splits it by channel, and a node read by several others sums their
+//!   gradients in the order [`Network::backward`] does. A node read once
+//!   receives its gradient buffer by move, so a chain pays nothing for them.
 //! * **Multi-projection amortization** — several output projections (e.g. one
 //!   per class for the `PerClassMax` coverage policy) share a sample's single
 //!   forward pass and its lowered blocks; only the cheap backward repeats.
@@ -39,55 +46,33 @@ use std::sync::Arc;
 use dnnip_tensor::conv::{col2im_slice_into, im2col_block_into};
 use dnnip_tensor::{kernels, ops, ScratchArena, Tensor};
 
+use crate::graph::{self, NodeOp};
 use crate::layers::{Activation, Conv2d, Layer, LayerCache};
 use crate::{Network, NnError, Result};
 
-/// Per-layer state captured by the engine's batched forward pass.
-///
-/// Every variant stores **batch-level** data; the per-sample backward passes
-/// index straight into it with slice arithmetic instead of materializing
-/// batch-of-one tensors per sample.
-#[derive(Debug)]
-enum BatchCache {
-    /// Convolution: the stacked layer input `[B, C, H, W]`, moved in
-    /// without a copy. The input gradient needs just its `(C, H, W)`
-    /// geometry for `col2im`; the weight gradient reads the blocks a
-    /// sample-major forward kept.
-    Conv { input: Tensor },
-    /// Dense: the stacked layer input `[B, in_features]`.
-    Dense { input: Tensor },
-    /// Max pooling: batch-level argmax bookkeeping and the batched input shape.
-    Pool {
-        argmax: Vec<usize>,
-        input_shape: Vec<usize>,
-    },
-    /// Flatten: no state — a sample's flat storage is unchanged by flattening,
-    /// so its backward pass is the identity on the gradient buffer.
-    Flatten,
-    /// Activation: the stacked **post-activation** output. Derivatives are
-    /// recovered from the output (`tanh'` = `1 - y²`, `σ'` = `y·(1-y)`,
-    /// `relu'` = `[y > 0]`), which is bit-identical to re-deriving them from
-    /// the pre-activation input but skips the transcendental re-evaluation.
-    Act { output: Tensor },
-}
-
-/// A completed batched forward pass: the stacked logits plus the per-layer
-/// caches the per-sample backward passes consume.
+/// A completed batched forward pass: every node's stacked output plus the
+/// bookkeeping the per-sample backward passes consume.
 ///
 /// Produced by [`BatchGradientEngine::forward_batch`]; opaque outside the
-/// engine so the cache layout can evolve freely.
+/// engine so the layout can evolve freely.
 #[derive(Debug)]
 pub struct BatchForwardPass {
-    /// Stacked network output, shape `[B, classes]`.
-    output: Tensor,
-    caches: Vec<BatchCache>,
+    /// Stacked output of every node (node 0: the stacked input; the last
+    /// node: the logits `[B, classes]`).
+    outputs: Vec<Tensor>,
+    /// Per node: a max-pool layer's flat argmax over the batch input (empty
+    /// for every other node).
+    argmax: Vec<Vec<usize>>,
+    /// Per node: where a convolution's kept im2col block starts in the arena
+    /// (meaningful only for a forward that keeps its blocks).
+    col_offsets: Vec<usize>,
     batch: usize,
 }
 
 impl BatchForwardPass {
     /// The stacked logits, shape `[B, classes]`.
     pub fn output(&self) -> &Tensor {
-        &self.output
+        self.outputs.last().expect("a network has an output node")
     }
 
     /// Number of samples in the batch.
@@ -106,7 +91,7 @@ impl BatchForwardPass {
 #[derive(Debug)]
 pub struct ActivationCapture {
     /// Stacked post-activation output of each [`Layer::Activation`] layer, in
-    /// network order. Every tensor's leading dimension is the batch size.
+    /// topological order. Every tensor's leading dimension is the batch size.
     outputs: Vec<Tensor>,
     /// Stacked network logits, shape `[B, classes]`.
     logits: Tensor,
@@ -115,7 +100,7 @@ pub struct ActivationCapture {
 
 impl ActivationCapture {
     /// Stacked post-activation outputs, one tensor per activation layer in
-    /// network order (leading dimension = batch size).
+    /// topological order (leading dimension = batch size).
     pub fn per_layer(&self) -> &[Tensor] {
         &self.outputs
     }
@@ -159,7 +144,7 @@ impl ActivationCapture {
 ///
 /// The engine **owns** its network as an `Arc<Network>` (and keeps the
 /// precomputed matrices behind `Arc`s too), so engines are `'static`, cheaply
-/// clonable handles: cloning bumps three reference counts and re-derives
+/// clonable handles: cloning bumps a few reference counts and re-derives
 /// nothing. This is what lets evaluators live in long-lived multi-model
 /// registries (the `Workspace` front-door in `dnnip-core`) instead of
 /// borrowing from a caller's stack frame.
@@ -170,9 +155,10 @@ pub struct BatchGradientEngine {
     conv_mats: Arc<[Option<(Tensor, Tensor)>]>,
     /// Per layer: `Some(weightᵀ)` for Dense layers, `None` otherwise.
     dense_t: Arc<[Option<Tensor>]>,
-    /// Index of the first layer with parameters (the layer count when there
-    /// is none): a parameter-gradient backward pass ends there.
-    first_param_layer: usize,
+    /// Per node: whether a parameterized layer lies at or upstream of it. A
+    /// parameter-gradient backward pass sends gradients only into such nodes:
+    /// in a chain it ends at the first parameterized layer.
+    param_path: Arc<[bool]>,
 }
 
 /// Where a parameter-gradient backward pass writes, and the column blocks
@@ -183,11 +169,6 @@ struct ParamSink<'a> {
     /// The sample's im2col blocks, side by side in layer order, as its
     /// forward pass left them.
     cols: &'a [f32],
-}
-
-/// `(B, C, H, W)` of a stacked convolution input.
-fn nchw(x: &Tensor) -> (usize, usize, usize, usize) {
-    (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3])
 }
 
 /// `out = x · mat` for a row vector `x` and a row-major `[x.len(), out.len()]`
@@ -201,6 +182,29 @@ fn row_times(x: &[f32], mat: &[f32], out: &mut [f32]) {
             *acc += a * w;
         }
     }
+}
+
+/// Hand `grad` to node `to`: the first gradient to arrive is moved in, later
+/// ones are summed into it (`existing + grad`, as [`Network::backward`]'s
+/// `add_assign` does) and their buffers go back to `spare`.
+fn deliver(slots: &mut [Option<Vec<f32>>], to: usize, grad: Vec<f32>, spare: &mut Vec<Vec<f32>>) {
+    match &mut slots[to] {
+        None => slots[to] = Some(grad),
+        Some(existing) => {
+            for (e, &g) in existing.iter_mut().zip(&grad) {
+                *e += g;
+            }
+            spare.push(grad);
+        }
+    }
+}
+
+/// A spare buffer holding a copy of `values`.
+fn copy_of(values: &[f32], spare: &mut Vec<Vec<f32>>) -> Vec<f32> {
+    let mut buf = spare.pop().unwrap_or_default();
+    buf.clear();
+    buf.extend_from_slice(values);
+    buf
 }
 
 impl BatchGradientEngine {
@@ -239,14 +243,17 @@ impl BatchGradientEngine {
             .collect::<Vec<_>>()
             .into();
         let layout = network.param_layout();
-        let first_param_layer = (0..network.num_layers())
-            .find(|&i| layout.layer_range(i).is_some())
-            .unwrap_or(network.num_layers());
+        let mut param_path: Vec<bool> = Vec::with_capacity(network.num_nodes());
+        for node in network.nodes() {
+            let own = matches!(node.op(), NodeOp::Layer(i) if layout.layer_range(i).is_some());
+            let upstream = node.inputs().iter().any(|&i| param_path[i]);
+            param_path.push(own || upstream);
+        }
         Self {
             network,
             conv_mats,
             dense_t,
-            first_param_layer,
+            param_path: param_path.into(),
         }
     }
 
@@ -309,8 +316,7 @@ impl BatchGradientEngine {
                     grads: &mut grads,
                     cols: &cols,
                 };
-                let g = self.backward_sample(&pass.caches, 0, proj, Some(sink), &mut arena)?;
-                arena.grad_a = g;
+                self.backward_sample(&pass, 0, proj, Some(sink), &mut arena)?;
                 visit(s, pi, &grads);
             }
             arena.cols = cols;
@@ -318,8 +324,8 @@ impl BatchGradientEngine {
         Ok(())
     }
 
-    /// Run the batched forward pass over a slice of samples, retaining the
-    /// stacked logits and per-layer caches for later per-sample backward calls
+    /// Run the batched forward pass over a slice of samples, retaining every
+    /// node's stacked output for later per-sample backward calls
     /// ([`BatchGradientEngine::input_gradient`]).
     ///
     /// # Errors
@@ -352,7 +358,7 @@ impl BatchGradientEngine {
     ///
     /// This is the entry point for coverage criteria that only look at neuron
     /// outputs: no gradients are computed. It is the forward pass of
-    /// [`BatchGradientEngine::forward_batch`] with the activation caches
+    /// [`BatchGradientEngine::forward_batch`] with the activation outputs
     /// handed out, so captured values are the gradient path's intermediate
     /// activations, bit for bit.
     ///
@@ -361,17 +367,20 @@ impl BatchGradientEngine {
     /// Returns an error when any sample shape does not match the network input.
     pub fn activation_outputs(&self, samples: &[Tensor]) -> Result<ActivationCapture> {
         let pass = self.forward(samples, &mut ScratchArena::new(), false)?;
+        let logits = pass.output().clone();
+        let layers = self.network.layers();
         let outputs = pass
-            .caches
+            .outputs
             .into_iter()
-            .filter_map(|cache| match cache {
-                BatchCache::Act { output } => Some(output),
+            .zip(self.network.nodes())
+            .filter_map(|(out, node)| match node.op() {
+                NodeOp::Layer(i) if layers[i].is_activation() => Some(out),
                 _ => None,
             })
             .collect();
         Ok(ActivationCapture {
             outputs,
-            logits: pass.output,
+            logits,
             batch: pass.batch,
         })
     }
@@ -427,9 +436,9 @@ impl BatchGradientEngine {
                 expected: format!("sample index < {}", pass.batch),
             });
         }
-        let g = self.backward_sample(&pass.caches, s, output_grad, None, arena)?;
+        let g = self.backward_sample(pass, s, output_grad, None, arena)?;
         let out = Tensor::from_vec(g.clone(), self.network.input_shape())?;
-        arena.grad_a = g;
+        arena.grads.push(g);
         Ok(out)
     }
 
@@ -458,13 +467,13 @@ impl BatchGradientEngine {
     /// matrix: per-sample im2col + matmul, returning the stacked output. Each
     /// sample is lowered (through `arena.padded`) into one block of
     /// `arena.cols` and multiplied while the block is still cache-hot. The
-    /// block starts at `arena.cols`' beginning, or,
-    /// when `keep` is set (a batch of one), after the blocks already kept
-    /// there, so the sample's blocks for every convolution end up side by
-    /// side in layer order. The arithmetic (one im2col block per sample,
-    /// `kernels::gemm`, bias added after the product) is that of
-    /// `conv2d_forward_im2col`, which [`Layer::infer`] runs, so
-    /// [`Network::forward`] agrees with the engine bit for bit.
+    /// block starts at `arena.cols`' beginning, or, when `keep` is set (a
+    /// batch of one), after the blocks already kept there, so the sample's
+    /// blocks for every convolution end up side by side in layer order. The
+    /// arithmetic (one im2col block per sample, `kernels::gemm`, bias added
+    /// after the product) is that of `conv2d_forward_im2col`, which
+    /// [`Layer::infer`] runs, so [`Network::forward`] agrees with the engine
+    /// bit for bit.
     fn conv_forward_batch(
         &self,
         layer_index: usize,
@@ -473,7 +482,7 @@ impl BatchGradientEngine {
         arena: &mut ScratchArena,
         keep: bool,
     ) -> Result<Tensor> {
-        let (b, c, h, w) = nchw(x);
+        let (b, c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
         let geom = l.geometry();
         let (oh, ow) = geom.output_hw(h, w)?;
         let oc = l.out_channels();
@@ -502,277 +511,325 @@ impl BatchGradientEngine {
         Ok(Tensor::from_vec(out, &[b, oc, oh, ow])?)
     }
 
-    /// The engine's one forward pass: stacks `samples`, runs every layer
-    /// over the batch and records the per-layer state the per-sample backward
-    /// passes need. With `keep_cols` (a batch of one), each convolution's
-    /// im2col block stays in `arena.cols`, side by side in layer order, for
-    /// that sample's parameter-gradient backward passes.
+    /// The engine's one forward pass: stacks `samples` and walks the nodes
+    /// over the batch, keeping every node's output for the per-sample
+    /// backward passes. With `keep_cols` (a batch of one), each
+    /// convolution's im2col block stays in `arena.cols`, side by side in
+    /// layer order, for that sample's parameter-gradient backward passes.
     fn forward(
         &self,
         samples: &[Tensor],
         arena: &mut ScratchArena,
         keep_cols: bool,
     ) -> Result<BatchForwardPass> {
-        let mut x = ops::stack(samples)?;
+        let x = ops::stack(samples)?;
         self.network.check_batch_input(&x)?;
         if keep_cols {
             arena.cols.clear();
         }
-        let mut caches = Vec::with_capacity(self.network.num_layers());
-        for (i, layer) in self.network.layers().iter().enumerate() {
-            match layer {
-                Layer::Conv2d(l) => {
-                    let out = self.conv_forward_batch(i, l, &x, arena, keep_cols)?;
-                    caches.push(BatchCache::Conv { input: x });
-                    x = out;
-                }
-                Layer::Dense(l) if samples.len() == 1 => {
-                    // One sample: `gemm`'s fold at m = 1 without repacking
-                    // the weight, then the bias, as `add_row_vector` adds it.
-                    let (w, bias) = l.parameters();
-                    let mut out = vec![0.0f32; l.out_features()];
-                    row_times(x.data(), w.data(), &mut out);
-                    for (v, &b) in out.iter_mut().zip(bias.data()) {
-                        *v += b;
+        let nodes = self.network.nodes();
+        let layers = self.network.layers();
+        let mut outputs: Vec<Tensor> = Vec::with_capacity(nodes.len());
+        let mut argmax = vec![Vec::new(); nodes.len()];
+        let mut col_offsets = vec![0usize; nodes.len()];
+        outputs.push(x);
+        for (id, node) in nodes.iter().enumerate().skip(1) {
+            let x = &outputs[node.inputs()[0]];
+            let out = match node.op() {
+                NodeOp::Input => unreachable!("node 0 is the only input node"),
+                NodeOp::Add | NodeOp::Concat => {
+                    let inputs: Vec<&Tensor> = node.inputs().iter().map(|&i| &outputs[i]).collect();
+                    if node.op() == NodeOp::Add {
+                        graph::add_batched(&inputs)?
+                    } else {
+                        graph::concat_batched(&inputs)?
                     }
-                    caches.push(BatchCache::Dense { input: x });
-                    x = Tensor::from_vec(out, &[1, l.out_features()])?;
                 }
-                Layer::Dense(l) => {
-                    let out = l.infer(&x)?;
-                    caches.push(BatchCache::Dense { input: x });
-                    x = out;
-                }
-                Layer::MaxPool2d(l) => {
-                    let (out, cache) = l.forward(&x)?;
-                    let LayerCache::MaxPool2d {
-                        argmax,
-                        input_shape,
-                    } = cache
-                    else {
-                        unreachable!("MaxPool2d::forward returns a MaxPool2d cache");
-                    };
-                    caches.push(BatchCache::Pool {
-                        argmax,
-                        input_shape,
-                    });
-                    x = out;
-                }
-                Layer::Flatten(l) => {
-                    let (out, _) = l.forward(&x)?;
-                    caches.push(BatchCache::Flatten);
-                    x = out;
-                }
-                Layer::Activation(l) => {
-                    // Retain the output: backward recovers derivatives from it.
-                    let out = l.infer(&x);
-                    caches.push(BatchCache::Act {
-                        output: out.clone(),
-                    });
-                    x = out;
-                }
-            }
+                NodeOp::Layer(i) => match &layers[i] {
+                    Layer::Conv2d(l) => {
+                        col_offsets[id] = arena.cols.len();
+                        self.conv_forward_batch(i, l, x, arena, keep_cols)?
+                    }
+                    Layer::Dense(l) if samples.len() == 1 => {
+                        // One sample: `gemm`'s fold at m = 1 without repacking
+                        // the weight, then the bias, as `add_row_vector` adds
+                        // it.
+                        let (w, bias) = l.parameters();
+                        let mut out = vec![0.0f32; l.out_features()];
+                        row_times(x.data(), w.data(), &mut out);
+                        for (v, &b) in out.iter_mut().zip(bias.data()) {
+                            *v += b;
+                        }
+                        Tensor::from_vec(out, &[1, l.out_features()])?
+                    }
+                    Layer::MaxPool2d(l) => {
+                        let (out, cache) = l.forward(x)?;
+                        let LayerCache::MaxPool2d { argmax: a, .. } = cache else {
+                            unreachable!("MaxPool2d::forward returns a MaxPool2d cache");
+                        };
+                        argmax[id] = a;
+                        out
+                    }
+                    layer => layer.infer(x)?,
+                },
+            };
+            outputs.push(out);
         }
         Ok(BatchForwardPass {
-            output: x,
-            caches,
+            outputs,
+            argmax,
+            col_offsets,
             batch: samples.len(),
         })
     }
 
-    /// Backward pass for sample `s` of a completed batched forward, returning
-    /// the gradient with respect to the layer-0 input as a flat buffer (the
-    /// caller hands it back to `arena.grad_a` so the allocation is reused).
+    /// Backward pass for sample `s` of a completed batched forward. Returns
+    /// the gradient with respect to the network input as a flat buffer (the
+    /// caller hands it back to `arena.grads` so the allocation is reused);
+    /// with `params` it returns an empty buffer.
     ///
-    /// The running gradient lives in a pair of ping-pong buffers borrowed from
-    /// the arena — no per-layer or per-sample tensor allocations. Every layer
-    /// reads its slice of the batch-level caches directly.
+    /// Nodes run in reverse topological order, each once every reader has
+    /// delivered its share of the node's gradient. Gradient buffers come
+    /// from and return to the arena — no per-node tensor allocations — and
+    /// every node reads its slice of the batch-level outputs directly.
     ///
     /// When `params` is `Some`, the flat parameter-gradient vector is
     /// written into its `grads` (every parameterized range is fully
-    /// overwritten, so the buffer needs no zeroing between calls), the
-    /// convolution weight gradients read the sample's blocks from its `cols`
-    /// (as a sample-major forward kept them), and the pass stops at the first
-    /// parameterized layer without computing that layer's input gradient —
-    /// the returned buffer is then scratch. When `None`,
+    /// overwritten — with zeros for a layer no gradient reaches — so the
+    /// buffer needs no zeroing between calls), the convolution weight
+    /// gradients read the sample's blocks from its `cols` (as a sample-major
+    /// forward kept them), and gradients flow only into nodes a
+    /// parameterized layer lies at or upstream of. When `None`,
     /// parameter-gradient work is skipped entirely — the input-gradient-only
     /// mode the gradient-descent loops use.
     fn backward_sample(
         &self,
-        caches: &[BatchCache],
+        pass: &BatchForwardPass,
         s: usize,
         projection: &[f32],
         mut params: Option<ParamSink<'_>>,
         arena: &mut ScratchArena,
     ) -> Result<Vec<f32>> {
-        let mut cur = std::mem::take(&mut arena.grad_a);
-        let mut nxt = std::mem::take(&mut arena.grad_b);
-        cur.clear();
-        cur.extend_from_slice(projection);
-        let stop = if params.is_some() {
-            self.first_param_layer
-        } else {
-            0
-        };
-        // Unconsumed prefix of the sample's column blocks; the backward walk
-        // takes each convolution's block off its end.
-        let mut cols_left = params.as_ref().map_or(0, |p| p.cols.len());
-        for (i, layer) in self.network.layers().iter().enumerate().skip(stop).rev() {
-            let input_grad = params.is_none() || i > stop;
-            match (&caches[i], layer) {
-                (BatchCache::Conv { input }, Layer::Conv2d(l)) => {
-                    let (_, c, h, w) = nchw(input);
-                    let geom = l.geometry();
-                    let (oh, ow) = geom.output_hw(h, w)?;
-                    let (ckk, per) = (c * geom.kh * geom.kw, oh * ow);
-                    let (_, wmat_t) = self.conv_mats[i]
-                        .as_ref()
-                        .expect("conv layer has precomputed weight matrices");
-                    let oc = l.out_channels();
-                    // ∂L/∂out arrives with exactly oc·per elements; its flat
-                    // storage *is* the [OC, OH*OW] matrix, so no reshape copy.
-                    debug_assert_eq!(cur.len(), oc * per);
-                    let god = cur.as_slice();
-                    if let Some(p) = params.as_mut() {
-                        cols_left -= ckk * per;
-                        let block = &p.cols[cols_left..cols_left + ckk * per];
-                        let range = self
-                            .network
-                            .param_layout()
-                            .layer_range(i)
-                            .expect("parameterized layer present in layout");
-                        let dst = &mut p.grads[range];
-                        let w_len = oc * ckk;
-                        // ∂L/∂Wᵀ = cols · ∂L/∂outᵀ: the large block is read in
-                        // place as the left operand and only the small ∂L/∂out
-                        // is packed. Each element folds the same products over
-                        // the same ascending `per`, operands swapped, so the
-                        // small transpose into the flat slice gives ∂L/∂W.
-                        let dw_t = ScratchArena::sized(&mut arena.grad_cols, ckk * oc);
-                        kernels::gemm_nt(ckk, per, oc, block, god, dw_t);
-                        for oci in 0..oc {
-                            let row = &mut dst[oci * ckk..(oci + 1) * ckk];
-                            for (slot, &v) in row.iter_mut().zip(dw_t[oci..].iter().step_by(oc)) {
-                                *slot = v;
-                            }
-                        }
-                        for (oci, slot) in dst[w_len..].iter_mut().enumerate() {
-                            *slot = god[oci * per..(oci + 1) * per].iter().sum();
-                        }
-                    }
-                    if input_grad {
-                        // ∂L/∂x = col2im(Wᵀ · ∂L/∂out), product in arena scratch.
-                        let gi_cols = ScratchArena::sized(&mut arena.grad_cols, ckk * per);
-                        kernels::gemm(ckk, oc, per, wmat_t.data(), god, gi_cols);
-                        col2im_slice_into(gi_cols, geom, c, h, w, &mut nxt)?;
-                        std::mem::swap(&mut cur, &mut nxt);
+        let nodes = self.network.nodes();
+        let layout = self.network.param_layout();
+        let n = nodes.len();
+        let all = params.is_none();
+        let wanted = |i: usize| all || self.param_path[i];
+        let mut spare = std::mem::take(&mut arena.grads);
+        let mut slots: Vec<Option<Vec<f32>>> = vec![None; n];
+        slots[n - 1] = Some(copy_of(projection, &mut spare));
+        for (id, node) in nodes.iter().enumerate().skip(1).rev() {
+            let Some(mut cur) = slots[id].take() else {
+                // No gradient reaches this node's output: its parameters'
+                // gradient is zero.
+                if let (Some(p), NodeOp::Layer(i)) = (params.as_mut(), node.op()) {
+                    if let Some(range) = layout.layer_range(i) {
+                        p.grads[range].fill(0.0);
                     }
                 }
-                (BatchCache::Dense { input }, Layer::Dense(_)) => {
-                    let w_t = self.dense_t[i]
-                        .as_ref()
-                        .expect("dense layer has a precomputed weight transpose");
-                    let (out_f, in_f) = (w_t.shape()[0], w_t.shape()[1]);
-                    debug_assert_eq!(cur.len(), out_f);
-                    let god = cur.as_slice();
-                    if let Some(p) = params.as_mut() {
-                        let input_s = &input.data()[s * in_f..(s + 1) * in_f];
-                        let range = self
-                            .network
-                            .param_layout()
-                            .layer_range(i)
-                            .expect("parameterized layer present in layout");
-                        let dst = &mut p.grads[range];
-                        let w_len = in_f * out_f;
-                        // ∂L/∂W = inputᵀ · ∂L/∂out is an outer product: each
-                        // element is `gemm`'s single-term fold `0.0 + a * g`.
-                        for (i, &a) in input_s.iter().enumerate() {
-                            let row = &mut dst[i * out_f..(i + 1) * out_f];
-                            for (slot, &g) in row.iter_mut().zip(god) {
-                                *slot = 0.0 + a * g;
-                            }
-                        }
-                        // ∂L/∂b over a batch of one is `sum_rows`' single-term
-                        // fold `0.0 + g` — written out as such (not a copy) so
-                        // -0.0 normalizes to +0.0 exactly like the reference.
-                        for (slot, &g) in dst[w_len..].iter_mut().zip(god) {
-                            *slot = 0.0 + g;
-                        }
+                continue;
+            };
+            let input = node.inputs()[0];
+            match node.op() {
+                NodeOp::Input => unreachable!("node 0 is the only input node"),
+                NodeOp::Add => {
+                    // Every input receives the gradient unchanged.
+                    for &i in node.inputs().iter().filter(|&&i| wanted(i)) {
+                        let copy = copy_of(&cur, &mut spare);
+                        deliver(&mut slots, i, copy, &mut spare);
                     }
-                    if input_grad {
-                        // ∂L/∂x = ∂L/∂out · Wᵀ, without repacking Wᵀ for a
-                        // one-row product.
-                        row_times(god, w_t.data(), ScratchArena::sized(&mut nxt, in_f));
-                        std::mem::swap(&mut cur, &mut nxt);
-                    }
+                    spare.push(cur);
                 }
-                (
-                    BatchCache::Pool {
-                        argmax,
-                        input_shape,
-                    },
-                    Layer::MaxPool2d(_),
-                ) => {
-                    // Scatter-add in argmax order — the exact fold
-                    // `maxpool2d_backward` performs on a rebased batch of one.
-                    let item_len: usize = input_shape[1..].iter().product();
-                    let per_out = argmax.len() / input_shape[0];
-                    let base = s * item_len;
-                    let dst = ScratchArena::sized(&mut nxt, item_len);
-                    dst.fill(0.0);
-                    for (&g, &idx) in cur.iter().zip(&argmax[s * per_out..(s + 1) * per_out]) {
-                        dst[idx - base] += g;
+                NodeOp::Concat => {
+                    // A sample's joined gradient is its inputs' pieces side
+                    // by side.
+                    let mut offset = 0;
+                    for &i in node.inputs() {
+                        let len: usize = nodes[i].output_shape().iter().product();
+                        if wanted(i) {
+                            let piece = copy_of(&cur[offset..offset + len], &mut spare);
+                            deliver(&mut slots, i, piece, &mut spare);
+                        }
+                        offset += len;
                     }
-                    std::mem::swap(&mut cur, &mut nxt);
+                    spare.push(cur);
                 }
-                // A sample's flat storage is unchanged by flattening: identity.
-                (BatchCache::Flatten, Layer::Flatten(_)) => {}
-                (BatchCache::Act { output }, Layer::Activation(l)) => {
-                    // Derivative from the cached post-activation output —
-                    // bit-identical to `Activation::derivative` at the
-                    // pre-activation input (`y = act(x)` is the same bits, and
-                    // each rule below is the derivative formula rewritten in
-                    // terms of `y`), multiplied exactly like `zip_map`'s
-                    // `g * act.derivative(x)`.
-                    let per = output.len() / output.shape()[0];
-                    let ys = &output.data()[s * per..(s + 1) * per];
-                    debug_assert_eq!(cur.len(), per);
-                    match l.activation() {
-                        Activation::Relu => {
-                            // `y > 0` ⟺ `x > 0` (negatives, zeros and NaN all
-                            // clamp to 0), so the indicator matches exactly.
-                            for (g, &y) in cur.iter_mut().zip(ys) {
-                                *g *= if y > 0.0 { 1.0 } else { 0.0 };
+                NodeOp::Layer(li) => match &self.network.layers()[li] {
+                    Layer::Conv2d(l) => {
+                        let in_shape = nodes[input].output_shape();
+                        let (c, h, w) = (in_shape[0], in_shape[1], in_shape[2]);
+                        let geom = l.geometry();
+                        let (oh, ow) = geom.output_hw(h, w)?;
+                        let (ckk, per) = (c * geom.kh * geom.kw, oh * ow);
+                        let (_, wmat_t) = self.conv_mats[li]
+                            .as_ref()
+                            .expect("conv layer has precomputed weight matrices");
+                        let oc = l.out_channels();
+                        // ∂L/∂out arrives with exactly oc·per elements; its
+                        // flat storage *is* the [OC, OH*OW] matrix, so no
+                        // reshape copy.
+                        debug_assert_eq!(cur.len(), oc * per);
+                        let god = cur.as_slice();
+                        if let Some(p) = params.as_mut() {
+                            let at = pass.col_offsets[id];
+                            let block = &p.cols[at..at + ckk * per];
+                            let range = layout
+                                .layer_range(li)
+                                .expect("parameterized layer present in layout");
+                            let dst = &mut p.grads[range];
+                            let w_len = oc * ckk;
+                            // ∂L/∂Wᵀ = cols · ∂L/∂outᵀ: the large block is read
+                            // in place as the left operand and only the small
+                            // ∂L/∂out is packed. Each element folds the same
+                            // products over the same ascending `per`, operands
+                            // swapped, so the small transpose into the flat
+                            // slice gives ∂L/∂W.
+                            let dw_t = ScratchArena::sized(&mut arena.grad_cols, ckk * oc);
+                            kernels::gemm_nt(ckk, per, oc, block, god, dw_t);
+                            for oci in 0..oc {
+                                let row = &mut dst[oci * ckk..(oci + 1) * ckk];
+                                for (slot, &v) in row.iter_mut().zip(dw_t[oci..].iter().step_by(oc))
+                                {
+                                    *slot = v;
+                                }
+                            }
+                            for (oci, slot) in dst[w_len..].iter_mut().enumerate() {
+                                *slot = god[oci * per..(oci + 1) * per].iter().sum();
                             }
                         }
-                        Activation::Tanh => {
-                            for (g, &y) in cur.iter_mut().zip(ys) {
-                                *g *= 1.0 - y * y;
-                            }
+                        if wanted(input) {
+                            // ∂L/∂x = col2im(Wᵀ · ∂L/∂out), product in arena
+                            // scratch.
+                            let gi_cols = ScratchArena::sized(&mut arena.grad_cols, ckk * per);
+                            kernels::gemm(ckk, oc, per, wmat_t.data(), god, gi_cols);
+                            let mut nxt = spare.pop().unwrap_or_default();
+                            col2im_slice_into(gi_cols, geom, c, h, w, &mut nxt)?;
+                            deliver(&mut slots, input, nxt, &mut spare);
                         }
-                        Activation::Sigmoid => {
-                            for (g, &y) in cur.iter_mut().zip(ys) {
-                                *g *= y * (1.0 - y);
-                            }
-                        }
-                        Activation::Identity => {
-                            for g in cur.iter_mut() {
-                                *g *= 1.0;
-                            }
-                        }
+                        spare.push(cur);
                     }
-                }
-                _ => unreachable!("cache variant mismatches layer kind"),
+                    Layer::Dense(_) => {
+                        let w_t = self.dense_t[li]
+                            .as_ref()
+                            .expect("dense layer has a precomputed weight transpose");
+                        let (out_f, in_f) = (w_t.shape()[0], w_t.shape()[1]);
+                        debug_assert_eq!(cur.len(), out_f);
+                        let god = cur.as_slice();
+                        if let Some(p) = params.as_mut() {
+                            let x = &pass.outputs[input].data()[s * in_f..(s + 1) * in_f];
+                            let range = layout
+                                .layer_range(li)
+                                .expect("parameterized layer present in layout");
+                            let dst = &mut p.grads[range];
+                            let w_len = in_f * out_f;
+                            // ∂L/∂W = inputᵀ · ∂L/∂out is an outer product: each
+                            // element is `gemm`'s single-term fold `0.0 + a * g`.
+                            for (i, &a) in x.iter().enumerate() {
+                                let row = &mut dst[i * out_f..(i + 1) * out_f];
+                                for (slot, &g) in row.iter_mut().zip(god) {
+                                    *slot = 0.0 + a * g;
+                                }
+                            }
+                            // ∂L/∂b over a batch of one is `sum_rows`'
+                            // single-term fold `0.0 + g` — written out as such
+                            // (not a copy) so -0.0 normalizes to +0.0 exactly
+                            // like the reference.
+                            for (slot, &g) in dst[w_len..].iter_mut().zip(god) {
+                                *slot = 0.0 + g;
+                            }
+                        }
+                        if wanted(input) {
+                            // ∂L/∂x = ∂L/∂out · Wᵀ, without repacking Wᵀ for a
+                            // one-row product.
+                            let mut nxt = spare.pop().unwrap_or_default();
+                            row_times(god, w_t.data(), ScratchArena::sized(&mut nxt, in_f));
+                            deliver(&mut slots, input, nxt, &mut spare);
+                        }
+                        spare.push(cur);
+                    }
+                    Layer::MaxPool2d(_) => {
+                        // Scatter-add in argmax order — the exact fold
+                        // `maxpool2d_backward` performs on a rebased batch of
+                        // one.
+                        let item_len: usize = nodes[input].output_shape().iter().product();
+                        let argmax = &pass.argmax[id];
+                        let per_out = argmax.len() / pass.batch;
+                        let base = s * item_len;
+                        let mut nxt = spare.pop().unwrap_or_default();
+                        let dst = ScratchArena::sized(&mut nxt, item_len);
+                        dst.fill(0.0);
+                        for (&g, &idx) in cur.iter().zip(&argmax[s * per_out..(s + 1) * per_out]) {
+                            dst[idx - base] += g;
+                        }
+                        deliver(&mut slots, input, nxt, &mut spare);
+                        spare.push(cur);
+                    }
+                    // A sample's flat storage is unchanged by flattening: the
+                    // gradient passes through as it is.
+                    Layer::Flatten(_) => deliver(&mut slots, input, cur, &mut spare),
+                    Layer::Activation(l) => {
+                        // Derivative from the kept post-activation output —
+                        // bit-identical to `Activation::derivative` at the
+                        // pre-activation input (`y = act(x)` is the same bits,
+                        // and each rule below is the derivative formula
+                        // rewritten in terms of `y`), multiplied exactly like
+                        // `zip_map`'s `g * act.derivative(x)`.
+                        let output = &pass.outputs[id];
+                        let per = output.len() / pass.batch;
+                        let ys = &output.data()[s * per..(s + 1) * per];
+                        debug_assert_eq!(cur.len(), per);
+                        match l.activation() {
+                            Activation::Relu => {
+                                // `y > 0` ⟺ `x > 0` (negatives, zeros and NaN
+                                // all clamp to 0), so the indicator matches
+                                // exactly.
+                                for (g, &y) in cur.iter_mut().zip(ys) {
+                                    *g *= if y > 0.0 { 1.0 } else { 0.0 };
+                                }
+                            }
+                            Activation::Tanh => {
+                                for (g, &y) in cur.iter_mut().zip(ys) {
+                                    *g *= 1.0 - y * y;
+                                }
+                            }
+                            Activation::Sigmoid => {
+                                for (g, &y) in cur.iter_mut().zip(ys) {
+                                    *g *= y * (1.0 - y);
+                                }
+                            }
+                            Activation::Identity => {
+                                for g in cur.iter_mut() {
+                                    *g *= 1.0;
+                                }
+                            }
+                        }
+                        deliver(&mut slots, input, cur, &mut spare);
+                    }
+                },
             }
         }
-        arena.grad_b = nxt;
-        Ok(cur)
+        let input_grad = match slots[0].take() {
+            Some(g) => g,
+            None if params.is_some() => Vec::new(),
+            // Only a degenerate network leaves its input without a reader on
+            // the way to the output; the gradient is exactly zero then.
+            None => {
+                let mut zeros = spare.pop().unwrap_or_default();
+                zeros.clear();
+                zeros.resize(pass.outputs[0].len() / pass.batch, 0.0);
+                zeros
+            }
+        };
+        spare.extend(slots.into_iter().flatten());
+        arena.grads = spare;
+        Ok(input_grad)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::GraphBuilder;
     use crate::layers::{Activation, ActivationLayer, Conv2d, Dense, Flatten, MaxPool2d};
     use crate::zoo;
 
@@ -865,7 +922,11 @@ mod tests {
         )
         .unwrap();
         let engine = BatchGradientEngine::new(&net);
-        assert_eq!(engine.first_param_layer, 2);
+        assert_eq!(
+            &*engine.param_path,
+            &[false, false, false, true, true, true],
+            "the backward ends at the first Dense"
+        );
         let inputs = samples(4, &[2, 3, 3]);
         let ones = vec![1.0f32; 3];
         let batched = engine.parameter_gradients_batch(&inputs, &ones).unwrap();
@@ -1018,5 +1079,60 @@ mod tests {
             .unwrap()
             .is_empty());
         assert_eq!(engine.network().num_classes(), 5);
+    }
+
+    /// A Dense-only graph with a shared input, an Add, a Concat and a dead
+    /// branch: every gradient rule of the engine, and sums over several
+    /// readers, with nothing but `gemm`-exact folds.
+    fn dense_dag() -> Network {
+        let mut b = GraphBuilder::new(&[5]);
+        let a = b.layer(0, Dense::with_seed(5, 6, 1)).unwrap();
+        let a_act = b.layer(a, ActivationLayer::new(Activation::Relu)).unwrap();
+        let c = b.layer(0, Dense::with_seed(5, 6, 2)).unwrap();
+        let sum = b.add(&[a_act, c, a]).unwrap();
+        // A branch nothing reads: its parameters get a zero gradient.
+        b.layer(sum, Dense::with_seed(6, 2, 3)).unwrap();
+        let d = b.layer(0, Dense::with_seed(5, 3, 4)).unwrap();
+        let cat = b.concat(&[sum, d, a_act]).unwrap();
+        let act = b
+            .layer(cat, ActivationLayer::new(Activation::Tanh))
+            .unwrap();
+        b.layer(act, Dense::with_seed(15, 4, 5)).unwrap();
+        b.finish().unwrap()
+    }
+
+    #[test]
+    fn dag_gradients_are_bit_identical_on_dense_graphs() {
+        let net = dense_dag();
+        let engine = BatchGradientEngine::new(&net);
+        let salts = [0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+        let mut inputs = samples(4 + salts.len(), &[5]);
+        for (i, &salt) in salts.iter().enumerate() {
+            inputs[4 + i].data_mut()[i] = salt;
+        }
+        let ones = vec![1.0f32; 4];
+        let batched = engine.parameter_gradients_batch(&inputs, &ones).unwrap();
+        let pass = engine.forward_batch(&inputs).unwrap();
+        for (i, x) in inputs.iter().enumerate() {
+            let reference = net.parameter_gradients(x, &ones).unwrap();
+            assert_eq!(
+                kernels::bit_mismatch(&batched[i], &reference),
+                None,
+                "sample {i}"
+            );
+            let proj: Vec<f32> = (0..4).map(|c| (c as f32 * 0.7).cos()).collect();
+            let batched = engine.input_gradient(&pass, i, &proj).unwrap();
+            let pass_ref = net.forward_cached(&net.batch_one(x).unwrap()).unwrap();
+            let grad_out = Tensor::from_vec(proj, &[1, 4]).unwrap();
+            let reference = net.backward(&pass_ref, &grad_out).unwrap().grad_input;
+            assert_eq!(
+                kernels::bit_mismatch(batched.data(), reference.data()),
+                None,
+                "sample {i} input gradient"
+            );
+        }
+        // The dead branch's Dense (layer 3) has an all-zero gradient.
+        let dead = net.param_layout().layer_range(3).unwrap();
+        assert!(batched[0][dead].iter().all(|&g| g == 0.0));
     }
 }

@@ -77,14 +77,6 @@ pub enum NnError {
         /// What went wrong and how to fix it.
         reason: String,
     },
-    /// A graph was asked to lower to a sequential [`crate::Network`] but
-    /// contains non-sequential structure.
-    GraphNotSequential {
-        /// Index of the first node that breaks the single-path chain.
-        node: usize,
-        /// What about that node is non-sequential.
-        reason: String,
-    },
 }
 
 impl fmt::Display for NnError {
@@ -140,14 +132,6 @@ impl fmt::Display for NnError {
             NnError::GraphShapeMismatch { node, op, reason } => {
                 write!(f, "graph node {node} ({op}): {reason}")
             }
-            NnError::GraphNotSequential { node, reason } => {
-                write!(
-                    f,
-                    "graph cannot lower to a sequential Network: node {node} {reason}; only a \
-                     single-path chain of layer nodes (no Add/Concat, no branching) is \
-                     representable as a Network"
-                )
-            }
         }
     }
 }
@@ -201,11 +185,6 @@ mod tests {
             reason: "inputs disagree".to_string(),
         };
         assert!(shape.to_string().contains("Add"));
-        let seq = NnError::GraphNotSequential {
-            node: 4,
-            reason: "is an Add node".to_string(),
-        };
-        assert!(seq.to_string().contains("single-path chain"));
     }
 
     #[test]

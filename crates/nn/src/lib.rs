@@ -6,10 +6,14 @@
 //! * [`layers`] — convolution, max-pooling, flatten, fully-connected and
 //!   element-wise activation layers with hand-written forward **and** backward
 //!   passes.
-//! * [`Network`] — a sequential container exposing the two gradient surfaces the
-//!   paper relies on: gradients with respect to **parameters** (`∇θF(x)`, used by
+//! * [`Network`] — the one model type: layers wired by a node list (a chain,
+//!   or a graph with residual Add and branch Concat nodes built by
+//!   [`graph::GraphBuilder`]), exposing the two gradient surfaces the paper
+//!   relies on: gradients with respect to **parameters** (`∇θF(x)`, used by
 //!   the validation-coverage metric) and with respect to the **input**
 //!   (`∇x J(x, y, θ)`, used by gradient-based test generation).
+//! * [`batch`] — the batched engine every criterion and the test generator
+//!   run on, tested against [`Network`]'s per-sample passes.
 //! * [`loss`] — cross-entropy (with built-in softmax) and mean-squared-error.
 //! * [`optim`] — SGD with momentum and Adam, operating on the flat parameter
 //!   vector.
@@ -17,9 +21,9 @@
 //!   the Table-I models on the synthetic datasets.
 //! * [`zoo`] — the paper's MNIST (Tanh) and CIFAR-10 (ReLU) architectures plus
 //!   scaled-down variants used by tests and fast experiment profiles.
-//! * [`serialize`] — a simple versioned binary format for saving and loading
-//!   trained networks (used by the accelerator crate to build weight-memory
-//!   images and by the vendor/user protocol).
+//! * [`serialize`] — the versioned, checksummed node-list format for saving,
+//!   exporting and importing networks (used by the accelerator crate to build
+//!   weight-memory images, by the vendor/user protocol and by `dnnip-import`).
 //! * [`fingerprint`] — 128-bit content digests over the serialized form, used
 //!   by the evaluator layer to content-address cached activation sets.
 //!
@@ -54,6 +58,7 @@ mod network;
 
 pub mod batch;
 pub mod fingerprint;
+pub mod graph;
 pub mod layers;
 pub mod loss;
 pub mod optim;

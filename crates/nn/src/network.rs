@@ -1,18 +1,20 @@
-//! The sequential [`Network`] container and its gradient surfaces.
+//! The [`Network`] model type and its reference forward/backward passes.
 
 use dnnip_tensor::{ops, Tensor};
 
+use crate::graph::{self, Node, NodeId, NodeOp};
 use crate::layers::{Layer, LayerCache};
 use crate::params::{ParamKind, ParamLayout, ParamLocation};
 use crate::{NnError, Result};
 
-/// A feed-forward network: an ordered list of [`Layer`]s plus the shape of a
-/// single input sample.
+/// A feed-forward model: a list of [`Layer`]s, the node list that wires them
+/// together, and the shape of a single input sample.
 ///
-/// `Network` is the *sequential* model container: every layer feeds exactly
-/// the next one. Models with skip connections or branches live in the
-/// `dnnip-graph` crate's graph IR, which reuses these [`Layer`] kernels as
-/// node payloads and lowers single-path graphs back to a `Network`.
+/// Every model is a `Network`. [`Network::new`] wires the layers as a chain
+/// (each feeds the next); [`crate::graph::GraphBuilder`] builds models with
+/// residual **Add** and branch-fusing **Concat** nodes. Either way
+/// [`Network::layers`] lists the layers in topological order, so a scalar
+/// parameter has the same global index however the model was built.
 ///
 /// The network exposes three views that the rest of the workspace builds on:
 ///
@@ -20,13 +22,16 @@ use crate::{NnError, Result};
 /// 2. **Gradients** — [`Network::forward_cached`] followed by
 ///    [`Network::backward`] produce both the input gradient (for gradient-based
 ///    test synthesis) and the flat parameter-gradient vector (for the
-///    validation-coverage metric and for training).
+///    validation-coverage metric and for training). This per-sample pair is
+///    also the reference the batched engine
+///    ([`crate::batch::BatchGradientEngine`]) is tested against.
 /// 3. **Flat parameters** — [`Network::parameters_flat`],
 ///    [`Network::set_parameters_flat`] and the per-index accessors address every
 ///    scalar parameter through the [`ParamLayout`] coordinate system.
 #[derive(Debug, Clone)]
 pub struct Network {
     layers: Vec<Layer>,
+    nodes: Vec<Node>,
     input_shape: Vec<usize>,
     layout: ParamLayout,
 }
@@ -56,7 +61,7 @@ pub struct ForwardPass {
     pub output: Tensor,
     /// Backward-pass caches, one per layer.
     pub caches: Vec<LayerCache>,
-    /// Output of every layer in order (the last equals `output`).
+    /// Output of every layer in order.
     pub layer_outputs: Vec<Tensor>,
 }
 
@@ -72,27 +77,37 @@ pub struct BackwardResult {
 }
 
 impl Network {
-    /// Assemble a network and validate that the layer shapes chain together for
-    /// the given single-sample input shape (without the batch dimension).
+    /// Assemble a chain — every layer feeds the next — and validate that the
+    /// layer shapes chain together for the given single-sample input shape
+    /// (without the batch dimension).
     ///
     /// # Errors
     ///
     /// Returns [`NnError::EmptyNetwork`] for an empty layer list or the first
     /// shape-inference error encountered while chaining the layers.
     pub fn new(layers: Vec<Layer>, input_shape: &[usize]) -> Result<Self> {
-        if layers.is_empty() {
-            return Err(NnError::EmptyNetwork);
-        }
-        // Validate the shape chain with a batch dimension of 1.
-        let mut shape = Vec::with_capacity(input_shape.len() + 1);
-        shape.push(1);
-        shape.extend_from_slice(input_shape);
-        for layer in &layers {
-            shape = layer.output_shape(&shape)?;
-        }
+        let nodes = graph::chain(layers.len());
+        Self::from_nodes(layers, nodes, input_shape)
+    }
+
+    /// Assemble a network from its layers and a node list in topological
+    /// order, revalidating every edge and re-inferring every shape. Layer
+    /// nodes must take `layers` in order, each once; the last node is the
+    /// output.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::EmptyNetwork`] for a node list with no compute
+    /// nodes, [`NnError::GraphCycle`] / [`NnError::GraphDanglingEdge`] for
+    /// edges that do not point at an earlier existing node, and
+    /// [`NnError::GraphShapeMismatch`] (or the layer's own shape error) when
+    /// a node cannot take its input shapes.
+    pub fn from_nodes(layers: Vec<Layer>, nodes: Vec<Node>, input_shape: &[usize]) -> Result<Self> {
+        let nodes = graph::validate(&layers, nodes, input_shape)?;
         let layout = Self::build_layout(&layers);
         Ok(Self {
             layers,
+            nodes,
             input_shape: input_shape.to_vec(),
             layout,
         })
@@ -113,7 +128,7 @@ impl Network {
     // Structure accessors
     // ------------------------------------------------------------------
 
-    /// The layers in order.
+    /// The layers in topological order.
     pub fn layers(&self) -> &[Layer] {
         &self.layers
     }
@@ -123,6 +138,40 @@ impl Network {
         self.layers.len()
     }
 
+    /// The nodes in topological order (node 0 is the input placeholder, the
+    /// last node the output).
+    pub fn nodes(&self) -> &[Node] {
+        &self.nodes
+    }
+
+    /// Number of nodes (including the input placeholder).
+    pub fn num_nodes(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// Every layer with its single-sample input and output shapes, in
+    /// topological order.
+    pub fn layer_shapes(&self) -> impl Iterator<Item = (&Layer, &[usize], &[usize])> + '_ {
+        self.nodes.iter().filter_map(move |node| match node.op() {
+            NodeOp::Layer(i) => Some((
+                &self.layers[i],
+                self.nodes[node.input()].output_shape(),
+                node.output_shape(),
+            )),
+            _ => None,
+        })
+    }
+
+    /// Whether every layer feeds exactly the next one (no Add/Concat node,
+    /// no branch).
+    pub fn is_linear(&self) -> bool {
+        self.nodes
+            .iter()
+            .enumerate()
+            .skip(1)
+            .all(|(id, node)| matches!(node.op(), NodeOp::Layer(_)) && node.inputs() == [id - 1])
+    }
+
     /// Shape of a single input sample (without the batch dimension).
     pub fn input_shape(&self) -> &[usize] {
         &self.input_shape
@@ -130,15 +179,20 @@ impl Network {
 
     /// Number of output classes (the last dimension of the network output).
     pub fn num_classes(&self) -> usize {
-        let mut shape = Vec::with_capacity(self.input_shape.len() + 1);
-        shape.push(1);
-        shape.extend_from_slice(&self.input_shape);
-        for layer in &self.layers {
-            shape = layer
-                .output_shape(&shape)
-                .expect("shape chain validated at construction");
-        }
-        *shape.last().expect("network output has at least one axis")
+        let output = self.nodes.last().expect("a network has at least two nodes");
+        *output
+            .output_shape()
+            .last()
+            .expect("network output has at least one axis")
+    }
+
+    /// Total number of "neurons": every element of every activation layer's
+    /// single-sample output.
+    pub fn num_neuron_units(&self) -> usize {
+        self.layer_shapes()
+            .filter(|(layer, _, _)| layer.is_activation())
+            .map(|(_, _, out)| out.iter().product::<usize>())
+            .sum()
     }
 
     /// The flat-parameter layout.
@@ -151,23 +205,24 @@ impl Network {
         self.layout.total()
     }
 
-    /// Multi-line human-readable summary (layer names, output shapes, parameter
-    /// counts). The rendering follows the single-path layer order; graph models
-    /// print their own topology-aware summary via `dnnip-graph`.
+    /// Multi-line human-readable summary: one line per node with its op,
+    /// output shape and parameter count, plus its input edges when it is not
+    /// fed by the node just above it.
     pub fn summary(&self) -> String {
         let mut out = String::new();
-        let mut shape = vec![1];
-        shape.extend_from_slice(&self.input_shape);
         out.push_str(&format!("Input {:?}\n", &self.input_shape));
-        for layer in &self.layers {
-            shape = layer
-                .output_shape(&shape)
-                .expect("shape chain validated at construction");
+        for (id, node) in self.nodes.iter().enumerate().skip(1) {
+            let mut label = graph::op_name(node.op(), &self.layers);
+            if node.inputs() != [id - 1] {
+                label.push_str(&format!(" <- {:?}", node.inputs()));
+            }
+            let params = match node.op() {
+                NodeOp::Layer(i) => self.layers[i].num_parameters(),
+                _ => 0,
+            };
             out.push_str(&format!(
-                "{:<34} -> {:?}  ({} params)\n",
-                layer.name(),
-                &shape[1..],
-                layer.num_parameters()
+                "#{id:<3} {label:<34} -> {:?}  ({params} params)\n",
+                node.output_shape()
             ));
         }
         out.push_str(&format!("Total parameters: {}\n", self.num_parameters()));
@@ -190,6 +245,34 @@ impl Network {
         Ok(())
     }
 
+    /// Evaluate one non-input node over the outputs `arg` hands out. With
+    /// `cached`, a layer runs [`Layer::forward`] and returns its backward
+    /// cache; without, it runs the cacheless [`Layer::infer`].
+    fn eval_node<'t>(
+        &self,
+        node: &Node,
+        arg: impl Fn(NodeId) -> &'t Tensor,
+        cached: bool,
+    ) -> Result<(Tensor, Option<LayerCache>)> {
+        Ok(match node.op() {
+            NodeOp::Input => unreachable!("node 0 is the only input node"),
+            NodeOp::Layer(i) if cached => {
+                let (out, cache) = self.layers[i].forward(arg(node.input()))?;
+                (out, Some(cache))
+            }
+            NodeOp::Layer(i) => (self.layers[i].infer(arg(node.input()))?, None),
+            op => {
+                let inputs: Vec<&Tensor> = node.inputs().iter().map(|&i| arg(i)).collect();
+                let out = if op == NodeOp::Add {
+                    graph::add_batched(&inputs)?
+                } else {
+                    graph::concat_batched(&inputs)?
+                };
+                (out, None)
+            }
+        })
+    }
+
     /// Forward pass over a batch `[N, ...input_shape]`, returning logits
     /// `[N, classes]`.
     ///
@@ -197,7 +280,8 @@ impl Network {
     /// kernel, the same arithmetic as
     /// [`crate::batch::BatchGradientEngine::forward_batch`], so the logits are
     /// bit-identical to the engine's. Golden outputs, IP replay and
-    /// [`Network::predict`] all run here.
+    /// [`Network::predict`] all run here. Each node output is dropped once its
+    /// last reader has run.
     ///
     /// # Errors
     ///
@@ -205,12 +289,25 @@ impl Network {
     /// network's input shape.
     pub fn forward(&self, input: &Tensor) -> Result<Tensor> {
         self.check_batch_input(input)?;
-        let (first, rest) = self.layers.split_first().expect("network is non-empty");
-        let mut x = first.infer(input)?;
-        for layer in rest {
-            x = layer.infer(&x)?;
+        let last = graph::last_readers(&self.nodes);
+        let mut outs: Vec<Option<Tensor>> = vec![None; self.nodes.len()];
+        for (id, node) in self.nodes.iter().enumerate().skip(1) {
+            let (out, _) = self.eval_node(
+                node,
+                |i| match i {
+                    0 => input,
+                    _ => outs[i].as_ref().expect("inputs run before their readers"),
+                },
+                false,
+            )?;
+            for &i in node.inputs() {
+                if last[i] == id {
+                    outs[i] = None;
+                }
+            }
+            outs[id] = Some(out);
         }
-        Ok(x)
+        Ok(outs.pop().flatten().expect("the output node ran"))
     }
 
     /// Forward pass over a single sample (no batch dimension), returning the
@@ -260,15 +357,18 @@ impl Network {
         self.check_batch_input(input)?;
         let mut caches = Vec::with_capacity(self.layers.len());
         let mut layer_outputs = Vec::with_capacity(self.layers.len());
-        let mut x = input.clone();
-        for layer in &self.layers {
-            let (out, cache) = layer.forward(&x)?;
-            caches.push(cache);
-            layer_outputs.push(out.clone());
-            x = out;
+        let mut outs: Vec<Tensor> = Vec::with_capacity(self.nodes.len());
+        outs.push(input.clone());
+        for node in &self.nodes[1..] {
+            let (out, cache) = self.eval_node(node, |i| &outs[i], true)?;
+            if let Some(cache) = cache {
+                caches.push(cache);
+                layer_outputs.push(out.clone());
+            }
+            outs.push(out);
         }
         Ok(ForwardPass {
-            output: x,
+            output: outs.pop().expect("the output node ran"),
             caches,
             layer_outputs,
         })
@@ -304,33 +404,90 @@ impl Network {
     /// `grad_output` is the gradient of a scalar objective with respect to the
     /// network output (same shape as `pass.output`).
     ///
+    /// Walks the nodes in reverse topological order, summing each node's
+    /// output gradient over all of its readers before running its rule: a
+    /// layer runs [`Layer::backward`] and writes its parameter gradients into
+    /// the flat layout, Add hands the gradient to every input unchanged, and
+    /// Concat splits it along the first sample axis. Gradients reach a node's
+    /// slot in reverse node order (a node's inputs in listed order), so
+    /// repeated runs are bit-identical. Nodes whose output never reaches the
+    /// network output get no gradient and their parameters a zero one.
+    ///
     /// # Errors
     ///
     /// Returns an error when `grad_output` has the wrong shape or a layer cache
     /// is inconsistent.
     pub fn backward(&self, pass: &ForwardPass, grad_output: &Tensor) -> Result<BackwardResult> {
+        let n = self.nodes.len();
         let mut param_grads = vec![0.0f32; self.num_parameters()];
-        let mut grad = grad_output.clone();
-        for (i, layer) in self.layers.iter().enumerate().rev() {
-            let (grad_in, pgrads) = layer.backward(&pass.caches[i], &grad)?;
-            if let Some(pg) = pgrads {
-                let range = self
-                    .layout
-                    .layer_range(i)
-                    .expect("parameterized layer present in layout");
-                let w_len = pg.weight.len();
-                let dst = &mut param_grads[range];
-                dst[..w_len].copy_from_slice(pg.weight.data());
-                dst[w_len..].copy_from_slice(pg.bias.data());
+        let mut grads: Vec<Option<Tensor>> = vec![None; n];
+        grads[n - 1] = Some(grad_output.clone());
+        let accumulate = |slot: &mut Option<Tensor>, grad: Tensor| -> Result<()> {
+            match slot {
+                None => *slot = Some(grad),
+                Some(existing) => existing.add_assign(&grad)?,
             }
-            grad = grad_in;
+            Ok(())
+        };
+        for id in (1..n).rev() {
+            let Some(grad) = grads[id].take() else {
+                continue;
+            };
+            let node = &self.nodes[id];
+            match node.op() {
+                NodeOp::Input => unreachable!("node 0 is the only input node"),
+                NodeOp::Layer(i) => {
+                    let (grad_in, pgrads) = self.layers[i].backward(&pass.caches[i], &grad)?;
+                    if let Some(pg) = pgrads {
+                        let range = self
+                            .layout
+                            .layer_range(i)
+                            .expect("parameterized layer present in layout");
+                        let w_len = pg.weight.len();
+                        let dst = &mut param_grads[range];
+                        dst[..w_len].copy_from_slice(pg.weight.data());
+                        dst[w_len..].copy_from_slice(pg.bias.data());
+                    }
+                    accumulate(&mut grads[node.input()], grad_in)?;
+                }
+                NodeOp::Add => {
+                    for &input in node.inputs() {
+                        accumulate(&mut grads[input], grad.clone())?;
+                    }
+                }
+                NodeOp::Concat => {
+                    // Per sample, the joined gradient is the inputs' pieces
+                    // side by side.
+                    let batch = grad.shape()[0];
+                    let per = grad.len() / batch.max(1);
+                    let mut offset = 0;
+                    for &input in node.inputs() {
+                        let shape = self.nodes[input].output_shape();
+                        let len: usize = shape.iter().product();
+                        let piece = (0..batch)
+                            .flat_map(|s| &grad.data()[s * per + offset..s * per + offset + len])
+                            .copied()
+                            .collect();
+                        offset += len;
+                        let piece = Tensor::from_vec(piece, &[&[batch], shape].concat())?;
+                        accumulate(&mut grads[input], piece)?;
+                    }
+                }
+            }
         }
+        let grad_input = match grads[0].take() {
+            Some(g) => g,
+            None => {
+                let mut shape = vec![grad_output.shape()[0]];
+                shape.extend_from_slice(&self.input_shape);
+                Tensor::zeros(&shape)
+            }
+        };
         Ok(BackwardResult {
-            grad_input: grad,
+            grad_input,
             param_grads,
         })
     }
-
     /// Gradient of a scalar projection of the output with respect to **every
     /// parameter**, for a single sample.
     ///

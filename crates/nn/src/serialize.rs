@@ -1,24 +1,37 @@
-//! Versioned binary serialization of trained networks.
+//! Versioned, checksummed binary serialization of networks.
 //!
-//! The format is intentionally simple and self-contained (no external
-//! serialization crates): a magic string, a format version, the input shape, and
-//! then every layer as a tag byte followed by its configuration and parameters
-//! in little-endian `f32`. It is used by:
+//! The format is self-contained (no external serialization crates) and is
+//! the one on-disk form of every model, chain or graph alike:
 //!
-//! * the accelerator crate, which builds a quantized weight-memory image from a
-//!   saved model;
-//! * the vendor/user protocol, which ships the vendor's golden model alongside
-//!   the generated functional tests in examples and tests;
-//! * the graph IR in `dnnip-graph`, whose on-disk format embeds each layer
-//!   node's payload via [`layer_to_bytes`] / [`layer_from_bytes`] so both the
-//!   sequential and the graph model paths share one layer encoding.
+//! * a magic string, the format version and the input shape;
+//! * the node list — per node an op tag and its explicit input-edge list,
+//!   and for a layer node its payload (tag byte, configuration and
+//!   little-endian `f32` parameters) behind a byte length;
+//! * an FNV-1a checksum trailer over everything before it, so a file
+//!   corrupted on its way through tools the workspace does not control fails
+//!   loudly before any payload is interpreted.
+//!
+//! Decoded node lists pass through [`Network::from_nodes`], which revalidates
+//! every edge and re-infers every shape, so even a checksum-valid stream
+//! cannot yield an inconsistent network. The decoder never trusts a count to
+//! size an allocation: every element it reads consumes stream bytes first.
+//! The serialized bytes are also what [`crate::fingerprint::NetworkFingerprint`]
+//! hashes, so the accelerator's weight images, the vendor/user protocol and
+//! the evaluator caches all name a model by this one encoding.
 
+use crate::fingerprint::Fnv1a;
+use crate::graph::{Node, NodeOp};
 use crate::layers::{Activation, ActivationLayer, Conv2d, Dense, Flatten, Layer, MaxPool2d};
 use crate::{Network, NnError, Result};
 use dnnip_tensor::Tensor;
 
-const MAGIC: &[u8; 8] = b"DNNIPNET";
+const MAGIC: &[u8; 8] = b"DNNIPGRF";
 const VERSION: u32 = 1;
+
+const NODE_INPUT: u8 = 0;
+const NODE_LAYER: u8 = 1;
+const NODE_ADD: u8 = 2;
+const NODE_CONCAT: u8 = 3;
 
 const TAG_CONV2D: u8 = 1;
 const TAG_DENSE: u8 = 2;
@@ -94,17 +107,27 @@ impl<'a> Reader<'a> {
             .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
             .collect())
     }
-    fn shape(&mut self) -> Result<Vec<usize>> {
+    /// A length-prefixed list of `u32`s (a shape or an edge list).
+    fn u32_list(&mut self) -> Result<Vec<usize>> {
         let n = self.u32()? as usize;
-        let mut out = Vec::with_capacity(n);
+        let mut out = Vec::new();
         for _ in 0..n {
             out.push(self.u32()? as usize);
         }
         Ok(out)
     }
-    fn finished(&self) -> bool {
-        self.pos == self.buf.len()
+}
+
+/// `data` as a tensor of `shape`, when the shape's element count is exactly
+/// the data length (checked without overflow).
+fn tensor(data: Vec<f32>, shape: &[usize]) -> Result<Tensor> {
+    if shape.iter().try_fold(1usize, |n, &d| n.checked_mul(d)) != Some(data.len()) {
+        return Err(NnError::Deserialize(format!(
+            "parameter shape {shape:?} does not hold {} values",
+            data.len()
+        )));
     }
+    Ok(Tensor::from_vec(data, shape)?)
 }
 
 fn activation_code(act: Activation) -> u8 {
@@ -165,24 +188,20 @@ fn read_layer(r: &mut Reader<'_>) -> Result<Layer> {
     let tag = r.u8()?;
     match tag {
         TAG_CONV2D => {
-            let wshape = r.shape()?;
+            let wshape = r.u32_list()?;
             let stride = r.u32()? as usize;
             let pad = r.u32()? as usize;
-            let wdata = r.f32_vec()?;
-            let bdata = r.f32_vec()?;
-            let weight = Tensor::from_vec(wdata, &wshape)?;
-            let bias_len = bdata.len();
-            let bias = Tensor::from_vec(bdata, &[bias_len])?;
-            Ok(Conv2d::new(weight, bias, stride, pad)?.into())
+            let weight = tensor(r.f32_vec()?, &wshape)?;
+            let bias = r.f32_vec()?;
+            let bias_len = bias.len();
+            Ok(Conv2d::new(weight, tensor(bias, &[bias_len])?, stride, pad)?.into())
         }
         TAG_DENSE => {
-            let wshape = r.shape()?;
-            let wdata = r.f32_vec()?;
-            let bdata = r.f32_vec()?;
-            let weight = Tensor::from_vec(wdata, &wshape)?;
-            let bias_len = bdata.len();
-            let bias = Tensor::from_vec(bdata, &[bias_len])?;
-            Ok(Dense::new(weight, bias)?.into())
+            let wshape = r.u32_list()?;
+            let weight = tensor(r.f32_vec()?, &wshape)?;
+            let bias = r.f32_vec()?;
+            let bias_len = bias.len();
+            Ok(Dense::new(weight, tensor(bias, &[bias_len])?)?.into())
         }
         TAG_MAXPOOL => {
             let k = r.u32()? as usize;
@@ -198,13 +217,8 @@ fn read_layer(r: &mut Reader<'_>) -> Result<Layer> {
     }
 }
 
-/// Serialize a single layer (tag byte + configuration + parameters) exactly as
-/// it appears inside a [`to_bytes`] stream.
-///
-/// The graph on-disk format in `dnnip-graph` embeds layer nodes with this
-/// encoding, so a layer serializes identically whether it sits in a sequential
-/// network or in a graph.
-pub fn layer_to_bytes(layer: &Layer) -> Vec<u8> {
+/// One layer's payload: tag byte, configuration and parameters.
+fn layer_to_bytes(layer: &Layer) -> Vec<u8> {
     let mut w = Writer::new();
     write_layer(&mut w, layer);
     w.buf
@@ -212,27 +226,40 @@ pub fn layer_to_bytes(layer: &Layer) -> Vec<u8> {
 
 /// Decode one layer from the front of `bytes`, returning the layer and the
 /// number of bytes it occupied.
-///
-/// # Errors
-///
-/// Returns [`NnError::Deserialize`] for truncated or malformed layer payloads
-/// and unknown layer tags.
-pub fn layer_from_bytes(bytes: &[u8]) -> Result<(Layer, usize)> {
+fn layer_from_bytes(bytes: &[u8]) -> Result<(Layer, usize)> {
     let mut r = Reader::new(bytes);
     let layer = read_layer(&mut r)?;
     Ok((layer, r.pos))
 }
 
-/// Serialize a network into a self-contained byte vector.
+/// Serialize a network into a self-contained, checksummed byte vector.
+///
+/// The encoding is deterministic: serializing the network [`from_bytes`]
+/// returns reproduces the input bytes exactly, so fingerprints survive an
+/// export → import round trip.
 pub fn to_bytes(network: &Network) -> Vec<u8> {
     let mut w = Writer::new();
     w.buf.extend_from_slice(MAGIC);
     w.u32(VERSION);
     w.shape(network.input_shape());
-    w.u32(network.num_layers() as u32);
-    for layer in network.layers() {
-        write_layer(&mut w, layer);
+    w.u32(network.num_nodes() as u32);
+    for node in network.nodes() {
+        w.u8(match node.op() {
+            NodeOp::Input => NODE_INPUT,
+            NodeOp::Layer(_) => NODE_LAYER,
+            NodeOp::Add => NODE_ADD,
+            NodeOp::Concat => NODE_CONCAT,
+        });
+        w.shape(node.inputs());
+        if let NodeOp::Layer(i) = node.op() {
+            let payload = layer_to_bytes(&network.layers()[i]);
+            w.u32(payload.len() as u32);
+            w.buf.extend_from_slice(&payload);
+        }
     }
+    let mut checksum = Fnv1a::new();
+    checksum.write(&w.buf);
+    w.buf.extend_from_slice(&checksum.finish().to_le_bytes());
     w.buf
 }
 
@@ -240,34 +267,72 @@ pub fn to_bytes(network: &Network) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// Returns [`NnError::Deserialize`] for truncated or malformed streams, unknown
-/// layer tags, or version mismatches, and propagates shape-chain validation
-/// errors from [`Network::new`].
+/// Returns [`NnError::Deserialize`] for truncated, tampered (checksum
+/// mismatch), padded or otherwise malformed streams and unsupported
+/// versions, and propagates [`Network::from_nodes`] validation errors
+/// (cycles, dangling edges, shape mismatches) for streams describing
+/// inconsistent topologies.
 pub fn from_bytes(bytes: &[u8]) -> Result<Network> {
-    let mut r = Reader::new(bytes);
-    let magic = r.take(MAGIC.len())?;
-    if magic != MAGIC {
-        return Err(NnError::Deserialize("bad magic".to_string()));
+    if bytes.len() < MAGIC.len() + 8 {
+        return Err(NnError::Deserialize(format!(
+            "model stream of {} bytes is shorter than the header and checksum",
+            bytes.len()
+        )));
+    }
+    let (body, trailer) = bytes.split_at(bytes.len() - 8);
+    let stored = u64::from_le_bytes(trailer.try_into().expect("trailer is 8 bytes"));
+    let mut checksum = Fnv1a::new();
+    checksum.write(body);
+    if checksum.finish() != stored {
+        return Err(NnError::Deserialize(format!(
+            "model checksum mismatch: stored {stored:016x}, computed {:016x} — the file was \
+             corrupted or tampered with in transit",
+            checksum.finish()
+        )));
+    }
+    let mut r = Reader::new(body);
+    if r.take(MAGIC.len())? != MAGIC {
+        return Err(NnError::Deserialize("bad model magic".to_string()));
     }
     let version = r.u32()?;
     if version != VERSION {
         return Err(NnError::Deserialize(format!(
-            "unsupported format version {version} (expected {VERSION})"
+            "unsupported model format version {version} (expected {VERSION})"
         )));
     }
-    let input_shape = r.shape()?;
-    let num_layers = r.u32()? as usize;
-    let mut layers: Vec<Layer> = Vec::with_capacity(num_layers);
-    for _ in 0..num_layers {
-        layers.push(read_layer(&mut r)?);
+    let input_shape = r.u32_list()?;
+    let num_nodes = r.u32()?;
+    let mut layers = Vec::new();
+    let mut nodes = Vec::new();
+    for _ in 0..num_nodes {
+        let tag = r.u8()?;
+        let inputs = r.u32_list()?;
+        let op = match tag {
+            NODE_INPUT => NodeOp::Input,
+            NODE_LAYER => {
+                let len = r.u32()? as usize;
+                let (layer, consumed) = layer_from_bytes(r.take(len)?)?;
+                if consumed != len {
+                    return Err(NnError::Deserialize(format!(
+                        "layer payload declared {len} bytes but decoding consumed {consumed}"
+                    )));
+                }
+                layers.push(layer);
+                NodeOp::Layer(layers.len() - 1)
+            }
+            NODE_ADD => NodeOp::Add,
+            NODE_CONCAT => NodeOp::Concat,
+            other => return Err(NnError::Deserialize(format!("unknown node tag {other}"))),
+        };
+        nodes.push(Node::new(op, inputs));
     }
-    if !r.finished() {
+    if r.pos != body.len() {
         return Err(NnError::Deserialize(format!(
-            "{} trailing bytes after the last layer",
-            bytes.len() - r.pos
+            "{} trailing bytes after the last node",
+            body.len() - r.pos
         )));
     }
-    Network::new(layers, &input_shape)
+    Network::from_nodes(layers, nodes, &input_shape)
 }
 
 /// Save a network to a file.
@@ -320,6 +385,21 @@ mod tests {
     }
 
     #[test]
+    fn round_trip_is_byte_exact() {
+        for net in [
+            zoo::residual_classifier(7).unwrap(),
+            zoo::branching_classifier(8).unwrap(),
+            zoo::tiny_cnn(4, 3, Activation::Relu, 9).unwrap(),
+        ] {
+            let bytes = to_bytes(&net);
+            let restored = from_bytes(&bytes).unwrap();
+            assert_eq!(to_bytes(&restored), bytes);
+            assert_eq!(restored.nodes(), net.nodes());
+            assert_eq!(restored.num_parameters(), net.num_parameters());
+        }
+    }
+
+    #[test]
     fn corrupted_streams_are_rejected() {
         let net = zoo::tiny_mlp(4, 6, 3, Activation::Relu, 0).unwrap();
         let bytes = to_bytes(&net);
@@ -334,6 +414,16 @@ mod tests {
         trailing.push(0);
         assert!(from_bytes(&trailing).is_err(), "trailing bytes");
         assert!(from_bytes(&[]).is_err(), "empty stream");
+        // Any single tampered byte trips the checksum.
+        for i in [0usize, 8, bytes.len() / 2, bytes.len() - 9, bytes.len() - 1] {
+            let mut bad = bytes.clone();
+            bad[i] ^= 0x01;
+            let err = from_bytes(&bad).unwrap_err();
+            assert!(
+                err.to_string().contains("checksum mismatch"),
+                "flip at byte {i}: {err}"
+            );
+        }
     }
 
     #[test]

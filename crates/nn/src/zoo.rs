@@ -15,7 +15,12 @@
 //! coverage sweeps finish in seconds. The coverage phenomena the paper reports
 //! depend on layer types and activations, not absolute parameter counts (see
 //! DESIGN.md for the substitution rationale).
+//!
+//! Two models beyond the paper exercise what a chain cannot express:
+//! [`residual_classifier`] (a ResNet-style Add skip connection) and
+//! [`branching_classifier`] (two branches fused by Concat).
 
+use crate::graph::GraphBuilder;
 use crate::layers::{Activation, ActivationLayer, Conv2d, Dense, Flatten, Layer, MaxPool2d};
 use crate::{Network, Result};
 
@@ -199,9 +204,83 @@ pub fn tiny_cnn(
     )
 }
 
+/// A ResNet-style classifier on `[1, 8, 8]` inputs: a conv stem, one residual
+/// block (conv → ReLU → conv, summed with an identity skip from the stem by
+/// an Add node), then ReLU → pool → flatten → 10-way classifier.
+///
+/// # Errors
+///
+/// Never fails for the fixed geometry; the `Result` is kept for a uniform
+/// zoo constructor signature.
+pub fn residual_classifier(seed: u64) -> Result<Network> {
+    let channels = 4usize;
+    let classes = 10usize;
+    let mut b = GraphBuilder::new(&[1, 8, 8]);
+    let stem = b.layer(
+        0,
+        Conv2d::with_seed(1, channels, 3, 1, 1, layer_seed(seed, 1)),
+    )?;
+    let stem_act = b.layer(stem, ActivationLayer::new(Activation::Relu))?;
+    let conv_a = b.layer(
+        stem_act,
+        Conv2d::with_seed(channels, channels, 3, 1, 1, layer_seed(seed, 2)),
+    )?;
+    let act_a = b.layer(conv_a, ActivationLayer::new(Activation::Relu))?;
+    let conv_b = b.layer(
+        act_a,
+        Conv2d::with_seed(channels, channels, 3, 1, 1, layer_seed(seed, 3)),
+    )?;
+    // The residual connection: block output + identity skip from the stem.
+    let sum = b.add(&[conv_b, stem_act])?;
+    let post = b.layer(sum, ActivationLayer::new(Activation::Relu))?;
+    let pool = b.layer(post, MaxPool2d::new(2, 2))?;
+    let flat = b.layer(pool, Flatten::new())?;
+    b.layer(
+        flat,
+        Dense::with_seed(channels * 4 * 4, classes, layer_seed(seed, 4)),
+    )?;
+    b.finish()
+}
+
+/// A two-branch classifier on `[1, 6, 6]` inputs: a shared conv stem feeding a
+/// max-pool branch and a strided-conv branch whose outputs are fused by a
+/// Concat node along the channel axis, then flattened into a 3-way classifier.
+///
+/// # Errors
+///
+/// Never fails for the fixed geometry; the `Result` is kept for a uniform
+/// zoo constructor signature.
+pub fn branching_classifier(seed: u64) -> Result<Network> {
+    let channels = 2usize;
+    let classes = 3usize;
+    let mut b = GraphBuilder::new(&[1, 6, 6]);
+    let stem = b.layer(
+        0,
+        Conv2d::with_seed(1, channels, 3, 1, 1, layer_seed(seed, 1)),
+    )?;
+    let stem_act = b.layer(stem, ActivationLayer::new(Activation::Relu))?;
+    // Branch A: 2×2 max-pool down to [channels, 3, 3].
+    let pooled = b.layer(stem_act, MaxPool2d::new(2, 2))?;
+    // Branch B: stride-2 conv down to the same spatial size.
+    let strided = b.layer(
+        stem_act,
+        Conv2d::with_seed(channels, channels, 3, 2, 1, layer_seed(seed, 2)),
+    )?;
+    let strided_act = b.layer(strided, ActivationLayer::new(Activation::Relu))?;
+    let fused = b.concat(&[pooled, strided_act])?;
+    let flat = b.layer(fused, Flatten::new())?;
+    b.layer(
+        flat,
+        Dense::with_seed(2 * channels * 3 * 3, classes, layer_seed(seed, 3)),
+    )?;
+    b.finish()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fingerprint::NetworkFingerprint;
+    use crate::graph::{Node, NodeOp};
     use dnnip_tensor::Tensor;
 
     #[test]
@@ -262,5 +341,56 @@ mod tests {
         assert_ne!(a.parameters_flat(), b.parameters_flat());
         let c = mnist_model_scaled(1).unwrap();
         assert_eq!(a.parameters_flat(), c.parameters_flat());
+    }
+
+    #[test]
+    fn residual_classifier_shape_and_determinism() {
+        let g = residual_classifier(42).unwrap();
+        assert!(!g.is_linear());
+        assert_eq!(g.input_shape(), &[1, 8, 8]);
+        assert_eq!(g.num_classes(), 10);
+        assert_eq!(g.num_neuron_units(), 768);
+        assert_eq!(g.num_parameters(), 986);
+        let batch = Tensor::from_fn(&[2, 1, 8, 8], |i| (i as f32 * 0.03).sin());
+        let out = g.forward(&batch).unwrap();
+        assert_eq!(out.shape(), &[2, 10]);
+        // Same seed → same fingerprint; different seed → different.
+        let fp = NetworkFingerprint::of;
+        assert_eq!(fp(&residual_classifier(42).unwrap()), fp(&g));
+        assert_ne!(fp(&residual_classifier(43).unwrap()), fp(&g));
+    }
+
+    #[test]
+    fn residual_skip_changes_the_output() {
+        // The Add node must actually contribute: feeding it the conv branch
+        // twice drops the skip path, and the output changes.
+        let g = residual_classifier(9).unwrap();
+        let batch = Tensor::from_fn(&[1, 1, 8, 8], |i| (i as f32 * 0.09).cos());
+        let with_skip = g.forward(&batch).unwrap();
+        let add_id = 6;
+        let mut nodes = g.nodes().to_vec();
+        assert_eq!(nodes[add_id].op(), NodeOp::Add);
+        let conv_b = nodes[add_id].inputs()[0];
+        nodes[add_id] = Node::new(NodeOp::Add, vec![conv_b, conv_b]);
+        let without_skip = Network::from_nodes(g.layers().to_vec(), nodes, &[1, 8, 8])
+            .unwrap()
+            .forward(&batch)
+            .unwrap();
+        assert_ne!(with_skip.data(), without_skip.data());
+    }
+
+    #[test]
+    fn branching_classifier_uses_concat() {
+        let g = branching_classifier(7).unwrap();
+        assert!(!g.is_linear());
+        assert_eq!(g.num_classes(), 3);
+        let concat_node = g
+            .nodes()
+            .iter()
+            .find(|n| n.op() == NodeOp::Concat)
+            .expect("graph has a Concat node");
+        assert_eq!(concat_node.output_shape(), &[4, 3, 3]);
+        let batch = Tensor::from_fn(&[3, 1, 6, 6], |i| (i as f32 * 0.04).sin());
+        assert_eq!(g.forward(&batch).unwrap().shape(), &[3, 3]);
     }
 }

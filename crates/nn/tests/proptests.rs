@@ -1,13 +1,94 @@
 //! Property-based tests for the neural-network substrate: gradient correctness
 //! against finite differences on random networks, flat-parameter round trips,
-//! softmax/loss invariants and serialization.
+//! softmax/loss invariants, and the model format — round trips are bit-exact,
+//! every corruption (truncation, padding, bit flips) is rejected, the
+//! fingerprint tracks single parameter bits, and the decoder answers hostile
+//! but checksum-valid streams with an error, never a panic.
 
-use dnnip_nn::fingerprint::NetworkFingerprint;
+use dnnip_nn::fingerprint::{Fnv1a, NetworkFingerprint};
 use dnnip_nn::layers::Activation;
 use dnnip_nn::loss::{cross_entropy, one_hot};
-use dnnip_nn::{serialize, zoo};
+use dnnip_nn::{serialize, zoo, Network, NnError};
 use dnnip_tensor::Tensor;
 use proptest::prelude::*;
+
+/// Networks from every construction source the format must cover: the two
+/// graph models and a chain.
+fn arb_model() -> impl Strategy<Value = Network> {
+    (0u64..100, 0u8..3).prop_map(|(seed, which)| match which {
+        0 => zoo::residual_classifier(seed).expect("valid zoo geometry"),
+        1 => zoo::branching_classifier(seed).expect("valid zoo geometry"),
+        _ => zoo::tiny_cnn(2, 3, Activation::Relu, seed).expect("valid geometry"),
+    })
+}
+
+/// One node of a hand-written stream: tag, edges, and a layer payload behind
+/// its declared byte length.
+type RawNode = (u8, Vec<u32>, Option<(u32, Vec<u8>)>);
+
+/// A model stream written field by field, so a test can make any field lie.
+/// The checksum is always right.
+fn model_stream(shape: &[u32], count: u32, nodes: &[RawNode]) -> Vec<u8> {
+    let mut b = b"DNNIPGRF".to_vec();
+    let u32s = |b: &mut Vec<u8>, v: &[u32]| {
+        b.extend_from_slice(&(v.len() as u32).to_le_bytes());
+        for x in v {
+            b.extend_from_slice(&x.to_le_bytes());
+        }
+    };
+    b.extend_from_slice(&1u32.to_le_bytes());
+    u32s(&mut b, shape);
+    b.extend_from_slice(&count.to_le_bytes());
+    for (tag, inputs, payload) in nodes {
+        b.push(*tag);
+        u32s(&mut b, inputs);
+        if let Some((len, p)) = payload {
+            b.extend_from_slice(&len.to_le_bytes());
+            b.extend_from_slice(p);
+        }
+    }
+    with_checksum(b)
+}
+
+fn with_checksum(mut body: Vec<u8>) -> Vec<u8> {
+    let mut h = Fnv1a::new();
+    h.write(&body);
+    body.extend_from_slice(&h.finish().to_le_bytes());
+    body
+}
+
+/// A payload declared at its true length.
+fn payload(p: Vec<u8>) -> Option<(u32, Vec<u8>)> {
+    Some((p.len() as u32, p))
+}
+
+/// A Dense layer payload: tag, weight shape, weights, bias.
+fn dense_payload(inputs: u32, outputs: u32) -> Vec<u8> {
+    let mut p = vec![2u8];
+    for v in [2, inputs, outputs, inputs * outputs] {
+        p.extend_from_slice(&v.to_le_bytes());
+    }
+    p.extend((0..inputs * outputs).flat_map(|i| (i as f32 * 0.1).to_le_bytes()));
+    p.extend_from_slice(&outputs.to_le_bytes());
+    p.extend((0..outputs).flat_map(|i| (i as f32).to_le_bytes()));
+    p
+}
+
+/// The decoder's contract on any input: an error, or a network that passes
+/// validation again and re-encodes to a stream that decodes to it.
+fn check_decode(bytes: &[u8]) -> Result<(), TestCaseError> {
+    if let Ok(net) = serialize::from_bytes(bytes) {
+        let again = Network::from_nodes(
+            net.layers().to_vec(),
+            net.nodes().to_vec(),
+            net.input_shape(),
+        );
+        prop_assert!(again.is_ok(), "decoded network fails validation");
+        let restored = serialize::from_bytes(&serialize::to_bytes(&net));
+        prop_assert!(restored.is_ok());
+    }
+    Ok(())
+}
 
 fn activation_strategy() -> impl Strategy<Value = Activation> {
     prop_oneof![
@@ -159,5 +240,131 @@ proptest! {
             index,
             bit
         );
+    }
+
+    #[test]
+    fn round_trip_is_bit_exact_and_behaviour_preserving(net in arb_model()) {
+        let bytes = serialize::to_bytes(&net);
+        let restored = serialize::from_bytes(&bytes).unwrap();
+        // Encode(decode(bytes)) reproduces the stream exactly, so the
+        // fingerprint survives an export → import round trip.
+        prop_assert_eq!(serialize::to_bytes(&restored), bytes);
+        prop_assert_eq!(NetworkFingerprint::of(&restored), NetworkFingerprint::of(&net));
+        prop_assert_eq!(restored.num_parameters(), net.num_parameters());
+        prop_assert_eq!(restored.summary(), net.summary());
+
+        let mut shape = vec![2];
+        shape.extend_from_slice(net.input_shape());
+        let batch = Tensor::from_fn(&shape, |j| ((j * 13 + 5) as f32 * 0.07).sin());
+        let a = net.forward(&batch).unwrap();
+        let b = restored.forward(&batch).unwrap();
+        prop_assert_eq!(a.data(), b.data());
+    }
+
+    #[test]
+    fn truncated_streams_are_rejected(seed in 0u64..50, frac in 0.0f32..1.0) {
+        let bytes = serialize::to_bytes(&zoo::residual_classifier(seed).expect("valid"));
+        // Any strict prefix must fail — either at the length check, the
+        // checksum, or the parser. None may yield a network.
+        let cut = ((bytes.len() - 1) as f32 * frac) as usize;
+        prop_assert!(serialize::from_bytes(&bytes[..cut]).is_err());
+    }
+
+    #[test]
+    fn padded_streams_are_rejected(seed in 0u64..50, extra in 1usize..16, byte in 0u8..255) {
+        let mut bytes = serialize::to_bytes(&zoo::branching_classifier(seed).expect("valid"));
+        bytes.extend(std::iter::repeat(byte).take(extra));
+        // Appended bytes shift the checksum trailer off the real digest.
+        prop_assert!(serialize::from_bytes(&bytes).is_err());
+    }
+
+    #[test]
+    fn any_single_bit_flip_is_rejected(seed in 0u64..50, pos in 0usize..100_000, bit in 0u32..8) {
+        let mut bytes = serialize::to_bytes(&zoo::residual_classifier(seed).expect("valid"));
+        let idx = pos % bytes.len();
+        bytes[idx] ^= 1 << bit;
+        let err = serialize::from_bytes(&bytes).unwrap_err();
+        prop_assert!(matches!(err, NnError::Deserialize(_)), "flip at {}: {}", idx, err);
+        // Flips in the body trip the checksum with the actionable message;
+        // flips inside the 8-byte trailer corrupt the stored digest itself.
+        prop_assert!(
+            err.to_string().contains("checksum mismatch"),
+            "flip at {} of {}: {}", idx, bytes.len(), err
+        );
+    }
+
+    #[test]
+    fn fingerprints_are_sensitive_to_single_parameter_bits(
+        seed in 0u64..50,
+        pidx in 0usize..10_000,
+        bit in 0u32..23,
+    ) {
+        // Flip one mantissa bit of one parameter: the fingerprints must
+        // differ (and the unchanged copy must collide).
+        let net = zoo::tiny_cnn(2, 3, Activation::Tanh, seed).expect("valid geometry");
+        let mut params = net.parameters_flat();
+        let idx = pidx % params.len();
+        params[idx] = f32::from_bits(params[idx].to_bits() ^ (1 << bit));
+        let mut flipped = net.clone();
+        flipped.set_parameters_flat(&params).unwrap();
+
+        let original = NetworkFingerprint::of(&net);
+        prop_assert_eq!(NetworkFingerprint::of(&net.clone()), original);
+        prop_assert_ne!(NetworkFingerprint::of(&flipped), original);
+    }
+
+    #[test]
+    fn model_decoder_survives_hostile_streams(
+        body in prop::collection::vec((0u16..256).prop_map(|b| b as u8), 0..96),
+        field in 0u8..6,
+        at in 0usize..8,
+        lie in prop_oneof![0u32..12, 0u32..u32::MAX],
+    ) {
+        // Arbitrary bytes, with and without a valid header in front, behind a
+        // correct checksum: the decoder itself must answer.
+        check_decode(&with_checksum(body.clone()))?;
+        let mut headed = model_stream(&[4], 0, &[]);
+        headed.truncate(headed.len() - 12);
+        headed.extend_from_slice(&body);
+        check_decode(&with_checksum(headed))?;
+
+        // A valid residual-and-concat stream with one field lying: the node
+        // count, an edge id, a payload length, a layer tag or a node tag.
+        let mut nodes: Vec<RawNode> = vec![
+            (0, vec![], None),
+            (1, vec![0], payload(dense_payload(4, 3))),
+            (1, vec![1], payload(vec![5, 0])),
+            (1, vec![0], payload(dense_payload(4, 3))),
+            (2, vec![2, 3], None),
+            (3, vec![4, 1], None),
+            (1, vec![5], payload(dense_payload(6, 2))),
+        ];
+        prop_assert!(serialize::from_bytes(&model_stream(&[4], 7, &nodes)).is_ok());
+        let mut count = nodes.len() as u32;
+        let k = at % nodes.len();
+        match field {
+            0 => count = lie,
+            1 => {
+                if let Some(edge) = nodes[k].1.first_mut() {
+                    *edge = lie;
+                }
+            }
+            2 => nodes[k].1 = (0..lie % 5).map(|i| i.wrapping_mul(lie)).collect(),
+            3 => {
+                if let Some((_, p)) = nodes[k].2.as_mut() {
+                    p[0] = lie as u8;
+                }
+            }
+            4 => nodes[k].0 = lie as u8,
+            _ => {
+                if let Some((len, _)) = nodes[k].2.as_mut() {
+                    *len = lie;
+                }
+            }
+        }
+        check_decode(&model_stream(&[4], count, &nodes))?;
+        // Lying shapes: dimensions whose product overflows, or that no layer
+        // accepts.
+        check_decode(&model_stream(&[lie, u32::MAX, lie], count, &nodes))?;
     }
 }

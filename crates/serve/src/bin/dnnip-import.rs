@@ -1,16 +1,17 @@
-//! `dnnip-import` — export and re-import graph models through the versioned
-//! on-disk format, then drive an imported model end to end.
+//! `dnnip-import` — export and re-import models through the versioned,
+//! checksummed model format, then drive an imported model end to end.
 //!
 //! ```text
 //! dnnip-import export <path> [--model residual|branching] [--seed N]
 //! dnnip-import run <path> [--criterion SPEC] [--budget N] [--pool N] [--seed N]
 //! ```
 //!
-//! `export` builds a zoo graph model and writes it to `<path>` in the
-//! checksummed `dnnip-graph` format. `run` is the vendor-side import path:
-//! it loads the file (rejecting tampered or truncated bytes), fingerprints
-//! it, registers it in an environment-configured [`Workspace`] and runs one
-//! greedy training-set selection under a forward-only criterion.
+//! `export` builds a zoo graph model and writes it to `<path>` with
+//! `dnnip_nn::serialize`. `run` is the vendor-side import path: it loads the
+//! file (rejecting tampered or truncated bytes), fingerprints it, registers
+//! it in an environment-configured [`Workspace`] and runs one greedy
+//! training-set selection under the given criterion (`param-gradient`, the
+//! paper's, included).
 //!
 //! Both modes end with machine-readable `key=value` lines (`fingerprint=`,
 //! and for `run` also `covered_units=`) that CI greps to gate the importer
@@ -22,7 +23,8 @@ use std::process::ExitCode;
 use dnnip_core::coverage::CoverageConfig;
 use dnnip_core::generator::GenerationMethod;
 use dnnip_core::workspace::{TestGenRequest, Workspace};
-use dnnip_graph::{serialize, zoo, Graph};
+use dnnip_nn::fingerprint::NetworkFingerprint;
+use dnnip_nn::{serialize, zoo, Network};
 use dnnip_tensor::Tensor;
 
 struct ExportArgs {
@@ -109,14 +111,14 @@ fn export(args: &ExportArgs) -> Result<(), String> {
     println!("model={}", args.model);
     println!("nodes={}", graph.num_nodes());
     println!("num_parameters={}", graph.num_parameters());
-    println!("fingerprint={}", graph.fingerprint());
+    println!("fingerprint={}", NetworkFingerprint::of(&graph));
     Ok(())
 }
 
 /// A deterministic candidate pool in the graph's input shape, derived only
 /// from the seed — the same pool for the same (shape, size, seed) triple on
 /// every run, so repeated imports share cache entries.
-fn synthetic_pool(graph: &Graph, size: usize, seed: u64) -> Vec<Tensor> {
+fn synthetic_pool(graph: &Network, size: usize, seed: u64) -> Vec<Tensor> {
     let shape = graph.input_shape().to_vec();
     let per: usize = shape.iter().product();
     (0..size)
@@ -132,7 +134,7 @@ fn synthetic_pool(graph: &Graph, size: usize, seed: u64) -> Vec<Tensor> {
 
 fn run(args: &RunArgs) -> Result<(), String> {
     let graph = serialize::from_file(args.path.as_ref()).map_err(|e| e.to_string())?;
-    let fingerprint = graph.fingerprint();
+    let fingerprint = NetworkFingerprint::of(&graph);
     let pool = synthetic_pool(&graph, args.pool, args.seed);
     let name = std::path::Path::new(&args.path)
         .file_stem()
@@ -140,7 +142,7 @@ fn run(args: &RunArgs) -> Result<(), String> {
         .unwrap_or("imported")
         .to_string();
     let workspace = Workspace::from_env();
-    let model = workspace.register_graph(name, graph, CoverageConfig::default());
+    let model = workspace.register(name, graph, CoverageConfig::default());
     let report = workspace
         .run(
             &TestGenRequest::new(model, GenerationMethod::TrainingSetSelection, args.budget)

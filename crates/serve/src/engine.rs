@@ -30,7 +30,7 @@ use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -40,8 +40,7 @@ use dnnip_tensor::Tensor;
 
 use crate::json::{obj, Json};
 use crate::protocol::{
-    build_graph_model, build_model, parse_request, GenerateSpec, PoolSpec, RequestOp, ServeRequest,
-    BUILTIN_GRAPH_MODELS, BUILTIN_MODELS,
+    build_model, parse_request, GenerateSpec, PoolSpec, RequestOp, ServeRequest, BUILTIN_MODELS,
 };
 
 /// Synthetic pools already materialized while resolving one batch, keyed by
@@ -183,27 +182,12 @@ impl Engine {
     /// Build an engine over `workspace` (the builtin model zoo is registered
     /// into it) and start the worker pool.
     pub fn new(workspace: Workspace, config: EngineConfig) -> Self {
-        let mut models = Vec::with_capacity(BUILTIN_MODELS.len() + BUILTIN_GRAPH_MODELS.len());
+        let mut models = Vec::with_capacity(BUILTIN_MODELS.len());
         for &name in BUILTIN_MODELS {
             let (network, coverage) = build_model(name).expect("builtin model");
             let input_shape = network.input_shape().to_vec();
             let num_parameters = network.num_parameters();
             let key = workspace.register(name, network, coverage);
-            models.push(RegisteredModel {
-                name: name.to_string(),
-                key,
-                input_shape,
-                num_parameters,
-            });
-        }
-        for &name in BUILTIN_GRAPH_MODELS {
-            // Graph models serve forward-only criteria through the
-            // workspace's graph path; other requests get structured
-            // "generation" errors rather than being rejected at parse time.
-            let (graph, coverage) = build_graph_model(name).expect("builtin graph model");
-            let input_shape = graph.input_shape().to_vec();
-            let num_parameters = graph.num_parameters();
-            let key = workspace.register_graph(name, graph, coverage);
             models.push(RegisteredModel {
                 name: name.to_string(),
                 key,
@@ -467,7 +451,8 @@ fn worker_loop(
         // lock through the linger is deliberate, since the jobs a sibling
         // worker would steal are exactly the ones this batch coalesces.
         let jobs = {
-            let queue = rx.lock().expect("job queue lock");
+            // A receiver is whole whatever a panicking holder was doing.
+            let queue = rx.lock().unwrap_or_else(PoisonError::into_inner);
             let first = match queue.recv() {
                 Ok(job) => job,
                 Err(_) => return, // channel closed: drain complete
@@ -895,32 +880,42 @@ mod tests {
     }
 
     #[test]
-    fn graph_models_serve_forward_only_requests() {
+    fn graph_models_serve_every_criterion_and_strategy() {
         let responses = roundtrip(
             engine(),
             &[
                 r#"{"id":"g","model":"residual","criterion":"neuron-activation:0.1","budget":3,"pool":{"synthetic":8,"seed":3}}"#,
-                // The default (param-gradient) criterion has no graph path:
-                // a structured generation error, not a hang or a panic.
-                r#"{"id":"bad","model":"residual","budget":3,"pool":{"synthetic":8,"seed":3}}"#,
+                r#"{"id":"pg","model":"residual","budget":3,"pool":{"synthetic":8,"seed":3}}"#,
+                r#"{"id":"c","model":"residual","strategy":"combined","budget":4,"gradgen_steps":3,"pool":{"synthetic":8,"seed":3}}"#,
+                // A pool in the wrong shape still gets a structured error.
+                r#"{"id":"bad","model":"residual","budget":3,"pool":{"inline":[[1.0,2.0]]}}"#,
             ],
         );
-        let ok = by_id(&responses, "g");
-        assert_eq!(ok.get("ok").and_then(Json::as_bool), Some(true));
-        assert_eq!(ok.get("model").and_then(Json::as_str), Some("residual"));
+        for (id, criterion) in [
+            ("g", "neuron-activation"),
+            ("pg", "param-gradient"),
+            ("c", "param-gradient"),
+        ] {
+            let ok = by_id(&responses, id);
+            assert_eq!(ok.get("ok").and_then(Json::as_bool), Some(true), "{id}");
+            assert_eq!(ok.get("model").and_then(Json::as_str), Some("residual"));
+            assert_eq!(ok.get("criterion").and_then(Json::as_str), Some(criterion));
+            assert!(ok.get("final_coverage").and_then(Json::as_f64).unwrap() > 0.0);
+        }
         assert_eq!(
-            ok.get("criterion").and_then(Json::as_str),
-            Some("neuron-activation")
+            by_id(&responses, "pg")
+                .get("num_units")
+                .and_then(Json::as_f64),
+            Some(986.0)
         );
-        assert!(ok.get("final_coverage").and_then(Json::as_f64).unwrap() > 0.0);
         let bad = by_id(&responses, "bad");
         assert_eq!(bad.get("ok").and_then(Json::as_bool), Some(false));
-        assert!(bad
-            .get("error")
-            .and_then(|e| e.get("message"))
-            .and_then(Json::as_str)
-            .unwrap()
-            .contains("neuron-activation"));
+        assert_eq!(
+            bad.get("error")
+                .and_then(|e| e.get("kind"))
+                .and_then(Json::as_str),
+            Some("bad_request")
+        );
     }
 
     #[test]
@@ -1102,15 +1097,12 @@ mod tests {
             .get("models")
             .and_then(Json::as_array)
             .unwrap();
-        assert_eq!(
-            models.len(),
-            BUILTIN_MODELS.len() + BUILTIN_GRAPH_MODELS.len()
-        );
+        assert_eq!(models.len(), BUILTIN_MODELS.len());
         let names: Vec<&str> = models
             .iter()
             .map(|m| m.get("name").and_then(Json::as_str).unwrap())
             .collect();
-        for &name in BUILTIN_MODELS.iter().chain(BUILTIN_GRAPH_MODELS) {
+        for &name in BUILTIN_MODELS {
             assert!(names.contains(&name), "{name} missing from models op");
         }
         let stats = by_id(&responses, "s");

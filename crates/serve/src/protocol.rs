@@ -30,25 +30,31 @@ use crate::json::Json;
 use crate::{MAX_GRADGEN_STEPS, MAX_POOL_ELEMENTS};
 
 /// Names of the models every service instance registers at startup, in
-/// presentation order. The mix spans activations (ReLU/Tanh), widths and one
-/// convolutional model, so mixed-traffic load tests exercise genuinely
-/// different engines.
-pub const BUILTIN_MODELS: &[&str] = &["tiny-relu", "tiny-tanh", "mlp-wide", "mnist-scaled"];
+/// presentation order. The mix spans activations (ReLU/Tanh), widths, one
+/// convolutional chain and one residual graph, so mixed-traffic load tests
+/// exercise genuinely different engines. Every model serves every criterion
+/// and strategy.
+pub const BUILTIN_MODELS: &[&str] = &[
+    "tiny-relu",
+    "tiny-tanh",
+    "mlp-wide",
+    "mnist-scaled",
+    "residual",
+];
 
-/// Names of the **graph** models every service instance registers at startup
-/// — non-sequential architectures served through the workspace's graph path
-/// (forward-only criteria, selection strategies).
+/// The builtin models with Add or Concat nodes, under the name older callers
+/// use (a subset of [`BUILTIN_MODELS`]).
+#[doc(hidden)]
 pub const BUILTIN_GRAPH_MODELS: &[&str] = &["residual"];
 
-/// Construct a builtin graph model and its base coverage configuration by
-/// name.
-pub fn build_graph_model(name: &str) -> Option<(dnnip_graph::Graph, CoverageConfig)> {
-    let graph = match name {
-        "residual" => dnnip_graph::zoo::residual_classifier(15),
-        _ => return None,
-    }
-    .expect("builtin graph geometries are valid");
-    Some((graph, CoverageConfig::default()))
+/// [`build_model`] for the names in [`BUILTIN_GRAPH_MODELS`], under the name
+/// older callers use.
+#[doc(hidden)]
+pub fn build_graph_model(name: &str) -> Option<(Network, CoverageConfig)> {
+    BUILTIN_GRAPH_MODELS
+        .contains(&name)
+        .then(|| build_model(name))
+        .flatten()
 }
 
 /// Construct a builtin model and its base coverage configuration by name.
@@ -58,6 +64,7 @@ pub fn build_model(name: &str) -> Option<(Network, CoverageConfig)> {
         "tiny-tanh" => zoo::tiny_mlp(6, 12, 4, Activation::Tanh, 12),
         "mlp-wide" => zoo::tiny_mlp(10, 24, 6, Activation::Relu, 13),
         "mnist-scaled" => zoo::mnist_model_scaled(14),
+        "residual" => zoo::residual_classifier(15),
         _ => return None,
     }
     .expect("builtin geometries are valid");

@@ -31,11 +31,10 @@ pub struct ScratchArena {
     /// Gradient column-matrix scratch: a convolution's `∂L/∂Wᵀ` before its
     /// transpose into the flat gradient, then `Wᵀ · ∂L/∂out` before col2im.
     pub grad_cols: Vec<f32>,
-    /// One side of the backward pass's ping-pong gradient buffer (the running
-    /// `∂L/∂x` as it propagates through the layer stack).
-    pub grad_a: Vec<f32>,
-    /// The other side of the ping-pong gradient buffer.
-    pub grad_b: Vec<f32>,
+    /// Spare gradient buffers. A backward pass takes each node's `∂L/∂out`
+    /// buffer from here and hands every buffer back when it ends, so a chain
+    /// cycles through two and a graph through as many as its widest cut.
+    pub grads: Vec<Vec<f32>>,
 }
 
 impl ScratchArena {

@@ -10,8 +10,7 @@
 //! | module | crate | contents |
 //! |---|---|---|
 //! | [`tensor`] | `dnnip-tensor` | dense `f32` tensors, conv/pool kernels |
-//! | [`nn`] | `dnnip-nn` | layers, backprop, optimizers, training, model zoo |
-//! | [`graph`] | `dnnip-graph` | graph IR: Add/Concat ops, topological execution, model import |
+//! | [`nn`] | `dnnip-nn` | the one model type (chains and Add/Concat graphs), layers, backprop, batched engine, model format, optimizers, training, model zoo |
 //! | [`dataset`] | `dnnip-dataset` | synthetic MNIST/CIFAR/OOD/noise image families |
 //! | [`accel`] | `dnnip-accel` | black-box accelerator IP simulator + weight memory |
 //! | [`faults`] | `dnnip-faults` | SBA / GDA / random attacks, detection harness |
@@ -56,7 +55,6 @@ pub use dnnip_accel as accel;
 pub use dnnip_core as core;
 pub use dnnip_dataset as dataset;
 pub use dnnip_faults as faults;
-pub use dnnip_graph as graph;
 pub use dnnip_nn as nn;
 pub use dnnip_tensor as tensor;
 

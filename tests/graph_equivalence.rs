@@ -1,27 +1,34 @@
-//! Differential pinning of the graph IR against the sequential `Network`
-//! path it generalises.
+//! Differential pinning of models with Add/Concat nodes against the
+//! per-sample reference passes of `Network`.
 //!
-//! A lowered sequential model (`Graph::from(&Network)`) must be **bit
-//! identical** to the original through every surface the workspace exposes:
+//! Every model is a `Network`. A "lowered" model here is a chain written
+//! node by node through `GraphBuilder`: it must be the very model
+//! `Network::new` builds — same nodes, bytes and fingerprint, bit-identical
+//! on every surface. The graph models (`residual`, `branching`) must agree
+//! between the batched engine and `Network::forward_cached`/`backward`, the
+//! one per-sample oracle:
 //!
-//! * `forward` / `forward_cached` / `forward_sample` outputs,
-//! * `backward` input- and parameter-gradients, and `parameter_gradients`,
-//! * covered-unit sets under the forward-only criteria (graph hooks vs the
-//!   batched engine),
-//! * greedy-selection indices and coverage curves through `Workspace::run`.
+//! * the engine's logits equal `Network::forward` bit for bit;
+//! * parameter and input gradients agree within the convolution tolerance;
+//! * covered-unit sets under every builtin criterion, the paper's
+//!   `param-gradient` included, equal the reference sets;
+//! * `Workspace::run` selects what a greedy pass over the reference sets
+//!   selects.
 //!
-//! The suite also pins what only the graph can do: deterministic topological
-//! order across rebuilds and serialization round trips, and end-to-end runs
-//! of the non-sequential residual model (including the actionable error when
-//! a gradient criterion is requested on a graph that cannot lower).
-
-use std::sync::Arc;
+//! The suite also pins deterministic topological order across rebuilds and
+//! serialization round trips.
 
 use dnnip::core::coverage::CoverageConfig;
+use dnnip::core::criterion::builtin_criteria;
 use dnnip::core::eval::Evaluator;
 use dnnip::core::generator::GenerationMethod;
+use dnnip::core::gradgen::GradGenConfig;
+use dnnip::core::select::greedy_select_covered;
 use dnnip::core::workspace::{TestGenRequest, Workspace};
-use dnnip::graph::{serialize, zoo as graph_zoo, Graph};
+use dnnip::nn::batch::BatchGradientEngine;
+use dnnip::nn::fingerprint::NetworkFingerprint;
+use dnnip::nn::graph::GraphBuilder;
+use dnnip::nn::serialize;
 use dnnip::prelude::*;
 
 /// Pin against `DNNIP_SEED` when set (so the whole differential suite can be
@@ -33,12 +40,30 @@ fn seed() -> u64 {
         .unwrap_or(23)
 }
 
-/// Sequential zoo models covering both activation families.
+/// Chain zoo models covering both activation families.
 fn models() -> Vec<Network> {
     vec![
         zoo::tiny_cnn(2, 3, Activation::Relu, seed()).unwrap(),
         zoo::tiny_cnn(2, 3, Activation::Tanh, seed().wrapping_add(1)).unwrap(),
     ]
+}
+
+/// The zoo's models with Add and Concat nodes.
+fn graph_models() -> Vec<Network> {
+    vec![
+        zoo::residual_classifier(seed()).unwrap(),
+        zoo::branching_classifier(seed()).unwrap(),
+    ]
+}
+
+/// `network`'s layers written node by node through the builder.
+fn lowered(network: &Network) -> Network {
+    let mut b = GraphBuilder::new(network.input_shape());
+    let mut prev = 0;
+    for layer in network.layers() {
+        prev = b.layer(prev, layer.clone()).unwrap();
+    }
+    b.finish().unwrap()
 }
 
 fn batch_for(network: &Network, n: usize) -> Tensor {
@@ -61,44 +86,58 @@ fn assert_bits_eq(a: &[f32], b: &[f32], what: &str) {
     }
 }
 
+fn assert_close(a: &[f32], b: &[f32], what: &str) {
+    assert_eq!(a.len(), b.len(), "{what}: length drifted");
+    for (i, (x, y)) in a.iter().zip(b).enumerate() {
+        assert!(
+            (x - y).abs() < 1e-4 * (1.0 + y.abs()),
+            "{what}: element {i}: engine {x} vs reference {y}"
+        );
+    }
+}
+
 #[test]
 fn lowered_forwards_are_bit_identical() {
     for network in models() {
-        let graph = Graph::from(&network);
+        let graph = lowered(&network);
         assert!(graph.is_linear());
+        assert_eq!(graph.nodes(), network.nodes());
+        assert_eq!(serialize::to_bytes(&graph), serialize::to_bytes(&network));
         let batch = batch_for(&network, 4);
-
-        let net_out = network.forward(&batch).unwrap();
-        let graph_out = graph.forward(&batch).unwrap();
-        assert_eq!(net_out.shape(), graph_out.shape());
-        assert_bits_eq(net_out.data(), graph_out.data(), "forward");
-
-        let net_pass = network.forward_cached(&batch).unwrap();
-        let graph_pass = graph.forward_cached(&batch).unwrap();
         assert_bits_eq(
-            net_pass.output.data(),
-            graph_pass.output.data(),
+            network.forward(&batch).unwrap().data(),
+            graph.forward(&batch).unwrap().data(),
+            "forward",
+        );
+    }
+    for network in graph_models() {
+        let pool = pool_for(&network, 4);
+        let engine = BatchGradientEngine::new(&network);
+        let stacked = dnnip::tensor::ops::stack(&pool).unwrap();
+        assert_bits_eq(
+            engine.forward_batch(&pool).unwrap().output().data(),
+            network.forward(&stacked).unwrap().data(),
+            "engine forward",
+        );
+        // The zoo's biases are zero, so the reference's direct convolutions
+        // agree with the engine's im2col ones bit for bit.
+        assert_bits_eq(
+            network.forward_cached(&stacked).unwrap().output.data(),
+            network.forward(&stacked).unwrap().data(),
             "forward_cached output",
         );
-
-        let sample = pool_for(&network, 1).remove(0);
-        let net_sample = network.forward_sample(&sample).unwrap();
-        let graph_sample = graph.forward_sample(&sample).unwrap();
-        assert_bits_eq(net_sample.data(), graph_sample.data(), "forward_sample");
     }
 }
 
 #[test]
 fn lowered_backwards_and_parameter_gradients_are_bit_identical() {
     for network in models() {
-        let graph = Graph::from(&network);
+        let graph = lowered(&network);
         let batch = batch_for(&network, 3);
-
         let net_pass = network.forward_cached(&batch).unwrap();
         let graph_pass = graph.forward_cached(&batch).unwrap();
         let grad_output =
             Tensor::from_fn(net_pass.output.shape(), |j| ((j + 1) as f32 * 0.21).cos());
-
         let net_back = network.backward(&net_pass, &grad_output).unwrap();
         let graph_back = graph.backward(&graph_pass, &grad_output).unwrap();
         assert_bits_eq(
@@ -111,103 +150,118 @@ fn lowered_backwards_and_parameter_gradients_are_bit_identical() {
             &graph_back.param_grads,
             "param_grads",
         );
-
-        let sample = pool_for(&network, 1).remove(0);
-        let weights = vec![1.0f32; network.num_classes()];
-        let net_grads = network.parameter_gradients(&sample, &weights).unwrap();
-        let graph_grads = graph.parameter_gradients(&sample, &weights).unwrap();
-        assert_bits_eq(&net_grads, &graph_grads, "parameter_gradients");
+    }
+    // Graph models: the engine's per-sample gradients against the oracle.
+    for network in graph_models() {
+        let engine = BatchGradientEngine::new(&network);
+        let pool = pool_for(&network, 4);
+        let classes = network.num_classes();
+        let weights: Vec<f32> = (0..classes).map(|c| (c as f32 * 0.9).cos()).collect();
+        let batched = engine.parameter_gradients_batch(&pool, &weights).unwrap();
+        let pass = engine.forward_batch(&pool).unwrap();
+        for (s, sample) in pool.iter().enumerate() {
+            let reference = network.parameter_gradients(sample, &weights).unwrap();
+            assert_close(&batched[s], &reference, "parameter gradients");
+            let class = s % classes;
+            let mut onehot = vec![0.0f32; classes];
+            onehot[class] = 1.0;
+            assert_close(
+                engine.input_gradient(&pass, s, &onehot).unwrap().data(),
+                network
+                    .input_gradient_for_class(sample, class)
+                    .unwrap()
+                    .data(),
+                "input gradient",
+            );
+        }
     }
 }
 
 #[test]
 fn lowered_covered_sets_match_the_batched_engine() {
-    let criteria: Vec<Arc<dyn CoverageCriterion>> = vec![
-        Arc::new(NeuronActivation::default()),
-        Arc::new(TopKNeuron::default()),
-    ];
-    for network in models() {
-        let graph = Graph::from(&network);
+    for network in models().into_iter().chain(graph_models()) {
         let pool = pool_for(&network, 6);
-        for criterion in &criteria {
+        for criterion in builtin_criteria(&CoverageConfig::default()) {
             let evaluator =
                 Evaluator::with_criterion(&network, CoverageConfig::default(), criterion.clone());
             let engine_sets = evaluator.activation_sets(&pool).unwrap();
-            let graph_sets = criterion
-                .covered_units_graph(&graph, &pool)
-                .expect("forward-only criteria implement the graph hook")
-                .unwrap();
-            assert_eq!(
-                Some(graph_sets.first().map_or(0, |s| s.len())),
-                criterion.num_units_graph(&graph),
-                "{}: unit count drifted",
-                criterion.id()
-            );
-            assert_eq!(engine_sets.len(), graph_sets.len());
-            for (i, (engine, graph_set)) in engine_sets.iter().zip(&graph_sets).enumerate() {
+            assert_eq!(engine_sets.len(), pool.len());
+            for (i, (set, sample)) in engine_sets.iter().zip(&pool).enumerate() {
+                let reference = criterion.covered_units_reference(&network, sample).unwrap();
+                assert_eq!(set.len(), criterion.num_units(&network));
                 assert!(
-                    *engine == *graph_set,
-                    "{}: covered set {i} drifted",
+                    **set == reference,
+                    "{}: covered set {i} drifted from the reference",
                     criterion.id()
                 );
             }
+            assert!(engine_sets.iter().any(|s| s.count_ones() > 0));
         }
     }
 }
 
 #[test]
 fn lowered_workspace_selections_are_bit_identical() {
+    // A builder-written chain is byte-identical to its `Network::new` form
+    // (`lowered_forwards_are_bit_identical`), so both register as one model.
     for network in models() {
-        let graph = Graph::from(&network);
-        let ws_net = Workspace::new();
-        let ws_graph = Workspace::new();
-        let key_net = ws_net.register("seq", network.clone(), CoverageConfig::default());
-        // A linear graph lowers into the network registry under the network
-        // fingerprint — registration keys must collide by construction.
-        let key_graph = ws_graph.register_graph("seq", graph, CoverageConfig::default());
-        assert_eq!(key_net, key_graph);
-
+        let ws = Workspace::new();
+        let key = ws.register("seq", network.clone(), CoverageConfig::default());
+        let again = ws.register("seq", lowered(&network), CoverageConfig::default());
+        assert_eq!(key, again);
+        assert_eq!(ws.models().len(), 1);
+    }
+    // Graph models: the workspace selects what greedy selection over the
+    // reference sets selects.
+    for network in graph_models() {
+        let ws = Workspace::new();
+        let key = ws.register("graph", network.clone(), CoverageConfig::default());
         let pool = pool_for(&network, 12);
-        for spec in ["neuron-activation:0.1", "topk-neuron:2"] {
-            for method in [
-                GenerationMethod::TrainingSetSelection,
-                GenerationMethod::RandomSelection,
-            ] {
-                let request = TestGenRequest::new(key_net, method, 5)
-                    .with_criterion_spec(spec.to_string())
-                    .with_seed(seed())
-                    .with_candidates(pool.clone());
-                let a = ws_net.run(&request).unwrap();
-                let b = ws_graph.run(&request).unwrap();
-                assert_eq!(a.num_units, b.num_units, "{spec}: unit count drifted");
-                assert_eq!(
-                    a.selected_indices(),
-                    b.selected_indices(),
-                    "{spec}: {} indices drifted",
-                    method.name()
-                );
-                assert_bits_eq(
-                    &a.tests.coverage_curve,
-                    &b.tests.coverage_curve,
-                    "coverage curve",
-                );
-            }
+        for criterion in builtin_criteria(&CoverageConfig::default()) {
+            let report = ws
+                .run(
+                    &TestGenRequest::new(key, GenerationMethod::TrainingSetSelection, 5)
+                        .with_criterion(criterion.clone())
+                        .with_candidates(pool.clone()),
+                )
+                .unwrap();
+            let reference: Vec<_> = pool
+                .iter()
+                .map(|x| {
+                    std::sync::Arc::new(criterion.covered_units_reference(&network, x).unwrap())
+                })
+                .collect();
+            let greedy =
+                greedy_select_covered(&reference, criterion.num_units(&network), 5).unwrap();
+            assert_eq!(
+                report.selected_indices(),
+                greedy.selected,
+                "{}",
+                criterion.id()
+            );
+            assert_eq!(
+                report.final_coverage().to_bits(),
+                greedy.final_coverage().to_bits(),
+                "{}",
+                criterion.id()
+            );
         }
     }
 }
 
 #[test]
 fn topological_order_is_deterministic_across_rebuilds_and_round_trips() {
-    let first = graph_zoo::residual_classifier(seed()).unwrap();
-    let second = graph_zoo::residual_classifier(seed()).unwrap();
+    let first = zoo::residual_classifier(seed()).unwrap();
+    let second = zoo::residual_classifier(seed()).unwrap();
     assert_eq!(first.summary(), second.summary());
-    assert_eq!(first.fingerprint(), second.fingerprint());
+    let fp = NetworkFingerprint::of;
+    assert_eq!(fp(&first), fp(&second));
     let bytes = serialize::to_bytes(&first);
     assert_eq!(bytes, serialize::to_bytes(&second));
 
     let reloaded = serialize::from_bytes(&bytes).unwrap();
     assert_eq!(reloaded.summary(), first.summary());
-    assert_eq!(reloaded.fingerprint(), first.fingerprint());
+    assert_eq!(fp(&reloaded), fp(&first));
     let batch = Tensor::from_fn(&[2, 1, 8, 8], |j| (j as f32 * 0.05).sin());
     assert_bits_eq(
         first.forward(&batch).unwrap().data(),
@@ -218,37 +272,28 @@ fn topological_order_is_deterministic_across_rebuilds_and_round_trips() {
 
 #[test]
 fn nonlinear_graphs_run_end_to_end_through_the_workspace() {
-    let graph = graph_zoo::residual_classifier(seed()).unwrap();
-    let shape = graph.input_shape().to_vec();
-    let pool: Vec<Tensor> = (0..8)
-        .map(|i| Tensor::from_fn(&shape, |j| ((i * 53 + j) as f32 * 0.17).sin()))
-        .collect();
+    let graph = zoo::residual_classifier(seed()).unwrap();
+    let pool = pool_for(&graph, 8);
     let ws = Workspace::new();
-    let key = ws.register_graph("residual", graph, CoverageConfig::default());
-
-    let report = ws
-        .run(
-            &TestGenRequest::new(key, GenerationMethod::TrainingSetSelection, 3)
-                .with_criterion_spec("neuron-activation:0.1".to_string())
-                .with_candidates(pool.clone()),
-        )
-        .unwrap();
-    assert!(report.num_units > 0);
-    assert!(report.final_coverage() > 0.0, "nothing covered");
-    assert!(!report.tests.inputs.is_empty());
-
-    // Gradient criteria cannot run on a graph that does not lower; the error
-    // must name the criteria that do work.
-    let err = ws
-        .run(
-            &TestGenRequest::new(key, GenerationMethod::TrainingSetSelection, 3)
-                .with_criterion_spec("param-gradient".to_string())
-                .with_candidates(pool),
-        )
-        .unwrap_err();
-    let message = err.to_string();
-    assert!(
-        message.contains("neuron-activation"),
-        "unhelpful error: {message}"
-    );
+    let key = ws.register("residual", graph, CoverageConfig::default());
+    let gradgen = GradGenConfig {
+        steps: 3,
+        ..GradGenConfig::default()
+    };
+    for spec in ["neuron-activation:0.1", "param-gradient"] {
+        for strategy in GenerationMethod::all() {
+            let report = ws
+                .run(
+                    &TestGenRequest::new(key, strategy, 3)
+                        .with_criterion_spec(spec.to_string())
+                        .with_gradgen(gradgen)
+                        .with_candidates(pool.clone()),
+                )
+                .unwrap();
+            let what = format!("{spec} {}", strategy.name());
+            assert!(report.num_units > 0, "{what}");
+            assert!(report.final_coverage() > 0.0, "{what}: nothing covered");
+            assert_eq!(report.tests.len(), 3, "{what}");
+        }
+    }
 }

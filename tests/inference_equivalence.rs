@@ -1,6 +1,6 @@
 //! Every inference surface runs the batched engine's convolution kernel, so
-//! on one network they agree bit for bit: `Network::forward`, the lowered
-//! `Graph::forward`, the golden outputs of a functional-test suite and the
+//! on one network — a chain or a graph — they agree bit for bit:
+//! `Network::forward`, the golden outputs of a functional-test suite and the
 //! IP user's replay through `FloatIp::infer`.
 //!
 //! The zoo initialises every bias to zero, which hides the difference between
@@ -9,7 +9,6 @@
 //! kernel would differ in the last bits.
 
 use dnnip::core::eval::Evaluator;
-use dnnip::graph::Graph;
 use dnnip::nn::batch::BatchGradientEngine;
 use dnnip::prelude::*;
 use dnnip::tensor::kernels::bit_mismatch;
@@ -58,28 +57,28 @@ fn mismatch(a: &Tensor, b: &Tensor) -> Option<usize> {
 
 #[test]
 fn lowered_graph_forward_is_bit_identical_to_network_forward() {
-    for (name, net) in models() {
+    // Chains and the residual graph, all with nonzero biases:
+    // `Network::forward` walks their nodes with the engine's kernels, so the
+    // logits agree bit for bit.
+    let residual = (
+        "residual",
+        with_nonzero_biases(zoo::residual_classifier(15).unwrap(), 3),
+    );
+    for (name, net) in models().into_iter().chain([residual]) {
         let xs = samples(&net, 5, 11);
         let batch = ops::stack(&xs).unwrap();
-        let graph = Graph::from(&net);
-        assert_eq!(
-            mismatch(
-                &graph.forward(&batch).unwrap(),
-                &net.forward(&batch).unwrap()
-            ),
-            None,
-            "{name}"
-        );
-        // The graph's forward-only activation surface matches the engine's
-        // capture too, so neuron criteria index identical values.
         let capture = BatchGradientEngine::new(&net)
             .activation_outputs(&xs)
             .unwrap();
-        let graph_acts = graph.activation_outputs(&batch).unwrap();
-        assert_eq!(graph_acts.len(), capture.per_layer().len(), "{name}");
-        for (g, e) in graph_acts.iter().zip(capture.per_layer()) {
-            assert_eq!(mismatch(g, e), None, "{name}: activation outputs");
-        }
+        assert_eq!(
+            mismatch(capture.logits(), &net.forward(&batch).unwrap()),
+            None,
+            "{name}: logits"
+        );
+        let units: usize = (0..capture.per_layer().len())
+            .map(|l| capture.units_per_sample(l))
+            .sum();
+        assert_eq!(units, net.num_neuron_units(), "{name}: activation units");
     }
 }
 

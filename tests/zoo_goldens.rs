@@ -16,7 +16,10 @@
 //!   `param-gradient` and `neuron-activation:0.25`;
 //! * the Tables II/III baseline (`neuron-coverage`): selected indices and the
 //!   coverage curve's bits under both criteria, pinned while the baseline
-//!   still ran on its own unbatched neuron analyzer.
+//!   still ran on its own unbatched neuron analyzer;
+//! * the residual graph model's selections under the forward-only criteria,
+//!   pinned while it still ran on a graph executor of its own, and its
+//!   `param-gradient` covered sets, which must equal the reference oracle's.
 //!
 //! A mismatch prints the observed digest in hex so a deliberate change of
 //! semantics can re-pin it; a performance change never should.
@@ -297,4 +300,72 @@ fn neuron_coverage_baseline_is_pinned() {
             assert_golden(&format!("{name} baseline curve ({criterion})"), curve, want);
         }
     }
+}
+
+/// The residual graph model (Add node) through `Workspace::run`: selections,
+/// coverage curves, inputs and golden outputs under the forward-only
+/// criteria, per (strategy, criterion). Pinned while the model still ran on
+/// its own graph executor, so they prove the batched engine's node walk
+/// reproduces it bit for bit.
+#[test]
+fn residual_graph_selections_are_pinned() {
+    let network = zoo::residual_classifier(15).unwrap();
+    let ws = Workspace::new();
+    let key = ws.register("residual", network.clone(), CoverageConfig::default());
+    let expected = [
+        (
+            GenerationMethod::TrainingSetSelection,
+            "neuron-activation:0.1",
+            0xfc0d_e669_41e6_3eee,
+        ),
+        (
+            GenerationMethod::TrainingSetSelection,
+            "topk-neuron:2",
+            0x268b_4582_fff8_ee54,
+        ),
+        (
+            GenerationMethod::RandomSelection,
+            "neuron-activation:0.1",
+            0x7818_d8a0_f3f2_e6fe,
+        ),
+        (
+            GenerationMethod::RandomSelection,
+            "topk-neuron:2",
+            0x9910_90cc_bfcc_a5b1,
+        ),
+    ];
+    for (strategy, criterion, want) in expected {
+        assert_golden(
+            &format!("residual {} {criterion}", strategy.name()),
+            run_digest(&ws, key, &network, strategy, criterion),
+            want,
+        );
+    }
+}
+
+/// The paper's criterion on the residual graph: the engine's covered sets
+/// equal the `Network` reference oracle's, and their digest is pinned.
+#[test]
+fn residual_graph_param_gradient_sets_match_the_oracle() {
+    let network = zoo::residual_classifier(15).unwrap();
+    let samples = seeded_inputs(network.input_shape(), 12, 0x5eed_0006);
+    let evaluator = Evaluator::new(&network, CoverageConfig::default());
+    let sets = evaluator.activation_sets(&samples).unwrap();
+    let mut h = Fnv::new();
+    for (s, (set, sample)) in sets.iter().zip(&samples).enumerate() {
+        let reference = evaluator
+            .analyzer()
+            .activation_set_reference(sample)
+            .unwrap();
+        assert!(
+            **set == reference,
+            "sample {s}: engine set differs from the oracle"
+        );
+        assert_eq!(set.len(), 986);
+        for i in set.iter_ones() {
+            h.usize(i);
+        }
+        h.usize(usize::MAX);
+    }
+    assert_golden("residual param-gradient sets", h.0, 0x8c48_baf3_9af4_e22f);
 }
