@@ -3,7 +3,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dnnip_core::bitset::Bitset;
-use dnnip_core::coverage::{CoverageAnalyzer, CoverageConfig};
+use dnnip_core::coverage::CoverageConfig;
+use dnnip_core::eval::Evaluator;
 use dnnip_core::select::{greedy_select_covered, greedy_select_naive};
 use dnnip_nn::layers::Activation;
 use dnnip_nn::zoo;
@@ -15,18 +16,18 @@ use std::sync::Arc;
 
 fn bench_activation_set(c: &mut Criterion) {
     let net = zoo::mnist_model_scaled(1).unwrap();
-    let analyzer = CoverageAnalyzer::new(&net, CoverageConfig::default());
+    let evaluator = Evaluator::with_cache_bytes(&net, CoverageConfig::default(), 0);
     let sample = Tensor::from_fn(&[1, 16, 16], |i| (i as f32 * 0.07).sin().abs());
     c.bench_function("activation_set_mnist_scaled", |bench| {
-        bench.iter(|| analyzer.activation_set(black_box(&sample)).unwrap())
+        bench.iter(|| evaluator.activation_set(black_box(&sample)).unwrap())
     });
 
     let tiny = zoo::tiny_cnn(6, 10, Activation::Relu, 2).unwrap();
-    let tiny_analyzer = CoverageAnalyzer::new(&tiny, CoverageConfig::default());
+    let tiny_evaluator = Evaluator::with_cache_bytes(&tiny, CoverageConfig::default(), 0);
     let tiny_sample = Tensor::from_fn(&[1, 8, 8], |i| (i as f32 * 0.19).sin().abs());
     c.bench_function("activation_set_tiny_cnn", |bench| {
         bench.iter(|| {
-            tiny_analyzer
+            tiny_evaluator
                 .activation_set(black_box(&tiny_sample))
                 .unwrap()
         })

@@ -6,14 +6,15 @@
 //! * `warm` — the cache is pre-populated, every iteration is pure lookups: the
 //!   cost repeated Fig. 3 budget sweeps and Table II/III prefix evaluations
 //!   actually pay after the first pass.
-//! * `uncached_analyzer` — the raw compute layer, for the overhead comparison.
+//! * `uncached` — a budget-0 evaluator (the raw compute path), for the
+//!   overhead comparison.
 //!
 //! The JSON counterpart (end-to-end sweep speedup, recorded in
 //! `crates/bench/results/eval_cache.json`) is produced by
 //! `cargo run -p dnnip-bench --bin parallel_sweep`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use dnnip_core::coverage::{CoverageAnalyzer, CoverageConfig};
+use dnnip_core::coverage::CoverageConfig;
 use dnnip_core::eval::Evaluator;
 use dnnip_nn::zoo;
 use dnnip_tensor::Tensor;
@@ -31,9 +32,9 @@ fn bench_cached_activation_sets(c: &mut Criterion) {
     let mut group = c.benchmark_group("evaluator_activation_sets_batch16");
     group.sample_size(10);
 
-    let analyzer = CoverageAnalyzer::new(&net, CoverageConfig::default());
-    group.bench_function("uncached_analyzer", |b| {
-        b.iter(|| analyzer.activation_sets(black_box(&samples)).unwrap())
+    let uncached = Evaluator::with_cache_bytes(&net, CoverageConfig::default(), 0);
+    group.bench_function("uncached", |b| {
+        b.iter(|| uncached.activation_sets(black_box(&samples)).unwrap())
     });
 
     let evaluator = Evaluator::new(&net, CoverageConfig::default());
@@ -62,12 +63,12 @@ fn bench_repeated_budget_sweep(c: &mut Criterion) {
     let mut group = c.benchmark_group("prefix_sweep_tiny_cnn");
     group.sample_size(10);
 
-    let analyzer = CoverageAnalyzer::new(&net, CoverageConfig::default());
+    let uncached = Evaluator::with_cache_bytes(&net, CoverageConfig::default(), 0);
     group.bench_function("uncached", |b| {
         b.iter(|| {
             budgets
                 .iter()
-                .map(|&n| analyzer.coverage_of_set(&pool[..n]).unwrap())
+                .map(|&n| uncached.coverage_of_set(&pool[..n]).unwrap())
                 .collect::<Vec<_>>()
         })
     });

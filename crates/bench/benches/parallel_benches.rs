@@ -5,7 +5,7 @@
 //!
 //! * `per_sample_reference` — the pre-batching engine: one full forward +
 //!   backward per sample through the direct convolution kernels
-//!   ([`CoverageAnalyzer::activation_set_reference`]).
+//!   (`Evaluator::activation_set_reference`).
 //! * `batched_serial` — the batched engine (`ExecPolicy::Serial`): one stacked
 //!   forward per chunk, im2col/matmul per-sample backward.
 //! * `batched_threads4` — the same engine with chunks distributed over four
@@ -16,7 +16,8 @@
 //! records the same comparison as JSON in `crates/bench/results/`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use dnnip_core::coverage::{CoverageAnalyzer, CoverageConfig};
+use dnnip_core::coverage::CoverageConfig;
+use dnnip_core::eval::Evaluator;
 use dnnip_core::par::ExecPolicy;
 use dnnip_nn::zoo;
 use dnnip_tensor::Tensor;
@@ -34,7 +35,7 @@ fn bench_batched_coverage(c: &mut Criterion) {
     let mut group = c.benchmark_group("coverage_batch32_mnist_scaled");
     group.sample_size(10);
 
-    let reference = CoverageAnalyzer::new(&net, CoverageConfig::default());
+    let reference = Evaluator::with_cache_bytes(&net, CoverageConfig::default(), 0);
     group.bench_function("per_sample_reference", |b| {
         b.iter(|| {
             black_box(&samples)
@@ -48,15 +49,16 @@ fn bench_batched_coverage(c: &mut Criterion) {
         ("batched_serial", ExecPolicy::Serial),
         ("batched_threads4", ExecPolicy::Threads(4)),
     ] {
-        let analyzer = CoverageAnalyzer::new(
+        let evaluator = Evaluator::with_cache_bytes(
             &net,
             CoverageConfig {
                 exec,
                 ..CoverageConfig::default()
             },
+            0,
         );
         group.bench_function(name, |b| {
-            b.iter(|| analyzer.activation_sets(black_box(&samples)).unwrap())
+            b.iter(|| evaluator.activation_sets(black_box(&samples)).unwrap())
         });
     }
     group.finish();
@@ -77,7 +79,7 @@ fn bench_parallel_selection_pipeline(c: &mut Criterion) {
     ] {
         // Cache disabled: this bench measures the *compute* pipeline; the
         // cached path is measured separately by `eval_benches`.
-        let evaluator = dnnip_core::eval::Evaluator::with_cache_bytes(
+        let evaluator = Evaluator::with_cache_bytes(
             &net,
             CoverageConfig {
                 exec,

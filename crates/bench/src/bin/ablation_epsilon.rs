@@ -64,14 +64,14 @@ fn main() {
             epsilon: EpsilonPolicy::RelativeToMax(eps),
             projection: OutputProjection::default(),
         };
-        let analyzer = ws
+        let evaluator = ws
             .evaluator(fingerprint, &CriterionSpec::Instance(Arc::new(criterion)))
             .expect("registered model");
-        let train_cov = analyzer
+        let train_cov = evaluator
             .mean_sample_coverage(training)
             .expect("training coverage");
-        let ood_cov = analyzer.mean_sample_coverage(&oods).expect("ood coverage");
-        let noise_cov = analyzer
+        let ood_cov = evaluator.mean_sample_coverage(&oods).expect("ood coverage");
+        let noise_cov = evaluator
             .mean_sample_coverage(&noisy)
             .expect("noise coverage");
         let ordering = train_cov >= ood_cov && ood_cov >= noise_cov;

@@ -21,7 +21,7 @@ fn family_coverages(
     images_per_family: usize,
     seed: u64,
 ) -> (f32, f32, f32) {
-    let analyzer = evaluator_in(ws, model);
+    let evaluator = evaluator_in(ws, model);
     let shape = model.network.input_shape();
     let (channels, size) = (shape[0], shape[1]);
 
@@ -44,11 +44,11 @@ fn family_coverages(
     let training = &model.dataset.inputs[..n];
 
     (
-        analyzer
+        evaluator
             .mean_sample_coverage(&noisy)
             .expect("noise coverage"),
-        analyzer.mean_sample_coverage(&oods).expect("ood coverage"),
-        analyzer
+        evaluator.mean_sample_coverage(&oods).expect("ood coverage"),
+        evaluator
             .mean_sample_coverage(training)
             .expect("training coverage"),
     )

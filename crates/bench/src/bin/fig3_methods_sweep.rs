@@ -29,7 +29,7 @@ fn main() {
     let ws = workspace_from_env();
     println!("{}", cache_banner(&ws));
     let fingerprint = register_model(&ws, &model);
-    let analyzer = evaluator_in(&ws, &model);
+    let evaluator = evaluator_in(&ws, &model);
     let pool_size = profile.candidate_pool().min(model.dataset.len());
     let pool = &model.dataset.inputs[..pool_size];
     println!(
@@ -37,8 +37,8 @@ fn main() {
          training images, train acc {}",
         model.name,
         model.network.num_parameters(),
-        analyzer.num_units(),
-        analyzer.criterion().id(),
+        evaluator.num_units(),
+        evaluator.criterion().id(),
         pool.len(),
         pct(model.train_accuracy, 7)
     );
@@ -81,7 +81,7 @@ fn main() {
 
     // The whole-training-set ceiling the paper discusses (~8% of parameters are
     // never activated by any training sample).
-    let whole_pool = analyzer
+    let whole_pool = evaluator
         .coverage_of_set(pool)
         .expect("coverage of the whole candidate pool");
     println!(

@@ -16,11 +16,12 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use dnnip_bench::{
-    cache_banner, graph_pool, seed_from_env_or, workspace_from_env, ExperimentProfile, ModelSpec,
+    cache_banner, seed_from_env_or, workspace_from_env, ExperimentProfile, ModelSpec,
 };
 use dnnip_core::coverage::CoverageConfig;
 use dnnip_core::generator::GenerationMethod;
 use dnnip_core::workspace::TestGenRequest;
+use dnnip_serve::graph_pool;
 use std::hint::black_box;
 
 /// The criteria swept, each a row of the JSON.

@@ -8,6 +8,10 @@
 //! * the batched engine with `ExecPolicy::Serial`,
 //! * the batched engine with `ExecPolicy::Threads(n)` for n ∈ {2, 4, 8}.
 //!
+//! Every row runs through a budget-0 `Evaluator` (the uncached compute path):
+//! the reference row calls `Evaluator::activation_set_reference` per sample,
+//! the batched rows `Evaluator::activation_sets` on the whole batch.
+//!
 //! Each threaded row records the **effective** worker count — `min(requested,
 //! hardware threads)` — alongside the requested one, and rows requesting more
 //! workers than the machine has are flagged as oversubscribed (their numbers
@@ -23,7 +27,7 @@
 //! ```
 
 use dnnip_bench::{seed_from_env_or, ExperimentProfile};
-use dnnip_core::coverage::{CoverageAnalyzer, CoverageConfig};
+use dnnip_core::coverage::CoverageConfig;
 use dnnip_core::eval::Evaluator;
 use dnnip_core::par::ExecPolicy;
 use dnnip_core::workspace::DiskCacheConfig;
@@ -93,7 +97,7 @@ fn main() {
         .collect();
 
     let mut rows: Vec<Row> = Vec::new();
-    let reference = CoverageAnalyzer::new(&net, CoverageConfig::default());
+    let reference = Evaluator::with_cache_bytes(&net, CoverageConfig::default(), 0);
     let t = time_ms(reps, || {
         for s in black_box(&samples) {
             black_box(
@@ -120,16 +124,17 @@ fn main() {
         ("threads(8)", ExecPolicy::Threads(8)),
     ];
     for (name, exec) in configs {
-        let analyzer = CoverageAnalyzer::new(
+        let evaluator = Evaluator::with_cache_bytes(
             &net,
             CoverageConfig {
                 exec,
                 ..CoverageConfig::default()
             },
+            0,
         );
         let t = time_ms(reps, || {
             black_box(
-                analyzer
+                evaluator
                     .activation_sets(black_box(&samples))
                     .expect("batched sets"),
             );
@@ -239,7 +244,7 @@ fn main() {
 
 /// The evaluator-layer acceptance measurement: a repeated Fig. 3-style budget
 /// sweep (coverage of nested prefixes, run twice end to end) through the
-/// content-addressed cache vs the raw analyzer, recorded as
+/// content-addressed cache vs a budget-0 (uncached) evaluator, recorded as
 /// `results/eval_cache.json`.
 ///
 /// The cached run constructs its `Evaluator` *inside* the timed region, so
@@ -264,11 +269,11 @@ fn eval_cache_sweep(
 
     let config = CoverageConfig::default();
     let uncached_ms = time_ms(reps, || {
-        let analyzer = CoverageAnalyzer::new(net, config);
+        let evaluator = Evaluator::with_cache_bytes(net, config, 0);
         for _ in 0..sweep_rounds {
             for &b in &budgets {
                 black_box(
-                    analyzer
+                    evaluator
                         .coverage_of_set(black_box(&samples[..b]))
                         .expect("uncached sweep"),
                 );

@@ -28,7 +28,6 @@ use dnnip_nn::fingerprint::NetworkFingerprint;
 use dnnip_nn::layers::Activation;
 use dnnip_nn::train::{evaluate, train, TrainConfig};
 use dnnip_nn::{zoo, Network};
-use dnnip_tensor::Tensor;
 
 /// Which scale an experiment runs at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -383,24 +382,6 @@ impl ModelSpec {
     }
 }
 
-/// Deterministic candidate pool in a graph's input shape, derived only from
-/// the seed — the same formula as `dnnip-import`'s synthetic pool, so bench
-/// runs and importer runs over the same (shape, size, seed) triple share
-/// covered-set cache entries.
-pub fn graph_pool(graph: &Network, size: usize, seed: u64) -> Vec<Tensor> {
-    let shape = graph.input_shape().to_vec();
-    let per: usize = shape.iter().product();
-    (0..size)
-        .map(|i| {
-            Tensor::from_fn(&shape, |j| {
-                let n =
-                    (seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) as usize).wrapping_add(i * per + j);
-                ((n % 7919) as f32 * 0.017).sin()
-            })
-        })
-        .collect()
-}
-
 /// Resolve the experiment seed: the `DNNIP_SEED` environment variable when set
 /// to a valid `u64`, otherwise `default`.
 ///
@@ -610,20 +591,6 @@ mod tests {
             assert_eq!(ModelSpec::from_env(), ModelSpec::Residual);
             std::env::remove_var("DNNIP_MODEL");
         }
-    }
-
-    #[test]
-    fn graph_pool_is_deterministic_and_shaped() {
-        let graph = ModelSpec::Residual.build_graph(3).expect("residual graph");
-        let a = graph_pool(&graph, 4, 9);
-        let b = graph_pool(&graph, 4, 9);
-        assert_eq!(a.len(), 4);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.shape(), &[1, 8, 8]);
-            assert_eq!(x.data(), y.data());
-        }
-        let c = graph_pool(&graph, 4, 10);
-        assert_ne!(a[0].data(), c[0].data());
     }
 
     #[test]

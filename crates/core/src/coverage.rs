@@ -1,5 +1,5 @@
-//! The criterion-driven coverage analyzer (paper Section IV-A, Eq. 2–5 under
-//! the default criterion).
+//! Configuration of the coverage computation (paper Section IV-A, Eq. 2–5
+//! under the default criterion).
 //!
 //! Under the paper's metric a parameter θ is **activated** by input `x` when a
 //! perturbation of θ would propagate to the DNN output, which the paper
@@ -11,24 +11,16 @@
 //!   exactly, so a parameter counts as activated when `|∇θ F(x)| > ε`.
 //!
 //! That rule is one [`crate::criterion::CoverageCriterion`]
-//! ([`crate::criterion::ParamGradient`], the default); the analyzer itself is
-//! generic over the criterion and only handles chunking, batching and the
-//! execution policy. [`CoverageAnalyzer`] computes per-input covered-unit sets
-//! as [`Bitset`]s over the criterion's unit space (the flat parameter space
-//! for the paper's metric); the coverage of a test set is the density of the
-//! union of its members' sets (Eq. 4).
+//! ([`crate::criterion::ParamGradient`], the default). This module holds the
+//! knobs of the computation — the threshold policy, the output projection,
+//! the execution policy and chunk size, the forward precision — in one
+//! [`CoverageConfig`]. The computation itself is
+//! [`crate::eval::Evaluator`]'s: per-input covered-unit sets as
+//! [`crate::bitset::Bitset`]s over the criterion's unit space (the flat
+//! parameter space for the paper's metric), and the coverage of a test set
+//! as the density of the union of its members' sets (Eq. 4).
 
-use std::sync::Arc;
-
-use dnnip_accel::quant::{round_trip_network, BitWidth};
-use dnnip_nn::batch::BatchGradientEngine;
-use dnnip_nn::Network;
-use dnnip_tensor::Tensor;
-
-use crate::bitset::Bitset;
-use crate::criterion::{CoverageCriterion, ParamGradient};
-use crate::par::{self, ExecPolicy};
-use crate::{CoreError, Result};
+use crate::par::ExecPolicy;
 
 /// How the activation threshold ε is chosen.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -135,274 +127,21 @@ impl Default for CoverageConfig {
     }
 }
 
-/// Computes per-input covered-unit sets and coverage for one network under a
-/// pluggable [`CoverageCriterion`] (the paper's parameter-gradient metric by
-/// default).
-///
-/// The analyzer **owns** its network (`Arc<Network>`, shared with the batched
-/// engine), so it is a `'static` value: it can be stored in registries,
-/// moved across threads and cloned cheaply. Constructors accept `&Network`
-/// (cloned into the `Arc` once) or an `Arc<Network>` (shared, no copy).
-#[derive(Debug, Clone)]
-pub struct CoverageAnalyzer {
-    config: CoverageConfig,
-    criterion: Arc<dyn CoverageCriterion>,
-    /// Unit count of the criterion for this network (bitset length), computed
-    /// once at construction.
-    num_units: usize,
-    /// Batched evaluation engine, built once (it precomputes per-conv-layer
-    /// weight matrices) and shared read-only across worker threads. Owns the
-    /// network handle the analyzer evaluates.
-    engine: BatchGradientEngine,
-    /// Engine over the int8 round-tripped network, built only when the config
-    /// selects [`ForwardPrecision::QuantizedInt8`] *and* the criterion is
-    /// forward-only; `None` otherwise. When present, it replaces `engine` for
-    /// covered-unit computation.
-    quant_engine: Option<BatchGradientEngine>,
-}
-
-impl CoverageAnalyzer {
-    /// Create an analyzer for `network` under the paper's parameter-gradient
-    /// criterion (threshold policy and projection taken from `config`).
-    pub fn new(network: impl Into<Arc<Network>>, config: CoverageConfig) -> Self {
-        Self::with_criterion(
-            network,
-            config,
-            Arc::new(ParamGradient::from_config(&config)),
-        )
-    }
-
-    /// Create an analyzer for `network` under an explicit coverage criterion.
-    /// The `epsilon`/`projection` fields of `config` are ignored unless the
-    /// criterion itself reads them (only [`ParamGradient`] does); `exec` and
-    /// `batch_size` govern every criterion's work distribution.
-    pub fn with_criterion(
-        network: impl Into<Arc<Network>>,
-        config: CoverageConfig,
-        criterion: Arc<dyn CoverageCriterion>,
-    ) -> Self {
-        let engine = BatchGradientEngine::new(network);
-        let num_units = criterion.num_units(engine.network());
-        let quant_engine = (config.precision == ForwardPrecision::QuantizedInt8
-            && criterion.forward_only())
-        .then(|| {
-            let quantized = round_trip_network(engine.network(), BitWidth::Int8)
-                .expect("round-trip preserves the parameter layout");
-            BatchGradientEngine::new(quantized)
-        });
-        Self {
-            config,
-            criterion,
-            num_units,
-            engine,
-            quant_engine,
-        }
-    }
-
-    /// Whether covered-unit computation runs on the int8 round-tripped
-    /// network — i.e. the config asked for
-    /// [`ForwardPrecision::QuantizedInt8`] *and* the criterion is
-    /// forward-only. The [`crate::eval::Evaluator`] uses this to key its
-    /// caches so quantized results never alias full-precision ones.
-    pub fn quantized_forward(&self) -> bool {
-        self.quant_engine.is_some()
-    }
-
-    /// The analyzed network.
-    pub fn network(&self) -> &Network {
-        self.engine.network()
-    }
-
-    /// The shared handle to the analyzed network (reference-count bump only).
-    pub fn network_arc(&self) -> Arc<Network> {
-        self.engine.network_arc()
-    }
-
-    /// The coverage criterion driving this analyzer.
-    pub fn criterion(&self) -> &Arc<dyn CoverageCriterion> {
-        &self.criterion
-    }
-
-    /// The analyzer's batched gradient engine (precomputed weight matrices
-    /// included). Cloning the returned engine reuses those precomputed
-    /// matrices, which is how the [`crate::eval::Evaluator`] hands one engine's
-    /// work to the gradient generator without re-deriving it.
-    pub fn engine(&self) -> &BatchGradientEngine {
-        &self.engine
-    }
-
-    /// The analyzer's configuration.
-    pub fn config(&self) -> &CoverageConfig {
-        &self.config
-    }
-
-    /// Total number of network parameters (the criterion's unit count — and
-    /// the length of every activation set — under the default
-    /// [`ParamGradient`] criterion).
-    pub fn num_parameters(&self) -> usize {
-        self.network().num_parameters()
-    }
-
-    /// Number of coverable units under the analyzer's criterion (the length of
-    /// every covered-unit set).
-    pub fn num_units(&self) -> usize {
-        self.num_units
-    }
-
-    /// Covered-unit sets for one contiguous chunk of samples: one engine call
-    /// through the criterion (a sample-major forward + backward per sample
-    /// for [`ParamGradient`]; one stacked forward for the neuron criteria).
-    fn sets_for_chunk(&self, chunk: &[Tensor]) -> Result<Vec<Bitset>> {
-        let engine = self.quant_engine.as_ref().unwrap_or(&self.engine);
-        self.criterion.covered_units(engine, chunk)
-    }
-
-    /// Contiguous chunks of `samples`, each of
-    /// `min(batch_size, ⌈n / workers⌉)` samples (the last may be shorter), so
-    /// a request smaller than `batch_size × workers` still gives every
-    /// [`CoverageConfig::exec`] worker a chunk. Per-sample arithmetic does not
-    /// depend on the chunk, so the chunking never changes results.
-    fn chunks<'s>(&self, samples: &'s [Tensor]) -> Vec<&'s [Tensor]> {
-        let per_worker = samples.len().div_ceil(self.config.exec.threads());
-        samples
-            .chunks(self.config.batch_size.min(per_worker).max(1))
-            .collect()
-    }
-
-    /// The activation set of a single input: bit `i` is set iff parameter `i` is
-    /// activated by this input under the configured policy (Eq. 2 / Eq. 5).
-    ///
-    /// Computed by the batched engine with a batch of one, so it is always
-    /// bit-identical to the corresponding entry of
-    /// [`CoverageAnalyzer::activation_sets`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the sample shape does not match the network input.
-    pub fn activation_set(&self, sample: &Tensor) -> Result<Bitset> {
-        let mut sets = self.sets_for_chunk(std::slice::from_ref(sample))?;
-        Ok(sets.pop().expect("one set per sample"))
-    }
-
-    /// Reference covered-unit set computed independently of the batched
-    /// engine. For the default [`ParamGradient`] criterion this is the
-    /// pre-batching path: one full forward + backward per
-    /// `(sample, projection)` pair through [`Network::parameter_gradients`],
-    /// with the direct (non-im2col) convolution kernels.
-    ///
-    /// Kept as the independent baseline the differential tests and the
-    /// throughput benchmarks compare the batched engine against.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the sample shape does not match the network input.
-    pub fn activation_set_reference(&self, sample: &Tensor) -> Result<Bitset> {
-        // Under the quantized forward path the reference must evaluate the
-        // same (round-tripped) network, or the batched-vs-reference
-        // differential would compare different models.
-        let network = self
-            .quant_engine
-            .as_ref()
-            .map_or_else(|| self.network(), BatchGradientEngine::network);
-        self.criterion.covered_units_reference(network, sample)
-    }
-
-    /// Activation sets for a collection of inputs — the batched, multi-threaded
-    /// hot path of the whole reproduction.
-    ///
-    /// Samples are split into chunks of at most [`CoverageConfig::batch_size`]
-    /// (fewer when that gives every worker a chunk); each chunk runs through
-    /// the batched engine in one call, and chunks are distributed over
-    /// [`CoverageConfig::exec`] workers. Per-sample arithmetic does not depend
-    /// on the chunk or the worker, so results are bit-identical across
-    /// execution policies.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when any sample shape does not match the network input.
-    pub fn activation_sets(&self, samples: &[Tensor]) -> Result<Vec<Bitset>> {
-        let per_chunk = par::try_map(self.config.exec, &self.chunks(samples), |chunk| {
-            self.sets_for_chunk(chunk)
-        })?;
-        Ok(per_chunk.into_iter().flatten().collect())
-    }
-
-    /// Validation coverage of a single input (Eq. 3).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the sample shape does not match the network input.
-    pub fn coverage_of_sample(&self, sample: &Tensor) -> Result<f32> {
-        Ok(self.activation_set(sample)?.density())
-    }
-
-    /// Validation coverage of a test set (Eq. 4): density of the union of the
-    /// members' activation sets.
-    ///
-    /// Runs on the batched parallel path with **chunk-local unions**: each
-    /// worker reduces its chunk's sets into one bitset as it goes, so peak
-    /// memory is bounded by `batch_size × workers` sets rather than the whole
-    /// collection. Union is exact (bitwise OR), so the result is still
-    /// bit-identical across execution policies.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when any sample shape does not match the network input.
-    pub fn coverage_of_set(&self, samples: &[Tensor]) -> Result<f32> {
-        let n = self.num_units();
-        let chunk_unions = par::try_map(
-            self.config.exec,
-            &self.chunks(samples),
-            |chunk| -> Result<Bitset> { Ok(Bitset::union_of(n, &self.sets_for_chunk(chunk)?)) },
-        )?;
-        Ok(Bitset::union_of(n, &chunk_unions).density())
-    }
-
-    /// Mean per-sample validation coverage over a collection of inputs (used for
-    /// the Fig. 2 image-family comparison).
-    ///
-    /// Batched and parallel like [`CoverageAnalyzer::coverage_of_set`]; only
-    /// per-chunk density vectors are kept, and the final sum runs serially in
-    /// input order so the result does not depend on the execution policy.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::EmptyCandidatePool`] for an empty collection, or a
-    /// shape error for incompatible samples.
-    pub fn mean_sample_coverage(&self, samples: &[Tensor]) -> Result<f32> {
-        if samples.is_empty() {
-            return Err(CoreError::EmptyCandidatePool);
-        }
-        let per_chunk: Vec<Vec<f32>> = par::try_map(
-            self.config.exec,
-            &self.chunks(samples),
-            |chunk| -> Result<Vec<f32>> {
-                Ok(self
-                    .sets_for_chunk(chunk)?
-                    .iter()
-                    .map(Bitset::density)
-                    .collect())
-            },
-        )?;
-        let total: f32 = per_chunk.into_iter().flatten().sum();
-        Ok(total / samples.len() as f32)
-    }
-}
-
-/// Coverage of a pre-computed family of covered-unit sets (Eq. 4 under the
-/// default criterion), without re-running the criterion.
-pub fn coverage_of_sets(sets: &[Bitset], num_units: usize) -> f32 {
-    if num_units == 0 {
-        return 0.0;
-    }
-    Bitset::union_of(num_units, sets).density()
-}
-
 #[cfg(test)]
 mod tests {
+    //! The configuration knobs, observed through budget-0 evaluators (the
+    //! uncached compute path), so no result below comes from a cache.
+
+    use std::sync::Arc;
+
     use super::*;
+    use crate::bitset::Bitset;
+    use crate::criterion::CoverageCriterion;
+    use crate::eval::Evaluator;
+    use dnnip_accel::quant::{round_trip_network, BitWidth};
     use dnnip_nn::layers::{Activation, ActivationLayer, Dense};
-    use dnnip_nn::zoo;
+    use dnnip_nn::{zoo, Network};
+    use dnnip_tensor::Tensor;
 
     fn relu_net() -> Network {
         zoo::tiny_mlp(4, 8, 3, Activation::Relu, 11).unwrap()
@@ -416,11 +155,25 @@ mod tests {
         Tensor::from_fn(&[4], |i| ((i + seed) as f32 * 0.61).sin())
     }
 
+    /// An evaluator that computes every set afresh.
+    fn uncached(net: &Network, config: CoverageConfig) -> Evaluator {
+        Evaluator::with_cache_bytes(net, config, 0)
+    }
+
+    /// [`uncached`] under an explicit criterion.
+    fn uncached_with(
+        net: &Network,
+        config: CoverageConfig,
+        criterion: Arc<dyn CoverageCriterion>,
+    ) -> Evaluator {
+        Evaluator::with_criterion_cache_bytes(net, config, criterion, 0)
+    }
+
     #[test]
     fn activation_set_has_parameter_length_and_reasonable_density() {
         let net = relu_net();
-        let analyzer = CoverageAnalyzer::new(&net, CoverageConfig::default());
-        let set = analyzer.activation_set(&sample(0)).unwrap();
+        let evaluator = uncached(&net, CoverageConfig::default());
+        let set = evaluator.activation_set(&sample(0)).unwrap();
         assert_eq!(set.len(), net.num_parameters());
         let density = set.density();
         assert!(density > 0.0, "some parameters must be active");
@@ -448,9 +201,9 @@ mod tests {
             &[2],
         )
         .unwrap();
-        let analyzer = CoverageAnalyzer::new(&net, CoverageConfig::default());
+        let evaluator = uncached(&net, CoverageConfig::default());
         let x = Tensor::from_vec(vec![1.0, 1.0], &[2]).unwrap();
-        let set = analyzer.activation_set(&x).unwrap();
+        let set = evaluator.activation_set(&x).unwrap();
         // Parameter layout: w1 (4), b1 (2), w2 (4), b2 (2).
         // Unit 1 of the hidden layer is dead (pre-activation -2), so the weights
         // feeding it (w1[0,1] = index 1, w1[1,1] = index 3) and its bias (index 5)
@@ -465,7 +218,7 @@ mod tests {
         // The output biases always reach the output.
         assert!(set.get(10) && set.get(11));
         // Coverage of this sample is 7/12.
-        assert!((analyzer.coverage_of_sample(&x).unwrap() - 7.0 / 12.0).abs() < 1e-6);
+        assert!((evaluator.coverage_of_sample(&x).unwrap() - 7.0 / 12.0).abs() < 1e-6);
     }
 
     #[test]
@@ -473,21 +226,21 @@ mod tests {
         let net = tanh_net();
         // With an exact policy, Tanh gradients are essentially never zero, so
         // coverage is ~100%; the Auto policy thresholds small gradients away.
-        let exact = CoverageAnalyzer::new(
+        let exact = uncached(
             &net,
             CoverageConfig {
                 epsilon: EpsilonPolicy::Exact,
                 ..CoverageConfig::default()
             },
         );
-        let auto = CoverageAnalyzer::new(&net, CoverageConfig::default());
+        let auto = uncached(&net, CoverageConfig::default());
         let x = sample(3);
         let c_exact = exact.coverage_of_sample(&x).unwrap();
         let c_auto = auto.coverage_of_sample(&x).unwrap();
         assert!(c_exact >= c_auto);
         assert!(c_exact > 0.95, "exact coverage {c_exact}");
         // A large relative threshold prunes aggressively.
-        let strict = CoverageAnalyzer::new(
+        let strict = uncached(
             &net,
             CoverageConfig {
                 epsilon: EpsilonPolicy::RelativeToMax(0.5),
@@ -500,11 +253,11 @@ mod tests {
     #[test]
     fn set_coverage_is_monotone_in_the_test_set() {
         let net = relu_net();
-        let analyzer = CoverageAnalyzer::new(&net, CoverageConfig::default());
+        let evaluator = uncached(&net, CoverageConfig::default());
         let samples: Vec<Tensor> = (0..6).map(sample).collect();
-        let c1 = analyzer.coverage_of_set(&samples[..1]).unwrap();
-        let c3 = analyzer.coverage_of_set(&samples[..3]).unwrap();
-        let c6 = analyzer.coverage_of_set(&samples).unwrap();
+        let c1 = evaluator.coverage_of_set(&samples[..1]).unwrap();
+        let c3 = evaluator.coverage_of_set(&samples[..3]).unwrap();
+        let c6 = evaluator.coverage_of_set(&samples).unwrap();
         assert!(c3 >= c1);
         assert!(c6 >= c3);
     }
@@ -513,8 +266,8 @@ mod tests {
     fn per_class_projection_never_reduces_coverage() {
         let net = relu_net();
         let x = sample(5);
-        let sum_proj = CoverageAnalyzer::new(&net, CoverageConfig::default());
-        let per_class = CoverageAnalyzer::new(
+        let sum_proj = uncached(&net, CoverageConfig::default());
+        let per_class = uncached(
             &net,
             CoverageConfig {
                 projection: OutputProjection::PerClassMax,
@@ -527,31 +280,10 @@ mod tests {
     }
 
     #[test]
-    fn small_requests_form_one_chunk_per_worker() {
-        let net = relu_net();
-        let samples: Vec<Tensor> = (0..10).map(sample).collect();
-        let lens = |exec, batch_size| {
-            let config = CoverageConfig {
-                exec,
-                batch_size,
-                ..CoverageConfig::default()
-            };
-            let analyzer = CoverageAnalyzer::new(&net, config);
-            let chunks = analyzer.chunks(&samples);
-            chunks.iter().map(|c| c.len()).collect::<Vec<_>>()
-        };
-        assert_eq!(lens(ExecPolicy::Threads(2), 32), [5, 5]);
-        assert_eq!(lens(ExecPolicy::Threads(3), 32), [4, 4, 2]);
-        assert_eq!(lens(ExecPolicy::Threads(2), 3), [3, 3, 3, 1]);
-        assert_eq!(lens(ExecPolicy::Serial, 32), [10]);
-        assert_eq!(lens(ExecPolicy::Threads(16), 0), [1; 10]);
-    }
-
-    #[test]
     fn execution_policy_and_chunking_never_change_activation_sets() {
         let net = relu_net();
-        let serial = CoverageAnalyzer::new(&net, CoverageConfig::default());
-        let threaded = CoverageAnalyzer::new(
+        let serial = uncached(&net, CoverageConfig::default());
+        let threaded = uncached(
             &net,
             CoverageConfig {
                 exec: ExecPolicy::Threads(4),
@@ -578,10 +310,10 @@ mod tests {
         use crate::criterion::{NeuronActivation, TopKNeuron};
         let net = relu_net();
         let samples: Vec<Tensor> = (0..5).map(sample).collect();
-        let default = CoverageAnalyzer::new(&net, CoverageConfig::default());
+        let default = uncached(&net, CoverageConfig::default());
         assert_eq!(default.num_units(), net.num_parameters());
         assert_eq!(default.criterion().id(), "param-gradient");
-        let neuron = CoverageAnalyzer::with_criterion(
+        let neuron = uncached_with(
             &net,
             CoverageConfig::default(),
             Arc::new(NeuronActivation::default()),
@@ -592,7 +324,7 @@ mod tests {
         assert!(sets.iter().all(|s| s.len() == 8));
         let cov = neuron.coverage_of_set(&samples).unwrap();
         assert!((0.0..=1.0).contains(&cov));
-        let topk = CoverageAnalyzer::with_criterion(
+        let topk = uncached_with(
             &net,
             CoverageConfig {
                 exec: ExecPolicy::Threads(3),
@@ -605,7 +337,7 @@ mod tests {
         assert!(topk_sets.iter().all(|s| s.count_ones() == 2));
         // Reference path agrees with the batched path for every criterion.
         for (i, x) in samples.iter().enumerate() {
-            assert_eq!(topk.activation_set_reference(x).unwrap(), topk_sets[i]);
+            assert_eq!(topk_sets[i], topk.activation_set_reference(x).unwrap());
         }
     }
 
@@ -620,8 +352,8 @@ mod tests {
         };
         // Gradient criterion: the flag is ignored (the paper's metric is
         // defined on the float model), results stay bit-identical.
-        let full = CoverageAnalyzer::new(&net, CoverageConfig::default());
-        let gated = CoverageAnalyzer::new(&net, quant_cfg);
+        let full = uncached(&net, CoverageConfig::default());
+        let gated = uncached(&net, quant_cfg);
         assert!(!full.quantized_forward());
         assert!(!gated.quantized_forward());
         assert_eq!(
@@ -629,14 +361,13 @@ mod tests {
             gated.activation_sets(&samples).unwrap()
         );
         // Forward-only criterion: the quantized engine takes over and its
-        // results are exactly those of a full-precision analyzer over the
+        // results are exactly those of a full-precision evaluator over the
         // round-tripped network.
         let criterion = Arc::new(NeuronActivation::default());
-        let quant = CoverageAnalyzer::with_criterion(&net, quant_cfg, criterion.clone());
+        let quant = uncached_with(&net, quant_cfg, criterion.clone());
         assert!(quant.quantized_forward());
         let rt = round_trip_network(&net, BitWidth::Int8).unwrap();
-        let on_rt =
-            CoverageAnalyzer::with_criterion(&rt, CoverageConfig::default(), criterion.clone());
+        let on_rt = uncached_with(&rt, CoverageConfig::default(), criterion.clone());
         assert_eq!(
             quant.activation_sets(&samples).unwrap(),
             on_rt.activation_sets(&samples).unwrap()
@@ -681,18 +412,22 @@ mod tests {
     #[test]
     fn mean_sample_coverage_and_precomputed_union_agree_with_direct() {
         let net = relu_net();
-        let analyzer = CoverageAnalyzer::new(&net, CoverageConfig::default());
+        let evaluator = uncached(&net, CoverageConfig::default());
         let samples: Vec<Tensor> = (0..4).map(sample).collect();
-        let sets = analyzer.activation_sets(&samples).unwrap();
-        let direct = analyzer.coverage_of_set(&samples).unwrap();
-        let precomputed = coverage_of_sets(&sets, net.num_parameters());
-        assert!((direct - precomputed).abs() < 1e-6);
-        let mean = analyzer.mean_sample_coverage(&samples).unwrap();
+        let direct = evaluator.coverage_of_set(&samples).unwrap();
+        // The union of separately computed single-sample sets.
+        let singles: Vec<Arc<Bitset>> = samples
+            .iter()
+            .map(|s| evaluator.activation_set(s).unwrap())
+            .collect();
+        let precomputed =
+            Bitset::union_of(net.num_parameters(), singles.iter().map(Arc::as_ref)).density();
+        assert_eq!(direct, precomputed);
+        let mean = evaluator.mean_sample_coverage(&samples).unwrap();
         assert!(
             mean <= direct + 1e-6,
             "mean {mean} cannot exceed union {direct}"
         );
-        assert!(analyzer.mean_sample_coverage(&[]).is_err());
-        assert_eq!(coverage_of_sets(&[], 0), 0.0);
+        assert!(evaluator.mean_sample_coverage(&[]).is_err());
     }
 }

@@ -1,6 +1,8 @@
-//! The unified evaluator layer: one object that owns the network reference,
-//! the batched gradient engine, the coverage criterion, the execution policy
-//! and content-addressed caches.
+//! The unified evaluator layer, the one front door to covered-unit sets and
+//! coverage (Eq. 2–5 under the default criterion): one object that owns the
+//! network reference, the batched gradient engine, the coverage criterion,
+//! the [`CoverageConfig`] and content-addressed caches. A cache budget of 0
+//! is the uncached compute path.
 //!
 //! The paper's pipeline (coverage analysis → greedy selection → gradient
 //! synthesis → fault detection) re-evaluates the same samples against the same
@@ -35,14 +37,17 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
+use dnnip_accel::quant::{round_trip_network, BitWidth};
+use dnnip_nn::batch::BatchGradientEngine;
 use dnnip_nn::fingerprint::NetworkFingerprint;
 use dnnip_nn::Network;
 use dnnip_tensor::Tensor;
 
 use crate::bitset::Bitset;
-use crate::coverage::{CoverageAnalyzer, CoverageConfig};
-use crate::criterion::{criterion_digest, CoverageCriterion};
+use crate::coverage::{CoverageConfig, ForwardPrecision};
+use crate::criterion::{criterion_digest, CoverageCriterion, ParamGradient};
 use crate::gradgen::{GradGenConfig, GradientGenerator};
+use crate::par;
 use crate::persist::{DiskStats, DiskTier};
 use crate::select::SelectionSlot;
 use crate::{CoreError, Result};
@@ -892,14 +897,13 @@ const FORWARD_OUTPUT_LABEL: &str = "forward-output";
 /// one network and one coverage criterion, with every covered-unit set
 /// flowing through one content-addressed cache.
 ///
-/// The evaluator owns a [`CoverageAnalyzer`] (which owns the shared
-/// [`dnnip_nn::batch::BatchGradientEngine`] and the
-/// [`crate::criterion::CoverageCriterion`]), the network's
-/// [`NetworkFingerprint`], a [`CoveredSetCache`], a golden forward-output
-/// cache and its last greedy selection, suspended for the next budget over
-/// the same pool. Every generation strategy behind
-/// [`crate::workspace::Workspace::run`] and the protocol's vendor side take
-/// an `&Evaluator`, so repeated sweeps over
+/// The evaluator owns the shared [`BatchGradientEngine`] (which owns the
+/// network), the [`crate::criterion::CoverageCriterion`], the
+/// [`CoverageConfig`], the network's [`NetworkFingerprint`], a
+/// [`CoveredSetCache`], a golden forward-output cache and its last greedy
+/// selection, suspended for the next budget over the same pool. Every
+/// generation strategy behind [`crate::workspace::Workspace::run`] and the
+/// protocol's vendor side take an `&Evaluator`, so repeated sweeps over
 /// overlapping sample pools (Fig. 3 budgets, Table II/III prefixes) pay for
 /// each distinct `(network, sample, criterion)` evaluation exactly once.
 ///
@@ -917,7 +921,18 @@ pub struct Evaluator {
 
 #[derive(Debug)]
 struct EvalInner {
-    analyzer: CoverageAnalyzer,
+    config: CoverageConfig,
+    criterion: Arc<dyn CoverageCriterion>,
+    /// Unit count of the criterion for this network (bitset length), computed
+    /// once at construction.
+    num_units: usize,
+    /// Batched engine (with its precomputed weight matrices), shared by the
+    /// workers and the gradient generator. Owns the evaluated network.
+    engine: BatchGradientEngine,
+    /// Engine over the int8 round-tripped network, present only under
+    /// [`ForwardPrecision::QuantizedInt8`] with a forward-only criterion; it
+    /// then replaces `engine` for covered-unit computation.
+    quant_engine: Option<BatchGradientEngine>,
     fingerprint: NetworkFingerprint,
     criterion_key: u64,
     cache: Arc<CoveredSetCache>,
@@ -925,6 +940,38 @@ struct EvalInner {
     /// The last greedy selection, suspended for the next budget over the
     /// same pool.
     selection: SelectionSlot,
+}
+
+impl EvalInner {
+    /// Covered-unit sets for one contiguous chunk of samples: one engine call
+    /// through the criterion (a sample-major forward + backward per sample
+    /// for [`crate::criterion::ParamGradient`]; one stacked forward for the
+    /// neuron criteria).
+    fn sets_for_chunk(&self, chunk: &[Tensor]) -> Result<Vec<Bitset>> {
+        let engine = self.quant_engine.as_ref().unwrap_or(&self.engine);
+        self.criterion.covered_units(engine, chunk)
+    }
+
+    /// Contiguous chunks of `samples`, each of
+    /// `min(batch_size, ⌈n / workers⌉)` samples (the last may be shorter), so
+    /// a request smaller than `batch_size × workers` still gives every
+    /// [`CoverageConfig::exec`] worker a chunk. Per-sample arithmetic does not
+    /// depend on the chunk, so the chunking never changes results.
+    fn chunks<'s>(&self, samples: &'s [Tensor]) -> Vec<&'s [Tensor]> {
+        let per_worker = samples.len().div_ceil(self.config.exec.threads());
+        samples
+            .chunks(self.config.batch_size.min(per_worker).max(1))
+            .collect()
+    }
+
+    /// The uncached compute path: [`Self::chunks`] fanned out over the
+    /// [`CoverageConfig::exec`] workers.
+    fn compute_sets(&self, samples: &[Tensor]) -> Result<Vec<Bitset>> {
+        let per_chunk = par::try_map(self.config.exec, &self.chunks(samples), |chunk| {
+            self.sets_for_chunk(chunk)
+        })?;
+        Ok(per_chunk.into_iter().flatten().collect())
+    }
 }
 
 impl Evaluator {
@@ -935,16 +982,15 @@ impl Evaluator {
     }
 
     /// Create an evaluator under an explicit coverage criterion with the
-    /// default cache budget.
+    /// default cache budget. Only [`ParamGradient`] reads `config`'s
+    /// `epsilon`/`projection`; `exec` and `batch_size` apply to every
+    /// criterion.
     pub fn with_criterion(
         network: impl Into<Arc<Network>>,
         config: CoverageConfig,
         criterion: Arc<dyn CoverageCriterion>,
     ) -> Self {
-        Self::from_analyzer(
-            CoverageAnalyzer::with_criterion(network, config, criterion),
-            DEFAULT_CACHE_BYTES,
-        )
+        Self::with_criterion_cache_bytes(network, config, criterion, DEFAULT_CACHE_BYTES)
     }
 
     /// Create an evaluator with an explicit cache byte budget (0 disables
@@ -954,7 +1000,8 @@ impl Evaluator {
         config: CoverageConfig,
         max_bytes: usize,
     ) -> Self {
-        Self::from_analyzer(CoverageAnalyzer::new(network, config), max_bytes)
+        let criterion = Arc::new(ParamGradient::from_config(&config));
+        Self::with_criterion_cache_bytes(network, config, criterion, max_bytes)
     }
 
     /// Create an evaluator under an explicit criterion and cache byte budget.
@@ -964,13 +1011,6 @@ impl Evaluator {
         criterion: Arc<dyn CoverageCriterion>,
         max_bytes: usize,
     ) -> Self {
-        Self::from_analyzer(
-            CoverageAnalyzer::with_criterion(network, config, criterion),
-            max_bytes,
-        )
-    }
-
-    fn from_analyzer(analyzer: CoverageAnalyzer, max_bytes: usize) -> Self {
         // The output cache is disabled together with the set cache so a zero
         // budget really is the raw compute path end to end.
         let output_bytes = if max_bytes == 0 {
@@ -978,10 +1018,13 @@ impl Evaluator {
         } else {
             DEFAULT_OUTPUT_CACHE_BYTES
         };
-        let fingerprint = NetworkFingerprint::of(analyzer.network());
+        let network = network.into();
+        let fingerprint = NetworkFingerprint::of(&network);
         Self::with_shared_caches(
-            analyzer,
+            network,
             fingerprint,
+            config,
+            criterion,
             Arc::new(CoveredSetCache::new(max_bytes)),
             Arc::new(ContentCache::new(output_bytes)),
         )
@@ -992,28 +1035,43 @@ impl Evaluator {
     /// digest, so arbitrarily many evaluators can share one cache without any
     /// chance of aliasing each other's entries.
     ///
-    /// `fingerprint` must be `NetworkFingerprint::of` the analyzer's network;
-    /// a [`crate::workspace::Workspace`] passes its registry key, which is
+    /// `fingerprint` must be `NetworkFingerprint::of(&network)`; a
+    /// [`crate::workspace::Workspace`] passes its registry key, which is
     /// exactly that, instead of serialising and hashing the model again.
     pub(crate) fn with_shared_caches(
-        analyzer: CoverageAnalyzer,
+        network: Arc<Network>,
         fingerprint: NetworkFingerprint,
+        config: CoverageConfig,
+        criterion: Arc<dyn CoverageCriterion>,
         cache: Arc<CoveredSetCache>,
         output_cache: Arc<ContentCache<Tensor>>,
     ) -> Self {
-        debug_assert_eq!(fingerprint, NetworkFingerprint::of(analyzer.network()));
+        debug_assert_eq!(fingerprint, NetworkFingerprint::of(&network));
+        let engine = BatchGradientEngine::new(network);
+        let num_units = criterion.num_units(engine.network());
+        let quant_engine = (config.precision == ForwardPrecision::QuantizedInt8
+            && criterion.forward_only())
+        .then(|| {
+            let quantized = round_trip_network(engine.network(), BitWidth::Int8)
+                .expect("round-trip preserves the parameter layout");
+            BatchGradientEngine::new(quantized)
+        });
         // Sets computed on the int8 round-tripped network must never alias
         // cached full-precision sets: fold a fixed tag into the criterion key
-        // when (and only when) the analyzer takes the quantized path, so every
-        // full-precision key is exactly the plain criterion digest as before.
+        // when (and only when) the evaluator takes the quantized path, so
+        // every full-precision key is exactly the plain criterion digest.
         const QUANT_KEY_TAG: u64 = 0x71a0_17f8_5eed_c0de;
-        let mut criterion_key = criterion_digest(analyzer.criterion().as_ref());
-        if analyzer.quantized_forward() {
+        let mut criterion_key = criterion_digest(criterion.as_ref());
+        if quant_engine.is_some() {
             criterion_key ^= QUANT_KEY_TAG;
         }
         Self {
             inner: Arc::new(EvalInner {
-                analyzer,
+                config,
+                criterion,
+                num_units,
+                engine,
+                quant_engine,
                 fingerprint,
                 criterion_key,
                 cache,
@@ -1025,22 +1083,20 @@ impl Evaluator {
 
     /// The evaluated network.
     pub fn network(&self) -> &Network {
-        self.inner.analyzer.network()
-    }
-
-    /// The shared handle to the evaluated network (reference-count bump only).
-    pub fn network_arc(&self) -> Arc<Network> {
-        self.inner.analyzer.network_arc()
-    }
-
-    /// The underlying coverage analyzer (compute layer, cache-unaware).
-    pub fn analyzer(&self) -> &CoverageAnalyzer {
-        &self.inner.analyzer
+        self.inner.engine.network()
     }
 
     /// The coverage criterion this evaluator computes.
     pub fn criterion(&self) -> &Arc<dyn CoverageCriterion> {
-        self.inner.analyzer.criterion()
+        &self.inner.criterion
+    }
+
+    /// Whether covered-unit computation runs on the int8 round-tripped
+    /// network — i.e. the config asked for
+    /// [`ForwardPrecision::QuantizedInt8`] *and* the criterion is
+    /// forward-only.
+    pub fn quantized_forward(&self) -> bool {
+        self.inner.quant_engine.is_some()
     }
 
     /// The network's content fingerprint.
@@ -1050,13 +1106,13 @@ impl Evaluator {
 
     /// Total number of parameters of the evaluated network.
     pub fn num_parameters(&self) -> usize {
-        self.inner.analyzer.num_parameters()
+        self.network().num_parameters()
     }
 
     /// Number of coverable units under this evaluator's criterion (the length
     /// of every covered-unit set).
     pub fn num_units(&self) -> usize {
-        self.inner.analyzer.num_units()
+        self.inner.num_units
     }
 
     /// Snapshot of the covered-unit-set cache counters (all criteria).
@@ -1112,15 +1168,14 @@ impl Evaluator {
         }
     }
 
-    /// Covered-unit sets for a collection of inputs — the cache-aware version
-    /// of [`CoverageAnalyzer::activation_sets`], returning shared handles to
-    /// the sets (a hit is a reference-count bump, not a deep copy of the
-    /// words).
+    /// Covered-unit sets for a collection of inputs — the batched,
+    /// multi-threaded hot path of the whole reproduction — as shared handles
+    /// (a hit is a reference-count bump, not a deep copy of the words).
     ///
-    /// Cached samples are served without touching the network; the misses run
-    /// through the analyzer's batched, possibly multi-threaded path in one
-    /// call and are inserted as computed. Results are bit-identical to an
-    /// uncached analyzer under every execution policy.
+    /// Cached samples are served without touching the network; the misses
+    /// run in chunks of at most [`CoverageConfig::batch_size`] samples, one
+    /// engine call each, over the [`CoverageConfig::exec`] workers. Results
+    /// are bit-identical across execution policies and cache budgets.
     ///
     /// # Errors
     ///
@@ -1128,11 +1183,10 @@ impl Evaluator {
     pub fn activation_sets(&self, samples: &[Tensor]) -> Result<Vec<Arc<Bitset>>> {
         if self.inner.cache.max_bytes == 0 {
             // Cache disabled: skip hashing and miss bookkeeping entirely so a
-            // budget of zero really is the raw analyzer path.
+            // budget of zero really is the raw compute path.
             return Ok(self
                 .inner
-                .analyzer
-                .activation_sets(samples)?
+                .compute_sets(samples)?
                 .into_iter()
                 .map(Arc::new)
                 .collect());
@@ -1141,8 +1195,29 @@ impl Evaluator {
             samples,
             |sample| self.key_for(sample),
             self.criterion().id(),
-            |misses| self.inner.analyzer.activation_sets(misses),
+            |misses| self.inner.compute_sets(misses),
         )
+    }
+
+    /// Reference covered-unit set computed independently of the batched
+    /// engine and of the cache. For the default [`ParamGradient`] criterion
+    /// this is the pre-batching path: one full forward + backward per
+    /// `(sample, projection)` pair through [`Network::parameter_gradients`],
+    /// with the direct (non-im2col) convolution kernels.
+    ///
+    /// The oracle the differential tests and throughput benchmarks compare
+    /// the batched engine against; under the quantized forward path it runs
+    /// on the same round-tripped network.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when the sample shape does not match the network input.
+    pub fn activation_set_reference(&self, sample: &Tensor) -> Result<Bitset> {
+        let inner = &self.inner;
+        let engine = inner.quant_engine.as_ref().unwrap_or(&inner.engine);
+        inner
+            .criterion
+            .covered_units_reference(engine.network(), sample)
     }
 
     /// The first `budget` picks of Algorithm 1's greedy selection over
@@ -1222,11 +1297,9 @@ impl Evaluator {
     /// Returns an error when any sample shape does not match the network input.
     pub fn forward_outputs(&self, samples: &[Tensor]) -> Result<Vec<Tensor>> {
         let infer = |misses: &[Tensor]| {
-            crate::par::try_map(
-                self.inner.analyzer.config().exec,
-                misses,
-                |x| -> Result<Tensor> { Ok(self.network().forward_sample(x)?) },
-            )
+            par::try_map(self.inner.config.exec, misses, |x| -> Result<Tensor> {
+                Ok(self.network().forward_sample(x)?)
+            })
         };
         if self.inner.output_cache.max_bytes == 0 {
             return infer(samples);
@@ -1246,7 +1319,7 @@ impl Evaluator {
     /// without a gradient hook fall back to the paper's cross-entropy
     /// objective).
     pub fn gradient_generator(&self, config: GradGenConfig) -> GradientGenerator {
-        GradientGenerator::with_engine(self.inner.analyzer.engine().clone(), config)
+        GradientGenerator::with_engine(self.inner.engine.clone(), config)
             .with_objective(self.criterion().gradient_objective())
     }
 }
@@ -1270,16 +1343,23 @@ mod tests {
             .collect()
     }
 
+    /// Covered sets of `pool` from a budget-0 evaluator of its own: computed
+    /// afresh, never served by the cache under test.
+    fn fresh_sets(network: &Network, pool: &[Tensor]) -> Vec<Arc<Bitset>> {
+        Evaluator::with_cache_bytes(network, CoverageConfig::default(), 0)
+            .activation_sets(pool)
+            .unwrap()
+    }
+
     #[test]
     fn cached_sets_match_fresh_analyzer_sets() {
         let network = net();
         let evaluator = Evaluator::new(&network, CoverageConfig::default());
-        let analyzer = CoverageAnalyzer::new(&network, CoverageConfig::default());
         let pool = samples(8);
         let first = evaluator.activation_sets(&pool).unwrap();
         let second = evaluator.activation_sets(&pool).unwrap();
         assert_eq!(first, second, "cache hit changed the bits");
-        assert_eq!(first, analyzer.activation_sets(&pool).unwrap());
+        assert_eq!(first, fresh_sets(&network, &pool));
         let stats = evaluator.cache_stats();
         assert_eq!(stats.misses, 8);
         assert_eq!(stats.hits, 8);
@@ -1298,23 +1378,47 @@ mod tests {
 
     #[test]
     fn coverage_entry_points_agree_with_the_analyzer() {
+        // Each entry point, cold and warm, against the same fraction
+        // computed from the per-sample reference oracle's sets.
         let network = net();
         let evaluator = Evaluator::new(&network, CoverageConfig::default());
-        let analyzer = CoverageAnalyzer::new(&network, CoverageConfig::default());
         let pool = samples(5);
-        assert_eq!(
-            evaluator.coverage_of_set(&pool).unwrap(),
-            analyzer.coverage_of_set(&pool).unwrap()
-        );
-        assert_eq!(
-            evaluator.mean_sample_coverage(&pool).unwrap(),
-            analyzer.mean_sample_coverage(&pool).unwrap()
-        );
-        assert_eq!(
-            evaluator.coverage_of_sample(&pool[0]).unwrap(),
-            analyzer.coverage_of_sample(&pool[0]).unwrap()
-        );
+        let reference: Vec<Bitset> = pool
+            .iter()
+            .map(|x| evaluator.activation_set_reference(x).unwrap())
+            .collect();
+        let union = Bitset::union_of(evaluator.num_units(), &reference).density();
+        let mean = reference.iter().map(Bitset::density).sum::<f32>() / pool.len() as f32;
+        for _ in 0..2 {
+            assert_eq!(evaluator.coverage_of_set(&pool).unwrap(), union);
+            assert_eq!(evaluator.mean_sample_coverage(&pool).unwrap(), mean);
+            assert_eq!(
+                evaluator.coverage_of_sample(&pool[0]).unwrap(),
+                reference[0].density()
+            );
+        }
         assert!(evaluator.mean_sample_coverage(&[]).is_err());
+    }
+
+    #[test]
+    fn small_requests_form_one_chunk_per_worker() {
+        let network = net();
+        let pool = samples(10);
+        let lens = |exec, batch_size| {
+            let config = CoverageConfig {
+                exec,
+                batch_size,
+                ..CoverageConfig::default()
+            };
+            let evaluator = Evaluator::with_cache_bytes(&network, config, 0);
+            let chunks = evaluator.inner.chunks(&pool);
+            chunks.iter().map(|c| c.len()).collect::<Vec<_>>()
+        };
+        assert_eq!(lens(ExecPolicy::Threads(2), 32), [5, 5]);
+        assert_eq!(lens(ExecPolicy::Threads(3), 32), [4, 4, 2]);
+        assert_eq!(lens(ExecPolicy::Threads(2), 3), [3, 3, 3, 1]);
+        assert_eq!(lens(ExecPolicy::Serial, 32), [10]);
+        assert_eq!(lens(ExecPolicy::Threads(16), 0), [1; 10]);
     }
 
     #[test]
@@ -1384,13 +1488,11 @@ mod tests {
     #[test]
     fn eviction_under_a_tiny_budget_never_corrupts_results() {
         let network = net();
-        let analyzer = CoverageAnalyzer::new(&network, CoverageConfig::default());
         let pool = samples(10);
+        let fresh = fresh_sets(&network, &pool);
         // Budget for roughly two entries (sized from the pool's real
         // footprints): every new insert evicts.
-        let entry = analyzer
-            .activation_sets(&pool)
-            .unwrap()
+        let entry = fresh
             .iter()
             .map(|b| b.resident_bytes() + ENTRY_OVERHEAD_BYTES)
             .max()
@@ -1398,7 +1500,7 @@ mod tests {
         let evaluator = Evaluator::with_cache_bytes(&network, CoverageConfig::default(), entry * 2);
         for _ in 0..3 {
             let sets = evaluator.activation_sets(&pool).unwrap();
-            assert_eq!(sets, analyzer.activation_sets(&pool).unwrap());
+            assert_eq!(sets, fresh);
         }
         let stats = evaluator.cache_stats();
         assert!(stats.evictions > 0, "tiny budget must evict");
@@ -1480,10 +1582,11 @@ mod tests {
         );
         assert_eq!(neuron.num_units(), 12);
         assert_eq!(neuron.criterion().id(), "neuron-activation");
-        let fresh = CoverageAnalyzer::with_criterion(
+        let fresh = Evaluator::with_criterion_cache_bytes(
             &network,
             CoverageConfig::default(),
             Arc::new(NeuronActivation::default()),
+            0,
         )
         .activation_sets(&pool)
         .unwrap();
@@ -1736,9 +1839,7 @@ mod tests {
         let network = net();
         let evaluator = Evaluator::new(&network, CoverageConfig::default());
         let pool = samples(6);
-        let fresh = CoverageAnalyzer::new(&network, CoverageConfig::default())
-            .activation_sets(&pool)
-            .unwrap();
+        let fresh = fresh_sets(&network, &pool);
         evaluator.activation_sets(&pool).unwrap();
         poison(&evaluator.inner.cache.inner);
         // The next lookup finds the cache emptied and recomputes.
@@ -1762,9 +1863,7 @@ mod tests {
         let pool = samples(5);
         assert_eq!(
             evaluator.activation_sets(&pool).unwrap(),
-            CoverageAnalyzer::new(&network, CoverageConfig::default())
-                .activation_sets(&pool)
-                .unwrap()
+            fresh_sets(&network, &pool)
         );
 
         let cache: Arc<ContentCache<Bitset>> = Arc::new(ContentCache::new(1 << 20));

@@ -147,7 +147,7 @@ impl GradientGenerator {
 
     /// Create a generator around an existing engine, reusing its precomputed
     /// per-layer weight matrices (the [`crate::eval::Evaluator`] hands its
-    /// analyzer's engine here so coverage and synthesis share one).
+    /// engine here so coverage and synthesis share one).
     pub fn with_engine(engine: BatchGradientEngine, config: GradGenConfig) -> Self {
         Self {
             engine,
@@ -419,7 +419,8 @@ impl GradientGenerator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coverage::{CoverageAnalyzer, CoverageConfig};
+    use crate::coverage::CoverageConfig;
+    use crate::eval::Evaluator;
     use dnnip_nn::layers::Activation;
     use dnnip_nn::zoo;
 
@@ -569,7 +570,7 @@ mod tests {
     #[test]
     fn later_rounds_differ_from_the_first_and_add_coverage() {
         let network = net();
-        let analyzer = CoverageAnalyzer::new(&network, CoverageConfig::default());
+        let evaluator = Evaluator::with_cache_bytes(&network, CoverageConfig::default(), 0);
         let mut generator = GradientGenerator::new(
             &network,
             GradGenConfig {
@@ -589,8 +590,8 @@ mod tests {
             .chain(&second)
             .map(|t| t.input.clone())
             .collect();
-        let c1 = analyzer.coverage_of_set(&first_inputs).unwrap();
-        let c2 = analyzer.coverage_of_set(&both).unwrap();
+        let c1 = evaluator.coverage_of_set(&first_inputs).unwrap();
+        let c2 = evaluator.coverage_of_set(&both).unwrap();
         assert!(c2 >= c1);
     }
 

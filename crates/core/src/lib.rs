@@ -16,10 +16,11 @@
 //!   counts as a covered unit. Ships the paper's parameter-gradient metric (the
 //!   default), forward-only neuron-activation coverage and top-k neuron
 //!   coverage, plus per-criterion synthesis objectives.
-//! * [`coverage`] — the criterion-driven analyzer. Under the default criterion
-//!   this is the paper's validation-coverage metric (Eq. 2–5): a parameter is
-//!   *activated* by input `x` when `∇θ F(x)` is non-zero (ReLU) or exceeds an
-//!   ε threshold (saturating activations).
+//! * [`coverage`] — the [`coverage::CoverageConfig`] of the coverage
+//!   computation. Under the default criterion the computation is the paper's
+//!   validation-coverage metric (Eq. 2–5): a parameter is *activated* by
+//!   input `x` when `∇θ F(x)` is non-zero (ReLU) or exceeds an ε threshold
+//!   (saturating activations).
 //! * [`select`] — **Algorithm 1**: greedy selection of functional tests from the
 //!   training set, maximizing marginal coverage gain. The Tables II/III
 //!   baseline ("tests with neuron coverage") is the same selection over
@@ -28,10 +29,11 @@
 //!   the model classifies as each output category.
 //! * [`combined`] — the combined generator with the automatic switch point
 //!   (Section IV-D).
-//! * [`eval`] — the unified [`eval::Evaluator`] layer: one object owning
-//!   the network reference, execution policy, batched gradient engine and a
-//!   content-addressed LRU activation-set cache; every stage above routes its
-//!   activation-set computation through it.
+//! * [`eval`] — the unified [`eval::Evaluator`] layer, the one front door to
+//!   covered-unit sets: one object owning the network reference, criterion,
+//!   execution policy, batched gradient engine and a content-addressed LRU
+//!   activation-set cache; every stage above routes its activation-set
+//!   computation through it.
 //! * [`generator`] — the [`generator::GenerationMethod`] strategies (plus a
 //!   random-selection control) and the tests they produce.
 //! * [`workspace`] — the [`workspace::Workspace`] front door: a model
@@ -47,15 +49,16 @@
 //! # Example
 //!
 //! ```
-//! use dnnip_core::coverage::{CoverageAnalyzer, CoverageConfig};
+//! use dnnip_core::coverage::CoverageConfig;
+//! use dnnip_core::eval::Evaluator;
 //! use dnnip_nn::{layers::Activation, zoo};
 //! use dnnip_tensor::Tensor;
 //!
 //! # fn main() -> Result<(), dnnip_core::CoreError> {
 //! let net = zoo::tiny_mlp(4, 8, 3, Activation::Relu, 1)?;
-//! let analyzer = CoverageAnalyzer::new(&net, CoverageConfig::default());
+//! let evaluator = Evaluator::new(&net, CoverageConfig::default());
 //! let x = Tensor::from_vec(vec![0.4, -0.2, 0.9, 0.1], &[4])?;
-//! let set = analyzer.activation_set(&x)?;
+//! let set = evaluator.activation_set(&x)?;
 //! let coverage = set.count_ones() as f32 / net.num_parameters() as f32;
 //! assert!(coverage > 0.0 && coverage <= 1.0);
 //! # Ok(())

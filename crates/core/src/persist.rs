@@ -291,8 +291,22 @@ impl DiskTier {
         }
     }
 
+    /// The tier's state. A panic while the lock was held may have left the
+    /// in-memory index half updated, so a poisoned lock drops the index (the
+    /// scanned directories, the budget accounting and the segment buffers)
+    /// and keeps only the counters: the next probe rescans from disk, which
+    /// holds every record intact (segments are renamed into place whole).
     fn lock(&self) -> MutexGuard<'_, TierInner> {
-        self.inner.lock().expect("disk tier lock")
+        self.inner.lock().unwrap_or_else(|poisoned| {
+            let mut inner = poisoned.into_inner();
+            inner.dirs.clear();
+            inner.files.clear();
+            inner.buffers.clear();
+            inner.walked = false;
+            inner.total_bytes = 0;
+            self.inner.clear_poison();
+            inner
+        })
     }
 
     fn dir_path(&self, net: NetworkFingerprint, criterion: u64) -> PathBuf {
@@ -950,6 +964,60 @@ mod tests {
         assert!(tier.load::<Bitset>(&key(1)).is_some(), "recently used");
         assert!(tier.load::<Bitset>(&key(3)).is_some(), "just written");
         assert!(tier.load::<Bitset>(&key(2)).is_none(), "evicted");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_poisoned_tier_rescans_and_keeps_its_records_and_counters() {
+        let root = temp_root("poison");
+        let tier = DiskTier::new(&root).with_max_bytes(Some(1 << 20));
+        let values: Vec<Bitset> = (0..8).map(|i| set(&[i, 3 * i + 70], 150)).collect();
+        let batch: Vec<(CacheKey, &Bitset)> = values
+            .iter()
+            .enumerate()
+            .map(|(i, v)| {
+                (
+                    CacheKey {
+                        sample: (i as u64, 7),
+                        ..key(1)
+                    },
+                    v,
+                )
+            })
+            .collect();
+        let (first, second) = batch.split_at(4);
+        let loads_match = |entries: &[(CacheKey, &Bitset)]| {
+            for (k, v) in entries {
+                assert_eq!(tier.load::<Bitset>(k).as_ref(), Some(*v));
+            }
+        };
+        tier.store_batch(first);
+        loads_match(first);
+        let before = tier.stats();
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _held = tier.inner.lock();
+            panic!("poisoning the disk tier lock on purpose");
+        }));
+        assert!(panicked.is_err() && tier.inner.is_poisoned());
+        // The counters survive the recovery; the index and budget walk do
+        // not, so loads rescan and stores re-walk the directory.
+        assert_eq!(
+            tier.stats(),
+            DiskStats {
+                resident_bytes: 0,
+                ..before
+            }
+        );
+        assert!(!tier.inner.is_poisoned());
+        loads_match(first);
+        tier.store_batch(second);
+        loads_match(&batch);
+        let mut on_disk = 0;
+        collect_files(&root, &mut |_, meta| on_disk += meta.len());
+        let after = tier.stats();
+        assert_eq!(after.resident_bytes, on_disk);
+        assert_eq!((after.hits, after.writes), (before.hits + 12, 8));
+        assert_eq!((after.misses, after.evictions), (0, 0));
         let _ = std::fs::remove_dir_all(&root);
     }
 

@@ -62,7 +62,7 @@ use dnnip_nn::fingerprint::NetworkFingerprint;
 use dnnip_nn::Network;
 use dnnip_tensor::Tensor;
 
-use crate::coverage::{CoverageAnalyzer, CoverageConfig};
+use crate::coverage::CoverageConfig;
 use crate::criterion::{
     criterion_digest, criterion_from_spec, CoverageCriterion, NeuronActivation, ParamGradient,
 };
@@ -515,7 +515,7 @@ impl Workspace {
     ) -> Result<Evaluator> {
         loop {
             // Snapshot what construction needs under the lock, then build the
-            // analyzer (and its engine, which transposes every weight matrix)
+            // evaluator (and its engine, which transposes every weight matrix)
             // OUTSIDE it so a first-use mint never stalls other threads.
             let (network, coverage, resolved, digest) = {
                 let models = self.registry();
@@ -529,10 +529,11 @@ impl Workspace {
                 }
                 (Arc::clone(&entry.network), entry.coverage, resolved, digest)
             };
-            let analyzer = CoverageAnalyzer::with_criterion(network, coverage, resolved);
             let evaluator = Evaluator::with_shared_caches(
-                analyzer,
+                network,
                 model,
+                coverage,
+                resolved,
                 Arc::clone(&self.set_cache),
                 Arc::clone(&self.output_cache),
             );
@@ -712,14 +713,6 @@ impl Workspace {
     /// Persistent-tier counters, when the tier is enabled.
     pub fn disk_stats(&self) -> Option<DiskStats> {
         self.disk.as_ref().map(|d| d.stats())
-    }
-
-    /// Drop every **in-memory** cached entry (disk entries survive; event
-    /// counters survive). This is how the `workspace_sweep` bench isolates
-    /// the disk-warm path inside one process.
-    pub fn clear_memory_cache(&self) {
-        self.set_cache.clear();
-        self.output_cache.clear();
     }
 }
 

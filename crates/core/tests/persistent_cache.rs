@@ -4,11 +4,14 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
-use dnnip_core::coverage::{CoverageAnalyzer, CoverageConfig, EpsilonPolicy};
+use dnnip_core::bitset::Bitset;
+use dnnip_core::coverage::{CoverageConfig, EpsilonPolicy};
+use dnnip_core::eval::Evaluator;
 use dnnip_core::workspace::{CriterionSpec, DiskCacheConfig, Workspace, WorkspaceConfig};
 use dnnip_nn::layers::Activation;
-use dnnip_nn::zoo;
+use dnnip_nn::{zoo, Network};
 use dnnip_tensor::Tensor;
 use proptest::prelude::*;
 
@@ -29,6 +32,14 @@ fn workspace_at(dir: &Path) -> Workspace {
         disk: DiskCacheConfig::at(dir),
         ..WorkspaceConfig::default()
     })
+}
+
+/// Covered sets of `pool` from a standalone budget-0 evaluator: no memory
+/// cache, no disk tier, so nothing is served from what the test wrote.
+fn fresh_sets(net: impl Into<Arc<Network>>, pool: &[Tensor]) -> Vec<Arc<Bitset>> {
+    Evaluator::with_cache_bytes(net, CoverageConfig::default(), 0)
+        .activation_sets(pool)
+        .unwrap()
 }
 
 fn samples(seeds: &[u64]) -> Vec<Tensor> {
@@ -62,7 +73,7 @@ proptest! {
 
         // Process 2 (fresh workspace, same directory): every set loads from
         // disk and must equal both the spilled copy and a cache-free
-        // analyzer's fresh computation, bit for bit.
+        // evaluator's fresh computation, bit for bit.
         let second = workspace_at(&dir);
         let key2 = second.register("m", net.clone(), CoverageConfig::default());
         prop_assert_eq!(key, key2);
@@ -71,9 +82,7 @@ proptest! {
             .unwrap()
             .activation_sets(&pool)
             .unwrap();
-        let fresh = CoverageAnalyzer::new(&net, CoverageConfig::default())
-            .activation_sets(&pool)
-            .unwrap();
+        let fresh = fresh_sets(&net, &pool);
         prop_assert_eq!(&loaded, &spilled);
         prop_assert_eq!(&loaded, &fresh);
         let disk = second.disk_stats().unwrap();
@@ -127,7 +136,7 @@ proptest! {
 
         // A fresh workspace over the (partially evicted) tier: surviving
         // segments serve hits, evicted ones recompute — either way the
-        // results equal a cache-free analyzer's, bit for bit.
+        // results equal a cache-free evaluator's, bit for bit.
         let second = budgeted(&dir);
         let key2 = second.register("m", net.clone(), CoverageConfig::default());
         let loaded = second
@@ -135,9 +144,7 @@ proptest! {
             .unwrap()
             .activation_sets(&pool)
             .unwrap();
-        let fresh = CoverageAnalyzer::new(&net, CoverageConfig::default())
-            .activation_sets(&pool)
-            .unwrap();
+        let fresh = fresh_sets(&net, &pool);
         prop_assert_eq!(&loaded, &fresh);
         let d2 = second.disk_stats().unwrap();
         prop_assert_eq!(
@@ -187,12 +194,7 @@ proptest! {
             .unwrap()
             .activation_sets(&pool)
             .unwrap();
-        let fresh = CoverageAnalyzer::new(
-            second.network(keep2).map(|n| (*n).clone()).unwrap(),
-            CoverageConfig::default(),
-        )
-        .activation_sets(&pool)
-        .unwrap();
+        let fresh = fresh_sets(second.network(keep2).unwrap(), &pool);
         prop_assert_eq!(&loaded, &fresh);
         prop_assert_eq!(
             second.disk_stats().unwrap().hits as usize, pool.len(),

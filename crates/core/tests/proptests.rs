@@ -2,7 +2,7 @@
 //! coverage invariants, greedy-selection guarantees and protocol round trips.
 
 use dnnip_core::bitset::Bitset;
-use dnnip_core::coverage::{CoverageAnalyzer, CoverageConfig, EpsilonPolicy};
+use dnnip_core::coverage::{CoverageConfig, EpsilonPolicy};
 use dnnip_core::criterion::{
     builtin_criteria, criterion_digest, CoverageCriterion, NeuronActivation, ParamGradient,
     TopKNeuron,
@@ -204,14 +204,14 @@ proptest! {
         // A stricter epsilon can only reduce the number of activated parameters.
         let net = zoo::tiny_mlp(5, 9, 3, Activation::Tanh, seed).unwrap();
         let sample = Tensor::from_fn(&[5], |i| ((i as u64 + seed) as f32 * 0.3).sin());
-        let loose = CoverageAnalyzer::new(&net, CoverageConfig {
+        let loose = Evaluator::with_cache_bytes(&net, CoverageConfig {
             epsilon: EpsilonPolicy::RelativeToMax(1e-6),
             ..CoverageConfig::default()
-        });
-        let strict = CoverageAnalyzer::new(&net, CoverageConfig {
+        }, 0);
+        let strict = Evaluator::with_cache_bytes(&net, CoverageConfig {
             epsilon: EpsilonPolicy::RelativeToMax(eps),
             ..CoverageConfig::default()
-        });
+        }, 0);
         let l = loose.coverage_of_sample(&sample).unwrap();
         let s = strict.coverage_of_sample(&sample).unwrap();
         prop_assert!(s <= l + 1e-6, "strict {} vs loose {}", s, l);
@@ -220,13 +220,13 @@ proptest! {
     #[test]
     fn set_coverage_dominates_member_coverage(seed in 0u64..200, n in 2usize..6) {
         let net = zoo::tiny_mlp(4, 8, 3, Activation::Relu, seed).unwrap();
-        let analyzer = CoverageAnalyzer::new(&net, CoverageConfig::default());
+        let evaluator = Evaluator::with_cache_bytes(&net, CoverageConfig::default(), 0);
         let samples: Vec<Tensor> = (0..n)
             .map(|i| Tensor::from_fn(&[4], |j| ((i * 4 + j) as f32 + seed as f32).sin()))
             .collect();
-        let set_cov = analyzer.coverage_of_set(&samples).unwrap();
+        let set_cov = evaluator.coverage_of_set(&samples).unwrap();
         for s in &samples {
-            let single = analyzer.coverage_of_sample(s).unwrap();
+            let single = evaluator.coverage_of_sample(s).unwrap();
             prop_assert!(set_cov >= single - 1e-6);
         }
     }
@@ -240,13 +240,13 @@ proptest! {
     ) {
         // The cache must be a pure memoization: whatever the byte budget (and
         // therefore however often entries are evicted and recomputed), the
-        // returned activation sets are bit-identical to a cache-free analyzer.
+        // returned activation sets are bit-identical to a cache-free evaluator.
         let net = zoo::tiny_mlp(4, 8, 3, Activation::Relu, seed).unwrap();
-        let analyzer = CoverageAnalyzer::new(&net, CoverageConfig::default());
+        let uncached = Evaluator::with_cache_bytes(&net, CoverageConfig::default(), 0);
         let pool: Vec<Tensor> = (0..pool_size)
             .map(|i| Tensor::from_fn(&[4], |j| ((i * 4 + j) as f32 * 0.31 + seed as f32).sin()))
             .collect();
-        let fresh = analyzer.activation_sets(&pool).unwrap();
+        let fresh = uncached.activation_sets(&pool).unwrap();
         // Budget measured in whole entries — sized from the pool's actual
         // footprints — so eviction pressure scales with the pool: budgets
         // smaller than the pool force constant turnover.
@@ -261,7 +261,7 @@ proptest! {
             let probe = &pool[round % pool.len()];
             prop_assert_eq!(
                 evaluator.activation_set(probe).unwrap(),
-                analyzer.activation_set(probe).unwrap()
+                uncached.activation_set(probe).unwrap()
             );
         }
         let stats = evaluator.cache_stats();
@@ -275,17 +275,17 @@ proptest! {
     #[test]
     fn cache_hits_preserve_coverage_numbers(seed in 0u64..100, n in 2usize..8) {
         let net = zoo::tiny_mlp(4, 8, 3, Activation::Relu, seed).unwrap();
-        let analyzer = CoverageAnalyzer::new(&net, CoverageConfig::default());
+        let uncached = Evaluator::with_cache_bytes(&net, CoverageConfig::default(), 0);
         let evaluator = Evaluator::new(&net, CoverageConfig::default());
         let pool: Vec<Tensor> = (0..n)
             .map(|i| Tensor::from_fn(&[4], |j| ((i * 4 + j) as f32 * 0.23 + seed as f32).cos()))
             .collect();
         // First pass populates, second pass must be all hits with exactly the
-        // same f32 coverage values as the analyzer.
+        // same f32 coverage values as a cache-free evaluator.
         let cold = evaluator.coverage_of_set(&pool).unwrap();
         let warm = evaluator.coverage_of_set(&pool).unwrap();
         prop_assert_eq!(cold.to_bits(), warm.to_bits());
-        prop_assert_eq!(cold.to_bits(), analyzer.coverage_of_set(&pool).unwrap().to_bits());
+        prop_assert_eq!(cold.to_bits(), uncached.coverage_of_set(&pool).unwrap().to_bits());
         let stats = evaluator.cache_stats();
         prop_assert_eq!(stats.misses as usize, n);
         prop_assert_eq!(stats.hits as usize, n);
@@ -408,16 +408,17 @@ proptest! {
         }
         // Quantized coverage under a forward-only criterion stays a valid
         // fraction on the drifted model.
-        let analyzer = CoverageAnalyzer::with_criterion(
+        let evaluator = Evaluator::with_criterion_cache_bytes(
             &net,
             CoverageConfig {
                 precision: dnnip_core::coverage::ForwardPrecision::QuantizedInt8,
                 ..CoverageConfig::default()
             },
             std::sync::Arc::new(NeuronActivation::default()),
+            0,
         );
         let sample = Tensor::from_fn(&[4], |i| ((i as u64 + seed) as f32 * 0.3).sin());
-        let cov = analyzer.coverage_of_sample(&sample).unwrap();
+        let cov = evaluator.coverage_of_sample(&sample).unwrap();
         prop_assert!((0.0..=1.0).contains(&cov));
     }
 

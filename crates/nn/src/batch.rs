@@ -262,11 +262,6 @@ impl BatchGradientEngine {
         &self.network
     }
 
-    /// The shared handle to the wrapped network (reference-count bump only).
-    pub fn network_arc(&self) -> Arc<Network> {
-        Arc::clone(&self.network)
-    }
-
     /// Visit the flat parameter-gradient vector of every `(sample, projection)`
     /// pair.
     ///

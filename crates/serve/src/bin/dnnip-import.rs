@@ -24,8 +24,8 @@ use dnnip_core::coverage::CoverageConfig;
 use dnnip_core::generator::GenerationMethod;
 use dnnip_core::workspace::{TestGenRequest, Workspace};
 use dnnip_nn::fingerprint::NetworkFingerprint;
-use dnnip_nn::{serialize, zoo, Network};
-use dnnip_tensor::Tensor;
+use dnnip_nn::{serialize, zoo};
+use dnnip_serve::graph_pool;
 
 struct ExportArgs {
     path: String,
@@ -115,27 +115,10 @@ fn export(args: &ExportArgs) -> Result<(), String> {
     Ok(())
 }
 
-/// A deterministic candidate pool in the graph's input shape, derived only
-/// from the seed — the same pool for the same (shape, size, seed) triple on
-/// every run, so repeated imports share cache entries.
-fn synthetic_pool(graph: &Network, size: usize, seed: u64) -> Vec<Tensor> {
-    let shape = graph.input_shape().to_vec();
-    let per: usize = shape.iter().product();
-    (0..size)
-        .map(|i| {
-            Tensor::from_fn(&shape, |j| {
-                let n =
-                    (seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) as usize).wrapping_add(i * per + j);
-                ((n % 7919) as f32 * 0.017).sin()
-            })
-        })
-        .collect()
-}
-
 fn run(args: &RunArgs) -> Result<(), String> {
     let graph = serialize::from_file(args.path.as_ref()).map_err(|e| e.to_string())?;
     let fingerprint = NetworkFingerprint::of(&graph);
-    let pool = synthetic_pool(&graph, args.pool, args.seed);
+    let pool = graph_pool(&graph, args.pool, args.seed);
     let name = std::path::Path::new(&args.path)
         .file_stem()
         .and_then(|s| s.to_str())

@@ -32,6 +32,8 @@ pub use engine::{shutdown_response, CoalesceSnapshot, Engine, EngineConfig, Hand
 use std::io::{BufRead, Read, Write};
 use std::sync::mpsc;
 
+use dnnip_nn::Network;
+use dnnip_tensor::Tensor;
 use engine::error_response;
 
 /// Longest request line accepted, in bytes, newline excluded: room for an
@@ -51,6 +53,24 @@ pub const MAX_POOL_ELEMENTS: usize = 1 << 24;
 /// generator for (`gradgen_steps`): a hundred times the largest count any
 /// test or benchmark sends. A larger count is answered with a `bad_request`.
 pub const MAX_GRADGEN_STEPS: usize = 20_000;
+
+/// A deterministic candidate pool of `size` samples in `network`'s input
+/// shape, derived only from the seed: the same pool for the same
+/// (shape, size, seed) triple on every run, so `dnnip-import run` and the
+/// `graph_sweep` bench over one model share covered-set cache entries.
+pub fn graph_pool(network: &Network, size: usize, seed: u64) -> Vec<Tensor> {
+    let shape = network.input_shape().to_vec();
+    let per: usize = shape.iter().product();
+    (0..size)
+        .map(|i| {
+            Tensor::from_fn(&shape, |j| {
+                let n =
+                    (seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) as usize).wrapping_add(i * per + j);
+                ((n % 7919) as f32 * 0.017).sin()
+            })
+        })
+        .collect()
+}
 
 /// Serve the NDJSON protocol over an arbitrary reader/writer pair until
 /// EOF or a `shutdown` request, then drain the engine (every accepted
@@ -154,4 +174,23 @@ fn read_line<'a, R: BufRead>(
     Ok(Some(std::str::from_utf8(buf).map_err(|e| {
         format!("request line is not valid UTF-8: {e}")
     })))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn graph_pool_is_deterministic_and_shaped() {
+        let graph = dnnip_nn::zoo::residual_classifier(3).expect("residual graph");
+        let a = graph_pool(&graph, 4, 9);
+        let b = graph_pool(&graph, 4, 9);
+        assert_eq!(a.len(), 4);
+        for (x, y) in a.iter().zip(&b) {
+            assert_eq!(x.shape(), &[1, 8, 8]);
+            assert_eq!(x.data(), y.data());
+        }
+        let c = graph_pool(&graph, 4, 10);
+        assert_ne!(a[0].data(), c[0].data());
+    }
 }

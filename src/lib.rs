@@ -62,7 +62,7 @@ pub use dnnip_tensor as tensor;
 pub mod prelude {
     pub use dnnip_accel::ip::{AcceleratorIp, DnnIp, FloatIp};
     pub use dnnip_accel::quant::BitWidth;
-    pub use dnnip_core::coverage::{CoverageAnalyzer, CoverageConfig};
+    pub use dnnip_core::coverage::CoverageConfig;
     pub use dnnip_core::criterion::{
         CoverageCriterion, NeuronActivation, ParamGradient, TopKNeuron,
     };

@@ -133,7 +133,7 @@ fn full_neuron_coverage_does_not_imply_full_parameter_coverage() {
     // with *some* test does not exercise every weight, because a weight needs its
     // source and destination neurons active in the *same* test.
     let (model, training) = trained_relu_cnn();
-    let param = CoverageAnalyzer::new(&model, CoverageConfig::default());
+    let param = Evaluator::with_cache_bytes(&model, CoverageConfig::default(), 0);
     let neuron = Evaluator::with_criterion(
         &model,
         CoverageConfig::default(),

@@ -17,47 +17,16 @@
 
 use std::sync::Arc;
 
+mod common;
+
+use common::{seeded_inputs, zoo_networks};
 use dnnip::core::coverage::CoverageConfig;
 use dnnip::core::criterion::builtin_criteria;
 use dnnip::core::eval::Evaluator;
 use dnnip::core::gradgen::GradGenConfig;
 use dnnip::core::par::ExecPolicy;
 use dnnip::core::select::{greedy_select_naive, SelectionResult};
-use dnnip::dataset::digits::{synthetic_mnist, DigitConfig};
-use dnnip::nn::zoo;
 use dnnip::prelude::*;
-
-fn zoo_networks() -> Vec<(&'static str, Network)> {
-    vec![
-        (
-            "tiny_mlp_relu",
-            zoo::tiny_mlp(6, 14, 4, Activation::Relu, 5).unwrap(),
-        ),
-        (
-            "tiny_mlp_tanh",
-            zoo::tiny_mlp(6, 14, 4, Activation::Tanh, 5).unwrap(),
-        ),
-        (
-            "tiny_cnn_relu",
-            zoo::tiny_cnn(6, 10, Activation::Relu, 9).unwrap(),
-        ),
-    ]
-}
-
-fn seeded_inputs(net: &Network, n: usize, seed: u64) -> Vec<Tensor> {
-    let shape = net.input_shape().to_vec();
-    if shape.len() == 3 && shape[0] == 1 {
-        synthetic_mnist(&DigitConfig::with_size(shape[1]), n, seed).inputs
-    } else {
-        (0..n)
-            .map(|i| {
-                Tensor::from_fn(&shape, |j| {
-                    ((seed as usize + i * 131 + j * 7) as f32 * 0.23).sin()
-                })
-            })
-            .collect()
-    }
-}
 
 /// A workspace with `net` registered, plus its key.
 fn workspace(net: &Network) -> (Workspace, dnnip::nn::fingerprint::NetworkFingerprint) {
@@ -95,7 +64,7 @@ fn reference_selection(
         Evaluator::with_criterion(net, CoverageConfig::default(), Arc::clone(criterion));
     let sets: Vec<_> = pool
         .iter()
-        .map(|x| evaluator.analyzer().activation_set_reference(x).unwrap())
+        .map(|x| evaluator.activation_set_reference(x).unwrap())
         .collect();
     greedy_select_naive(&sets, evaluator.num_units(), budget).unwrap()
 }
@@ -130,7 +99,7 @@ fn param_gradient_criterion_is_bit_identical_to_the_reference_pipeline() {
         // conv kernels — untouched by the criterion refactor.
         let reference: Vec<_> = pool
             .iter()
-            .map(|x| implicit.analyzer().activation_set_reference(x).unwrap())
+            .map(|x| implicit.activation_set_reference(x).unwrap())
             .collect();
         let a = implicit.activation_sets(&pool).unwrap();
         let b = explicit.activation_sets(&pool).unwrap();
@@ -140,7 +109,7 @@ fn param_gradient_criterion_is_bit_identical_to_the_reference_pipeline() {
         // Coverage fractions are exactly the reference-set densities.
         let direct = implicit.coverage_of_set(&pool).unwrap();
         let from_reference =
-            dnnip::core::coverage::coverage_of_sets(&reference, net.num_parameters());
+            dnnip::core::bitset::Bitset::union_of(net.num_parameters(), &reference).density();
         assert_eq!(direct, from_reference, "{name}: coverage fraction diverged");
 
         // Greedy selection through the workspace, under its default

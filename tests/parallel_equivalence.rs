@@ -11,6 +11,9 @@
 
 use std::sync::Arc;
 
+mod common;
+
+use common::seeded_inputs;
 use dnnip::core::combined::TestSource;
 use dnnip::core::coverage::CoverageConfig;
 use dnnip::core::criterion::{criterion_from_spec, GradientObjective};
@@ -18,54 +21,20 @@ use dnnip::core::eval::Evaluator;
 use dnnip::core::gradgen::{GradGenConfig, GradientGenerator, LineSearchConfig, SyntheticTest};
 use dnnip::core::par::ExecPolicy;
 use dnnip::core::select::greedy_select_naive;
-use dnnip::dataset::digits::{synthetic_mnist, DigitConfig};
 use dnnip::nn::zoo;
 use dnnip::prelude::*;
 use dnnip::tensor::kernels::bit_mismatch;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// The networks the differential harness sweeps: MLPs and CNNs, saturating and
-/// non-saturating activations.
+/// The shared zoo networks plus a saturating CNN.
 fn zoo_networks() -> Vec<(&'static str, Network)> {
-    vec![
-        (
-            "tiny_mlp_relu",
-            zoo::tiny_mlp(6, 14, 4, Activation::Relu, 5).unwrap(),
-        ),
-        (
-            "tiny_mlp_tanh",
-            zoo::tiny_mlp(6, 14, 4, Activation::Tanh, 5).unwrap(),
-        ),
-        (
-            "tiny_cnn_relu",
-            zoo::tiny_cnn(6, 10, Activation::Relu, 9).unwrap(),
-        ),
-        (
-            "tiny_cnn_tanh",
-            zoo::tiny_cnn(6, 10, Activation::Tanh, 9).unwrap(),
-        ),
-    ]
-}
-
-/// Seeded inputs matching `net`'s input shape: a rendered digit dataset for
-/// image-shaped networks, deterministic pseudo-random vectors otherwise.
-fn seeded_inputs(net: &Network, n: usize, seed: u64) -> Vec<Tensor> {
-    let shape = net.input_shape().to_vec();
-    if shape.len() == 3 && shape[0] == 1 {
-        synthetic_mnist(&DigitConfig::with_size(shape[1]), n, seed)
-            .inputs
-            .into_iter()
-            .collect()
-    } else {
-        (0..n)
-            .map(|i| {
-                Tensor::from_fn(&shape, |j| {
-                    ((seed as usize + i * 131 + j * 7) as f32 * 0.23).sin()
-                })
-            })
-            .collect()
-    }
+    let mut nets = common::zoo_networks();
+    nets.push((
+        "tiny_cnn_tanh",
+        zoo::tiny_cnn(6, 10, Activation::Tanh, 9).unwrap(),
+    ));
+    nets
 }
 
 fn config_with(exec: ExecPolicy, batch_size: usize) -> CoverageConfig {
@@ -76,6 +45,12 @@ fn config_with(exec: ExecPolicy, batch_size: usize) -> CoverageConfig {
     }
 }
 
+/// A budget-0 evaluator: every call computes afresh, so two of them are two
+/// independent computations.
+fn uncached(net: &Network, exec: ExecPolicy, batch_size: usize) -> Evaluator {
+    Evaluator::with_cache_bytes(net, config_with(exec, batch_size), 0)
+}
+
 #[test]
 fn activation_sets_are_bit_identical_across_policies_and_chunkings() {
     // Requests shorter than `batch_size × workers` are cut into one chunk
@@ -84,13 +59,14 @@ fn activation_sets_are_bit_identical_across_policies_and_chunkings() {
     for (name, net) in zoo_networks() {
         for n in [1, 2, 5, 10, 33] {
             let inputs = seeded_inputs(&net, n, 3);
-            let serial = CoverageAnalyzer::new(&net, config_with(ExecPolicy::Serial, 32));
+            let serial = uncached(&net, ExecPolicy::Serial, 32);
             let baseline = serial.activation_sets(&inputs).unwrap();
             for threads in 1..=4 {
                 for batch_size in [1, 7, 32] {
                     let exec = ExecPolicy::Threads(threads);
-                    let analyzer = CoverageAnalyzer::new(&net, config_with(exec, batch_size));
-                    let sets = analyzer.activation_sets(&inputs).unwrap();
+                    let sets = uncached(&net, exec, batch_size)
+                        .activation_sets(&inputs)
+                        .unwrap();
                     assert_eq!(
                         sets, baseline,
                         "{name}: {n} activation sets diverged under {exec:?} batch {batch_size}"
@@ -117,11 +93,11 @@ fn batched_engine_matches_the_per_sample_reference() {
     // networks the relative-threshold rule sees identically ordered
     // accumulations — both must agree bit-for-bit here.
     for (name, net) in zoo_networks() {
-        let analyzer = CoverageAnalyzer::new(&net, CoverageConfig::default());
+        let evaluator = uncached(&net, ExecPolicy::Serial, 32);
         for (i, x) in seeded_inputs(&net, 6, 11).iter().enumerate() {
             assert_eq!(
-                analyzer.activation_set(x).unwrap(),
-                analyzer.activation_set_reference(x).unwrap(),
+                evaluator.activation_set(x).unwrap(),
+                evaluator.activation_set_reference(x).unwrap(),
                 "{name}: engine and reference disagree on sample {i}"
             );
         }
@@ -132,8 +108,8 @@ fn batched_engine_matches_the_per_sample_reference() {
 fn coverage_fractions_are_bit_identical_across_policies() {
     for (name, net) in zoo_networks() {
         let inputs = seeded_inputs(&net, 9, 7);
-        let serial = CoverageAnalyzer::new(&net, config_with(ExecPolicy::Serial, 4));
-        let threaded = CoverageAnalyzer::new(&net, config_with(ExecPolicy::Threads(4), 4));
+        let serial = uncached(&net, ExecPolicy::Serial, 4);
+        let threaded = uncached(&net, ExecPolicy::Threads(4), 4);
         // Exact f32 equality — no tolerance.
         assert_eq!(
             serial.coverage_of_set(&inputs).unwrap(),
@@ -188,10 +164,10 @@ fn greedy_selection_picks_identical_tests_under_every_policy() {
         );
         // Both equal the reference oracle: the naive greedy over the
         // per-sample reference sets.
-        let analyzer = CoverageAnalyzer::new(&net, CoverageConfig::default());
+        let evaluator = uncached(&net, ExecPolicy::Serial, 32);
         let reference: Vec<_> = pool
             .iter()
-            .map(|x| analyzer.activation_set_reference(x).unwrap())
+            .map(|x| evaluator.activation_set_reference(x).unwrap())
             .collect();
         let oracle = greedy_select_naive(&reference, net.num_parameters(), 8).unwrap();
         assert_eq!(a.selected_indices(), oracle.selected, "{name}: oracle");
@@ -384,8 +360,8 @@ fn evaluator_cached_results_are_bit_identical_across_policies_and_reruns() {
     // tolerance.
     for (name, net) in zoo_networks() {
         let inputs = seeded_inputs(&net, 10, 17);
-        let uncached = CoverageAnalyzer::new(&net, config_with(ExecPolicy::Serial, 32));
-        let baseline = uncached.activation_sets(&inputs).unwrap();
+        let fresh = uncached(&net, ExecPolicy::Serial, 32);
+        let baseline = fresh.activation_sets(&inputs).unwrap();
         let serial = Evaluator::new(&net, config_with(ExecPolicy::Serial, 32));
         let threaded = Evaluator::new(&net, config_with(ExecPolicy::Threads(4), 3));
         for evaluator in [&serial, &threaded] {
@@ -405,15 +381,15 @@ fn evaluator_cached_results_are_bit_identical_across_policies_and_reruns() {
                 "{name}: warm run not served from cache"
             );
         }
-        // Coverage fractions through the cache match the uncached analyzer exactly.
+        // Coverage fractions through the cache match the uncached evaluator exactly.
         assert_eq!(
             serial.coverage_of_set(&inputs).unwrap(),
-            uncached.coverage_of_set(&inputs).unwrap(),
+            fresh.coverage_of_set(&inputs).unwrap(),
             "{name}: cached set coverage diverged"
         );
         assert_eq!(
             threaded.mean_sample_coverage(&inputs).unwrap(),
-            uncached.mean_sample_coverage(&inputs).unwrap(),
+            fresh.mean_sample_coverage(&inputs).unwrap(),
             "{name}: cached mean coverage diverged"
         );
     }

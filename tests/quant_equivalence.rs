@@ -11,56 +11,36 @@
 //!    metric is defined on the float model; the flag must be a no-op for it.
 //! 3. **The quantized path evaluates the accelerator's model.** Forward-only
 //!    criteria under `QuantizedInt8` must agree bit-for-bit with a
-//!    full-precision analyzer over `round_trip_network` — the same
+//!    full-precision evaluator over `round_trip_network` — the same
 //!    per-segment fitting `WeightMemory`/`AcceleratorIp` applies.
 //! 4. **Bounded drift.** Coverage fractions under quantization stay valid and
 //!    close to the full-precision fractions on well-conditioned models.
 
+use std::sync::Arc;
+
+mod common;
+
+use common::{seeded_inputs, zoo_networks};
 use dnnip::accel::quant::{round_trip_network, BitWidth};
-use dnnip::core::coverage::{CoverageAnalyzer, CoverageConfig, ForwardPrecision};
+use dnnip::core::coverage::{CoverageConfig, ForwardPrecision};
 use dnnip::core::criterion::builtin_criteria;
 use dnnip::core::eval::Evaluator;
-use dnnip::dataset::digits::{synthetic_mnist, DigitConfig};
-use dnnip::nn::zoo;
 use dnnip::prelude::*;
-
-fn zoo_networks() -> Vec<(&'static str, Network)> {
-    vec![
-        (
-            "tiny_mlp_relu",
-            zoo::tiny_mlp(6, 14, 4, Activation::Relu, 5).unwrap(),
-        ),
-        (
-            "tiny_mlp_tanh",
-            zoo::tiny_mlp(6, 14, 4, Activation::Tanh, 5).unwrap(),
-        ),
-        (
-            "tiny_cnn_relu",
-            zoo::tiny_cnn(6, 10, Activation::Relu, 9).unwrap(),
-        ),
-    ]
-}
-
-fn seeded_inputs(net: &Network, n: usize, seed: u64) -> Vec<Tensor> {
-    let shape = net.input_shape().to_vec();
-    if shape.len() == 3 && shape[0] == 1 {
-        synthetic_mnist(&DigitConfig::with_size(shape[1]), n, seed).inputs
-    } else {
-        (0..n)
-            .map(|i| {
-                Tensor::from_fn(&shape, |j| {
-                    ((seed as usize + i * 131 + j * 7) as f32 * 0.23).sin()
-                })
-            })
-            .collect()
-    }
-}
 
 fn quant_config() -> CoverageConfig {
     CoverageConfig {
         precision: ForwardPrecision::QuantizedInt8,
         ..CoverageConfig::default()
     }
+}
+
+/// A budget-0 evaluator under `criterion`: every call computes afresh.
+fn uncached(
+    net: &Network,
+    config: CoverageConfig,
+    criterion: Arc<dyn CoverageCriterion>,
+) -> Evaluator {
+    Evaluator::with_criterion_cache_bytes(net, config, criterion, 0)
 }
 
 #[test]
@@ -78,7 +58,7 @@ fn full_precision_default_is_unchanged_for_every_criterion() {
                 },
                 criterion.clone(),
             );
-            assert!(!default_cfg.analyzer().quantized_forward());
+            assert!(!default_cfg.quantized_forward());
             assert_eq!(
                 default_cfg.activation_sets(&pool).unwrap(),
                 explicit_full.activation_sets(&pool).unwrap(),
@@ -96,7 +76,7 @@ fn gradient_criteria_ignore_the_quantization_flag() {
         let full = Evaluator::new(&net, CoverageConfig::default());
         let flagged = Evaluator::new(&net, quant_config());
         assert!(
-            !flagged.analyzer().quantized_forward(),
+            !flagged.quantized_forward(),
             "{name}: gradient criterion must not take the quantized path"
         );
         assert_eq!(
@@ -116,18 +96,17 @@ fn quantized_forward_only_criteria_evaluate_the_round_tripped_network() {
             if !criterion.forward_only() {
                 continue;
             }
-            let quant = CoverageAnalyzer::with_criterion(&net, quant_config(), criterion.clone());
+            let quant = uncached(&net, quant_config(), criterion.clone());
             assert!(quant.quantized_forward(), "{name}/{}", criterion.id());
-            let on_rt =
-                CoverageAnalyzer::with_criterion(&rt, CoverageConfig::default(), criterion.clone());
+            let on_rt = uncached(&rt, CoverageConfig::default(), criterion.clone());
             let a = quant.activation_sets(&pool).unwrap();
             let b = on_rt.activation_sets(&pool).unwrap();
             assert_eq!(a, b, "{name}/{}", criterion.id());
             // Batched-vs-reference differential holds on the quantized model.
             for (i, x) in pool.iter().enumerate() {
                 assert_eq!(
-                    quant.activation_set_reference(x).unwrap(),
                     a[i],
+                    quant.activation_set_reference(x).unwrap(),
                     "{name}/{} sample {i}",
                     criterion.id()
                 );
@@ -144,12 +123,8 @@ fn quantized_coverage_drift_is_bounded() {
             if !criterion.forward_only() {
                 continue;
             }
-            let full = CoverageAnalyzer::with_criterion(
-                &net,
-                CoverageConfig::default(),
-                criterion.clone(),
-            );
-            let quant = CoverageAnalyzer::with_criterion(&net, quant_config(), criterion.clone());
+            let full = uncached(&net, CoverageConfig::default(), criterion.clone());
+            let quant = uncached(&net, quant_config(), criterion.clone());
             let c_full = full.coverage_of_set(&pool).unwrap();
             let c_quant = quant.coverage_of_set(&pool).unwrap();
             assert!((0.0..=1.0).contains(&c_quant), "{name}/{}", criterion.id());

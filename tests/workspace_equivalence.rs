@@ -10,7 +10,7 @@
 //! correctness regression, not a tolerance question — every comparison
 //! below is exact.
 
-use dnnip::core::coverage::{CoverageAnalyzer, CoverageConfig};
+use dnnip::core::coverage::CoverageConfig;
 use dnnip::core::generator::GenerationMethod;
 use dnnip::core::select::{greedy_select_naive, SelectionResult};
 use dnnip::core::workspace::{TestGenRequest, Workspace};
@@ -46,10 +46,10 @@ fn workspace() -> (Workspace, dnnip::nn::fingerprint::NetworkFingerprint) {
 /// The reference oracle's selection of `budget` tests from `candidates`.
 fn oracle(candidates: &[Tensor], budget: usize) -> SelectionResult {
     let network = model();
-    let analyzer = CoverageAnalyzer::new(&network, CoverageConfig::default());
+    let evaluator = Evaluator::with_cache_bytes(&network, CoverageConfig::default(), 0);
     let sets: Vec<_> = candidates
         .iter()
-        .map(|x| analyzer.activation_set_reference(x).unwrap())
+        .map(|x| evaluator.activation_set_reference(x).unwrap())
         .collect();
     greedy_select_naive(&sets, network.num_parameters(), budget).unwrap()
 }

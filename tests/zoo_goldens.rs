@@ -353,10 +353,7 @@ fn residual_graph_param_gradient_sets_match_the_oracle() {
     let sets = evaluator.activation_sets(&samples).unwrap();
     let mut h = Fnv::new();
     for (s, (set, sample)) in sets.iter().zip(&samples).enumerate() {
-        let reference = evaluator
-            .analyzer()
-            .activation_set_reference(sample)
-            .unwrap();
+        let reference = evaluator.activation_set_reference(sample).unwrap();
         assert!(
             **set == reference,
             "sample {s}: engine set differs from the oracle"
