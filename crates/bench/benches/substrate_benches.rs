@@ -5,9 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use dnnip_nn::loss::cross_entropy;
 use dnnip_nn::zoo;
-use dnnip_tensor::conv::{
-    conv2d_forward, conv2d_forward_im2col, conv2d_forward_im2col_batch, Conv2dGeometry,
-};
+use dnnip_tensor::conv::{conv2d_forward, conv2d_forward_im2col, Conv2dGeometry};
 use dnnip_tensor::{ops, Tensor};
 use std::hint::black_box;
 
@@ -34,18 +32,12 @@ fn bench_conv_direct_vs_im2col(c: &mut Criterion) {
     });
     group.finish();
 
-    // Batch-axis ablation: per-sample matmuls vs one whole-batch matmul on a
-    // stacked batch of 8.
+    // A stacked batch of 8: one im2col block and matmul per sample.
     let batched_input = Tensor::from_fn(&[8, 16, 16, 16], |i| (i as f32 * 0.017).sin());
     let mut batch_group = c.benchmark_group("conv2d_16ch_16x16_batch8");
     batch_group.bench_function("im2col_per_sample", |bench| {
         bench.iter(|| {
             conv2d_forward_im2col(black_box(&batched_input), &weight, &bias, geom).unwrap()
-        })
-    });
-    batch_group.bench_function("im2col_single_matmul", |bench| {
-        bench.iter(|| {
-            conv2d_forward_im2col_batch(black_box(&batched_input), &weight, &bias, geom).unwrap()
         })
     });
     batch_group.finish();

@@ -25,10 +25,10 @@
 use dnnip_bench::{cache_banner, seed_from_env_or, workspace_from_env, ExperimentProfile};
 use dnnip_core::coverage::CoverageConfig;
 use dnnip_core::criterion::builtin_criteria;
-use dnnip_core::eval::Evaluator;
+use dnnip_core::eval::{CacheStats, Evaluator};
 use dnnip_core::generator::GenerationMethod;
 use dnnip_core::par::ExecPolicy;
-use dnnip_core::workspace::{CriterionSpec, TestGenRequest, Workspace};
+use dnnip_core::workspace::{TestGenRequest, Workspace};
 use dnnip_nn::zoo;
 use dnnip_tensor::Tensor;
 use std::hint::black_box;
@@ -84,10 +84,9 @@ fn main() {
     let mut rows: Vec<Row> = Vec::new();
     for criterion in builtin_criteria(&config) {
         let id = criterion.id();
-        let selector = CriterionSpec::Instance(criterion.clone());
         let request =
             TestGenRequest::new(fingerprint, GenerationMethod::TrainingSetSelection, budget)
-                .with_criterion_selector(selector.clone())
+                .with_criterion(criterion.clone())
                 .with_candidates(pool.clone());
 
         // Covered-set computation, uncached (budget 0 disables the cache).
@@ -110,15 +109,20 @@ fn main() {
 
         // Session-workspace run: first pass computes (or loads from the
         // persistent tier in a second process), the timed reruns are
-        // in-memory warm.
+        // in-memory warm. This iteration is the only session traffic of its
+        // criterion, so the change in the workspace-wide counters is the
+        // criterion's own hit rate.
+        let before = ws.cache_stats();
         let result = ws.run(&request).expect("selection");
         let select_warm_ms = time_ms(reps, || {
             black_box(ws.run(black_box(&request)).expect("warm selection"));
         });
-        let stats = ws
-            .evaluator(fingerprint, &selector)
-            .expect("registered model")
-            .criterion_cache_stats();
+        let after = ws.cache_stats();
+        let traffic = CacheStats {
+            hits: after.hits - before.hits,
+            misses: after.misses - before.misses,
+            ..CacheStats::default()
+        };
         rows.push(Row {
             criterion: id,
             units: result.num_units,
@@ -126,7 +130,7 @@ fn main() {
             select_cold_ms,
             select_warm_ms,
             final_coverage: result.final_coverage(),
-            hit_rate: stats.hit_rate(),
+            hit_rate: traffic.hit_rate(),
         });
     }
 

@@ -13,7 +13,7 @@
 //!
 //! Both models (the scaled MNIST-Tanh and CIFAR-ReLU architectures) register
 //! in one workspace, so the in-memory phase also demonstrates the single
-//! shared LRU budget with per-model stats. Results are written to
+//! shared LRU budget. Results are written to
 //! `crates/bench/results/workspace_cache.json`.
 //!
 //! ```text
@@ -144,7 +144,6 @@ fn main() {
         });
     }
     let shared = warm_ws.cache_stats();
-    let by_model = warm_ws.cache_stats_by_model();
     let spilled = warm_ws.disk_stats().expect("persistence on");
 
     // Phase 3: a fresh workspace (second-process simulation) over the same
@@ -183,7 +182,7 @@ fn main() {
         "\n  shared budget: {} entries, {} bytes across {} models (one LRU, global eviction)",
         shared.entries,
         shared.bytes,
-        by_model.len()
+        rows.len()
     );
     println!(
         "  residency: {} payload bytes ({:.0} bytes/entry)",
@@ -211,7 +210,7 @@ fn main() {
          \"resident_bytes\": {}, \"bytes_per_entry\": {:.2}}},\n",
         shared.entries,
         shared.bytes,
-        by_model.len(),
+        rows.len(),
         shared.resident_bytes,
         shared.bytes_per_entry()
     ));

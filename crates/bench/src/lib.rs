@@ -16,7 +16,7 @@ pub mod detection_table;
 
 use std::sync::Arc;
 
-use dnnip_core::coverage::{CoverageConfig, EpsilonPolicy, ForwardPrecision};
+use dnnip_core::coverage::{CoverageConfig, EpsilonPolicy};
 use dnnip_core::criterion::{criterion_from_spec, CoverageCriterion, ParamGradient};
 use dnnip_core::eval::Evaluator;
 use dnnip_core::par::ExecPolicy;
@@ -230,9 +230,9 @@ fn train_robust(
 /// Every experiment binary runs the coverage analysis through the batched
 /// engine with one worker per available hardware thread; results are
 /// bit-identical to serial execution (see `tests/parallel_equivalence.rs`), so
-/// the parallel path is safe to use unconditionally. Setting `DNNIP_QUANT=1`
-/// additionally routes forward-only criteria through the int8 round-tripped
-/// network (see [`dnnip_core::coverage::ForwardPrecision`]).
+/// the parallel path is safe to use unconditionally. Coverage of the int8
+/// model an accelerator runs is this configuration applied to
+/// `dnnip_accel::quant::round_trip_network(&net, BitWidth::Int8)`.
 pub fn coverage_config_for(activation: Activation) -> CoverageConfig {
     let epsilon = if activation.is_saturating() {
         EpsilonPolicy::RelativeToMax(1e-2)
@@ -242,7 +242,6 @@ pub fn coverage_config_for(activation: Activation) -> CoverageConfig {
     CoverageConfig {
         epsilon,
         exec: ExecPolicy::auto(),
-        precision: ForwardPrecision::from_env(),
         ..CoverageConfig::default()
     }
 }

@@ -13,12 +13,18 @@
 //! That rule is one [`crate::criterion::CoverageCriterion`]
 //! ([`crate::criterion::ParamGradient`], the default). This module holds the
 //! knobs of the computation — the threshold policy, the output projection,
-//! the execution policy and chunk size, the forward precision — in one
-//! [`CoverageConfig`]. The computation itself is
-//! [`crate::eval::Evaluator`]'s: per-input covered-unit sets as
-//! [`crate::bitset::Bitset`]s over the criterion's unit space (the flat
-//! parameter space for the paper's metric), and the coverage of a test set
-//! as the density of the union of its members' sets (Eq. 4).
+//! the execution policy and chunk size — in one [`CoverageConfig`]. The
+//! computation itself is [`crate::eval::Evaluator`]'s: per-input
+//! covered-unit sets as [`crate::bitset::Bitset`]s over the criterion's unit
+//! space (the flat parameter space for the paper's metric), and the coverage
+//! of a test set as the density of the union of its members' sets (Eq. 4).
+//!
+//! Coverage is defined on the network the evaluator is given, the trusted
+//! float model in the paper. Coverage of the int8 model an accelerator IP
+//! runs is the same computation on
+//! `dnnip_accel::quant::round_trip_network(&net, BitWidth::Int8)`: an
+//! evaluator (or a registered workspace model) over that network, whose own
+//! fingerprint keeps its cache entries apart.
 
 use crate::par::ExecPolicy;
 
@@ -64,37 +70,6 @@ pub enum OutputProjection {
 /// Default number of samples evaluated per batched forward pass.
 pub const DEFAULT_COVERAGE_BATCH: usize = 32;
 
-/// Numeric precision of the forward pass behind **forward-only** coverage
-/// criteria (the neuron criteria, which never need gradients).
-///
-/// The quantized mode evaluates those criteria against the int8 round-trip of
-/// the network's parameters — the model the simulated accelerator IP
-/// effectively runs (see `dnnip_accel::quant::round_trip_network`) — so
-/// forward-only coverage numbers reflect deployed-precision behaviour.
-/// Gradient-based criteria ([`crate::criterion::ParamGradient`]) always run in
-/// full `f32`: the paper's activation rule is defined on the float model's
-/// gradients.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ForwardPrecision {
-    /// Full `f32` precision for every criterion (the default).
-    #[default]
-    Full,
-    /// Forward-only criteria run on the int8 round-tripped parameters.
-    QuantizedInt8,
-}
-
-impl ForwardPrecision {
-    /// Read the precision from the `DNNIP_QUANT` environment variable:
-    /// `1` selects [`ForwardPrecision::QuantizedInt8`], anything else (unset
-    /// included) selects [`ForwardPrecision::Full`].
-    pub fn from_env() -> Self {
-        match std::env::var("DNNIP_QUANT") {
-            Ok(v) if v.trim() == "1" => ForwardPrecision::QuantizedInt8,
-            _ => ForwardPrecision::Full,
-        }
-    }
-}
-
 /// Configuration of the coverage analysis.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoverageConfig {
@@ -110,9 +85,6 @@ pub struct CoverageConfig {
     /// worker instead. `0` is treated as `1`. The value never affects
     /// results, only throughput.
     pub batch_size: usize,
-    /// Forward-pass precision for forward-only criteria (see
-    /// [`ForwardPrecision`]); gradient criteria ignore it.
-    pub precision: ForwardPrecision,
 }
 
 impl Default for CoverageConfig {
@@ -122,7 +94,6 @@ impl Default for CoverageConfig {
             projection: OutputProjection::default(),
             exec: ExecPolicy::Serial,
             batch_size: DEFAULT_COVERAGE_BATCH,
-            precision: ForwardPrecision::default(),
         }
     }
 }
@@ -138,7 +109,6 @@ mod tests {
     use crate::bitset::Bitset;
     use crate::criterion::CoverageCriterion;
     use crate::eval::Evaluator;
-    use dnnip_accel::quant::{round_trip_network, BitWidth};
     use dnnip_nn::layers::{Activation, ActivationLayer, Dense};
     use dnnip_nn::{zoo, Network};
     use dnnip_tensor::Tensor;
@@ -338,74 +308,6 @@ mod tests {
         // Reference path agrees with the batched path for every criterion.
         for (i, x) in samples.iter().enumerate() {
             assert_eq!(topk_sets[i], topk.activation_set_reference(x).unwrap());
-        }
-    }
-
-    #[test]
-    fn quantized_precision_applies_only_to_forward_only_criteria() {
-        use crate::criterion::NeuronActivation;
-        let net = relu_net();
-        let samples: Vec<Tensor> = (0..6).map(sample).collect();
-        let quant_cfg = CoverageConfig {
-            precision: ForwardPrecision::QuantizedInt8,
-            ..CoverageConfig::default()
-        };
-        // Gradient criterion: the flag is ignored (the paper's metric is
-        // defined on the float model), results stay bit-identical.
-        let full = uncached(&net, CoverageConfig::default());
-        let gated = uncached(&net, quant_cfg);
-        assert!(!full.quantized_forward());
-        assert!(!gated.quantized_forward());
-        assert_eq!(
-            full.activation_sets(&samples).unwrap(),
-            gated.activation_sets(&samples).unwrap()
-        );
-        // Forward-only criterion: the quantized engine takes over and its
-        // results are exactly those of a full-precision evaluator over the
-        // round-tripped network.
-        let criterion = Arc::new(NeuronActivation::default());
-        let quant = uncached_with(&net, quant_cfg, criterion.clone());
-        assert!(quant.quantized_forward());
-        let rt = round_trip_network(&net, BitWidth::Int8).unwrap();
-        let on_rt = uncached_with(&rt, CoverageConfig::default(), criterion.clone());
-        assert_eq!(
-            quant.activation_sets(&samples).unwrap(),
-            on_rt.activation_sets(&samples).unwrap()
-        );
-        // The reference path evaluates the same round-tripped model, so the
-        // batched-vs-reference differential still holds under quantization.
-        for s in &samples {
-            assert_eq!(
-                quant.activation_set(s).unwrap(),
-                quant.activation_set_reference(s).unwrap()
-            );
-        }
-    }
-
-    #[test]
-    fn forward_precision_env_parsing() {
-        // One test for all DNNIP_QUANT cases: env vars are process-global, so
-        // splitting these across tests would race under the parallel runner.
-        let saved = std::env::var("DNNIP_QUANT").ok();
-        std::env::set_var("DNNIP_QUANT", "1");
-        assert_eq!(
-            ForwardPrecision::from_env(),
-            ForwardPrecision::QuantizedInt8
-        );
-        std::env::set_var("DNNIP_QUANT", " 1 ");
-        assert_eq!(
-            ForwardPrecision::from_env(),
-            ForwardPrecision::QuantizedInt8
-        );
-        for off in ["", "0", "yes", "2"] {
-            std::env::set_var("DNNIP_QUANT", off);
-            assert_eq!(ForwardPrecision::from_env(), ForwardPrecision::Full);
-        }
-        std::env::remove_var("DNNIP_QUANT");
-        assert_eq!(ForwardPrecision::from_env(), ForwardPrecision::Full);
-        match saved {
-            Some(v) => std::env::set_var("DNNIP_QUANT", v),
-            None => std::env::remove_var("DNNIP_QUANT"),
         }
     }
 

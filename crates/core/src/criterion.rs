@@ -92,11 +92,10 @@ pub trait CoverageCriterion: fmt::Debug + Send + Sync {
         None
     }
 
-    /// Whether this criterion only needs forward activations (no parameter
-    /// gradients). Forward-only criteria are eligible for the quantized int8
-    /// evaluation path
-    /// ([`crate::coverage::ForwardPrecision::QuantizedInt8`]); gradient-based
-    /// criteria keep the default `false` and always run in full `f32`.
+    /// Whether this criterion only needs forward activations. Nothing in
+    /// the workspace reads it; kept only for the benchmark package's
+    /// forwarding criterion wrapper and removed by the next benchmark change.
+    #[doc(hidden)]
     fn forward_only(&self) -> bool {
         false
     }
@@ -417,10 +416,6 @@ impl CoverageCriterion for NeuronActivation {
         "neuron-activation"
     }
 
-    fn forward_only(&self) -> bool {
-        true
-    }
-
     fn config_digest(&self) -> u64 {
         let mut h = Fnv1a::new();
         h.write_u64(self.threshold.to_bits() as u64);
@@ -464,10 +459,6 @@ impl Default for TopKNeuron {
 impl CoverageCriterion for TopKNeuron {
     fn id(&self) -> &'static str {
         "topk-neuron"
-    }
-
-    fn forward_only(&self) -> bool {
-        true
     }
 
     fn config_digest(&self) -> u64 {

@@ -22,11 +22,12 @@
 //!   configurations of one criterion) never alias each other's sets.
 //!
 //! The cache holds clones of the computed [`Bitset`]s under an LRU byte
-//! budget, with hit/miss/eviction counters kept both globally and **per
-//! criterion**. Because covered-unit sets are bit-identical across execution
-//! policies and chunkings (pinned by `tests/parallel_equivalence.rs`), a cache
-//! hit returns exactly the bits a fresh computation would — serial, threaded,
-//! cached and uncached results are all interchangeable.
+//! budget, with one set of hit/miss/eviction counters for the whole cache
+//! ([`ContentCache::stats`]). Because covered-unit sets are bit-identical
+//! across execution policies and chunkings (pinned by
+//! `tests/parallel_equivalence.rs`), a cache hit returns exactly the bits a
+//! fresh computation would — serial, threaded, cached and uncached results
+//! are all interchangeable.
 //!
 //! A second, structurally identical cache stores **golden forward outputs**
 //! keyed by (fingerprint, sample hash) — the vendor-side suite construction of
@@ -37,14 +38,13 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
-use dnnip_accel::quant::{round_trip_network, BitWidth};
 use dnnip_nn::batch::BatchGradientEngine;
 use dnnip_nn::fingerprint::NetworkFingerprint;
 use dnnip_nn::Network;
 use dnnip_tensor::Tensor;
 
 use crate::bitset::Bitset;
-use crate::coverage::{CoverageConfig, ForwardPrecision};
+use crate::coverage::CoverageConfig;
 use crate::criterion::{criterion_digest, CoverageCriterion, ParamGradient};
 use crate::gradgen::{GradGenConfig, GradientGenerator};
 use crate::par;
@@ -183,50 +183,6 @@ struct CacheEntry<V> {
     /// Value bytes plus the per-entry overhead.
     bytes: usize,
     tick: u64,
-    /// Criterion id the entry is attributed to in the per-criterion counters.
-    criterion: &'static str,
-}
-
-/// One slice of the cache counters. The whole-cache slice (`total`) only uses
-/// the event counters — its entry/byte gauges are derived from the resident
-/// map at read time; the per-criterion and per-model slices maintain their
-/// gauges incrementally (attributed by each entry's criterion id and key).
-#[derive(Debug, Default, Clone, Copy)]
-struct Counters {
-    hits: u64,
-    misses: u64,
-    flight_hits: u64,
-    insertions: u64,
-    evictions: u64,
-    entries: usize,
-    bytes: usize,
-}
-
-impl Counters {
-    fn stats(&self, max_bytes: usize) -> CacheStats {
-        CacheStats {
-            hits: self.hits,
-            misses: self.misses,
-            flight_hits: self.flight_hits,
-            insertions: self.insertions,
-            evictions: self.evictions,
-            entries: self.entries,
-            bytes: self.bytes,
-            resident_bytes: self.bytes - self.entries * ENTRY_OVERHEAD_BYTES,
-            max_bytes,
-        }
-    }
-
-    fn admit(&mut self, bytes: usize) {
-        self.insertions += 1;
-        self.entries += 1;
-        self.bytes += bytes;
-    }
-
-    fn release(&mut self, bytes: usize) {
-        self.entries -= 1;
-        self.bytes -= bytes;
-    }
 }
 
 #[derive(Debug)]
@@ -237,15 +193,9 @@ struct CacheInner<V> {
     order: BTreeMap<u64, CacheKey>,
     tick: u64,
     bytes: usize,
-    total: Counters,
-    /// Counters split by criterion id (insertion order preserved by sorting on
-    /// read; the handful of criteria makes this map tiny).
-    per_criterion: HashMap<&'static str, Counters>,
-    /// Counters split by network fingerprint — the per-model view of a cache
-    /// shared across a whole [`crate::workspace::Workspace`]. Eviction is
-    /// still global (one LRU order over every model), but each model's share
-    /// of the traffic and residency is observable here.
-    per_model: HashMap<NetworkFingerprint, Counters>,
+    /// The event counters. Its entry and byte gauges stay zero: they are
+    /// read off the resident map at [`ContentCache::stats`] time.
+    counters: CacheStats,
 }
 
 impl<V> Default for CacheInner<V> {
@@ -255,48 +205,30 @@ impl<V> Default for CacheInner<V> {
             order: BTreeMap::new(),
             tick: 0,
             bytes: 0,
-            total: Counters::default(),
-            per_criterion: HashMap::new(),
-            per_model: HashMap::new(),
+            counters: CacheStats::default(),
         }
     }
 }
 
 impl<V> CacheInner<V> {
-    /// Take `key`'s entry out of the map, the LRU order and every gauge.
+    /// Take `key`'s entry out of the map, the LRU order and the byte gauge.
     fn remove(&mut self, key: &CacheKey) -> Option<CacheEntry<V>> {
         let entry = self.map.remove(key)?;
         self.order.remove(&entry.tick);
         self.bytes -= entry.bytes;
-        self.per_criterion
-            .entry(entry.criterion)
-            .or_default()
-            .release(entry.bytes);
-        self.per_model
-            .entry(key.net)
-            .or_default()
-            .release(entry.bytes);
         Some(entry)
     }
 
-    /// Drop every resident entry and zero the entry/byte gauges; the event
-    /// counters are kept.
+    /// Drop every resident entry and zero the byte gauge; the event counters
+    /// are kept.
     fn drop_residents(&mut self) {
         self.map.clear();
         self.order.clear();
         self.bytes = 0;
-        for c in self
-            .per_criterion
-            .values_mut()
-            .chain(self.per_model.values_mut())
-        {
-            c.entries = 0;
-            c.bytes = 0;
-        }
     }
 }
 
-/// Snapshot of a cache's counters (whole cache or one criterion's slice).
+/// Snapshot of a cache's counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Lookups answered from the in-memory cache.
@@ -425,8 +357,8 @@ impl Drop for FlightGuard<'_> {
 /// Thread-safe behind one mutex; lookups and insertions are O(log n) in the
 /// resident count. Keys are content digests, never references — two evaluators
 /// over byte-identical networks share hits, and a tampered clone of a network
-/// can never alias the original's entries. Counters are kept globally and per
-/// criterion id. Fresh computations are **single-flight**: concurrent misses
+/// can never alias the original's entries. One set of counters covers the
+/// whole cache. Fresh computations are **single-flight**: concurrent misses
 /// of one key compute it once (see the private `FlightTable`).
 #[derive(Debug)]
 pub struct ContentCache<V: CacheValue> {
@@ -483,7 +415,7 @@ impl<V: CacheValue> ContentCache<V> {
         })
     }
 
-    fn get(&self, key: &CacheKey, criterion: &'static str) -> Option<Arc<V>> {
+    fn get(&self, key: &CacheKey) -> Option<Arc<V>> {
         let mut inner = self.lock();
         // Bump the entry to most-recently-used and record the hit. The map and
         // order structures are updated together under the same lock. Misses
@@ -498,13 +430,11 @@ impl<V: CacheValue> ContentCache<V> {
         inner.order.remove(&old_tick);
         inner.order.insert(new_tick, *key);
         inner.map.get_mut(key).expect("entry just observed").tick = new_tick;
-        inner.total.hits += 1;
-        inner.per_criterion.entry(criterion).or_default().hits += 1;
-        inner.per_model.entry(key.net).or_default().hits += 1;
+        inner.counters.hits += 1;
         Some(value)
     }
 
-    fn insert(&self, key: CacheKey, value: &Arc<V>, criterion: &'static str) {
+    fn insert(&self, key: CacheKey, value: &Arc<V>) {
         let bytes = value.resident_bytes() + ENTRY_OVERHEAD_BYTES;
         if bytes > self.max_bytes {
             // A single entry larger than the whole budget can never reside.
@@ -518,116 +448,48 @@ impl<V: CacheValue> ContentCache<V> {
             let Some((_, &oldest_key)) = inner.order.iter().next() else {
                 break;
             };
-            let evicted = inner.remove(&oldest_key).expect("ordered key resident");
-            inner.total.evictions += 1;
-            inner
-                .per_criterion
-                .entry(evicted.criterion)
-                .or_default()
-                .evictions += 1;
-            inner.per_model.entry(oldest_key.net).or_default().evictions += 1;
+            inner.remove(&oldest_key).expect("ordered key resident");
+            inner.counters.evictions += 1;
         }
         inner.tick += 1;
         let tick = inner.tick;
         inner.order.insert(tick, key);
         inner.bytes += bytes;
-        inner.total.insertions += 1;
-        inner
-            .per_criterion
-            .entry(criterion)
-            .or_default()
-            .admit(bytes);
-        inner.per_model.entry(key.net).or_default().admit(bytes);
+        inner.counters.insertions += 1;
         inner.map.insert(
             key,
             CacheEntry {
                 value: Arc::clone(value),
                 bytes,
                 tick,
-                criterion,
             },
         );
     }
 
-    /// Record `count` lookups (all for model `net`) that were not resident in
-    /// memory.
-    fn note_misses(&self, count: u64, criterion: &'static str, net: NetworkFingerprint) {
-        let mut inner = self.lock();
-        inner.total.misses += count;
-        inner.per_criterion.entry(criterion).or_default().misses += count;
-        inner.per_model.entry(net).or_default().misses += count;
+    /// Record `count` lookups that were not resident in memory.
+    fn note_misses(&self, count: u64) {
+        self.lock().counters.misses += count;
     }
 
-    /// Record `count` lookups served by waiting on another thread's in-flight
+    /// Record a lookup served by waiting on another thread's in-flight
     /// computation instead of duplicating it.
-    fn note_flight_hits(&self, count: u64, criterion: &'static str, net: NetworkFingerprint) {
-        let mut inner = self.lock();
-        inner.total.flight_hits += count;
-        inner
-            .per_criterion
-            .entry(criterion)
-            .or_default()
-            .flight_hits += count;
-        inner.per_model.entry(net).or_default().flight_hits += count;
+    fn note_flight_hit(&self) {
+        self.lock().counters.flight_hits += 1;
     }
 
     /// Current counters over the whole cache. The entry/byte gauges are read
     /// straight off the resident map, so they can never drift from the budget
-    /// accounting; only the per-criterion split is maintained incrementally.
+    /// accounting.
     pub fn stats(&self) -> CacheStats {
         let inner = self.lock();
-        Counters {
-            entries: inner.map.len(),
+        let entries = inner.map.len();
+        CacheStats {
+            entries,
             bytes: inner.bytes,
-            ..inner.total
+            resident_bytes: inner.bytes - entries * ENTRY_OVERHEAD_BYTES,
+            max_bytes: self.max_bytes,
+            ..inner.counters
         }
-        .stats(self.max_bytes)
-    }
-
-    /// Counters attributed to one criterion id (zeroes when the criterion has
-    /// never touched this cache).
-    pub fn stats_for(&self, criterion: &str) -> CacheStats {
-        self.lock()
-            .per_criterion
-            .get(criterion)
-            .copied()
-            .unwrap_or_default()
-            .stats(self.max_bytes)
-    }
-
-    /// Per-criterion counter snapshots, sorted by criterion id.
-    pub fn stats_by_criterion(&self) -> Vec<(&'static str, CacheStats)> {
-        let inner = self.lock();
-        let mut out: Vec<(&'static str, CacheStats)> = inner
-            .per_criterion
-            .iter()
-            .map(|(&id, c)| (id, c.stats(self.max_bytes)))
-            .collect();
-        out.sort_unstable_by_key(|(id, _)| *id);
-        out
-    }
-
-    /// Counters attributed to one model's fingerprint (zeroes when the model
-    /// has never touched this cache).
-    pub fn stats_for_model(&self, net: NetworkFingerprint) -> CacheStats {
-        self.lock()
-            .per_model
-            .get(&net)
-            .copied()
-            .unwrap_or_default()
-            .stats(self.max_bytes)
-    }
-
-    /// Per-model counter snapshots, sorted by fingerprint.
-    pub fn stats_by_model(&self) -> Vec<(NetworkFingerprint, CacheStats)> {
-        let inner = self.lock();
-        let mut out: Vec<(NetworkFingerprint, CacheStats)> = inner
-            .per_model
-            .iter()
-            .map(|(&net, c)| (net, c.stats(self.max_bytes)))
-            .collect();
-        out.sort_unstable_by_key(|(net, _)| *net);
-        out
     }
 
     /// Serve `samples` through the cache: hits are returned directly, distinct
@@ -648,7 +510,6 @@ impl<V: CacheValue> ContentCache<V> {
         &self,
         samples: &[Tensor],
         key_fn: K,
-        label: &'static str,
         compute: F,
     ) -> Result<Vec<Arc<V>>>
     where
@@ -671,7 +532,7 @@ impl<V: CacheValue> ContentCache<V> {
         let mut key_to_wait: HashMap<CacheKey, usize> = HashMap::new();
         for (i, sample) in samples.iter().enumerate() {
             let key = key_fn(sample);
-            if let Some(value) = self.get(&key, label) {
+            if let Some(value) = self.get(&key) {
                 out[i] = Some(value);
                 continue;
             }
@@ -688,8 +549,8 @@ impl<V: CacheValue> ContentCache<V> {
             // hit is promoted into memory, so later duplicates hit there.
             if let Some(value) = self.disk.as_ref().and_then(|d| d.load::<V>(&key)) {
                 let value = Arc::new(value);
-                self.note_misses(1, label, key.net);
-                self.insert(key, &value, label);
+                self.note_misses(1);
+                self.insert(key, &value);
                 out[i] = Some(value);
                 continue;
             }
@@ -704,12 +565,10 @@ impl<V: CacheValue> ContentCache<V> {
             }
         }
         if !miss_samples.is_empty() {
-            // Every key of one request shares the evaluator's fingerprint, so
-            // the distinct-miss count is attributed to the first key's net.
-            self.note_misses(miss_samples.len() as u64, label, guard.keys[0].net);
+            self.note_misses(miss_samples.len() as u64);
             let computed: Vec<Arc<V>> = compute(&miss_samples)?.into_iter().map(Arc::new).collect();
             for ((indices, key), value) in miss_indices.iter().zip(&guard.keys).zip(&computed) {
-                self.insert(*key, value, label);
+                self.insert(*key, value);
                 for &i in indices {
                     out[i] = Some(Arc::clone(value));
                 }
@@ -731,7 +590,7 @@ impl<V: CacheValue> ContentCache<V> {
         // flights, so requests with interleaved miss sets can never deadlock.
         drop(guard);
         for (key, indices, sample) in waits {
-            let value = self.await_flight(key, &sample, label, &compute)?;
+            let value = self.await_flight(key, &sample, &compute)?;
             for i in indices {
                 out[i] = Some(value.clone());
             }
@@ -745,20 +604,14 @@ impl<V: CacheValue> ContentCache<V> {
     /// Wait out another thread's in-flight computation of `key` and reuse its
     /// result; when the owner failed (or the value was already evicted),
     /// compute it here instead.
-    fn await_flight<F>(
-        &self,
-        key: CacheKey,
-        sample: &Tensor,
-        label: &'static str,
-        compute: &F,
-    ) -> Result<Arc<V>>
+    fn await_flight<F>(&self, key: CacheKey, sample: &Tensor, compute: &F) -> Result<Arc<V>>
     where
         F: Fn(&[Tensor]) -> Result<Vec<V>>,
     {
         loop {
             self.flight.wait_idle(&key);
-            if let Some(value) = self.get(&key, label) {
-                self.note_flight_hits(1, label, key.net);
+            if let Some(value) = self.get(&key) {
+                self.note_flight_hit();
                 return Ok(value);
             }
             // The flight landed nothing (failed owner / instant eviction):
@@ -770,10 +623,10 @@ impl<V: CacheValue> ContentCache<V> {
                 table: &self.flight,
                 keys: vec![key],
             };
-            self.note_misses(1, label, key.net);
+            self.note_misses(1);
             let computed = compute(std::slice::from_ref(sample))?;
             let value = Arc::new(computed.into_iter().next().expect("one value per sample"));
-            self.insert(key, &value, label);
+            self.insert(key, &value);
             if let Some(disk) = &self.disk {
                 disk.store_batch(&[(key, &*value)]);
             }
@@ -889,10 +742,6 @@ pub(crate) fn sample_hash(sample: &Tensor) -> (u64, u64) {
     )
 }
 
-/// Criterion-id label used for forward-output cache counters (outputs are
-/// criterion-independent, so they get their own slice).
-const FORWARD_OUTPUT_LABEL: &str = "forward-output";
-
 /// The unified evaluation layer: coverage analysis and test synthesis over
 /// one network and one coverage criterion, with every covered-unit set
 /// flowing through one content-addressed cache.
@@ -929,10 +778,6 @@ struct EvalInner {
     /// Batched engine (with its precomputed weight matrices), shared by the
     /// workers and the gradient generator. Owns the evaluated network.
     engine: BatchGradientEngine,
-    /// Engine over the int8 round-tripped network, present only under
-    /// [`ForwardPrecision::QuantizedInt8`] with a forward-only criterion; it
-    /// then replaces `engine` for covered-unit computation.
-    quant_engine: Option<BatchGradientEngine>,
     fingerprint: NetworkFingerprint,
     criterion_key: u64,
     cache: Arc<CoveredSetCache>,
@@ -948,8 +793,7 @@ impl EvalInner {
     /// for [`crate::criterion::ParamGradient`]; one stacked forward for the
     /// neuron criteria).
     fn sets_for_chunk(&self, chunk: &[Tensor]) -> Result<Vec<Bitset>> {
-        let engine = self.quant_engine.as_ref().unwrap_or(&self.engine);
-        self.criterion.covered_units(engine, chunk)
+        self.criterion.covered_units(&self.engine, chunk)
     }
 
     /// Contiguous chunks of `samples`, each of
@@ -1049,29 +893,13 @@ impl Evaluator {
         debug_assert_eq!(fingerprint, NetworkFingerprint::of(&network));
         let engine = BatchGradientEngine::new(network);
         let num_units = criterion.num_units(engine.network());
-        let quant_engine = (config.precision == ForwardPrecision::QuantizedInt8
-            && criterion.forward_only())
-        .then(|| {
-            let quantized = round_trip_network(engine.network(), BitWidth::Int8)
-                .expect("round-trip preserves the parameter layout");
-            BatchGradientEngine::new(quantized)
-        });
-        // Sets computed on the int8 round-tripped network must never alias
-        // cached full-precision sets: fold a fixed tag into the criterion key
-        // when (and only when) the evaluator takes the quantized path, so
-        // every full-precision key is exactly the plain criterion digest.
-        const QUANT_KEY_TAG: u64 = 0x71a0_17f8_5eed_c0de;
-        let mut criterion_key = criterion_digest(criterion.as_ref());
-        if quant_engine.is_some() {
-            criterion_key ^= QUANT_KEY_TAG;
-        }
+        let criterion_key = criterion_digest(criterion.as_ref());
         Self {
             inner: Arc::new(EvalInner {
                 config,
                 criterion,
                 num_units,
                 engine,
-                quant_engine,
                 fingerprint,
                 criterion_key,
                 cache,
@@ -1091,14 +919,6 @@ impl Evaluator {
         &self.inner.criterion
     }
 
-    /// Whether covered-unit computation runs on the int8 round-tripped
-    /// network — i.e. the config asked for
-    /// [`ForwardPrecision::QuantizedInt8`] *and* the criterion is
-    /// forward-only.
-    pub fn quantized_forward(&self) -> bool {
-        self.inner.quant_engine.is_some()
-    }
-
     /// The network's content fingerprint.
     pub fn fingerprint(&self) -> NetworkFingerprint {
         self.inner.fingerprint
@@ -1115,20 +935,10 @@ impl Evaluator {
         self.inner.num_units
     }
 
-    /// Snapshot of the covered-unit-set cache counters (all criteria).
+    /// Snapshot of the covered-unit-set cache counters (every model and
+    /// criterion sharing the cache).
     pub fn cache_stats(&self) -> CacheStats {
         self.inner.cache.stats()
-    }
-
-    /// Covered-unit-set cache counters attributed to this evaluator's
-    /// criterion.
-    pub fn criterion_cache_stats(&self) -> CacheStats {
-        self.inner.cache.stats_for(self.criterion().id())
-    }
-
-    /// Per-criterion covered-unit-set cache counters, sorted by criterion id.
-    pub fn cache_stats_by_criterion(&self) -> Vec<(&'static str, CacheStats)> {
-        self.inner.cache.stats_by_criterion()
     }
 
     /// Snapshot of the golden forward-output cache counters.
@@ -1151,8 +961,7 @@ impl Evaluator {
         }
     }
 
-    /// The effective cache-key criterion component: the criterion digest,
-    /// XOR-tagged when this evaluator's forward path is quantized. Two
+    /// The cache-key criterion component: the criterion digest. Two
     /// evaluators whose `(fingerprint, criterion_key)` pairs agree address
     /// identical cache entries — the grouping identity
     /// [`crate::workspace::Workspace::run_coalesced`] buckets by.
@@ -1194,7 +1003,6 @@ impl Evaluator {
         self.inner.cache.get_or_compute(
             samples,
             |sample| self.key_for(sample),
-            self.criterion().id(),
             |misses| self.inner.compute_sets(misses),
         )
     }
@@ -1206,18 +1014,15 @@ impl Evaluator {
     /// with the direct (non-im2col) convolution kernels.
     ///
     /// The oracle the differential tests and throughput benchmarks compare
-    /// the batched engine against; under the quantized forward path it runs
-    /// on the same round-tripped network.
+    /// the batched engine against.
     ///
     /// # Errors
     ///
     /// Returns an error when the sample shape does not match the network input.
     pub fn activation_set_reference(&self, sample: &Tensor) -> Result<Bitset> {
-        let inner = &self.inner;
-        let engine = inner.quant_engine.as_ref().unwrap_or(&inner.engine);
-        inner
+        self.inner
             .criterion
-            .covered_units_reference(engine.network(), sample)
+            .covered_units_reference(self.network(), sample)
     }
 
     /// The first `budget` picks of Algorithm 1's greedy selection over
@@ -1307,7 +1112,6 @@ impl Evaluator {
         let outputs = self.inner.output_cache.get_or_compute(
             samples,
             |sample| self.output_key_for(sample),
-            FORWARD_OUTPUT_LABEL,
             infer,
         )?;
         Ok(outputs.iter().map(|t| (**t).clone()).collect())
@@ -1366,14 +1170,6 @@ mod tests {
         assert_eq!(stats.insertions, 8);
         assert_eq!(stats.entries, 8);
         assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
-        // Per-criterion counters see the same traffic under the criterion id.
-        let per = evaluator.criterion_cache_stats();
-        assert_eq!(per.hits, 8);
-        assert_eq!(per.misses, 8);
-        assert_eq!(per.entries, 8);
-        let by = evaluator.cache_stats_by_criterion();
-        assert_eq!(by.len(), 1);
-        assert_eq!(by[0].0, "param-gradient");
     }
 
     #[test]
@@ -1454,38 +1250,6 @@ mod tests {
     }
 
     #[test]
-    fn quantized_forward_path_never_aliases_full_precision_cache_entries() {
-        use crate::coverage::ForwardPrecision;
-        let network = net();
-        let quant_cfg = CoverageConfig {
-            precision: ForwardPrecision::QuantizedInt8,
-            ..CoverageConfig::default()
-        };
-        // Same criterion, different effective model → different cache keys.
-        let full = Evaluator::with_criterion(
-            &network,
-            CoverageConfig::default(),
-            Arc::new(NeuronActivation::default()),
-        );
-        let quant =
-            Evaluator::with_criterion(&network, quant_cfg, Arc::new(NeuronActivation::default()));
-        assert_ne!(full.inner.criterion_key, quant.inner.criterion_key);
-        // A gradient criterion ignores the flag, so its key is unchanged and
-        // its cached sets remain shared between the two configurations.
-        let grad_full = Evaluator::new(&network, CoverageConfig::default());
-        let grad_quant = Evaluator::new(&network, quant_cfg);
-        assert_eq!(
-            grad_full.inner.criterion_key,
-            grad_quant.inner.criterion_key
-        );
-        // End to end: both evaluators produce their own (differing) sets.
-        let pool = samples(4);
-        let a = full.activation_sets(&pool).unwrap();
-        let b = quant.activation_sets(&pool).unwrap();
-        assert_eq!(a.len(), b.len());
-    }
-
-    #[test]
     fn eviction_under_a_tiny_budget_never_corrupts_results() {
         let network = net();
         let pool = samples(10);
@@ -1506,11 +1270,6 @@ mod tests {
         assert!(stats.evictions > 0, "tiny budget must evict");
         assert!(stats.entries <= 2);
         assert!(stats.bytes <= entry * 2);
-        // Per-criterion gauges track the same residency.
-        let per = evaluator.criterion_cache_stats();
-        assert_eq!(per.entries, stats.entries);
-        assert_eq!(per.bytes, stats.bytes);
-        assert_eq!(per.evictions, stats.evictions);
     }
 
     #[test]
@@ -1594,17 +1353,10 @@ mod tests {
         let warm = neuron.activation_sets(&pool).unwrap();
         assert_eq!(cold, fresh);
         assert_eq!(warm, fresh);
-        let per = neuron.criterion_cache_stats();
-        assert_eq!(per.misses as usize, pool.len());
-        assert_eq!(per.hits as usize, pool.len());
-        // The param-gradient slice of this evaluator's cache is untouched.
-        assert_eq!(
-            neuron.inner.cache.stats_for("param-gradient"),
-            CacheStats {
-                max_bytes: neuron.inner.cache.max_bytes,
-                ..CacheStats::default()
-            }
-        );
+        let stats = neuron.cache_stats();
+        assert_eq!(stats.misses as usize, pool.len());
+        assert_eq!(stats.hits as usize, pool.len());
+        assert_eq!(stats.entries, pool.len());
     }
 
     #[test]
@@ -1721,7 +1473,6 @@ mod tests {
                 cache.get_or_compute(
                     std::slice::from_ref(&sample),
                     |_| key,
-                    "race",
                     move |misses| {
                         computes.fetch_add(1, Ordering::SeqCst);
                         in_compute_tx.send(()).unwrap();
@@ -1741,7 +1492,6 @@ mod tests {
                 cache.get_or_compute(
                     std::slice::from_ref(&sample),
                     |_| key,
-                    "race",
                     move |misses| {
                         computes.fetch_add(1, Ordering::SeqCst);
                         Ok(vec![one_bit_set(); misses.len()])
@@ -1788,7 +1538,6 @@ mod tests {
                 cache.get_or_compute(
                     std::slice::from_ref(&sample),
                     |_| race_key((3, 4)),
-                    "race",
                     move |_| -> Result<Vec<Bitset>> {
                         in_compute_tx.send(()).unwrap();
                         proceed_rx.recv().unwrap();
@@ -1804,7 +1553,6 @@ mod tests {
                 cache.get_or_compute(
                     std::slice::from_ref(&sample),
                     |_| race_key((3, 4)),
-                    "race",
                     |misses| Ok(vec![one_bit_set(); misses.len()]),
                 )
             })
@@ -1848,8 +1596,11 @@ mod tests {
         let stats = evaluator.cache_stats();
         assert_eq!((stats.misses, stats.hits, stats.insertions), (12, 0, 12));
         assert_eq!(stats.entries, 6);
-        let per = evaluator.criterion_cache_stats();
-        assert_eq!((per.entries, per.bytes), (stats.entries, stats.bytes));
+        // The byte gauges restart from the refill, not from the dropped
+        // residents.
+        let resident: usize = fresh.iter().map(|b| b.resident_bytes()).sum();
+        assert_eq!(stats.resident_bytes, resident);
+        assert_eq!(stats.bytes, resident + 6 * ENTRY_OVERHEAD_BYTES);
         // Refilled, it serves hits again.
         assert_eq!(evaluator.activation_sets(&pool).unwrap(), fresh);
         assert_eq!(evaluator.cache_stats().hits, 6);
@@ -1876,7 +1627,6 @@ mod tests {
             cache.get_or_compute(
                 std::slice::from_ref(&sample),
                 |_| race_key((5, 6)),
-                "race",
                 |_| -> Result<Vec<Bitset>> { panic!("a compute that panics") },
             )
         }));

@@ -12,9 +12,9 @@
 //!   per `(model, criterion digest)` pair and reused across requests.
 //! * **One budget** — every evaluator of a workspace shares **one**
 //!   LRU byte budget ([`WorkspaceConfig::cache_bytes`]): eviction is global
-//!   across models and criteria, with per-model and per-criterion stats
-//!   ([`Workspace::cache_stats_by_model`] /
-//!   [`Workspace::cache_stats_by_criterion`]).
+//!   across models and criteria, and one set of counters covers them all
+//!   ([`Workspace::cache_stats`]). Golden forward outputs share one cache of
+//!   [`DEFAULT_OUTPUT_CACHE_BYTES`].
 //! * **Persistent tier** — with [`DiskCacheConfig`] enabled, covered-set
 //!   entries spill to `<dir>/<fingerprint>/<criterion-digest>/` and are
 //!   reloaded on later misses, so a second *process* over the same model
@@ -155,8 +155,6 @@ pub struct WorkspaceConfig {
     /// The **single** LRU byte budget shared by every model and criterion
     /// registered in the workspace (0 disables covered-set caching).
     pub cache_bytes: usize,
-    /// Byte budget of the shared golden forward-output cache.
-    pub output_cache_bytes: usize,
     /// Persistent tier configuration.
     pub disk: DiskCacheConfig,
 }
@@ -165,7 +163,6 @@ impl Default for WorkspaceConfig {
     fn default() -> Self {
         Self {
             cache_bytes: DEFAULT_CACHE_BYTES,
-            output_cache_bytes: DEFAULT_OUTPUT_CACHE_BYTES,
             disk: DiskCacheConfig::disabled(),
         }
     }
@@ -382,7 +379,7 @@ impl Workspace {
         };
         Self {
             set_cache: Arc::new(CoveredSetCache::with_disk(config.cache_bytes, disk.clone())),
-            output_cache: Arc::new(ContentCache::new(config.output_cache_bytes)),
+            output_cache: Arc::new(ContentCache::new(DEFAULT_OUTPUT_CACHE_BYTES)),
             disk,
             models: Mutex::new(HashMap::new()),
         }
@@ -695,16 +692,6 @@ impl Workspace {
         self.set_cache.stats()
     }
 
-    /// Covered-set cache counters split by registered model.
-    pub fn cache_stats_by_model(&self) -> Vec<(NetworkFingerprint, CacheStats)> {
-        self.set_cache.stats_by_model()
-    }
-
-    /// Covered-set cache counters split by criterion id.
-    pub fn cache_stats_by_criterion(&self) -> Vec<(&'static str, CacheStats)> {
-        self.set_cache.stats_by_criterion()
-    }
-
     /// Golden forward-output cache counters.
     pub fn output_cache_stats(&self) -> CacheStats {
         self.output_cache.stats()
@@ -814,18 +801,10 @@ mod tests {
         ea.activation_sets(&samples).unwrap();
         eb.activation_sets(&samples).unwrap();
         en.activation_sets(&samples).unwrap();
-        // All traffic lands in ONE cache...
+        // All traffic lands in ONE cache.
         let total = ws.cache_stats();
         assert_eq!(total.misses, 18);
         assert_eq!(total.entries, 18);
-        // ...with per-model and per-criterion splits.
-        let by_model = ws.cache_stats_by_model();
-        assert_eq!(by_model.len(), 2);
-        assert_eq!(by_model.iter().map(|(_, s)| s.entries).sum::<usize>(), 18);
-        assert_eq!(ws.set_cache.stats_for_model(a).entries, 12);
-        assert_eq!(ws.set_cache.stats_for_model(b).entries, 6);
-        let by_criterion = ws.cache_stats_by_criterion();
-        assert_eq!(by_criterion.len(), 2);
         // Each evaluator's own view is the same shared cache.
         assert_eq!(ea.cache_stats(), total);
         assert_eq!(eb.cache_stats(), total);
@@ -974,8 +953,9 @@ mod tests {
         assert_eq!(stats.pool_samples, 28);
         assert_eq!(stats.shared_samples, 8);
         // The shared warm pass really did collapse the duplicate computes:
-        // m1 selection traffic cost 10 distinct sets, not 18.
-        assert_eq!(ws.set_cache.stats_for_model(m1).entries, 10);
+        // m1 selection traffic cost 10 distinct sets, not 18, and m2's 10.
+        let stats = ws.cache_stats();
+        assert_eq!((stats.misses, stats.entries), (20, 20));
     }
 
     fn residual_pool(n: usize, salt: usize) -> Vec<Tensor> {
@@ -1217,7 +1197,6 @@ mod tests {
         let ws = Workspace::with_config(WorkspaceConfig {
             cache_bytes: 0,
             disk: DiskCacheConfig::at(std::env::temp_dir().join("dnnip-never-used")),
-            ..WorkspaceConfig::default()
         });
         assert!(ws.cache_dir().is_none());
         assert!(ws.disk_stats().is_none());

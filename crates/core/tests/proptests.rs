@@ -386,9 +386,9 @@ proptest! {
 
     #[test]
     fn quantized_round_trip_drift_is_bounded_by_half_step(seed in 0u64..300) {
-        // The int8 network behind ForwardPrecision::QuantizedInt8 may move
-        // each parameter by at most half a quantization step of its own
-        // segment (symmetric rounding), and must leave the layout intact.
+        // The int8 round trip an accelerator IP runs may move each
+        // parameter by at most half a quantization step of its own segment
+        // (symmetric rounding), and must leave the layout intact.
         use dnnip_accel::quant::{round_trip_network, BitWidth, QuantScale};
         let net = zoo::tiny_mlp(4, 8, 3, Activation::Tanh, seed).unwrap();
         let rt = round_trip_network(&net, BitWidth::Int8).unwrap();
@@ -406,14 +406,11 @@ proptest! {
                 );
             }
         }
-        // Quantized coverage under a forward-only criterion stays a valid
-        // fraction on the drifted model.
+        // Int8 coverage is an evaluator over the round-tripped model, and
+        // stays a valid fraction on it.
         let evaluator = Evaluator::with_criterion_cache_bytes(
-            &net,
-            CoverageConfig {
-                precision: dnnip_core::coverage::ForwardPrecision::QuantizedInt8,
-                ..CoverageConfig::default()
-            },
+            &rt,
+            CoverageConfig::default(),
             std::sync::Arc::new(NeuronActivation::default()),
             0,
         );

@@ -335,11 +335,6 @@ impl Engine {
         ])
     }
 
-    /// Totals of what the coalescing dispatcher has shared so far.
-    pub fn coalesce_stats(&self) -> CoalesceSnapshot {
-        self.state.coalesce.snapshot()
-    }
-
     fn stats_response(&self, id: &str) -> Json {
         let cache = self.state.workspace.cache_stats();
         let coalesce = self.state.coalesce.snapshot();

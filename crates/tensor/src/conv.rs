@@ -252,15 +252,12 @@ fn padded_plane<'a>(
     padded
 }
 
-/// Copy one sample's receptive fields into an im2col layout.
+/// Copy one sample's receptive fields into an im2col block
+/// `[C*KH*KW, OH*OW]`.
 ///
 /// `plane` is the sample's `[C, H+2p, W+2p]` zero-padded plane
-/// ([`padded_plane`]). Row `r` of the im2col matrix starts at
-/// `out[r * row_stride + col_offset]` and spans `oh * ow` entries;
-/// `row_stride`/`col_offset` are what let the batched lowering write each
-/// sample's columns straight into its slot of the shared
-/// `[C*KH*KW, N*OH*OW]` matrix without a per-sample staging tensor. Every
-/// entry of those row spans is written, so the target needs no clearing.
+/// ([`padded_plane`]). Every entry of the block is written, so the target
+/// needs no clearing.
 ///
 /// In the padded plane every window lies wholly inside the plane, so each
 /// `(row, output row)` pair is one whole `OW`-wide run with no edge cases:
@@ -276,8 +273,6 @@ fn im2col_scatter(
     oh: usize,
     ow: usize,
     out: &mut [f32],
-    row_stride: usize,
-    col_offset: usize,
 ) {
     let Conv2dGeometry {
         kh,
@@ -291,7 +286,7 @@ fn im2col_scatter(
         for khi in 0..kh {
             for kwi in 0..kw {
                 let r = (ci * kh + khi) * kw + kwi;
-                let row = &mut out[r * row_stride + col_offset..][..oh * ow];
+                let row = &mut out[r * oh * ow..][..oh * ow];
                 let src = &chan[khi * wp + kwi..];
                 if stride == 1 {
                     copy_runs(row, ow, src, wp, ow, oh);
@@ -307,36 +302,11 @@ fn im2col_scatter(
     }
 }
 
-/// Lower a raw `[C, H, W]` slice into an im2col matrix written into a
-/// caller-owned buffer; returns the matrix dimensions `(C*KH*KW, OH*OW)`.
-///
-/// The buffer is resized and **fully overwritten** (zeros where padding
-/// lands), so a reused buffer produces bit-identical results to a fresh
-/// allocation. Allocating wrapper around [`im2col_block_into`], with a
-/// padded plane of its own.
-///
-/// # Errors
-///
-/// Returns a [`TensorError`] when `sample` is not `c*h*w` long or the window
-/// geometry is invalid.
-pub fn im2col_slice_into(
-    sample: &[f32],
-    c: usize,
-    h: usize,
-    w: usize,
-    geom: Conv2dGeometry,
-    out: &mut Vec<f32>,
-) -> Result<(usize, usize)> {
-    let (oh, ow) = geom.output_hw(h, w)?;
-    out.resize(c * geom.kh * geom.kw * oh * ow, 0.0);
-    im2col_block_into(sample, c, h, w, geom, out, &mut Vec::new())
-}
-
 /// Lower one `[C, H, W]` sample into an im2col matrix `[C*KH*KW, OH*OW]`.
 ///
 /// Column `p` of the result holds the receptive field that produces output pixel
 /// `p` (row-major over `OH`×`OW`); zero padding contributes explicit zeros.
-/// Allocating wrapper around [`im2col_slice_into`].
+/// Allocating wrapper around [`im2col_block_into`].
 ///
 /// # Errors
 ///
@@ -350,9 +320,11 @@ pub fn im2col(sample: &Tensor, geom: Conv2dGeometry) -> Result<Tensor> {
         });
     }
     let (c, h, w) = (sample.shape()[0], sample.shape()[1], sample.shape()[2]);
-    let mut out = Vec::new();
-    let (rows, cols) = im2col_slice_into(sample.data(), c, h, w, geom, &mut out)?;
-    Tensor::from_vec(out, &[rows, cols])
+    let (oh, ow) = geom.output_hw(h, w)?;
+    let (rows, per) = (c * geom.kh * geom.kw, oh * ow);
+    let mut out = vec![0.0f32; rows * per];
+    im2col_block_into(sample.data(), c, h, w, geom, &mut out, &mut Vec::new())?;
+    Tensor::from_vec(out, &[rows, per])
 }
 
 /// Scatter an im2col-layout matrix back onto a `[C, H, W]` image, **summing**
@@ -528,65 +500,12 @@ pub fn col2im_slice_into(
     Ok(())
 }
 
-/// Lower a whole batch `[N, C, H, W]` into one im2col matrix
-/// `[C*KH*KW, N*OH*OW]`, columns grouped sample-major.
-///
-/// Column `n*OH*OW + p` holds the receptive field of output pixel `p` of sample
-/// `n`; slicing columns `[n*OH*OW, (n+1)*OH*OW)` recovers exactly
-/// `im2col(sample_n)`. The whole batch therefore convolves in **one** matrix
-/// product against the `[OC, C*KH*KW]` weight matrix instead of `N` per-sample
-/// products — the batch-axis formulation the batched evaluation engine builds on.
-///
-/// # Errors
-///
-/// Returns a [`TensorError`] for non-rank-4 input or invalid window geometry.
-pub fn im2col_batch(input: &Tensor, geom: Conv2dGeometry) -> Result<Tensor> {
-    let mut out = Vec::new();
-    let (rows, ncols) = im2col_batch_into(input, geom, &mut out)?;
-    Tensor::from_vec(out, &[rows, ncols])
-}
-
-/// Lower a whole batch into one im2col matrix written into a caller-owned
-/// buffer; returns the matrix dimensions `(C*KH*KW, N*OH*OW)`.
-///
-/// The allocation-free core of [`im2col_batch`]: each sample's receptive
-/// fields are scattered straight into its column slot of the shared matrix —
-/// no per-sample staging tensor copied in afterwards. The buffer is resized
-/// and fully overwritten, so arena reuse is bit-identical to fresh allocation.
-/// The samples share one local zero-padded plane (see
-/// [`im2col_block_into`]).
-///
-/// # Errors
-///
-/// Returns a [`TensorError`] for non-rank-4 input or invalid window geometry.
-pub fn im2col_batch_into(
-    input: &Tensor,
-    geom: Conv2dGeometry,
-    out: &mut Vec<f32>,
-) -> Result<(usize, usize)> {
-    let (n, c, h, w) = expect_rank4(input, "im2col_batch")?;
-    let (oh, ow) = geom.output_hw(h, w)?;
-    let rows = c * geom.kh * geom.kw;
-    let per_sample = oh * ow;
-    let ncols = n * per_sample;
-    out.resize(rows * ncols, 0.0);
-    let sample_len = c * h * w;
-    let mut padded = Vec::new();
-    for ni in 0..n {
-        let sample = &input.data()[ni * sample_len..(ni + 1) * sample_len];
-        let plane = padded_plane(sample, c, h, w, geom.pad, &mut padded);
-        im2col_scatter(plane, c, h, w, geom, oh, ow, out, ncols, ni * per_sample);
-    }
-    Ok((rows, ncols))
-}
-
 /// Lower one raw `[C, H, W]` sample into a caller-provided im2col block of
 /// exactly `rows * per` elements, `rows = C*KH*KW` and `per = OH*OW`;
 /// returns `(rows, per)`.
 ///
 /// The block is fully overwritten (zeros where padding lands), so stale
-/// contents never leak through — bit-identical to [`im2col_slice_into`] on a
-/// fresh buffer. Exists so a caller can lower into a slice of a larger
+/// contents never leak through — bit-identical to a fresh buffer. Exists so a caller can lower into a slice of a larger
 /// scratch buffer (the batched gradient engine keeps one sample's blocks for
 /// every convolution layer side by side) and consume each block while it is
 /// still cache-hot.
@@ -629,48 +548,8 @@ pub fn im2col_block_into(
         });
     }
     let plane = padded_plane(sample, c, h, w, geom.pad, padded);
-    im2col_scatter(plane, c, h, w, geom, oh, ow, block, per, 0);
+    im2col_scatter(plane, c, h, w, geom, oh, ow, block);
     Ok((rows, per))
-}
-
-/// Batched 2-D convolution forward pass: the whole `[N, C, H, W]` batch in a
-/// single im2col + matrix multiplication.
-///
-/// Agrees with [`conv2d_forward_im2col`] applied to the same batch (same
-/// accumulation order per output element) and with [`conv2d_forward`] up to
-/// floating-point rounding.
-///
-/// # Errors
-///
-/// Same error conditions as [`conv2d_forward`].
-pub fn conv2d_forward_im2col_batch(
-    input: &Tensor,
-    weight: &Tensor,
-    bias: &Tensor,
-    geom: Conv2dGeometry,
-) -> Result<Tensor> {
-    let (n, c, h, w) = expect_rank4(input, "conv2d_forward_im2col_batch")?;
-    let (oc, wc, kh, kw) = expect_rank4(weight, "conv2d_forward_im2col_batch(weight)")?;
-    check_conv_args(c, wc, kh, kw, bias, oc, geom)?;
-    let (oh, ow) = geom.output_hw(h, w)?;
-
-    let wmat = weight.reshape(&[oc, c * kh * kw])?;
-    let cols = im2col_batch(input, geom)?; // [C*KH*KW, N*OH*OW]
-    let prod = crate::ops::matmul(&wmat, &cols)?; // [OC, N*OH*OW]
-    let pd = prod.data();
-    let bd = bias.data();
-    let per_sample = oh * ow;
-    let mut out = vec![0.0f32; n * oc * per_sample];
-    for ni in 0..n {
-        for oci in 0..oc {
-            let src = &pd[oci * n * per_sample + ni * per_sample..][..per_sample];
-            let dst = &mut out[(ni * oc + oci) * per_sample..][..per_sample];
-            for (d, &s) in dst.iter_mut().zip(src) {
-                *d = s + bd[oci];
-            }
-        }
-    }
-    Tensor::from_vec(out, &[n, oc, oh, ow])
 }
 
 /// 2-D convolution forward pass via im2col + matrix multiplication.
@@ -964,37 +843,20 @@ mod tests {
         let bias = Tensor::from_fn(&[4], |i| i as f32 * 0.25);
         for (stride, pad) in [(1, 0), (1, 1), (2, 1)] {
             let geom = Conv2dGeometry::square(3, stride, pad);
-            let batched = conv2d_forward_im2col_batch(&input, &weight, &bias, geom).unwrap();
-            let per_sample = conv2d_forward_im2col(&input, &weight, &bias, geom).unwrap();
-            assert_eq!(
-                batched, per_sample,
-                "batched im2col differs at stride {stride} pad {pad}"
-            );
+            let batched = conv2d_forward_im2col(&input, &weight, &bias, geom).unwrap();
+            let per_out = batched.len() / 3;
+            for (s, sample) in input.data().chunks(2 * 5 * 6).enumerate() {
+                let sample = Tensor::from_vec(sample.to_vec(), &[1, 2, 5, 6]).unwrap();
+                let single = conv2d_forward_im2col(&sample, &weight, &bias, geom).unwrap();
+                assert_eq!(
+                    single.data(),
+                    &batched.data()[s * per_out..(s + 1) * per_out],
+                    "sample {s} differs at stride {stride} pad {pad}"
+                );
+            }
             let direct = conv2d_forward(&input, &weight, &bias, geom).unwrap();
             assert!(batched.approx_eq(&direct, 1e-4));
         }
-    }
-
-    #[test]
-    fn im2col_batch_columns_are_per_sample_im2col() {
-        let input = Tensor::from_fn(&[2, 1, 4, 4], |i| i as f32);
-        let geom = Conv2dGeometry::square(2, 1, 0);
-        let cols = im2col_batch(&input, geom).unwrap();
-        assert_eq!(cols.shape(), &[4, 2 * 9]);
-        for ni in 0..2 {
-            let sample =
-                Tensor::from_vec(input.data()[ni * 16..(ni + 1) * 16].to_vec(), &[1, 4, 4])
-                    .unwrap();
-            let single = im2col(&sample, geom).unwrap();
-            for r in 0..4 {
-                assert_eq!(
-                    &cols.data()[r * 18 + ni * 9..r * 18 + (ni + 1) * 9],
-                    &single.data()[r * 9..(r + 1) * 9],
-                    "sample {ni} row {r}"
-                );
-            }
-        }
-        assert!(im2col_batch(&Tensor::zeros(&[4, 4]), geom).is_err());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Cache-blocked, register-tiled matrix-multiplication micro-kernels.
 //!
-//! [`gemm`] and [`gemm_nt`] are the engines behind [`crate::ops::matmul`] and
-//! [`crate::ops::matmul_nt`]. Both walk the output matrix in `MR`×`NR` register
+//! [`gemm`] is the engine behind [`crate::ops::matmul`]; [`gemm_nt`] computes
+//! `a · bᵀ` for the batched gradient engine. Both walk the output matrix in `MR`×`NR` register
 //! tiles: the right-hand operand is first packed, `NR` columns at a time, into
 //! a `[k × NR]` panel laid out so the micro-kernel streams it sequentially,
 //! and each tile keeps its `MR·NR` partial sums in a fixed-size accumulator

@@ -5,10 +5,10 @@
 //! * [`Tensor`] — an owned, row-major, dense `f32` array of arbitrary rank with
 //!   shape-checked element-wise arithmetic, reductions and reshaping.
 //! * [`ops`] — linear-algebra kernels (matrix multiplication, transposition,
-//!   batched row access) used by the fully-connected layers.
+//!   row access, stacking) used by the fully-connected layers.
 //! * [`kernels`] — the cache-blocked, register-tiled matmul micro-kernels
-//!   behind [`ops::matmul`] / [`ops::matmul_nt`], bit-identical to the naive
-//!   reference loops.
+//!   behind [`ops::matmul`] and the batched engine's `a · bᵀ` products,
+//!   bit-identical to the naive reference loops.
 //! * [`arena`] — the [`ScratchArena`] of reusable scratch buffers the batched
 //!   gradient engine threads through its hot loops.
 //! * [`conv`] — convolution and pooling primitives (direct and im2col-based

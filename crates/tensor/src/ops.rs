@@ -106,30 +106,8 @@ pub fn matmul_reference(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     Tensor::from_vec(out, &[m, n])
 }
 
-/// Matrix product with the right-hand side transposed: `[m, k] x [n, k] -> [m, n]`.
-///
-/// Computes `a · bᵀ` without materializing the transpose: the blocked kernel
-/// in [`crate::kernels`] folds the transpose into its panel packing, then runs
-/// the same micro-kernel as [`matmul`]. The accumulation order over `k`
-/// matches [`matmul`] exactly, so `matmul_nt(a, b)` is bit-identical to
-/// `matmul(a, transpose(b))` for **all** inputs — NaN, ±Inf and signed zeros
-/// included (the regression test below pins this; the old skipped-zero
-/// shortcut that broke it for non-finite `b` is gone). This is the gradient
-/// kernel behind `∂L/∂W = ∂L/∂out · colsᵀ` in the im2col convolution backward
-/// pass.
-///
-/// # Errors
-///
-/// Returns [`TensorError::RankMismatch`] if either operand is not rank-2 and
-/// [`TensorError::MatmulDimMismatch`] if the shared dimension disagrees.
-pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    let (m, k, n) = matmul_dims(a, b, true, "matmul_nt")?;
-    let mut out = vec![0.0f32; m * n];
-    crate::kernels::gemm_nt(m, k, n, a.data(), b.data(), &mut out);
-    Tensor::from_vec(out, &[m, n])
-}
-
-/// Naive row-dot-product `a · bᵀ` — the bit-exact reference for [`matmul_nt`].
+/// Naive row-dot-product `a · bᵀ` (`[m, k] x [n, k] -> [m, n]`) — the
+/// bit-exact reference for [`crate::kernels::gemm_nt`].
 ///
 /// Every output element is one sequential dot product of two contiguous rows,
 /// accumulated over ascending `k` from `0.0` — the same per-element fold as
@@ -137,7 +115,8 @@ pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 ///
 /// # Errors
 ///
-/// Same error conditions as [`matmul_nt`].
+/// Returns [`TensorError::RankMismatch`] if either operand is not rank-2 and
+/// [`TensorError::MatmulDimMismatch`] if the shared dimension disagrees.
 pub fn matmul_nt_reference(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     let (m, k, n) = matmul_dims(a, b, true, "matmul_nt_reference")?;
     let ad = a.data();
@@ -156,42 +135,6 @@ pub fn matmul_nt_reference(a: &Tensor, b: &Tensor) -> Result<Tensor> {
         }
     }
     Tensor::from_vec(out, &[m, n])
-}
-
-/// Contiguous sub-range `[start, end)` of a batched tensor along the leading
-/// (batch) axis: `[N, ...item] -> [end - start, ...item]`.
-///
-/// This is the zero-arithmetic way to carve a batch into chunks (or single
-/// samples, `batch_slice(b, i, i + 1)`) without going through [`unstack`], which
-/// drops the batch axis and re-allocates per item.
-///
-/// # Errors
-///
-/// Returns [`TensorError::RankMismatch`] for rank-0 input and
-/// [`TensorError::IndexOutOfBounds`] when the range is inverted or exceeds the
-/// batch size.
-pub fn batch_slice(batch: &Tensor, start: usize, end: usize) -> Result<Tensor> {
-    if batch.ndim() == 0 {
-        return Err(TensorError::RankMismatch {
-            expected: 1,
-            actual: batch.shape().to_vec(),
-            op: "batch_slice",
-        });
-    }
-    let n = batch.shape()[0];
-    if start > end || end > n {
-        return Err(TensorError::IndexOutOfBounds {
-            index: vec![start, end],
-            shape: batch.shape().to_vec(),
-        });
-    }
-    let item_len = shape::num_elements(&batch.shape()[1..]);
-    let mut out_shape = vec![end - start];
-    out_shape.extend_from_slice(&batch.shape()[1..]);
-    Tensor::from_vec(
-        batch.data()[start * item_len..end * item_len].to_vec(),
-        &out_shape,
-    )
 }
 
 /// Transpose of a rank-2 tensor.
@@ -300,32 +243,6 @@ pub fn stack(items: &[Tensor]) -> Result<Tensor> {
     Tensor::from_vec(data, &out_shape)
 }
 
-/// Split a batched tensor `[k, ...item_shape]` back into `k` individual tensors.
-///
-/// Inverse of [`stack`].
-///
-/// # Errors
-///
-/// Returns [`TensorError::RankMismatch`] when the input is rank-0.
-pub fn unstack(batch: &Tensor) -> Result<Vec<Tensor>> {
-    if batch.ndim() == 0 {
-        return Err(TensorError::RankMismatch {
-            expected: 1,
-            actual: batch.shape().to_vec(),
-            op: "unstack",
-        });
-    }
-    let k = batch.shape()[0];
-    let item_shape = batch.shape()[1..].to_vec();
-    let item_len = shape::num_elements(&item_shape);
-    let mut out = Vec::with_capacity(k);
-    for i in 0..k {
-        let slice = batch.data()[i * item_len..(i + 1) * item_len].to_vec();
-        out.push(Tensor::from_vec(slice, &item_shape)?);
-    }
-    Ok(out)
-}
-
 /// Numerically-stable softmax over the last axis of a rank-1 or rank-2 tensor.
 ///
 /// For rank-2 input the softmax is applied independently to every row.
@@ -381,6 +298,14 @@ pub fn argmax_rows(a: &Tensor) -> Result<Vec<usize>> {
 mod tests {
     use super::*;
 
+    /// `a · bᵀ` through the blocked [`crate::kernels::gemm_nt`].
+    fn gemm_nt(a: &Tensor, b: &Tensor) -> Tensor {
+        let (m, k, n) = matmul_dims(a, b, true, "gemm_nt").unwrap();
+        let mut out = vec![f32::NAN; m * n];
+        crate::kernels::gemm_nt(m, k, n, a.data(), b.data(), &mut out);
+        Tensor::from_vec(out, &[m, n]).unwrap()
+    }
+
     #[test]
     fn matmul_identity() {
         let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]).unwrap();
@@ -417,7 +342,7 @@ mod tests {
         // Regression for the zero-skip bug: a zero in `a` must NOT swallow a
         // NaN/Inf sitting in the corresponding `b` entries (0·NaN = NaN,
         // 0·∞ = NaN), and `matmul(a, transpose(b))` must stay bit-identical
-        // to `matmul_nt(a, b)` even for NaN/Inf/-0.0 inputs.
+        // to `gemm_nt(a, b)` even for NaN/Inf/-0.0 inputs.
         let a = Tensor::from_vec(
             vec![
                 0.0, 1.0, -0.0, //
@@ -427,7 +352,7 @@ mod tests {
             &[3, 3],
         )
         .unwrap();
-        // b in [n, k] orientation for matmul_nt.
+        // b in [n, k] orientation for gemm_nt.
         let b = Tensor::from_vec(
             vec![
                 f32::NAN,
@@ -447,8 +372,8 @@ mod tests {
         let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
 
         let via_t = matmul(&a, &bt).unwrap();
-        let nt = matmul_nt(&a, &b).unwrap();
-        assert_eq!(bits(&via_t), bits(&nt), "matmul vs matmul_nt");
+        let nt = gemm_nt(&a, &b);
+        assert_eq!(bits(&via_t), bits(&nt), "matmul vs gemm_nt");
         // The references agree with the blocked kernels bit-for-bit too.
         assert_eq!(bits(&via_t), bits(&matmul_reference(&a, &bt).unwrap()));
         assert_eq!(bits(&nt), bits(&matmul_nt_reference(&a, &b).unwrap()));
@@ -469,7 +394,7 @@ mod tests {
             let reference = matmul_reference(&a, &b).unwrap();
             assert_eq!(fast, reference, "[{m},{k}]x[{k},{n}]");
             let bnt = Tensor::from_fn(&[n, k], |i| ((i as f32) * 0.29).sin() + 0.1);
-            let fast_nt = matmul_nt(&a, &bnt).unwrap();
+            let fast_nt = gemm_nt(&a, &bnt);
             let reference_nt = matmul_nt_reference(&a, &bnt).unwrap();
             assert_eq!(fast_nt, reference_nt, "nt [{m},{k}]x[{n},{k}]t");
         }
@@ -479,27 +404,12 @@ mod tests {
     fn matmul_nt_matches_matmul_of_transpose() {
         let a = Tensor::from_fn(&[3, 4], |i| (i as f32 * 0.7).sin());
         let b = Tensor::from_fn(&[5, 4], |i| (i as f32 * 0.3).cos());
-        let fast = matmul_nt(&a, &b).unwrap();
+        let fast = gemm_nt(&a, &b);
         let reference = matmul(&a, &transpose(&b).unwrap()).unwrap();
         assert_eq!(fast.shape(), &[3, 5]);
-        assert!(fast.approx_eq(&reference, 1e-6));
-        assert!(matmul_nt(&a, &Tensor::zeros(&[5, 3])).is_err());
-        assert!(matmul_nt(&a, &Tensor::zeros(&[4])).is_err());
-    }
-
-    #[test]
-    fn batch_slice_extracts_contiguous_ranges() {
-        let batch = Tensor::from_fn(&[4, 2, 3], |i| i as f32);
-        let mid = batch_slice(&batch, 1, 3).unwrap();
-        assert_eq!(mid.shape(), &[2, 2, 3]);
-        assert_eq!(mid.data()[0], 6.0);
-        let one = batch_slice(&batch, 3, 4).unwrap();
-        assert_eq!(one.shape(), &[1, 2, 3]);
-        assert_eq!(one.data()[0], 18.0);
-        let empty = batch_slice(&batch, 2, 2).unwrap();
-        assert_eq!(empty.shape(), &[0, 2, 3]);
-        assert!(batch_slice(&batch, 3, 2).is_err());
-        assert!(batch_slice(&batch, 0, 5).is_err());
+        assert_eq!(fast, reference);
+        assert!(matmul_nt_reference(&a, &Tensor::zeros(&[5, 3])).is_err());
+        assert!(matmul_nt_reference(&a, &Tensor::zeros(&[4])).is_err());
     }
 
     #[test]
@@ -542,7 +452,11 @@ mod tests {
         ];
         let batch = stack(&items).unwrap();
         assert_eq!(batch.shape(), &[3, 2, 2]);
-        let back = unstack(&batch).unwrap();
+        let back: Vec<Tensor> = batch
+            .data()
+            .chunks(4)
+            .map(|d| Tensor::from_vec(d.to_vec(), &[2, 2]).unwrap())
+            .collect();
         assert_eq!(back, items);
         assert!(stack(&[]).is_err());
         let mismatched = vec![Tensor::zeros(&[2]), Tensor::zeros(&[3])];

@@ -206,24 +206,6 @@ impl Tensor {
         self.zip_map(other, "sub", |a, b| a - b)
     }
 
-    /// Element-wise (Hadamard) multiplication.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if the shapes differ.
-    pub fn mul(&self, other: &Self) -> Result<Self> {
-        self.zip_map(other, "mul", |a, b| a * b)
-    }
-
-    /// Element-wise division.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if the shapes differ.
-    pub fn div(&self, other: &Self) -> Result<Self> {
-        self.zip_map(other, "div", |a, b| a / b)
-    }
-
     /// In-place element-wise addition (`self += other`).
     ///
     /// # Errors
@@ -256,13 +238,6 @@ impl Tensor {
         Self {
             shape: self.shape.clone(),
             data: self.data.iter().map(|&x| f(x)).collect(),
-        }
-    }
-
-    /// Apply `f` to every element in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for x in &mut self.data {
-            *x = f(*x);
         }
     }
 
@@ -413,11 +388,6 @@ impl Tensor {
         self.data.iter().fold(0.0f32, |m, &x| m.max(x.abs()))
     }
 
-    /// Number of elements whose absolute value exceeds `threshold`.
-    pub fn count_above(&self, threshold: f32) -> usize {
-        self.data.iter().filter(|&&x| x.abs() > threshold).count()
-    }
-
     // ------------------------------------------------------------------
     // Comparisons
     // ------------------------------------------------------------------
@@ -518,8 +488,6 @@ mod tests {
         let b = Tensor::from_vec(vec![4.0, 3.0, 2.0, 1.0], &[2, 2]).unwrap();
         assert_eq!(a.add(&b).unwrap().data(), &[5.0, 5.0, 5.0, 5.0]);
         assert_eq!(a.sub(&b).unwrap().data(), &[-3.0, -1.0, 1.0, 3.0]);
-        assert_eq!(a.mul(&b).unwrap().data(), &[4.0, 6.0, 6.0, 4.0]);
-        assert_eq!(a.div(&b).unwrap().data(), &[0.25, 2.0 / 3.0, 1.5, 4.0]);
         let c = Tensor::zeros(&[4]);
         assert!(a.add(&c).is_err());
     }
@@ -543,9 +511,7 @@ mod tests {
         assert_eq!(a.add_scalar(1.0).data(), &[0.0, 3.0, -2.0]);
         assert_eq!(a.abs().data(), &[1.0, 2.0, 3.0]);
         assert_eq!(a.clamp(-2.0, 1.0).data(), &[-1.0, 1.0, -2.0]);
-        let mut b = a.clone();
-        b.map_inplace(|x| x * x);
-        assert_eq!(b.data(), &[1.0, 4.0, 9.0]);
+        assert_eq!(a.map(|x| x * x).data(), &[1.0, 4.0, 9.0]);
     }
 
     #[test]
@@ -557,7 +523,6 @@ mod tests {
         assert_eq!(a.min().unwrap(), -4.0);
         assert_eq!(a.argmax().unwrap(), 2);
         assert_eq!(a.max_abs(), 4.0);
-        assert_eq!(a.count_above(1.5), 3);
         assert!((a.l2_norm() - 30.0f32.sqrt()).abs() < 1e-6);
     }
 

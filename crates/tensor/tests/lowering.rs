@@ -14,7 +14,7 @@
 mod common;
 
 use common::salted;
-use dnnip_tensor::conv::{col2im_slice_into, im2col_batch, im2col_block_into, Conv2dGeometry};
+use dnnip_tensor::conv::{col2im_slice_into, im2col, im2col_block_into, Conv2dGeometry};
 use dnnip_tensor::kernels::bit_mismatch;
 use dnnip_tensor::Tensor;
 use proptest::prelude::*;
@@ -91,19 +91,17 @@ proptest! {
         let geom = Conv2dGeometry { kh, kw, stride, pad };
         let data = salted(n * c * h * w, seed);
         let sample_len = c * h * w;
-        let input = Tensor::from_vec(data.clone(), &[n, c, h, w]).unwrap();
+        let tensor = |s: &[f32]| Tensor::from_vec(s.to_vec(), &[c, h, w]).unwrap();
         let Ok((oh, ow)) = geom.output_hw(h, w) else {
             // The window does not fit even with padding: every kernel must
             // refuse rather than lower anything.
-            prop_assert!(im2col_batch(&input, geom).is_err());
-            let mut block = vec![0.0f32; 1];
             let sample = &data[..sample_len];
+            prop_assert!(im2col(&tensor(sample), geom).is_err());
+            let mut block = vec![0.0f32; 1];
             prop_assert!(im2col_block_into(sample, c, h, w, geom, &mut block, &mut Vec::new()).is_err());
             return Ok(());
         };
         let (rows, per) = (c * kh * kw, oh * ow);
-        let batched = im2col_batch(&input, geom).unwrap();
-        prop_assert_eq!(batched.shape(), &[rows, n * per]);
         for s in 0..n {
             let sample = &data[s * sample_len..(s + 1) * sample_len];
             let reference = im2col_reference(sample, c, h, w, geom);
@@ -114,10 +112,9 @@ proptest! {
             let dims = im2col_block_into(sample, c, h, w, geom, &mut block, &mut padded).unwrap();
             prop_assert_eq!(dims, (rows, per));
             prop_assert_eq!(bit_mismatch(&block, &reference), None);
-            for r in 0..rows {
-                let got = &batched.data()[r * n * per + s * per..][..per];
-                prop_assert_eq!(bit_mismatch(got, &reference[r * per..(r + 1) * per]), None);
-            }
+            let lowered = im2col(&tensor(sample), geom).unwrap();
+            prop_assert_eq!(lowered.shape(), &[rows, per]);
+            prop_assert_eq!(bit_mismatch(lowered.data(), &reference), None);
         }
     }
 

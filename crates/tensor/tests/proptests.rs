@@ -6,9 +6,8 @@
 //! implementations, and gradient-routing conservation in max pooling.
 
 use dnnip_tensor::conv::{
-    col2im_slice_into, conv2d_backward, conv2d_forward, conv2d_forward_im2col,
-    conv2d_forward_im2col_batch, im2col_batch_into, im2col_slice_into, maxpool2d_backward,
-    maxpool2d_forward, Conv2dGeometry,
+    col2im_slice_into, conv2d_backward, conv2d_forward, conv2d_forward_im2col, im2col_block_into,
+    maxpool2d_backward, maxpool2d_forward, Conv2dGeometry,
 };
 use dnnip_tensor::kernels::{self, bit_mismatch, MR, NR};
 use dnnip_tensor::{ops, Tensor};
@@ -111,7 +110,11 @@ proptest! {
             .collect();
         let batch = ops::stack(&items).unwrap();
         prop_assert_eq!(batch.shape()[0], k);
-        let back = ops::unstack(&batch).unwrap();
+        let back: Vec<Tensor> = batch
+            .data()
+            .chunks(items[0].len())
+            .map(|d| Tensor::from_vec(d.to_vec(), &shape).unwrap())
+            .collect();
         prop_assert_eq!(back, items);
     }
 
@@ -194,7 +197,7 @@ proptest! {
         let b = Tensor::from_fn(&[k, n], |i| (((i as u64 + seed) * 23) % 31) as f32 * 0.1 - 1.2);
         let stacked = ops::matmul(&a, &b).unwrap();
         for i in 0..m {
-            let row = ops::batch_slice(&a, i, i + 1).unwrap();
+            let row = Tensor::from_vec(a.data()[i * k..(i + 1) * k].to_vec(), &[1, k]).unwrap();
             let single = ops::matmul(&row, &b).unwrap();
             prop_assert_eq!(single.data(), &stacked.data()[i * n..(i + 1) * n]);
         }
@@ -206,9 +209,10 @@ proptest! {
     ) {
         let a = Tensor::from_fn(&[m, k], |i| (((i as u64 + seed) * 7) % 19) as f32 * 0.2 - 1.0);
         let b = Tensor::from_fn(&[n, k], |i| (((i as u64 + seed) * 3) % 13) as f32 * 0.2 - 0.9);
-        let fast = ops::matmul_nt(&a, &b).unwrap();
+        let mut fast = vec![f32::NAN; m * n];
+        kernels::gemm_nt(m, k, n, a.data(), b.data(), &mut fast);
         let reference = ops::matmul(&a, &ops::transpose(&b).unwrap()).unwrap();
-        prop_assert_eq!(fast, reference);
+        prop_assert_eq!(fast.as_slice(), reference.data());
     }
 
     #[test]
@@ -216,19 +220,23 @@ proptest! {
         n in 1usize..4, c in 1usize..3, oc in 1usize..4,
         hw in 3usize..7, stride in 1usize..3, pad in 0usize..2, seed in 0u64..1000
     ) {
-        // The direct kernel over a stacked batch agrees bit-for-bit with the
-        // same kernel applied sample by sample, and the single-matmul batched
-        // im2col kernel agrees bit-for-bit with the per-sample im2col kernel.
+        // The direct and im2col kernels over a stacked batch agree bit for
+        // bit with the same kernel applied sample by sample.
         let input = Tensor::from_fn(&[n, c, hw, hw], |i| (((i as u64 + seed) * 13) % 37) as f32 * 0.1 - 1.7);
         let weight = Tensor::from_fn(&[oc, c, 3, 3], |i| (((i as u64 + seed) * 11) % 23) as f32 * 0.1 - 1.0);
         let bias = Tensor::from_fn(&[oc], |i| i as f32 * 0.3 - 0.4);
         let geom = Conv2dGeometry::square(3, stride, pad);
 
         let direct_batch = conv2d_forward(&input, &weight, &bias, geom).unwrap();
-        let im2col_batch_out = conv2d_forward_im2col_batch(&input, &weight, &bias, geom).unwrap();
+        let im2col_batch_out = conv2d_forward_im2col(&input, &weight, &bias, geom).unwrap();
         let per_sample_len = direct_batch.len() / n;
+        let sample_len = c * hw * hw;
         for s in 0..n {
-            let sample = ops::batch_slice(&input, s, s + 1).unwrap();
+            let sample = Tensor::from_vec(
+                input.data()[s * sample_len..(s + 1) * sample_len].to_vec(),
+                &[1, c, hw, hw],
+            )
+            .unwrap();
             let direct_single = conv2d_forward(&sample, &weight, &bias, geom).unwrap();
             prop_assert_eq!(
                 direct_single.data(),
@@ -244,20 +252,6 @@ proptest! {
     }
 
     #[test]
-    fn stack_then_batch_slice_recovers_samples(
-        n in 1usize..5, len in 1usize..7, seed in 0u64..1000
-    ) {
-        let items: Vec<Tensor> = (0..n)
-            .map(|i| Tensor::from_fn(&[len], |j| (((i * 17 + j) as u64 + seed) % 41) as f32 * 0.1))
-            .collect();
-        let batch = ops::stack(&items).unwrap();
-        for (i, item) in items.iter().enumerate() {
-            let slice = ops::batch_slice(&batch, i, i + 1).unwrap();
-            prop_assert_eq!(slice.data(), item.data());
-        }
-    }
-
-    #[test]
     fn blocked_matmul_is_bit_identical_to_naive_reference(
         m in 1usize..18, k in 1usize..18, n in 1usize..18, seed in 0u64..1000
     ) {
@@ -268,10 +262,10 @@ proptest! {
         let b = Tensor::from_fn(&[k, n], |i| (((i as u64 + seed) * 43) % 37) as f32 * 0.11 - 1.8);
         prop_assert_eq!(ops::matmul(&a, &b).unwrap(), ops::matmul_reference(&a, &b).unwrap());
         let bt = Tensor::from_fn(&[n, k], |i| (((i as u64 + seed) * 53) % 31) as f32 * 0.17 - 2.4);
-        prop_assert_eq!(
-            ops::matmul_nt(&a, &bt).unwrap(),
-            ops::matmul_nt_reference(&a, &bt).unwrap()
-        );
+        let mut nt = vec![f32::NAN; m * n];
+        kernels::gemm_nt(m, k, n, a.data(), bt.data(), &mut nt);
+        let reference = ops::matmul_nt_reference(&a, &bt).unwrap();
+        prop_assert_eq!(nt.as_slice(), reference.data());
     }
 
     #[test]
@@ -303,18 +297,18 @@ proptest! {
         let geom = Conv2dGeometry::square(3, stride, pad);
         let input = Tensor::from_fn(&[n, c, hw, hw], |i| (((i as u64 + seed) * 13) % 37) as f32 * 0.1 - 1.7);
 
-        let mut fresh = Vec::new();
-        let dims = im2col_batch_into(&input, geom, &mut fresh).unwrap();
-        let mut dirty = vec![f32::NAN; fresh.len() + 64];
-        prop_assert_eq!(im2col_batch_into(&input, geom, &mut dirty).unwrap(), dims);
-        prop_assert_eq!(&dirty, &fresh);
-
-        let sample = &input.data()[..c * hw * hw];
-        let mut fresh_s = Vec::new();
-        let (rows, cols) = im2col_slice_into(sample, c, hw, hw, geom, &mut fresh_s).unwrap();
-        let mut dirty_s = vec![f32::INFINITY; 7];
-        im2col_slice_into(sample, c, hw, hw, geom, &mut dirty_s).unwrap();
-        prop_assert_eq!(&dirty_s, &fresh_s);
+        let sample_len = c * hw * hw;
+        let (oh, ow) = geom.output_hw(hw, hw).unwrap();
+        let (rows, cols) = (c * 9, oh * ow);
+        for sample in input.data().chunks(sample_len) {
+            let mut fresh = vec![0.0; rows * cols];
+            let dims = im2col_block_into(sample, c, hw, hw, geom, &mut fresh, &mut Vec::new()).unwrap();
+            prop_assert_eq!(dims, (rows, cols));
+            let mut dirty = vec![f32::INFINITY; rows * cols];
+            let mut dirty_plane = vec![f32::NAN; 7];
+            im2col_block_into(sample, c, hw, hw, geom, &mut dirty, &mut dirty_plane).unwrap();
+            prop_assert_eq!(&dirty, &fresh);
+        }
 
         let colvals: Vec<f32> = (0..rows * cols).map(|i| (((i as u64 + seed) * 7) % 19) as f32 * 0.2 - 1.9).collect();
         let mut fresh_g = Vec::new();
