@@ -16,7 +16,8 @@
 //!   ([`NetworkFingerprint`]), so any parameter change invalidates silently;
 //! * the **sample content hash** — 128 bits from two independently keyed
 //!   multi-lane multiply chains over the sample's exact `f32` bit patterns,
-//!   finalised with its length and shape (`sample_hash`);
+//!   finalised with its length and shape (`sample_hashes`, a request's
+//!   samples in one call);
 //! * the **criterion digest** — the coverage criterion's id and configuration
 //!   ([`crate::criterion::criterion_digest`]), so two criteria (or two
 //!   configurations of one criterion) never alias each other's sets.
@@ -422,16 +423,20 @@ impl<V: CacheValue> ContentCache<V> {
         // are NOT counted here: a request's duplicate lookups of one pending
         // key trigger a single fresh computation, so the caller reports the
         // distinct-miss count via [`ContentCache::note_misses`].
-        let entry = inner.map.get(key)?;
-        let old_tick = entry.tick;
-        let value = entry.value.clone();
-        inner.tick += 1;
-        let new_tick = inner.tick;
-        inner.order.remove(&old_tick);
-        inner.order.insert(new_tick, *key);
-        inner.map.get_mut(key).expect("entry just observed").tick = new_tick;
-        inner.counters.hits += 1;
-        Some(value)
+        let CacheInner {
+            map,
+            order,
+            tick,
+            counters,
+            ..
+        } = &mut *inner;
+        let entry = map.get_mut(key)?;
+        *tick += 1;
+        order.remove(&entry.tick);
+        order.insert(*tick, *key);
+        entry.tick = *tick;
+        counters.hits += 1;
+        Some(Arc::clone(&entry.value))
     }
 
     fn insert(&self, key: CacheKey, value: &Arc<V>) {
@@ -492,11 +497,13 @@ impl<V: CacheValue> ContentCache<V> {
         }
     }
 
-    /// Serve `samples` through the cache: hits are returned directly, distinct
-    /// misses (deduplicated by key within the request, so a sample repeated in
-    /// one batch is computed and hashed exactly once) are computed in a single
-    /// `compute` call and inserted. Both evaluator caches route through this,
-    /// so the dedup/fill machinery exists exactly once.
+    /// Serve `samples`, whose cache keys are `keys` (one per sample, derived
+    /// for the whole request in one call), through the cache: hits are
+    /// returned directly, distinct misses (deduplicated by key within the
+    /// request, so a sample repeated in one batch is computed exactly once)
+    /// are computed in a single `compute` call and inserted. Both evaluator
+    /// caches route through this, so the dedup/fill machinery exists exactly
+    /// once.
     ///
     /// Fresh computations are **single-flight** across threads: a key another
     /// thread is already computing is not recomputed here — this request's
@@ -506,16 +513,16 @@ impl<V: CacheValue> ContentCache<V> {
     /// inserts. An owner whose computation fails releases its claims before
     /// returning the error; its waiters then re-probe, win the claim and run
     /// their own computation — a failed flight never poisons a waiter.
-    pub(crate) fn get_or_compute<K, F>(
+    pub(crate) fn get_or_compute<F>(
         &self,
         samples: &[Tensor],
-        key_fn: K,
+        keys: &[CacheKey],
         compute: F,
     ) -> Result<Vec<Arc<V>>>
     where
-        K: Fn(&Tensor) -> CacheKey,
         F: Fn(&[Tensor]) -> Result<Vec<V>>,
     {
+        debug_assert_eq!(samples.len(), keys.len());
         let mut out: Vec<Option<Arc<V>>> = (0..samples.len()).map(|_| None).collect();
         // `miss_indices[p]` lists every output slot the `p`-th distinct miss
         // fills; keys computed here are kept for the insert pass. Claimed
@@ -530,8 +537,7 @@ impl<V: CacheValue> ContentCache<V> {
         // Keys some other thread is computing right now: (key, slots, sample).
         let mut waits: Vec<(CacheKey, Vec<usize>, Tensor)> = Vec::new();
         let mut key_to_wait: HashMap<CacheKey, usize> = HashMap::new();
-        for (i, sample) in samples.iter().enumerate() {
-            let key = key_fn(sample);
+        for (i, (sample, &key)) in samples.iter().zip(keys).enumerate() {
             if let Some(value) = self.get(&key) {
                 out[i] = Some(value);
                 continue;
@@ -652,94 +658,219 @@ pub(crate) fn mix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Lanes per hash half: independent multiply chains, so the hash runs at the
-/// multiplier's throughput instead of the latency of one dependent chain.
+/// Lanes per hash chain: independent multiply chains, so the hash runs at
+/// the multiplier's throughput instead of the latency of one dependent chain.
 const HASH_LANES: usize = 4;
 
-/// Content hash of a sample tensor: shape, length and exact `f32` bit
-/// patterns, 128 bits from two independently keyed 64-bit halves. Also the
-/// identity [`crate::workspace::Workspace::run_coalesced`] dedupes
-/// cross-request candidate pools by, so "same content hash" always means
-/// "same cache entry".
-///
-/// This runs on **every** cache probe — one hash per candidate per
-/// `activation_sets` call — so it is built for throughput. The data is read
-/// as 64-bit words (two `f32`s each), and each half keeps
-/// [`HASH_LANES`] independent lanes: word `i` goes to lane `i mod 4` by the
-/// step `s = ((s ^ w) · K).rotate_left(29)`. At the end each half folds its
-/// lanes, the trailing elements that fill no whole block (a lone last
-/// element as a low word), the data length and the shape through the
-/// splitmix64 finalizer, which gives full avalanche.
-///
-/// **No collision on one element.** With `K` odd, every lane step and every
-/// finalizer step is a bijection in both the state and the word. Two
-/// same-shape samples that differ in one element therefore differ in one
-/// word of one lane (or one tail word), keep differing through every later
-/// step, and end in different values of **both** halves. Samples of
-/// different shape or length differ in what the finalizer folds last.
-///
-/// Why lanes: with one dependent chain per half, every word waits for the
-/// previous multiply. Under `target-cpu=native` on AVX-512 hosts LLVM packs
-/// the two halves into one vector and multiplies with `vpmullq`, whose
-/// latency is several times a scalar `imul`'s, so such a chain ran ~3×
-/// slower than in a baseline `x86-64` build. Four lanes per half give the
-/// multiplier independent work in a scalar and in a vectorised build.
-///
-/// The keys are what the disk tier stores entries under: any change to this
-/// derivation must bump the persistent format version.
-pub(crate) fn sample_hash(sample: &Tensor) -> (u64, u64) {
-    const K_LO: u64 = 0x9e37_79b9_7f4a_7c15;
-    const K_HI: u64 = 0xc2b2_ae3d_27d4_eb4f;
-    const ROT: u32 = 29;
-    const SEED_LO: [u64; HASH_LANES] = [
+/// Items whose lane chains [`lane_hashes`] advances side by side.
+const HASH_BATCH: usize = 8;
+
+/// Four-word blocks an item advances by before the next item's turn: long
+/// enough that a scalar build keeps one item's lanes in registers for a
+/// while, short enough that a vectorised build still overlaps the items'
+/// multiply chains.
+const BLOCKS_PER_TURN: usize = 4;
+
+/// One keyed multiply-rotate chain of [`lane_hashes`]: the odd multiplier of
+/// its lane step, the seeds of its lanes and the key its fold starts from.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Chain {
+    k: u64,
+    seed: [u64; HASH_LANES],
+    key: u64,
+}
+
+/// The low half of a sample hash; also the whole disk-record checksum.
+pub(crate) const CHAIN_LO: Chain = Chain {
+    k: 0x9e37_79b9_7f4a_7c15,
+    seed: [
         0x243f_6a88_85a3_08d3,
         0x1319_8a2e_0370_7344,
         0xa409_3822_299f_31d0,
         0x082e_fa98_ec4e_6c89,
-    ];
-    const SEED_HI: [u64; HASH_LANES] = [
+    ],
+    key: 0x2545_f491_4f6c_dd1d,
+};
+
+/// The high half of a sample hash.
+const CHAIN_HI: Chain = Chain {
+    k: 0xc2b2_ae3d_27d4_eb4f,
+    seed: [
         0x4528_21e6_38d0_1377,
         0xbe54_66cf_34e9_0c6c,
         0xc0ac_29b7_c97c_50dd,
         0x3f84_d5b5_b547_0917,
-    ];
-    /// One or two `f32`s as a word, the first in the low half.
+    ],
+    key: 0x6a09_e667_f3bc_c909,
+};
+
+/// Elements that [`lane_hashes`] reads as 64-bit words.
+pub(crate) trait Words: Copy {
+    /// Elements per word.
+    const PER_WORD: usize;
+
+    /// Up to [`Words::PER_WORD`] elements as one word, the first element in
+    /// the lowest bits and the missing ones zero.
+    fn word(elems: &[Self]) -> u64;
+}
+
+/// Two `f32`s per word, as their exact bit patterns.
+impl Words for f32 {
+    const PER_WORD: usize = 2;
+
     #[inline(always)]
     fn word(pair: &[f32]) -> u64 {
         pair.iter()
             .rev()
             .fold(0, |w, x| (w << 32) | x.to_bits() as u64)
     }
-    let data = sample.data();
-    let shape = sample.shape();
-    let (mut lo, mut hi) = (SEED_LO, SEED_HI);
-    let mut blocks = data.chunks_exact(2 * HASH_LANES);
-    for block in &mut blocks {
-        for (l, pair) in block.chunks_exact(2).enumerate() {
-            let w = word(pair);
-            lo[l] = ((lo[l] ^ w).wrapping_mul(K_LO)).rotate_left(ROT);
-            hi[l] = ((hi[l] ^ w).wrapping_mul(K_HI)).rotate_left(ROT);
+}
+
+/// Eight bytes per word, little-endian.
+impl Words for u8 {
+    const PER_WORD: usize = 8;
+
+    #[inline(always)]
+    fn word(bytes: &[u8]) -> u64 {
+        let mut padded = [0u8; 8];
+        padded[..bytes.len()].copy_from_slice(bytes);
+        u64::from_le_bytes(padded)
+    }
+}
+
+/// `H` keyed chains over each item, the one hash kernel behind
+/// [`sample_hashes`] and the disk tier's record checksum.
+///
+/// Per item and chain: word `i` goes to lane `i mod 4` by the step
+/// `s = ((s ^ w) · K).rotate_left(29)`. The fold then runs the splitmix64
+/// finalizer over the chain's key xor the item's length, each lane, and the
+/// trailing elements that fill no whole four-word block, one (zero-padded)
+/// word at a time. With `K` odd, every lane step and every finalizer step is
+/// a bijection in both the state and the word, so two items of one length
+/// that differ in a single word end in different values of every chain.
+///
+/// Runs of equally long items are hashed [`HASH_BATCH`] at a time: each item
+/// keeps its own lanes and its own word order, and only the items' steps are
+/// interleaved ([`BLOCKS_PER_TURN`] blocks per turn), so the multiplier
+/// always has independent work. A run's last group, and a run of one, go
+/// through the same loop with fewer live items. The values do not depend on
+/// the batch around an item.
+pub(crate) fn lane_hashes<T: Words, const H: usize>(
+    items: &[&[T]],
+    chains: [Chain; H],
+) -> Vec<[u64; H]> {
+    const ROT: u32 = 29;
+    let block = HASH_LANES * T::PER_WORD;
+    let mut out = Vec::with_capacity(items.len());
+    let mut rest = items;
+    while let Some(first) = rest.first() {
+        let len = first.len();
+        let live = rest
+            .iter()
+            .take(HASH_BATCH)
+            .take_while(|item| item.len() == len)
+            .count();
+        let (group, later) = rest.split_at(live);
+        rest = later;
+        let whole = len - len % block;
+        let data: [&[T]; HASH_BATCH] =
+            std::array::from_fn(|s| group.get(s).map_or(&[][..], |item| &item[..whole]));
+        let mut lanes = [chains.map(|c| c.seed); HASH_BATCH];
+        // Each live item in turn advances its own lanes by up to
+        // `BLOCKS_PER_TURN` blocks. The fixed trip count with an early exit
+        // lets the compiler keep every live item's lanes in registers when
+        // it has enough of them.
+        let blocks = whole / block;
+        let mut first_block = 0;
+        while first_block < blocks {
+            let end_block = (first_block + BLOCKS_PER_TURN).min(blocks);
+            for s in 0..HASH_BATCH {
+                if s == live {
+                    break;
+                }
+                let mut state = lanes[s];
+                let turn = &data[s][first_block * block..end_block * block];
+                for words in turn.chunks_exact(block) {
+                    for (l, elems) in words.chunks_exact(T::PER_WORD).enumerate() {
+                        let w = T::word(elems);
+                        for (lane, chain) in state.iter_mut().zip(&chains) {
+                            lane[l] = ((lane[l] ^ w).wrapping_mul(chain.k)).rotate_left(ROT);
+                        }
+                    }
+                }
+                lanes[s] = state;
+            }
+            first_block = end_block;
+        }
+        for (item, lanes) in group.iter().zip(&lanes) {
+            let tail = &item[whole..];
+            out.push(std::array::from_fn(|c| {
+                let mut h = mix64(chains[c].key ^ len as u64);
+                for lane in lanes[c] {
+                    h = mix64(h ^ lane);
+                }
+                for elems in tail.chunks(T::PER_WORD) {
+                    h = mix64(h ^ T::word(elems));
+                }
+                h
+            }));
         }
     }
-    let tail = blocks.remainder();
-    let finish = |lanes: [u64; HASH_LANES], key: u64| {
-        let mut h = mix64(key ^ data.len() as u64);
-        for lane in lanes {
-            h = mix64(h ^ lane);
-        }
-        for pair in tail.chunks(2) {
-            h = mix64(h ^ word(pair));
-        }
-        h = mix64(h ^ shape.len() as u64);
-        for &d in shape {
-            h = mix64(h ^ d as u64);
-        }
-        h
-    };
-    (
-        finish(lo, 0x2545_f491_4f6c_dd1d),
-        finish(hi, 0x6a09_e667_f3bc_c909),
-    )
+    out
+}
+
+/// Content hashes of sample tensors: shape, length and exact `f32` bit
+/// patterns, 128 bits each from two independently keyed 64-bit halves. The
+/// cache key of every memory and disk cache probe, and the identity
+/// [`crate::workspace::Workspace::run_coalesced`] dedupes cross-request
+/// candidate pools by, so "same content hash" always means "same cache
+/// entry".
+///
+/// Each half is one [`lane_hashes`] chain over the data read as 64-bit
+/// words (two `f32`s each, the first in the low half; a lone last element
+/// is a low word), folded on with the rank and every dimension through the
+/// splitmix64 finalizer. A request's candidates are hashed in one call, so
+/// they run eight at a time.
+///
+/// **No collision on one element.** Two same-shape samples that differ in
+/// one element differ in one word of one lane (or one tail word), keep
+/// differing through every later step, and end in different values of
+/// **both** halves. Samples of different shape or length differ in what the
+/// finalizer folds.
+///
+/// Why lanes, and why eight samples: with one dependent chain per half,
+/// every word waits for the previous multiply. Four lanes per half give a
+/// scalar build eight independent multiplies per block. Under
+/// `target-cpu=native` on AVX-512 hosts, though, LLVM packs each half's four
+/// lanes into one `vpmullq`, whose latency is several times a scalar
+/// `imul`'s, so one sample still ran as two dependent vector chains. Eight
+/// samples side by side give the vector multiplier sixteen independent
+/// chains per block.
+///
+/// The keys are what the disk tier stores entries under: any change to this
+/// derivation must bump the persistent format version.
+pub(crate) fn sample_hashes(samples: &[Tensor]) -> Vec<(u64, u64)> {
+    let data: Vec<&[f32]> = samples.iter().map(Tensor::data).collect();
+    lane_hashes(&data, [CHAIN_LO, CHAIN_HI])
+        .into_iter()
+        .zip(samples)
+        .map(|(halves, sample)| {
+            let [lo, hi] = halves.map(|mut h| {
+                h = mix64(h ^ sample.shape().len() as u64);
+                for &d in sample.shape() {
+                    h = mix64(h ^ d as u64);
+                }
+                h
+            });
+            (lo, hi)
+        })
+        .collect()
+}
+
+/// [`sample_hashes`] of one sample.
+#[cfg(test)]
+pub(crate) fn sample_hash(sample: &Tensor) -> (u64, u64) {
+    sample_hashes(std::slice::from_ref(sample))[0]
 }
 
 /// The unified evaluation layer: coverage analysis and test synthesis over
@@ -953,12 +1084,17 @@ impl Evaluator {
         self.inner.output_cache.clear();
     }
 
-    fn key_for(&self, sample: &Tensor) -> CacheKey {
-        CacheKey {
-            net: self.inner.fingerprint,
-            sample: sample_hash(sample),
-            criterion: self.inner.criterion_key,
-        }
+    /// The cache keys of `samples` under the criterion digest `criterion`
+    /// (0 for golden forward outputs), hashed in one batch.
+    fn keys(&self, samples: &[Tensor], criterion: u64) -> Vec<CacheKey> {
+        sample_hashes(samples)
+            .into_iter()
+            .map(|sample| CacheKey {
+                net: self.inner.fingerprint,
+                sample,
+                criterion,
+            })
+            .collect()
     }
 
     /// The cache-key criterion component: the criterion digest. Two
@@ -967,14 +1103,6 @@ impl Evaluator {
     /// [`crate::workspace::Workspace::run_coalesced`] buckets by.
     pub(crate) fn criterion_key(&self) -> u64 {
         self.inner.criterion_key
-    }
-
-    fn output_key_for(&self, sample: &Tensor) -> CacheKey {
-        CacheKey {
-            net: self.inner.fingerprint,
-            sample: sample_hash(sample),
-            criterion: 0,
-        }
     }
 
     /// Covered-unit sets for a collection of inputs — the batched,
@@ -1002,7 +1130,7 @@ impl Evaluator {
         }
         self.inner.cache.get_or_compute(
             samples,
-            |sample| self.key_for(sample),
+            &self.keys(samples, self.inner.criterion_key),
             |misses| self.inner.compute_sets(misses),
         )
     }
@@ -1109,11 +1237,10 @@ impl Evaluator {
         if self.inner.output_cache.max_bytes == 0 {
             return infer(samples);
         }
-        let outputs = self.inner.output_cache.get_or_compute(
-            samples,
-            |sample| self.output_key_for(sample),
-            infer,
-        )?;
+        let outputs =
+            self.inner
+                .output_cache
+                .get_or_compute(samples, &self.keys(samples, 0), infer)?;
         Ok(outputs.iter().map(|t| (**t).clone()).collect())
     }
 
@@ -1433,6 +1560,60 @@ mod tests {
         let _ = ParamGradient::default();
     }
 
+    #[test]
+    fn a_mixed_request_keeps_values_and_counters() {
+        use crate::persist::DiskTier;
+
+        static RUN: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        let root = std::env::temp_dir().join(format!(
+            "dnnip-eval-mixed-{}-{}",
+            std::process::id(),
+            RUN.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+        ));
+        let network = Arc::new(net());
+        let fingerprint = NetworkFingerprint::of(&network);
+        let evaluator = || {
+            let disk = Some(Arc::new(DiskTier::new(&root)));
+            Evaluator::with_shared_caches(
+                Arc::clone(&network),
+                fingerprint,
+                CoverageConfig::default(),
+                Arc::new(ParamGradient::default()),
+                Arc::new(CoveredSetCache::with_disk(1 << 20, disk)),
+                Arc::new(ContentCache::new(0)),
+            )
+        };
+        let pool = samples(9);
+        // Samples 0-2 on disk only, 4 and 5 in memory (and on disk).
+        evaluator().activation_sets(&pool[..3]).unwrap();
+        let warm = evaluator();
+        warm.activation_sets(&pool[4..6]).unwrap();
+        let cache_before = warm.cache_stats();
+        let disk_before = warm.inner.cache.disk_stats().unwrap();
+
+        // Memory hits, disk hits, duplicates of each, and fresh misses (7, 8)
+        // with a duplicate of one.
+        let order = [4, 0, 7, 0, 5, 7, 1, 8, 4, 2];
+        let request: Vec<Tensor> = order.iter().map(|&i| pool[i].clone()).collect();
+        let sets = warm.activation_sets(&request).unwrap();
+        assert_eq!(sets, fresh_sets(&network, &request));
+
+        // The counts of probing the request's samples in order: memory hits
+        // for 4, 5, 4 and the promoted 0; a memory miss for each disk hit
+        // (0, 1, 2) and each distinct fresh sample (7, 8); the pending
+        // duplicate of 7 is not a lookup.
+        let cache = warm.cache_stats();
+        assert_eq!(cache.hits - cache_before.hits, 4);
+        assert_eq!(cache.misses - cache_before.misses, 5);
+        assert_eq!(cache.insertions - cache_before.insertions, 5);
+        assert_eq!(cache.flight_hits, 0);
+        let disk = warm.inner.cache.disk_stats().unwrap();
+        assert_eq!(disk.hits - disk_before.hits, 3);
+        assert_eq!(disk.misses - disk_before.misses, 2);
+        assert_eq!(disk.writes - disk_before.writes, 2);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
     /// A key for the single-flight race tests: any distinct `(u64, u64)` pair
     /// works because the cache only compares digests.
     fn race_key(sample: (u64, u64)) -> CacheKey {
@@ -1470,16 +1651,12 @@ mod tests {
             let computes = Arc::clone(&computes);
             let sample = sample.clone();
             std::thread::spawn(move || {
-                cache.get_or_compute(
-                    std::slice::from_ref(&sample),
-                    |_| key,
-                    move |misses| {
-                        computes.fetch_add(1, Ordering::SeqCst);
-                        in_compute_tx.send(()).unwrap();
-                        proceed_rx.recv().unwrap();
-                        Ok(vec![one_bit_set(); misses.len()])
-                    },
-                )
+                cache.get_or_compute(std::slice::from_ref(&sample), &[key], move |misses| {
+                    computes.fetch_add(1, Ordering::SeqCst);
+                    in_compute_tx.send(()).unwrap();
+                    proceed_rx.recv().unwrap();
+                    Ok(vec![one_bit_set(); misses.len()])
+                })
             })
         };
         in_compute_rx.recv().unwrap();
@@ -1489,14 +1666,10 @@ mod tests {
             let cache = Arc::clone(cache);
             let computes = Arc::clone(&computes);
             std::thread::spawn(move || {
-                cache.get_or_compute(
-                    std::slice::from_ref(&sample),
-                    |_| key,
-                    move |misses| {
-                        computes.fetch_add(1, Ordering::SeqCst);
-                        Ok(vec![one_bit_set(); misses.len()])
-                    },
-                )
+                cache.get_or_compute(std::slice::from_ref(&sample), &[key], move |misses| {
+                    computes.fetch_add(1, Ordering::SeqCst);
+                    Ok(vec![one_bit_set(); misses.len()])
+                })
             })
         };
         // Give the waiter time to reach the flight table, then let the owner
@@ -1537,7 +1710,7 @@ mod tests {
             std::thread::spawn(move || {
                 cache.get_or_compute(
                     std::slice::from_ref(&sample),
-                    |_| race_key((3, 4)),
+                    &[race_key((3, 4))],
                     move |_| -> Result<Vec<Bitset>> {
                         in_compute_tx.send(()).unwrap();
                         proceed_rx.recv().unwrap();
@@ -1552,7 +1725,7 @@ mod tests {
             std::thread::spawn(move || {
                 cache.get_or_compute(
                     std::slice::from_ref(&sample),
-                    |_| race_key((3, 4)),
+                    &[race_key((3, 4))],
                     |misses| Ok(vec![one_bit_set(); misses.len()]),
                 )
             })
@@ -1626,7 +1799,7 @@ mod tests {
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             cache.get_or_compute(
                 std::slice::from_ref(&sample),
-                |_| race_key((5, 6)),
+                &[race_key((5, 6))],
                 |_| -> Result<Vec<Bitset>> { panic!("a compute that panics") },
             )
         }));
@@ -1696,6 +1869,37 @@ mod sample_hash_tests {
         ];
         for (t, expected) in &cases {
             assert_eq!(sample_hash(t), *expected, "shape {:?}", t.shape());
+        }
+    }
+
+    #[test]
+    fn sample_hash_batches_match_single_samples() {
+        // Runs of one length are cut by samples of other lengths and shapes:
+        // 24 elements (three whole blocks), 9 (one block and a lone
+        // element, a one-element tail word), 11 (one block and three
+        // elements, an odd tail word) and a 24-element matrix, which shares
+        // its length but not its shape with the first.
+        let sample = |i: usize| {
+            let shape: &[usize] = match i % 7 {
+                3 => &[9],
+                5 => &[1, 11],
+                6 => &[4, 6],
+                _ => &[24],
+            };
+            Tensor::from_fn(shape, |j| ramp(i * 5 + j) + i as f32)
+        };
+        for n in 0..=20 {
+            let batch: Vec<Tensor> = (0..n).map(sample).collect();
+            let hashes = super::sample_hashes(&batch);
+            assert_eq!(hashes.len(), n);
+            for (t, hash) in batch.iter().zip(&hashes) {
+                assert_eq!(*hash, sample_hash(t), "batch of {n}, shape {:?}", t.shape());
+            }
+        }
+        // Nine equally long samples: a full group, then a group of one.
+        let batch: Vec<Tensor> = (0..9).map(|i| sample(7 * i)).collect();
+        for (t, hash) in batch.iter().zip(super::sample_hashes(&batch)) {
+            assert_eq!(hash, sample_hash(t));
         }
     }
 

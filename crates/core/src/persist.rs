@@ -32,8 +32,11 @@
 //! cache miss, never an error. A corrupted or concurrently deleted segment
 //! costs recomputation, nothing more.
 //!
-//! The record checksum (`record_checksum`) is verified on every load, so
-//! it reads the payload a word at a time: four independent multiply-rotate
+//! Every record checksum is verified whenever a segment's bytes are read
+//! from disk (its first scan, or a re-read after its buffer was evicted):
+//! the records are checksummed eight at a time (`record_checksums`) and the
+//! verdicts stay with the buffer, so a probe checks a verdict. The checksum
+//! reads the payload a word at a time: four independent multiply-rotate
 //! lanes over 8-byte little-endian words, finished with the splitmix64 mixer
 //! and the payload length. Version 4 of the format introduced it; segments
 //! of earlier versions read as misses.
@@ -53,18 +56,18 @@ use std::collections::{HashMap, HashSet};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
 use std::time::SystemTime;
 
 use dnnip_nn::fingerprint::{Fnv1a, NetworkFingerprint};
 
-use crate::eval::{mix64, CacheKey, CacheValue};
+use crate::eval::{lane_hashes, CacheKey, CacheValue, CHAIN_LO};
 
 /// Segment-file magic: identifies a dnnip persistent-cache segment.
 const SEG_MAGIC: u64 = u64::from_le_bytes(*b"DNIPSEG2");
 /// On-disk format version; bump on any layout change, on any change to what
 /// a criterion computes (its covered-unit semantics), **and** on any change
-/// to how a cache key is derived (`crate::eval::sample_hash`, the criterion
+/// to how a cache key is derived (`crate::eval::sample_hashes`, the criterion
 /// digest, the network fingerprint). The key digests a criterion's id and
 /// configuration, not its implementation, so a semantic change without a
 /// version bump would serve stale entries; a new key derivation without one
@@ -84,55 +87,30 @@ fn version_tag() -> u64 {
     h.finish()
 }
 
-/// Lanes of [`record_checksum`]: independent multiply chains, so the
-/// checksum runs at the multiplier's throughput, not its latency.
-const CHECKSUM_LANES: usize = 4;
+/// Checksums of record payloads: one [`lane_hashes`] chain (the low chain
+/// of a sample hash) over each payload read as 8-byte little-endian words,
+/// so two payloads of one length that differ in a single word always get
+/// different checksums. The bytes that fill no whole 32-byte block are
+/// folded last, eight at a time as zero-padded words, after the lanes and
+/// the payload length, each through the splitmix64 finalizer.
+///
+/// A segment's records are checksummed in one call, eight at a time. On a
+/// 6,280-byte `param-gradient` payload one record at a time took ~0.4 µs in
+/// an `x86-64` build and ~1.2–1.5 µs under `target-cpu=native` on an AVX-512
+/// host, where LLVM packs the four lanes into one `vpmullq` chain; eight
+/// records side by side give that multiplier independent work again, and
+/// 512 such records take ~0.16 ms instead of ~0.75 ms in the native build.
+fn record_checksums(payloads: &[&[u8]]) -> Vec<u64> {
+    lane_hashes(payloads, [CHAIN_LO])
+        .into_iter()
+        .map(|[h]| h)
+        .collect()
+}
 
-/// Checksum of one record's payload. Word `i` (8 bytes, little-endian) goes
-/// to lane `i mod 4` by the step `s = ((s ^ w) · K).rotate_left(29)`; the
-/// bytes that fill no whole 32-byte block are folded last, eight at a time
-/// as zero-padded words, after the lanes and the payload length, each
-/// through the splitmix64 finalizer.
-///
-/// With `K` odd every lane step and every finalizer step is a bijection in
-/// both the state and the word, so two payloads of one length that differ
-/// in a single word always get different checksums.
-///
-/// On a 6,280-byte `param-gradient` payload it takes ~0.4 µs in an `x86-64`
-/// build and ~1.2 µs under `target-cpu=native` on an AVX-512 host, where
-/// LLVM packs the four lanes into one `vpmullq` chain; the byte-at-a-time
-/// FNV-1a it replaced took ~9.3 µs in both.
+/// [`record_checksums`] of one payload.
+#[cfg(test)]
 fn record_checksum(payload: &[u8]) -> u64 {
-    const K: u64 = 0x9e37_79b9_7f4a_7c15;
-    const ROT: u32 = 29;
-    const SEED: [u64; CHECKSUM_LANES] = [
-        0x243f_6a88_85a3_08d3,
-        0x1319_8a2e_0370_7344,
-        0xa409_3822_299f_31d0,
-        0x082e_fa98_ec4e_6c89,
-    ];
-    /// Up to eight bytes as a little-endian word, zero-padded.
-    #[inline(always)]
-    fn word(bytes: &[u8]) -> u64 {
-        let mut padded = [0u8; 8];
-        padded[..bytes.len()].copy_from_slice(bytes);
-        u64::from_le_bytes(padded)
-    }
-    let mut lanes = SEED;
-    let mut blocks = payload.chunks_exact(8 * CHECKSUM_LANES);
-    for block in &mut blocks {
-        for (lane, bytes) in lanes.iter_mut().zip(block.chunks_exact(8)) {
-            *lane = ((*lane ^ word(bytes)).wrapping_mul(K)).rotate_left(ROT);
-        }
-    }
-    let mut h = mix64(0x2545_f491_4f6c_dd1d ^ payload.len() as u64);
-    for lane in lanes {
-        h = mix64(h ^ lane);
-    }
-    for bytes in blocks.remainder().chunks(8) {
-        h = mix64(h ^ word(bytes));
-    }
-    h
+    record_checksums(&[payload])[0]
 }
 
 /// Segment file header length: magic + version.
@@ -191,23 +169,30 @@ pub struct VacuumStats {
     pub removed_bytes: u64,
 }
 
-/// Location of one record inside a segment file.
-#[derive(Debug, Clone)]
-struct EntryLoc {
+/// A segment file the index points into: its path and its records, in
+/// file order.
+#[derive(Debug)]
+struct Segment {
     path: PathBuf,
-    /// Byte offset of the payload within the segment file.
-    offset: usize,
-    /// Payload length in bytes.
-    len: usize,
-    kind: u8,
-    checksum: u64,
+    records: Vec<SegRecord>,
 }
 
-/// Index of one `(model, criterion)` directory.
+/// A segment's bytes while they are resident, with one verdict per record:
+/// whether its payload lay inside the bytes and matched its checksum when
+/// the bytes were read.
+#[derive(Debug)]
+struct Buffer {
+    bytes: Vec<u8>,
+    intact: Vec<bool>,
+    tick: u64,
+}
+
+/// Index of one `(model, criterion)` directory: sample hash → (segment id,
+/// record index within the segment).
 #[derive(Debug, Default)]
 struct DirIndex {
     scanned: bool,
-    entries: HashMap<(u64, u64), EntryLoc>,
+    entries: HashMap<(u64, u64), (u64, usize)>,
 }
 
 /// Budget bookkeeping for one resident file.
@@ -230,10 +215,15 @@ struct TierInner {
     files: HashMap<PathBuf, FileMeta>,
     total_bytes: u64,
     dirs: HashMap<(NetworkFingerprint, u64), DirIndex>,
-    /// Recently read segment buffers (a request's misses usually live in a
-    /// handful of segments; serving them from memory makes the disk-warm path
-    /// one sequential read per segment instead of one open+seek per entry).
-    buffers: HashMap<PathBuf, (Arc<Vec<u8>>, u64)>,
+    /// The segments the index points into, by id.
+    segments: HashMap<u64, Segment>,
+    /// The id of the next indexed segment.
+    next_segment: u64,
+    /// Recently read segments' bytes by segment id (a request's misses
+    /// usually live in a handful of segments; serving them from memory makes
+    /// the disk-warm path one sequential read and one batched verification
+    /// per segment instead of one open+seek and one checksum per entry).
+    buffers: HashMap<u64, Buffer>,
 }
 
 /// The persistent tier: a root directory plus the in-memory segment index.
@@ -301,6 +291,7 @@ impl DiskTier {
             let mut inner = poisoned.into_inner();
             inner.dirs.clear();
             inner.files.clear();
+            inner.segments.clear();
             inner.buffers.clear();
             inner.walked = false;
             inner.total_bytes = 0;
@@ -330,69 +321,102 @@ impl DiskTier {
     }
 
     fn lookup<V: CacheValue>(&self, inner: &mut TierInner, key: &CacheKey) -> Option<V> {
-        let loc = inner
+        let &(id, r) = inner
             .dirs
             .get(&(key.net, key.criterion))?
             .entries
-            .get(&key.sample)?
-            .clone();
-        if loc.kind != V::KIND {
+            .get(&key.sample)?;
+        let record = *inner.segments.get(&id)?.records.get(r)?;
+        if record.kind != V::KIND {
             return None;
         }
-        let Some(bytes) = self.segment_bytes(inner, &loc.path) else {
+        if !self.ensure_resident(inner, id) {
             // The segment vanished (evicted by another process, or removed by
             // hand): drop every index entry that pointed into it.
-            Self::purge_path(inner, &loc.path);
-            return None;
-        };
-        let payload = bytes.get(loc.offset..loc.offset + loc.len)?;
-        if record_checksum(payload) != loc.checksum {
+            let path = inner.segments[&id].path.clone();
+            Self::purge_path(inner, &path);
             return None;
         }
-        let value = V::decode(payload);
-        if value.is_some() {
+        inner.tick += 1;
+        let buffer = inner
+            .buffers
+            .get_mut(&id)
+            .expect("segment just made resident");
+        buffer.tick = inner.tick;
+        if !buffer.intact[r] {
+            return None;
+        }
+        let value = V::decode(&buffer.bytes[record.offset..record.offset + record.len]);
+        if value.is_some() && inner.walked {
             // A genuine hit refreshes the segment's last-access tick.
             inner.tick += 1;
-            let tick = inner.tick;
-            if let Some(meta) = inner.files.get_mut(&loc.path) {
-                meta.tick = tick;
+            if let Some(meta) = inner.files.get_mut(&inner.segments[&id].path) {
+                meta.tick = inner.tick;
             }
         }
         value
     }
 
-    /// The full contents of a segment file, from the buffer pool or one
-    /// sequential read.
-    fn segment_bytes(&self, inner: &mut TierInner, path: &Path) -> Option<Arc<Vec<u8>>> {
+    /// Make segment `id`'s bytes resident, reading and verifying them when
+    /// they are not; `false` when the file cannot be read.
+    fn ensure_resident(&self, inner: &mut TierInner, id: u64) -> bool {
+        if inner.buffers.contains_key(&id) {
+            return true;
+        }
+        let Some(segment) = inner.segments.get(&id) else {
+            return false;
+        };
+        let Ok(bytes) = std::fs::read(&segment.path) else {
+            return false;
+        };
+        let intact = verify(&segment.records, &bytes);
+        Self::admit(inner, id, bytes, intact);
+        true
+    }
+
+    /// Keep segment `id`'s bytes and verdicts resident, dropping the least
+    /// recently used buffer beyond [`MAX_RESIDENT_BUFFERS`].
+    fn admit(inner: &mut TierInner, id: u64, bytes: Vec<u8>, intact: Vec<bool>) {
         inner.tick += 1;
         let tick = inner.tick;
-        if let Some((bytes, buffer_tick)) = inner.buffers.get_mut(path) {
-            *buffer_tick = tick;
-            return Some(Arc::clone(bytes));
-        }
-        let bytes = Arc::new(std::fs::read(path).ok()?);
-        inner
-            .buffers
-            .insert(path.to_path_buf(), (Arc::clone(&bytes), tick));
+        inner.buffers.insert(
+            id,
+            Buffer {
+                bytes,
+                intact,
+                tick,
+            },
+        );
         if inner.buffers.len() > MAX_RESIDENT_BUFFERS {
             if let Some(oldest) = inner
                 .buffers
                 .iter()
-                .min_by_key(|(_, (_, t))| *t)
-                .map(|(p, _)| p.clone())
+                .min_by_key(|(_, buffer)| buffer.tick)
+                .map(|(&oldest, _)| oldest)
             {
                 inner.buffers.remove(&oldest);
             }
         }
-        Some(bytes)
     }
 
-    /// Drop every index entry, buffer and accounting row for `path`.
+    /// Drop every segment, index entry, buffer and accounting row for `path`.
     fn purge_path(inner: &mut TierInner, path: &Path) {
-        for dir in inner.dirs.values_mut() {
-            dir.entries.retain(|_, loc| loc.path != path);
-        }
-        inner.buffers.remove(path);
+        let TierInner {
+            segments,
+            buffers,
+            dirs,
+            ..
+        } = inner;
+        segments.retain(|id, segment| {
+            if segment.path != path {
+                return true;
+            }
+            buffers.remove(id);
+            for dir in dirs.values_mut() {
+                dir.entries.retain(|_, (seg, _)| seg != id);
+            }
+            false
+        });
         if let Some(meta) = inner.files.remove(path) {
             inner.total_bytes = inner.total_bytes.saturating_sub(meta.bytes);
         }
@@ -400,7 +424,8 @@ impl DiskTier {
 
     /// Scan a `(model, criterion)` directory's segments into the index (once
     /// per directory per process; segments written by this process are added
-    /// incrementally as they are stored).
+    /// incrementally as they are stored). Each segment's records are verified
+    /// as its bytes are read.
     fn ensure_dir_scanned(&self, inner: &mut TierInner, net: NetworkFingerprint, criterion: u64) {
         if inner.dirs.get(&(net, criterion)).is_some_and(|d| d.scanned) {
             return;
@@ -420,21 +445,19 @@ impl DiskTier {
         // index entry does not depend on readdir order.
         paths.sort();
         for path in paths {
-            if let Some(bytes) = self.segment_bytes(inner, &path) {
-                let index = inner.dirs.entry((net, criterion)).or_default();
-                for record in parse_segment(&bytes) {
-                    index.entries.insert(
-                        record.sample,
-                        EntryLoc {
-                            path: path.clone(),
-                            offset: record.offset,
-                            len: record.len,
-                            kind: record.kind,
-                            checksum: record.checksum,
-                        },
-                    );
-                }
+            let Ok(bytes) = std::fs::read(&path) else {
+                continue;
+            };
+            let records = parse_segment(&bytes);
+            let id = inner.next_segment;
+            inner.next_segment += 1;
+            let index = inner.dirs.entry((net, criterion)).or_default();
+            for (r, record) in records.iter().enumerate() {
+                index.entries.insert(record.sample, (id, r));
             }
+            let intact = verify(&records, &bytes);
+            inner.segments.insert(id, Segment { path, records });
+            Self::admit(inner, id, bytes, intact);
         }
         inner.dirs.entry((net, criterion)).or_default().scanned = true;
     }
@@ -459,29 +482,34 @@ impl DiskTier {
             let mut bytes = Vec::new();
             bytes.extend_from_slice(&SEG_MAGIC.to_le_bytes());
             bytes.extend_from_slice(&version_tag().to_le_bytes());
-            let mut locs: Vec<((u64, u64), EntryLoc)> = Vec::with_capacity(indices.len());
+            let mut records: Vec<SegRecord> = Vec::with_capacity(indices.len());
             for &i in &indices {
                 let (key, value) = &entries[i];
-                let mut payload = Vec::new();
-                value.encode(&mut payload);
-                let checksum = record_checksum(&payload);
-                bytes.extend_from_slice(&key.sample.0.to_le_bytes());
-                bytes.extend_from_slice(&key.sample.1.to_le_bytes());
-                bytes.extend_from_slice(&(V::KIND as u64).to_le_bytes());
-                bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-                bytes.extend_from_slice(&checksum.to_le_bytes());
+                // The length and the checksum are filled in once the payload
+                // is encoded in place.
+                for field in [key.sample.0, key.sample.1, V::KIND as u64, 0, 0] {
+                    bytes.extend_from_slice(&field.to_le_bytes());
+                }
                 let offset = bytes.len();
-                bytes.extend_from_slice(&payload);
-                locs.push((
-                    key.sample,
-                    EntryLoc {
-                        path: PathBuf::new(),
-                        offset,
-                        len: payload.len(),
-                        kind: V::KIND,
-                        checksum,
-                    },
-                ));
+                value.encode(&mut bytes);
+                records.push(SegRecord {
+                    sample: key.sample,
+                    kind: V::KIND,
+                    offset,
+                    len: bytes.len() - offset,
+                    checksum: 0,
+                });
+            }
+            let payloads: Vec<&[u8]> = records
+                .iter()
+                .map(|r| &bytes[r.offset..r.offset + r.len])
+                .collect();
+            let checksums = record_checksums(&payloads);
+            for (record, checksum) in records.iter_mut().zip(checksums) {
+                record.checksum = checksum;
+                let header = record.offset - RECORD_HEADER_BYTES;
+                bytes[header + 24..header + 32].copy_from_slice(&(record.len as u64).to_le_bytes());
+                bytes[header + 32..record.offset].copy_from_slice(&checksum.to_le_bytes());
             }
             let dir = self.dir_path(net, criterion);
             let path = dir.join(format!(
@@ -505,12 +533,14 @@ impl DiskTier {
             }
             // Keep an already-scanned directory's index current; an unscanned
             // one picks the segment up on its first probe.
+            let id = inner.next_segment;
             let index = inner.dirs.entry((net, criterion)).or_default();
             if index.scanned {
-                for (sample, mut loc) in locs {
-                    loc.path = path.clone();
-                    index.entries.insert(sample, loc);
+                for (r, record) in records.iter().enumerate() {
+                    index.entries.insert(record.sample, (id, r));
                 }
+                inner.next_segment += 1;
+                inner.segments.insert(id, Segment { path, records });
             }
         }
         self.evict_to_budget(&mut inner);
@@ -615,16 +645,18 @@ impl DiskTier {
                 out.removed_files += files;
                 out.removed_bytes += bytes;
                 inner.dirs.retain(|(net, _), _| *net != fingerprint);
-                let removed: Vec<PathBuf> = inner
+                let mut removed: Vec<PathBuf> = inner
                     .files
                     .keys()
+                    .chain(inner.segments.values().map(|s| &s.path))
                     .filter(|p| p.starts_with(&path))
                     .cloned()
                     .collect();
+                removed.sort();
+                removed.dedup();
                 for p in removed {
                     Self::purge_path(&mut inner, &p);
                 }
-                inner.buffers.retain(|p, _| !p.starts_with(&path));
             }
         }
         out
@@ -648,6 +680,7 @@ fn collect_files(root: &Path, f: &mut impl FnMut(PathBuf, std::fs::Metadata)) {
 }
 
 /// One parsed record header inside a segment buffer.
+#[derive(Debug, Clone, Copy)]
 struct SegRecord {
     sample: (u64, u64),
     kind: u8,
@@ -660,7 +693,8 @@ struct SegRecord {
 /// violation (short header, oversized payload length, out-of-range kind):
 /// everything before it is usable, everything after is unreachable —
 /// corruption can only ever shrink the index, never corrupt a value (payload
-/// checksums are verified at load time).
+/// checksums are verified whenever the segment's bytes are read, by
+/// [`verify`]).
 fn parse_segment(bytes: &[u8]) -> Vec<SegRecord> {
     let mut out = Vec::new();
     if bytes.len() < SEG_HEADER_BYTES {
@@ -696,6 +730,22 @@ fn parse_segment(bytes: &[u8]) -> Vec<SegRecord> {
         offset = payload_offset + len;
     }
     out
+}
+
+/// Whether each of `records` is intact in `bytes`: its payload lies inside
+/// them and matches its checksum. The payloads are checksummed in one batch.
+fn verify(records: &[SegRecord], bytes: &[u8]) -> Vec<bool> {
+    let payloads: Vec<Option<&[u8]>> = records
+        .iter()
+        .map(|r| bytes.get(r.offset..r.offset + r.len))
+        .collect();
+    let present: Vec<&[u8]> = payloads.iter().flatten().copied().collect();
+    let mut checksums = record_checksums(&present).into_iter();
+    records
+        .iter()
+        .zip(&payloads)
+        .map(|(r, payload)| payload.is_some() && checksums.next() == Some(r.checksum))
+        .collect()
 }
 
 #[cfg(test)]
@@ -890,6 +940,157 @@ mod tests {
                 "len {len}"
             );
         }
+    }
+
+    #[test]
+    fn record_checksum_batches_match_single_records() {
+        // Eight records of every length 0..=80 (whole interleaved groups),
+        // then every length once in a shuffled order, so each group of eight
+        // mixes lengths and the runs of one length are cut short.
+        let mut payloads: Vec<Vec<u8>> = Vec::new();
+        for len in 0..=80usize {
+            for copy in 0..8u8 {
+                payloads.push(
+                    ramp(len)
+                        .iter()
+                        .map(|b| b ^ copy.wrapping_mul(37))
+                        .collect(),
+                );
+            }
+        }
+        payloads.extend((0..=80usize).map(|i| ramp(i * 37 % 81)));
+        let slices: Vec<&[u8]> = payloads.iter().map(Vec::as_slice).collect();
+        let batched = record_checksums(&slices);
+        assert_eq!(batched.len(), payloads.len());
+        for (payload, sum) in payloads.iter().zip(batched) {
+            assert_eq!(
+                sum,
+                record_checksum(payload),
+                "payload of {} bytes",
+                payload.len()
+            );
+        }
+        assert!(record_checksums(&[]).is_empty());
+    }
+
+    /// Eight covered sets of one length (one interleaved checksum group) and
+    /// two of other lengths, as the format-6 fixture segment holds them.
+    fn fixture_values() -> Vec<Bitset> {
+        (0..10usize)
+            .map(|i| {
+                let len = if i < 8 { 200 } else { 64 + 70 * i };
+                set(&(i..len).step_by(i + 3).collect::<Vec<_>>(), len)
+            })
+            .collect()
+    }
+
+    fn fixture_key(i: usize) -> CacheKey {
+        CacheKey {
+            net: NetworkFingerprint {
+                lo: 0x1111,
+                hi: 0x2222,
+            },
+            sample: (i as u64, 100 + i as u64),
+            criterion: 0x77,
+        }
+    }
+
+    #[test]
+    fn segment_written_by_the_format_6_checksum_reads_back_as_hits() {
+        // `testdata/format6-segment.dnnipseg` was written by the
+        // one-record-at-a-time checksum, before records were checksummed in
+        // batches. Its header's version field is set to this build's tag, so
+        // a crate version bump does not retire the fixture; the records are
+        // the old writer's bytes.
+        let root = temp_root("format6");
+        let mut bytes = include_bytes!("../testdata/format6-segment.dnnipseg").to_vec();
+        bytes[8..16].copy_from_slice(&version_tag().to_le_bytes());
+        let dir = root
+            .join(format!("{}", fixture_key(0).net))
+            .join("0000000000000077");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join(format!("seg-old.{SEG_EXT}")), &bytes).unwrap();
+        let tier = DiskTier::new(&root);
+        for (i, value) in fixture_values().iter().enumerate() {
+            assert_eq!(
+                tier.load::<Bitset>(&fixture_key(i)).as_ref(),
+                Some(value),
+                "record {i}"
+            );
+        }
+        assert_eq!((tier.stats().hits, tier.stats().misses), (10, 0));
+        // The batched writer emits the same bytes.
+        let writer_root = temp_root("format6-writer");
+        let values = fixture_values();
+        let batch: Vec<(CacheKey, &Bitset)> = values
+            .iter()
+            .enumerate()
+            .map(|(i, v)| (fixture_key(i), v))
+            .collect();
+        DiskTier::new(&writer_root).store_batch(&batch);
+        assert_eq!(std::fs::read(only_segment(&writer_root)).unwrap(), bytes);
+        let _ = std::fs::remove_dir_all(&root);
+        let _ = std::fs::remove_dir_all(&writer_root);
+    }
+
+    #[test]
+    fn segment_with_one_corrupt_record_in_a_group_misses_only_it() {
+        let root = temp_root("group");
+        let values = fixture_values();
+        let batch: Vec<(CacheKey, &Bitset)> = values
+            .iter()
+            .enumerate()
+            .map(|(i, v)| (fixture_key(i), v))
+            .collect();
+        DiskTier::new(&root).store_batch(&batch);
+        let path = only_segment(&root);
+        let pristine = std::fs::read(&path).unwrap();
+        let records = parse_segment(&pristine);
+        let corrupt = |bytes: &mut Vec<u8>| {
+            // A payload bit of record 3, inside the group of eight.
+            bytes[records[3].offset + 9] ^= 0x10;
+        };
+        let expect_only_3_misses = |tier: &DiskTier| {
+            for (i, value) in values.iter().enumerate() {
+                let loaded = tier.load::<Bitset>(&fixture_key(i));
+                if i == 3 {
+                    assert!(loaded.is_none(), "corrupt record hit");
+                } else {
+                    assert_eq!(loaded.as_ref(), Some(value), "record {i}");
+                }
+            }
+        };
+
+        // Corrupt before any read: the scan's verification catches it.
+        let mut flipped = pristine.clone();
+        corrupt(&mut flipped);
+        std::fs::write(&path, &flipped).unwrap();
+        expect_only_3_misses(&DiskTier::new(&root));
+
+        // Corrupt after an earlier read: the resident bytes were verified
+        // intact and keep serving; once the buffer is evicted, the re-read
+        // bytes are verified again and the record misses.
+        std::fs::write(&path, &pristine).unwrap();
+        let tier = DiskTier::new(&root);
+        for (i, value) in values.iter().enumerate() {
+            assert_eq!(tier.load::<Bitset>(&fixture_key(i)).as_ref(), Some(value));
+        }
+        std::fs::write(&path, &flipped).unwrap();
+        assert_eq!(
+            tier.load::<Bitset>(&fixture_key(3)).as_ref(),
+            Some(&values[3])
+        );
+        let filler = set(&[1], 64);
+        for criterion in 0..MAX_RESIDENT_BUFFERS as u64 {
+            let k = CacheKey {
+                criterion,
+                ..key(5)
+            };
+            tier.store_batch(&[(k, &filler)]);
+            assert!(tier.load::<Bitset>(&k).is_some());
+        }
+        expect_only_3_misses(&tier);
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     /// Arbitrary bytes (the shim has no `any::<u8>()`).

@@ -655,9 +655,10 @@ impl Workspace {
                 let mut seen: HashSet<(u64, u64)> = HashSet::new();
                 let mut unique: Vec<Tensor> = Vec::new();
                 for &i in members {
-                    for sample in &requests[i].candidates {
+                    let pool = &requests[i].candidates;
+                    for (sample, hash) in pool.iter().zip(crate::eval::sample_hashes(pool)) {
                         stats.pool_samples += 1;
-                        if seen.insert(crate::eval::sample_hash(sample)) {
+                        if seen.insert(hash) {
                             unique.push(sample.clone());
                         } else {
                             stats.shared_samples += 1;

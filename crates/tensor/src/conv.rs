@@ -302,66 +302,6 @@ fn im2col_scatter(
     }
 }
 
-/// Lower one `[C, H, W]` sample into an im2col matrix `[C*KH*KW, OH*OW]`.
-///
-/// Column `p` of the result holds the receptive field that produces output pixel
-/// `p` (row-major over `OH`×`OW`); zero padding contributes explicit zeros.
-/// Allocating wrapper around [`im2col_block_into`].
-///
-/// # Errors
-///
-/// Returns a [`TensorError`] for non-rank-3 input or invalid window geometry.
-pub fn im2col(sample: &Tensor, geom: Conv2dGeometry) -> Result<Tensor> {
-    if sample.ndim() != 3 {
-        return Err(TensorError::RankMismatch {
-            expected: 3,
-            actual: sample.shape().to_vec(),
-            op: "im2col",
-        });
-    }
-    let (c, h, w) = (sample.shape()[0], sample.shape()[1], sample.shape()[2]);
-    let (oh, ow) = geom.output_hw(h, w)?;
-    let (rows, per) = (c * geom.kh * geom.kw, oh * ow);
-    let mut out = vec![0.0f32; rows * per];
-    im2col_block_into(sample.data(), c, h, w, geom, &mut out, &mut Vec::new())?;
-    Tensor::from_vec(out, &[rows, per])
-}
-
-/// Scatter an im2col-layout matrix back onto a `[C, H, W]` image, **summing**
-/// overlapping contributions — the adjoint of [`im2col`].
-///
-/// `cols` has shape `[C*KH*KW, OH*OW]`; entry `(r, p)` is added to the input
-/// pixel that [`im2col`] read into that position (contributions that came from
-/// zero padding are dropped). This turns the convolution's input gradient into
-/// two dense steps: `grad_cols = Wᵀ · grad_out` followed by `col2im(grad_cols)`.
-///
-/// # Errors
-///
-/// Returns a [`TensorError`] when `cols` is not rank-2, its shape disagrees with
-/// the geometry, or the window does not fit the target image.
-pub fn col2im(cols: &Tensor, geom: Conv2dGeometry, c: usize, h: usize, w: usize) -> Result<Tensor> {
-    if cols.ndim() != 2 {
-        return Err(TensorError::RankMismatch {
-            expected: 2,
-            actual: cols.shape().to_vec(),
-            op: "col2im",
-        });
-    }
-    let (oh, ow) = geom.output_hw(h, w)?;
-    let rows = c * geom.kh * geom.kw;
-    let ncols = oh * ow;
-    if cols.shape() != [rows, ncols] {
-        return Err(TensorError::ShapeMismatch {
-            lhs: vec![rows, ncols],
-            rhs: cols.shape().to_vec(),
-            op: "col2im",
-        });
-    }
-    let mut out = Vec::new();
-    col2im_slice_into(cols.data(), geom, c, h, w, &mut out)?;
-    Tensor::from_vec(out, &[c, h, w])
-}
-
 /// Add `terms` to `acc`, lane by lane, with the lanes whose `keep` mask is
 /// clear reading `+0.0` (their bits cleared).
 #[inline(always)]
@@ -372,7 +312,14 @@ fn add_masked(acc: &mut [f32; LANES], terms: &[f32; LANES], keep: &[u32; LANES])
 }
 
 /// Scatter a raw im2col-layout slice back onto a `[C, H, W]` image written
-/// into a caller-owned buffer — the allocation-free core of [`col2im`].
+/// into a caller-owned buffer, **summing** overlapping contributions — the
+/// adjoint of [`im2col_block_into`].
+///
+/// `cols` has the im2col layout `[C*KH*KW, OH*OW]`; entry `(r, p)` is added
+/// to the input pixel that im2col read into that position (contributions
+/// that came from zero padding are dropped). This turns the convolution's
+/// input gradient into two dense steps: `grad_cols = Wᵀ · grad_out`, then
+/// this scatter.
 ///
 /// The buffer is resized to `c*h*w` and every element is stored exactly once,
 /// so a reused arena buffer produces bit-identical results to a fresh
@@ -866,17 +813,20 @@ mod tests {
         let geom = Conv2dGeometry::square(3, 2, 1);
         let (c, h, w) = (2usize, 5usize, 6usize);
         let x = Tensor::from_fn(&[c, h, w], |i| (i as f32 * 0.71).sin());
-        let cols = im2col(&x, geom).unwrap();
-        let y = Tensor::from_fn(cols.shape(), |i| (i as f32 * 0.37).cos());
-        let lhs: f32 = cols.data().iter().zip(y.data()).map(|(a, b)| a * b).sum();
-        let back = col2im(&y, geom, c, h, w).unwrap();
-        let rhs: f32 = x.data().iter().zip(back.data()).map(|(a, b)| a * b).sum();
+        let (oh, ow) = geom.output_hw(h, w).unwrap();
+        let mut cols = vec![0.0f32; c * 9 * oh * ow];
+        im2col_block_into(x.data(), c, h, w, geom, &mut cols, &mut Vec::new()).unwrap();
+        let y: Vec<f32> = (0..cols.len()).map(|i| (i as f32 * 0.37).cos()).collect();
+        let lhs: f32 = cols.iter().zip(&y).map(|(a, b)| a * b).sum();
+        let mut back = Vec::new();
+        col2im_slice_into(&y, geom, c, h, w, &mut back).unwrap();
+        let rhs: f32 = x.data().iter().zip(&back).map(|(a, b)| a * b).sum();
         assert!(
             (lhs - rhs).abs() < 1e-3 * (1.0 + lhs.abs()),
             "adjoint identity violated: {lhs} vs {rhs}"
         );
-        assert!(col2im(&y, geom, c, h, 50).is_err());
-        assert!(col2im(&Tensor::zeros(&[3]), geom, c, h, w).is_err());
+        assert!(col2im_slice_into(&y, geom, c, h, 50, &mut back).is_err());
+        assert!(col2im_slice_into(&[0.0; 3], geom, c, h, w, &mut back).is_err());
     }
 
     #[test]
@@ -945,16 +895,21 @@ mod tests {
 
     #[test]
     fn im2col_shape_and_content() {
-        let sample = Tensor::from_fn(&[1, 3, 3], |i| i as f32);
+        let sample: Vec<f32> = (0..9).map(|i| i as f32).collect();
         let geom = Conv2dGeometry::square(2, 1, 0);
-        let cols = im2col(&sample, geom).unwrap();
-        assert_eq!(cols.shape(), &[4, 4]);
+        let mut cols = vec![f32::NAN; 16];
+        let dims = im2col_block_into(&sample, 1, 3, 3, geom, &mut cols, &mut Vec::new()).unwrap();
+        assert_eq!(dims, (4, 4));
         // First column is the top-left 2x2 window [0,1,3,4].
-        assert_eq!(cols.get(&[0, 0]).unwrap(), 0.0);
-        assert_eq!(cols.get(&[1, 0]).unwrap(), 1.0);
-        assert_eq!(cols.get(&[2, 0]).unwrap(), 3.0);
-        assert_eq!(cols.get(&[3, 0]).unwrap(), 4.0);
-        assert!(im2col(&Tensor::zeros(&[3, 3]), geom).is_err());
+        assert_eq!(cols[0], 0.0);
+        assert_eq!(cols[4], 1.0);
+        assert_eq!(cols[2 * 4], 3.0);
+        assert_eq!(cols[3 * 4], 4.0);
+        // A sample that is not `c*h*w` long, and a block of the wrong size.
+        assert!(im2col_block_into(&sample, 1, 3, 4, geom, &mut cols, &mut Vec::new()).is_err());
+        assert!(
+            im2col_block_into(&sample, 1, 3, 3, geom, &mut cols[..15], &mut Vec::new()).is_err()
+        );
     }
 
     #[test]
