@@ -3,10 +3,12 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dnnip_core::coverage::CoverageConfig;
+use dnnip_core::detection::{detection_rate, DetectionConfig};
 use dnnip_core::generator::GenerationMethod;
+use dnnip_core::protocol::FunctionalTestSuite;
 use dnnip_core::workspace::{TestGenRequest, Workspace};
 use dnnip_faults::attacks::{GradientDescentAttack, RandomPerturbation, SingleBiasAttack};
-use dnnip_faults::detection::{detection_rate, DetectionConfig, MatchPolicy};
+use dnnip_faults::detection::MatchPolicy;
 use dnnip_nn::layers::Activation;
 use dnnip_nn::zoo;
 use dnnip_tensor::Tensor;
@@ -26,11 +28,12 @@ fn bench_detection(c: &mut Criterion) {
         .unwrap()
         .tests
         .inputs;
+    let tests =
+        FunctionalTestSuite::from_network(&net, tests, MatchPolicy::OutputTolerance(1e-4)).unwrap();
     let probes = &pool[..8];
     let config = DetectionConfig {
         trials: 10,
         seed: 3,
-        policy: MatchPolicy::OutputTolerance(1e-4),
         exec: dnnip_core::par::ExecPolicy::Serial,
     };
 

@@ -5,7 +5,9 @@
 //! For the Tanh MNIST model, sweeps the relative threshold and reports (a) the
 //! mean per-image coverage of the three Fig.-2 image families and (b) whether
 //! the paper's ordering (training > OOD > noise) holds at that threshold. This
-//! justifies the `RelativeToMax(1e-2)` default recorded in DESIGN.md.
+//! justifies the `RelativeToMax(1e-2)` that `coverage_config_for` gives
+//! saturating models: too small an ε counts nearly every parameter of a small
+//! Tanh model as activated, too large an ε discards genuinely exercised ones.
 //!
 //! ```text
 //! cargo run --release -p dnnip-bench --bin ablation_epsilon [smoke|default|paper]

@@ -1,11 +1,13 @@
 //! Shared driver for the Table II / Table III detection-rate experiments.
 
+use dnnip_core::detection::{detection_rate, DetectionConfig};
 use dnnip_core::generator::GenerationMethod;
 use dnnip_core::gradgen::GradGenConfig;
 use dnnip_core::par::ExecPolicy;
+use dnnip_core::protocol::FunctionalTestSuite;
 use dnnip_core::workspace::{TestGenRequest, Workspace};
 use dnnip_faults::attacks::{Attack, GradientDescentAttack, RandomPerturbation, SingleBiasAttack};
-use dnnip_faults::detection::{detection_rate, DetectionConfig, MatchPolicy};
+use dnnip_faults::detection::MatchPolicy;
 use dnnip_tensor::Tensor;
 
 use crate::{criterion_spec_from_env, pct, register_model, ExperimentProfile, PreparedModel};
@@ -50,9 +52,20 @@ pub fn detection_table(
         .expect("non-empty budgets");
 
     // Generate the largest suites once; smaller budgets are prefixes, which is
-    // exactly how the paper sweeps N (the greedy orders are nested).
-    let proposed_all = ws
-        .run(
+    // exactly how the paper sweeps N (the greedy orders are nested). Each is
+    // released as one package with its golden outputs; the budget sweep replays
+    // prefixes of it.
+    //
+    // The paper's user checks whether the IP "functions correctly" on the
+    // shared tests; the argmax policy models a classification-API user and is
+    // the discriminative setting (an exact-output comparison detects nearly
+    // every perturbation and saturates both methods at ~100%).
+    let release = |tests: Vec<Tensor>| {
+        FunctionalTestSuite::from_network(&model.network, tests, MatchPolicy::ArgMax)
+            .expect("golden outputs")
+    };
+    let proposed_all = release(
+        ws.run(
             &TestGenRequest::new(fingerprint, GenerationMethod::Combined, max_budget)
                 .with_criterion_selector(criterion_spec_from_env())
                 .with_gradgen(GradGenConfig {
@@ -63,9 +76,10 @@ pub fn detection_table(
         )
         .expect("combined generation")
         .tests
-        .inputs;
-    let baseline_all = ws
-        .run(
+        .inputs,
+    );
+    let baseline_all = release(
+        ws.run(
             &TestGenRequest::new(
                 fingerprint,
                 GenerationMethod::NeuronCoverageBaseline,
@@ -75,7 +89,8 @@ pub fn detection_table(
         )
         .expect("neuron-coverage selection")
         .tests
-        .inputs;
+        .inputs,
+    );
 
     // The paper does not say how many parameters its "random gaussian noise"
     // perturbation touches. A fixed handful (e.g. 16) out of tens of thousands is
@@ -95,33 +110,29 @@ pub fn detection_table(
         ),
     ];
 
+    // Detection trials are independent attack + replay runs; fan them out over
+    // the hardware threads (reports are bit-identical to serial).
+    let config = DetectionConfig {
+        trials: profile.detection_trials(),
+        seed,
+        exec: ExecPolicy::auto(),
+    };
     let mut rows = Vec::new();
     for &n in &profile.table_test_counts() {
-        // The paper's user checks whether the IP "functions correctly" on the
-        // shared tests; the argmax policy models a classification-API user and is
-        // the discriminative setting (an exact-output comparison detects nearly
-        // every perturbation and saturates both methods at ~100%).
-        // Detection trials are independent attack + replay runs; fan them out
-        // over the hardware threads (reports are bit-identical to serial).
-        let config = DetectionConfig {
-            trials: profile.detection_trials(),
-            seed,
-            policy: MatchPolicy::ArgMax,
-            exec: ExecPolicy::auto(),
-        };
+        let budget =
+            |suite: &FunctionalTestSuite| suite.prefix(n.min(suite.len())).expect("prefix");
+        let (baseline_tests, proposed_tests) = (budget(&baseline_all), budget(&proposed_all));
         let mut row = DetectionRow {
             num_tests: n,
             baseline: [0.0; 3],
             proposed: [0.0; 3],
         };
         for (i, (_, attack)) in attacks.iter().enumerate() {
-            let baseline_tests = &baseline_all[..n.min(baseline_all.len())];
-            let proposed_tests = &proposed_all[..n.min(proposed_all.len())];
             row.baseline[i] = detection_rate(
                 &model.network,
                 attack.as_ref(),
                 &probes,
-                baseline_tests,
+                &baseline_tests,
                 &config,
             )
             .expect("baseline detection")
@@ -130,7 +141,7 @@ pub fn detection_table(
                 &model.network,
                 attack.as_ref(),
                 &probes,
-                proposed_tests,
+                &proposed_tests,
                 &config,
             )
             .expect("proposed detection")

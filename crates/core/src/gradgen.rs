@@ -23,7 +23,8 @@
 //! rising curve of Fig. 3 the rounds must differ, so this implementation seeds
 //! each round after the first with a small random initialization (configurable
 //! via [`GradGenConfig::init_noise`]); round 0 uses the paper's all-zero start.
-//! The deviation is recorded in DESIGN.md.
+//! Setting `init_noise` to `0.0` restores the paper's letter, flat curve and
+//! all.
 
 use std::ops::Range;
 use std::sync::Arc;

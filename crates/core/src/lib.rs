@@ -45,6 +45,8 @@
 //! * [`protocol`] — the vendor/user validation protocol of Fig. 1: suite
 //!   packaging with golden outputs on the vendor side, black-box replay and
 //!   verdicts on the user side.
+//! * [`detection`] — the Tables II/III detection-rate harness: attack trials
+//!   replayed against a released suite through the user's own replay.
 //!
 //! # Example
 //!
@@ -75,6 +77,7 @@ pub mod combined;
 pub mod coverage;
 pub mod covered;
 pub mod criterion;
+pub mod detection;
 pub mod eval;
 pub mod generator;
 pub mod gradgen;

@@ -8,18 +8,38 @@
 //!
 //! [`FunctionalTestSuite`] is the `(X, Y)` package; [`FunctionalTestSuite::validate`]
 //! is the user-side check. It only needs a `&dyn DnnIp`, so the user code cannot
-//! accidentally depend on model internals. The suite serializes to a
-//! self-contained byte format so it can be shipped next to the IP (the paper
-//! additionally encrypts the package; key management is outside the scope of this
-//! reproduction and noted in DESIGN.md).
+//! accidentally depend on model internals. The same replay drives the detection
+//! experiments ([`crate::detection::detection_rate`]), so Tables II/III measure
+//! the code the user runs.
+//!
+//! # Wire format
+//!
+//! [`FunctionalTestSuite::to_bytes`] writes the model format's tensor stream
+//! ([`dnnip_nn::serialize::tensors_to_bytes`]):
+//!
+//! * the magic `DNNIPSTE` and the format version (1);
+//! * the policy tag (0 = argmax, 1 = output tolerance) and the tolerance's
+//!   `f32` bits (zero under argmax);
+//! * the record count, then every input `X` and after them every golden
+//!   output `Y`, each a shape and its length-prefixed little-endian `f32`s;
+//! * an FNV-1a checksum trailer over everything before it.
+//!
+//! The decoder is the model decoder's bounded reader: no count it reads sizes
+//! an allocation and shape products are checked for overflow, so a hostile
+//! stream is an error, never an abort. The checksum catches corruption in
+//! transit, not forgery: the paper also encrypts the package, and key
+//! management is outside the scope of this reproduction.
 
 use dnnip_accel::ip::DnnIp;
 use dnnip_faults::detection::MatchPolicy;
-use dnnip_nn::Network;
+use dnnip_nn::{serialize, Network};
 use dnnip_tensor::Tensor;
 
 use crate::eval::Evaluator;
 use crate::{CoreError, Result};
+
+const MAGIC: &[u8; 8] = b"DNNIPSTE";
+const VERSION: u32 = 1;
 
 /// The vendor's released validation package: functional tests plus golden
 /// outputs.
@@ -46,7 +66,32 @@ pub struct ValidationOutcome {
     pub num_tests: usize,
 }
 
+fn invalid(reason: String) -> CoreError {
+    CoreError::InvalidSuite { reason }
+}
+
 impl FunctionalTestSuite {
+    fn new(inputs: Vec<Tensor>, golden_outputs: Vec<Tensor>, policy: MatchPolicy) -> Result<Self> {
+        let suite = Self {
+            inputs,
+            golden_outputs,
+            policy,
+        };
+        suite.check()?;
+        Ok(suite)
+    }
+
+    /// A suite needs at least one test and exactly one golden output per test.
+    fn check(&self) -> Result<()> {
+        let (tests, golden) = (self.inputs.len(), self.golden_outputs.len());
+        if tests == 0 || tests != golden {
+            return Err(invalid(format!(
+                "{tests} tests with {golden} golden outputs"
+            )));
+        }
+        Ok(())
+    }
+
     /// Vendor side: compute golden outputs for `inputs` on the trusted `network`.
     ///
     /// # Errors
@@ -58,30 +103,19 @@ impl FunctionalTestSuite {
         inputs: Vec<Tensor>,
         policy: MatchPolicy,
     ) -> Result<Self> {
-        if inputs.is_empty() {
-            return Err(CoreError::InvalidSuite {
-                reason: "a functional-test suite needs at least one test".to_string(),
-            });
-        }
         let golden_outputs = inputs
             .iter()
             .map(|x| Ok(network.forward_sample(x)?))
             .collect::<Result<Vec<_>>>()?;
-        Ok(Self {
-            inputs,
-            golden_outputs,
-            policy,
-        })
+        Self::new(inputs, golden_outputs, policy)
     }
 
     /// Vendor side, cache-aware: compute golden outputs through `evaluator`'s
     /// forward-output cache ([`Evaluator::forward_outputs`]).
     ///
     /// Golden outputs are bit-identical to
-    /// [`FunctionalTestSuite::from_network`] on the same network; the win is
-    /// that repeated suite construction over overlapping test prefixes (the
-    /// Table II/III budget sweeps, [`FunctionalTestSuite::prefix`] refreshes)
-    /// replays no inference for already-seen tests.
+    /// [`FunctionalTestSuite::from_network`] on the same network; a suite
+    /// rebuilt over already-seen tests replays no inference.
     ///
     /// # Errors
     ///
@@ -92,17 +126,8 @@ impl FunctionalTestSuite {
         inputs: Vec<Tensor>,
         policy: MatchPolicy,
     ) -> Result<Self> {
-        if inputs.is_empty() {
-            return Err(CoreError::InvalidSuite {
-                reason: "a functional-test suite needs at least one test".to_string(),
-            });
-        }
         let golden_outputs = evaluator.forward_outputs(&inputs)?;
-        Ok(Self {
-            inputs,
-            golden_outputs,
-            policy,
-        })
+        Self::new(inputs, golden_outputs, policy)
     }
 
     /// The suite of the first `n` tests (golden outputs are reused, not
@@ -114,19 +139,14 @@ impl FunctionalTestSuite {
     /// Returns [`CoreError::InvalidSuite`] when `n` is zero or exceeds the
     /// suite length.
     pub fn prefix(&self, n: usize) -> Result<Self> {
-        if n == 0 || n > self.inputs.len() {
-            return Err(CoreError::InvalidSuite {
-                reason: format!(
-                    "prefix length {n} out of range for a suite of {}",
-                    self.inputs.len()
-                ),
-            });
+        let len = self.len();
+        if n > len {
+            return Err(invalid(format!(
+                "prefix length {n} out of range for a suite of {len}"
+            )));
         }
-        Ok(Self {
-            inputs: self.inputs[..n].to_vec(),
-            golden_outputs: self.golden_outputs[..n].to_vec(),
-            policy: self.policy,
-        })
+        let golden = self.golden_outputs.get(..n).unwrap_or_default();
+        Self::new(self.inputs[..n].to_vec(), golden.to_vec(), self.policy)
     }
 
     /// Number of functional tests in the suite.
@@ -139,25 +159,40 @@ impl FunctionalTestSuite {
         self.inputs.is_empty()
     }
 
+    /// Replay the suite on `ip`, lazily: the indices of the tests whose output
+    /// does not match its golden output under the suite's policy, in order.
+    pub(crate) fn mismatches<'a>(
+        &'a self,
+        ip: &'a dyn DnnIp,
+    ) -> Result<impl Iterator<Item = Result<usize>> + 'a> {
+        self.check()?;
+        Ok(self
+            .inputs
+            .iter()
+            .zip(&self.golden_outputs)
+            .enumerate()
+            .filter_map(move |(i, (input, golden))| match ip.infer(input) {
+                Ok(observed) => (!self.policy.matches(golden, &observed)).then_some(Ok(i)),
+                Err(e) => Some(Err(invalid(format!(
+                    "IP rejected functional test {i}: {e}"
+                )))),
+            }))
+    }
+
     /// User side: replay the suite against a black-box IP and compare outputs.
     ///
     /// # Errors
     ///
-    /// Returns an error if the IP rejects a test input (wrong shape) — a sign the
-    /// delivered IP does not even match the advertised interface.
+    /// Returns [`CoreError::InvalidSuite`] for an empty suite or one whose
+    /// golden outputs do not pair up with its tests, and when the IP rejects
+    /// a test input (wrong shape) — a sign the delivered IP does not even
+    /// match the advertised interface.
     pub fn validate(&self, ip: &dyn DnnIp) -> Result<ValidationOutcome> {
         let mut first_failure = None;
         let mut num_mismatches = 0usize;
-        for (i, (input, golden)) in self.inputs.iter().zip(&self.golden_outputs).enumerate() {
-            let observed = ip.infer(input).map_err(|e| CoreError::InvalidSuite {
-                reason: format!("IP rejected functional test {i}: {e}"),
-            })?;
-            if !self.policy.matches(golden, &observed) {
-                num_mismatches += 1;
-                if first_failure.is_none() {
-                    first_failure = Some(i);
-                }
-            }
+        for i in self.mismatches(ip)? {
+            first_failure.get_or_insert(i?);
+            num_mismatches += 1;
         }
         Ok(ValidationOutcome {
             passed: num_mismatches == 0,
@@ -167,125 +202,39 @@ impl FunctionalTestSuite {
         })
     }
 
-    /// Serialize the suite to a self-contained byte vector.
+    /// Serialize the suite in the checksummed wire format described in the
+    /// module docs.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(b"DNNIPSTE");
-        let policy_tag: u8 = match self.policy {
-            MatchPolicy::ArgMax => 0,
-            MatchPolicy::OutputTolerance(_) => 1,
+        let (tag, tol) = match self.policy {
+            MatchPolicy::ArgMax => (0, 0.0f32),
+            MatchPolicy::OutputTolerance(t) => (1, t),
         };
-        out.push(policy_tag);
-        let tol = match self.policy {
-            MatchPolicy::ArgMax => 0.0f32,
-            MatchPolicy::OutputTolerance(t) => t,
-        };
-        out.extend_from_slice(&tol.to_le_bytes());
-        out.extend_from_slice(&(self.inputs.len() as u32).to_le_bytes());
-        for (input, golden) in self.inputs.iter().zip(&self.golden_outputs) {
-            write_tensor(&mut out, input);
-            write_tensor(&mut out, golden);
-        }
-        out
+        let records: Vec<&Tensor> = self.inputs.iter().chain(&self.golden_outputs).collect();
+        serialize::tensors_to_bytes(MAGIC, VERSION, &[tag, tol.to_bits()], &records)
     }
 
     /// Deserialize a suite written by [`FunctionalTestSuite::to_bytes`].
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidSuite`] for truncated or malformed input.
+    /// Returns [`CoreError::InvalidSuite`] for truncated, corrupted
+    /// (checksum mismatch) or malformed input, an unsupported format version
+    /// and a stream holding no tests or an unpaired record.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        let mut pos = 0usize;
-        let take = |pos: &mut usize, n: usize| -> Result<&[u8]> {
-            if *pos + n > bytes.len() {
-                return Err(CoreError::InvalidSuite {
-                    reason: format!("unexpected end of stream at byte {pos:?}"),
-                });
-            }
-            let s = &bytes[*pos..*pos + n];
-            *pos += n;
-            Ok(s)
-        };
-        if take(&mut pos, 8)? != b"DNNIPSTE" {
-            return Err(CoreError::InvalidSuite {
-                reason: "bad magic".to_string(),
-            });
-        }
-        let policy_tag = take(&mut pos, 1)?[0];
-        let tol_bytes = take(&mut pos, 4)?;
-        let tol = f32::from_le_bytes([tol_bytes[0], tol_bytes[1], tol_bytes[2], tol_bytes[3]]);
-        let policy = match policy_tag {
-            0 => MatchPolicy::ArgMax,
-            1 => MatchPolicy::OutputTolerance(tol),
-            other => {
-                return Err(CoreError::InvalidSuite {
-                    reason: format!("unknown policy tag {other}"),
-                })
+        let ([tag, tol], mut inputs) = serialize::tensors_from_bytes::<2>(bytes, MAGIC, VERSION)
+            .map_err(|e| invalid(e.to_string()))?;
+        let policy = match (tag, tol) {
+            (0, 0) => MatchPolicy::ArgMax,
+            (1, tol) => MatchPolicy::OutputTolerance(f32::from_bits(tol)),
+            _ => {
+                return Err(invalid(format!(
+                    "unknown policy {tag} (tolerance {tol:#x})"
+                )))
             }
         };
-        let n_bytes = take(&mut pos, 4)?;
-        let n = u32::from_le_bytes([n_bytes[0], n_bytes[1], n_bytes[2], n_bytes[3]]) as usize;
-        let mut inputs = Vec::with_capacity(n);
-        let mut golden_outputs = Vec::with_capacity(n);
-        for _ in 0..n {
-            inputs.push(read_tensor(bytes, &mut pos)?);
-            golden_outputs.push(read_tensor(bytes, &mut pos)?);
-        }
-        if pos != bytes.len() {
-            return Err(CoreError::InvalidSuite {
-                reason: format!("{} trailing bytes", bytes.len() - pos),
-            });
-        }
-        if inputs.is_empty() {
-            return Err(CoreError::InvalidSuite {
-                reason: "suite contains no tests".to_string(),
-            });
-        }
-        Ok(Self {
-            inputs,
-            golden_outputs,
-            policy,
-        })
+        let golden_outputs = inputs.split_off(inputs.len() / 2);
+        Self::new(inputs, golden_outputs, policy)
     }
-}
-
-fn write_tensor(out: &mut Vec<u8>, t: &Tensor) {
-    out.extend_from_slice(&(t.ndim() as u32).to_le_bytes());
-    for &d in t.shape() {
-        out.extend_from_slice(&(d as u32).to_le_bytes());
-    }
-    out.extend_from_slice(&(t.len() as u32).to_le_bytes());
-    for &v in t.data() {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-}
-
-fn read_tensor(bytes: &[u8], pos: &mut usize) -> Result<Tensor> {
-    let mut take = |n: usize| -> Result<&[u8]> {
-        if *pos + n > bytes.len() {
-            return Err(CoreError::InvalidSuite {
-                reason: "unexpected end of stream while reading a tensor".to_string(),
-            });
-        }
-        let s = &bytes[*pos..*pos + n];
-        *pos += n;
-        Ok(s)
-    };
-    let read_u32 = |b: &[u8]| u32::from_le_bytes([b[0], b[1], b[2], b[3]]) as usize;
-    let ndim = read_u32(take(4)?);
-    let mut shape = Vec::with_capacity(ndim);
-    for _ in 0..ndim {
-        shape.push(read_u32(take(4)?));
-    }
-    let len = read_u32(take(4)?);
-    let data_bytes = take(len * 4)?;
-    let data: Vec<f32> = data_bytes
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-        .collect();
-    Tensor::from_vec(data, &shape).map_err(|e| CoreError::InvalidSuite {
-        reason: format!("malformed tensor: {e}"),
-    })
 }
 
 #[cfg(test)]
@@ -306,19 +255,28 @@ mod tests {
             .collect()
     }
 
+    /// The suite of `n` tests released on [`net`] under `policy`.
+    fn suite(n: usize, policy: MatchPolicy) -> FunctionalTestSuite {
+        let network = net();
+        FunctionalTestSuite::from_network(&network, tests_for(&network, n), policy).unwrap()
+    }
+
+    /// `words` little-endian behind the magic and a correct FNV-1a trailer.
+    fn sealed(words: &[u32]) -> Vec<u8> {
+        let mut body = MAGIC.to_vec();
+        body.extend(words.iter().flat_map(|w| w.to_le_bytes()));
+        let mut h = dnnip_nn::fingerprint::Fnv1a::new();
+        h.write(&body);
+        body.extend_from_slice(&h.finish().to_le_bytes());
+        body
+    }
+
     #[test]
     fn unmodified_ip_passes_validation() {
-        let network = net();
-        let suite = FunctionalTestSuite::from_network(
-            &network,
-            tests_for(&network, 6),
-            MatchPolicy::OutputTolerance(1e-4),
-        )
-        .unwrap();
+        let suite = suite(6, MatchPolicy::OutputTolerance(1e-4));
         assert_eq!(suite.len(), 6);
         assert!(!suite.is_empty());
-        let ip = FloatIp::new(network);
-        let outcome = suite.validate(&ip).unwrap();
+        let outcome = suite.validate(&FloatIp::new(net())).unwrap();
         assert!(outcome.passed);
         assert_eq!(outcome.num_mismatches, 0);
         assert_eq!(outcome.first_failure, None);
@@ -327,14 +285,8 @@ mod tests {
 
     #[test]
     fn tampered_ip_fails_validation() {
-        let network = net();
-        let suite = FunctionalTestSuite::from_network(
-            &network,
-            tests_for(&network, 6),
-            MatchPolicy::OutputTolerance(1e-4),
-        )
-        .unwrap();
-        let mut tampered = network.clone();
+        let suite = suite(6, MatchPolicy::OutputTolerance(1e-4));
+        let mut tampered = net();
         let last = tampered.num_parameters() - 1;
         tampered.set_parameter(last, 25.0).unwrap();
         let outcome = suite.validate(&FloatIp::new(tampered)).unwrap();
@@ -348,31 +300,21 @@ mod tests {
         // With a strict float tolerance the (benign) quantization error itself
         // trips validation; the argmax policy accepts the quantized IP while still
         // catching real attacks (this is why the vendor picks the policy).
-        let network = net();
-        let inputs = tests_for(&network, 6);
-        let strict = FunctionalTestSuite::from_network(
-            &network,
-            inputs.clone(),
-            MatchPolicy::OutputTolerance(1e-6),
-        )
-        .unwrap();
-        let argmax =
-            FunctionalTestSuite::from_network(&network, inputs, MatchPolicy::ArgMax).unwrap();
-        let accel = AcceleratorIp::from_network(&network, BitWidth::Int8);
+        let accel = AcceleratorIp::from_network(&net(), BitWidth::Int8);
+        let strict = suite(6, MatchPolicy::OutputTolerance(1e-6));
         assert!(!strict.validate(&accel).unwrap().passed);
-        assert!(argmax.validate(&accel).unwrap().passed);
+        assert!(
+            suite(6, MatchPolicy::ArgMax)
+                .validate(&accel)
+                .unwrap()
+                .passed
+        );
     }
 
     #[test]
     fn wrong_interface_is_reported_as_error() {
-        let network = net();
         let other = zoo::tiny_mlp(9, 4, 3, Activation::Relu, 1).unwrap();
-        let suite = FunctionalTestSuite::from_network(
-            &network,
-            tests_for(&network, 2),
-            MatchPolicy::ArgMax,
-        )
-        .unwrap();
+        let suite = suite(2, MatchPolicy::ArgMax);
         assert!(suite.validate(&FloatIp::new(other)).is_err());
     }
 
@@ -419,13 +361,7 @@ mod tests {
 
     #[test]
     fn serialization_round_trip() {
-        let network = net();
-        let suite = FunctionalTestSuite::from_network(
-            &network,
-            tests_for(&network, 4),
-            MatchPolicy::OutputTolerance(1e-3),
-        )
-        .unwrap();
+        let suite = suite(4, MatchPolicy::OutputTolerance(1e-3));
         let bytes = suite.to_bytes();
         let restored = FunctionalTestSuite::from_bytes(&bytes).unwrap();
         assert_eq!(restored, suite);
@@ -441,14 +377,38 @@ mod tests {
     }
 
     #[test]
+    fn a_huge_test_count_is_an_error_not_an_allocation() {
+        // Magic, policy tag 0, a zero tolerance, then a count of u32::MAX: the
+        // 17 bytes that once made the decoder request 206 GB up front.
+        let bytes = [&MAGIC[..], &[0], &[0; 4], &u32::MAX.to_le_bytes()].concat();
+        assert_eq!(bytes.len(), 17);
+        assert!(FunctionalTestSuite::from_bytes(&bytes).is_err());
+        // The same lie in today's layout, behind a valid checksum.
+        assert!(FunctionalTestSuite::from_bytes(&sealed(&[VERSION, 0, 0, u32::MAX])).is_err());
+    }
+
+    #[test]
+    fn a_lying_ndim_is_an_error_not_an_allocation() {
+        // Version, policy tag, tolerance, count, then the first input record:
+        // ndim 1, its one dim, its length and its values.
+        let bytes = suite(1, MatchPolicy::ArgMax).to_bytes();
+        let mut words: Vec<u32> = bytes[MAGIC.len()..bytes.len() - 8]
+            .chunks_exact(4)
+            .map(|w| u32::from_le_bytes(w.try_into().unwrap()))
+            .collect();
+        assert_eq!(words[..6], [VERSION, 0, 0, 2, 1, 5]);
+        for lie in [0, 2, 0x4000_0000, u32::MAX] {
+            words[4] = lie;
+            assert!(
+                FunctionalTestSuite::from_bytes(&sealed(&words)).is_err(),
+                "ndim {lie}"
+            );
+        }
+    }
+
+    #[test]
     fn argmax_suite_round_trips_policy() {
-        let network = net();
-        let suite = FunctionalTestSuite::from_network(
-            &network,
-            tests_for(&network, 2),
-            MatchPolicy::ArgMax,
-        )
-        .unwrap();
+        let suite = suite(2, MatchPolicy::ArgMax);
         let restored = FunctionalTestSuite::from_bytes(&suite.to_bytes()).unwrap();
         assert_eq!(restored.policy, MatchPolicy::ArgMax);
     }

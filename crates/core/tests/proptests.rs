@@ -1,6 +1,8 @@
 //! Property-based tests for the core test-generation crate: bitset algebra,
-//! coverage invariants, greedy-selection guarantees and protocol round trips.
+//! coverage invariants, greedy-selection guarantees, protocol round trips,
+//! replay verdicts and the suite decoder's answers to hostile streams.
 
+use dnnip_accel::ip::FloatIp;
 use dnnip_core::bitset::Bitset;
 use dnnip_core::coverage::{CoverageConfig, EpsilonPolicy};
 use dnnip_core::criterion::{
@@ -12,12 +14,16 @@ use dnnip_core::generator::GenerationMethod;
 use dnnip_core::protocol::FunctionalTestSuite;
 use dnnip_core::select::{greedy_select_covered, greedy_select_naive, SelectionResult};
 use dnnip_core::workspace::{TestGenReport, TestGenRequest, Workspace, WorkspaceConfig};
+use dnnip_faults::attacks::{Attack, RandomPerturbation};
 use dnnip_faults::detection::MatchPolicy;
 use dnnip_nn::batch::BatchGradientEngine;
+use dnnip_nn::fingerprint::Fnv1a;
 use dnnip_nn::layers::Activation;
 use dnnip_nn::{zoo, Network};
 use dnnip_tensor::Tensor;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 fn bitset_from_indices(len: usize, indices: &[usize]) -> Bitset {
     let mut b = Bitset::new(len);
@@ -624,5 +630,112 @@ proptest! {
                 .unwrap();
             prop_assert_eq!(swept, outcome(&fresh_ws.run(&fresh).unwrap()), "budget {}", request.budget);
         }
+    }
+}
+
+fn probes(n: usize, dim: usize, seed: u64) -> Vec<Tensor> {
+    let value = |i: usize, j: usize| ((i * dim + j) as f32 * 0.17 + seed as f32).sin();
+    (0..n)
+        .map(|i| Tensor::from_fn(&[dim], |j| value(i, j)))
+        .collect()
+}
+
+/// Whether replaying `tests`, released on `net` under `policy`, flags `ip`.
+fn flags(net: &Network, tests: &[Tensor], policy: MatchPolicy, ip: &FloatIp) -> bool {
+    let suite = FunctionalTestSuite::from_network(net, tests.to_vec(), policy).unwrap();
+    !suite.validate(ip).unwrap().passed
+}
+
+/// `body` behind a correct FNV-1a trailer, so the decoder itself answers.
+fn with_checksum(mut body: Vec<u8>) -> Vec<u8> {
+    let mut h = Fnv1a::new();
+    h.write(&body);
+    body.extend_from_slice(&h.finish().to_le_bytes());
+    body
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn unperturbed_ip_is_never_flagged(seed in 0u64..200, n_tests in 1usize..8) {
+        let net = zoo::tiny_mlp(5, 8, 3, Activation::Relu, seed).unwrap();
+        let ip = FloatIp::new(net.clone());
+        let tests = probes(n_tests, 5, seed);
+        for policy in [MatchPolicy::ArgMax, MatchPolicy::OutputTolerance(1e-5)] {
+            prop_assert!(!flags(&net, &tests, policy, &ip));
+        }
+    }
+
+    #[test]
+    fn argmax_detection_implies_tolerance_detection(seed in 0u64..150) {
+        // If the predicted class of some test changed, the raw outputs certainly
+        // changed too: ArgMax-detected ⇒ OutputTolerance-detected.
+        let net = zoo::tiny_mlp(5, 8, 3, Activation::Relu, seed).unwrap();
+        let tests = probes(6, 5, seed);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let p = RandomPerturbation { num_params: 6, std: 1.5 }
+            .generate(&net, &[], &mut rng)
+            .unwrap();
+        let tampered_ip = FloatIp::new(p.apply_to_network(&net).unwrap());
+        let by_argmax = flags(&net, &tests, MatchPolicy::ArgMax, &tampered_ip);
+        let by_tol = flags(&net, &tests, MatchPolicy::OutputTolerance(1e-6), &tampered_ip);
+        prop_assert!(!by_argmax || by_tol);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn suite_decoder_survives_hostile_streams(
+        body in prop::collection::vec((0u16..256).prop_map(|b| b as u8), 0..96),
+        field in 0usize..5,
+        at in 0usize..4,
+        lie in prop_oneof![0u32..6, 0u32..u32::MAX],
+    ) {
+        // Two tests: inputs of 4 values, golden outputs of 3, all in [1, 2), so
+        // a misaligned decoder reads every value word as a count over 10^9.
+        let record = |n: usize, salt: usize| {
+            Tensor::from_fn(&[n], |j| 1.0 + ((salt * 4 + j) as f32 * 0.37).sin().abs() * 0.9)
+        };
+        let suite = FunctionalTestSuite {
+            inputs: vec![record(4, 0), record(4, 1)],
+            golden_outputs: vec![record(3, 2), record(3, 3)],
+            policy: MatchPolicy::OutputTolerance(1e-3),
+        };
+        let bytes = suite.to_bytes();
+
+        // Arbitrary bytes behind a correct checksum, with and without a valid
+        // header (magic, version, policy tag, tolerance) in front.
+        prop_assert!(FunctionalTestSuite::from_bytes(&with_checksum(body.clone())).is_err());
+        let headed = [&bytes[..20], &body].concat();
+        prop_assert!(FunctionalTestSuite::from_bytes(&with_checksum(headed)).is_err());
+
+        // One field lying: the policy tag, the record count, or one record's
+        // ndim, dim or length. Records start at byte 24; an input record
+        // takes 28 bytes, a golden one 24. Only the truth decodes.
+        let record_at = 24 + [0, 28, 56, 80][at];
+        let offset = [12, 20, record_at, record_at + 4, record_at + 8][field];
+        let mut lying = bytes[..bytes.len() - 8].to_vec();
+        let truth = u32::from_le_bytes(lying[offset..offset + 4].try_into().unwrap());
+        lying[offset..offset + 4].copy_from_slice(&lie.to_le_bytes());
+        let decoded = FunctionalTestSuite::from_bytes(&with_checksum(lying));
+        prop_assert_eq!(decoded.is_ok(), lie == truth, "lie {} for {} at byte {}", lie, truth, offset);
+    }
+}
+
+#[test]
+fn every_single_bit_flip_of_a_suite_is_rejected() {
+    let net = zoo::tiny_mlp(3, 4, 2, Activation::Relu, 5).unwrap();
+    let policy = MatchPolicy::OutputTolerance(1e-4);
+    let suite = FunctionalTestSuite::from_network(&net, probes(2, 3, 5), policy).unwrap();
+    let bytes = suite.to_bytes();
+    assert!(FunctionalTestSuite::from_bytes(&bytes).is_ok());
+    for bit in 0..bytes.len() * 8 {
+        let mut flipped = bytes.clone();
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        let accepted = FunctionalTestSuite::from_bytes(&flipped).is_ok();
+        assert!(!accepted, "bit {bit} accepted");
     }
 }

@@ -28,11 +28,6 @@ pub enum FaultError {
         /// Description of what is wrong.
         reason: String,
     },
-    /// The detection harness received an inconsistent test suite.
-    InvalidSuite {
-        /// Description of what is wrong.
-        reason: String,
-    },
 }
 
 impl fmt::Display for FaultError {
@@ -45,7 +40,6 @@ impl fmt::Display for FaultError {
                 write!(f, "attack `{attack}` requires at least one probe input")
             }
             FaultError::InvalidConfig { reason } => write!(f, "invalid attack config: {reason}"),
-            FaultError::InvalidSuite { reason } => write!(f, "invalid test suite: {reason}"),
         }
     }
 }

@@ -1,4 +1,4 @@
-//! Parameter perturbation models and the detection-rate evaluation harness.
+//! Parameter perturbation models and the output match policy of suite replays.
 //!
 //! The DATE 2019 paper measures how well its functional tests detect three kinds
 //! of parameter tampering (Tables II & III):
@@ -13,9 +13,9 @@
 //!
 //! This crate implements all three as [`attacks::Attack`] strategies producing
 //! [`Perturbation`]s in the flat-parameter coordinate system of `dnnip-nn`, plus
-//! a bit-level fault generator for the accelerator's weight memory, and the
-//! [`detection`] harness that replays a functional-test suite against golden and
-//! perturbed IPs to measure detection rates.
+//! a bit-level fault generator for the accelerator's weight memory and the
+//! [`detection::MatchPolicy`] that compares observed with golden outputs. The
+//! detection-rate harness is `dnnip_core::detection`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

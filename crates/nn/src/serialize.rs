@@ -1,4 +1,5 @@
-//! Versioned, checksummed binary serialization of networks.
+//! Versioned, checksummed binary serialization of networks and tensor
+//! records.
 //!
 //! The format is self-contained (no external serialization crates) and is
 //! the one on-disk form of every model, chain or graph alike:
@@ -18,6 +19,12 @@
 //! The serialized bytes are also what [`crate::fingerprint::NetworkFingerprint`]
 //! hashes, so the accelerator's weight images, the vendor/user protocol and
 //! the evaluator caches all name a model by this one encoding.
+//!
+//! [`tensors_to_bytes`] / [`tensors_from_bytes`] put the same framing (magic,
+//! version, FNV-1a trailer) and the same bounded reader around a list of
+//! tensor records — shape, then length-prefixed little-endian `f32`s — behind
+//! a few caller-defined `u32` header words. The vendor/user protocol's
+//! functional-test suites use it as their wire format.
 
 use crate::fingerprint::Fnv1a;
 use crate::graph::{Node, NodeOp};
@@ -52,6 +59,20 @@ impl Writer {
     fn new() -> Self {
         Self { buf: Vec::new() }
     }
+    /// A stream opening with `magic` and `version`.
+    fn framed(magic: &[u8; 8], version: u32) -> Self {
+        let mut w = Self::new();
+        w.buf.extend_from_slice(magic);
+        w.u32(version);
+        w
+    }
+    /// Append the FNV-1a trailer over everything written so far.
+    fn seal(mut self) -> Vec<u8> {
+        let mut checksum = Fnv1a::new();
+        checksum.write(&self.buf);
+        self.buf.extend_from_slice(&checksum.finish().to_le_bytes());
+        self.buf
+    }
     fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
@@ -70,6 +91,10 @@ impl Writer {
             self.u32(d as u32);
         }
     }
+    fn tensor(&mut self, t: &Tensor) {
+        self.shape(t.shape());
+        self.f32_slice(t.data());
+    }
 }
 
 struct Reader<'a> {
@@ -80,6 +105,49 @@ struct Reader<'a> {
 impl<'a> Reader<'a> {
     fn new(buf: &'a [u8]) -> Self {
         Self { buf, pos: 0 }
+    }
+    /// The body of a stream written by [`Writer::seal`], positioned after
+    /// its magic and version once the trailer checksum, the magic and the
+    /// version all match. `what` names the stream in errors.
+    fn open(bytes: &'a [u8], magic: &[u8; 8], version: u32, what: &str) -> Result<Self> {
+        if bytes.len() < magic.len() + 8 {
+            return Err(NnError::Deserialize(format!(
+                "{what} stream of {} bytes is shorter than the header and checksum",
+                bytes.len()
+            )));
+        }
+        let (body, trailer) = bytes.split_at(bytes.len() - 8);
+        let stored = u64::from_le_bytes(trailer.try_into().expect("trailer is 8 bytes"));
+        let mut checksum = Fnv1a::new();
+        checksum.write(body);
+        if checksum.finish() != stored {
+            return Err(NnError::Deserialize(format!(
+                "{what} checksum mismatch: stored {stored:016x}, computed {:016x} — the file was \
+                 corrupted or tampered with in transit",
+                checksum.finish()
+            )));
+        }
+        let mut r = Self::new(body);
+        if r.take(magic.len())? != magic {
+            return Err(NnError::Deserialize(format!("bad {what} magic")));
+        }
+        let found = r.u32()?;
+        if found != version {
+            return Err(NnError::Deserialize(format!(
+                "unsupported {what} format version {found} (expected {version})"
+            )));
+        }
+        Ok(r)
+    }
+    /// Fail unless every byte of the body was consumed.
+    fn finish(&self) -> Result<()> {
+        if self.pos != self.buf.len() {
+            return Err(NnError::Deserialize(format!(
+                "{} trailing bytes after the last record",
+                self.buf.len() - self.pos
+            )));
+        }
+        Ok(())
     }
     fn take(&mut self, n: usize) -> Result<&'a [u8]> {
         if self.pos + n > self.buf.len() {
@@ -116,6 +184,10 @@ impl<'a> Reader<'a> {
         }
         Ok(out)
     }
+    fn tensor(&mut self) -> Result<Tensor> {
+        let shape = self.u32_list()?;
+        tensor(self.f32_vec()?, &shape)
+    }
 }
 
 /// `data` as a tensor of `shape`, when the shape's element count is exactly
@@ -123,7 +195,7 @@ impl<'a> Reader<'a> {
 fn tensor(data: Vec<f32>, shape: &[usize]) -> Result<Tensor> {
     if shape.iter().try_fold(1usize, |n, &d| n.checked_mul(d)) != Some(data.len()) {
         return Err(NnError::Deserialize(format!(
-            "parameter shape {shape:?} does not hold {} values",
+            "tensor shape {shape:?} does not hold {} values",
             data.len()
         )));
     }
@@ -238,9 +310,7 @@ fn layer_from_bytes(bytes: &[u8]) -> Result<(Layer, usize)> {
 /// returns reproduces the input bytes exactly, so fingerprints survive an
 /// export → import round trip.
 pub fn to_bytes(network: &Network) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.buf.extend_from_slice(MAGIC);
-    w.u32(VERSION);
+    let mut w = Writer::framed(MAGIC, VERSION);
     w.shape(network.input_shape());
     w.u32(network.num_nodes() as u32);
     for node in network.nodes() {
@@ -257,10 +327,7 @@ pub fn to_bytes(network: &Network) -> Vec<u8> {
             w.buf.extend_from_slice(&payload);
         }
     }
-    let mut checksum = Fnv1a::new();
-    checksum.write(&w.buf);
-    w.buf.extend_from_slice(&checksum.finish().to_le_bytes());
-    w.buf
+    w.seal()
 }
 
 /// Reconstruct a network from bytes produced by [`to_bytes`].
@@ -273,33 +340,7 @@ pub fn to_bytes(network: &Network) -> Vec<u8> {
 /// (cycles, dangling edges, shape mismatches) for streams describing
 /// inconsistent topologies.
 pub fn from_bytes(bytes: &[u8]) -> Result<Network> {
-    if bytes.len() < MAGIC.len() + 8 {
-        return Err(NnError::Deserialize(format!(
-            "model stream of {} bytes is shorter than the header and checksum",
-            bytes.len()
-        )));
-    }
-    let (body, trailer) = bytes.split_at(bytes.len() - 8);
-    let stored = u64::from_le_bytes(trailer.try_into().expect("trailer is 8 bytes"));
-    let mut checksum = Fnv1a::new();
-    checksum.write(body);
-    if checksum.finish() != stored {
-        return Err(NnError::Deserialize(format!(
-            "model checksum mismatch: stored {stored:016x}, computed {:016x} — the file was \
-             corrupted or tampered with in transit",
-            checksum.finish()
-        )));
-    }
-    let mut r = Reader::new(body);
-    if r.take(MAGIC.len())? != MAGIC {
-        return Err(NnError::Deserialize("bad model magic".to_string()));
-    }
-    let version = r.u32()?;
-    if version != VERSION {
-        return Err(NnError::Deserialize(format!(
-            "unsupported model format version {version} (expected {VERSION})"
-        )));
-    }
+    let mut r = Reader::open(bytes, MAGIC, VERSION, "model")?;
     let input_shape = r.u32_list()?;
     let num_nodes = r.u32()?;
     let mut layers = Vec::new();
@@ -326,13 +367,54 @@ pub fn from_bytes(bytes: &[u8]) -> Result<Network> {
         };
         nodes.push(Node::new(op, inputs));
     }
-    if r.pos != body.len() {
-        return Err(NnError::Deserialize(format!(
-            "{} trailing bytes after the last node",
-            body.len() - r.pos
-        )));
-    }
+    r.finish()?;
     Network::from_nodes(layers, nodes, &input_shape)
+}
+
+/// Serialize `tensors` behind `header` words into a checksummed stream that
+/// opens with `magic` and `version`: the header words, the record count, then
+/// per tensor its shape and its length-prefixed `f32` values.
+pub fn tensors_to_bytes(
+    magic: &[u8; 8],
+    version: u32,
+    header: &[u32],
+    tensors: &[&Tensor],
+) -> Vec<u8> {
+    let mut w = Writer::framed(magic, version);
+    for &word in header {
+        w.u32(word);
+    }
+    w.u32(tensors.len() as u32);
+    for t in tensors {
+        w.tensor(t);
+    }
+    w.seal()
+}
+
+/// Decode a stream written by [`tensors_to_bytes`] with `N` header words.
+///
+/// # Errors
+///
+/// Returns [`NnError::Deserialize`] for truncated, tampered (checksum
+/// mismatch), padded or otherwise malformed streams, a foreign magic, an
+/// unsupported version and records whose shape does not hold their values.
+pub fn tensors_from_bytes<const N: usize>(
+    bytes: &[u8],
+    magic: &[u8; 8],
+    version: u32,
+) -> Result<([u32; N], Vec<Tensor>)> {
+    let mut r = Reader::open(bytes, magic, version, "tensor")?;
+    let mut header = [0u32; N];
+    for word in &mut header {
+        *word = r.u32()?;
+    }
+    let count = r.u32()?;
+    let mut tensors = Vec::new();
+    for _ in 0..count {
+        tensors.push(r.tensor()?);
+    }
+    r.finish()?;
+    Ok((header, tensors))
 }
 
 /// Save a network to a file.
@@ -443,6 +525,32 @@ mod tests {
         assert!(layer_from_bytes(&bytes[..bytes.len() - 1]).is_err());
         assert!(layer_from_bytes(&[0xEE]).is_err());
         assert!(layer_from_bytes(&[]).is_err());
+    }
+
+    #[test]
+    fn tensor_streams_round_trip_and_share_the_model_framing() {
+        let a = Tensor::from_fn(&[2, 3], |i| i as f32 - 2.5);
+        let b = Tensor::from_vec(vec![7.0], &[]).unwrap();
+        let bytes = tensors_to_bytes(b"TESTSTRM", 3, &[9, 10], &[&a, &b]);
+        let (header, tensors) = tensors_from_bytes::<2>(&bytes, b"TESTSTRM", 3).unwrap();
+        assert_eq!((header, tensors), ([9, 10], vec![a, b]));
+        let empty = tensors_to_bytes(b"TESTSTRM", 3, &[], &[]);
+        assert_eq!(
+            tensors_from_bytes::<0>(&empty, b"TESTSTRM", 3).unwrap().1,
+            vec![]
+        );
+        // Foreign magic, another version, a model stream and a flipped bit.
+        assert!(tensors_from_bytes::<2>(&bytes, b"DNNIPGRF", 3).is_err());
+        assert!(tensors_from_bytes::<2>(&bytes, b"TESTSTRM", 4).is_err());
+        let model = to_bytes(&zoo::tiny_mlp(2, 2, 2, Activation::Relu, 0).unwrap());
+        assert!(tensors_from_bytes::<2>(&model, MAGIC, VERSION).is_err());
+        let mut flipped = bytes.clone();
+        flipped[20] ^= 0x10;
+        let err = tensors_from_bytes::<2>(&flipped, b"TESTSTRM", 3).unwrap_err();
+        assert!(
+            err.to_string().contains("tensor checksum mismatch"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -12,9 +12,10 @@
 //! Because this reproduction runs on CPU only, the experiment profiles default to
 //! [`mnist_model_scaled`] / [`cifar_model_scaled`]: identical layer structure and
 //! activation functions, but smaller images and channel counts so training and
-//! coverage sweeps finish in seconds. The coverage phenomena the paper reports
-//! depend on layer types and activations, not absolute parameter counts (see
-//! DESIGN.md for the substitution rationale).
+//! coverage sweeps finish in seconds. The substitution is sound because the
+//! coverage phenomena the paper reports depend on layer types and activations,
+//! not on absolute parameter counts; the full-size builders stay available for
+//! anyone with the compute to run them.
 //!
 //! Two models beyond the paper exercise what a chain cannot express:
 //! [`residual_classifier`] (a ResNet-style Add skip connection) and

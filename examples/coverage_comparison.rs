@@ -106,9 +106,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let detection = DetectionConfig {
         trials: 60,
         seed: 5,
-        policy: MatchPolicy::ArgMax,
         exec: dnnip::core::par::ExecPolicy::auto(),
     };
+    let proposed_suite =
+        FunctionalTestSuite::from_network(&model, param_tests.inputs.clone(), MatchPolicy::ArgMax)?;
+    let baseline_suite =
+        FunctionalTestSuite::from_network(&model, neuron_tests, MatchPolicy::ArgMax)?;
     println!(
         "\nDetection rate over {} trials (argmax policy):",
         detection.trials
@@ -118,8 +121,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("GDA", &GradientDescentAttack::default() as &dyn Attack),
         ("random", &RandomPerturbation::default() as &dyn Attack),
     ] {
-        let proposed = detection_rate(&model, attack, probes, &param_tests.inputs, &detection)?;
-        let baseline = detection_rate(&model, attack, probes, &neuron_tests, &detection)?;
+        let proposed = detection_rate(&model, attack, probes, &proposed_suite, &detection)?;
+        let baseline = detection_rate(&model, attack, probes, &baseline_suite, &detection)?;
         println!(
             "  {label:<7}: proposed {:.1}%  vs  neuron-coverage baseline {:.1}%",
             proposed.detection_rate() * 100.0,

@@ -13,8 +13,8 @@
 //! | [`nn`] | `dnnip-nn` | the one model type (chains and Add/Concat graphs), layers, backprop, batched engine, model format, optimizers, training, model zoo |
 //! | [`dataset`] | `dnnip-dataset` | synthetic MNIST/CIFAR/OOD/noise image families |
 //! | [`accel`] | `dnnip-accel` | black-box accelerator IP simulator + weight memory |
-//! | [`faults`] | `dnnip-faults` | SBA / GDA / random attacks, detection harness |
-//! | [`core`] | `dnnip-core` | validation coverage, Algorithms 1/2, combined generator, protocol |
+//! | [`faults`] | `dnnip-faults` | SBA / GDA / random attacks, bit faults, output match policy |
+//! | [`core`] | `dnnip-core` | validation coverage, Algorithms 1/2, combined generator, protocol, detection harness |
 //!
 //! # Quickstart
 //!
@@ -66,6 +66,7 @@ pub mod prelude {
     pub use dnnip_core::criterion::{
         CoverageCriterion, NeuronActivation, ParamGradient, TopKNeuron,
     };
+    pub use dnnip_core::detection::{detection_rate, DetectionConfig, DetectionReport};
     pub use dnnip_core::eval::{CacheStats, CoveredSetCache, Evaluator};
     pub use dnnip_core::generator::GenerationMethod;
     pub use dnnip_core::persist::DiskStats;
@@ -76,7 +77,7 @@ pub mod prelude {
     pub use dnnip_faults::attacks::{
         Attack, GradientDescentAttack, RandomPerturbation, SingleBiasAttack,
     };
-    pub use dnnip_faults::detection::{detection_rate, DetectionConfig, MatchPolicy};
+    pub use dnnip_faults::detection::MatchPolicy;
     pub use dnnip_nn::layers::Activation;
     pub use dnnip_nn::{zoo, Network};
     pub use dnnip_tensor::Tensor;

@@ -51,6 +51,11 @@ fn baseline_tests(fix: &Fixture, budget: usize) -> Vec<Tensor> {
     generate(fix, GenerationMethod::NeuronCoverageBaseline, budget)
 }
 
+/// The vendor's released package of `tests` on the fixture model.
+fn release(fix: &Fixture, tests: &[Tensor], policy: MatchPolicy) -> FunctionalTestSuite {
+    FunctionalTestSuite::from_network(&fix.model, tests.to_vec(), policy).unwrap()
+}
+
 #[test]
 fn proposed_tests_detect_sba_at_high_rate() {
     let fix = fixture();
@@ -59,11 +64,10 @@ fn proposed_tests_detect_sba_at_high_rate() {
         &fix.model,
         &SingleBiasAttack::with_magnitude(10.0),
         &fix.training[..10],
-        &tests,
+        &release(&fix, &tests, MatchPolicy::OutputTolerance(1e-4)),
         &DetectionConfig {
             trials: 40,
             seed: 1,
-            policy: MatchPolicy::OutputTolerance(1e-4),
             exec: ExecPolicy::auto(),
         },
     )
@@ -81,13 +85,13 @@ fn proposed_tests_beat_or_match_neuron_coverage_baseline() {
     // as many perturbations as neuron-coverage tests for every attack model.
     let fix = fixture();
     let budget = 10usize;
-    let proposed = proposed_tests(&fix, budget);
-    let baseline = baseline_tests(&fix, budget);
+    let policy = MatchPolicy::OutputTolerance(1e-4);
+    let proposed = release(&fix, &proposed_tests(&fix, budget), policy);
+    let baseline = release(&fix, &baseline_tests(&fix, budget), policy);
     let probes = &fix.training[..10];
     let config = DetectionConfig {
         trials: 40,
         seed: 7,
-        policy: MatchPolicy::OutputTolerance(1e-4),
         exec: ExecPolicy::auto(),
     };
     let attacks: Vec<(&str, Box<dyn Attack>)> = vec![
@@ -117,19 +121,29 @@ fn proposed_tests_beat_or_match_neuron_coverage_baseline() {
 fn detection_rate_grows_with_the_number_of_tests() {
     // The monotone trend down each column of Tables II/III.
     let fix = fixture();
-    let tests = proposed_tests(&fix, 20);
+    let tests = release(
+        &fix,
+        &proposed_tests(&fix, 20),
+        MatchPolicy::OutputTolerance(1e-4),
+    );
     let probes = &fix.training[..10];
     let config = DetectionConfig {
         trials: 30,
         seed: 13,
-        policy: MatchPolicy::OutputTolerance(1e-4),
         exec: ExecPolicy::auto(),
     };
     let attack = RandomPerturbation {
         num_params: 4,
         std: 0.6,
     };
-    let small = detection_rate(&fix.model, &attack, probes, &tests[..3], &config).unwrap();
+    let small = detection_rate(
+        &fix.model,
+        &attack,
+        probes,
+        &tests.prefix(3).unwrap(),
+        &config,
+    )
+    .unwrap();
     let large = detection_rate(&fix.model, &attack, probes, &tests, &config).unwrap();
     assert!(
         large.detected >= small.detected,
@@ -149,30 +163,25 @@ fn argmax_policy_is_weaker_than_output_tolerance() {
         num_params: 4,
         std: 0.4,
     };
+    let config = DetectionConfig {
+        trials: 30,
+        seed: 3,
+        exec: ExecPolicy::auto(),
+    };
     let strict = detection_rate(
         &fix.model,
         &attack,
         probes,
-        &tests,
-        &DetectionConfig {
-            trials: 30,
-            seed: 3,
-            policy: MatchPolicy::OutputTolerance(1e-5),
-            exec: ExecPolicy::auto(),
-        },
+        &release(&fix, &tests, MatchPolicy::OutputTolerance(1e-5)),
+        &config,
     )
     .unwrap();
     let argmax = detection_rate(
         &fix.model,
         &attack,
         probes,
-        &tests,
-        &DetectionConfig {
-            trials: 30,
-            seed: 3,
-            policy: MatchPolicy::ArgMax,
-            exec: ExecPolicy::auto(),
-        },
+        &release(&fix, &tests, MatchPolicy::ArgMax),
+        &config,
     )
     .unwrap();
     assert!(strict.detected >= argmax.detected);

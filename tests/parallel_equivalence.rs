@@ -399,7 +399,9 @@ fn evaluator_cached_results_are_bit_identical_across_policies_and_reruns() {
 fn detection_reports_are_bit_identical_across_policies() {
     let net = zoo::tiny_mlp(6, 14, 4, Activation::Relu, 5).unwrap();
     let probes = seeded_inputs(&net, 6, 23);
-    let tests = seeded_inputs(&net, 8, 31);
+    let tests =
+        FunctionalTestSuite::from_network(&net, seeded_inputs(&net, 8, 31), MatchPolicy::ArgMax)
+            .unwrap();
     let attack = SingleBiasAttack::with_magnitude(5.0);
     let run = |exec: ExecPolicy| {
         detection_rate(
@@ -410,7 +412,6 @@ fn detection_reports_are_bit_identical_across_policies() {
             &DetectionConfig {
                 trials: 24,
                 seed: 41,
-                policy: MatchPolicy::ArgMax,
                 exec,
             },
         )

@@ -111,8 +111,10 @@ fn detection_tables_from_both_paths_are_identical() {
     let config = DetectionConfig {
         trials: 12,
         seed: seed().wrapping_add(100),
-        policy: MatchPolicy::ArgMax,
         exec: dnnip::core::par::ExecPolicy::auto(),
+    };
+    let release = |tests: &[Tensor]| {
+        FunctionalTestSuite::from_network(&network, tests.to_vec(), MatchPolicy::ArgMax).unwrap()
     };
     let attacks: [Box<dyn Attack>; 2] = [
         Box::new(SingleBiasAttack::default()),
@@ -131,12 +133,13 @@ fn detection_tables_from_both_paths_are_identical() {
     for (n, attack) in attacks.iter().enumerate() {
         for tests in [&via_workspace[..1], &via_workspace[..]] {
             let m = tests.len();
-            let a = detection_rate(&network, attack.as_ref(), probes, tests, &config).unwrap();
+            let a = detection_rate(&network, attack.as_ref(), probes, &release(tests), &config)
+                .unwrap();
             let b = detection_rate(
                 &network,
                 attack.as_ref(),
                 probes,
-                &oracle_tests[..m],
+                &release(&oracle_tests[..m]),
                 &config,
             )
             .unwrap();
