@@ -30,7 +30,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use dnnip_nn::batch::BatchGradientEngine;
-use dnnip_nn::fingerprint::Fnv1a;
+use dnnip_nn::fingerprint::{checksum, mix64};
 use dnnip_nn::layers::Layer;
 use dnnip_nn::loss::cross_entropy;
 use dnnip_nn::Network;
@@ -122,10 +122,15 @@ pub trait CoverageCriterion: fmt::Debug + Send + Sync {
 /// Combined content digest of a criterion (id + configuration), used as the
 /// criterion component of the evaluator's cache keys.
 pub fn criterion_digest(criterion: &dyn CoverageCriterion) -> u64 {
-    let mut h = Fnv1a::new();
-    h.write(criterion.id().as_bytes());
-    h.write_u64(criterion.config_digest());
-    h.finish()
+    digest(&[
+        checksum(criterion.id().as_bytes()),
+        criterion.config_digest(),
+    ])
+}
+
+/// A few words folded through the splitmix64 finalizer, one at a time.
+fn digest(words: &[u64]) -> u64 {
+    words.iter().fold(0, |h, &w| mix64(h ^ w))
 }
 
 /// An input-space synthesis objective for Algorithm 2: maps one sample's
@@ -287,27 +292,17 @@ impl CoverageCriterion for ParamGradient {
     }
 
     fn config_digest(&self) -> u64 {
-        let mut h = Fnv1a::new();
-        match self.epsilon {
-            EpsilonPolicy::Exact => h.write_u64(0),
-            EpsilonPolicy::Absolute(eps) => {
-                h.write_u64(1);
-                h.write_u64(eps.to_bits() as u64);
-            }
-            EpsilonPolicy::RelativeToMax(fraction) => {
-                h.write_u64(2);
-                h.write_u64(fraction.to_bits() as u64);
-            }
-            EpsilonPolicy::Auto(fraction) => {
-                h.write_u64(3);
-                h.write_u64(fraction.to_bits() as u64);
-            }
-        }
-        h.write_u64(match self.projection {
+        let (policy, value) = match self.epsilon {
+            EpsilonPolicy::Exact => (0, 0),
+            EpsilonPolicy::Absolute(eps) => (1, eps.to_bits()),
+            EpsilonPolicy::RelativeToMax(fraction) => (2, fraction.to_bits()),
+            EpsilonPolicy::Auto(fraction) => (3, fraction.to_bits()),
+        };
+        let projection = match self.projection {
             OutputProjection::SumOfOutputs => 0,
             OutputProjection::PerClassMax => 1,
-        });
-        h.finish()
+        };
+        digest(&[policy, u64::from(value), projection])
     }
 
     fn num_units(&self, network: &Network) -> usize {
@@ -417,9 +412,7 @@ impl CoverageCriterion for NeuronActivation {
     }
 
     fn config_digest(&self) -> u64 {
-        let mut h = Fnv1a::new();
-        h.write_u64(self.threshold.to_bits() as u64);
-        h.finish()
+        digest(&[u64::from(self.threshold.to_bits())])
     }
 
     fn num_units(&self, network: &Network) -> usize {
@@ -462,9 +455,7 @@ impl CoverageCriterion for TopKNeuron {
     }
 
     fn config_digest(&self) -> u64 {
-        let mut h = Fnv1a::new();
-        h.write_u64(self.k as u64);
-        h.finish()
+        digest(&[self.k as u64])
     }
 
     fn num_units(&self, network: &Network) -> usize {

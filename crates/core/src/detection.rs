@@ -7,12 +7,12 @@
 
 use dnnip_accel::ip::FloatIp;
 use dnnip_faults::attacks::Attack;
+use dnnip_nn::fingerprint::mix64;
 use dnnip_nn::Network;
 use dnnip_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::eval::mix64;
 use crate::par::{self, ExecPolicy};
 use crate::protocol::FunctionalTestSuite;
 use crate::Result;

@@ -12,8 +12,9 @@
 //! set. [`Evaluator`] makes those repeats near-free: every covered-unit set it
 //! computes is stored in a [`CoveredSetCache`] keyed by
 //!
-//! * the **network fingerprint** — a 128-bit digest of the serialized model
-//!   ([`NetworkFingerprint`]), so any parameter change invalidates silently;
+//! * the **network fingerprint** — a 128-bit digest of the model's structure
+//!   and parameter words ([`NetworkFingerprint`]), so any parameter change
+//!   invalidates silently;
 //! * the **sample content hash** — 128 bits from two independently keyed
 //!   multi-lane multiply chains over the sample's exact `f32` bit patterns,
 //!   finalised with its length and shape (`sample_hashes`, a request's
@@ -40,7 +41,7 @@ use std::sync::Arc;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 use dnnip_nn::batch::BatchGradientEngine;
-use dnnip_nn::fingerprint::NetworkFingerprint;
+use dnnip_nn::fingerprint::{lane_hashes, mix64, NetworkFingerprint, CHAIN_HI, CHAIN_LO};
 use dnnip_nn::Network;
 use dnnip_tensor::Tensor;
 
@@ -648,177 +649,6 @@ impl<V: CacheValue> ContentCache<V> {
     }
 }
 
-/// The splitmix64 finalizer: a cheap bijective mixer with full avalanche.
-#[inline]
-pub(crate) fn mix64(mut x: u64) -> u64 {
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-/// Lanes per hash chain: independent multiply chains, so the hash runs at
-/// the multiplier's throughput instead of the latency of one dependent chain.
-const HASH_LANES: usize = 4;
-
-/// Items whose lane chains [`lane_hashes`] advances side by side.
-const HASH_BATCH: usize = 8;
-
-/// Four-word blocks an item advances by before the next item's turn: long
-/// enough that a scalar build keeps one item's lanes in registers for a
-/// while, short enough that a vectorised build still overlaps the items'
-/// multiply chains.
-const BLOCKS_PER_TURN: usize = 4;
-
-/// One keyed multiply-rotate chain of [`lane_hashes`]: the odd multiplier of
-/// its lane step, the seeds of its lanes and the key its fold starts from.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Chain {
-    k: u64,
-    seed: [u64; HASH_LANES],
-    key: u64,
-}
-
-/// The low half of a sample hash; also the whole disk-record checksum.
-pub(crate) const CHAIN_LO: Chain = Chain {
-    k: 0x9e37_79b9_7f4a_7c15,
-    seed: [
-        0x243f_6a88_85a3_08d3,
-        0x1319_8a2e_0370_7344,
-        0xa409_3822_299f_31d0,
-        0x082e_fa98_ec4e_6c89,
-    ],
-    key: 0x2545_f491_4f6c_dd1d,
-};
-
-/// The high half of a sample hash.
-const CHAIN_HI: Chain = Chain {
-    k: 0xc2b2_ae3d_27d4_eb4f,
-    seed: [
-        0x4528_21e6_38d0_1377,
-        0xbe54_66cf_34e9_0c6c,
-        0xc0ac_29b7_c97c_50dd,
-        0x3f84_d5b5_b547_0917,
-    ],
-    key: 0x6a09_e667_f3bc_c909,
-};
-
-/// Elements that [`lane_hashes`] reads as 64-bit words.
-pub(crate) trait Words: Copy {
-    /// Elements per word.
-    const PER_WORD: usize;
-
-    /// Up to [`Words::PER_WORD`] elements as one word, the first element in
-    /// the lowest bits and the missing ones zero.
-    fn word(elems: &[Self]) -> u64;
-}
-
-/// Two `f32`s per word, as their exact bit patterns.
-impl Words for f32 {
-    const PER_WORD: usize = 2;
-
-    #[inline(always)]
-    fn word(pair: &[f32]) -> u64 {
-        pair.iter()
-            .rev()
-            .fold(0, |w, x| (w << 32) | x.to_bits() as u64)
-    }
-}
-
-/// Eight bytes per word, little-endian.
-impl Words for u8 {
-    const PER_WORD: usize = 8;
-
-    #[inline(always)]
-    fn word(bytes: &[u8]) -> u64 {
-        let mut padded = [0u8; 8];
-        padded[..bytes.len()].copy_from_slice(bytes);
-        u64::from_le_bytes(padded)
-    }
-}
-
-/// `H` keyed chains over each item, the one hash kernel behind
-/// [`sample_hashes`] and the disk tier's record checksum.
-///
-/// Per item and chain: word `i` goes to lane `i mod 4` by the step
-/// `s = ((s ^ w) · K).rotate_left(29)`. The fold then runs the splitmix64
-/// finalizer over the chain's key xor the item's length, each lane, and the
-/// trailing elements that fill no whole four-word block, one (zero-padded)
-/// word at a time. With `K` odd, every lane step and every finalizer step is
-/// a bijection in both the state and the word, so two items of one length
-/// that differ in a single word end in different values of every chain.
-///
-/// Runs of equally long items are hashed [`HASH_BATCH`] at a time: each item
-/// keeps its own lanes and its own word order, and only the items' steps are
-/// interleaved ([`BLOCKS_PER_TURN`] blocks per turn), so the multiplier
-/// always has independent work. A run's last group, and a run of one, go
-/// through the same loop with fewer live items. The values do not depend on
-/// the batch around an item.
-pub(crate) fn lane_hashes<T: Words, const H: usize>(
-    items: &[&[T]],
-    chains: [Chain; H],
-) -> Vec<[u64; H]> {
-    const ROT: u32 = 29;
-    let block = HASH_LANES * T::PER_WORD;
-    let mut out = Vec::with_capacity(items.len());
-    let mut rest = items;
-    while let Some(first) = rest.first() {
-        let len = first.len();
-        let live = rest
-            .iter()
-            .take(HASH_BATCH)
-            .take_while(|item| item.len() == len)
-            .count();
-        let (group, later) = rest.split_at(live);
-        rest = later;
-        let whole = len - len % block;
-        let data: [&[T]; HASH_BATCH] =
-            std::array::from_fn(|s| group.get(s).map_or(&[][..], |item| &item[..whole]));
-        let mut lanes = [chains.map(|c| c.seed); HASH_BATCH];
-        // Each live item in turn advances its own lanes by up to
-        // `BLOCKS_PER_TURN` blocks. The fixed trip count with an early exit
-        // lets the compiler keep every live item's lanes in registers when
-        // it has enough of them.
-        let blocks = whole / block;
-        let mut first_block = 0;
-        while first_block < blocks {
-            let end_block = (first_block + BLOCKS_PER_TURN).min(blocks);
-            for s in 0..HASH_BATCH {
-                if s == live {
-                    break;
-                }
-                let mut state = lanes[s];
-                let turn = &data[s][first_block * block..end_block * block];
-                for words in turn.chunks_exact(block) {
-                    for (l, elems) in words.chunks_exact(T::PER_WORD).enumerate() {
-                        let w = T::word(elems);
-                        for (lane, chain) in state.iter_mut().zip(&chains) {
-                            lane[l] = ((lane[l] ^ w).wrapping_mul(chain.k)).rotate_left(ROT);
-                        }
-                    }
-                }
-                lanes[s] = state;
-            }
-            first_block = end_block;
-        }
-        for (item, lanes) in group.iter().zip(&lanes) {
-            let tail = &item[whole..];
-            out.push(std::array::from_fn(|c| {
-                let mut h = mix64(chains[c].key ^ len as u64);
-                for lane in lanes[c] {
-                    h = mix64(h ^ lane);
-                }
-                for elems in tail.chunks(T::PER_WORD) {
-                    h = mix64(h ^ T::word(elems));
-                }
-                h
-            }));
-        }
-    }
-    out
-}
-
 /// Content hashes of sample tensors: shape, length and exact `f32` bit
 /// patterns, 128 bits each from two independently keyed 64-bit halves. The
 /// cache key of every memory and disk cache probe, and the identity
@@ -1084,10 +914,11 @@ impl Evaluator {
         self.inner.output_cache.clear();
     }
 
-    /// The cache keys of `samples` under the criterion digest `criterion`
-    /// (0 for golden forward outputs), hashed in one batch.
-    fn keys(&self, samples: &[Tensor], criterion: u64) -> Vec<CacheKey> {
-        sample_hashes(samples)
+    /// The cache keys of samples with content hashes `hashes`
+    /// ([`sample_hashes`]) under the criterion digest `criterion` (0 for
+    /// golden forward outputs).
+    fn keys(&self, hashes: Vec<(u64, u64)>, criterion: u64) -> Vec<CacheKey> {
+        hashes
             .into_iter()
             .map(|sample| CacheKey {
                 net: self.inner.fingerprint,
@@ -1128,9 +959,20 @@ impl Evaluator {
                 .map(Arc::new)
                 .collect());
         }
+        self.activation_sets_hashed(samples, sample_hashes(samples))
+    }
+
+    /// [`Evaluator::activation_sets`] through the cache, for samples whose
+    /// content hashes the caller already holds (`hashes[i]` is
+    /// [`sample_hashes`] of `samples[i]`).
+    pub(crate) fn activation_sets_hashed(
+        &self,
+        samples: &[Tensor],
+        hashes: Vec<(u64, u64)>,
+    ) -> Result<Vec<Arc<Bitset>>> {
         self.inner.cache.get_or_compute(
             samples,
-            &self.keys(samples, self.inner.criterion_key),
+            &self.keys(hashes, self.inner.criterion_key),
             |misses| self.inner.compute_sets(misses),
         )
     }
@@ -1237,10 +1079,11 @@ impl Evaluator {
         if self.inner.output_cache.max_bytes == 0 {
             return infer(samples);
         }
-        let outputs =
-            self.inner
-                .output_cache
-                .get_or_compute(samples, &self.keys(samples, 0), infer)?;
+        let outputs = self.inner.output_cache.get_or_compute(
+            samples,
+            &self.keys(sample_hashes(samples), 0),
+            infer,
+        )?;
         Ok(outputs.iter().map(|t| (**t).clone()).collect())
     }
 
@@ -1618,7 +1461,7 @@ mod tests {
     /// works because the cache only compares digests.
     fn race_key(sample: (u64, u64)) -> CacheKey {
         CacheKey {
-            net: NetworkFingerprint::of_bytes(b"single-flight-test"),
+            net: NetworkFingerprint { lo: 1, hi: 2 },
             sample,
             criterion: 7,
         }

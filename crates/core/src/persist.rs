@@ -36,10 +36,11 @@
 //! from disk (its first scan, or a re-read after its buffer was evicted):
 //! the records are checksummed eight at a time (`record_checksums`) and the
 //! verdicts stay with the buffer, so a probe checks a verdict. The checksum
-//! reads the payload a word at a time: four independent multiply-rotate
-//! lanes over 8-byte little-endian words, finished with the splitmix64 mixer
-//! and the payload length. Version 4 of the format introduced it; segments
-//! of earlier versions read as misses.
+//! is [`dnnip_nn::fingerprint::checksum`], the one the model and suite
+//! formats end with: four independent multiply-rotate lanes over 8-byte
+//! little-endian words, finished with the splitmix64 mixer and the payload
+//! length. Version 4 of the format introduced it; segments of earlier
+//! versions read as misses.
 //!
 //! Long-running hygiene:
 //!
@@ -59,9 +60,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::SystemTime;
 
-use dnnip_nn::fingerprint::{Fnv1a, NetworkFingerprint};
+use dnnip_nn::fingerprint::{checksum, lane_hashes, mix64, NetworkFingerprint, CHAIN_LO};
 
-use crate::eval::{lane_hashes, CacheKey, CacheValue, CHAIN_LO};
+use crate::eval::{CacheKey, CacheValue};
 
 /// Segment-file magic: identifies a dnnip persistent-cache segment.
 const SEG_MAGIC: u64 = u64::from_le_bytes(*b"DNIPSEG2");
@@ -74,25 +75,26 @@ const SEG_MAGIC: u64 = u64::from_le_bytes(*b"DNIPSEG2");
 /// would leave every old entry unreachable but still on disk. Version 3: the
 /// multi-lane sample hash. Version 4: word-wise record checksum. Version 5:
 /// one dense covered-set payload. Version 6: chains fingerprinted through the
-/// one node-list model format.
-const FORMAT_VERSION: u64 = 6;
+/// one node-list model format. Version 7: the network fingerprint (now over
+/// parameters in place), the criterion digest and this tag come from the
+/// lane-hash kernel of the sample keys and record checksums, which stay
+/// unchanged.
+const FORMAT_VERSION: u64 = 7;
 
 /// The version field actually written: the format version mixed with the
 /// crate version, so entries written by a different release are never read
 /// (they decode as misses and are eventually rewritten or vacuumed).
 fn version_tag() -> u64 {
-    let mut h = Fnv1a::new();
-    h.write_u64(FORMAT_VERSION);
-    h.write(env!("CARGO_PKG_VERSION").as_bytes());
-    h.finish()
+    mix64(FORMAT_VERSION ^ checksum(env!("CARGO_PKG_VERSION").as_bytes()))
 }
 
-/// Checksums of record payloads: one [`lane_hashes`] chain (the low chain
-/// of a sample hash) over each payload read as 8-byte little-endian words,
-/// so two payloads of one length that differ in a single word always get
-/// different checksums. The bytes that fill no whole 32-byte block are
-/// folded last, eight at a time as zero-padded words, after the lanes and
-/// the payload length, each through the splitmix64 finalizer.
+/// Checksums of record payloads, each the [`checksum`] of its payload: one
+/// [`lane_hashes`] chain (the low chain of a sample hash) over the payload
+/// read as 8-byte little-endian words, so two payloads of one length that
+/// differ in a single word always get different checksums. The bytes that
+/// fill no whole 32-byte block are folded last, eight at a time as
+/// zero-padded words, after the lanes and the payload length, each through
+/// the splitmix64 finalizer.
 ///
 /// A segment's records are checksummed in one call, eight at a time. On a
 /// 6,280-byte `param-gradient` payload one record at a time took ~0.4 µs in
@@ -105,12 +107,6 @@ fn record_checksums(payloads: &[&[u8]]) -> Vec<u64> {
         .into_iter()
         .map(|[h]| h)
         .collect()
-}
-
-/// [`record_checksums`] of one payload.
-#[cfg(test)]
-fn record_checksum(payload: &[u8]) -> u64 {
-    record_checksums(&[payload])[0]
 }
 
 /// Segment file header length: magic + version.
@@ -752,6 +748,9 @@ fn verify(records: &[SegRecord], bytes: &[u8]) -> Vec<bool> {
 mod tests {
     use super::*;
     use crate::bitset::Bitset;
+    // One record's checksum is the model format's trailer checksum, so the
+    // known answers below pin both.
+    use dnnip_nn::fingerprint::checksum as record_checksum;
     use proptest::prelude::*;
 
     fn key(seed: u64) -> CacheKey {

@@ -17,12 +17,14 @@
 //! [`FunctionalTestSuite::to_bytes`] writes the model format's tensor stream
 //! ([`dnnip_nn::serialize::tensors_to_bytes`]):
 //!
-//! * the magic `DNNIPSTE` and the format version (1);
+//! * the magic `DNNIPSTE` and the format version (2);
 //! * the policy tag (0 = argmax, 1 = output tolerance) and the tolerance's
 //!   `f32` bits (zero under argmax);
 //! * the record count, then every input `X` and after them every golden
 //!   output `Y`, each a shape and its length-prefixed little-endian `f32`s;
-//! * an FNV-1a checksum trailer over everything before it.
+//! * the model format's 64-bit checksum trailer over everything before it
+//!   ([`dnnip_nn::fingerprint::checksum`], the lane-hash kernel that also
+//!   checksums the disk tier's records).
 //!
 //! The decoder is the model decoder's bounded reader: no count it reads sizes
 //! an allocation and shape products are checked for overflow, so a hostile
@@ -39,7 +41,8 @@ use crate::eval::Evaluator;
 use crate::{CoreError, Result};
 
 const MAGIC: &[u8; 8] = b"DNNIPSTE";
-const VERSION: u32 = 1;
+/// Version 2: the lane-hash checksum trailer.
+const VERSION: u32 = 2;
 
 /// The vendor's released validation package: functional tests plus golden
 /// outputs.
@@ -261,13 +264,12 @@ mod tests {
         FunctionalTestSuite::from_network(&network, tests_for(&network, n), policy).unwrap()
     }
 
-    /// `words` little-endian behind the magic and a correct FNV-1a trailer.
+    /// `words` little-endian behind the magic and a correct checksum trailer.
     fn sealed(words: &[u32]) -> Vec<u8> {
         let mut body = MAGIC.to_vec();
         body.extend(words.iter().flat_map(|w| w.to_le_bytes()));
-        let mut h = dnnip_nn::fingerprint::Fnv1a::new();
-        h.write(&body);
-        body.extend_from_slice(&h.finish().to_le_bytes());
+        let sum = dnnip_nn::fingerprint::checksum(&body);
+        body.extend_from_slice(&sum.to_le_bytes());
         body
     }
 

@@ -654,21 +654,24 @@ impl Workspace {
                 stats.groups += 1;
                 let mut seen: HashSet<(u64, u64)> = HashSet::new();
                 let mut unique: Vec<Tensor> = Vec::new();
+                let mut unique_hashes: Vec<(u64, u64)> = Vec::new();
                 for &i in members {
                     let pool = &requests[i].candidates;
                     for (sample, hash) in pool.iter().zip(crate::eval::sample_hashes(pool)) {
                         stats.pool_samples += 1;
                         if seen.insert(hash) {
                             unique.push(sample.clone());
+                            unique_hashes.push(hash);
                         } else {
                             stats.shared_samples += 1;
                         }
                     }
                 }
                 // One batched pass fills the shared cache for the whole
-                // bucket; a failure (e.g. shape mismatch) is not fatal here —
-                // the owning request reports it from its own slot.
-                let _ = evaluator.activation_sets(&unique);
+                // bucket, keyed by the hashes the dedupe already took; a
+                // failure (e.g. shape mismatch) is not fatal here — the
+                // owning request reports it from its own slot.
+                let _ = evaluator.activation_sets_hashed(&unique, unique_hashes);
             }
         }
         let reports = requests.iter().map(|request| self.run(request)).collect();
@@ -1138,11 +1141,7 @@ mod tests {
 
     #[test]
     fn vacuum_drops_only_unregistered_model_directories() {
-        let dir = std::env::temp_dir().join(format!(
-            "dnnip-ws-vacuum-{}-{:x}",
-            std::process::id(),
-            NetworkFingerprint::of_bytes(b"vacuum-test-salt").lo
-        ));
+        let dir = std::env::temp_dir().join(format!("dnnip-ws-vacuum-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let candidates = pool(6);
         let stale = {

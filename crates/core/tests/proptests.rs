@@ -17,7 +17,7 @@ use dnnip_core::workspace::{TestGenReport, TestGenRequest, Workspace, WorkspaceC
 use dnnip_faults::attacks::{Attack, RandomPerturbation};
 use dnnip_faults::detection::MatchPolicy;
 use dnnip_nn::batch::BatchGradientEngine;
-use dnnip_nn::fingerprint::Fnv1a;
+use dnnip_nn::fingerprint::checksum;
 use dnnip_nn::layers::Activation;
 use dnnip_nn::{zoo, Network};
 use dnnip_tensor::Tensor;
@@ -646,11 +646,9 @@ fn flags(net: &Network, tests: &[Tensor], policy: MatchPolicy, ip: &FloatIp) -> 
     !suite.validate(ip).unwrap().passed
 }
 
-/// `body` behind a correct FNV-1a trailer, so the decoder itself answers.
+/// `body` behind a correct checksum trailer, so the decoder itself answers.
 fn with_checksum(mut body: Vec<u8>) -> Vec<u8> {
-    let mut h = Fnv1a::new();
-    h.write(&body);
-    body.extend_from_slice(&h.finish().to_le_bytes());
+    body.extend_from_slice(&checksum(&body).to_le_bytes());
     body
 }
 

@@ -107,23 +107,6 @@ impl Activation {
             Activation::Identity => "identity",
         }
     }
-
-    /// Parse a name produced by [`Activation::name`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::Deserialize`] for unknown names.
-    pub fn from_name(name: &str) -> Result<Self> {
-        match name {
-            "relu" => Ok(Activation::Relu),
-            "tanh" => Ok(Activation::Tanh),
-            "sigmoid" => Ok(Activation::Sigmoid),
-            "identity" => Ok(Activation::Identity),
-            other => Err(NnError::Deserialize(format!(
-                "unknown activation `{other}`"
-            ))),
-        }
-    }
 }
 
 impl std::fmt::Display for Activation {
@@ -264,19 +247,6 @@ mod tests {
         assert!(Activation::Sigmoid.is_saturating());
         assert!(!Activation::Relu.is_saturating());
         assert!(!Activation::Identity.is_saturating());
-    }
-
-    #[test]
-    fn name_round_trip() {
-        for act in [
-            Activation::Relu,
-            Activation::Tanh,
-            Activation::Sigmoid,
-            Activation::Identity,
-        ] {
-            assert_eq!(Activation::from_name(act.name()).unwrap(), act);
-        }
-        assert!(Activation::from_name("swish").is_err());
     }
 
     #[test]

@@ -22,10 +22,11 @@
 //! * [`zoo`] — the paper's MNIST (Tanh) and CIFAR-10 (ReLU) architectures plus
 //!   scaled-down variants used by tests and fast experiment profiles.
 //! * [`serialize`] — the versioned, checksummed node-list format for saving,
-//!   exporting and importing networks (used by the accelerator crate to build
-//!   weight-memory images, by the vendor/user protocol and by `dnnip-import`).
-//! * [`fingerprint`] — 128-bit content digests over the serialized form, used
-//!   by the evaluator layer to content-address cached activation sets.
+//!   exporting and importing networks (used by the vendor/user protocol's
+//!   suite format and by `dnnip-import`).
+//! * [`fingerprint`] — the one hash kernel: the formats' checksum and 128-bit
+//!   network fingerprints over the structure and the parameters in place,
+//!   used by the evaluator layer to content-address cached activation sets.
 //!
 //! The crate's central design decision is the **flat parameter vector**: every
 //! scalar parameter of a network has a stable global index (see

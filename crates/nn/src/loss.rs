@@ -92,7 +92,7 @@ pub fn cross_entropy(logits: &Tensor, labels: &[usize]) -> Result<LossOutput> {
 /// # Errors
 ///
 /// Returns an error when the shapes differ.
-pub fn mean_squared_error(prediction: &Tensor, target: &Tensor) -> Result<LossOutput> {
+fn mean_squared_error(prediction: &Tensor, target: &Tensor) -> Result<LossOutput> {
     let diff = prediction.sub(target)?;
     let n = diff.len().max(1) as f32;
     let value = diff.map(|x| x * x).sum() / n;

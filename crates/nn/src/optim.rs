@@ -34,12 +34,11 @@ fn check_lengths(params: &[f32], grads: &[f32]) -> Result<()> {
     Ok(())
 }
 
-/// Stochastic gradient descent with optional momentum and weight decay.
+/// Stochastic gradient descent with optional momentum.
 #[derive(Debug, Clone)]
 pub struct Sgd {
     lr: f32,
     momentum: f32,
-    weight_decay: f32,
     velocity: Vec<f32>,
 }
 
@@ -49,7 +48,6 @@ impl Sgd {
         Self {
             lr,
             momentum: 0.0,
-            weight_decay: 0.0,
             velocity: Vec::new(),
         }
     }
@@ -59,15 +57,8 @@ impl Sgd {
         Self {
             lr,
             momentum,
-            weight_decay: 0.0,
             velocity: Vec::new(),
         }
-    }
-
-    /// Add L2 weight decay.
-    pub fn with_weight_decay(mut self, weight_decay: f32) -> Self {
-        self.weight_decay = weight_decay;
-        self
     }
 }
 
@@ -78,8 +69,7 @@ impl Optimizer for Sgd {
             self.velocity = vec![0.0; params.len()];
         }
         for i in 0..params.len() {
-            let g = grads[i] + self.weight_decay * params[i];
-            self.velocity[i] = self.momentum * self.velocity[i] - self.lr * g;
+            self.velocity[i] = self.momentum * self.velocity[i] - self.lr * grads[i];
             params[i] += self.velocity[i];
         }
         Ok(())
@@ -118,13 +108,6 @@ impl Adam {
             m: Vec::new(),
             v: Vec::new(),
         }
-    }
-
-    /// Override the exponential decay rates.
-    pub fn with_betas(mut self, beta1: f32, beta2: f32) -> Self {
-        self.beta1 = beta1;
-        self.beta2 = beta2;
-        self
     }
 }
 
@@ -196,17 +179,6 @@ mod tests {
     }
 
     #[test]
-    fn weight_decay_pulls_parameters_towards_zero() {
-        let mut opt = Sgd::new(0.1).with_weight_decay(0.5);
-        let mut params = vec![1.0f32];
-        // Zero task gradient: only the decay acts.
-        for _ in 0..50 {
-            opt.step(&mut params, &[0.0]).unwrap();
-        }
-        assert!(params[0].abs() < 0.1);
-    }
-
-    #[test]
     fn step_rejects_mismatched_lengths() {
         let mut opt = Sgd::new(0.1);
         let mut params = vec![0.0f32; 3];
@@ -217,7 +189,7 @@ mod tests {
 
     #[test]
     fn learning_rate_accessors() {
-        let mut opt = Adam::new(0.1).with_betas(0.8, 0.9);
+        let mut opt = Adam::new(0.1);
         assert_eq!(opt.learning_rate(), 0.1);
         opt.set_learning_rate(0.05);
         assert_eq!(opt.learning_rate(), 0.05);

@@ -150,15 +150,6 @@ impl ParamLayout {
             .flat_map(|s| s.offset..s.offset + s.len)
             .collect()
     }
-
-    /// Global indices of every weight parameter.
-    pub fn weight_indices(&self) -> Vec<usize> {
-        self.segments
-            .iter()
-            .filter(|s| s.kind == ParamKind::Weight)
-            .flat_map(|s| s.offset..s.offset + s.len)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -232,11 +223,12 @@ mod tests {
     fn bias_and_weight_index_partitions() {
         let l = layout();
         let biases = l.bias_indices();
-        let weights = l.weight_indices();
-        assert_eq!(biases.len(), 7);
-        assert_eq!(weights.len(), 18);
-        assert_eq!(biases.len() + weights.len(), l.total());
-        assert!(biases.iter().all(|i| !weights.contains(i)));
+        assert_eq!(biases, [6, 7, 8, 21, 22, 23, 24]);
+        // Every other index is a weight.
+        for i in 0..l.total() {
+            let kind = l.locate(i).unwrap().kind;
+            assert_eq!(kind == ParamKind::Bias, biases.contains(&i), "index {i}");
+        }
     }
 
     #[test]

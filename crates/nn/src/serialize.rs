@@ -8,7 +8,7 @@
 //! * the node list — per node an op tag and its explicit input-edge list,
 //!   and for a layer node its payload (tag byte, configuration and
 //!   little-endian `f32` parameters) behind a byte length;
-//! * an FNV-1a checksum trailer over everything before it, so a file
+//! * a 64-bit [`checksum`] trailer over everything before it, so a file
 //!   corrupted on its way through tools the workspace does not control fails
 //!   loudly before any payload is interpreted.
 //!
@@ -16,24 +16,29 @@
 //! every edge and re-infers every shape, so even a checksum-valid stream
 //! cannot yield an inconsistent network. The decoder never trusts a count to
 //! size an allocation: every element it reads consumes stream bytes first.
-//! The serialized bytes are also what [`crate::fingerprint::NetworkFingerprint`]
-//! hashes, so the accelerator's weight images, the vendor/user protocol and
-//! the evaluator caches all name a model by this one encoding.
+//!
+//! The node and layer encoding is known here only. `structure` runs the
+//! same writer with the parameter values left out: it gives the stream's
+//! structure as a small header, in which every parameter slice keeps its
+//! length, plus the parameter slices themselves, borrowed in place.
+//! [`crate::fingerprint::NetworkFingerprint::of`] hashes those, so the
+//! evaluator caches name a model by this encoding without serializing it.
 //!
 //! [`tensors_to_bytes`] / [`tensors_from_bytes`] put the same framing (magic,
-//! version, FNV-1a trailer) and the same bounded reader around a list of
+//! version, checksum trailer) and the same bounded reader around a list of
 //! tensor records — shape, then length-prefixed little-endian `f32`s — behind
 //! a few caller-defined `u32` header words. The vendor/user protocol's
 //! functional-test suites use it as their wire format.
 
-use crate::fingerprint::Fnv1a;
+use crate::fingerprint::checksum;
 use crate::graph::{Node, NodeOp};
 use crate::layers::{Activation, ActivationLayer, Conv2d, Dense, Flatten, Layer, MaxPool2d};
 use crate::{Network, NnError, Result};
 use dnnip_tensor::Tensor;
 
 const MAGIC: &[u8; 8] = b"DNNIPGRF";
-const VERSION: u32 = 1;
+/// Version 2: the lane-hash [`checksum`] trailer.
+const VERSION: u32 = 2;
 
 const NODE_INPUT: u8 = 0;
 const NODE_LAYER: u8 = 1;
@@ -51,13 +56,19 @@ const ACT_TANH: u8 = 1;
 const ACT_SIGMOID: u8 = 2;
 const ACT_IDENTITY: u8 = 3;
 
-struct Writer {
+struct Writer<'a> {
     buf: Vec<u8>,
+    /// With `Some`, each `f32` slice is listed here in place and only its
+    /// length goes into `buf` (the [`structure`] of a stream).
+    params: Option<Vec<&'a [f32]>>,
 }
 
-impl Writer {
+impl<'a> Writer<'a> {
     fn new() -> Self {
-        Self { buf: Vec::new() }
+        Self {
+            buf: Vec::new(),
+            params: None,
+        }
     }
     /// A stream opening with `magic` and `version`.
     fn framed(magic: &[u8; 8], version: u32) -> Self {
@@ -66,11 +77,10 @@ impl Writer {
         w.u32(version);
         w
     }
-    /// Append the FNV-1a trailer over everything written so far.
+    /// Append the [`checksum`] trailer over everything written so far.
     fn seal(mut self) -> Vec<u8> {
-        let mut checksum = Fnv1a::new();
-        checksum.write(&self.buf);
-        self.buf.extend_from_slice(&checksum.finish().to_le_bytes());
+        let sum = checksum(&self.buf);
+        self.buf.extend_from_slice(&sum.to_le_bytes());
         self.buf
     }
     fn u8(&mut self, v: u8) {
@@ -79,10 +89,15 @@ impl Writer {
     fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
-    fn f32_slice(&mut self, values: &[f32]) {
+    fn f32_slice(&mut self, values: &'a [f32]) {
         self.u32(values.len() as u32);
-        for v in values {
-            self.buf.extend_from_slice(&v.to_le_bytes());
+        match &mut self.params {
+            Some(params) => params.push(values),
+            None => {
+                for v in values {
+                    self.buf.extend_from_slice(&v.to_le_bytes());
+                }
+            }
         }
     }
     fn shape(&mut self, shape: &[usize]) {
@@ -91,7 +106,7 @@ impl Writer {
             self.u32(d as u32);
         }
     }
-    fn tensor(&mut self, t: &Tensor) {
+    fn tensor(&mut self, t: &'a Tensor) {
         self.shape(t.shape());
         self.f32_slice(t.data());
     }
@@ -118,13 +133,11 @@ impl<'a> Reader<'a> {
         }
         let (body, trailer) = bytes.split_at(bytes.len() - 8);
         let stored = u64::from_le_bytes(trailer.try_into().expect("trailer is 8 bytes"));
-        let mut checksum = Fnv1a::new();
-        checksum.write(body);
-        if checksum.finish() != stored {
+        let computed = checksum(body);
+        if computed != stored {
             return Err(NnError::Deserialize(format!(
-                "{what} checksum mismatch: stored {stored:016x}, computed {:016x} — the file was \
-                 corrupted or tampered with in transit",
-                checksum.finish()
+                "{what} checksum mismatch: stored {stored:016x}, computed {computed:016x} — the \
+                 file was corrupted or tampered with in transit"
             )));
         }
         let mut r = Self::new(body);
@@ -223,7 +236,7 @@ fn activation_from_code(code: u8) -> Result<Activation> {
     }
 }
 
-fn write_layer(w: &mut Writer, layer: &Layer) {
+fn write_layer<'a>(w: &mut Writer<'a>, layer: &'a Layer) {
     match layer {
         Layer::Conv2d(conv) => {
             w.u8(TAG_CONV2D);
@@ -289,13 +302,6 @@ fn read_layer(r: &mut Reader<'_>) -> Result<Layer> {
     }
 }
 
-/// One layer's payload: tag byte, configuration and parameters.
-fn layer_to_bytes(layer: &Layer) -> Vec<u8> {
-    let mut w = Writer::new();
-    write_layer(&mut w, layer);
-    w.buf
-}
-
 /// Decode one layer from the front of `bytes`, returning the layer and the
 /// number of bytes it occupied.
 fn layer_from_bytes(bytes: &[u8]) -> Result<(Layer, usize)> {
@@ -304,13 +310,9 @@ fn layer_from_bytes(bytes: &[u8]) -> Result<(Layer, usize)> {
     Ok((layer, r.pos))
 }
 
-/// Serialize a network into a self-contained, checksummed byte vector.
-///
-/// The encoding is deterministic: serializing the network [`from_bytes`]
-/// returns reproduces the input bytes exactly, so fingerprints survive an
-/// export → import round trip.
-pub fn to_bytes(network: &Network) -> Vec<u8> {
-    let mut w = Writer::framed(MAGIC, VERSION);
+/// The body of a model stream: input shape, then the node list, each layer
+/// payload behind its byte length.
+fn write_network<'a>(w: &mut Writer<'a>, network: &'a Network) {
     w.shape(network.input_shape());
     w.u32(network.num_nodes() as u32);
     for node in network.nodes() {
@@ -322,12 +324,40 @@ pub fn to_bytes(network: &Network) -> Vec<u8> {
         });
         w.shape(node.inputs());
         if let NodeOp::Layer(i) = node.op() {
-            let payload = layer_to_bytes(&network.layers()[i]);
-            w.u32(payload.len() as u32);
-            w.buf.extend_from_slice(&payload);
+            let at = w.buf.len();
+            w.u32(0);
+            write_layer(w, &network.layers()[i]);
+            let len = (w.buf.len() - at - 4) as u32;
+            w.buf[at..at + 4].copy_from_slice(&len.to_le_bytes());
         }
     }
+}
+
+/// Serialize a network into a self-contained, checksummed byte vector.
+///
+/// The encoding is deterministic: serializing the network [`from_bytes`]
+/// returns reproduces the input bytes exactly, so fingerprints survive an
+/// export → import round trip.
+pub fn to_bytes(network: &Network) -> Vec<u8> {
+    let mut w = Writer::framed(MAGIC, VERSION);
+    write_network(&mut w, network);
     w.seal()
+}
+
+/// The structure of `network`'s stream and its parameter slices in stream
+/// order: the body [`to_bytes`] writes with every `f32` value left out (each
+/// slice keeps its length; a layer's declared byte length counts only what
+/// is written), and the slices themselves, borrowed in place.
+pub(crate) fn structure(network: &Network) -> (Vec<u8>, Vec<&[f32]>) {
+    let mut w = Writer {
+        buf: Vec::new(),
+        params: Some(Vec::new()),
+    };
+    write_network(&mut w, network);
+    (
+        w.buf,
+        w.params.expect("a structure writer lists its slices"),
+    )
 }
 
 /// Reconstruct a network from bytes produced by [`to_bytes`].
@@ -444,6 +474,13 @@ mod tests {
     use crate::layers::Activation;
     use crate::zoo;
 
+    /// One layer's payload: tag byte, configuration and parameters.
+    fn layer_to_bytes(layer: &Layer) -> Vec<u8> {
+        let mut w = Writer::new();
+        write_layer(&mut w, layer);
+        w.buf
+    }
+
     #[test]
     fn round_trip_preserves_structure_and_parameters() {
         let net = zoo::mnist_model_scaled(42).unwrap();
@@ -551,6 +588,17 @@ mod tests {
             err.to_string().contains("tensor checksum mismatch"),
             "{err}"
         );
+    }
+
+    #[test]
+    fn trailer_known_answer() {
+        // Pins the model trailer: a change to this value must come with a
+        // bump of `VERSION`.
+        let bytes = to_bytes(&zoo::tiny_mlp(3, 5, 2, Activation::Relu, 1).unwrap());
+        let (body, trailer) = bytes.split_at(bytes.len() - 8);
+        let stored = u64::from_le_bytes(trailer.try_into().unwrap());
+        assert_eq!(stored, checksum(body));
+        assert_eq!((bytes.len(), stored), (248, 0x00ad_957e_b580_057d));
     }
 
     #[test]

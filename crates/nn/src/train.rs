@@ -123,7 +123,7 @@ pub fn train(
 /// # Errors
 ///
 /// Same error conditions as [`train`].
-pub fn train_with_optimizer(
+fn train_with_optimizer(
     network: &mut Network,
     inputs: &[Tensor],
     labels: &[usize],

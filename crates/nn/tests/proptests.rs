@@ -2,11 +2,15 @@
 //! against finite differences on random networks, flat-parameter round trips,
 //! softmax/loss invariants, and the model format — round trips are bit-exact,
 //! every corruption (truncation, padding, bit flips) is rejected, the
-//! fingerprint tracks single parameter bits, and the decoder answers hostile
-//! but checksum-valid streams with an error, never a panic.
+//! fingerprint tracks single parameter bits and every structural field, and
+//! the decoder answers hostile but checksum-valid streams with an error,
+//! never a panic.
 
-use dnnip_nn::fingerprint::{Fnv1a, NetworkFingerprint};
-use dnnip_nn::layers::Activation;
+use std::collections::BTreeSet;
+
+use dnnip_nn::fingerprint::{checksum, NetworkFingerprint};
+use dnnip_nn::graph::{Node, NodeOp};
+use dnnip_nn::layers::{Activation, ActivationLayer, Conv2d, Layer, MaxPool2d};
 use dnnip_nn::loss::{cross_entropy, one_hot};
 use dnnip_nn::{serialize, zoo, Network, NnError};
 use dnnip_tensor::Tensor;
@@ -36,7 +40,7 @@ fn model_stream(shape: &[u32], count: u32, nodes: &[RawNode]) -> Vec<u8> {
             b.extend_from_slice(&x.to_le_bytes());
         }
     };
-    b.extend_from_slice(&1u32.to_le_bytes());
+    b.extend_from_slice(&2u32.to_le_bytes());
     u32s(&mut b, shape);
     b.extend_from_slice(&count.to_le_bytes());
     for (tag, inputs, payload) in nodes {
@@ -51,10 +55,74 @@ fn model_stream(shape: &[u32], count: u32, nodes: &[RawNode]) -> Vec<u8> {
 }
 
 fn with_checksum(mut body: Vec<u8>) -> Vec<u8> {
-    let mut h = Fnv1a::new();
-    h.write(&body);
-    body.extend_from_slice(&h.finish().to_le_bytes());
+    body.extend_from_slice(&checksum(&body).to_le_bytes());
     body
+}
+
+/// `net` cut after each node and the copies of that cut that differ in one
+/// structural field of its last node: a conv's stride or pad, a pool's
+/// kernel or stride, an activation, or one input edge. The changed node is
+/// the output, so no shape downstream can reject the change; copies that
+/// still fail validation are skipped. Each copy comes with its field's name.
+fn structural_variants(net: &Network) -> Vec<(Network, &'static str, Network)> {
+    let mut out = Vec::new();
+    for (i, node) in net.nodes().iter().enumerate() {
+        let taken = net.nodes()[..=i]
+            .iter()
+            .filter(|n| matches!(n.op(), NodeOp::Layer(_)))
+            .count();
+        let cut = |last: Option<Layer>, inputs: Vec<usize>| {
+            let mut layers = net.layers()[..taken].to_vec();
+            if let Some(layer) = last {
+                layers[taken - 1] = layer;
+            }
+            let mut nodes = net.nodes()[..=i].to_vec();
+            nodes[i] = Node::new(node.op(), inputs);
+            Network::from_nodes(layers, nodes, net.input_shape()).ok()
+        };
+        let Some(base) = cut(None, node.inputs().to_vec()) else {
+            continue;
+        };
+        let mut changes: Vec<(&'static str, Option<Layer>)> = Vec::new();
+        if let NodeOp::Layer(l) = node.op() {
+            match &net.layers()[l] {
+                Layer::Conv2d(conv) => {
+                    let ((w, b), g) = (conv.parameters(), conv.geometry());
+                    let conv = |stride, pad| Conv2d::new(w.clone(), b.clone(), stride, pad).ok();
+                    changes.push(("stride", conv(g.stride + 1, g.pad).map(Layer::from)));
+                    changes.push(("pad", conv(g.stride, g.pad + 1).map(Layer::from)));
+                }
+                Layer::MaxPool2d(pool) => {
+                    let (k, s) = (pool.kernel(), pool.stride());
+                    changes.push(("kernel", Some(MaxPool2d::new(k + 1, s).into())));
+                    changes.push(("stride", Some(MaxPool2d::new(k, s + 1).into())));
+                }
+                Layer::Activation(act) => {
+                    let other = match act.activation() {
+                        Activation::Relu => Activation::Tanh,
+                        _ => Activation::Relu,
+                    };
+                    changes.push(("activation", Some(ActivationLayer::new(other).into())));
+                }
+                _ => {}
+            }
+        }
+        let mut variants: Vec<_> = changes
+            .into_iter()
+            .filter_map(|(field, layer)| Some((field, cut(Some(layer?), node.inputs().to_vec()))))
+            .collect();
+        for (slot, &edge) in node.inputs().iter().enumerate() {
+            for other in (0..i).filter(|&j| j != edge) {
+                let mut inputs = node.inputs().to_vec();
+                inputs[slot] = other;
+                variants.push(("edge", cut(None, inputs)));
+            }
+        }
+        for (field, changed) in variants {
+            out.extend(changed.map(|changed| (base.clone(), field, changed)));
+        }
+    }
+    out
 }
 
 /// A payload declared at its true length.
@@ -222,24 +290,23 @@ proptest! {
     }
 
     #[test]
-    fn fingerprint_changes_when_any_serialized_byte_flips(
-        seed in 0u64..100,
-        byte_fraction in 0.0f64..1.0,
-        bit in 0u32..8,
-    ) {
-        let net = zoo::tiny_mlp(3, 4, 2, Activation::Relu, seed).unwrap();
-        let bytes = serialize::to_bytes(&net);
-        let base = NetworkFingerprint::of_bytes(&bytes);
-        let index = ((bytes.len() - 1) as f64 * byte_fraction) as usize;
-        let mut flipped = bytes.clone();
-        flipped[index] ^= 1u8 << bit;
-        prop_assert_ne!(
-            base,
-            NetworkFingerprint::of_bytes(&flipped),
-            "byte {} bit {} flip went unnoticed",
-            index,
-            bit
-        );
+    fn fingerprint_changes_when_any_structural_field_changes(net in arb_model()) {
+        // Every conv stride and pad, pool kernel and stride, activation and
+        // input edge that can change while the network still validates
+        // changes the fingerprint; the parameters stay bit-identical.
+        let variants = structural_variants(&net);
+        let fields: BTreeSet<&str> = variants.iter().map(|(_, field, _)| *field).collect();
+        prop_assert_eq!(fields, BTreeSet::from(["activation", "edge", "kernel", "pad", "stride"]));
+        for (base, field, changed) in &variants {
+            prop_assert_eq!(base.parameters_flat(), changed.parameters_flat());
+            prop_assert_ne!(
+                NetworkFingerprint::of(base),
+                NetworkFingerprint::of(changed),
+                "{} change went unnoticed: {}",
+                field,
+                changed.summary()
+            );
+        }
     }
 
     #[test]
