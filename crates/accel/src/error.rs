@@ -15,11 +15,6 @@ pub enum AccelError {
     Tensor(TensorError),
     /// An underlying network operation failed.
     Nn(NnError),
-    /// Unsupported quantization width.
-    UnsupportedBitWidth {
-        /// The requested width in bits.
-        bits: u8,
-    },
     /// A parameter, byte or bit address is outside the weight memory.
     AddressOutOfRange {
         /// Offending address.
@@ -29,13 +24,6 @@ pub enum AccelError {
         /// What kind of address was used ("parameter", "byte", "bit").
         unit: &'static str,
     },
-    /// The weight memory does not match the network it is being paired with.
-    MemoryLayoutMismatch {
-        /// Parameters expected by the network.
-        expected_params: usize,
-        /// Parameters present in the memory image.
-        memory_params: usize,
-    },
 }
 
 impl fmt::Display for AccelError {
@@ -43,19 +31,13 @@ impl fmt::Display for AccelError {
         match self {
             AccelError::Tensor(e) => write!(f, "tensor error: {e}"),
             AccelError::Nn(e) => write!(f, "network error: {e}"),
-            AccelError::UnsupportedBitWidth { bits } => {
-                write!(f, "unsupported quantization width: {bits} bits (use 8 or 16)")
-            }
-            AccelError::AddressOutOfRange { address, size, unit } => {
+            AccelError::AddressOutOfRange {
+                address,
+                size,
+                unit,
+            } => {
                 write!(f, "{unit} address {address} out of range (size {size})")
             }
-            AccelError::MemoryLayoutMismatch {
-                expected_params,
-                memory_params,
-            } => write!(
-                f,
-                "weight memory holds {memory_params} parameters but the network expects {expected_params}"
-            ),
         }
     }
 }
@@ -88,8 +70,6 @@ mod tests {
 
     #[test]
     fn display_is_informative() {
-        let e = AccelError::UnsupportedBitWidth { bits: 12 };
-        assert!(e.to_string().contains("12"));
         let e = AccelError::AddressOutOfRange {
             address: 100,
             size: 10,

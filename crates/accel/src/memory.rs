@@ -144,23 +144,6 @@ impl WeightMemory {
         Ok(())
     }
 
-    /// Overwrite a single raw byte.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AccelError::AddressOutOfRange`] for out-of-range byte addresses.
-    pub fn write_byte(&mut self, byte_index: usize, value: u8) -> Result<()> {
-        if byte_index >= self.bytes.len() {
-            return Err(AccelError::AddressOutOfRange {
-                address: byte_index,
-                size: self.bytes.len(),
-                unit: "byte",
-            });
-        }
-        self.bytes[byte_index] = value;
-        Ok(())
-    }
-
     /// Dequantize the whole memory image back into a flat parameter vector.
     pub fn to_flat_parameters(&self) -> Vec<f32> {
         let mut out = Vec::with_capacity(self.num_parameters());
@@ -178,8 +161,9 @@ impl WeightMemory {
         out
     }
 
-    /// Number of parameters whose current value differs from `other` (same layout
-    /// assumed). Useful to quantify how much of the memory an attack touched.
+    /// Number of bytes that differ from `other` (same layout assumed): how much
+    /// of the memory an attack touched. An Int16 parameter with both bytes
+    /// changed counts twice.
     pub fn count_differences(&self, other: &WeightMemory) -> usize {
         self.bytes
             .iter()
@@ -258,15 +242,6 @@ mod tests {
         mem.flip_bit(bit).unwrap();
         assert_eq!(mem.count_differences(&golden), 0);
         assert!(mem.flip_bit(mem.num_bits()).is_err());
-    }
-
-    #[test]
-    fn write_byte_bounds_checked() {
-        let net = small_net();
-        let mut mem = WeightMemory::from_network(&net, BitWidth::Int8);
-        mem.write_byte(0, 0x7F).unwrap();
-        assert_eq!(mem.bytes()[0], 0x7F);
-        assert!(mem.write_byte(mem.num_bytes(), 0).is_err());
     }
 
     #[test]

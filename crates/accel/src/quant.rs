@@ -6,8 +6,6 @@
 //! `bits` width with scale `s = m / (2^(bits-1) - 1)`, so value `v` becomes
 //! `round(v / s)` and is reconstructed as `q * s`.
 
-use dnnip_nn::Network;
-
 use crate::{AccelError, Result};
 
 /// Quantization bit-width supported by the simulated accelerator.
@@ -20,19 +18,6 @@ pub enum BitWidth {
 }
 
 impl BitWidth {
-    /// Construct from a bit count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AccelError::UnsupportedBitWidth`] for anything other than 8 or 16.
-    pub fn from_bits(bits: u8) -> Result<Self> {
-        match bits {
-            8 => Ok(BitWidth::Int8),
-            16 => Ok(BitWidth::Int16),
-            other => Err(AccelError::UnsupportedBitWidth { bits: other }),
-        }
-    }
-
     /// Number of bits.
     pub fn bits(self) -> u8 {
         match self {
@@ -50,7 +35,7 @@ impl BitWidth {
     }
 
     /// Largest representable positive integer level.
-    pub fn max_level(self) -> i32 {
+    fn max_level(self) -> i32 {
         match self {
             BitWidth::Int8 => i8::MAX as i32,
             BitWidth::Int16 => i16::MAX as i32,
@@ -130,43 +115,6 @@ impl QuantScale {
             }
         }
     }
-
-    /// Quantize a whole slice, returning the round-trip (dequantized) values.
-    pub fn round_trip(&self, values: &[f32]) -> Vec<f32> {
-        values
-            .iter()
-            .map(|&v| self.dequantize(self.quantize(v)))
-            .collect()
-    }
-}
-
-/// Round-trip every parameter of `network` through the symmetric fixed-point
-/// format, returning the network the accelerator effectively runs.
-///
-/// Scales are fitted per parameter segment (each layer's weight and bias
-/// separately) — exactly the fitting [`crate::memory::WeightMemory`] applies
-/// when building a memory image, so this network matches
-/// [`crate::ip::AcceleratorIp`]'s inference behaviour without materializing the
-/// byte image. It is the model the quantized forward path of the coverage
-/// engine evaluates against.
-///
-/// # Errors
-///
-/// Never fails through the public API (the round-tripped vector always matches
-/// the network's own layout); the `Result` only forwards the impossible
-/// length-mismatch arm of `set_parameters_flat`.
-pub fn round_trip_network(network: &Network, width: BitWidth) -> Result<Network> {
-    let mut params = network.parameters_flat();
-    for seg in network.param_layout().segments() {
-        let values = &mut params[seg.offset..seg.offset + seg.len];
-        let scale = QuantScale::fit(values, width);
-        for v in values.iter_mut() {
-            *v = scale.dequantize(scale.quantize(*v));
-        }
-    }
-    let mut net = network.clone();
-    net.set_parameters_flat(&params)?;
-    Ok(net)
 }
 
 #[cfg(test)]
@@ -175,9 +123,6 @@ mod tests {
 
     #[test]
     fn bit_width_constructors() {
-        assert_eq!(BitWidth::from_bits(8).unwrap(), BitWidth::Int8);
-        assert_eq!(BitWidth::from_bits(16).unwrap(), BitWidth::Int16);
-        assert!(BitWidth::from_bits(4).is_err());
         assert_eq!(BitWidth::Int8.bytes(), 1);
         assert_eq!(BitWidth::Int16.bytes(), 2);
         assert_eq!(BitWidth::Int8.max_level(), 127);
@@ -217,7 +162,9 @@ mod tests {
     fn zero_tensor_round_trips_exactly() {
         let zeros = vec![0.0f32; 16];
         let scale = QuantScale::fit(&zeros, BitWidth::Int8);
-        assert_eq!(scale.round_trip(&zeros), zeros);
+        for &v in &zeros {
+            assert_eq!(scale.dequantize(scale.quantize(v)), 0.0);
+        }
     }
 
     #[test]
@@ -228,24 +175,6 @@ mod tests {
         };
         assert_eq!(scale.quantize(1e9), 127);
         assert_eq!(scale.quantize(-1e9), -127);
-    }
-
-    #[test]
-    fn network_round_trip_matches_the_accelerator_memory_image() {
-        use dnnip_nn::layers::Activation;
-        use dnnip_nn::zoo;
-        let net = zoo::tiny_cnn(4, 3, Activation::Relu, 11).unwrap();
-        for width in [BitWidth::Int8, BitWidth::Int16] {
-            let rt = round_trip_network(&net, width).unwrap();
-            // Same per-segment fitting as WeightMemory: dequantizing the memory
-            // image must reproduce the round-tripped parameters bit-for-bit.
-            let mem = crate::memory::WeightMemory::from_network(&net, width);
-            assert_eq!(rt.parameters_flat(), mem.to_flat_parameters());
-            // Quantization is lossy at 8 bits on a real network.
-            if width == BitWidth::Int8 {
-                assert_ne!(rt.parameters_flat(), net.parameters_flat());
-            }
-        }
     }
 
     #[test]

@@ -79,7 +79,7 @@ impl ExperimentProfile {
     }
 
     /// Number of training images generated per model.
-    pub fn dataset_size(self) -> usize {
+    fn dataset_size(self) -> usize {
         match self {
             Self::Smoke => 120,
             Self::Default => 600,
@@ -151,7 +151,7 @@ impl ExperimentProfile {
     }
 
     /// Image side length of the synthetic datasets at this profile.
-    pub fn image_size(self) -> usize {
+    fn image_size(self) -> usize {
         match self {
             Self::Smoke => 12,
             Self::Default => 16,
@@ -232,7 +232,7 @@ fn train_robust(
 /// bit-identical to serial execution (see `tests/parallel_equivalence.rs`), so
 /// the parallel path is safe to use unconditionally. Coverage of the int8
 /// model an accelerator runs is this configuration applied to
-/// `dnnip_accel::quant::round_trip_network(&net, BitWidth::Int8)`.
+/// `AcceleratorIp::from_network(&net, BitWidth::Int8).effective_network()`.
 pub fn coverage_config_for(activation: Activation) -> CoverageConfig {
     let epsilon = if activation.is_saturating() {
         EpsilonPolicy::RelativeToMax(1e-2)
@@ -433,11 +433,9 @@ pub fn prepare_mnist(profile: ExperimentProfile, seed: u64) -> PreparedModel {
 ///
 /// Panics if model construction or training fails (see [`prepare_mnist`]).
 pub fn prepare_cifar(profile: ExperimentProfile, seed: u64) -> PreparedModel {
-    let size = profile.image_size().max(16);
-    let size = if profile == ExperimentProfile::Paper {
-        32
-    } else {
-        size
+    let size = match profile {
+        ExperimentProfile::Paper => 32,
+        _ => profile.image_size().max(16),
     };
     let dataset = synthetic_cifar(&ObjectConfig::with_size(size), profile.dataset_size(), seed);
     let mut network = match profile {

@@ -22,9 +22,9 @@
 //! Coverage is defined on the network the evaluator is given, the trusted
 //! float model in the paper. Coverage of the int8 model an accelerator IP
 //! runs is the same computation on
-//! `dnnip_accel::quant::round_trip_network(&net, BitWidth::Int8)`: an
-//! evaluator (or a registered workspace model) over that network, whose own
-//! fingerprint keeps its cache entries apart.
+//! `AcceleratorIp::from_network(&net, BitWidth::Int8).effective_network()`:
+//! an evaluator (or a registered workspace model) over that network, whose
+//! own fingerprint keeps its cache entries apart.
 
 use crate::par::ExecPolicy;
 

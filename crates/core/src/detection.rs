@@ -63,16 +63,7 @@ pub struct DetectionReport {
 impl DetectionReport {
     /// Fraction of trials detected, in `[0, 1]`.
     pub fn detection_rate(&self) -> f32 {
-        self.share(self.detected)
-    }
-
-    /// Fraction of trials in which the attack changed probe behaviour.
-    pub fn effectiveness_rate(&self) -> f32 {
-        self.share(self.effective)
-    }
-
-    fn share(&self, count: usize) -> f32 {
-        count as f32 / self.trials.max(1) as f32
+        self.detected as f32 / self.trials.max(1) as f32
     }
 }
 
@@ -289,6 +280,5 @@ mod tests {
         assert!(detection_rate(&network, &attack, &inputs(2, 0), &empty, &config).is_err());
         let empty = DetectionReport::default();
         assert_eq!(empty.detection_rate(), 0.0);
-        assert_eq!(empty.effectiveness_rate(), 0.0);
     }
 }

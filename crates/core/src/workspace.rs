@@ -481,11 +481,6 @@ impl Workspace {
             .map(|entry| Arc::clone(&entry.network))
     }
 
-    /// The registered base [`CoverageConfig`] of a model.
-    pub fn coverage_config(&self, model: NetworkFingerprint) -> Option<CoverageConfig> {
-        self.registry().get(&model).map(|entry| entry.coverage)
-    }
-
     fn resolve_criterion(
         coverage: &CoverageConfig,
         spec: &CriterionSpec,
@@ -741,7 +736,6 @@ mod tests {
         assert_eq!(infos[0].name, "a");
         assert_eq!(infos[0].num_evaluators, 1);
         assert!(ws.network(a).is_some());
-        assert!(ws.coverage_config(b).is_some());
         assert!(ws
             .default_evaluator(NetworkFingerprint { lo: 1, hi: 2 })
             .is_err());
@@ -775,7 +769,6 @@ mod tests {
             ..CoverageConfig::default()
         };
         assert_eq!(ws.register("m-strict", net(3), strict), key);
-        assert_eq!(ws.coverage_config(key), Some(strict));
         let info = &ws.models()[0];
         assert_eq!(info.name, "m-strict");
         assert_eq!(info.num_evaluators, 0);

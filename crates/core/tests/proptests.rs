@@ -395,9 +395,12 @@ proptest! {
         // The int8 round trip an accelerator IP runs may move each
         // parameter by at most half a quantization step of its own segment
         // (symmetric rounding), and must leave the layout intact.
-        use dnnip_accel::quant::{round_trip_network, BitWidth, QuantScale};
+        use dnnip_accel::ip::AcceleratorIp;
+        use dnnip_accel::quant::{BitWidth, QuantScale};
         let net = zoo::tiny_mlp(4, 8, 3, Activation::Tanh, seed).unwrap();
-        let rt = round_trip_network(&net, BitWidth::Int8).unwrap();
+        let rt = AcceleratorIp::from_network(&net, BitWidth::Int8)
+            .effective_network()
+            .unwrap();
         let before = net.parameters_flat();
         let after = rt.parameters_flat();
         prop_assert_eq!(before.len(), after.len());

@@ -46,11 +46,6 @@ impl LabeledDataset {
         self.inputs.is_empty()
     }
 
-    /// Shape of a single sample, or `None` if the dataset is empty.
-    pub fn sample_shape(&self) -> Option<&[usize]> {
-        self.inputs.first().map(|t| t.shape())
-    }
-
     /// Number of samples per class.
     pub fn class_counts(&self) -> Vec<usize> {
         let mut counts = vec![0usize; self.num_classes];
@@ -116,10 +111,8 @@ mod tests {
         let d = toy(9);
         assert_eq!(d.len(), 9);
         assert!(!d.is_empty());
-        assert_eq!(d.sample_shape().unwrap(), &[1, 2, 2]);
         assert_eq!(d.class_counts(), vec![3, 3, 3]);
         assert!(LabeledDataset::default().is_empty());
-        assert!(LabeledDataset::default().sample_shape().is_none());
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //!   noise with random geometric content. Structured, but drawn from a different
 //!   distribution than either training family.
 //! * [`noise`] — Gaussian noise images, the paper's weakest baseline.
-//! * [`render`] — ASCII-art and PGM/PPM dumps used to reproduce Fig. 4
+//! * [`render`] — ASCII-art and PGM dumps used to reproduce Fig. 4
 //!   (real vs synthetic training samples).
 //!
 //! All generators are deterministic given a seed.

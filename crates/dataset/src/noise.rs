@@ -33,7 +33,7 @@ fn normal_sample(rng: &mut StdRng) -> f32 {
 }
 
 /// Generate one noise image of the given shape.
-pub fn noise_image(shape: &[usize], config: &NoiseConfig, rng: &mut StdRng) -> Tensor {
+fn noise_image(shape: &[usize], config: &NoiseConfig, rng: &mut StdRng) -> Tensor {
     let mut t = Tensor::from_fn(shape, |_| config.mean + config.std * normal_sample(rng));
     if config.clamp {
         t = t.clamp(0.0, 1.0);

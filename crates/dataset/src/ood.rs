@@ -57,7 +57,7 @@ fn value_noise(size: usize, cells: usize, rng: &mut StdRng) -> Vec<f32> {
 }
 
 /// Generate one out-of-distribution image of shape `[channels, size, size]`.
-pub fn ood_image(channels: usize, size: usize, config: &OodConfig, rng: &mut StdRng) -> Tensor {
+fn ood_image(channels: usize, size: usize, config: &OodConfig, rng: &mut StdRng) -> Tensor {
     let mut data = vec![0.0f32; channels * size * size];
     for ch in 0..channels {
         // Multi-octave smooth field.

@@ -1,8 +1,8 @@
-//! Rendering helpers: ASCII art and PGM/PPM dumps.
+//! Rendering helpers: ASCII art and PGM dumps.
 //!
 //! Used by the Fig. 4 reproduction ("training samples vs synthetic samples") to
 //! show the generated inputs without any image library: grayscale images become
-//! terminal ASCII art and portable-anymap files that any viewer can open.
+//! terminal ASCII art and portable-graymap files that any viewer can open.
 
 use dnnip_tensor::Tensor;
 
@@ -63,27 +63,6 @@ pub fn to_pgm(image: &Tensor) -> Option<Vec<u8>> {
     Some(out)
 }
 
-/// Serialize a three-channel `[3, H, W]` image as a binary PPM (P6) byte vector.
-///
-/// Returns `None` if the tensor is not `[3, H, W]`.
-pub fn to_ppm(image: &Tensor) -> Option<Vec<u8>> {
-    if image.ndim() != 3 || image.shape()[0] != 3 {
-        return None;
-    }
-    let (h, w) = (image.shape()[1], image.shape()[2]);
-    let data = image.data();
-    let mut out = format!("P6\n{w} {h}\n255\n").into_bytes();
-    for y in 0..h {
-        for x in 0..w {
-            for ch in 0..3 {
-                let v = data[(ch * h + y) * w + x];
-                out.push((v.clamp(0.0, 1.0) * 255.0) as u8);
-            }
-        }
-    }
-    Some(out)
-}
-
 /// Render several images side by side as ASCII art (used for Fig. 4 style
 /// comparisons). Images must share a height; returns an empty string otherwise.
 pub fn ascii_gallery(images: &[&Tensor], separator: &str) -> String {
@@ -136,12 +115,6 @@ mod tests {
         assert!(pgm.starts_with(b"P5\n7 5\n255\n"));
         assert_eq!(pgm.len(), b"P5\n7 5\n255\n".len() + 35);
 
-        let rgb = Tensor::from_fn(&[3, 4, 4], |i| (i % 16) as f32 / 15.0);
-        let ppm = to_ppm(&rgb).unwrap();
-        assert!(ppm.starts_with(b"P6\n4 4\n255\n"));
-        assert_eq!(ppm.len(), b"P6\n4 4\n255\n".len() + 48);
-
-        assert!(to_ppm(&gray).is_none());
         assert!(to_pgm(&Tensor::zeros(&[5, 7])).is_none());
     }
 

@@ -85,8 +85,8 @@ mod tests {
         assert!(e.source().is_none());
         let e: FaultError = NnError::EmptyNetwork.into();
         assert!(e.source().is_some());
-        let e: FaultError = AccelError::UnsupportedBitWidth { bits: 3 }.into();
-        assert!(e.to_string().contains('3'));
+        let e: FaultError = AccelError::Nn(NnError::EmptyNetwork).into();
+        assert!(e.to_string().contains(&NnError::EmptyNetwork.to_string()));
     }
 
     #[test]

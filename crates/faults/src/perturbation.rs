@@ -106,21 +106,17 @@ mod tests {
         zoo::tiny_mlp(4, 8, 3, Activation::Relu, 5).unwrap()
     }
 
+    /// A perturbation setting each `(index, value)` pair.
+    fn edits(pairs: &[(usize, f32)]) -> Perturbation {
+        let edits = pairs
+            .iter()
+            .map(|&(index, new_value)| ParamEdit { index, new_value });
+        Perturbation::new(edits.collect(), "test")
+    }
+
     #[test]
     fn basic_accessors() {
-        let p = Perturbation::new(
-            vec![
-                ParamEdit {
-                    index: 1,
-                    new_value: 2.0,
-                },
-                ParamEdit {
-                    index: 7,
-                    new_value: -1.0,
-                },
-            ],
-            "test",
-        );
+        let p = edits(&[(1, 2.0), (7, -1.0)]);
         assert_eq!(p.len(), 2);
         assert!(!p.is_empty());
         assert_eq!(p.indices(), vec![1, 7]);
@@ -130,13 +126,7 @@ mod tests {
     #[test]
     fn apply_to_network_changes_only_listed_indices() {
         let network = net();
-        let p = Perturbation::new(
-            vec![ParamEdit {
-                index: 3,
-                new_value: 9.0,
-            }],
-            "test",
-        );
+        let p = edits(&[(3, 9.0)]);
         let tampered = p.apply_to_network(&network).unwrap();
         assert_eq!(tampered.parameter(3).unwrap(), 9.0);
         // All other parameters are untouched.
@@ -150,13 +140,7 @@ mod tests {
     #[test]
     fn apply_out_of_range_fails() {
         let network = net();
-        let p = Perturbation::new(
-            vec![ParamEdit {
-                index: network.num_parameters(),
-                new_value: 1.0,
-            }],
-            "test",
-        );
+        let p = edits(&[(network.num_parameters(), 1.0)]);
         assert!(p.apply_to_network(&network).is_err());
         assert!(p.max_abs_change(&network).is_err());
     }
@@ -166,21 +150,15 @@ mod tests {
         let network = net();
         let mut ip = AcceleratorIp::from_network(&network, BitWidth::Int16);
         let golden = AcceleratorIp::from_network(&network, BitWidth::Int16);
-        let p = Perturbation::new(
-            vec![ParamEdit {
-                index: 0,
-                new_value: 0.3,
-            }],
-            "test",
-        );
+        // The last bias always reaches the output.
+        let p = edits(&[(0, 0.3), (network.num_parameters() - 1, 10.0)]);
         p.apply_to_accelerator(&mut ip).unwrap();
         assert!(ip.memory().count_differences(golden.memory()) >= 1);
         let read_back = ip.memory().read_parameter(0).unwrap();
         assert!((read_back - 0.3).abs() < 0.01);
-        // Behaviour changes for at least some input.
         let x = Tensor::from_fn(&[4], |i| i as f32 * 0.2 + 0.1);
         let a = dnnip_accel::ip::DnnIp::infer(&golden, &x).unwrap();
         let b = dnnip_accel::ip::DnnIp::infer(&ip, &x).unwrap();
-        assert!(!a.approx_eq(&b, 1e-6) || a.approx_eq(&b, 1e-6));
+        assert!(!a.approx_eq(&b, 1e-3), "outputs {a} and {b} should differ");
     }
 }

@@ -75,8 +75,9 @@ proptest! {
         prop_assert!(differing_bytes <= fault.len());
         fault.apply(&mut ip).unwrap();
         prop_assert_eq!(ip.memory().count_differences(golden.memory()), 0);
-        // And the restored IP behaves identically to the golden one.
+        // And the restored IP behaves identically to the golden one, bit for bit.
         let x = Tensor::from_fn(&[4], |i| i as f32 * 0.1);
-        prop_assert!(ip.infer(&x).unwrap().approx_eq(&golden.infer(&x).unwrap(), 1e-6));
+        let bits = |t: Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(ip.infer(&x).unwrap()), bits(golden.infer(&x).unwrap()));
     }
 }

@@ -15,10 +15,9 @@
 //! * [`batch`] — the batched engine every criterion and the test generator
 //!   run on, tested against [`Network`]'s per-sample passes.
 //! * [`loss`] — cross-entropy (with built-in softmax) and mean-squared-error.
-//! * [`optim`] — SGD with momentum and Adam, operating on the flat parameter
-//!   vector.
-//! * [`train`] — a small training loop with accuracy evaluation, enough to train
-//!   the Table-I models on the synthetic datasets.
+//! * [`train`] — a small SGD-with-momentum training loop over the flat
+//!   parameter vector, with accuracy evaluation, enough to train the Table-I
+//!   models on the synthetic datasets.
 //! * [`zoo`] — the paper's MNIST (Tanh) and CIFAR-10 (ReLU) architectures plus
 //!   scaled-down variants used by tests and fast experiment profiles.
 //! * [`serialize`] — the versioned, checksummed node-list format for saving,
@@ -31,8 +30,9 @@
 //! The crate's central design decision is the **flat parameter vector**: every
 //! scalar parameter of a network has a stable global index (see
 //! [`params::ParamLayout`]). Coverage bitsets, fault-injection attacks and
-//! optimizers all address parameters through that single coordinate system, which
-//! is what makes the paper's "activate parameter θi" bookkeeping straightforward.
+//! the training step all address parameters through that single coordinate
+//! system, which is what makes the paper's "activate parameter θi"
+//! bookkeeping straightforward.
 //!
 //! # Example
 //!
@@ -56,13 +56,13 @@
 
 mod error;
 mod network;
+mod optim;
 
 pub mod batch;
 pub mod fingerprint;
 pub mod graph;
 pub mod layers;
 pub mod loss;
-pub mod optim;
 pub mod params;
 pub mod serialize;
 pub mod train;

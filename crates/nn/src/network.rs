@@ -149,15 +149,10 @@ impl Network {
         self.nodes.len()
     }
 
-    /// Every layer with its single-sample input and output shapes, in
-    /// topological order.
-    pub fn layer_shapes(&self) -> impl Iterator<Item = (&Layer, &[usize], &[usize])> + '_ {
+    /// Every layer with its single-sample output shape, in topological order.
+    pub fn layer_shapes(&self) -> impl Iterator<Item = (&Layer, &[usize])> + '_ {
         self.nodes.iter().filter_map(move |node| match node.op() {
-            NodeOp::Layer(i) => Some((
-                &self.layers[i],
-                self.nodes[node.input()].output_shape(),
-                node.output_shape(),
-            )),
+            NodeOp::Layer(i) => Some((&self.layers[i], node.output_shape())),
             _ => None,
         })
     }
@@ -190,8 +185,8 @@ impl Network {
     /// single-sample output.
     pub fn num_neuron_units(&self) -> usize {
         self.layer_shapes()
-            .filter(|(layer, _, _)| layer.is_activation())
-            .map(|(_, _, out)| out.iter().product::<usize>())
+            .filter(|(layer, _)| layer.is_activation())
+            .map(|(_, out)| out.iter().product::<usize>())
             .sum()
     }
 

@@ -14,7 +14,7 @@
 //!
 //! * coverage bitsets in `dnnip-core` are indexed by global parameter index;
 //! * fault-injection attacks in `dnnip-faults` pick victims by global index;
-//! * optimizers in [`crate::optim`] update the flat vector directly;
+//! * the training loop in [`crate::train`] updates the flat vector directly;
 //! * the accelerator's weight memory in `dnnip-accel` is the quantized image of
 //!   the flat vector.
 

@@ -2,7 +2,8 @@
 //!
 //! Just enough machinery to train the Table-I models (and their scaled variants)
 //! on the synthetic datasets: shuffled mini-batches, cross-entropy loss, an
-//! [`Optimizer`] over the flat parameter vector, and per-epoch statistics.
+//! SGD-with-momentum step over the flat parameter vector, and per-epoch
+//! statistics.
 
 use dnnip_tensor::{ops, Tensor};
 use rand::rngs::StdRng;
@@ -10,7 +11,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use crate::loss::Loss;
-use crate::optim::{Optimizer, Sgd};
+use crate::optim::Sgd;
 use crate::{Network, NnError, Result};
 
 /// Configuration of a training run.
@@ -114,23 +115,7 @@ pub fn train(
     config: &TrainConfig,
 ) -> Result<TrainReport> {
     validate_dataset(network, inputs, labels)?;
-    let mut optimizer = Sgd::with_momentum(config.learning_rate, config.momentum);
-    train_with_optimizer(network, inputs, labels, config, &mut optimizer)
-}
-
-/// Train with a caller-provided optimizer (used by tests and ablation benches).
-///
-/// # Errors
-///
-/// Same error conditions as [`train`].
-fn train_with_optimizer(
-    network: &mut Network,
-    inputs: &[Tensor],
-    labels: &[usize],
-    config: &TrainConfig,
-    optimizer: &mut dyn Optimizer,
-) -> Result<TrainReport> {
-    validate_dataset(network, inputs, labels)?;
+    let mut optimizer = Sgd::new(config.learning_rate, config.momentum);
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut indices: Vec<usize> = (0..inputs.len()).collect();
     let mut report = TrainReport::default();
@@ -158,7 +143,7 @@ fn train_with_optimizer(
             batches += 1;
         }
 
-        optimizer.set_learning_rate(optimizer.learning_rate() * config.lr_decay);
+        optimizer.lr *= config.lr_decay;
         let train_accuracy = evaluate(network, inputs, labels)?;
         report.epochs.push(EpochStats {
             epoch,

@@ -77,13 +77,6 @@ pub fn build_model(name: &str) -> Option<(Network, CoverageConfig)> {
     Some((network, config))
 }
 
-/// Parse a strategy by its stable [`GenerationMethod::name`] string.
-pub fn strategy_from_name(name: &str) -> Option<GenerationMethod> {
-    GenerationMethod::all()
-        .into_iter()
-        .find(|m| m.name() == name)
-}
-
 /// Where a generate request's candidate pool comes from.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PoolSpec {
@@ -297,7 +290,9 @@ fn parse_generate(id: &str, value: &Json) -> Result<GenerateSpec, RequestError> 
         .get("strategy")
         .and_then(Json::as_str)
         .unwrap_or("training-set-selection");
-    let strategy = strategy_from_name(strategy_name)
+    let strategy = GenerationMethod::all()
+        .into_iter()
+        .find(|m| m.name() == strategy_name)
         .ok_or_else(|| bad(id, format!("unknown strategy {strategy_name:?}")))?;
     let budget = match value.get("budget") {
         None => 4,

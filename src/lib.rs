@@ -10,7 +10,7 @@
 //! | module | crate | contents |
 //! |---|---|---|
 //! | [`tensor`] | `dnnip-tensor` | dense `f32` tensors, conv/pool kernels |
-//! | [`nn`] | `dnnip-nn` | the one model type (chains and Add/Concat graphs), layers, backprop, batched engine, model format, optimizers, training, model zoo |
+//! | [`nn`] | `dnnip-nn` | the one model type (chains and Add/Concat graphs), layers, backprop, batched engine, model format, SGD training, model zoo |
 //! | [`dataset`] | `dnnip-dataset` | synthetic MNIST/CIFAR/OOD/noise image families |
 //! | [`accel`] | `dnnip-accel` | black-box accelerator IP simulator + weight memory |
 //! | [`faults`] | `dnnip-faults` | SBA / GDA / random attacks, bit faults, output match policy |

@@ -1,14 +1,12 @@
 //! Int8 coverage is the float pipeline run on the int8 round-tripped model.
 //!
 //! The accelerator IP runs the network's parameters after an int8 round trip
-//! (`round_trip_network`, the same per-segment fitting
-//! `WeightMemory`/`AcceleratorIp` applies). Its coverage is not a mode of
-//! the evaluator: it is an evaluator, or a registered workspace model, over
-//! that network. Pins three contracts across MLP and CNN zoo models:
+//! through its weight memory (`AcceleratorIp::effective_network`), and its
+//! coverage is no evaluator mode but an evaluator, or a registered workspace
+//! model, over that network. Pins three contracts across MLP and CNN models:
 //!
-//! 1. **The round-tripped model evaluates like any other.** For every
-//!    built-in criterion, the batched evaluator over `round_trip_network`
-//!    agrees bit for bit with the per-sample reference oracle on it.
+//! 1. **The round-tripped model evaluates like any other.** Under every
+//!    built-in criterion its batched evaluator matches the reference bit for bit.
 //! 2. **Bounded drift.** Coverage fractions of the round-tripped model stay
 //!    valid and close to the float model's on well-conditioned models.
 //! 3. **Separate cache entries.** Registered side by side in one
@@ -20,7 +18,6 @@ use std::sync::Arc;
 mod common;
 
 use common::{seeded_inputs, zoo_networks};
-use dnnip::accel::quant::{round_trip_network, BitWidth};
 use dnnip::core::coverage::CoverageConfig;
 use dnnip::core::criterion::builtin_criteria;
 use dnnip::core::eval::Evaluator;
@@ -33,7 +30,9 @@ fn uncached(net: &Network, criterion: Arc<dyn CoverageCriterion>) -> Evaluator {
 }
 
 fn int8(net: &Network) -> Network {
-    round_trip_network(net, BitWidth::Int8).unwrap()
+    AcceleratorIp::from_network(net, BitWidth::Int8)
+        .effective_network()
+        .unwrap()
 }
 
 #[test]
