@@ -64,18 +64,19 @@ fn main() {
     let flips_per_trial = 32;
     println!("  width  | false positive (strict) | false positive (argmax) | bit-flip detection (strict vs shipped golden, {trials} trials, {flips_per_trial} flips)");
     println!("  -------+--------------------------+-------------------------+-----------------------------------------");
+    // Suites built against the *float* golden model, as the vendor would.
+    let strict = FunctionalTestSuite::from_evaluator(
+        &evaluator,
+        tests.clone(),
+        MatchPolicy::OutputTolerance(1e-4),
+    )
+    .expect("suite");
+    let argmax = FunctionalTestSuite {
+        policy: MatchPolicy::ArgMax,
+        ..strict.clone()
+    };
     for width in [BitWidth::Int8, BitWidth::Int16] {
         let accel = AcceleratorIp::from_network(&model.network, width);
-        // Suites built against the *float* golden model, as the vendor would.
-        let strict = FunctionalTestSuite::from_evaluator(
-            &evaluator,
-            tests.clone(),
-            MatchPolicy::OutputTolerance(1e-4),
-        )
-        .expect("suite");
-        let argmax =
-            FunctionalTestSuite::from_evaluator(&evaluator, tests.clone(), MatchPolicy::ArgMax)
-                .expect("suite");
         let fp_strict = !strict.validate(&accel).expect("validate").passed;
         let fp_argmax = !argmax.validate(&accel).expect("validate").passed;
 

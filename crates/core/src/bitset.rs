@@ -195,6 +195,31 @@ impl Bitset {
         }
         Some(Self { words, len })
     }
+
+    /// Append the persistent tier's payload of this set to `out`: the length
+    /// as a little-endian `u64`, then the words, little-endian.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&(self.len as u64).to_le_bytes());
+        for &word in &self.words {
+            out.extend_from_slice(&word.to_le_bytes());
+        }
+    }
+
+    /// Decode a payload written by [`Bitset::encode`]. [`Bitset::from_words`]
+    /// validates it, so a wrong size or a stray bit past the length is `None`
+    /// (a cache miss), never a bogus set.
+    pub fn decode(bytes: &[u8]) -> Option<Self> {
+        let (len_bytes, rest) = bytes.split_at_checked(8)?;
+        let len = u64::from_le_bytes(len_bytes.try_into().ok()?) as usize;
+        if rest.len() != len.div_ceil(64) * 8 {
+            return None;
+        }
+        let words = rest
+            .chunks_exact(8)
+            .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
+            .collect();
+        Self::from_words(words, len)
+    }
 }
 
 /// A shared handle (what the caches hand out) compares with a freshly

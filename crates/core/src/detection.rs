@@ -55,9 +55,6 @@ pub struct DetectionReport {
     pub trials: usize,
     /// Trials in which the functional tests exposed the perturbation.
     pub detected: usize,
-    /// Trials in which the perturbation changed the prediction of at least one
-    /// probe input (i.e. the attack was actually effective).
-    pub effective: usize,
 }
 
 impl DetectionReport {
@@ -72,9 +69,8 @@ impl DetectionReport {
 /// vendor's released package for `network`, whose golden outputs and match
 /// policy decide what counts as detected.
 ///
-/// `probes` serve two purposes: attacks that need victim inputs (GDA, effective
-/// SBA) draw them from here, and the report's `effective` counter measures how
-/// many perturbations changed at least one probe prediction.
+/// `probes` are the victim inputs that attacks which need them (GDA,
+/// effective SBA) draw from; attacks that need none ignore them.
 ///
 /// Trials are distributed over [`DetectionConfig::exec`] workers. Each trial
 /// seeds its own RNG from `(config.seed, trial index)`, so the report is
@@ -92,38 +88,17 @@ pub fn detection_rate(
     suite: &FunctionalTestSuite,
     config: &DetectionConfig,
 ) -> Result<DetectionReport> {
-    let probe_predictions: Vec<usize> = probes
-        .iter()
-        .map(|p| network.predict_sample(p))
-        .collect::<std::result::Result<_, _>>()?;
-
     let trial_indices: Vec<u64> = (0..config.trials as u64).collect();
-    let outcomes = par::try_map(
-        config.exec,
-        &trial_indices,
-        |&trial| -> Result<(bool, bool)> {
-            let mut rng = StdRng::seed_from_u64(trial_seed(config.seed, trial));
-            let perturbation = attack.generate(network, probes, &mut rng)?;
-            let tampered = perturbation.apply_to_network(network)?;
-            let tampered_ip = FloatIp::new(tampered.clone());
-            let detected = suite
-                .mismatches(&tampered_ip)?
-                .next()
-                .transpose()?
-                .is_some();
-            let effective = probes.iter().zip(&probe_predictions).any(|(p, &pred)| {
-                tampered
-                    .predict_sample(p)
-                    .map(|q| q != pred)
-                    .unwrap_or(false)
-            });
-            Ok((detected, effective))
-        },
-    )?;
+    let detected = par::try_map(config.exec, &trial_indices, |&trial| -> Result<bool> {
+        let mut rng = StdRng::seed_from_u64(trial_seed(config.seed, trial));
+        let perturbation = attack.generate(network, probes, &mut rng)?;
+        let tampered_ip = FloatIp::new(perturbation.apply_to_network(network)?);
+        let first_mismatch = suite.mismatches(&tampered_ip)?.next().transpose()?;
+        Ok(first_mismatch.is_some())
+    })?;
     Ok(DetectionReport {
         trials: config.trials,
-        detected: outcomes.iter().filter(|o| o.0).count(),
-        effective: outcomes.iter().filter(|o| o.1).count(),
+        detected: detected.into_iter().filter(|&d| d).count(),
     })
 }
 
@@ -182,7 +157,6 @@ mod tests {
         let report = detection_rate(&network, &attack, &probes, &tests, &config).unwrap();
         assert_eq!(report.trials, 25);
         assert!(report.detected <= report.trials);
-        assert!(report.effective <= report.trials);
         assert!((0.0..=1.0).contains(&report.detection_rate()));
         // A 20.0 bias overwrite on a tiny network with a strict tolerance policy
         // is essentially always visible on 10 tests.

@@ -1,16 +1,15 @@
 //! The unified evaluator layer, the one front door to covered-unit sets and
 //! coverage (Eq. 2–5 under the default criterion): one object that owns the
 //! network reference, the batched gradient engine, the coverage criterion,
-//! the [`CoverageConfig`] and content-addressed caches. A cache budget of 0
-//! is the uncached compute path.
+//! the [`CoverageConfig`] and a content-addressed covered-set cache. A cache
+//! budget of 0 is the uncached compute path.
 //!
 //! The paper's pipeline (coverage analysis → greedy selection → gradient
 //! synthesis → fault detection) re-evaluates the same samples against the same
-//! network at every stage: Fig. 3 sweeps budgets over one candidate pool,
-//! Tables II/III evaluate nested prefixes of one suite, and the combined
-//! generator re-scores its pending synthetic batch against a growing covered
-//! set. [`Evaluator`] makes those repeats near-free: every covered-unit set it
-//! computes is stored in a [`CoveredSetCache`] keyed by
+//! network at every stage: Fig. 3 sweeps budgets over one candidate pool, and
+//! the combined generator re-scores its pending synthetic batch against a
+//! growing covered set. [`Evaluator`] makes those repeats near-free: every
+//! covered-unit set it computes is stored in a [`CoveredSetCache`] keyed by
 //!
 //! * the **network fingerprint** — a 128-bit digest of the model's structure
 //!   and parameter words ([`NetworkFingerprint`]), so any parameter change
@@ -25,16 +24,11 @@
 //!
 //! The cache holds clones of the computed [`Bitset`]s under an LRU byte
 //! budget, with one set of hit/miss/eviction counters for the whole cache
-//! ([`ContentCache::stats`]). Because covered-unit sets are bit-identical
+//! ([`CoveredSetCache::stats`]). Because covered-unit sets are bit-identical
 //! across execution policies and chunkings (pinned by
 //! `tests/parallel_equivalence.rs`), a cache hit returns exactly the bits a
 //! fresh computation would — serial, threaded, cached and uncached results
 //! are all interchangeable.
-//!
-//! A second, structurally identical cache stores **golden forward outputs**
-//! keyed by (fingerprint, sample hash) — the vendor-side suite construction of
-//! [`crate::protocol::FunctionalTestSuite::from_evaluator`] routes through it,
-//! so building suites for nested test prefixes replays no inference.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
@@ -50,17 +44,13 @@ use crate::coverage::CoverageConfig;
 use crate::criterion::{criterion_digest, CoverageCriterion, ParamGradient};
 use crate::gradgen::{GradGenConfig, GradientGenerator};
 use crate::par;
-use crate::persist::{DiskStats, DiskTier};
+use crate::persist::DiskTier;
 use crate::select::SelectionSlot;
 use crate::{CoreError, Result};
 
 /// Default LRU byte budget of an evaluator's covered-unit-set cache (64 MiB —
 /// roughly 8k cached sets for a 65k-parameter model).
 pub const DEFAULT_CACHE_BYTES: usize = 64 * 1024 * 1024;
-
-/// Default LRU byte budget of an evaluator's golden forward-output cache
-/// (outputs are `k` floats each, so 4 MiB holds on the order of 10k suites).
-pub const DEFAULT_OUTPUT_CACHE_BYTES: usize = 4 * 1024 * 1024;
 
 /// Fixed per-entry bookkeeping overhead charged against the byte budget
 /// (key, LRU links, map slot) on top of the value's own bytes.
@@ -74,147 +64,33 @@ pub(crate) struct CacheKey {
     pub(crate) criterion: u64,
 }
 
-/// A value storable in a [`ContentCache`]: clonable, with a stable resident
-/// byte estimate and a stable byte encoding for the persistent disk tier
-/// ([`crate::persist::DiskTier`]).
-pub trait CacheValue: Clone {
-    /// One-byte payload-kind tag written into the persistent-entry header, so
-    /// a covered-set file can never decode as a forward-output tensor (or
-    /// vice versa) even under a hash collision of the path components.
-    const KIND: u8;
-
-    /// Approximate heap bytes of one resident value (excluding the fixed
-    /// per-entry overhead, which the cache adds itself).
-    fn resident_bytes(&self) -> usize;
-
-    /// Append the value's stable on-disk payload to `out`.
-    fn encode(&self, out: &mut Vec<u8>);
-
-    /// Decode a payload produced by [`CacheValue::encode`]; `None` on any
-    /// structural mismatch (the persistent tier turns that into a miss).
-    fn decode(bytes: &[u8]) -> Option<Self>
-    where
-        Self: Sized;
-}
-
-/// The one covered-set payload: the length as a little-endian `u64`, then
-/// the words, little-endian. [`Bitset::from_words`] validates a decoded
-/// payload, so a stray bit past the length is a miss, not a bogus set.
-impl CacheValue for Bitset {
-    const KIND: u8 = 1;
-
-    fn resident_bytes(&self) -> usize {
-        self.len().div_ceil(64) * 8
-    }
-
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&(self.len() as u64).to_le_bytes());
-        for &word in self.words() {
-            out.extend_from_slice(&word.to_le_bytes());
-        }
-    }
-
-    fn decode(bytes: &[u8]) -> Option<Self> {
-        let (len_bytes, rest) = bytes.split_at_checked(8)?;
-        let len = u64::from_le_bytes(len_bytes.try_into().ok()?) as usize;
-        if rest.len() != len.div_ceil(64) * 8 {
-            return None;
-        }
-        let words = rest
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-            .collect();
-        Bitset::from_words(words, len)
-    }
-}
-
-impl CacheValue for Tensor {
-    const KIND: u8 = 2;
-
-    fn resident_bytes(&self) -> usize {
-        self.len() * 4
-    }
-
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&(self.shape().len() as u64).to_le_bytes());
-        for &d in self.shape() {
-            out.extend_from_slice(&(d as u64).to_le_bytes());
-        }
-        for &v in self.data() {
-            out.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
-    }
-
-    fn decode(bytes: &[u8]) -> Option<Self> {
-        let (rank_bytes, mut rest) = bytes.split_at_checked(8)?;
-        let rank = u64::from_le_bytes(rank_bytes.try_into().ok()?) as usize;
-        // Every header field is untrusted (the payload may be a corrupted
-        // disk entry): bound the rank by the bytes actually present before
-        // allocating, and refuse overflowing element counts — decode must
-        // degrade to a miss, never abort or panic.
-        if rank > rest.len() / 8 {
-            return None;
-        }
-        let mut shape = Vec::with_capacity(rank);
-        for _ in 0..rank {
-            let (dim, tail) = rest.split_at_checked(8)?;
-            shape.push(u64::from_le_bytes(dim.try_into().ok()?) as usize);
-            rest = tail;
-        }
-        let expected = shape
-            .iter()
-            .try_fold(1usize, |acc, &d| acc.checked_mul(d))
-            .and_then(|n| n.checked_mul(4))?;
-        if rest.len() != expected {
-            return None;
-        }
-        let data = rest
-            .chunks_exact(4)
-            .map(|c| f32::from_bits(u32::from_le_bytes(c.try_into().expect("4-byte chunk"))))
-            .collect();
-        Tensor::from_vec(data, &shape).ok()
-    }
-}
-
-/// One cached value plus its LRU bookkeeping. The value is held behind an
-/// `Arc` so a hit hands the caller a reference-count bump instead of a deep
-/// copy of the payload.
+/// One cached set plus its LRU bookkeeping. The set is held behind an `Arc`
+/// so a hit hands the caller a reference-count bump instead of a deep copy of
+/// the words.
 #[derive(Debug)]
-struct CacheEntry<V> {
-    value: Arc<V>,
+struct CacheEntry {
+    value: Arc<Bitset>,
     /// Value bytes plus the per-entry overhead.
     bytes: usize,
     tick: u64,
 }
 
-#[derive(Debug)]
-struct CacheInner<V> {
-    map: HashMap<CacheKey, CacheEntry<V>>,
+#[derive(Debug, Default)]
+struct CacheInner {
+    map: HashMap<CacheKey, CacheEntry>,
     /// LRU order: `tick -> key`, oldest first. Ticks are unique (monotone
     /// counter), so the BTreeMap is a total order over residents.
     order: BTreeMap<u64, CacheKey>,
     tick: u64,
     bytes: usize,
     /// The event counters. Its entry and byte gauges stay zero: they are
-    /// read off the resident map at [`ContentCache::stats`] time.
+    /// read off the resident map at [`CoveredSetCache::stats`] time.
     counters: CacheStats,
 }
 
-impl<V> Default for CacheInner<V> {
-    fn default() -> Self {
-        Self {
-            map: HashMap::new(),
-            order: BTreeMap::new(),
-            tick: 0,
-            bytes: 0,
-            counters: CacheStats::default(),
-        }
-    }
-}
-
-impl<V> CacheInner<V> {
+impl CacheInner {
     /// Take `key`'s entry out of the map, the LRU order and the byte gauge.
-    fn remove(&mut self, key: &CacheKey) -> Option<CacheEntry<V>> {
+    fn remove(&mut self, key: &CacheKey) -> Option<CacheEntry> {
         let entry = self.map.remove(key)?;
         self.order.remove(&entry.tick);
         self.bytes -= entry.bytes;
@@ -354,7 +230,8 @@ impl Drop for FlightGuard<'_> {
     }
 }
 
-/// Content-addressed LRU cache of criterion results.
+/// Content-addressed LRU cache of covered-unit sets, one [`Bitset`] per
+/// `(network, sample, criterion)`.
 ///
 /// Thread-safe behind one mutex; lookups and insertions are O(log n) in the
 /// resident count. Keys are content digests, never references — two evaluators
@@ -363,29 +240,20 @@ impl Drop for FlightGuard<'_> {
 /// whole cache. Fresh computations are **single-flight**: concurrent misses
 /// of one key compute it once (see the private `FlightTable`).
 #[derive(Debug)]
-pub struct ContentCache<V: CacheValue> {
+pub struct CoveredSetCache {
     max_bytes: usize,
-    inner: Mutex<CacheInner<V>>,
+    inner: Mutex<CacheInner>,
     flight: FlightTable,
     /// Optional persistent tier consulted on in-memory misses and filled on
-    /// fresh computations (shared across every cache of a workspace).
+    /// fresh computations (shared by every evaluator of a workspace).
     disk: Option<Arc<DiskTier>>,
 }
 
-/// The evaluator's covered-unit-set cache (one [`Bitset`] per
-/// `(network, sample, criterion)`).
-pub type CoveredSetCache = ContentCache<Bitset>;
-
-impl<V: CacheValue> ContentCache<V> {
-    /// Create a cache with the given LRU byte budget (0 disables caching).
-    pub fn new(max_bytes: usize) -> Self {
-        Self::with_disk(max_bytes, None)
-    }
-
-    /// Create a cache with an LRU byte budget and an optional persistent
-    /// tier: in-memory misses probe the tier before recomputing, and fresh
-    /// computations are spilled to it.
-    pub fn with_disk(max_bytes: usize, disk: Option<Arc<DiskTier>>) -> Self {
+impl CoveredSetCache {
+    /// Create a cache with an LRU byte budget (0 disables caching) and an
+    /// optional persistent tier: in-memory misses probe the tier before
+    /// recomputing, and fresh computations are spilled to it.
+    pub(crate) fn new(max_bytes: usize, disk: Option<Arc<DiskTier>>) -> Self {
         Self {
             max_bytes,
             inner: Mutex::new(CacheInner::default()),
@@ -395,20 +263,15 @@ impl<V: CacheValue> ContentCache<V> {
     }
 
     /// The configured LRU byte budget (0 means the cache is disabled).
-    pub fn max_bytes(&self) -> usize {
+    pub(crate) fn max_bytes(&self) -> usize {
         self.max_bytes
-    }
-
-    /// Counters of the persistent tier, when one is attached.
-    pub fn disk_stats(&self) -> Option<DiskStats> {
-        self.disk.as_ref().map(|d| d.stats())
     }
 
     /// The cache state. A panic under the lock may have left the map, the
     /// LRU order and the gauges out of step, so a poisoned cache drops its
     /// residents (every value can be recomputed) and keeps its event
     /// counters.
-    fn lock(&self) -> MutexGuard<'_, CacheInner<V>> {
+    fn lock(&self) -> MutexGuard<'_, CacheInner> {
         self.inner.lock().unwrap_or_else(|poisoned| {
             let mut inner = poisoned.into_inner();
             inner.drop_residents();
@@ -417,13 +280,13 @@ impl<V: CacheValue> ContentCache<V> {
         })
     }
 
-    fn get(&self, key: &CacheKey) -> Option<Arc<V>> {
+    fn get(&self, key: &CacheKey) -> Option<Arc<Bitset>> {
         let mut inner = self.lock();
         // Bump the entry to most-recently-used and record the hit. The map and
         // order structures are updated together under the same lock. Misses
         // are NOT counted here: a request's duplicate lookups of one pending
         // key trigger a single fresh computation, so the caller reports the
-        // distinct-miss count via [`ContentCache::note_misses`].
+        // distinct-miss count via [`CoveredSetCache::note_misses`].
         let CacheInner {
             map,
             order,
@@ -440,8 +303,8 @@ impl<V: CacheValue> ContentCache<V> {
         Some(Arc::clone(&entry.value))
     }
 
-    fn insert(&self, key: CacheKey, value: &Arc<V>) {
-        let bytes = value.resident_bytes() + ENTRY_OVERHEAD_BYTES;
+    fn insert(&self, key: CacheKey, value: &Arc<Bitset>) {
+        let bytes = value.words().len() * 8 + ENTRY_OVERHEAD_BYTES;
         if bytes > self.max_bytes {
             // A single entry larger than the whole budget can never reside.
             return;
@@ -502,9 +365,7 @@ impl<V: CacheValue> ContentCache<V> {
     /// for the whole request in one call), through the cache: hits are
     /// returned directly, distinct misses (deduplicated by key within the
     /// request, so a sample repeated in one batch is computed exactly once)
-    /// are computed in a single `compute` call and inserted. Both evaluator
-    /// caches route through this, so the dedup/fill machinery exists exactly
-    /// once.
+    /// are computed in a single `compute` call and inserted.
     ///
     /// Fresh computations are **single-flight** across threads: a key another
     /// thread is already computing is not recomputed here — this request's
@@ -519,12 +380,12 @@ impl<V: CacheValue> ContentCache<V> {
         samples: &[Tensor],
         keys: &[CacheKey],
         compute: F,
-    ) -> Result<Vec<Arc<V>>>
+    ) -> Result<Vec<Arc<Bitset>>>
     where
-        F: Fn(&[Tensor]) -> Result<Vec<V>>,
+        F: Fn(&[Tensor]) -> Result<Vec<Bitset>>,
     {
         debug_assert_eq!(samples.len(), keys.len());
-        let mut out: Vec<Option<Arc<V>>> = (0..samples.len()).map(|_| None).collect();
+        let mut out: Vec<Option<Arc<Bitset>>> = (0..samples.len()).map(|_| None).collect();
         // `miss_indices[p]` lists every output slot the `p`-th distinct miss
         // fills; keys computed here are kept for the insert pass. Claimed
         // keys live in the guard so an error or panic releases them.
@@ -554,7 +415,7 @@ impl<V: CacheValue> ContentCache<V> {
             // First in-memory miss of this key in the request: probe the
             // persistent tier before scheduling a fresh computation. A disk
             // hit is promoted into memory, so later duplicates hit there.
-            if let Some(value) = self.disk.as_ref().and_then(|d| d.load::<V>(&key)) {
+            if let Some(value) = self.disk.as_ref().and_then(|d| d.load(&key)) {
                 let value = Arc::new(value);
                 self.note_misses(1);
                 self.insert(key, &value);
@@ -573,7 +434,8 @@ impl<V: CacheValue> ContentCache<V> {
         }
         if !miss_samples.is_empty() {
             self.note_misses(miss_samples.len() as u64);
-            let computed: Vec<Arc<V>> = compute(&miss_samples)?.into_iter().map(Arc::new).collect();
+            let computed: Vec<Arc<Bitset>> =
+                compute(&miss_samples)?.into_iter().map(Arc::new).collect();
             for ((indices, key), value) in miss_indices.iter().zip(&guard.keys).zip(&computed) {
                 self.insert(*key, value);
                 for &i in indices {
@@ -584,7 +446,7 @@ impl<V: CacheValue> ContentCache<V> {
                 // One segment-packed write for the whole request's misses
                 // (they all share this evaluator's fingerprint and criterion,
                 // so the tier emits exactly one file).
-                let batch: Vec<(CacheKey, &V)> = guard
+                let batch: Vec<(CacheKey, &Bitset)> = guard
                     .keys
                     .iter()
                     .copied()
@@ -611,9 +473,9 @@ impl<V: CacheValue> ContentCache<V> {
     /// Wait out another thread's in-flight computation of `key` and reuse its
     /// result; when the owner failed (or the value was already evicted),
     /// compute it here instead.
-    fn await_flight<F>(&self, key: CacheKey, sample: &Tensor, compute: &F) -> Result<Arc<V>>
+    fn await_flight<F>(&self, key: CacheKey, sample: &Tensor, compute: &F) -> Result<Arc<Bitset>>
     where
-        F: Fn(&[Tensor]) -> Result<Vec<V>>,
+        F: Fn(&[Tensor]) -> Result<Vec<Bitset>>,
     {
         loop {
             self.flight.wait_idle(&key);
@@ -644,7 +506,7 @@ impl<V: CacheValue> ContentCache<V> {
 
     /// Drop every resident entry (hit/miss/insertion/eviction counters are
     /// kept; entry/byte gauges reset).
-    pub fn clear(&self) {
+    pub(crate) fn clear(&self) {
         self.lock().drop_residents();
     }
 }
@@ -710,18 +572,18 @@ pub(crate) fn sample_hash(sample: &Tensor) -> (u64, u64) {
 /// The evaluator owns the shared [`BatchGradientEngine`] (which owns the
 /// network), the [`crate::criterion::CoverageCriterion`], the
 /// [`CoverageConfig`], the network's [`NetworkFingerprint`], a
-/// [`CoveredSetCache`], a golden forward-output cache and its last greedy
-/// selection, suspended for the next budget over the same pool. Every
-/// generation strategy behind [`crate::workspace::Workspace::run`] and the
-/// protocol's vendor side take an `&Evaluator`, so repeated sweeps over
-/// overlapping sample pools (Fig. 3 budgets, Table II/III prefixes) pay for
-/// each distinct `(network, sample, criterion)` evaluation exactly once.
+/// [`CoveredSetCache`] and its last greedy selection, suspended for the next
+/// budget over the same pool. Every generation strategy behind
+/// [`crate::workspace::Workspace::run`] and the protocol's vendor side take an
+/// `&Evaluator`, so repeated sweeps over overlapping sample pools (the Fig. 3
+/// budgets) pay for each distinct `(network, sample, criterion)` evaluation
+/// exactly once.
 ///
 /// An `Evaluator` is a `'static`, cheaply **clonable handle**: the network is
 /// held by `Arc` (constructors accept `&Network`, cloned once, or an
-/// `Arc<Network>`, shared) and the caches are `Arc`-shared, so clones of one
+/// `Arc<Network>`, shared) and the cache is `Arc`-shared, so clones of one
 /// evaluator observe the same cache. The standalone constructors below give
-/// each evaluator its own private caches; evaluators minted by a
+/// each evaluator its own private cache; evaluators minted by a
 /// [`crate::workspace::Workspace`] share **one** cache budget (and optionally
 /// a persistent disk tier) across every registered model and criterion.
 #[derive(Debug, Clone)]
@@ -742,7 +604,6 @@ struct EvalInner {
     fingerprint: NetworkFingerprint,
     criterion_key: u64,
     cache: Arc<CoveredSetCache>,
-    output_cache: Arc<ContentCache<Tensor>>,
     /// The last greedy selection, suspended for the next budget over the
     /// same pool.
     selection: SelectionSlot,
@@ -816,40 +677,31 @@ impl Evaluator {
         criterion: Arc<dyn CoverageCriterion>,
         max_bytes: usize,
     ) -> Self {
-        // The output cache is disabled together with the set cache so a zero
-        // budget really is the raw compute path end to end.
-        let output_bytes = if max_bytes == 0 {
-            0
-        } else {
-            DEFAULT_OUTPUT_CACHE_BYTES
-        };
         let network = network.into();
         let fingerprint = NetworkFingerprint::of(&network);
-        Self::with_shared_caches(
+        Self::with_shared_cache(
             network,
             fingerprint,
             config,
             criterion,
-            Arc::new(CoveredSetCache::new(max_bytes)),
-            Arc::new(ContentCache::new(output_bytes)),
+            Arc::new(CoveredSetCache::new(max_bytes, None)),
         )
     }
 
-    /// Build an evaluator around pre-existing (typically workspace-shared)
-    /// caches. The cache keys carry the network fingerprint and criterion
+    /// Build an evaluator around a pre-existing (typically workspace-shared)
+    /// cache. The cache keys carry the network fingerprint and criterion
     /// digest, so arbitrarily many evaluators can share one cache without any
     /// chance of aliasing each other's entries.
     ///
     /// `fingerprint` must be `NetworkFingerprint::of(&network)`; a
     /// [`crate::workspace::Workspace`] passes its registry key, which is
     /// exactly that, instead of serialising and hashing the model again.
-    pub(crate) fn with_shared_caches(
+    pub(crate) fn with_shared_cache(
         network: Arc<Network>,
         fingerprint: NetworkFingerprint,
         config: CoverageConfig,
         criterion: Arc<dyn CoverageCriterion>,
         cache: Arc<CoveredSetCache>,
-        output_cache: Arc<ContentCache<Tensor>>,
     ) -> Self {
         debug_assert_eq!(fingerprint, NetworkFingerprint::of(&network));
         let engine = BatchGradientEngine::new(network);
@@ -864,7 +716,6 @@ impl Evaluator {
                 fingerprint,
                 criterion_key,
                 cache,
-                output_cache,
                 selection: SelectionSlot::default(),
             }),
         }
@@ -902,30 +753,9 @@ impl Evaluator {
         self.inner.cache.stats()
     }
 
-    /// Snapshot of the golden forward-output cache counters.
-    pub fn output_cache_stats(&self) -> CacheStats {
-        self.inner.output_cache.stats()
-    }
-
-    /// Drop all cached covered-unit sets and forward outputs (counters
-    /// survive).
+    /// Drop all cached covered-unit sets (counters survive).
     pub fn clear_cache(&self) {
         self.inner.cache.clear();
-        self.inner.output_cache.clear();
-    }
-
-    /// The cache keys of samples with content hashes `hashes`
-    /// ([`sample_hashes`]) under the criterion digest `criterion` (0 for
-    /// golden forward outputs).
-    fn keys(&self, hashes: Vec<(u64, u64)>, criterion: u64) -> Vec<CacheKey> {
-        hashes
-            .into_iter()
-            .map(|sample| CacheKey {
-                net: self.inner.fingerprint,
-                sample,
-                criterion,
-            })
-            .collect()
     }
 
     /// The cache-key criterion component: the criterion digest. Two
@@ -970,11 +800,17 @@ impl Evaluator {
         samples: &[Tensor],
         hashes: Vec<(u64, u64)>,
     ) -> Result<Vec<Arc<Bitset>>> {
-        self.inner.cache.get_or_compute(
-            samples,
-            &self.keys(hashes, self.inner.criterion_key),
-            |misses| self.inner.compute_sets(misses),
-        )
+        let keys: Vec<CacheKey> = hashes
+            .into_iter()
+            .map(|sample| CacheKey {
+                net: self.inner.fingerprint,
+                sample,
+                criterion: self.inner.criterion_key,
+            })
+            .collect();
+        self.inner
+            .cache
+            .get_or_compute(samples, &keys, |misses| self.inner.compute_sets(misses))
     }
 
     /// Reference covered-unit set computed independently of the batched
@@ -1055,15 +891,14 @@ impl Evaluator {
         Ok(total / samples.len() as f32)
     }
 
-    /// Golden forward outputs for `samples` (vendor-side suite construction),
-    /// cached by (network fingerprint, sample content hash).
+    /// Golden forward outputs for `samples` (vendor-side suite construction).
     ///
     /// Outputs are computed per sample through [`Network::forward_sample`] —
     /// exactly what [`crate::protocol::FunctionalTestSuite::from_network`]
-    /// computes — fanned out over the evaluator's execution policy, so cached,
-    /// fresh, serial and threaded golden outputs are bit-identical. Repeated
-    /// suite construction over overlapping test prefixes replays no inference.
-    /// Convolutions run the blocked im2col + `gemm` kernel of
+    /// computes — fanned out over the evaluator's execution policy, so serial
+    /// and threaded golden outputs are bit-identical. Nested budgets reuse one
+    /// suite's outputs through [`crate::protocol::FunctionalTestSuite::prefix`]
+    /// instead of recomputing them. Convolutions run the blocked im2col + `gemm` kernel of
     /// [`dnnip_nn::layers::Layer::infer`], the same one an IP user's
     /// `FloatIp`/`AcceleratorIp` replay runs.
     ///
@@ -1071,20 +906,9 @@ impl Evaluator {
     ///
     /// Returns an error when any sample shape does not match the network input.
     pub fn forward_outputs(&self, samples: &[Tensor]) -> Result<Vec<Tensor>> {
-        let infer = |misses: &[Tensor]| {
-            par::try_map(self.inner.config.exec, misses, |x| -> Result<Tensor> {
-                Ok(self.network().forward_sample(x)?)
-            })
-        };
-        if self.inner.output_cache.max_bytes == 0 {
-            return infer(samples);
-        }
-        let outputs = self.inner.output_cache.get_or_compute(
-            samples,
-            &self.keys(sample_hashes(samples), 0),
-            infer,
-        )?;
-        Ok(outputs.iter().map(|t| (**t).clone()).collect())
+        par::try_map(self.inner.config.exec, samples, |x| -> Result<Tensor> {
+            Ok(self.network().forward_sample(x)?)
+        })
     }
 
     /// A gradient generator sharing this evaluator's batched engine (its
@@ -1228,7 +1052,7 @@ mod tests {
         // footprints): every new insert evicts.
         let entry = fresh
             .iter()
-            .map(|b| b.resident_bytes() + ENTRY_OVERHEAD_BYTES)
+            .map(|b| b.words().len() * 8 + ENTRY_OVERHEAD_BYTES)
             .max()
             .unwrap();
         let evaluator = Evaluator::with_cache_bytes(&network, CoverageConfig::default(), entry * 2);
@@ -1254,11 +1078,6 @@ mod tests {
         assert_eq!(stats.hits, 0);
         assert_eq!(stats.insertions, 0);
         assert_eq!(stats.entries, 0);
-        // The forward-output cache is disabled alongside.
-        let g1 = evaluator.forward_outputs(&pool).unwrap();
-        let g2 = evaluator.forward_outputs(&pool).unwrap();
-        assert_eq!(g1, g2);
-        assert_eq!(evaluator.output_cache_stats().hits, 0);
     }
 
     #[test]
@@ -1354,27 +1173,6 @@ mod tests {
     }
 
     #[test]
-    fn forward_outputs_are_cached_and_match_direct_inference() {
-        let network = net();
-        let evaluator = Evaluator::new(&network, CoverageConfig::default());
-        let pool = samples(5);
-        let cold = evaluator.forward_outputs(&pool).unwrap();
-        for (x, golden) in pool.iter().zip(&cold) {
-            assert_eq!(golden, &network.forward_sample(x).unwrap());
-        }
-        // A prefix replay is answered entirely from the cache.
-        let warm = evaluator.forward_outputs(&pool[..3]).unwrap();
-        assert_eq!(warm, cold[..3].to_vec());
-        let stats = evaluator.output_cache_stats();
-        assert_eq!(stats.misses, 5);
-        assert_eq!(stats.hits, 3);
-        // Duplicates within one request compute once.
-        let dup = vec![pool[0].clone(), pool[0].clone()];
-        evaluator.forward_outputs(&dup).unwrap();
-        assert_eq!(evaluator.output_cache_stats().misses, 5);
-    }
-
-    #[test]
     fn criterion_gradient_generators_pick_up_the_objective() {
         let network = net();
         let pg = Evaluator::new(&network, CoverageConfig::default());
@@ -1415,24 +1213,25 @@ mod tests {
         ));
         let network = Arc::new(net());
         let fingerprint = NetworkFingerprint::of(&network);
-        let evaluator = || {
-            let disk = Some(Arc::new(DiskTier::new(&root)));
-            Evaluator::with_shared_caches(
+        let evaluator = |disk: &Arc<DiskTier>| {
+            Evaluator::with_shared_cache(
                 Arc::clone(&network),
                 fingerprint,
                 CoverageConfig::default(),
                 Arc::new(ParamGradient::default()),
-                Arc::new(CoveredSetCache::with_disk(1 << 20, disk)),
-                Arc::new(ContentCache::new(0)),
+                Arc::new(CoveredSetCache::new(1 << 20, Some(Arc::clone(disk)))),
             )
         };
         let pool = samples(9);
         // Samples 0-2 on disk only, 4 and 5 in memory (and on disk).
-        evaluator().activation_sets(&pool[..3]).unwrap();
-        let warm = evaluator();
+        evaluator(&Arc::new(DiskTier::new(&root)))
+            .activation_sets(&pool[..3])
+            .unwrap();
+        let tier = Arc::new(DiskTier::new(&root));
+        let warm = evaluator(&tier);
         warm.activation_sets(&pool[4..6]).unwrap();
         let cache_before = warm.cache_stats();
-        let disk_before = warm.inner.cache.disk_stats().unwrap();
+        let disk_before = tier.stats();
 
         // Memory hits, disk hits, duplicates of each, and fresh misses (7, 8)
         // with a duplicate of one.
@@ -1450,7 +1249,7 @@ mod tests {
         assert_eq!(cache.misses - cache_before.misses, 5);
         assert_eq!(cache.insertions - cache_before.insertions, 5);
         assert_eq!(cache.flight_hits, 0);
-        let disk = warm.inner.cache.disk_stats().unwrap();
+        let disk = tier.stats();
         assert_eq!(disk.hits - disk_before.hits, 3);
         assert_eq!(disk.misses - disk_before.misses, 2);
         assert_eq!(disk.writes - disk_before.writes, 2);
@@ -1477,7 +1276,7 @@ mod tests {
     /// compute until the waiter has had time to park on the flight table.
     /// Returns both results and the number of computations run.
     fn race_one_cold_key(
-        cache: &Arc<ContentCache<Bitset>>,
+        cache: &Arc<CoveredSetCache>,
         key: CacheKey,
     ) -> (Vec<Arc<Bitset>>, Vec<Arc<Bitset>>, usize) {
         use std::sync::atomic::{AtomicUsize, Ordering};
@@ -1529,7 +1328,7 @@ mod tests {
 
     #[test]
     fn racing_threads_on_one_cold_key_compute_it_once() {
-        let cache: Arc<ContentCache<Bitset>> = Arc::new(ContentCache::new(1 << 20));
+        let cache = Arc::new(CoveredSetCache::new(1 << 20, None));
         let (a, b, computes) = race_one_cold_key(&cache, race_key((1, 2)));
         assert_eq!(a, b);
         assert_eq!(computes, 1, "duplicated compute");
@@ -1543,7 +1342,7 @@ mod tests {
     fn failed_flight_wakes_waiter_into_its_own_compute() {
         use std::sync::mpsc;
 
-        let cache: Arc<ContentCache<Bitset>> = Arc::new(ContentCache::new(1 << 20));
+        let cache = Arc::new(CoveredSetCache::new(1 << 20, None));
         let sample = samples(1).pop().unwrap();
         let (in_compute_tx, in_compute_rx) = mpsc::channel::<()>();
         let (proceed_tx, proceed_rx) = mpsc::channel::<()>();
@@ -1614,7 +1413,7 @@ mod tests {
         assert_eq!(stats.entries, 6);
         // The byte gauges restart from the refill, not from the dropped
         // residents.
-        let resident: usize = fresh.iter().map(|b| b.resident_bytes()).sum();
+        let resident: usize = fresh.iter().map(|b| b.words().len() * 8).sum();
         assert_eq!(stats.resident_bytes, resident);
         assert_eq!(stats.bytes, resident + 6 * ENTRY_OVERHEAD_BYTES);
         // Refilled, it serves hits again.
@@ -1633,7 +1432,7 @@ mod tests {
             fresh_sets(&network, &pool)
         );
 
-        let cache: Arc<ContentCache<Bitset>> = Arc::new(ContentCache::new(1 << 20));
+        let cache = Arc::new(CoveredSetCache::new(1 << 20, None));
         poison(&cache.flight.keys);
         // A compute that panics releases its claim while unwinding; on a
         // poisoned table that release must not panic a second time (which

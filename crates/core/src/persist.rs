@@ -1,6 +1,6 @@
 //! The persistent on-disk cache tier behind the in-memory covered-set cache.
 //!
-//! The in-memory [`crate::eval::ContentCache`] makes repeats *within* one
+//! The in-memory [`crate::eval::CoveredSetCache`] makes repeats *within* one
 //! process near-free, but the paper's vendor flow runs the same trusted model
 //! through many **separate binaries** (the Fig. 3 sweep, then Table II, then
 //! Table III), and the serving layer (`dnnip-serve`) keeps one process alive
@@ -20,7 +20,9 @@
 //! across models or criteria, and a stale directory is simply never read again
 //! once the model changes. Each segment is a versioned file header followed by
 //! framed records (`sample hash`, payload kind, length, checksum, payload);
-//! the sample hash lives *inside* the segment, so a whole request's
+//! the payload is a [`Bitset::encode`] covered set, and the kind field always
+//! holds `1`, a covered set (a record of any other kind reads as a miss).
+//! The sample hash lives *inside* the segment, so a whole request's
 //! misses cost **one** `create`+`rename` instead of one per covered set — the
 //! syscall traffic that used to dominate the disk-warm path.
 //!
@@ -62,7 +64,8 @@ use std::time::SystemTime;
 
 use dnnip_nn::fingerprint::{checksum, lane_hashes, mix64, NetworkFingerprint, CHAIN_LO};
 
-use crate::eval::{CacheKey, CacheValue};
+use crate::bitset::Bitset;
+use crate::eval::CacheKey;
 
 /// Segment-file magic: identifies a dnnip persistent-cache segment.
 const SEG_MAGIC: u64 = u64::from_le_bytes(*b"DNIPSEG2");
@@ -108,6 +111,10 @@ fn record_checksums(payloads: &[&[u8]]) -> Vec<u64> {
         .map(|[h]| h)
         .collect()
 }
+
+/// The kind field of every record: a covered set. The field is part of the
+/// format; no other kind is written.
+const COVERED_SET_KIND: u8 = 1;
 
 /// Segment file header length: magic + version.
 const SEG_HEADER_BYTES: usize = 2 * 8;
@@ -304,10 +311,10 @@ impl DiskTier {
 
     /// Load and decode one entry; `None` on anything short of a pristine
     /// record.
-    pub(crate) fn load<V: CacheValue>(&self, key: &CacheKey) -> Option<V> {
+    pub(crate) fn load(&self, key: &CacheKey) -> Option<Bitset> {
         let mut inner = self.lock();
         self.ensure_dir_scanned(&mut inner, key.net, key.criterion);
-        let decoded = self.lookup::<V>(&mut inner, key);
+        let decoded = self.lookup(&mut inner, key);
         if decoded.is_some() {
             inner.stats.hits += 1;
         } else {
@@ -316,14 +323,14 @@ impl DiskTier {
         decoded
     }
 
-    fn lookup<V: CacheValue>(&self, inner: &mut TierInner, key: &CacheKey) -> Option<V> {
+    fn lookup(&self, inner: &mut TierInner, key: &CacheKey) -> Option<Bitset> {
         let &(id, r) = inner
             .dirs
             .get(&(key.net, key.criterion))?
             .entries
             .get(&key.sample)?;
         let record = *inner.segments.get(&id)?.records.get(r)?;
-        if record.kind != V::KIND {
+        if record.kind != COVERED_SET_KIND {
             return None;
         }
         if !self.ensure_resident(inner, id) {
@@ -342,7 +349,7 @@ impl DiskTier {
         if !buffer.intact[r] {
             return None;
         }
-        let value = V::decode(&buffer.bytes[record.offset..record.offset + record.len]);
+        let value = Bitset::decode(&buffer.bytes[record.offset..record.offset + record.len]);
         if value.is_some() && inner.walked {
             // A genuine hit refreshes the segment's last-access tick.
             inner.tick += 1;
@@ -462,7 +469,7 @@ impl DiskTier {
     /// `(model, criterion)` group** (a request's misses always share both, so
     /// the common case is exactly one file). Atomic via temp file + rename;
     /// errors are counted, never surfaced.
-    pub(crate) fn store_batch<V: CacheValue>(&self, entries: &[(CacheKey, &V)]) {
+    pub(crate) fn store_batch(&self, entries: &[(CacheKey, &Bitset)]) {
         if entries.is_empty() {
             return;
         }
@@ -483,14 +490,14 @@ impl DiskTier {
                 let (key, value) = &entries[i];
                 // The length and the checksum are filled in once the payload
                 // is encoded in place.
-                for field in [key.sample.0, key.sample.1, V::KIND as u64, 0, 0] {
+                for field in [key.sample.0, key.sample.1, COVERED_SET_KIND as u64, 0, 0] {
                     bytes.extend_from_slice(&field.to_le_bytes());
                 }
                 let offset = bytes.len();
                 value.encode(&mut bytes);
                 records.push(SegRecord {
                     sample: key.sample,
-                    kind: V::KIND,
+                    kind: COVERED_SET_KIND,
                     offset,
                     len: bytes.len() - offset,
                     checksum: 0,
@@ -747,7 +754,6 @@ fn verify(records: &[SegRecord], bytes: &[u8]) -> Vec<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bitset::Bitset;
     // One record's checksum is the model format's trailer checksum, so the
     // known answers below pin both.
     use dnnip_nn::fingerprint::checksum as record_checksum;
@@ -798,7 +804,7 @@ mod tests {
         let root = temp_root("roundtrip");
         let tier = DiskTier::new(&root);
         let values: Vec<Bitset> = (0..5).map(|i| set(&[i, i + 64], 130)).collect();
-        assert!(tier.load::<Bitset>(&key(1)).is_none(), "empty tier hit");
+        assert!(tier.load(&key(1)).is_none(), "empty tier hit");
         // Five entries sharing one (model, criterion) → ONE segment file.
         let batch: Vec<(CacheKey, &Bitset)> = values
             .iter()
@@ -815,10 +821,10 @@ mod tests {
         // every entry from the scanned segment.
         let second = DiskTier::new(&root);
         for (k, v) in &batch {
-            assert_eq!(second.load::<Bitset>(k).as_ref(), Some(*v));
+            assert_eq!(second.load(k).as_ref(), Some(*v));
         }
         // A different key component misses even with the same sample hash.
-        assert!(second.load::<Bitset>(&key(2)).is_none());
+        assert!(second.load(&key(2)).is_none());
         let stats = second.stats();
         assert_eq!(stats.hits, 5);
         assert_eq!(stats.misses, 1);
@@ -835,9 +841,22 @@ mod tests {
         let tier = DiskTier::new(&root);
         let value = set(&[2], 64);
         tier.store_batch(&[(key(4), &value)]);
-        assert_eq!(tier.load::<Bitset>(&key(4)), Some(value));
-        // The same bytes must not decode as a tensor payload.
-        assert!(tier.load::<dnnip_tensor::Tensor>(&key(4)).is_none());
+        assert_eq!(tier.load(&key(4)), Some(value.clone()));
+        // The record checksum covers only the payload, so a record whose
+        // kind field says anything but a covered set still verifies intact:
+        // the kind check alone must turn it into a miss.
+        let path = only_segment(&root);
+        let pristine = std::fs::read(&path).unwrap();
+        let kind_field = SEG_HEADER_BYTES + 16;
+        assert_eq!(pristine[kind_field], COVERED_SET_KIND);
+        for kind in [0u8, 2, 0xFF] {
+            let mut relabelled = pristine.clone();
+            relabelled[kind_field] = kind;
+            std::fs::write(&path, &relabelled).unwrap();
+            assert!(DiskTier::new(&root).load(&key(4)).is_none(), "kind {kind}");
+        }
+        std::fs::write(&path, &pristine).unwrap();
+        assert_eq!(DiskTier::new(&root).load(&key(4)), Some(value));
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -853,7 +872,7 @@ mod tests {
         // Truncated below the first record: a fresh tier sees nothing.
         std::fs::write(&path, &pristine[..SEG_HEADER_BYTES + 4]).unwrap();
         assert!(
-            DiskTier::new(&root).load::<Bitset>(&key(9)).is_none(),
+            DiskTier::new(&root).load(&key(9)).is_none(),
             "truncated segment hit"
         );
         // Flipped payload byte (record checksum catches it): the last byte,
@@ -864,7 +883,7 @@ mod tests {
             flipped[at] ^= bit;
             std::fs::write(&path, &flipped).unwrap();
             assert!(
-                DiskTier::new(&root).load::<Bitset>(&key(9)).is_none(),
+                DiskTier::new(&root).load(&key(9)).is_none(),
                 "bad checksum hit (byte {at})"
             );
         }
@@ -873,12 +892,12 @@ mod tests {
         versioned[8] ^= 0xFF;
         std::fs::write(&path, &versioned).unwrap();
         assert!(
-            DiskTier::new(&root).load::<Bitset>(&key(9)).is_none(),
+            DiskTier::new(&root).load(&key(9)).is_none(),
             "bad version hit"
         );
         // Restoring the pristine bytes restores the hit.
         std::fs::write(&path, &pristine).unwrap();
-        assert_eq!(DiskTier::new(&root).load::<Bitset>(&key(9)), Some(value));
+        assert_eq!(DiskTier::new(&root).load(&key(9)), Some(value));
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -1012,7 +1031,7 @@ mod tests {
         let tier = DiskTier::new(&root);
         for (i, value) in fixture_values().iter().enumerate() {
             assert_eq!(
-                tier.load::<Bitset>(&fixture_key(i)).as_ref(),
+                tier.load(&fixture_key(i)).as_ref(),
                 Some(value),
                 "record {i}"
             );
@@ -1051,7 +1070,7 @@ mod tests {
         };
         let expect_only_3_misses = |tier: &DiskTier| {
             for (i, value) in values.iter().enumerate() {
-                let loaded = tier.load::<Bitset>(&fixture_key(i));
+                let loaded = tier.load(&fixture_key(i));
                 if i == 3 {
                     assert!(loaded.is_none(), "corrupt record hit");
                 } else {
@@ -1072,13 +1091,10 @@ mod tests {
         std::fs::write(&path, &pristine).unwrap();
         let tier = DiskTier::new(&root);
         for (i, value) in values.iter().enumerate() {
-            assert_eq!(tier.load::<Bitset>(&fixture_key(i)).as_ref(), Some(value));
+            assert_eq!(tier.load(&fixture_key(i)).as_ref(), Some(value));
         }
         std::fs::write(&path, &flipped).unwrap();
-        assert_eq!(
-            tier.load::<Bitset>(&fixture_key(3)).as_ref(),
-            Some(&values[3])
-        );
+        assert_eq!(tier.load(&fixture_key(3)).as_ref(), Some(&values[3]));
         let filler = set(&[1], 64);
         for criterion in 0..MAX_RESIDENT_BUFFERS as u64 {
             let k = CacheKey {
@@ -1086,7 +1102,7 @@ mod tests {
                 ..key(5)
             };
             tier.store_batch(&[(k, &filler)]);
-            assert!(tier.load::<Bitset>(&k).is_some());
+            assert!(tier.load(&k).is_some());
         }
         expect_only_3_misses(&tier);
         let _ = std::fs::remove_dir_all(&root);
@@ -1133,11 +1149,9 @@ mod tests {
                 prop_assert!(rec.offset >= end + RECORD_HEADER_BYTES);
                 prop_assert!(rec.offset + rec.len <= segment.len());
                 end = rec.offset + rec.len;
-                // Whatever the record holds, the decoders answer without
+                // Whatever the record holds, the decoder answers without
                 // panicking.
-                let payload = &segment[rec.offset..end];
-                let _ = <Bitset as CacheValue>::decode(payload);
-                let _ = <dnnip_tensor::Tensor as CacheValue>::decode(payload);
+                let _ = Bitset::decode(&segment[rec.offset..end]);
             }
         }
     }
@@ -1156,14 +1170,14 @@ mod tests {
         assert_eq!(tier.stats().evictions, 0);
         assert_eq!(tier.stats().resident_bytes, 2 * segment_bytes);
         // Touch key 1 so key 2 becomes the eviction victim.
-        assert!(tier.load::<Bitset>(&key(1)).is_some());
+        assert!(tier.load(&key(1)).is_some());
         tier.store_batch(&[(key(3), &value)]);
         let stats = tier.stats();
         assert_eq!(stats.evictions, 1);
         assert!(stats.resident_bytes <= 2 * segment_bytes);
-        assert!(tier.load::<Bitset>(&key(1)).is_some(), "recently used");
-        assert!(tier.load::<Bitset>(&key(3)).is_some(), "just written");
-        assert!(tier.load::<Bitset>(&key(2)).is_none(), "evicted");
+        assert!(tier.load(&key(1)).is_some(), "recently used");
+        assert!(tier.load(&key(3)).is_some(), "just written");
+        assert!(tier.load(&key(2)).is_none(), "evicted");
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -1188,7 +1202,7 @@ mod tests {
         let (first, second) = batch.split_at(4);
         let loads_match = |entries: &[(CacheKey, &Bitset)]| {
             for (k, v) in entries {
-                assert_eq!(tier.load::<Bitset>(k).as_ref(), Some(*v));
+                assert_eq!(tier.load(k).as_ref(), Some(*v));
             }
         };
         tier.store_batch(first);
@@ -1239,7 +1253,7 @@ mod tests {
         let stats = tier.stats();
         assert!(stats.evictions >= 2, "evictions: {}", stats.evictions);
         assert!(stats.resident_bytes <= segment_bytes + 8);
-        assert!(tier.load::<Bitset>(&key(3)).is_some(), "newest survives");
+        assert!(tier.load(&key(3)).is_some(), "newest survives");
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -1262,8 +1276,8 @@ mod tests {
         assert_eq!(report.removed_models, 1);
         assert_eq!(report.removed_files, 1);
         assert!(report.removed_bytes > 0);
-        assert!(tier.load::<Bitset>(&known).is_some(), "kept model intact");
-        assert!(tier.load::<Bitset>(&unknown).is_none(), "unknown removed");
+        assert!(tier.load(&known).is_some(), "kept model intact");
+        assert!(tier.load(&unknown).is_none(), "unknown removed");
         assert!(foreign.join("keep.txt").exists(), "foreign files survive");
         // Idempotent: nothing left to remove.
         assert_eq!(tier.vacuum(&keep), VacuumStats::default());

@@ -13,8 +13,7 @@
 //! * **One budget** — every evaluator of a workspace shares **one**
 //!   LRU byte budget ([`WorkspaceConfig::cache_bytes`]): eviction is global
 //!   across models and criteria, and one set of counters covers them all
-//!   ([`Workspace::cache_stats`]). Golden forward outputs share one cache of
-//!   [`DEFAULT_OUTPUT_CACHE_BYTES`].
+//!   ([`Workspace::cache_stats`]).
 //! * **Persistent tier** — with [`DiskCacheConfig`] enabled, covered-set
 //!   entries spill to `<dir>/<fingerprint>/<criterion-digest>/` and are
 //!   reloaded on later misses, so a second *process* over the same model
@@ -66,10 +65,7 @@ use crate::coverage::CoverageConfig;
 use crate::criterion::{
     criterion_digest, criterion_from_spec, CoverageCriterion, NeuronActivation, ParamGradient,
 };
-use crate::eval::{
-    CacheStats, ContentCache, CoveredSetCache, Evaluator, DEFAULT_CACHE_BYTES,
-    DEFAULT_OUTPUT_CACHE_BYTES,
-};
+use crate::eval::{CacheStats, CoveredSetCache, Evaluator, DEFAULT_CACHE_BYTES};
 use crate::generator::{GeneratedTests, GenerationMethod};
 use crate::gradgen::GradGenConfig;
 use crate::persist::{DiskStats, DiskTier, VacuumStats};
@@ -350,7 +346,6 @@ pub struct CoalesceStats {
 #[derive(Debug)]
 pub struct Workspace {
     set_cache: Arc<CoveredSetCache>,
-    output_cache: Arc<ContentCache<Tensor>>,
     disk: Option<Arc<DiskTier>>,
     models: Mutex<HashMap<NetworkFingerprint, ModelEntry>>,
 }
@@ -378,8 +373,7 @@ impl Workspace {
             None
         };
         Self {
-            set_cache: Arc::new(CoveredSetCache::with_disk(config.cache_bytes, disk.clone())),
-            output_cache: Arc::new(ContentCache::new(DEFAULT_OUTPUT_CACHE_BYTES)),
+            set_cache: Arc::new(CoveredSetCache::new(config.cache_bytes, disk.clone())),
             disk,
             models: Mutex::new(HashMap::new()),
         }
@@ -521,13 +515,12 @@ impl Workspace {
                 }
                 (Arc::clone(&entry.network), entry.coverage, resolved, digest)
             };
-            let evaluator = Evaluator::with_shared_caches(
+            let evaluator = Evaluator::with_shared_cache(
                 network,
                 model,
                 coverage,
                 resolved,
                 Arc::clone(&self.set_cache),
-                Arc::clone(&self.output_cache),
             );
             let mut models = self.registry();
             let Some(entry) = models.get_mut(&model) else {
@@ -689,11 +682,6 @@ impl Workspace {
     /// Workspace-wide covered-set cache counters (all models, all criteria).
     pub fn cache_stats(&self) -> CacheStats {
         self.set_cache.stats()
-    }
-
-    /// Golden forward-output cache counters.
-    pub fn output_cache_stats(&self) -> CacheStats {
-        self.output_cache.stats()
     }
 
     /// Persistent-tier counters, when the tier is enabled.

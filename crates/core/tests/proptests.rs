@@ -9,8 +9,9 @@ use dnnip_core::criterion::{
     builtin_criteria, criterion_digest, CoverageCriterion, NeuronActivation, ParamGradient,
     TopKNeuron,
 };
-use dnnip_core::eval::{CacheValue, Evaluator};
+use dnnip_core::eval::Evaluator;
 use dnnip_core::generator::GenerationMethod;
+use dnnip_core::par::ExecPolicy;
 use dnnip_core::protocol::FunctionalTestSuite;
 use dnnip_core::select::{greedy_select_covered, greedy_select_naive, SelectionResult};
 use dnnip_core::workspace::{TestGenReport, TestGenRequest, Workspace, WorkspaceConfig};
@@ -256,7 +257,7 @@ proptest! {
         // Budget measured in whole entries — sized from the pool's actual
         // footprints — so eviction pressure scales with the pool: budgets
         // smaller than the pool force constant turnover.
-        let entry_sizes: Vec<usize> = fresh.iter().map(|b| b.resident_bytes() + 96).collect();
+        let entry_sizes: Vec<usize> = fresh.iter().map(|b| b.words().len() * 8 + 96).collect();
         let entry_bytes = entry_sizes.iter().copied().max().unwrap();
         let budget = entry_bytes * budget_entries;
         let evaluator = Evaluator::with_cache_bytes(&net, CoverageConfig::default(), budget);
@@ -376,18 +377,24 @@ proptest! {
 
     #[test]
     fn evaluator_golden_outputs_match_direct_inference(seed in 0u64..100, n in 1usize..6) {
+        // Golden outputs fan out over the evaluator's workers; each must be
+        // the single-sample forward pass, bit for bit, in input order.
         let net = zoo::tiny_mlp(4, 6, 3, Activation::Relu, seed).unwrap();
-        let evaluator = Evaluator::new(&net, CoverageConfig::default());
+        let evaluator = Evaluator::new(
+            &net,
+            CoverageConfig {
+                exec: ExecPolicy::Threads(2),
+                ..CoverageConfig::default()
+            },
+        );
         let inputs: Vec<Tensor> = (0..n)
             .map(|i| Tensor::from_fn(&[4], |j| ((i * 4 + j) as f32 * 0.37 + seed as f32).cos()))
             .collect();
-        let cold = evaluator.forward_outputs(&inputs).unwrap();
-        let warm = evaluator.forward_outputs(&inputs).unwrap();
-        prop_assert_eq!(&cold, &warm);
-        for (x, golden) in inputs.iter().zip(&cold) {
+        let outputs = evaluator.forward_outputs(&inputs).unwrap();
+        prop_assert_eq!(outputs.len(), n);
+        for (x, golden) in inputs.iter().zip(&outputs) {
             prop_assert_eq!(golden, &net.forward_sample(x).unwrap());
         }
-        prop_assert_eq!(evaluator.output_cache_stats().hits as usize, n);
     }
 
     #[test]
@@ -450,7 +457,7 @@ proptest! {
             let set = bitset_from_indices(len, family);
             let mut bytes = Vec::new();
             set.encode(&mut bytes);
-            prop_assert_eq!(bytes.len(), 8 + set.resident_bytes());
+            prop_assert_eq!(bytes.len(), 8 + set.words().len() * 8);
             prop_assert_eq!(Bitset::decode(&bytes), Some(set.clone()));
             // Structural validation: a truncated or padded payload is
             // rejected rather than misread.
@@ -534,7 +541,7 @@ proptest! {
         // An evicting cache holds about half the pool, so sets are dropped
         // and recomputed (new handles) between calls.
         let cache_bytes = if evicting == 1 {
-            let bytes: usize = table.iter().map(|b| b.resident_bytes() + 96).sum();
+            let bytes: usize = table.iter().map(|b| b.words().len() * 8 + 96).sum();
             (bytes / 2).max(1)
         } else {
             WorkspaceConfig::default().cache_bytes

@@ -114,7 +114,7 @@ fn forged_golden_outputs_fail_validation_after_the_round_trip() {
         MatchPolicy::OutputTolerance(1e-3),
     )
     .unwrap();
-    forged.golden_outputs[1] = forged.golden_outputs[1].scale(-1.0).add_scalar(1.0);
+    forged.golden_outputs[1] = forged.golden_outputs[1].map(|x| 1.0 - x);
     let received = FunctionalTestSuite::from_bytes(&forged.to_bytes()).unwrap();
     let outcome = received.validate(&FloatIp::new(net)).unwrap();
     assert!(!outcome.passed, "forged golden output validated cleanly");

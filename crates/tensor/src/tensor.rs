@@ -220,7 +220,7 @@ impl Tensor {
     }
 
     /// In-place scaled addition (`self += alpha * other`), the `axpy` primitive
-    /// used by the optimizers.
+    /// of gradient-based test generation's input update.
     ///
     /// # Errors
     ///
@@ -267,11 +267,6 @@ impl Tensor {
     /// Multiply every element by a scalar.
     pub fn scale(&self, alpha: f32) -> Self {
         self.map(|x| x * alpha)
-    }
-
-    /// Add a scalar to every element.
-    pub fn add_scalar(&self, c: f32) -> Self {
-        self.map(|x| x + c)
     }
 
     /// Clamp every element to `[lo, hi]`.
@@ -508,7 +503,6 @@ mod tests {
     fn scalar_ops_and_maps() {
         let a = Tensor::from_vec(vec![-1.0, 2.0, -3.0], &[3]).unwrap();
         assert_eq!(a.scale(2.0).data(), &[-2.0, 4.0, -6.0]);
-        assert_eq!(a.add_scalar(1.0).data(), &[0.0, 3.0, -2.0]);
         assert_eq!(a.abs().data(), &[1.0, 2.0, 3.0]);
         assert_eq!(a.clamp(-2.0, 1.0).data(), &[-1.0, 1.0, -2.0]);
         assert_eq!(a.map(|x| x * x).data(), &[1.0, 4.0, 9.0]);

@@ -60,8 +60,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 3. Package the released suite: tests + golden outputs + comparison policy.
     //    The argmax policy tolerates the accelerator's benign quantization error.
-    //    Golden outputs route through the evaluator's forward-output cache, so
-    //    re-packaging (e.g. smaller prefixes of the same tests) replays nothing.
+    //    A smaller budget of the same tests is a `prefix` of this suite, which
+    //    reuses its golden outputs instead of recomputing them.
     let suite = FunctionalTestSuite::from_evaluator(
         &evaluator,
         combined.inputs.clone(),
