@@ -1,5 +1,5 @@
-//! Per-criterion coverage/runtime sweep, recorded as JSON next to the
-//! criterion benches.
+//! Per-criterion coverage/runtime sweep, recorded as JSON under
+//! `crates/bench/results/`.
 //!
 //! For every built-in [`dnnip_core::criterion::CoverageCriterion`]
 //! (param-gradient, neuron-activation, topk-neuron) on the scaled MNIST

@@ -1,5 +1,5 @@
 //! Graph-model sweep: the zoo models with Add/Concat nodes driven end to end
-//! through the workspace, recorded as JSON next to the other benches.
+//! through the workspace, recorded as JSON under `crates/bench/results/`.
 //!
 //! Runs the `DNNIP_MODEL`-selected graph model (residual by default — a skip
 //! connection no chain of layers can express) through a greedy training-set

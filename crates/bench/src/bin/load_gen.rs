@@ -192,8 +192,7 @@ fn replay(config: EngineConfig, lines: &[String]) -> ReplayOutcome {
 }
 
 /// Replay `lines` `rounds` times on fresh engines and keep the
-/// best-throughput round — the same best-of-N discipline the cache and
-/// parallel benches use, since a single ~2 ms burst replay is at the mercy
+/// best-throughput round, since a single ~2 ms burst replay is at the mercy
 /// of one scheduler hiccup.
 fn best_of(rounds: usize, config: &EngineConfig, lines: &[String]) -> ReplayOutcome {
     (0..rounds)

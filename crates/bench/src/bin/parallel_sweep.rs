@@ -1,5 +1,5 @@
 //! Throughput sweep of the batched multi-threaded coverage engine, recorded as
-//! JSON next to the criterion benches.
+//! JSON under `crates/bench/results/`.
 //!
 //! Measures activation-set computation for a 32-sample batch on the scaled
 //! MNIST model under:

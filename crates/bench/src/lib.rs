@@ -1,5 +1,5 @@
 //! Shared experiment harness for the figure/table reproduction binaries and the
-//! criterion benches.
+//! perf sweep binaries.
 //!
 //! Every experiment binary follows the same skeleton: pick an
 //! [`ExperimentProfile`], call [`prepare_mnist`] / [`prepare_cifar`] to obtain a

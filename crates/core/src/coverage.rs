@@ -63,7 +63,9 @@ pub enum OutputProjection {
     SumOfOutputs,
     /// Gradient of each output logit separately, a parameter being activated if
     /// any class gradient passes the threshold — `k` backward passes per sample,
-    /// immune to cancellation. Used by the ε-sensitivity ablation.
+    /// immune to cancellation. No binary selects it (the ε-sensitivity
+    /// ablation runs the default projection); `tests/zoo_goldens.rs` pins it,
+    /// and a per-class output oracle would build on it.
     PerClassMax,
 }
 

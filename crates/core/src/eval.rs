@@ -503,12 +503,6 @@ impl CoveredSetCache {
             return Ok(value);
         }
     }
-
-    /// Drop every resident entry (hit/miss/insertion/eviction counters are
-    /// kept; entry/byte gauges reset).
-    pub(crate) fn clear(&self) {
-        self.lock().drop_residents();
-    }
 }
 
 /// Content hashes of sample tensors: shape, length and exact `f32` bit
@@ -557,12 +551,6 @@ pub(crate) fn sample_hashes(samples: &[Tensor]) -> Vec<(u64, u64)> {
             (lo, hi)
         })
         .collect()
-}
-
-/// [`sample_hashes`] of one sample.
-#[cfg(test)]
-pub(crate) fn sample_hash(sample: &Tensor) -> (u64, u64) {
-    sample_hashes(std::slice::from_ref(sample))[0]
 }
 
 /// The unified evaluation layer: coverage analysis and test synthesis over
@@ -751,11 +739,6 @@ impl Evaluator {
     /// criterion sharing the cache).
     pub fn cache_stats(&self) -> CacheStats {
         self.inner.cache.stats()
-    }
-
-    /// Drop all cached covered-unit sets (counters survive).
-    pub fn clear_cache(&self) {
-        self.inner.cache.clear();
     }
 
     /// The cache-key criterion component: the criterion digest. Two
@@ -1462,9 +1445,14 @@ mod sample_hash_tests {
     //! known answers pin the key derivation: a change to them must come with
     //! a bump of the persistent format version (`persist::FORMAT_VERSION`).
 
-    use super::sample_hash;
+    use super::sample_hashes;
     use dnnip_tensor::Tensor;
     use proptest::prelude::*;
+
+    /// [`sample_hashes`] of one sample.
+    fn sample_hash(sample: &Tensor) -> (u64, u64) {
+        sample_hashes(std::slice::from_ref(sample))[0]
+    }
 
     fn tensor(data: &[f32], shape: &[usize]) -> Tensor {
         Tensor::from_vec(data.to_vec(), shape).unwrap()
@@ -1532,7 +1520,7 @@ mod sample_hash_tests {
         };
         for n in 0..=20 {
             let batch: Vec<Tensor> = (0..n).map(sample).collect();
-            let hashes = super::sample_hashes(&batch);
+            let hashes = sample_hashes(&batch);
             assert_eq!(hashes.len(), n);
             for (t, hash) in batch.iter().zip(&hashes) {
                 assert_eq!(*hash, sample_hash(t), "batch of {n}, shape {:?}", t.shape());
@@ -1540,7 +1528,7 @@ mod sample_hash_tests {
         }
         // Nine equally long samples: a full group, then a group of one.
         let batch: Vec<Tensor> = (0..9).map(|i| sample(7 * i)).collect();
-        for (t, hash) in batch.iter().zip(super::sample_hashes(&batch)) {
+        for (t, hash) in batch.iter().zip(sample_hashes(&batch)) {
             assert_eq!(hash, sample_hash(t));
         }
     }

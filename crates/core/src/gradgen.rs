@@ -40,36 +40,6 @@ use crate::criterion::GradientObjective;
 use crate::par::{self, ExecPolicy};
 use crate::{CoreError, Result};
 
-/// Backtracking line-search configuration for the descent step size η.
-///
-/// When enabled ([`GradGenConfig::line_search`]), each descent step proposes
-/// `x' = x − η·∇x J` and accepts it only if it satisfies the Armijo
-/// sufficient-decrease condition `J(x') ≤ J(x) − c·η·‖∇x J‖²`; rejected
-/// proposals shrink η by `shrink` and retry, up to `max_backtracks` times
-/// (after which the last proposal is taken so the descent always advances).
-/// All candidate evaluations of one trial round run as **one stacked batched
-/// forward pass** over the shard's not-yet-accepted classes, so the line
-/// search rides the same amortization as the descent itself.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LineSearchConfig {
-    /// Multiplicative η shrink factor per rejected trial, in `(0, 1)`.
-    pub shrink: f32,
-    /// Maximum number of backtracking trials per sample per step.
-    pub max_backtracks: usize,
-    /// Armijo sufficient-decrease coefficient `c` (typically small).
-    pub c: f32,
-}
-
-impl Default for LineSearchConfig {
-    fn default() -> Self {
-        Self {
-            shrink: 0.5,
-            max_backtracks: 4,
-            c: 1e-4,
-        }
-    }
-}
-
 /// Configuration of the gradient-based test generator.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GradGenConfig {
@@ -90,10 +60,6 @@ pub struct GradGenConfig {
     /// RNG before any step runs, and per-sample work is pure, so results are
     /// identical for every policy.
     pub exec: ExecPolicy,
-    /// Optional backtracking line search on η. `None` (the default) runs the
-    /// paper's fixed-step descent bit for bit; `Some` amortizes the candidate
-    /// evaluations of each shard over one stacked forward per trial.
-    pub line_search: Option<LineSearchConfig>,
 }
 
 impl Default for GradGenConfig {
@@ -105,7 +71,6 @@ impl Default for GradGenConfig {
             clamp: Some((0.0, 1.0)),
             seed: 0,
             exec: ExecPolicy::Serial,
-            line_search: None,
         }
     }
 }
@@ -207,16 +172,14 @@ impl GradientGenerator {
 
     /// All `T` steps of one shard on the calling worker, with its own scratch
     /// arena: per step one stacked forward over the shard's states, then per
-    /// state its loss, input gradient and update (Eq. 8, or the line search).
-    /// A last forward classifies the final states.
+    /// state its loss, input gradient and fixed-step update (Eq. 8). A last
+    /// forward classifies the final states.
     fn descend_shard(&self, inits: &[Tensor], targets: &[usize]) -> Result<Vec<SyntheticTest>> {
         let mut arena = ScratchArena::new();
         let mut states = inits.to_vec();
         let mut losses = vec![f32::INFINITY; states.len()];
         for _ in 0..self.config.steps {
             let pass = self.engine.forward_batch_with(&states, &mut arena)?;
-            // States the line search still has to step, with their ∇x J.
-            let mut pending = Vec::new();
             for (s, &target) in targets.iter().enumerate() {
                 let logits = self.logits(&pass, s)?;
                 let (loss, grad_logits) = self.loss(&logits, target)?;
@@ -233,15 +196,12 @@ impl GradientGenerator {
                     let mut x = states[s].clone();
                     x.add_assign(&Self::dead_start_jitter(x.shape(), target))?;
                     states[s] = self.clamped(x);
-                } else if self.config.line_search.is_some() {
-                    pending.push((s, grad));
                 } else {
-                    // x ← x − η ∇x J(x, y_i, θ)   (Eq. 8)
-                    states[s] = self.step(&states[s], self.config.eta, &grad)?;
+                    // x ← clamp(x − η ∇x J(x, y_i, θ))   (Eq. 8)
+                    let mut x = states[s].clone();
+                    x.axpy(-self.config.eta, &grad)?;
+                    states[s] = self.clamped(x);
                 }
-            }
-            if let Some(ls) = &self.config.line_search {
-                self.line_search(ls, &mut states, &losses, targets, pending, &mut arena)?;
             }
         }
         let pass = self.engine.forward_batch_with(&states, &mut arena)?;
@@ -280,13 +240,6 @@ impl GradientGenerator {
         }
     }
 
-    /// `x − η·grad`, clamped to [`GradGenConfig::clamp`].
-    fn step(&self, x: &Tensor, eta: f32, grad: &Tensor) -> Result<Tensor> {
-        let mut x = x.clone();
-        x.axpy(-eta, grad)?;
-        Ok(self.clamped(x))
-    }
-
     /// `x` clamped to [`GradGenConfig::clamp`], if one is set.
     fn clamped(&self, x: Tensor) -> Tensor {
         match self.config.clamp {
@@ -304,54 +257,6 @@ impl GradientGenerator {
                 .wrapping_add(target as u64 + 1);
             ((h % 1000) as f32 / 1000.0) * 0.05
         })
-    }
-
-    /// The backtracking line search of one step over the `pending` states of
-    /// a shard (each with its `∇x J`): up to `max_backtracks + 1` trial
-    /// rounds, each evaluating every not-yet-accepted candidate in **one**
-    /// batched forward pass and accepting it on the Armijo condition.
-    fn line_search(
-        &self,
-        ls: &LineSearchConfig,
-        states: &mut [Tensor],
-        losses: &[f32],
-        targets: &[usize],
-        pending: Vec<(usize, Tensor)>,
-        arena: &mut ScratchArena,
-    ) -> Result<()> {
-        // Per pending state: (index, ∇x J, ‖∇x J‖², η). The squared norm is
-        // fixed for the whole step, so it is computed once, not per trial.
-        let mut pending: Vec<(usize, Tensor, f32, f32)> = pending
-            .into_iter()
-            .map(|(s, grad)| {
-                let gnorm2: f32 = grad.data().iter().map(|g| g * g).sum();
-                (s, grad, gnorm2, self.config.eta)
-            })
-            .collect();
-        for trial in 0..=ls.max_backtracks {
-            if pending.is_empty() {
-                break;
-            }
-            let candidates: Vec<Tensor> = pending
-                .iter()
-                .map(|(s, grad, _, eta)| self.step(&states[*s], *eta, grad))
-                .collect::<Result<_>>()?;
-            let pass = self.engine.forward_batch_with(&candidates, arena)?;
-            let mut next = Vec::new();
-            for (k, ((s, grad, gnorm2, eta), x)) in pending.into_iter().zip(candidates).enumerate()
-            {
-                let cand_loss = self.loss(&self.logits(&pass, k)?, targets[s])?.0;
-                // Armijo sufficient decrease; the last trial is always taken
-                // so the descent can never stall on a hard step.
-                if cand_loss <= losses[s] - ls.c * eta * gnorm2 || trial == ls.max_backtracks {
-                    states[s] = x;
-                } else {
-                    next.push((s, grad, gnorm2, eta * ls.shrink));
-                }
-            }
-            pending = next;
-        }
-        Ok(())
     }
 
     /// Synthesize one sample steered towards `target_class`, starting from `init`.
@@ -594,97 +499,6 @@ mod tests {
         let c1 = evaluator.coverage_of_set(&first_inputs).unwrap();
         let c2 = evaluator.coverage_of_set(&both).unwrap();
         assert!(c2 >= c1);
-    }
-
-    #[test]
-    fn line_search_off_is_the_default_and_zero_backtracks_is_bit_identical() {
-        // `line_search: None` is the default (the fixed-step path, untouched).
-        assert_eq!(GradGenConfig::default().line_search, None);
-        // With the line search enabled but zero backtracks allowed, the full-η
-        // candidate is always taken on the forced last trial — the whole
-        // batched candidate-evaluation plumbing must then reproduce the
-        // fixed-step descent bit for bit.
-        for activation in [Activation::Relu, Activation::Tanh] {
-            let network = zoo::tiny_mlp(6, 12, 4, activation, 9).unwrap();
-            let fixed = GradGenConfig {
-                steps: 6,
-                ..GradGenConfig::default()
-            };
-            let forced = GradGenConfig {
-                line_search: Some(LineSearchConfig {
-                    max_backtracks: 0,
-                    ..LineSearchConfig::default()
-                }),
-                ..fixed
-            };
-            let a = GradientGenerator::new(&network, fixed)
-                .generate_batch()
-                .unwrap();
-            let b = GradientGenerator::new(&network, forced)
-                .generate_batch()
-                .unwrap();
-            for (x, y) in a.iter().zip(&b) {
-                assert_eq!(x.input, y.input, "{activation:?} diverged");
-                assert_eq!(x.final_loss.to_bits(), y.final_loss.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn line_search_tames_an_overshooting_step_size() {
-        // η = 12 overshoots badly on this model. With `c = 0` every accepted
-        // trial satisfies J(x') ≤ J(x), and with 20 backtracks a forced
-        // accept moves by a vanishing η — so the end-state loss can never
-        // climb above the start, no matter how hostile the base step size.
-        let network = net();
-        let searched = GradGenConfig {
-            eta: 12.0,
-            steps: 12,
-            clamp: None,
-            line_search: Some(LineSearchConfig {
-                c: 0.0,
-                max_backtracks: 20,
-                ..LineSearchConfig::default()
-            }),
-            ..GradGenConfig::default()
-        };
-        let loss_at = |x: &Tensor, target: usize| {
-            let out = network.forward(&network.batch_one(x).unwrap()).unwrap();
-            cross_entropy(&out, &[target]).unwrap().value
-        };
-        let generator = GradientGenerator::new(&network, searched);
-        for target in 0..4 {
-            let zero = Tensor::zeros(&[6]);
-            let start_loss = loss_at(&zero, target);
-            let result = generator.synthesize(&zero, target).unwrap();
-            let end_loss = loss_at(&result.input, target);
-            assert!(
-                end_loss <= start_loss + 0.05,
-                "class {target}: loss climbed {start_loss} -> {end_loss} despite backtracking"
-            );
-            assert!(!result.input.has_non_finite());
-        }
-    }
-
-    #[test]
-    fn line_search_synthesize_matches_its_own_stacked_batch() {
-        // Batch-of-one and stacked descents stay bit-identical with the line
-        // search on (candidate evaluation is per-sample arithmetic too).
-        let network = net();
-        let config = GradGenConfig {
-            steps: 5,
-            line_search: Some(LineSearchConfig::default()),
-            ..GradGenConfig::default()
-        };
-        let mut batched = GradientGenerator::new(&network, config);
-        let batch = batched.generate_batch().unwrap();
-        let single = GradientGenerator::new(&network, config);
-        for t in &batch {
-            let reference = single
-                .synthesize(&Tensor::zeros(&[6]), t.target_class)
-                .unwrap();
-            assert_eq!(t.input, reference.input, "class {}", t.target_class);
-        }
     }
 
     #[test]

@@ -231,8 +231,7 @@ impl SelectionSlot {
 
 /// Reference implementation of Algorithm 1 exactly as written in the paper
 /// (recompute ΔVC for every candidate at every iteration). Quadratic; used by
-/// tests to prove the lazy-greedy selection is equivalent and by the ablation
-/// bench to quantify the speedup.
+/// tests to prove the lazy-greedy selection is equivalent.
 ///
 /// # Errors
 ///

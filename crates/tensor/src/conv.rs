@@ -7,8 +7,7 @@
 //! im2col adds the bias after the product, so the last bits can differ when
 //! the bias is nonzero; with a zero bias they are bit-identical (both sum the
 //! same products in the same order). That gives the test suite a strong
-//! cross-check and the benchmark crate an ablation point (direct vs im2col
-//! throughput).
+//! cross-check.
 //!
 //! In `dnnip-nn`, inference (`Layer::infer`, hence `Network::forward`) and the
 //! batched gradient engine run im2col; `Network::forward_cached`, the

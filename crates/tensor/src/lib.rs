@@ -23,8 +23,10 @@
 //! operations copy into freshly-allocated output tensors and validate shapes,
 //! returning [`TensorError`] on mismatch. The networks used by the DATE 2019
 //! reproduction are small enough that clarity and testability win over raw
-//! throughput; the benchmark crate measures the kernels that matter (matmul,
-//! conv2d) so regressions stay visible.
+//! throughput; perfbench measures the kernels that matter so regressions stay
+//! visible: `tensor.gemm_gflops` times the blocked gemm, and the `nn.*`
+//! metrics time each model's forward, parameter-gradient and input-gradient
+//! passes, where the im2col convolutions run.
 //!
 //! # Example
 //!

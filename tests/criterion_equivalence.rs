@@ -20,6 +20,7 @@ use std::sync::Arc;
 mod common;
 
 use common::{seeded_inputs, zoo_networks};
+use dnnip::core::combined::TestSource;
 use dnnip::core::coverage::CoverageConfig;
 use dnnip::core::criterion::builtin_criteria;
 use dnnip::core::eval::Evaluator;
@@ -187,6 +188,53 @@ fn every_criterion_generates_combined_suites_deterministically() {
         // The curve is non-decreasing under every criterion.
         for w in a.coverage_curve.windows(2) {
             assert!(w[1] >= w[0] - 1e-6, "{id}: coverage curve decreased");
+        }
+    }
+}
+
+#[test]
+fn combined_runs_the_greedy_selection_until_the_switch() {
+    // Section IV-D: the combined generator runs Algorithm 1 until Algorithm 2
+    // offers more per test. Its pool picks come from its own argmax scan, not
+    // from the lazy greedy behind `TrainingSetSelection`, so every pool pick
+    // before the first synthetic test must be the selection's pick at the
+    // same position, for as long as the selection lasts (it stops once no
+    // candidate adds coverage).
+    let budget = 10;
+    for (name, net) in zoo_networks() {
+        let pool = seeded_inputs(&net, 16, 5);
+        for spec in ["param-gradient", "neuron-activation:0.25"] {
+            let (ws, key) = workspace(&net);
+            let run = |method| {
+                ws.run(
+                    &TestGenRequest::new(key, method, budget)
+                        .with_criterion_spec(spec)
+                        .with_gradgen(GradGenConfig {
+                            steps: 5,
+                            ..GradGenConfig::default()
+                        })
+                        .with_candidates(pool.clone()),
+                )
+                .unwrap()
+            };
+            let combined = run(GenerationMethod::Combined);
+            let selection = run(GenerationMethod::TrainingSetSelection).selected_indices();
+            let before_switch: Vec<usize> = combined
+                .tests
+                .provenance
+                .iter()
+                .map_while(|source| match source {
+                    TestSource::TrainingSample(i) => Some(*i),
+                    TestSource::Synthetic(_) => None,
+                })
+                .collect();
+            let n = before_switch.len().min(selection.len());
+            assert!(n > 0, "{name}/{spec}: no pool pick to compare");
+            assert_eq!(
+                before_switch[..n],
+                selection[..n],
+                "{name}/{spec}: combined left Algorithm 1's order before the switch"
+            );
         }
     }
 }

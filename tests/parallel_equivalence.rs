@@ -18,7 +18,7 @@ use dnnip::core::combined::TestSource;
 use dnnip::core::coverage::CoverageConfig;
 use dnnip::core::criterion::{criterion_from_spec, GradientObjective};
 use dnnip::core::eval::Evaluator;
-use dnnip::core::gradgen::{GradGenConfig, GradientGenerator, LineSearchConfig, SyntheticTest};
+use dnnip::core::gradgen::{GradGenConfig, GradientGenerator, SyntheticTest};
 use dnnip::core::par::ExecPolicy;
 use dnnip::core::select::greedy_select_naive;
 use dnnip::nn::zoo;
@@ -175,17 +175,13 @@ fn greedy_selection_picks_identical_tests_under_every_policy() {
     }
 }
 
-/// The synthesis variants the sharded-descent tests sweep: `(name, line
-/// search, criterion spec)`. A criterion spec brings that criterion's
-/// gradient objective; `None` is the paper's cross-entropy descent.
-fn gradgen_variants() -> [(&'static str, Option<LineSearchConfig>, Option<&'static str>); 4] {
-    let ls = Some(LineSearchConfig::default());
-    let neuron = Some("neuron-activation:0.25");
+/// The synthesis variants the sharded-descent tests sweep: `(name,
+/// criterion spec)`. A criterion spec brings that criterion's gradient
+/// objective; `None` is the paper's cross-entropy descent.
+fn gradgen_variants() -> [(&'static str, Option<&'static str>); 2] {
     [
-        ("fixed step", None, None),
-        ("line search", ls, None),
-        ("criterion objective", None, neuron),
-        ("criterion objective, line search", ls, neuron),
+        ("fixed step", None),
+        ("criterion objective", Some("neuron-activation:0.25")),
     ]
 }
 
@@ -231,11 +227,10 @@ fn gradient_generator_is_execution_policy_invariant() {
     for activation in [Activation::Relu, Activation::Tanh] {
         let net = zoo::tiny_mlp(6, 16, 10, activation, 33).unwrap();
         let (k, shape) = (net.num_classes(), net.input_shape().to_vec());
-        for (variant, line_search, spec) in gradgen_variants() {
+        for (variant, spec) in gradgen_variants() {
             let config = GradGenConfig {
                 steps: 8,
                 seed: 21,
-                line_search,
                 ..GradGenConfig::default()
             };
             let generator = |exec| {
@@ -280,11 +275,10 @@ fn combined_generator_is_execution_policy_invariant() {
     let net = zoo::tiny_cnn(6, 10, Activation::Relu, 17).unwrap();
     let k = net.num_classes();
     let pool = seeded_inputs(&net, 12, 29);
-    for (variant, line_search, spec) in gradgen_variants() {
+    for (variant, spec) in gradgen_variants() {
         let gradgen = |exec| GradGenConfig {
             steps: 5,
             exec,
-            line_search,
             ..GradGenConfig::default()
         };
         let combined = |exec: ExecPolicy| {
