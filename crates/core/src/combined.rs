@@ -3,17 +3,18 @@
 //! Algorithm 1 (training-set selection) is very efficient for the first few tests
 //! but saturates; Algorithm 2 (gradient-based synthesis) keeps finding new
 //! coverage but its early tests are weaker than real training samples. The
-//! combined generator runs Algorithm 1 and switches to Algorithm 2 at the point
-//! where the *marginal coverage gain per test* of a synthetic batch exceeds the
-//! gain of the best remaining training sample.
-
-use std::sync::Arc;
+//! combined generator runs Algorithm 1 until Algorithm 2's per-test benefit
+//! exceeds it: it switches when a pending synthetic batch's union gain over
+//! the covered set exceeds `pool_gain × batch_len` (exact, no division), or
+//! when no candidate adds coverage. Its pool picks are the evaluator's
+//! resumable greedy selection (`Evaluator::greedy_select`), so a following
+//! `TrainingSetSelection` on the same pool resumes it.
 
 use dnnip_tensor::Tensor;
 
 use crate::bitset::Bitset;
 use crate::eval::Evaluator;
-use crate::gradgen::{GradGenConfig, GradientGenerator};
+use crate::gradgen::GradGenConfig;
 use crate::{CoreError, Result};
 
 /// Where a generated functional test came from.
@@ -25,10 +26,9 @@ pub enum TestSource {
     Synthetic(usize),
 }
 
-/// Run the combined generator: Algorithm 1 until Algorithm 2 offers a better
-/// per-test coverage gain, then Algorithm 2 until `max_tests` tests exist.
-/// Returns the tests in generation order with the provenance of each; the
-/// first [`TestSource::Synthetic`] entry is the switch point.
+/// Run the combined generator (see the module doc) until `max_tests` tests
+/// exist. Returns the tests in generation order with the provenance of each;
+/// the first [`TestSource::Synthetic`] entry is the switch point.
 ///
 /// `candidates` is the training set (or a representative subsample of it).
 ///
@@ -45,94 +45,51 @@ pub(crate) fn generate_combined(
     if candidates.is_empty() {
         return Err(CoreError::EmptyCandidatePool);
     }
-
-    let num_units = evaluator.num_units();
-    let candidate_sets = evaluator.activation_sets(candidates)?;
-    let mut taken = vec![false; candidates.len()];
-    let mut covered = Bitset::new(num_units);
-    let mut tests: Vec<Tensor> = Vec::with_capacity(max_tests);
-    let mut sources: Vec<TestSource> = Vec::with_capacity(max_tests);
-
+    let sets = evaluator.activation_sets(candidates)?;
     let mut generator = evaluator.gradient_generator(gradgen);
-    // One synthetic batch is kept pending: its per-test gain against the current
-    // covered set is the "benefit achieved by Algorithm 2" the switch rule
-    // compares against. Generating it lazily (only once Algorithm 1 starts
-    // saturating would be cheaper, but the paper's rule compares benefits from
-    // the start, and one batch of k gradient descents is affordable).
-    let mut pending_batch: Vec<(Tensor, usize, Arc<Bitset>)> = Vec::new();
-    let mut switched = false;
+    // The pending batch is Algorithm 2's next round, built before the first
+    // pick because the paper's rule compares benefits from the start. Its
+    // benefit is its union's gain over the covered set: the sum of its tests'
+    // gains taken one after another.
+    let batch = generator.generate_batch()?;
+    let inputs: Vec<Tensor> = batch.iter().map(|t| t.input.clone()).collect();
+    let batch_sets = evaluator.activation_sets(&inputs)?;
+    let batch_union = Bitset::union_of(evaluator.num_units(), batch_sets.iter().map(|s| &**s));
 
-    while tests.len() < max_tests {
-        if switched {
-            // Algorithm 2 only: add the pending batch (or a fresh one), test by test.
-            if pending_batch.is_empty() {
-                pending_batch = materialize_batch(&mut generator, evaluator)?;
-            }
-            let (input, class, set) = pending_batch.remove(0);
-            covered.union_with(&set);
-            tests.push(input);
-            sources.push(TestSource::Synthetic(class));
-            continue;
-        }
-
-        // Best remaining training candidate (Algorithm 1's next step).
-        let mut best: Option<(usize, usize)> = None; // (gain, index)
-        for (i, set) in candidate_sets.iter().enumerate() {
-            if taken[i] {
-                continue;
-            }
-            let gain = covered.union_gain(set);
-            if best.map(|(g, _)| gain > g).unwrap_or(true) {
-                best = Some((gain, i));
-            }
-        }
-        let train_gain = best.map(|(g, _)| g).unwrap_or(0);
-
-        // Per-test gain of the pending synthetic batch.
-        if pending_batch.is_empty() {
-            pending_batch = materialize_batch(&mut generator, evaluator)?;
-        }
-        let batch_gain: usize = {
-            let mut union = covered.clone();
-            let mut total = 0usize;
-            for (_, _, set) in &pending_batch {
-                total += union.union_gain(set);
-                union.union_with(set);
-            }
-            total
+    let mut covered = Bitset::new(evaluator.num_units());
+    let mut picks: Vec<usize> = Vec::new();
+    while picks.len() < max_tests {
+        // Resumes the evaluator's suspended selection: one extension per pick.
+        let selection = evaluator.greedy_select(&sets, picks.len() + 1)?;
+        let Some(&next) = selection.get(picks.len()) else {
+            break;
         };
-        let synthetic_gain_per_test = batch_gain / pending_batch.len().max(1);
-
-        // The paper's switch rule: move to Algorithm 2 once its per-test benefit
-        // exceeds Algorithm 1's. Also switch if the training set is exhausted.
-        if best.is_none() || synthetic_gain_per_test > train_gain {
-            switched = true;
-            continue;
+        let pool_gain = covered.union_gain(&sets[next]);
+        if synthesis_wins(covered.union_gain(&batch_union), batch.len(), pool_gain) {
+            break;
         }
-
-        let (_, index) = best.expect("checked above");
-        taken[index] = true;
-        covered.union_with(&candidate_sets[index]);
-        tests.push(candidates[index].clone());
-        sources.push(TestSource::TrainingSample(index));
+        covered.union_with(&sets[next]);
+        picks.push(next);
     }
-    Ok((tests, sources))
+
+    // Algorithm 2 for the rest of the budget: the pending batch, then fresh
+    // rounds. Their covered sets are left to the caller's coverage pass.
+    let rest = max_tests - picks.len();
+    let fresh = generator.generate(rest.saturating_sub(batch.len()))?;
+    let synthetic = batch.into_iter().chain(fresh).take(rest);
+    Ok(picks
+        .into_iter()
+        .map(|i| (candidates[i].clone(), TestSource::TrainingSample(i)))
+        .chain(synthetic.map(|t| (t.input, TestSource::Synthetic(t.target_class))))
+        .unzip())
 }
 
-fn materialize_batch(
-    generator: &mut GradientGenerator,
-    evaluator: &Evaluator,
-) -> Result<Vec<(Tensor, usize, Arc<Bitset>)>> {
-    let batch = generator.generate_batch()?;
-    // One batched (and possibly multi-threaded) coverage pass over the whole
-    // synthetic batch instead of per-input analyses.
-    let inputs: Vec<Tensor> = batch.iter().map(|t| t.input.clone()).collect();
-    let sets = evaluator.activation_sets(&inputs)?;
-    Ok(batch
-        .into_iter()
-        .zip(sets)
-        .map(|(t, set)| (t.input, t.target_class, set))
-        .collect())
+/// Section IV-D's switch rule: Algorithm 2's per-test benefit, the batch's
+/// gain spread over its `batch_len` tests, exceeds Algorithm 1's,
+/// `pool_gain`. Compared by cross-multiplying, so a batch that gains fewer
+/// units than it has tests still counts.
+fn synthesis_wins(batch_gain: usize, batch_len: usize, pool_gain: usize) -> bool {
+    batch_gain > pool_gain * batch_len
 }
 
 #[cfg(test)]
@@ -217,6 +174,16 @@ mod tests {
             combined.final_coverage(),
             training_only.final_coverage()
         );
+    }
+
+    #[test]
+    fn the_switch_rule_compares_per_test_gains_exactly() {
+        // The shape seen on mnist-scaled: a batch of 10 gaining 32 units
+        // offers 3.2 per test, more than a pool pick's 3 (integer division
+        // truncates 3.2 to 3 and would not switch); 30 units over 10 tests
+        // only ties it.
+        assert!(synthesis_wins(32, 10, 3));
+        assert!(!synthesis_wins(30, 10, 3));
     }
 
     #[test]

@@ -190,7 +190,6 @@ pub(crate) fn generate_tests(
             .gradient_generator(request.gradgen)
             .generate(budget)?
             .into_iter()
-            .take(budget)
             .map(|t| (t.input, TestSource::Synthetic(t.target_class)))
             .unzip(),
         GenerationMethod::Combined => generate_combined(evaluator, pool, budget, request.gradgen)?,

@@ -284,13 +284,38 @@ impl GradientGenerator {
     ///
     /// Propagates synthesis errors.
     pub fn generate_batch(&mut self) -> Result<Vec<SyntheticTest>> {
+        self.next_round(self.batch_size())
+    }
+
+    /// Generate exactly `max_tests` synthetic tests: whole batches, then a
+    /// last round that draws inits for and descends only the first classes
+    /// it needs. Inits are drawn in class order and each descent is pure, so
+    /// the tests are the first `max_tests` of whole
+    /// [`GradientGenerator::generate_batch`] rounds. A round cut short draws
+    /// fewer inits, so later rounds of this generator no longer continue that
+    /// sequence.
+    ///
+    /// # Errors
+    ///
+    /// Propagates synthesis errors.
+    pub fn generate(&mut self, max_tests: usize) -> Result<Vec<SyntheticTest>> {
+        let mut out = Vec::new();
+        while out.len() < max_tests {
+            let classes = self.batch_size().min(max_tests - out.len());
+            out.extend(self.next_round(classes)?);
+        }
+        Ok(out)
+    }
+
+    /// One round of Algorithm 2 over the first `classes` output categories.
+    fn next_round(&mut self, classes: usize) -> Result<Vec<SyntheticTest>> {
         let shape = self.network().input_shape().to_vec();
         let noise = if self.round == 0 {
             0.0
         } else {
             self.config.init_noise
         };
-        let targets: Vec<usize> = (0..self.batch_size()).collect();
+        let targets: Vec<usize> = (0..classes).collect();
         let inits: Vec<Tensor> = targets
             .iter()
             .map(|_| {
@@ -304,21 +329,6 @@ impl GradientGenerator {
             .collect();
         self.round += 1;
         self.descend(&inits, &targets)
-    }
-
-    /// Generate synthetic tests until at least `max_tests` inputs exist (whole
-    /// batches are generated, so the result may slightly exceed the budget, as in
-    /// the paper's Algorithm 2 loop).
-    ///
-    /// # Errors
-    ///
-    /// Propagates synthesis errors.
-    pub fn generate(&mut self, max_tests: usize) -> Result<Vec<SyntheticTest>> {
-        let mut out = Vec::new();
-        while out.len() < max_tests {
-            out.extend(self.generate_batch()?);
-        }
-        Ok(out)
     }
 }
 
@@ -459,18 +469,29 @@ mod tests {
     }
 
     #[test]
-    fn generate_respects_budget_in_whole_batches() {
+    fn generate_stops_at_the_budget() {
+        // 10 tests over 4 classes: two whole rounds and half of a third.
         let network = net();
-        let mut generator = GradientGenerator::new(
-            &network,
-            GradGenConfig {
+        for exec in [ExecPolicy::Serial, ExecPolicy::Threads(4)] {
+            let config = GradGenConfig {
                 steps: 3,
+                exec,
                 ..GradGenConfig::default()
-            },
-        );
-        let tests = generator.generate(10).unwrap();
-        // 4 classes per batch -> 12 tests is the smallest multiple >= 10.
-        assert_eq!(tests.len(), 12);
+            };
+            let tests = GradientGenerator::new(&network, config)
+                .generate(10)
+                .unwrap();
+            assert_eq!(tests.len(), 10);
+            let mut rounds = GradientGenerator::new(&network, config);
+            let whole: Vec<SyntheticTest> = (0..3)
+                .flat_map(|_| rounds.generate_batch().unwrap())
+                .collect();
+            for (t, reference) in tests.iter().zip(&whole) {
+                assert_eq!(t.target_class, reference.target_class, "{exec:?}");
+                assert_eq!(t.input, reference.input, "{exec:?}");
+                assert_eq!(t.final_loss.to_bits(), reference.final_loss.to_bits());
+            }
+        }
     }
 
     #[test]

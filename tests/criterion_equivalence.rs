@@ -13,21 +13,24 @@
 //!    built-in criteria run through `Workspace::run` (selection and the
 //!    combined generator), with cached, fresh, serial and threaded results
 //!    all bit-identical per criterion, and selections equal to the reference
-//!    oracle: `greedy_select_naive` over `covered_units_reference` sets.
+//!    oracle: `greedy_select_naive` over `covered_units_reference` sets. The
+//!    combined generator runs that selection until Section IV-D's switch.
 
 use std::sync::Arc;
 
 mod common;
 
 use common::{seeded_inputs, zoo_networks};
+use dnnip::core::bitset::Bitset;
 use dnnip::core::combined::TestSource;
 use dnnip::core::coverage::CoverageConfig;
 use dnnip::core::criterion::builtin_criteria;
 use dnnip::core::eval::Evaluator;
 use dnnip::core::gradgen::GradGenConfig;
 use dnnip::core::par::ExecPolicy;
-use dnnip::core::select::{greedy_select_naive, SelectionResult};
+use dnnip::core::select::{greedy_select_covered, greedy_select_naive, SelectionResult};
 use dnnip::prelude::*;
+use proptest::prelude::*;
 
 /// A workspace with `net` registered, plus its key.
 fn workspace(net: &Network) -> (Workspace, dnnip::nn::fingerprint::NetworkFingerprint) {
@@ -235,6 +238,72 @@ fn combined_runs_the_greedy_selection_until_the_switch() {
                 selection[..n],
                 "{name}/{spec}: combined left Algorithm 1's order before the switch"
             );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// Section IV-D's switch rule, replayed from outside: every pool pick of
+    /// a `Combined` run adds coverage and gains at least as much per test as
+    /// the pending synthetic batch (Algorithm 2's first round) would; the
+    /// switch comes when the batch gains more per test than the selection's
+    /// next pick, or the selection has none; and every test after the switch
+    /// is synthetic, the pending batch first.
+    #[test]
+    fn combined_pool_picks_gain_and_precede_the_switch(seed in 0u64..1000, budget in 4usize..14) {
+        let gradgen = GradGenConfig { steps: 5, ..GradGenConfig::default() };
+        for (name, net) in zoo_networks() {
+            let pool = seeded_inputs(&net, 16, seed);
+            for spec in ["param-gradient", "neuron-activation:0.25"] {
+                let (ws, key) = workspace(&net);
+                let request = TestGenRequest::new(key, GenerationMethod::Combined, budget)
+                    .with_criterion_spec(spec)
+                    .with_gradgen(gradgen)
+                    .with_candidates(pool.clone());
+                let tests = ws.run(&request).unwrap().tests;
+                let evaluator = ws.evaluator(key, &request.criterion).unwrap();
+                let batch: Vec<Tensor> = evaluator
+                    .gradient_generator(gradgen)
+                    .generate_batch()
+                    .unwrap()
+                    .into_iter()
+                    .map(|t| t.input)
+                    .collect();
+                let units = evaluator.num_units();
+                let batch_sets = evaluator.activation_sets(&batch).unwrap();
+                let batch_union = Bitset::union_of(units, batch_sets.iter().map(|s| &**s));
+                let sets = evaluator.activation_sets(&pool).unwrap();
+                let picks = tests.pool_indices();
+                // Replay the greedy selection to one pick past the switch.
+                let greedy = greedy_select_covered(&sets, units, picks.len() + 1)
+                    .unwrap()
+                    .selected;
+                prop_assert_eq!(greedy.get(..picks.len()), Some(&picks[..]), "{}/{}", name, spec);
+                let mut covered = Bitset::new(units);
+                for (step, &i) in greedy.iter().enumerate() {
+                    let pool_gain = covered.union_gain(&sets[i]);
+                    let batch_gain = covered.union_gain(&batch_union);
+                    let batch_wins = batch_gain > pool_gain * batch.len();
+                    let rule_holds = if step < picks.len() {
+                        pool_gain > 0 && !batch_wins
+                    } else {
+                        batch_wins || picks.len() == budget
+                    };
+                    prop_assert!(
+                        rule_holds,
+                        "{}/{}: step {} pick {} gains {} against a batch of {} gaining {}",
+                        name, spec, step, i, pool_gain, batch.len(), batch_gain
+                    );
+                    covered.union_with(&sets[i]);
+                }
+                prop_assert_eq!(tests.len(), budget);
+                let synthetic = picks.len()..budget;
+                let sources = &tests.provenance[synthetic.clone()];
+                prop_assert!(sources.iter().all(|s| matches!(s, TestSource::Synthetic(_))));
+                prop_assert!(tests.inputs[synthetic].iter().zip(&batch).all(|(t, b)| t == b));
+            }
         }
     }
 }

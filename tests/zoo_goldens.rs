@@ -230,7 +230,7 @@ fn workspace_selections_and_coverage_are_pinned() {
         [
             0xbde7_3fd8_32d3_d355,
             0x1b2e_281f_6e08_fc8b,
-            0x38ee_09c6_4ac5_7522,
+            0xd76b_8240_eb2b_f5ab,
             0x1b2e_281f_6e08_fc8b,
         ],
     ];
