@@ -94,10 +94,10 @@ fn request_line(i: usize, seed: u64) -> String {
 /// every request's candidate tensors are identical, so a coalescing batch
 /// materializes the pool once and computes the covered-unit sets once for
 /// the whole group. Each request carries a (generous, never-firing)
-/// deadline, the way SLO-bound burst traffic does: the sequential engine
-/// then pays one supervision helper thread per request, while a coalesced
-/// batch shares a single helper — the amortization the dispatcher exists
-/// for.
+/// deadline, the way SLO-bound burst traffic does; deadlines are checked
+/// inside the work, so they cost either engine nothing extra, and what a
+/// coalesced batch saves is the repeated pool materialization and
+/// covered-set computation.
 fn burst_line(i: usize, seed: u64) -> String {
     format!(
         r#"{{"id":"q{i}","model":"{BURST_MODEL}","strategy":"training-set-selection","budget":3,"seed":{},"criterion":"{BURST_CRITERION}","deadline_ms":5000,"pool":{{"synthetic":12,"seed":{seed}}}}}"#,

@@ -14,7 +14,7 @@ use dnnip_tensor::Tensor;
 
 use crate::bitset::Bitset;
 use crate::eval::Evaluator;
-use crate::gradgen::GradGenConfig;
+use crate::workspace::TestGenRequest;
 use crate::{CoreError, Result};
 
 /// Where a generated functional test came from.
@@ -26,34 +26,34 @@ pub enum TestSource {
     Synthetic(usize),
 }
 
-/// Run the combined generator (see the module doc) until `max_tests` tests
-/// exist. Returns the tests in generation order with the provenance of each;
-/// the first [`TestSource::Synthetic`] entry is the switch point.
-///
-/// `candidates` is the training set (or a representative subsample of it).
+/// Run the combined generator (see the module doc) on the request's
+/// candidates, the training set or a subsample of it, until its budget of
+/// tests exists. Returns the tests in generation order with the provenance
+/// of each; the first [`TestSource::Synthetic`] entry is the switch point.
 ///
 /// # Errors
 ///
-/// Returns [`CoreError::EmptyCandidatePool`] when `candidates` is empty and
-/// propagates gradient / coverage errors.
+/// Returns [`CoreError::EmptyCandidatePool`] when the candidates are empty
+/// and propagates gradient / coverage / deadline errors.
 pub(crate) fn generate_combined(
     evaluator: &Evaluator,
-    candidates: &[Tensor],
-    max_tests: usize,
-    gradgen: GradGenConfig,
+    request: &TestGenRequest,
 ) -> Result<(Vec<Tensor>, Vec<TestSource>)> {
+    let (candidates, max_tests, deadline) = (&request.candidates, request.budget, request.deadline);
     if candidates.is_empty() {
         return Err(CoreError::EmptyCandidatePool);
     }
-    let sets = evaluator.activation_sets(candidates)?;
-    let mut generator = evaluator.gradient_generator(gradgen);
+    let sets = evaluator.activation_sets_until(candidates, deadline)?;
+    let mut generator = evaluator
+        .gradient_generator(request.gradgen)
+        .until(deadline);
     // The pending batch is Algorithm 2's next round, built before the first
     // pick because the paper's rule compares benefits from the start. Its
     // benefit is its union's gain over the covered set: the sum of its tests'
     // gains taken one after another.
     let batch = generator.generate_batch()?;
     let inputs: Vec<Tensor> = batch.iter().map(|t| t.input.clone()).collect();
-    let batch_sets = evaluator.activation_sets(&inputs)?;
+    let batch_sets = evaluator.activation_sets_until(&inputs, deadline)?;
     let batch_union = Bitset::union_of(evaluator.num_units(), batch_sets.iter().map(|s| &**s));
 
     let mut covered = Bitset::new(evaluator.num_units());

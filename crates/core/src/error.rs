@@ -1,6 +1,7 @@
 //! Error type for the core test-generation crate.
 
 use std::fmt;
+use std::time::Instant;
 
 use dnnip_faults::FaultError;
 use dnnip_nn::NnError;
@@ -31,6 +32,8 @@ pub enum CoreError {
         /// What is wrong with the suite.
         reason: String,
     },
+    /// The request's deadline passed before its work finished.
+    DeadlineExceeded,
 }
 
 impl fmt::Display for CoreError {
@@ -42,7 +45,17 @@ impl fmt::Display for CoreError {
             CoreError::InvalidConfig { reason } => write!(f, "invalid configuration: {reason}"),
             CoreError::EmptyCandidatePool => write!(f, "candidate pool is empty"),
             CoreError::InvalidSuite { reason } => write!(f, "invalid test suite: {reason}"),
+            CoreError::DeadlineExceeded => write!(f, "deadline exceeded"),
         }
+    }
+}
+
+/// [`CoreError::DeadlineExceeded`] once `deadline` has passed; `Ok` while it
+/// has not, or when there is none.
+pub(crate) fn check_deadline(deadline: Option<Instant>) -> Result<()> {
+    match deadline {
+        Some(deadline) if Instant::now() >= deadline => Err(CoreError::DeadlineExceeded),
+        _ => Ok(()),
     }
 }
 

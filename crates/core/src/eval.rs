@@ -7,8 +7,8 @@
 //! The paper's pipeline (coverage analysis → greedy selection → gradient
 //! synthesis → fault detection) re-evaluates the same samples against the same
 //! network at every stage: Fig. 3 sweeps budgets over one candidate pool, and
-//! the combined generator re-scores its pending synthetic batch against a
-//! growing covered set. [`Evaluator`] makes those repeats near-free: every
+//! every strategy's final coverage pass re-reads the pool samples its
+//! selection already scored. [`Evaluator`] makes those repeats near-free: every
 //! covered-unit set it computes is stored in a [`CoveredSetCache`] keyed by
 //!
 //! * the **network fingerprint** — a 128-bit digest of the model's structure
@@ -33,6 +33,7 @@
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::Instant;
 
 use dnnip_nn::batch::BatchGradientEngine;
 use dnnip_nn::fingerprint::{lane_hashes, mix64, NetworkFingerprint, CHAIN_HI, CHAIN_LO};
@@ -42,6 +43,7 @@ use dnnip_tensor::Tensor;
 use crate::bitset::Bitset;
 use crate::coverage::CoverageConfig;
 use crate::criterion::{criterion_digest, CoverageCriterion, ParamGradient};
+use crate::error::check_deadline;
 use crate::gradgen::{GradGenConfig, GradientGenerator};
 use crate::par;
 use crate::persist::DiskTier;
@@ -205,12 +207,20 @@ impl FlightTable {
     }
 
     /// Block until `key` is not in flight (returns immediately when it never
-    /// was).
-    fn wait_idle(&self, key: &CacheKey) {
+    /// was), or until `deadline` passes first.
+    fn wait_idle(&self, key: &CacheKey, deadline: Option<Instant>) -> Result<()> {
         let mut set = self.lock();
         while set.contains(key) {
-            set = self.wake.wait(set).unwrap_or_else(PoisonError::into_inner);
+            set = match deadline.map(|d| d.saturating_duration_since(Instant::now())) {
+                None => self.wake.wait(set).unwrap_or_else(PoisonError::into_inner),
+                Some(left) if left.is_zero() => return Err(CoreError::DeadlineExceeded),
+                Some(left) => {
+                    let woken = self.wake.wait_timeout(set, left);
+                    woken.unwrap_or_else(PoisonError::into_inner).0
+                }
+            };
         }
+        Ok(())
     }
 }
 
@@ -374,11 +384,13 @@ impl CoveredSetCache {
     /// deadlock waiting on each other's claims) and reuse the value the owner
     /// inserts. An owner whose computation fails releases its claims before
     /// returning the error; its waiters then re-probe, win the claim and run
-    /// their own computation — a failed flight never poisons a waiter.
+    /// their own computation — a failed flight never poisons a waiter. A
+    /// parked slot waits no longer than `deadline`.
     pub(crate) fn get_or_compute<F>(
         &self,
         samples: &[Tensor],
         keys: &[CacheKey],
+        deadline: Option<Instant>,
         compute: F,
     ) -> Result<Vec<Arc<Bitset>>>
     where
@@ -459,7 +471,7 @@ impl CoveredSetCache {
         // flights, so requests with interleaved miss sets can never deadlock.
         drop(guard);
         for (key, indices, sample) in waits {
-            let value = self.await_flight(key, &sample, &compute)?;
+            let value = self.await_flight(key, &sample, deadline, &compute)?;
             for i in indices {
                 out[i] = Some(value.clone());
             }
@@ -473,12 +485,18 @@ impl CoveredSetCache {
     /// Wait out another thread's in-flight computation of `key` and reuse its
     /// result; when the owner failed (or the value was already evicted),
     /// compute it here instead.
-    fn await_flight<F>(&self, key: CacheKey, sample: &Tensor, compute: &F) -> Result<Arc<Bitset>>
+    fn await_flight<F>(
+        &self,
+        key: CacheKey,
+        sample: &Tensor,
+        deadline: Option<Instant>,
+        compute: &F,
+    ) -> Result<Arc<Bitset>>
     where
         F: Fn(&[Tensor]) -> Result<Vec<Bitset>>,
     {
         loop {
-            self.flight.wait_idle(&key);
+            self.flight.wait_idle(&key, deadline)?;
             if let Some(value) = self.get(&key) {
                 self.note_flight_hit();
                 return Ok(value);
@@ -598,14 +616,6 @@ struct EvalInner {
 }
 
 impl EvalInner {
-    /// Covered-unit sets for one contiguous chunk of samples: one engine call
-    /// through the criterion (a sample-major forward + backward per sample
-    /// for [`crate::criterion::ParamGradient`]; one stacked forward for the
-    /// neuron criteria).
-    fn sets_for_chunk(&self, chunk: &[Tensor]) -> Result<Vec<Bitset>> {
-        self.criterion.covered_units(&self.engine, chunk)
-    }
-
     /// Contiguous chunks of `samples`, each of
     /// `min(batch_size, ⌈n / workers⌉)` samples (the last may be shorter), so
     /// a request smaller than `batch_size × workers` still gives every
@@ -619,10 +629,14 @@ impl EvalInner {
     }
 
     /// The uncached compute path: [`Self::chunks`] fanned out over the
-    /// [`CoverageConfig::exec`] workers.
-    fn compute_sets(&self, samples: &[Tensor]) -> Result<Vec<Bitset>> {
+    /// [`CoverageConfig::exec`] workers, one engine call through the
+    /// criterion per chunk (a sample-major forward + backward per sample for
+    /// [`crate::criterion::ParamGradient`]; one stacked forward for the
+    /// neuron criteria). No worker starts a chunk once `deadline` has passed.
+    fn compute_sets(&self, samples: &[Tensor], deadline: Option<Instant>) -> Result<Vec<Bitset>> {
         let per_chunk = par::try_map(self.config.exec, &self.chunks(samples), |chunk| {
-            self.sets_for_chunk(chunk)
+            check_deadline(deadline)?;
+            self.criterion.covered_units(&self.engine, chunk)
         })?;
         Ok(per_chunk.into_iter().flatten().collect())
     }
@@ -762,26 +776,37 @@ impl Evaluator {
     ///
     /// Returns an error when any sample shape does not match the network input.
     pub fn activation_sets(&self, samples: &[Tensor]) -> Result<Vec<Arc<Bitset>>> {
+        self.activation_sets_until(samples, None)
+    }
+
+    /// [`Evaluator::activation_sets`] that stops with
+    /// [`CoreError::DeadlineExceeded`] once `deadline` passes.
+    pub(crate) fn activation_sets_until(
+        &self,
+        samples: &[Tensor],
+        deadline: Option<Instant>,
+    ) -> Result<Vec<Arc<Bitset>>> {
         if self.inner.cache.max_bytes == 0 {
             // Cache disabled: skip hashing and miss bookkeeping entirely so a
             // budget of zero really is the raw compute path.
             return Ok(self
                 .inner
-                .compute_sets(samples)?
+                .compute_sets(samples, deadline)?
                 .into_iter()
                 .map(Arc::new)
                 .collect());
         }
-        self.activation_sets_hashed(samples, sample_hashes(samples))
+        self.activation_sets_hashed(samples, sample_hashes(samples), deadline)
     }
 
-    /// [`Evaluator::activation_sets`] through the cache, for samples whose
-    /// content hashes the caller already holds (`hashes[i]` is
+    /// [`Evaluator::activation_sets_until`] through the cache, for samples
+    /// whose content hashes the caller already holds (`hashes[i]` is
     /// [`sample_hashes`] of `samples[i]`).
     pub(crate) fn activation_sets_hashed(
         &self,
         samples: &[Tensor],
         hashes: Vec<(u64, u64)>,
+        deadline: Option<Instant>,
     ) -> Result<Vec<Arc<Bitset>>> {
         let keys: Vec<CacheKey> = hashes
             .into_iter()
@@ -793,7 +818,9 @@ impl Evaluator {
             .collect();
         self.inner
             .cache
-            .get_or_compute(samples, &keys, |misses| self.inner.compute_sets(misses))
+            .get_or_compute(samples, &keys, deadline, |misses| {
+                self.inner.compute_sets(misses, deadline)
+            })
     }
 
     /// Reference covered-unit set computed independently of the batched
@@ -1276,7 +1303,7 @@ mod tests {
             let computes = Arc::clone(&computes);
             let sample = sample.clone();
             std::thread::spawn(move || {
-                cache.get_or_compute(std::slice::from_ref(&sample), &[key], move |misses| {
+                cache.get_or_compute(std::slice::from_ref(&sample), &[key], None, move |misses| {
                     computes.fetch_add(1, Ordering::SeqCst);
                     in_compute_tx.send(()).unwrap();
                     proceed_rx.recv().unwrap();
@@ -1291,7 +1318,7 @@ mod tests {
             let cache = Arc::clone(cache);
             let computes = Arc::clone(&computes);
             std::thread::spawn(move || {
-                cache.get_or_compute(std::slice::from_ref(&sample), &[key], move |misses| {
+                cache.get_or_compute(std::slice::from_ref(&sample), &[key], None, move |misses| {
                     computes.fetch_add(1, Ordering::SeqCst);
                     Ok(vec![one_bit_set(); misses.len()])
                 })
@@ -1336,6 +1363,7 @@ mod tests {
                 cache.get_or_compute(
                     std::slice::from_ref(&sample),
                     &[race_key((3, 4))],
+                    None,
                     move |_| -> Result<Vec<Bitset>> {
                         in_compute_tx.send(()).unwrap();
                         proceed_rx.recv().unwrap();
@@ -1351,6 +1379,7 @@ mod tests {
                 cache.get_or_compute(
                     std::slice::from_ref(&sample),
                     &[race_key((3, 4))],
+                    None,
                     |misses| Ok(vec![one_bit_set(); misses.len()]),
                 )
             })
@@ -1425,6 +1454,7 @@ mod tests {
             cache.get_or_compute(
                 std::slice::from_ref(&sample),
                 &[race_key((5, 6))],
+                None,
                 |_| -> Result<Vec<Bitset>> { panic!("a compute that panics") },
             )
         }));

@@ -183,16 +183,17 @@ pub(crate) fn generate_tests(
             if pool.is_empty() {
                 return Err(CoreError::EmptyCandidatePool);
             }
-            let sets = selector.activation_sets(pool)?;
+            let sets = selector.activation_sets_until(pool, request.deadline)?;
             from_pool(selector.greedy_select(&sets, budget)?)
         }
         GenerationMethod::GradientBased => evaluator
             .gradient_generator(request.gradgen)
+            .until(request.deadline)
             .generate(budget)?
             .into_iter()
             .map(|t| (t.input, TestSource::Synthetic(t.target_class)))
             .unzip(),
-        GenerationMethod::Combined => generate_combined(evaluator, pool, budget, request.gradgen)?,
+        GenerationMethod::Combined => generate_combined(evaluator, request)?,
         GenerationMethod::RandomSelection => {
             if pool.is_empty() {
                 return Err(CoreError::EmptyCandidatePool);
@@ -202,7 +203,7 @@ pub(crate) fn generate_tests(
     };
     // One batched, cache-aware coverage pass: tests whose sets were computed
     // during generation (every pool sample a selection scored) are hits.
-    let sets = evaluator.activation_sets(&inputs)?;
+    let sets = evaluator.activation_sets_until(&inputs, request.deadline)?;
     let coverage_curve = prefix_curve(sets.iter().map(|s| &**s), evaluator.num_units());
     Ok(GeneratedTests {
         inputs,

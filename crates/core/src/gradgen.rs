@@ -28,6 +28,7 @@
 
 use std::ops::Range;
 use std::sync::Arc;
+use std::time::Instant;
 
 use dnnip_nn::batch::{BatchForwardPass, BatchGradientEngine};
 use dnnip_nn::loss::cross_entropy;
@@ -37,6 +38,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::criterion::GradientObjective;
+use crate::error::check_deadline;
 use crate::par::{self, ExecPolicy};
 use crate::{CoreError, Result};
 
@@ -103,6 +105,8 @@ pub struct GradientGenerator {
     /// Criterion-supplied synthesis objective; `None` falls back to the
     /// paper's cross-entropy objective (the exact pre-hook code path).
     objective: Option<Arc<dyn GradientObjective>>,
+    /// When descent stops with [`CoreError::DeadlineExceeded`].
+    deadline: Option<Instant>,
 }
 
 impl GradientGenerator {
@@ -121,6 +125,7 @@ impl GradientGenerator {
             rng: StdRng::seed_from_u64(config.seed),
             round: 0,
             objective: None,
+            deadline: None,
         }
     }
 
@@ -129,6 +134,12 @@ impl GradientGenerator {
     /// criterion's gradient hook in one expression.
     pub fn with_objective(mut self, objective: Option<Arc<dyn GradientObjective>>) -> Self {
         self.objective = objective;
+        self
+    }
+
+    /// Stop descending once `deadline` passes (a request's deadline).
+    pub(crate) fn until(mut self, deadline: Option<Instant>) -> Self {
+        self.deadline = deadline;
         self
     }
 
@@ -173,12 +184,13 @@ impl GradientGenerator {
     /// All `T` steps of one shard on the calling worker, with its own scratch
     /// arena: per step one stacked forward over the shard's states, then per
     /// state its loss, input gradient and fixed-step update (Eq. 8). A last
-    /// forward classifies the final states.
+    /// forward classifies the final states. No step starts past the deadline.
     fn descend_shard(&self, inits: &[Tensor], targets: &[usize]) -> Result<Vec<SyntheticTest>> {
         let mut arena = ScratchArena::new();
         let mut states = inits.to_vec();
         let mut losses = vec![f32::INFINITY; states.len()];
         for _ in 0..self.config.steps {
+            check_deadline(self.deadline)?;
             let pass = self.engine.forward_batch_with(&states, &mut arena)?;
             for (s, &target) in targets.iter().enumerate() {
                 let logits = self.logits(&pass, s)?;

@@ -65,6 +65,7 @@ use crate::coverage::CoverageConfig;
 use crate::criterion::{
     criterion_digest, criterion_from_spec, CoverageCriterion, NeuronActivation, ParamGradient,
 };
+use crate::error::check_deadline;
 use crate::eval::{CacheStats, CoveredSetCache, Evaluator, DEFAULT_CACHE_BYTES};
 use crate::generator::{GeneratedTests, GenerationMethod};
 use crate::gradgen::GradGenConfig;
@@ -227,6 +228,9 @@ pub struct TestGenRequest {
     /// Candidate training pool for selection-based strategies (may stay empty
     /// for pure synthesis).
     pub candidates: Vec<Tensor>,
+    /// When the request's answer stops being wanted: past it the run stops
+    /// and fails with [`CoreError::DeadlineExceeded`] (`None`: no deadline).
+    pub deadline: Option<Instant>,
 }
 
 impl TestGenRequest {
@@ -241,6 +245,7 @@ impl TestGenRequest {
             criterion: CriterionSpec::default(),
             gradgen: GradGenConfig::default(),
             candidates: Vec::new(),
+            deadline: None,
         }
     }
 
@@ -278,6 +283,12 @@ impl TestGenRequest {
     /// Provide the candidate training pool.
     pub fn with_candidates(mut self, candidates: Vec<Tensor>) -> Self {
         self.candidates = candidates;
+        self
+    }
+
+    /// Set the deadline past which the run stops.
+    pub fn with_deadline(mut self, deadline: Instant) -> Self {
+        self.deadline = Some(deadline);
         self
     }
 }
@@ -557,13 +568,19 @@ impl Workspace {
     /// [`NeuronActivation::default`] evaluator on the same model, minted
     /// from (and cached in) this workspace like any other.
     ///
+    /// A [`TestGenRequest::deadline`] is checked on entry, before each chunk
+    /// of covered-set work, at each synthesis step, while waiting on another
+    /// request's computation, and on exit.
+    ///
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfig`] for an unregistered model, a bad
     /// criterion spec or a zero budget, [`CoreError::EmptyCandidatePool`]
-    /// when a selection strategy receives no candidates, and propagates
-    /// coverage/gradient errors.
+    /// when a selection strategy receives no candidates,
+    /// [`CoreError::DeadlineExceeded`] once the deadline passes, and
+    /// propagates coverage/gradient errors.
     pub fn run(&self, request: &TestGenRequest) -> Result<TestGenReport> {
+        check_deadline(request.deadline)?;
         let evaluator = self.evaluator(request.model, &request.criterion)?;
         let model_name = self
             .registry()
@@ -579,6 +596,7 @@ impl Workspace {
             evaluator.clone()
         };
         let tests = crate::generator::generate_tests(&evaluator, &selector, request)?;
+        check_deadline(request.deadline)?;
         let wall_ms = start.elapsed().as_secs_f64() * 1e3;
         Ok(TestGenReport {
             model: request.model,
@@ -608,6 +626,9 @@ impl Workspace {
     /// entirely when the covered-set cache is disabled — coalescing never
     /// computes a set that sequential execution would not.
     ///
+    /// A bucket's warm pass runs under the latest deadline of its members,
+    /// and under none when any member has none.
+    ///
     /// A group of one skips the warm pass and is exactly [`Workspace::run`].
     /// The returned [`CoalesceStats`] quantify what the group shared; the
     /// serving layer's dispatcher aggregates them into its `stats` counters.
@@ -618,11 +639,11 @@ impl Workspace {
         let mut stats = CoalesceStats::default();
         if self.set_cache.max_bytes() > 0 && requests.len() > 1 {
             // Bucket request slots by the exact cache identity their
-            // covered-unit sets live under (fingerprint × criterion digest,
-            // quant-tagged) — the evaluator's own key derivation, so two
-            // requests share a bucket iff they share cache entries. Requests
-            // whose evaluator cannot be resolved are skipped here and report
-            // their error from `run` below.
+            // covered-unit sets live under (fingerprint × criterion digest),
+            // the evaluator's own key derivation, so two requests share a
+            // bucket iff they share cache entries. Requests whose evaluator
+            // cannot be resolved are skipped here and report their error from
+            // `run` below.
             let mut buckets: BTreeMap<(NetworkFingerprint, u64), (Evaluator, Vec<usize>)> =
                 BTreeMap::new();
             for (i, request) in requests.iter().enumerate() {
@@ -655,11 +676,16 @@ impl Workspace {
                         }
                     }
                 }
+                let deadline = members
+                    .iter()
+                    .map(|&i| requests[i].deadline)
+                    .collect::<Option<Vec<Instant>>>()
+                    .and_then(|deadlines| deadlines.into_iter().max());
                 // One batched pass fills the shared cache for the whole
                 // bucket, keyed by the hashes the dedupe already took; a
-                // failure (e.g. shape mismatch) is not fatal here — the
-                // owning request reports it from its own slot.
-                let _ = evaluator.activation_sets_hashed(&unique, unique_hashes);
+                // failure (e.g. shape mismatch, deadline) is not fatal here —
+                // the owning request reports it from its own slot.
+                let _ = evaluator.activation_sets_hashed(&unique, unique_hashes, deadline);
             }
         }
         let reports = requests.iter().map(|request| self.run(request)).collect();
@@ -1118,6 +1144,215 @@ mod tests {
         assert_eq!(ws.models().len(), 2);
         assert!(ws.run(&request(first)).is_ok());
         assert!(ws.vacuum().is_none());
+    }
+
+    /// Covered-set chunks take [`SLEEPY_PAUSE`] each and count themselves;
+    /// every set is empty.
+    #[derive(Debug, Default)]
+    struct Sleepy {
+        chunks: std::sync::atomic::AtomicUsize,
+    }
+
+    const SLEEPY_PAUSE: std::time::Duration = std::time::Duration::from_millis(20);
+
+    impl CoverageCriterion for Sleepy {
+        fn id(&self) -> &'static str {
+            "sleepy"
+        }
+        fn config_digest(&self) -> u64 {
+            0
+        }
+        fn num_units(&self, network: &Network) -> usize {
+            network.num_parameters()
+        }
+        fn covered_units(
+            &self,
+            engine: &dnnip_nn::batch::BatchGradientEngine,
+            chunk: &[Tensor],
+        ) -> Result<Vec<crate::bitset::Bitset>> {
+            self.chunks
+                .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            std::thread::sleep(SLEEPY_PAUSE);
+            let units = engine.network().num_parameters();
+            Ok(vec![crate::bitset::Bitset::new(units); chunk.len()])
+        }
+    }
+
+    #[test]
+    fn a_deadline_stops_the_covered_set_chunks() {
+        use std::sync::atomic::Ordering;
+        use std::time::Duration;
+
+        // 16 chunks of 4 samples over two workers: 160 ms of work.
+        let workers = 2;
+        let ws = Workspace::new();
+        let coverage = CoverageConfig {
+            exec: crate::par::ExecPolicy::Threads(workers),
+            batch_size: 4,
+            ..CoverageConfig::default()
+        };
+        let model = ws.register("m", net(3), coverage);
+        let sleepy = Arc::new(Sleepy::default());
+        let start = Instant::now();
+        let request = TestGenRequest::new(model, GenerationMethod::TrainingSetSelection, 4)
+            .with_criterion(Arc::clone(&sleepy) as Arc<dyn CoverageCriterion>)
+            .with_candidates(pool(64))
+            .with_deadline(start + Duration::from_millis(50));
+        assert!(matches!(ws.run(&request), Err(CoreError::DeadlineExceeded)));
+        let elapsed = start.elapsed();
+        let chunks = sleepy.chunks.load(Ordering::SeqCst);
+        // A worker starts a chunk only before the deadline and sleeps
+        // through each one it starts.
+        let per_worker = (elapsed.as_millis() / SLEEPY_PAUSE.as_millis()) as usize + 1;
+        assert!(
+            chunks <= per_worker * workers,
+            "{chunks} chunks in {elapsed:?}"
+        );
+        assert!(chunks < 16, "every chunk ran");
+        std::thread::sleep(Duration::from_millis(100));
+        assert_eq!(
+            sleepy.chunks.load(Ordering::SeqCst),
+            chunks,
+            "chunks went on after the run returned"
+        );
+        // A request already past its deadline stops on entry.
+        let late = request.with_deadline(start);
+        assert!(matches!(ws.run(&late), Err(CoreError::DeadlineExceeded)));
+        assert_eq!(sleepy.chunks.load(Ordering::SeqCst), chunks);
+    }
+
+    #[test]
+    fn a_coalesced_warm_pass_runs_under_the_latest_member_deadline() {
+        use std::sync::atomic::Ordering;
+        use std::time::Duration;
+
+        // One serial pool of 16 chunks: 320 ms of warm pass.
+        let ws = Workspace::new();
+        let coverage = CoverageConfig {
+            batch_size: 4,
+            ..CoverageConfig::default()
+        };
+        let model = ws.register("m", net(3), coverage);
+        let sleepy = Arc::new(Sleepy::default());
+        let request = TestGenRequest::new(model, GenerationMethod::TrainingSetSelection, 2)
+            .with_criterion(Arc::clone(&sleepy) as Arc<dyn CoverageCriterion>)
+            .with_candidates(pool(64));
+        let start = Instant::now();
+        let group = [
+            request
+                .clone()
+                .with_deadline(start + Duration::from_millis(10)),
+            request
+                .clone()
+                .with_deadline(start + Duration::from_millis(200)),
+        ];
+        let (reports, _) = ws.run_coalesced(&group);
+        assert!(reports
+            .iter()
+            .all(|r| matches!(r, Err(CoreError::DeadlineExceeded))));
+        // The pass ran past the earlier deadline and stopped at the later.
+        let chunks = sleepy.chunks.load(Ordering::SeqCst);
+        assert!((3..16).contains(&chunks), "{chunks} chunks");
+        // A member without a deadline lifts it from the whole pass.
+        let start = Instant::now();
+        let group = [
+            request
+                .clone()
+                .with_deadline(start + Duration::from_millis(10)),
+            request,
+        ];
+        let (reports, _) = ws.run_coalesced(&group);
+        assert!(matches!(reports[0], Err(CoreError::DeadlineExceeded)));
+        assert!(reports[1].is_ok());
+        assert_eq!(sleepy.chunks.load(Ordering::SeqCst), chunks + 16);
+    }
+
+    /// Holds its one chunk until the test releases it (or ten seconds pass),
+    /// after saying that it has begun.
+    #[derive(Debug)]
+    struct Gated {
+        entered: Mutex<std::sync::mpsc::Sender<()>>,
+        release: Mutex<std::sync::mpsc::Receiver<()>>,
+    }
+
+    impl CoverageCriterion for Gated {
+        fn id(&self) -> &'static str {
+            "gated"
+        }
+        fn config_digest(&self) -> u64 {
+            0
+        }
+        fn num_units(&self, network: &Network) -> usize {
+            network.num_parameters()
+        }
+        fn covered_units(
+            &self,
+            engine: &dnnip_nn::batch::BatchGradientEngine,
+            chunk: &[Tensor],
+        ) -> Result<Vec<crate::bitset::Bitset>> {
+            self.entered.lock().unwrap().send(()).unwrap();
+            // Bounded, so a waiter that never gives up fails the test
+            // instead of hanging it.
+            let release = self.release.lock().unwrap();
+            let _ = release.recv_timeout(std::time::Duration::from_secs(10));
+            let units = engine.network().num_parameters();
+            Ok(vec![crate::bitset::Bitset::new(units); chunk.len()])
+        }
+    }
+
+    #[test]
+    fn a_request_parked_on_an_in_flight_key_gives_up_at_its_deadline() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel();
+        let gated = Arc::new(Gated {
+            entered: Mutex::new(entered_tx),
+            release: Mutex::new(release_rx),
+        });
+        let ws = Workspace::new();
+        let model = ws.register("m", net(3), CoverageConfig::default());
+        let request = TestGenRequest::new(model, GenerationMethod::TrainingSetSelection, 2)
+            .with_criterion(gated)
+            .with_candidates(pool(4));
+        std::thread::scope(|scope| {
+            let owner = scope.spawn(|| ws.run(&request));
+            // The owner has claimed every key of the pool and is computing.
+            entered_rx.recv().unwrap();
+            let start = Instant::now();
+            let deadline = start + Duration::from_millis(50);
+            let parked = ws.run(&request.clone().with_deadline(deadline));
+            assert!(matches!(parked, Err(CoreError::DeadlineExceeded)));
+            assert!(start.elapsed() >= Duration::from_millis(50));
+            assert!(!owner.is_finished(), "the owner was still computing");
+            release_tx.send(()).unwrap();
+            assert!(owner.join().unwrap().is_ok());
+        });
+    }
+
+    #[test]
+    fn a_deadline_stops_gradient_synthesis() {
+        use std::time::Duration;
+
+        let ws = Workspace::new();
+        let model = ws.register("m", net(5), CoverageConfig::default());
+        // 200,000 steps: seconds of descent without the deadline.
+        let request = TestGenRequest::new(model, GenerationMethod::GradientBased, 4).with_gradgen(
+            GradGenConfig {
+                steps: 200_000,
+                ..GradGenConfig::default()
+            },
+        );
+        let start = Instant::now();
+        let result = ws.run(&request.with_deadline(start + Duration::from_millis(50)));
+        assert!(matches!(result, Err(CoreError::DeadlineExceeded)));
+        let elapsed = start.elapsed();
+        assert!(elapsed >= Duration::from_millis(50));
+        assert!(
+            elapsed < Duration::from_secs(2),
+            "stopped late: {elapsed:?}"
+        );
     }
 
     #[test]

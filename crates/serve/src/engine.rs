@@ -15,11 +15,15 @@
 //! [`Workspace::run`] does.
 //!
 //! Deadlines have two trip points. A request whose deadline expired while it
-//! sat in the queue is failed **without computing anything**; a live request
-//! runs on a helper thread the worker waits on for the remaining time, and
-//! is abandoned (the helper finishes in the background, warming caches; its
-//! result is discarded) when the deadline fires first. Either way the client
-//! gets a structured `"kind":"timeout"` error, never a hung connection.
+//! sat in the queue is failed **without computing anything**. A live request
+//! carries its deadline into the workspace, which checks it between chunks
+//! of covered-set work and at every synthesis step and stops there: the
+//! worker answers it with a structured `"kind":"timeout"` error and takes
+//! its next job, and no work of the request goes on in the background. Every
+//! job runs inline on its worker; the worker threads are the only threads the
+//! engine starts. In a coalesced batch the members run one after another: a
+//! member starts once the members ahead of it finish or time out, and every
+//! member is answered when the whole batch has.
 //!
 //! A panic inside the grouped call does not take the worker down: every job
 //! of that batch gets a structured `"kind":"internal"` error, and the worker
@@ -35,6 +39,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use dnnip_core::workspace::{TestGenReport, TestGenRequest, Workspace, WorkspaceConfig};
+use dnnip_core::CoreError;
 use dnnip_nn::fingerprint::NetworkFingerprint;
 use dnnip_tensor::Tensor;
 
@@ -132,7 +137,7 @@ impl CoalesceCounters {
     }
 }
 
-/// State shared between submitters, workers and abandoned helper threads.
+/// State shared between submitters and workers.
 #[derive(Debug)]
 struct ServiceState {
     workspace: Workspace,
@@ -292,8 +297,7 @@ impl Engine {
 
     /// Stop accepting work, wait for every queued and in-flight request to
     /// finish and deliver its response, then return the final coalescing
-    /// totals. Abandoned (timed-out) helper threads are NOT waited for; they
-    /// die with the process.
+    /// totals.
     pub fn drain(mut self) -> CoalesceSnapshot {
         self.jobs.take();
         for worker in self.workers.drain(..) {
@@ -480,12 +484,16 @@ fn worker_loop(
 
 /// Execute the jobs a worker took (one or more): fail jobs whose deadline
 /// already expired in queue, resolve the rest into workspace requests, and
-/// issue **one** grouped [`Workspace::run_coalesced`] call — which buckets by
-/// (model fingerprint × criterion digest × quant mode) internally and dedupes
-/// candidate tensors across each bucket's pools. A batch of one is the
-/// degenerate case: `run_coalesced` then skips the warm pass.
+/// issue **one** grouped [`Workspace::run_coalesced`] call on this worker —
+/// which buckets by (model fingerprint × criterion digest) internally and
+/// dedupes candidate tensors across each bucket's pools. A batch of one is
+/// the degenerate case: `run_coalesced` then skips the warm pass.
 fn process_batch(state: &Arc<ServiceState>, jobs: Vec<Job>) {
-    let mut runnable: Vec<Job> = Vec::with_capacity(jobs.len());
+    // Specs that cannot resolve (unknown model, bad pool) are answered now
+    // and drop out of the grouped call.
+    let mut members: Vec<Job> = Vec::with_capacity(jobs.len());
+    let mut requests: Vec<TestGenRequest> = Vec::with_capacity(jobs.len());
+    let mut pool_memo = PoolMemo::new();
     for job in jobs {
         if let Some(deadline) = job.deadline {
             if job.enqueued.elapsed() >= deadline {
@@ -501,16 +509,11 @@ fn process_batch(state: &Arc<ServiceState>, jobs: Vec<Job>) {
                 continue;
             }
         }
-        runnable.push(job);
-    }
-    // Specs that cannot resolve (unknown model, bad pool) are answered now
-    // and drop out of the grouped call.
-    let mut members: Vec<Job> = Vec::with_capacity(runnable.len());
-    let mut requests: Vec<TestGenRequest> = Vec::with_capacity(runnable.len());
-    let mut pool_memo = PoolMemo::new();
-    for job in runnable {
         match build_request(state, &job.id, &job.spec, &mut pool_memo) {
-            Ok(request) => {
+            Ok(mut request) => {
+                if let Some(deadline) = job.deadline {
+                    request = request.with_deadline(job.enqueued + deadline);
+                }
                 requests.push(request);
                 members.push(job);
             }
@@ -531,111 +534,29 @@ fn process_batch(state: &Arc<ServiceState>, jobs: Vec<Job>) {
                 .fetch_add(n as u64, Ordering::Relaxed);
         }
     }
-    if members.iter().all(|job| job.deadline.is_none()) {
-        // No deadlines anywhere in the batch: run inline on this worker.
-        let outcome = run_grouped(state, &requests);
-        for (i, job) in members.iter().enumerate() {
-            let _ = job
-                .out
-                .send(outcome_response(&job.id, &outcome, i).to_string());
+    // A panic inside the grouped call is caught here, so the worker survives
+    // to answer every member and take the next job.
+    match catch_unwind(AssertUnwindSafe(|| {
+        state.workspace.run_coalesced(&requests)
+    })) {
+        Ok((reports, stats)) => {
+            state
+                .coalesce
+                .shared_samples
+                .fetch_add(stats.shared_samples as u64, Ordering::Relaxed);
+            for (job, report) in members.iter().zip(&reports) {
+                let _ = job.out.send(report_response(job, report).to_string());
+            }
         }
-        return;
-    }
-    // Some members still carry live deadlines: run the grouped call on a
-    // helper thread and time out each job at its own deadline. Once every
-    // member is answered the helper is abandoned: it finishes in the
-    // background warming caches.
-    let (tx, rx) = mpsc::channel();
-    let helper_state = Arc::clone(state);
-    std::thread::spawn(move || {
-        let _ = tx.send(run_grouped(&helper_state, &requests));
-    });
-    let mut answered = vec![false; members.len()];
-    loop {
-        let next_expiry = members
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| !answered[i])
-            .filter_map(|(_, job)| job.deadline.map(|d| job.enqueued + d))
-            .min();
-        let received = match next_expiry {
-            // Every unanswered member is deadline-free: block for results.
-            None => rx.recv().map_err(|_| mpsc::RecvTimeoutError::Disconnected),
-            Some(when) => {
-                let now = Instant::now();
-                if when <= now {
-                    Err(mpsc::RecvTimeoutError::Timeout)
-                } else {
-                    rx.recv_timeout(when - now)
-                }
-            }
-        };
-        match received {
-            Ok(outcome) => {
-                for (i, job) in members.iter().enumerate() {
-                    if !answered[i] {
-                        let _ = job
-                            .out
-                            .send(outcome_response(&job.id, &outcome, i).to_string());
-                    }
-                }
-                return;
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                let now = Instant::now();
-                for (i, job) in members.iter().enumerate() {
-                    if answered[i] {
-                        continue;
-                    }
-                    let Some(deadline) = job.deadline else {
-                        continue;
-                    };
-                    if job.enqueued + deadline <= now {
-                        let _ = job.out.send(
-                            error_response(
-                                &job.id,
-                                "timeout",
-                                &format!("deadline of {} ms exceeded", deadline.as_millis()),
-                            )
-                            .to_string(),
-                        );
-                        answered[i] = true;
-                    }
-                }
-                if answered.iter().all(|&a| a) {
-                    return; // helper abandoned; it completes in background
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                for (i, job) in members.iter().enumerate() {
-                    if !answered[i] {
-                        let _ = job.out.send(
-                            error_response(&job.id, "internal", "batch helper died").to_string(),
-                        );
-                    }
-                }
-                return;
+        Err(payload) => {
+            let message = format!("generation panicked: {}", panic_message(&*payload));
+            for job in &members {
+                let _ = job
+                    .out
+                    .send(error_response(&job.id, "internal", &message).to_string());
             }
         }
     }
-}
-
-/// The reports of one grouped call, in request order, or the message of the
-/// panic that cut it short.
-type GroupedOutcome = std::result::Result<Vec<dnnip_core::Result<TestGenReport>>, String>;
-
-/// Run one batch's grouped [`Workspace::run_coalesced`] call. A panic inside
-/// it is caught here, so the worker (or deadline helper) that runs it
-/// survives to answer every member and take the next job.
-fn run_grouped(state: &ServiceState, requests: &[TestGenRequest]) -> GroupedOutcome {
-    let (reports, stats) =
-        catch_unwind(AssertUnwindSafe(|| state.workspace.run_coalesced(requests)))
-            .map_err(|payload| format!("generation panicked: {}", panic_message(&*payload)))?;
-    state
-        .coalesce
-        .shared_samples
-        .fetch_add(stats.shared_samples as u64, Ordering::Relaxed);
-    Ok(reports)
 }
 
 /// The text of a panic payload (`panic!` produces a `&str` or a `String`).
@@ -645,15 +566,6 @@ fn panic_message(payload: &(dyn Any + Send)) -> &str {
         .copied()
         .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
         .unwrap_or("non-string panic payload")
-}
-
-/// Member `i`'s response to its batch's grouped call: its report, or an
-/// `internal` error when the call panicked.
-fn outcome_response(id: &str, outcome: &GroupedOutcome, i: usize) -> Json {
-    match outcome {
-        Ok(reports) => report_response(id, &reports[i]),
-        Err(message) => error_response(id, "internal", message),
-    }
 }
 
 /// Resolve a generate spec into the workspace request it runs, or the
@@ -701,17 +613,22 @@ fn build_request(
         request = request.with_criterion_spec(criterion.clone());
     }
     #[cfg(test)]
-    if spec.criterion.as_deref() == Some(tests::PANICKING_CRITERION) {
-        request = request.with_criterion(Arc::new(tests::Panicking));
+    if let Some(criterion) = tests::test_criterion(spec.criterion.as_deref()) {
+        request = request.with_criterion(criterion);
     }
     Ok(request)
 }
 
-/// Map one request's workspace outcome to its response line.
-fn report_response(id: &str, report: &dnnip_core::Result<TestGenReport>) -> Json {
+/// Map one member's workspace outcome to its response line: its report, a
+/// `timeout` when its deadline stopped it, or a `generation` error.
+fn report_response(job: &Job, report: &dnnip_core::Result<TestGenReport>) -> Json {
     match report {
-        Ok(report) => ok_response(id, report),
-        Err(e) => error_response(id, "generation", &e.to_string()),
+        Ok(report) => ok_response(&job.id, report),
+        Err(CoreError::DeadlineExceeded) => {
+            let ms = job.deadline.unwrap_or_default().as_millis();
+            error_response(&job.id, "timeout", &format!("deadline of {ms} ms exceeded"))
+        }
+        Err(e) => error_response(&job.id, "generation", &e.to_string()),
     }
 }
 
@@ -766,12 +683,24 @@ mod tests {
         })
     }
 
+    /// The criterion a test build runs for the spec `criterion`, when it
+    /// names one of the test criteria below.
+    pub(super) fn test_criterion(
+        criterion: Option<&str>,
+    ) -> Option<Arc<dyn dnnip_core::criterion::CoverageCriterion>> {
+        match criterion? {
+            PANICKING_CRITERION => Some(Arc::new(Panicking)),
+            COUNTING_CRITERION => Some(Arc::new(Counting)),
+            _ => None,
+        }
+    }
+
     /// The criterion spec a test build resolves to [`Panicking`].
-    pub(super) const PANICKING_CRITERION: &str = "test-panicking";
+    const PANICKING_CRITERION: &str = "test-panicking";
 
     /// A criterion whose covered-set computation panics.
     #[derive(Debug)]
-    pub(super) struct Panicking;
+    struct Panicking;
 
     impl dnnip_core::criterion::CoverageCriterion for Panicking {
         fn id(&self) -> &'static str {
@@ -792,6 +721,46 @@ mod tests {
             _chunk: &[Tensor],
         ) -> dnnip_core::Result<Vec<dnnip_core::bitset::Bitset>> {
             panic!("test criterion panicked")
+        }
+    }
+
+    /// The criterion spec a test build resolves to [`Counting`].
+    const COUNTING_CRITERION: &str = "test-counting";
+
+    /// Chunks [`Counting`] has begun, over the whole test binary.
+    static COUNTED_CHUNKS: AtomicU64 = AtomicU64::new(0);
+
+    /// How long [`Counting`] takes over each chunk.
+    const COUNTING_PAUSE: Duration = Duration::from_millis(50);
+
+    /// A criterion whose covered-set chunks count themselves in
+    /// [`COUNTED_CHUNKS`] and take [`COUNTING_PAUSE`] each: slow work whose
+    /// progress a test can read.
+    #[derive(Debug)]
+    struct Counting;
+
+    impl dnnip_core::criterion::CoverageCriterion for Counting {
+        fn id(&self) -> &'static str {
+            COUNTING_CRITERION
+        }
+
+        fn config_digest(&self) -> u64 {
+            0
+        }
+
+        fn num_units(&self, network: &dnnip_nn::Network) -> usize {
+            network.num_parameters()
+        }
+
+        fn covered_units(
+            &self,
+            engine: &dnnip_nn::batch::BatchGradientEngine,
+            chunk: &[Tensor],
+        ) -> dnnip_core::Result<Vec<dnnip_core::bitset::Bitset>> {
+            COUNTED_CHUNKS.fetch_add(1, Ordering::SeqCst);
+            std::thread::sleep(COUNTING_PAUSE);
+            let units = engine.network().num_parameters();
+            Ok(vec![dnnip_core::bitset::Bitset::new(units); chunk.len()])
         }
     }
 
@@ -949,8 +918,8 @@ mod tests {
             default_deadline_ms: None,
             ..EngineConfig::default()
         });
-        // `inline` runs on the worker itself; `helper`, which carries a
-        // deadline, on the worker's deadline helper thread.
+        // Both run on the worker itself: `inline` without a deadline,
+        // `helper` with one.
         let responses = roundtrip(
             engine,
             &[
@@ -996,8 +965,7 @@ mod tests {
 
     /// A `generate` line whose work runs a few hundred milliseconds, far
     /// past its `deadline_ms` of 100. Unoptimised builds run this work about
-    /// 100× slower, so they synthesise with fewer steps: the abandoned
-    /// helper then finishes shortly after the test in either build.
+    /// 100× slower, so they synthesise with fewer steps.
     fn slow_line(id: &str) -> String {
         let steps = if cfg!(debug_assertions) { 2 } else { 200 };
         format!(
@@ -1036,7 +1004,7 @@ mod tests {
         assert_eq!(
             by_id(&responses, "next").get("ok").and_then(Json::as_bool),
             Some(true),
-            "the worker must keep serving after abandoning a request"
+            "the worker must keep serving after a request times out"
         );
         stats
     }
@@ -1052,6 +1020,50 @@ mod tests {
         let stats = deadline_session(2, &["slow1", "slow2"]);
         assert_eq!(stats.batches, 1, "the two slow requests ran as one batch");
         assert_eq!(stats.requests, 2);
+    }
+
+    #[test]
+    fn a_timed_out_request_stops_computing_within_one_chunk() {
+        let engine = Engine::in_memory(EngineConfig {
+            workers: 1,
+            queue_depth: 4,
+            ..EngineConfig::default()
+        });
+        let (tx, rx) = mpsc::channel();
+        // 20 chunks of 32 samples: a second of work, with a deadline of 100 ms.
+        let start = Instant::now();
+        engine.handle(
+            r#"{"id":"slow","model":"tiny-relu","budget":2,"criterion":"test-counting","deadline_ms":100,"pool":{"synthetic":640,"seed":3}}"#,
+            &tx,
+        );
+        let r = Json::parse(&rx.recv().unwrap()).unwrap();
+        let elapsed = start.elapsed();
+        let error = r.get("error").expect("a timeout");
+        assert_eq!(error.get("kind").and_then(Json::as_str), Some("timeout"));
+        let message = error.get("message").and_then(Json::as_str).unwrap();
+        assert_eq!(message, "deadline of 100 ms exceeded");
+        let chunks = COUNTED_CHUNKS.load(Ordering::SeqCst);
+        // The one worker began a chunk only before the deadline.
+        let bound = elapsed.as_millis() / COUNTING_PAUSE.as_millis() + 1;
+        assert!(
+            u128::from(chunks) <= bound,
+            "{chunks} chunks in {elapsed:?}"
+        );
+        assert!(chunks < 20, "every chunk ran before the answer");
+        std::thread::sleep(Duration::from_millis(300));
+        assert_eq!(
+            COUNTED_CHUNKS.load(Ordering::SeqCst),
+            chunks,
+            "the request went on computing after its timeout answer"
+        );
+        engine.handle(
+            r#"{"id":"next","model":"tiny-relu","budget":2,"pool":{"synthetic":6,"seed":2}}"#,
+            &tx,
+        );
+        let next = Json::parse(&rx.recv().unwrap()).unwrap();
+        assert_eq!(next.get("id").and_then(Json::as_str), Some("next"));
+        assert_eq!(next.get("ok").and_then(Json::as_bool), Some(true));
+        engine.drain();
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //! * **Engine** ([`engine`]): a bounded worker pool over one shared
 //!   workspace — concurrent requests reuse each other's cached activation
 //!   sets — with per-request deadlines (expired-in-queue requests fail
-//!   without compute; running ones are abandoned at the deadline) and a
-//!   graceful drain that answers everything already accepted.
+//!   without compute; running ones stop at their next check between chunks
+//!   of work) and a graceful drain that answers everything already accepted.
 //! * **JSON** ([`json`]): a dependency-free parser/serializer covering the
 //!   protocol's needs; the build environment is offline, so no serde.
 //!

@@ -198,10 +198,11 @@ fn every_criterion_generates_combined_suites_deterministically() {
 #[test]
 fn combined_runs_the_greedy_selection_until_the_switch() {
     // Section IV-D: the combined generator runs Algorithm 1 until Algorithm 2
-    // offers more per test. Its pool picks come from its own argmax scan, not
-    // from the lazy greedy behind `TrainingSetSelection`, so every pool pick
-    // before the first synthetic test must be the selection's pick at the
-    // same position, for as long as the selection lasts (it stops once no
+    // offers more per test. Its pool picks are the lazy greedy selection
+    // behind `TrainingSetSelection`, resumed one pick at a time; this test
+    // guards the pool half against leaving that shared selection: every pool
+    // pick before the first synthetic test must be the selection's pick at
+    // the same position, for as long as the selection lasts (it stops once no
     // candidate adds coverage).
     let budget = 10;
     for (name, net) in zoo_networks() {
