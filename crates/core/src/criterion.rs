@@ -30,10 +30,10 @@ use std::fmt;
 use std::sync::Arc;
 
 use dnnip_nn::batch::BatchGradientEngine;
-use dnnip_nn::fingerprint::{checksum, mix64};
 use dnnip_nn::layers::Layer;
 use dnnip_nn::loss::cross_entropy;
 use dnnip_nn::Network;
+use dnnip_tensor::hash::{checksum, mix64};
 use dnnip_tensor::Tensor;
 
 use crate::bitset::Bitset;

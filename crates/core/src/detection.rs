@@ -7,8 +7,8 @@
 
 use dnnip_accel::ip::FloatIp;
 use dnnip_faults::attacks::Attack;
-use dnnip_nn::fingerprint::mix64;
 use dnnip_nn::Network;
+use dnnip_tensor::hash::mix64;
 use dnnip_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;

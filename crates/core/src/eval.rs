@@ -14,10 +14,13 @@
 //! * the **network fingerprint** — a 128-bit digest of the model's structure
 //!   and parameter words ([`NetworkFingerprint`]), so any parameter change
 //!   invalidates silently;
-//! * the **sample content hash** — 128 bits from two independently keyed
+//! * the **sample content key** — 128 bits from two independently keyed
 //!   multi-lane multiply chains over the sample's exact `f32` bit patterns,
-//!   finalised with its length and shape (`sample_hashes`, a request's
-//!   samples in one call);
+//!   finalised with its length and shape ([`Tensor::content_keys`], a
+//!   request's samples in one call). The tensor memoizes it and its clones
+//!   carry it, so a pool keyed once is never hashed again: a budget sweep's
+//!   requests and each run's final coverage pass over its own picks hash
+//!   nothing;
 //! * the **criterion digest** — the coverage criterion's id and configuration
 //!   ([`crate::criterion::criterion_digest`]), so two criteria (or two
 //!   configurations of one criterion) never alias each other's sets.
@@ -36,7 +39,7 @@ use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use dnnip_nn::batch::BatchGradientEngine;
-use dnnip_nn::fingerprint::{lane_hashes, mix64, NetworkFingerprint, CHAIN_HI, CHAIN_LO};
+use dnnip_nn::fingerprint::NetworkFingerprint;
 use dnnip_nn::Network;
 use dnnip_tensor::Tensor;
 
@@ -375,7 +378,11 @@ impl CoveredSetCache {
     /// for the whole request in one call), through the cache: hits are
     /// returned directly, distinct misses (deduplicated by key within the
     /// request, so a sample repeated in one batch is computed exactly once)
-    /// are computed in a single `compute` call and inserted.
+    /// are computed in a single `compute` call and inserted. `compute`
+    /// answers each sample on its own, so when it fails part-way (a deadline
+    /// that stops the later chunks) the sets it did finish are inserted and
+    /// spilled to disk before its first error is returned, and the next
+    /// request computes only the rest.
     ///
     /// Fresh computations are **single-flight** across threads: a key another
     /// thread is already computing is not recomputed here — this request's
@@ -394,7 +401,7 @@ impl CoveredSetCache {
         compute: F,
     ) -> Result<Vec<Arc<Bitset>>>
     where
-        F: Fn(&[Tensor]) -> Result<Vec<Bitset>>,
+        F: Fn(&[Tensor]) -> Vec<Result<Bitset>>,
     {
         debug_assert_eq!(samples.len(), keys.len());
         let mut out: Vec<Option<Arc<Bitset>>> = (0..samples.len()).map(|_| None).collect();
@@ -446,25 +453,37 @@ impl CoveredSetCache {
         }
         if !miss_samples.is_empty() {
             self.note_misses(miss_samples.len() as u64);
-            let computed: Vec<Arc<Bitset>> =
-                compute(&miss_samples)?.into_iter().map(Arc::new).collect();
-            for ((indices, key), value) in miss_indices.iter().zip(&guard.keys).zip(&computed) {
-                self.insert(*key, value);
-                for &i in indices {
-                    out[i] = Some(Arc::clone(value));
+            let computed = compute(&miss_samples);
+            debug_assert_eq!(computed.len(), miss_samples.len());
+            let mut finished: Vec<(CacheKey, Arc<Bitset>)> = Vec::new();
+            let mut failure = None;
+            for ((indices, &key), result) in miss_indices.iter().zip(&guard.keys).zip(computed) {
+                match result {
+                    Ok(set) => {
+                        let value = Arc::new(set);
+                        self.insert(key, &value);
+                        for &i in indices {
+                            out[i] = Some(Arc::clone(&value));
+                        }
+                        finished.push((key, value));
+                    }
+                    Err(e) => {
+                        failure.get_or_insert(e);
+                    }
                 }
             }
             if let Some(disk) = &self.disk {
-                // One segment-packed write for the whole request's misses
-                // (they all share this evaluator's fingerprint and criterion,
-                // so the tier emits exactly one file).
-                let batch: Vec<(CacheKey, &Bitset)> = guard
-                    .keys
+                // One segment-packed write for the whole request's finished
+                // misses (they all share this evaluator's fingerprint and
+                // criterion, so the tier emits exactly one file).
+                let batch: Vec<(CacheKey, &Bitset)> = finished
                     .iter()
-                    .copied()
-                    .zip(computed.iter().map(|v| &**v))
+                    .map(|(key, value)| (*key, &**value))
                     .collect();
                 disk.store_batch(&batch);
+            }
+            if let Some(e) = failure {
+                return Err(e);
             }
         }
         // Our own claims are done: release them BEFORE parking on foreign
@@ -493,7 +512,7 @@ impl CoveredSetCache {
         compute: &F,
     ) -> Result<Arc<Bitset>>
     where
-        F: Fn(&[Tensor]) -> Result<Vec<Bitset>>,
+        F: Fn(&[Tensor]) -> Vec<Result<Bitset>>,
     {
         loop {
             self.flight.wait_idle(&key, deadline)?;
@@ -511,8 +530,8 @@ impl CoveredSetCache {
                 keys: vec![key],
             };
             self.note_misses(1);
-            let computed = compute(std::slice::from_ref(sample))?;
-            let value = Arc::new(computed.into_iter().next().expect("one value per sample"));
+            let computed = compute(std::slice::from_ref(sample));
+            let value = Arc::new(computed.into_iter().next().expect("one value per sample")?);
             self.insert(key, &value);
             if let Some(disk) = &self.disk {
                 disk.store_batch(&[(key, &*value)]);
@@ -521,54 +540,6 @@ impl CoveredSetCache {
             return Ok(value);
         }
     }
-}
-
-/// Content hashes of sample tensors: shape, length and exact `f32` bit
-/// patterns, 128 bits each from two independently keyed 64-bit halves. The
-/// cache key of every memory and disk cache probe, and the identity
-/// [`crate::workspace::Workspace::run_coalesced`] dedupes cross-request
-/// candidate pools by, so "same content hash" always means "same cache
-/// entry".
-///
-/// Each half is one [`lane_hashes`] chain over the data read as 64-bit
-/// words (two `f32`s each, the first in the low half; a lone last element
-/// is a low word), folded on with the rank and every dimension through the
-/// splitmix64 finalizer. A request's candidates are hashed in one call, so
-/// they run eight at a time.
-///
-/// **No collision on one element.** Two same-shape samples that differ in
-/// one element differ in one word of one lane (or one tail word), keep
-/// differing through every later step, and end in different values of
-/// **both** halves. Samples of different shape or length differ in what the
-/// finalizer folds.
-///
-/// Why lanes, and why eight samples: with one dependent chain per half,
-/// every word waits for the previous multiply. Four lanes per half give a
-/// scalar build eight independent multiplies per block. Under
-/// `target-cpu=native` on AVX-512 hosts, though, LLVM packs each half's four
-/// lanes into one `vpmullq`, whose latency is several times a scalar
-/// `imul`'s, so one sample still ran as two dependent vector chains. Eight
-/// samples side by side give the vector multiplier sixteen independent
-/// chains per block.
-///
-/// The keys are what the disk tier stores entries under: any change to this
-/// derivation must bump the persistent format version.
-pub(crate) fn sample_hashes(samples: &[Tensor]) -> Vec<(u64, u64)> {
-    let data: Vec<&[f32]> = samples.iter().map(Tensor::data).collect();
-    lane_hashes(&data, [CHAIN_LO, CHAIN_HI])
-        .into_iter()
-        .zip(samples)
-        .map(|(halves, sample)| {
-            let [lo, hi] = halves.map(|mut h| {
-                h = mix64(h ^ sample.shape().len() as u64);
-                for &d in sample.shape() {
-                    h = mix64(h ^ d as u64);
-                }
-                h
-            });
-            (lo, hi)
-        })
-        .collect()
 }
 
 /// The unified evaluation layer: coverage analysis and test synthesis over
@@ -633,12 +604,25 @@ impl EvalInner {
     /// criterion per chunk (a sample-major forward + backward per sample for
     /// [`crate::criterion::ParamGradient`]; one stacked forward for the
     /// neuron criteria). No worker starts a chunk once `deadline` has passed.
-    fn compute_sets(&self, samples: &[Tensor], deadline: Option<Instant>) -> Result<Vec<Bitset>> {
-        let per_chunk = par::try_map(self.config.exec, &self.chunks(samples), |chunk| {
+    ///
+    /// Each sample gets its chunk's outcome: its set, or the chunk's error,
+    /// so the sets of the chunks that did finish survive a failed pass.
+    fn compute_sets(&self, samples: &[Tensor], deadline: Option<Instant>) -> Vec<Result<Bitset>> {
+        let chunks = self.chunks(samples);
+        let per_chunk = par::map(self.config.exec, &chunks, |chunk| {
             check_deadline(deadline)?;
             self.criterion.covered_units(&self.engine, chunk)
-        })?;
-        Ok(per_chunk.into_iter().flatten().collect())
+        });
+        chunks
+            .iter()
+            .zip(per_chunk)
+            .flat_map(|(chunk, outcome)| -> Vec<Result<Bitset>> {
+                match outcome {
+                    Ok(sets) => sets.into_iter().map(Ok).collect(),
+                    Err(e) => vec![Err(e); chunk.len()],
+                }
+            })
+            .collect()
     }
 }
 
@@ -789,19 +773,19 @@ impl Evaluator {
         if self.inner.cache.max_bytes == 0 {
             // Cache disabled: skip hashing and miss bookkeeping entirely so a
             // budget of zero really is the raw compute path.
-            return Ok(self
+            return self
                 .inner
-                .compute_sets(samples, deadline)?
+                .compute_sets(samples, deadline)
                 .into_iter()
-                .map(Arc::new)
-                .collect());
+                .map(|set| set.map(Arc::new))
+                .collect();
         }
-        self.activation_sets_hashed(samples, sample_hashes(samples), deadline)
+        self.activation_sets_hashed(samples, Tensor::content_keys(samples), deadline)
     }
 
     /// [`Evaluator::activation_sets_until`] through the cache, for samples
-    /// whose content hashes the caller already holds (`hashes[i]` is
-    /// [`sample_hashes`] of `samples[i]`).
+    /// whose content keys the caller already holds (`hashes[i]` is the
+    /// content key of `samples[i]`, [`Tensor::content_keys`]).
     pub(crate) fn activation_sets_hashed(
         &self,
         samples: &[Tensor],
@@ -1307,7 +1291,7 @@ mod tests {
                     computes.fetch_add(1, Ordering::SeqCst);
                     in_compute_tx.send(()).unwrap();
                     proceed_rx.recv().unwrap();
-                    Ok(vec![one_bit_set(); misses.len()])
+                    vec![Ok(one_bit_set()); misses.len()]
                 })
             })
         };
@@ -1320,7 +1304,7 @@ mod tests {
             std::thread::spawn(move || {
                 cache.get_or_compute(std::slice::from_ref(&sample), &[key], None, move |misses| {
                     computes.fetch_add(1, Ordering::SeqCst);
-                    Ok(vec![one_bit_set(); misses.len()])
+                    vec![Ok(one_bit_set()); misses.len()]
                 })
             })
         };
@@ -1364,10 +1348,10 @@ mod tests {
                     std::slice::from_ref(&sample),
                     &[race_key((3, 4))],
                     None,
-                    move |_| -> Result<Vec<Bitset>> {
+                    move |misses| -> Vec<Result<Bitset>> {
                         in_compute_tx.send(()).unwrap();
                         proceed_rx.recv().unwrap();
-                        Err(CoreError::EmptyCandidatePool)
+                        vec![Err(CoreError::EmptyCandidatePool); misses.len()]
                     },
                 )
             })
@@ -1380,7 +1364,7 @@ mod tests {
                     std::slice::from_ref(&sample),
                     &[race_key((3, 4))],
                     None,
-                    |misses| Ok(vec![one_bit_set(); misses.len()]),
+                    |misses| vec![Ok(one_bit_set()); misses.len()],
                 )
             })
         };
@@ -1455,7 +1439,7 @@ mod tests {
                 std::slice::from_ref(&sample),
                 &[race_key((5, 6))],
                 None,
-                |_| -> Result<Vec<Bitset>> { panic!("a compute that panics") },
+                |_| -> Vec<Result<Bitset>> { panic!("a compute that panics") },
             )
         }));
         assert!(panicked.is_err());
@@ -1475,13 +1459,14 @@ mod sample_hash_tests {
     //! known answers pin the key derivation: a change to them must come with
     //! a bump of the persistent format version (`persist::FORMAT_VERSION`).
 
-    use super::sample_hashes;
     use dnnip_tensor::Tensor;
     use proptest::prelude::*;
 
-    /// [`sample_hashes`] of one sample.
+    /// The content key of a fresh, unkeyed copy of `sample`, so a key that
+    /// `sample` already carries is checked, not returned.
     fn sample_hash(sample: &Tensor) -> (u64, u64) {
-        sample_hashes(std::slice::from_ref(sample))[0]
+        let fresh = Tensor::from_vec(sample.data().to_vec(), sample.shape()).unwrap();
+        Tensor::content_keys(std::slice::from_ref(&fresh))[0]
     }
 
     fn tensor(data: &[f32], shape: &[usize]) -> Tensor {
@@ -1550,7 +1535,7 @@ mod sample_hash_tests {
         };
         for n in 0..=20 {
             let batch: Vec<Tensor> = (0..n).map(sample).collect();
-            let hashes = sample_hashes(&batch);
+            let hashes = Tensor::content_keys(&batch);
             assert_eq!(hashes.len(), n);
             for (t, hash) in batch.iter().zip(&hashes) {
                 assert_eq!(*hash, sample_hash(t), "batch of {n}, shape {:?}", t.shape());
@@ -1558,7 +1543,7 @@ mod sample_hash_tests {
         }
         // Nine equally long samples: a full group, then a group of one.
         let batch: Vec<Tensor> = (0..9).map(|i| sample(7 * i)).collect();
-        for (t, hash) in batch.iter().zip(sample_hashes(&batch)) {
+        for (t, hash) in batch.iter().zip(Tensor::content_keys(&batch)) {
             assert_eq!(hash, sample_hash(t));
         }
     }

@@ -38,7 +38,7 @@
 //! from disk (its first scan, or a re-read after its buffer was evicted):
 //! the records are checksummed eight at a time (`record_checksums`) and the
 //! verdicts stay with the buffer, so a probe checks a verdict. The checksum
-//! is [`dnnip_nn::fingerprint::checksum`], the one the model and suite
+//! is [`dnnip_tensor::hash::checksum`], the one the model and suite
 //! formats end with: four independent multiply-rotate lanes over 8-byte
 //! little-endian words, finished with the splitmix64 mixer and the payload
 //! length. Version 4 of the format introduced it; segments of earlier
@@ -62,7 +62,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::SystemTime;
 
-use dnnip_nn::fingerprint::{checksum, lane_hashes, mix64, NetworkFingerprint, CHAIN_LO};
+use dnnip_nn::fingerprint::NetworkFingerprint;
+use dnnip_tensor::hash::{checksum, lane_hashes, mix64, CHAIN_LO};
 
 use crate::bitset::Bitset;
 use crate::eval::CacheKey;
@@ -71,11 +72,12 @@ use crate::eval::CacheKey;
 const SEG_MAGIC: u64 = u64::from_le_bytes(*b"DNIPSEG2");
 /// On-disk format version; bump on any layout change, on any change to what
 /// a criterion computes (its covered-unit semantics), **and** on any change
-/// to how a cache key is derived (`crate::eval::sample_hashes`, the criterion
-/// digest, the network fingerprint). The key digests a criterion's id and
-/// configuration, not its implementation, so a semantic change without a
-/// version bump would serve stale entries; a new key derivation without one
-/// would leave every old entry unreachable but still on disk. Version 3: the
+/// to how a cache key is derived (the sample content key,
+/// [`dnnip_tensor::Tensor::content_keys`]; the criterion digest; the network
+/// fingerprint). The key digests a criterion's id and configuration, not its
+/// implementation, so a semantic change without a version bump would serve
+/// stale entries; a new key derivation without one would leave every old
+/// entry unreachable but still on disk. Version 3: the
 /// multi-lane sample hash. Version 4: word-wise record checksum. Version 5:
 /// one dense covered-set payload. Version 6: chains fingerprinted through the
 /// one node-list model format. Version 7: the network fingerprint (now over
@@ -756,7 +758,7 @@ mod tests {
     use super::*;
     // One record's checksum is the model format's trailer checksum, so the
     // known answers below pin both.
-    use dnnip_nn::fingerprint::checksum as record_checksum;
+    use dnnip_tensor::hash::checksum as record_checksum;
     use proptest::prelude::*;
 
     fn key(seed: u64) -> CacheKey {

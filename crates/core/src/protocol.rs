@@ -23,7 +23,7 @@
 //! * the record count, then every input `X` and after them every golden
 //!   output `Y`, each a shape and its length-prefixed little-endian `f32`s;
 //! * the model format's 64-bit checksum trailer over everything before it
-//!   ([`dnnip_nn::fingerprint::checksum`], the lane-hash kernel that also
+//!   ([`dnnip_tensor::hash::checksum`], the lane-hash kernel that also
 //!   checksums the disk tier's records).
 //!
 //! The decoder is the model decoder's bounded reader: no count it reads sizes
@@ -270,7 +270,7 @@ mod tests {
     fn sealed(words: &[u32]) -> Vec<u8> {
         let mut body = MAGIC.to_vec();
         body.extend(words.iter().flat_map(|w| w.to_le_bytes()));
-        let sum = dnnip_nn::fingerprint::checksum(&body);
+        let sum = dnnip_tensor::hash::checksum(&body);
         body.extend_from_slice(&sum.to_le_bytes());
         body
     }

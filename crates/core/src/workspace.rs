@@ -666,7 +666,7 @@ impl Workspace {
                 let mut unique_hashes: Vec<(u64, u64)> = Vec::new();
                 for &i in members {
                     let pool = &requests[i].candidates;
-                    for (sample, hash) in pool.iter().zip(crate::eval::sample_hashes(pool)) {
+                    for (sample, hash) in pool.iter().zip(Tensor::content_keys(pool)) {
                         stats.pool_samples += 1;
                         if seen.insert(hash) {
                             unique.push(sample.clone());
@@ -1264,7 +1264,53 @@ mod tests {
         let (reports, _) = ws.run_coalesced(&group);
         assert!(matches!(reports[0], Err(CoreError::DeadlineExceeded)));
         assert!(reports[1].is_ok());
-        assert_eq!(sleepy.chunks.load(Ordering::SeqCst), chunks + 16);
+        // The stopped pass kept the chunks it finished: this one runs the
+        // rest.
+        assert_eq!(sleepy.chunks.load(Ordering::SeqCst), 16);
+    }
+
+    #[test]
+    fn a_deadline_keeps_the_chunks_it_finished() {
+        use std::sync::atomic::Ordering;
+        use std::time::Duration;
+
+        // One serial pool of 16 chunks, 320 ms of work, over a disk tier.
+        let dir = std::env::temp_dir().join(format!("dnnip-ws-partial-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let open = || {
+            Workspace::with_config(WorkspaceConfig {
+                disk: DiskCacheConfig::at(&dir),
+                ..WorkspaceConfig::default()
+            })
+        };
+        let coverage = CoverageConfig {
+            batch_size: 4,
+            ..CoverageConfig::default()
+        };
+        let sleepy = Arc::new(Sleepy::default());
+        let candidates = pool(64);
+        let ws = open();
+        let model = ws.register("m", net(3), coverage);
+        let request = TestGenRequest::new(model, GenerationMethod::TrainingSetSelection, 2)
+            .with_criterion(Arc::clone(&sleepy) as Arc<dyn CoverageCriterion>)
+            .with_candidates(candidates);
+        let stopped = request
+            .clone()
+            .with_deadline(Instant::now() + Duration::from_millis(100));
+        assert!(matches!(ws.run(&stopped), Err(CoreError::DeadlineExceeded)));
+        let finished = sleepy.chunks.load(Ordering::SeqCst);
+        assert!((1..16).contains(&finished), "{finished} chunks");
+        // The next pass computes only the chunks the stopped one did not.
+        assert!(ws.run(&request).is_ok());
+        assert_eq!(sleepy.chunks.load(Ordering::SeqCst), 16);
+        // Both passes spilled what they computed: a fresh workspace over the
+        // same tier computes nothing.
+        drop(ws);
+        let ws = open();
+        ws.register("m", net(3), coverage);
+        assert!(ws.run(&request).is_ok());
+        assert_eq!(sleepy.chunks.load(Ordering::SeqCst), 16);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Holds its one chunk until the test releases it (or ten seconds pass),

@@ -18,9 +18,9 @@ use dnnip_core::workspace::{TestGenReport, TestGenRequest, Workspace, WorkspaceC
 use dnnip_faults::attacks::{Attack, RandomPerturbation};
 use dnnip_faults::detection::MatchPolicy;
 use dnnip_nn::batch::BatchGradientEngine;
-use dnnip_nn::fingerprint::checksum;
 use dnnip_nn::layers::Activation;
 use dnnip_nn::{zoo, Network};
+use dnnip_tensor::hash::checksum;
 use dnnip_tensor::Tensor;
 use proptest::prelude::*;
 use rand::rngs::StdRng;

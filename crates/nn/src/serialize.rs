@@ -30,10 +30,10 @@
 //! a few caller-defined `u32` header words. The vendor/user protocol's
 //! functional-test suites use it as their wire format.
 
-use crate::fingerprint::checksum;
 use crate::graph::{Node, NodeOp};
 use crate::layers::{Activation, ActivationLayer, Conv2d, Dense, Flatten, Layer, MaxPool2d};
 use crate::{Network, NnError, Result};
+use dnnip_tensor::hash::checksum;
 use dnnip_tensor::Tensor;
 
 const MAGIC: &[u8; 8] = b"DNNIPGRF";

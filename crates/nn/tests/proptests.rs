@@ -8,11 +8,12 @@
 
 use std::collections::BTreeSet;
 
-use dnnip_nn::fingerprint::{checksum, NetworkFingerprint};
+use dnnip_nn::fingerprint::NetworkFingerprint;
 use dnnip_nn::graph::{Node, NodeOp};
 use dnnip_nn::layers::{Activation, ActivationLayer, Conv2d, Layer, MaxPool2d};
 use dnnip_nn::loss::{cross_entropy, one_hot};
 use dnnip_nn::{serialize, zoo, Network, NnError};
+use dnnip_tensor::hash::checksum;
 use dnnip_tensor::Tensor;
 use proptest::prelude::*;
 

@@ -124,6 +124,10 @@ fn same_model_burst_forms_batches_and_shares_samples() {
         workers: 1, // one worker: the burst backlog coalesces behind job 1
         queue_depth: 32,
         max_batch: 16,
+        // The worker lingers for the rest of the burst after taking job 1,
+        // so the batch forms even when it would finish job 1 before the
+        // next submission.
+        batch_window_ms: 20,
         ..EngineConfig::default()
     });
     let (tx, rx) = mpsc::channel();
@@ -133,8 +137,8 @@ fn same_model_burst_forms_batches_and_shares_samples() {
         );
         engine.handle(&line, &tx);
     }
-    // Submission outpaces generation, so jobs queue behind the first and
-    // the worker drains them as one batch.
+    // The whole burst arrives within the batch window, so the worker drains
+    // it as one batch.
     let stats = engine.drain();
     drop(tx);
     let responses: Vec<Json> = rx.into_iter().map(|l| Json::parse(&l).unwrap()).collect();

@@ -9,6 +9,10 @@
 //! * [`kernels`] — the cache-blocked, register-tiled matmul micro-kernels
 //!   behind [`ops::matmul`] and the batched engine's `a · bᵀ` products,
 //!   bit-identical to the naive reference loops.
+//! * [`hash`] — the workspace's one hash kernel: keyed multiply-rotate lane
+//!   chains behind every tensor's memoized 128-bit content key
+//!   ([`Tensor::content_keys`]), the model, suite and disk-record checksums
+//!   and the network fingerprints of `dnnip-nn`.
 //! * [`arena`] — the [`ScratchArena`] of reusable scratch buffers the batched
 //!   gradient engine threads through its hot loops.
 //! * [`conv`] — convolution and pooling primitives (direct and im2col-based
@@ -52,6 +56,7 @@ mod tensor;
 
 pub mod arena;
 pub mod conv;
+pub mod hash;
 pub mod init;
 pub mod kernels;
 pub mod ops;

@@ -1,5 +1,8 @@
 //! The [`Tensor`] type: an owned, dense, row-major `f32` array of arbitrary rank.
 
+use std::sync::OnceLock;
+
+use crate::hash::{lane_hashes, mix64, CHAIN_HI, CHAIN_LO};
 use crate::shape;
 use crate::{Result, TensorError};
 
@@ -9,6 +12,11 @@ use crate::{Result, TensorError};
 /// activations, weights, gradients and quantization scales are all `Tensor`s. The
 /// representation is a flat `Vec<f32>` plus a shape vector; there are no views or
 /// strides, which keeps ownership simple and every operation easy to audit.
+///
+/// A tensor also carries its 128-bit content key once it has been asked for
+/// one ([`Tensor::content_keys`]): the key is derived once per content,
+/// clones carry it, every `&mut self` method drops it, and equality ignores
+/// it.
 ///
 /// # Example
 ///
@@ -23,10 +31,12 @@ use crate::{Result, TensorError};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Clone)]
 pub struct Tensor {
     shape: Vec<usize>,
     data: Vec<f32>,
+    /// The content key of `shape` and `data`, once derived.
+    key: OnceLock<(u64, u64)>,
 }
 
 impl Tensor {
@@ -47,18 +57,12 @@ impl Tensor {
                 data_len: data.len(),
             });
         }
-        Ok(Self {
-            shape: shape.to_vec(),
-            data,
-        })
+        Ok(Self::raw(shape.to_vec(), data))
     }
 
     /// Create a tensor filled with zeros.
     pub fn zeros(shape: &[usize]) -> Self {
-        Self {
-            shape: shape.to_vec(),
-            data: vec![0.0; shape::num_elements(shape)],
-        }
+        Self::raw(shape.to_vec(), vec![0.0; shape::num_elements(shape)])
     }
 
     /// Create a tensor filled with ones.
@@ -68,26 +72,26 @@ impl Tensor {
 
     /// Create a tensor filled with `value`.
     pub fn full(shape: &[usize], value: f32) -> Self {
-        Self {
-            shape: shape.to_vec(),
-            data: vec![value; shape::num_elements(shape)],
-        }
+        Self::raw(shape.to_vec(), vec![value; shape::num_elements(shape)])
     }
 
     /// Create a rank-0 tensor holding a single scalar.
     pub fn scalar(value: f32) -> Self {
-        Self {
-            shape: Vec::new(),
-            data: vec![value],
-        }
+        Self::raw(Vec::new(), vec![value])
     }
 
     /// Create a tensor by evaluating `f` at every flat (row-major) index.
     pub fn from_fn(shape: &[usize], mut f: impl FnMut(usize) -> f32) -> Self {
         let n = shape::num_elements(shape);
+        Self::raw(shape.to_vec(), (0..n).map(&mut f).collect())
+    }
+
+    /// A tensor of `shape` over `data`, not yet keyed.
+    fn raw(shape: Vec<usize>, data: Vec<f32>) -> Self {
         Self {
-            shape: shape.to_vec(),
-            data: (0..n).map(&mut f).collect(),
+            shape,
+            data,
+            key: OnceLock::new(),
         }
     }
 
@@ -122,6 +126,7 @@ impl Tensor {
 
     /// Mutable access to the flat row-major data slice.
     pub fn data_mut(&mut self) -> &mut [f32] {
+        self.key.take();
         &mut self.data
     }
 
@@ -149,6 +154,7 @@ impl Tensor {
     /// out of range.
     pub fn set(&mut self, index: &[usize], value: f32) -> Result<()> {
         let off = shape::offset(&self.shape, index)?;
+        self.key.take();
         self.data[off] = value;
         Ok(())
     }
@@ -170,18 +176,12 @@ impl Tensor {
                 data_len: self.data.len(),
             });
         }
-        Ok(Self {
-            shape: new_shape.to_vec(),
-            data: self.data.clone(),
-        })
+        Ok(Self::raw(new_shape.to_vec(), self.data.clone()))
     }
 
     /// Flatten to a rank-1 tensor.
     pub fn flatten(&self) -> Self {
-        Self {
-            shape: vec![self.data.len()],
-            data: self.data.clone(),
-        }
+        Self::raw(vec![self.data.len()], self.data.clone())
     }
 
     // ------------------------------------------------------------------
@@ -213,6 +213,7 @@ impl Tensor {
     /// Returns [`TensorError::ShapeMismatch`] if the shapes differ.
     pub fn add_assign(&mut self, other: &Self) -> Result<()> {
         shape::check_same(&self.shape, &other.shape, "add_assign")?;
+        self.key.take();
         for (a, b) in self.data.iter_mut().zip(&other.data) {
             *a += b;
         }
@@ -227,6 +228,7 @@ impl Tensor {
     /// Returns [`TensorError::ShapeMismatch`] if the shapes differ.
     pub fn axpy(&mut self, alpha: f32, other: &Self) -> Result<()> {
         shape::check_same(&self.shape, &other.shape, "axpy")?;
+        self.key.take();
         for (a, b) in self.data.iter_mut().zip(&other.data) {
             *a += alpha * b;
         }
@@ -235,10 +237,10 @@ impl Tensor {
 
     /// Apply `f` to every element, producing a new tensor.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Self {
-        Self {
-            shape: self.shape.clone(),
-            data: self.data.iter().map(|&x| f(x)).collect(),
-        }
+        Self::raw(
+            self.shape.clone(),
+            self.data.iter().map(|&x| f(x)).collect(),
+        )
     }
 
     /// Combine two same-shaped tensors element-wise with `f`.
@@ -253,15 +255,14 @@ impl Tensor {
         f: impl Fn(f32, f32) -> f32,
     ) -> Result<Self> {
         shape::check_same(&self.shape, &other.shape, op)?;
-        Ok(Self {
-            shape: self.shape.clone(),
-            data: self
-                .data
+        Ok(Self::raw(
+            self.shape.clone(),
+            self.data
                 .iter()
                 .zip(&other.data)
                 .map(|(&a, &b)| f(a, b))
                 .collect(),
-        })
+        ))
     }
 
     /// Multiply every element by a scalar.
@@ -281,6 +282,7 @@ impl Tensor {
 
     /// Fill the tensor with a constant.
     pub fn fill(&mut self, value: f32) {
+        self.key.take();
         for x in &mut self.data {
             *x = value;
         }
@@ -384,6 +386,65 @@ impl Tensor {
     }
 
     // ------------------------------------------------------------------
+    // Content keys
+    // ------------------------------------------------------------------
+
+    /// The 128-bit content key of each tensor: its shape, its length and the
+    /// exact bit pattern of every element, in two independently keyed 64-bit
+    /// halves. `dnnip-core` addresses every memory and disk cache entry by
+    /// it, so "same key" means "same cache entry".
+    ///
+    /// Each half is one [`lane_hashes`] chain over the data read as 64-bit
+    /// words (two `f32`s each, the first in the low half; a lone last
+    /// element is a low word), folded on with the rank and every dimension
+    /// through the splitmix64 finalizer ([`mix64`]).
+    ///
+    /// A key is derived once per content: the tensor keeps it, clones carry
+    /// it, and every `&mut self` method drops it. Only the tensors without a
+    /// key are hashed here, in one [`lane_hashes`] call, so they run eight
+    /// at a time; a batch of keyed tensors hashes nothing. The value does
+    /// not depend on the batch around a tensor.
+    ///
+    /// **No collision on one element.** Two same-shape tensors that differ in
+    /// one element differ in one word of one lane (or one tail word), keep
+    /// differing through every later step, and end in different values of
+    /// **both** halves. Tensors of different shape or length differ in what
+    /// the finalizer folds.
+    ///
+    /// Why lanes, and why eight tensors: with one dependent chain per half,
+    /// every word waits for the previous multiply. Four lanes per half give a
+    /// scalar build eight independent multiplies per block. Under
+    /// `target-cpu=native` on AVX-512 hosts, though, LLVM packs each half's
+    /// four lanes into one `vpmullq`, whose latency is several times a scalar
+    /// `imul`'s, so one tensor still ran as two dependent vector chains.
+    /// Eight tensors side by side give the vector multiplier sixteen
+    /// independent chains per block.
+    ///
+    /// `dnnip-core`'s disk tier stores entries under these keys: any change
+    /// to this derivation must bump its persistent format version.
+    pub fn content_keys(tensors: &[Tensor]) -> Vec<(u64, u64)> {
+        let unkeyed: Vec<&Tensor> = tensors.iter().filter(|t| t.key.get().is_none()).collect();
+        if !unkeyed.is_empty() {
+            let data: Vec<&[f32]> = unkeyed.iter().map(|t| t.data()).collect();
+            for (t, halves) in unkeyed.iter().zip(lane_hashes(&data, [CHAIN_LO, CHAIN_HI])) {
+                let [lo, hi] = halves.map(|mut h| {
+                    h = mix64(h ^ t.shape.len() as u64);
+                    for &d in &t.shape {
+                        h = mix64(h ^ d as u64);
+                    }
+                    h
+                });
+                // Another thread keying the same tensor stores the same value.
+                let _ = t.key.set((lo, hi));
+            }
+        }
+        tensors
+            .iter()
+            .map(|t| *t.key.get().expect("every tensor keyed above"))
+            .collect()
+    }
+
+    // ------------------------------------------------------------------
     // Comparisons
     // ------------------------------------------------------------------
 
@@ -401,6 +462,24 @@ impl Tensor {
     /// Whether any element is NaN or infinite.
     pub fn has_non_finite(&self) -> bool {
         self.data.iter().any(|x| !x.is_finite())
+    }
+}
+
+/// Equal shapes and elements; whether either side holds its content key does
+/// not matter.
+impl PartialEq for Tensor {
+    fn eq(&self, other: &Self) -> bool {
+        self.shape == other.shape && self.data == other.data
+    }
+}
+
+/// The shape and the data; the memoized content key is left out.
+impl std::fmt::Debug for Tensor {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Tensor")
+            .field("shape", &self.shape)
+            .field("data", &self.data)
+            .finish()
     }
 }
 

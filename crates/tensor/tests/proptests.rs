@@ -335,3 +335,117 @@ proptest! {
         prop_assert!((pooled.output.max().unwrap() - input.max().unwrap()).abs() < 1e-6);
     }
 }
+
+/// `t`'s content key, memoized or derived now.
+fn key(t: &Tensor) -> (u64, u64) {
+    Tensor::content_keys(std::slice::from_ref(t))[0]
+}
+
+/// A fresh, unkeyed tensor with `t`'s shape and data.
+fn rebuilt(t: &Tensor) -> Tensor {
+    Tensor::from_vec(t.data().to_vec(), t.shape()).unwrap()
+}
+
+/// The elements as bit patterns, so NaN payloads and signed zeros compare.
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.data().iter().map(|x| x.to_bits()).collect()
+}
+
+/// A named in-place change of a tensor.
+type Mutation<'a> = (&'static str, &'a dyn Fn(&mut Tensor));
+
+/// A tensor of 1–3 dimensions of 1–4 over NaN/±Inf/±0.0-salted data.
+fn salted_tensor() -> impl Strategy<Value = Tensor> {
+    (prop::collection::vec(1usize..5, 1..4), 0u64..1_000_000).prop_map(|(shape, seed)| {
+        Tensor::from_vec(salted(shape.iter().product(), seed), &shape).unwrap()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn content_key_follows_clones_and_every_mutation(
+        t in salted_tensor(), index in 0usize..64, seed in 0u64..1_000_000
+    ) {
+        let original = key(&t);
+        prop_assert_eq!(key(&t.clone()), original);
+        let i = index % t.len();
+        let other = Tensor::from_vec(salted(t.len(), seed), t.shape()).unwrap();
+        let value = salted(1, seed ^ 0x5eed)[0];
+        let mutations: [Mutation; 6] = [
+            ("data_mut", &|t| t.data_mut()[i] = f32::from_bits(t.data()[i].to_bits() ^ 1)),
+            ("set", &|t| {
+                let index: Vec<usize> = t.shape().iter().map(|&d| i % d).collect();
+                t.set(&index, value).unwrap();
+            }),
+            ("add_assign", &|t| t.add_assign(&other).unwrap()),
+            ("axpy", &|t| t.axpy(-0.5, &other).unwrap()),
+            ("fill", &|t| t.fill(value)),
+            ("fill again", &|t| t.fill(value)),
+        ];
+        // Each mutation runs on a keyed clone, whose key then has to be the
+        // one a freshly built tensor of the new content gets, and has to
+        // change exactly when some element's bits did.
+        let mut current = t.clone();
+        for (name, mutate) in mutations {
+            let before = (key(&current), bits(&current));
+            mutate(&mut current);
+            let after = key(&current);
+            prop_assert_eq!(after, key(&rebuilt(&current)), "after {}", name);
+            prop_assert_eq!(after != before.0, bits(&current) != before.1, "after {}", name);
+        }
+        // Mutating the clone left the original and its key alone.
+        prop_assert_eq!(key(&t), original);
+        prop_assert_eq!(key(&rebuilt(&t)), original);
+    }
+
+    #[test]
+    fn content_key_sees_the_shape(t in salted_tensor()) {
+        let original = key(&t);
+        prop_assert_eq!(key(&t.reshape(t.shape()).unwrap()), original);
+        let mut reversed = t.shape().to_vec();
+        reversed.reverse();
+        let mut longer = t.shape().to_vec();
+        longer.push(1);
+        for shape in [reversed, longer, vec![t.len()]] {
+            if shape != t.shape() {
+                prop_assert_ne!(key(&t.reshape(&shape).unwrap()), original, "{:?}", shape);
+            }
+        }
+    }
+
+    #[test]
+    fn batch_content_keys_equal_one_at_a_time_keys(
+        batch in prop::collection::vec(salted_tensor(), 0..20), keyed in 0u32..u32::MAX
+    ) {
+        // Some tensors arrive keyed, the rest are hashed in one call.
+        for (i, t) in batch.iter().enumerate() {
+            if (keyed >> (i % 32)) & 1 == 1 {
+                key(t);
+            }
+        }
+        let keys = Tensor::content_keys(&batch);
+        prop_assert_eq!(keys.len(), batch.len());
+        for (t, batched) in batch.iter().zip(&keys) {
+            prop_assert_eq!(*batched, key(&rebuilt(t)));
+            prop_assert_eq!(*batched, key(t));
+        }
+        prop_assert_eq!(Tensor::content_keys(&batch), keys);
+    }
+
+    #[test]
+    fn a_keyed_tensor_compares_and_prints_as_an_unkeyed_one(t in salted_tensor()) {
+        let unkeyed = rebuilt(&t);
+        let equal = t == unkeyed;
+        key(&t);
+        prop_assert_eq!(t == unkeyed, equal);
+        prop_assert_eq!(unkeyed == t, equal);
+        prop_assert_eq!(format!("{t:?}"), format!("{unkeyed:?}"));
+        // Without NaNs the two are equal.
+        let finite = t.map(|x| if x.is_nan() { 0.0 } else { x });
+        let unkeyed = rebuilt(&finite);
+        key(&finite);
+        prop_assert!(finite == unkeyed);
+    }
+}
