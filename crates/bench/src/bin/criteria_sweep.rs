@@ -75,6 +75,9 @@ fn main() {
     let pool: Vec<Tensor> = (0..pool_size)
         .map(|i| Tensor::from_fn(&[1, 16, 16], |j| ((i * 256 + j) as f32 * 0.07).sin().abs()))
         .collect();
+    // Key the pool once: each criterion's request runs on a clone of it,
+    // and clones carry their source's content keys.
+    Tensor::content_keys(&pool);
     let config = CoverageConfig {
         exec: ExecPolicy::auto(),
         ..CoverageConfig::default()

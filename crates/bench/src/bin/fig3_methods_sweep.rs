@@ -14,6 +14,7 @@ use dnnip_core::generator::GenerationMethod;
 use dnnip_core::gradgen::GradGenConfig;
 use dnnip_core::par::ExecPolicy;
 use dnnip_core::workspace::TestGenRequest;
+use dnnip_tensor::Tensor;
 
 fn main() {
     let profile = ExperimentProfile::from_env_or_args();
@@ -32,6 +33,9 @@ fn main() {
     let evaluator = evaluator_in(&ws, &model);
     let pool_size = profile.candidate_pool().min(model.dataset.len());
     let pool = &model.dataset.inputs[..pool_size];
+    // Key the pool once: every request below runs on a clone of it, and
+    // clones carry their source's content keys, so no run re-hashes it.
+    Tensor::content_keys(pool);
     println!(
         "{}: {} parameters, {} coverable units under criterion {}, candidate pool of {} \
          training images, train acc {}",

@@ -22,6 +22,7 @@ use dnnip_core::coverage::CoverageConfig;
 use dnnip_core::generator::GenerationMethod;
 use dnnip_core::workspace::TestGenRequest;
 use dnnip_serve::graph_pool;
+use dnnip_tensor::Tensor;
 use std::hint::black_box;
 
 /// The criteria swept, each a row of the JSON.
@@ -75,6 +76,9 @@ fn main() {
             .expect("graph_sweep always resolves to a graph model"),
     );
     let pool = graph_pool(&graph, pool_size, seed);
+    // Key the pool once: each criterion's request runs on a clone of it,
+    // and clones carry their source's content keys.
+    Tensor::content_keys(&pool);
     let model = ws.register(spec.name(), graph.clone(), CoverageConfig::default());
 
     let mut rows: Vec<Row> = Vec::new();

@@ -43,6 +43,9 @@ pub fn detection_table(
     let fingerprint = register_model(ws, model);
     let pool_size = profile.candidate_pool().min(model.dataset.len());
     let pool = &model.dataset.inputs[..pool_size];
+    // Key the pool once: both requests below run on clones of it, and
+    // clones carry their source's content keys.
+    Tensor::content_keys(pool);
     let probes: Vec<Tensor> = model.dataset.inputs[..profile.probe_count().min(pool_size)].to_vec();
 
     let max_budget = *profile

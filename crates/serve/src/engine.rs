@@ -570,8 +570,8 @@ fn panic_message(payload: &(dyn Any + Send)) -> &str {
 
 /// Resolve a generate spec into the workspace request it runs, or the
 /// structured `bad_request` response that rejects it. The batch's
-/// [`PoolMemo`] makes identical synthetic pool specs materialize once per
-/// batch instead of once per member.
+/// [`PoolMemo`] makes identical synthetic pool specs materialize, and hash
+/// their content keys, once per batch instead of once per member.
 fn build_request(
     state: &Arc<ServiceState>,
     id: &str,
@@ -596,6 +596,9 @@ fn build_request(
                         .pool
                         .materialize(&model.input_shape)
                         .map_err(|message| error_response(id, "bad_request", &message))?;
+                    // Key the pool once: every member that names it runs on
+                    // a clone, and clones carry their source's content keys.
+                    Tensor::content_keys(&pool);
                     slot.insert(pool).clone()
                 }
             }

@@ -125,6 +125,9 @@ impl Tensor {
     }
 
     /// Mutable access to the flat row-major data slice.
+    ///
+    /// Every write to the data goes through here, so this is the one place
+    /// that drops the content key.
     pub fn data_mut(&mut self) -> &mut [f32] {
         self.key.take();
         &mut self.data
@@ -154,8 +157,7 @@ impl Tensor {
     /// out of range.
     pub fn set(&mut self, index: &[usize], value: f32) -> Result<()> {
         let off = shape::offset(&self.shape, index)?;
-        self.key.take();
-        self.data[off] = value;
+        self.data_mut()[off] = value;
         Ok(())
     }
 
@@ -213,8 +215,7 @@ impl Tensor {
     /// Returns [`TensorError::ShapeMismatch`] if the shapes differ.
     pub fn add_assign(&mut self, other: &Self) -> Result<()> {
         shape::check_same(&self.shape, &other.shape, "add_assign")?;
-        self.key.take();
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
+        for (a, b) in self.data_mut().iter_mut().zip(&other.data) {
             *a += b;
         }
         Ok(())
@@ -228,8 +229,7 @@ impl Tensor {
     /// Returns [`TensorError::ShapeMismatch`] if the shapes differ.
     pub fn axpy(&mut self, alpha: f32, other: &Self) -> Result<()> {
         shape::check_same(&self.shape, &other.shape, "axpy")?;
-        self.key.take();
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
+        for (a, b) in self.data_mut().iter_mut().zip(&other.data) {
             *a += alpha * b;
         }
         Ok(())
@@ -282,10 +282,7 @@ impl Tensor {
 
     /// Fill the tensor with a constant.
     pub fn fill(&mut self, value: f32) {
-        self.key.take();
-        for x in &mut self.data {
-            *x = value;
-        }
+        self.data_mut().fill(value);
     }
 
     // ------------------------------------------------------------------
@@ -403,7 +400,9 @@ impl Tensor {
     /// it, and every `&mut self` method drops it. Only the tensors without a
     /// key are hashed here, in one [`lane_hashes`] call, so they run eight
     /// at a time; a batch of keyed tensors hashes nothing. The value does
-    /// not depend on the batch around a tensor.
+    /// not depend on the batch around a tensor. A key lives only as long as
+    /// its tensor, so a caller that clones one pool into several requests
+    /// keys the pool first; otherwise each request hashes its own clone.
     ///
     /// **No collision on one element.** Two same-shape tensors that differ in
     /// one element differ in one word of one lane (or one tail word), keep
