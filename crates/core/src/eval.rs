@@ -418,6 +418,7 @@ impl CoveredSetCache {
         // Keys some other thread is computing right now: (key, slots, sample).
         let mut waits: Vec<(CacheKey, Vec<usize>, Tensor)> = Vec::new();
         let mut key_to_wait: HashMap<CacheKey, usize> = HashMap::new();
+        let mut probe = self.disk.as_ref().map(|d| d.probe());
         for (i, (sample, &key)) in samples.iter().zip(keys).enumerate() {
             if let Some(value) = self.get(&key) {
                 out[i] = Some(value);
@@ -434,7 +435,7 @@ impl CoveredSetCache {
             // First in-memory miss of this key in the request: probe the
             // persistent tier before scheduling a fresh computation. A disk
             // hit is promoted into memory, so later duplicates hit there.
-            if let Some(value) = self.disk.as_ref().and_then(|d| d.load(&key)) {
+            if let Some(value) = probe.as_mut().and_then(|p| p.load(&key)) {
                 let value = Arc::new(value);
                 self.note_misses(1);
                 self.insert(key, &value);

@@ -27,9 +27,18 @@
 //! syscall traffic that used to dominate the disk-warm path.
 //!
 //! Reads go through an in-memory index: the first probe of a
-//! `(model, criterion)` directory scans its segments once (a sequential read
-//! per file), after which every lookup is an offset into a cached segment
-//! buffer. **Any** structural violation — short file, bad magic, wrong
+//! `(model, criterion)` directory scans its segments (a sequential read per
+//! file), after which every lookup is an offset into a cached segment
+//! buffer. Other processes may add segments later, so each cache request's
+//! first load from the tier re-stats the directory; when the directory's
+//! modification time differs from the one read just before the last scan,
+//! the tier lists it again and indexes only the segments it has not seen.
+//! The tier's own writes do not force that listing: a write that finds the
+//! directory's time unchanged since the scan records the time it leaves. A
+//! segment another process renames in within the same timestamp tick as one
+//! of these stats, or while this process writes, is picked up by the next
+//! change to the directory instead: until then its entries are recomputed,
+//! never wrong. **Any** structural violation — short file, bad magic, wrong
 //! version, checksum mismatch, undecodable payload — degrades to a silent
 //! cache miss, never an error. A corrupted or concurrently deleted segment
 //! costs recomputation, nothing more.
@@ -54,7 +63,7 @@
 //! foreign file, another process's in-flight `.tmp-*` file — is left alone.
 //! Clearing a tier means deleting its directory.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -186,6 +195,11 @@ struct Buffer {
 #[derive(Debug, Default)]
 struct DirIndex {
     scanned: bool,
+    /// The directory's modification time, read just before the last scan
+    /// (`None` when it did not exist).
+    mtime: Option<SystemTime>,
+    /// Every segment file the index has read (or written) in the directory.
+    paths: HashSet<PathBuf>,
     entries: HashMap<(u64, u64), (u64, usize)>,
 }
 
@@ -230,11 +244,13 @@ pub struct DiskTier {
     root: PathBuf,
     max_bytes: Option<u64>,
     inner: Mutex<TierInner>,
-    /// Per-process unique suffix source for temp files and segment names
-    /// (writes go to a temp name and rename into place, so readers never
-    /// observe a partial segment).
-    counter: AtomicU64,
 }
+
+/// Per-process unique suffix source for temp files and segment names (writes
+/// go to a temp name and rename into place, so readers never observe a
+/// partial segment). One for the process, not one per tier, so two tiers on
+/// one root in one process never write the same segment name.
+static NAME_COUNTER: AtomicU64 = AtomicU64::new(0);
 
 impl DiskTier {
     /// Create a tier rooted at `root` (created lazily on first write), with
@@ -244,7 +260,6 @@ impl DiskTier {
             root: root.into(),
             max_bytes: None,
             inner: Mutex::new(TierInner::default()),
-            counter: AtomicU64::new(0),
         }
     }
 
@@ -295,11 +310,23 @@ impl DiskTier {
             .join(format!("{criterion:016x}"))
     }
 
+    /// A probe session for one cache request. Its first
+    /// [`DiskProbe::load`] stats the entry's directory and rescans it when
+    /// another process has changed it since the last scan; its later loads
+    /// trust the index. So a request costs at most one directory `stat`,
+    /// and a request served from memory, which never probes, costs none.
+    pub(crate) fn probe(&self) -> DiskProbe<'_> {
+        DiskProbe {
+            tier: self,
+            rechecked: false,
+        }
+    }
+
     /// Load and decode one entry; `None` on anything short of a pristine
-    /// record.
-    pub(crate) fn load(&self, key: &CacheKey) -> Option<Bitset> {
+    /// record. `recheck` re-stats an already scanned directory.
+    fn load(&self, key: &CacheKey, recheck: bool) -> Option<Bitset> {
         let mut inner = self.lock();
-        self.ensure_dir_scanned(&mut inner, key.net, key.criterion);
+        self.ensure_dir_scanned(&mut inner, key.net, key.criterion, recheck);
         let decoded = self.lookup(&mut inner, key);
         if decoded.is_some() {
             inner.stats.hits += 1;
@@ -406,32 +433,53 @@ impl DiskTier {
             }
             false
         });
+        for dir in dirs.values_mut() {
+            dir.paths.remove(path);
+        }
         if let Some(meta) = inner.files.remove(path) {
             inner.total_bytes = inner.total_bytes.saturating_sub(meta.bytes);
         }
     }
 
-    /// Scan a `(model, criterion)` directory's segments into the index (once
-    /// per directory per process; segments written by this process are added
-    /// incrementally as they are stored). Each segment's records are verified
-    /// as its bytes are read.
-    fn ensure_dir_scanned(&self, inner: &mut TierInner, net: NetworkFingerprint, criterion: u64) {
-        if inner.dirs.get(&(net, criterion)).is_some_and(|d| d.scanned) {
+    /// Scan a `(model, criterion)` directory's segments into the index: on
+    /// its first probe, and again on a `recheck` that finds the directory's
+    /// modification time changed since the last scan, in which case only
+    /// segments the index has not seen are read. Segments written by this
+    /// process are added as they are stored. Each segment's records are
+    /// verified as its bytes are read.
+    fn ensure_dir_scanned(
+        &self,
+        inner: &mut TierInner,
+        net: NetworkFingerprint,
+        criterion: u64,
+        recheck: bool,
+    ) {
+        let scanned = inner.dirs.get(&(net, criterion)).filter(|d| d.scanned);
+        if scanned.is_some() && !recheck {
             return;
         }
         let dir = self.dir_path(net, criterion);
+        // Read before listing, so a segment renamed in during the listing
+        // changes the time again and the next recheck finds it.
+        let mtime = dir_mtime(&dir);
+        if scanned.is_some_and(|d| d.mtime == mtime) {
+            return;
+        }
+        let index = inner.dirs.entry((net, criterion)).or_default();
         let mut paths: Vec<PathBuf> = Vec::new();
         if let Ok(read) = std::fs::read_dir(&dir) {
             for entry in read.flatten() {
                 let path = entry.path();
-                if is_segment(&path) {
+                if is_segment(&path) && !index.paths.contains(&path) {
                     paths.push(path);
                 }
             }
         }
-        // Deterministic scan order, so when two segments both carry a sample
-        // (a corrupt entry that was recomputed and re-spilled), the surviving
-        // index entry does not depend on readdir order.
+        index.scanned = true;
+        index.mtime = mtime;
+        // Deterministic scan order, so when two new segments both carry a
+        // sample (a corrupt entry that was recomputed and re-spilled), the
+        // surviving index entry does not depend on readdir order.
         paths.sort();
         for path in paths {
             let Ok(bytes) = std::fs::read(&path) else {
@@ -441,6 +489,7 @@ impl DiskTier {
             let id = inner.next_segment;
             inner.next_segment += 1;
             let index = inner.dirs.entry((net, criterion)).or_default();
+            index.paths.insert(path.clone());
             for (r, record) in records.iter().enumerate() {
                 index.entries.insert(record.sample, (id, r));
             }
@@ -448,7 +497,6 @@ impl DiskTier {
             inner.segments.insert(id, Segment { path, records });
             Self::admit(inner, id, bytes, intact);
         }
-        inner.dirs.entry((net, criterion)).or_default().scanned = true;
     }
 
     /// Encode and persist a batch of entries — **one segment file per
@@ -504,9 +552,17 @@ impl DiskTier {
             let path = dir.join(format!(
                 "seg-{}-{}.{SEG_EXT}",
                 std::process::id(),
-                self.counter.fetch_add(1, Ordering::Relaxed)
+                NAME_COUNTER.fetch_add(1, Ordering::Relaxed)
             ));
             let total = bytes.len() as u64;
+            // A scanned directory's time before this write: when it still is
+            // the time of the last scan, only this write changes it, and the
+            // index takes the new time so the next probe need not list it.
+            let before = inner
+                .dirs
+                .get(&(net, criterion))
+                .filter(|d| d.scanned)
+                .map(|_| dir_mtime(&dir));
             if !self.try_store(&dir, &path, bytes) {
                 inner.stats.write_errors += indices.len() as u64;
                 continue;
@@ -525,6 +581,10 @@ impl DiskTier {
             let id = inner.next_segment;
             let index = inner.dirs.entry((net, criterion)).or_default();
             if index.scanned {
+                if before == Some(index.mtime) {
+                    index.mtime = dir_mtime(&dir);
+                }
+                index.paths.insert(path.clone());
                 for (r, record) in records.iter().enumerate() {
                     index.entries.insert(record.sample, (id, r));
                 }
@@ -542,7 +602,7 @@ impl DiskTier {
         let temp = dir.join(format!(
             ".tmp-{}-{}",
             std::process::id(),
-            self.counter.fetch_add(1, Ordering::Relaxed)
+            NAME_COUNTER.fetch_add(1, Ordering::Relaxed)
         ));
         let written = std::fs::File::create(&temp)
             .and_then(|mut f| f.write_all(&bytes))
@@ -602,6 +662,26 @@ impl DiskTier {
         }
         inner.walked = true;
     }
+}
+
+/// One cache request's probes of a [`DiskTier`] (see [`DiskTier::probe`]).
+pub(crate) struct DiskProbe<'a> {
+    tier: &'a DiskTier,
+    rechecked: bool,
+}
+
+impl DiskProbe<'_> {
+    /// Load and decode one entry; `None` on anything short of a pristine
+    /// record. The session's first load rechecks the entry's directory.
+    pub(crate) fn load(&mut self, key: &CacheKey) -> Option<Bitset> {
+        let recheck = !std::mem::replace(&mut self.rechecked, true);
+        self.tier.load(key, recheck)
+    }
+}
+
+/// A directory's modification time; `None` when it cannot be read.
+fn dir_mtime(dir: &Path) -> Option<SystemTime> {
+    std::fs::metadata(dir).and_then(|m| m.modified()).ok()
 }
 
 /// Whether `path` names a segment file: the only files the tier reads,
@@ -748,7 +828,7 @@ mod tests {
         let root = temp_root("roundtrip");
         let tier = DiskTier::new(&root);
         let values: Vec<Bitset> = (0..5).map(|i| set(&[i, i + 64], 130)).collect();
-        assert!(tier.load(&key(1)).is_none(), "empty tier hit");
+        assert!(tier.probe().load(&key(1)).is_none(), "empty tier hit");
         // Five entries sharing one (model, criterion) → ONE segment file.
         let batch: Vec<(CacheKey, &Bitset)> = values
             .iter()
@@ -765,10 +845,10 @@ mod tests {
         // every entry from the scanned segment.
         let second = DiskTier::new(&root);
         for (k, v) in &batch {
-            assert_eq!(second.load(k).as_ref(), Some(*v));
+            assert_eq!(second.probe().load(k).as_ref(), Some(*v));
         }
         // A different key component misses even with the same sample hash.
-        assert!(second.load(&key(2)).is_none());
+        assert!(second.probe().load(&key(2)).is_none());
         let stats = second.stats();
         assert_eq!(stats.hits, 5);
         assert_eq!(stats.misses, 1);
@@ -785,7 +865,7 @@ mod tests {
         let tier = DiskTier::new(&root);
         let value = set(&[2], 64);
         tier.store_batch(&[(key(4), &value)]);
-        assert_eq!(tier.load(&key(4)), Some(value.clone()));
+        assert_eq!(tier.probe().load(&key(4)), Some(value.clone()));
         // The record checksum covers only the payload, so a record whose
         // kind field says anything but a covered set still verifies intact:
         // the kind check alone must turn it into a miss.
@@ -797,10 +877,13 @@ mod tests {
             let mut relabelled = pristine.clone();
             relabelled[kind_field] = kind;
             std::fs::write(&path, &relabelled).unwrap();
-            assert!(DiskTier::new(&root).load(&key(4)).is_none(), "kind {kind}");
+            assert!(
+                DiskTier::new(&root).probe().load(&key(4)).is_none(),
+                "kind {kind}"
+            );
         }
         std::fs::write(&path, &pristine).unwrap();
-        assert_eq!(DiskTier::new(&root).load(&key(4)), Some(value));
+        assert_eq!(DiskTier::new(&root).probe().load(&key(4)), Some(value));
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -816,7 +899,7 @@ mod tests {
         // Truncated below the first record: a fresh tier sees nothing.
         std::fs::write(&path, &pristine[..SEG_HEADER_BYTES + 4]).unwrap();
         assert!(
-            DiskTier::new(&root).load(&key(9)).is_none(),
+            DiskTier::new(&root).probe().load(&key(9)).is_none(),
             "truncated segment hit"
         );
         // Flipped payload byte (record checksum catches it): the last byte,
@@ -827,7 +910,7 @@ mod tests {
             flipped[at] ^= bit;
             std::fs::write(&path, &flipped).unwrap();
             assert!(
-                DiskTier::new(&root).load(&key(9)).is_none(),
+                DiskTier::new(&root).probe().load(&key(9)).is_none(),
                 "bad checksum hit (byte {at})"
             );
         }
@@ -836,12 +919,12 @@ mod tests {
         versioned[8] ^= 0xFF;
         std::fs::write(&path, &versioned).unwrap();
         assert!(
-            DiskTier::new(&root).load(&key(9)).is_none(),
+            DiskTier::new(&root).probe().load(&key(9)).is_none(),
             "bad version hit"
         );
         // Restoring the pristine bytes restores the hit.
         std::fs::write(&path, &pristine).unwrap();
-        assert_eq!(DiskTier::new(&root).load(&key(9)), Some(value));
+        assert_eq!(DiskTier::new(&root).probe().load(&key(9)), Some(value));
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -975,7 +1058,7 @@ mod tests {
         let tier = DiskTier::new(&root);
         for (i, value) in fixture_values().iter().enumerate() {
             assert_eq!(
-                tier.load(&fixture_key(i)).as_ref(),
+                tier.probe().load(&fixture_key(i)).as_ref(),
                 Some(value),
                 "record {i}"
             );
@@ -1014,7 +1097,7 @@ mod tests {
         };
         let expect_only_3_misses = |tier: &DiskTier| {
             for (i, value) in values.iter().enumerate() {
-                let loaded = tier.load(&fixture_key(i));
+                let loaded = tier.probe().load(&fixture_key(i));
                 if i == 3 {
                     assert!(loaded.is_none(), "corrupt record hit");
                 } else {
@@ -1035,10 +1118,13 @@ mod tests {
         std::fs::write(&path, &pristine).unwrap();
         let tier = DiskTier::new(&root);
         for (i, value) in values.iter().enumerate() {
-            assert_eq!(tier.load(&fixture_key(i)).as_ref(), Some(value));
+            assert_eq!(tier.probe().load(&fixture_key(i)).as_ref(), Some(value));
         }
         std::fs::write(&path, &flipped).unwrap();
-        assert_eq!(tier.load(&fixture_key(3)).as_ref(), Some(&values[3]));
+        assert_eq!(
+            tier.probe().load(&fixture_key(3)).as_ref(),
+            Some(&values[3])
+        );
         let filler = set(&[1], 64);
         for criterion in 0..MAX_RESIDENT_BUFFERS as u64 {
             let k = CacheKey {
@@ -1046,7 +1132,7 @@ mod tests {
                 ..key(5)
             };
             tier.store_batch(&[(k, &filler)]);
-            assert!(tier.load(&k).is_some());
+            assert!(tier.probe().load(&k).is_some());
         }
         expect_only_3_misses(&tier);
         let _ = std::fs::remove_dir_all(&root);
@@ -1101,6 +1187,79 @@ mod tests {
     }
 
     #[test]
+    fn a_probe_sees_segments_another_tier_stored_after_its_scan() {
+        let root = temp_root("rescan");
+        let (a, b) = (DiskTier::new(&root), DiskTier::new(&root));
+        let (one, two, three) = (set(&[1], 64), set(&[2], 64), set(&[3], 64));
+        let k = |sample: u64| CacheKey {
+            sample: (sample, sample),
+            ..key(1)
+        };
+        // A stores and then stamps the directory with a time of its own, as
+        // if a timestamp tick had passed since B's last stat.
+        let dir = a.dir_path(k(1).net, k(1).criterion);
+        let store = |entry: (CacheKey, &Bitset), second: u64| {
+            a.store_batch(&[entry]);
+            let stamp = SystemTime::UNIX_EPOCH + std::time::Duration::from_secs(second);
+            std::fs::File::open(&dir)
+                .unwrap()
+                .set_modified(stamp)
+                .unwrap();
+        };
+        // B scans the directory before it exists; A then creates it.
+        assert!(b.probe().load(&k(1)).is_none());
+        store((k(1), &one), 1);
+        assert_eq!(b.probe().load(&k(1)), Some(one));
+        assert!(b.probe().load(&k(2)).is_none());
+        store((k(2), &two), 2);
+        // One stat per session: a session that already rechecked trusts its
+        // index, and the next session finds the new segment.
+        let mut session = b.probe();
+        assert_eq!(session.load(&k(2)), Some(two));
+        store((k(3), &three), 3);
+        assert!(session.load(&k(3)).is_none());
+        assert_eq!(b.probe().load(&k(3)), Some(three));
+        // Every segment was read once: rescans index only new files.
+        assert_eq!(b.lock().segments.len(), 3);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn own_writes_keep_the_recorded_time_current_but_foreign_writes_do_not() {
+        let root = temp_root("own-write");
+        let (a, b) = (DiskTier::new(&root), DiskTier::new(&root));
+        let values: Vec<Bitset> = (0..4).map(|i| set(&[i], 64)).collect();
+        let k = |sample: u64| CacheKey {
+            sample: (sample, sample),
+            ..key(1)
+        };
+        let dir = b.dir_path(k(0).net, k(0).criterion);
+        let recorded = |t: &DiskTier| t.lock().dirs[&(k(0).net, k(0).criterion)].mtime;
+        let stamp = |second: u64| {
+            std::fs::File::open(&dir)
+                .unwrap()
+                .set_modified(SystemTime::UNIX_EPOCH + std::time::Duration::from_secs(second))
+                .unwrap();
+        };
+        b.store_batch(&[(k(0), &values[0])]);
+        assert_eq!(b.probe().load(&k(0)).as_ref(), Some(&values[0]));
+        // B's own write leaves the time it made as the recorded one, so its
+        // next probe does not list the directory again.
+        b.store_batch(&[(k(1), &values[1])]);
+        let after_own = recorded(&b);
+        assert_eq!(after_own, dir_mtime(&dir));
+        // A foreign segment lands before B's next write: B keeps the old
+        // time, and its next probe (a tick later) lists the new segment.
+        a.store_batch(&[(k(2), &values[2])]);
+        stamp(1);
+        b.store_batch(&[(k(3), &values[3])]);
+        assert_eq!(recorded(&b), after_own);
+        stamp(2);
+        assert_eq!(b.probe().load(&k(2)).as_ref(), Some(&values[2]));
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
     fn byte_budget_evicts_least_recently_accessed_segments() {
         let root = temp_root("budget");
         let value = set(&[1, 2, 3], 256);
@@ -1114,14 +1273,14 @@ mod tests {
         assert_eq!(tier.stats().evictions, 0);
         assert_eq!(tier.stats().resident_bytes, 2 * segment_bytes);
         // Touch key 1 so key 2 becomes the eviction victim.
-        assert!(tier.load(&key(1)).is_some());
+        assert!(tier.probe().load(&key(1)).is_some());
         tier.store_batch(&[(key(3), &value)]);
         let stats = tier.stats();
         assert_eq!(stats.evictions, 1);
         assert!(stats.resident_bytes <= 2 * segment_bytes);
-        assert!(tier.load(&key(1)).is_some(), "recently used");
-        assert!(tier.load(&key(3)).is_some(), "just written");
-        assert!(tier.load(&key(2)).is_none(), "evicted");
+        assert!(tier.probe().load(&key(1)).is_some(), "recently used");
+        assert!(tier.probe().load(&key(3)).is_some(), "just written");
+        assert!(tier.probe().load(&key(2)).is_none(), "evicted");
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -1146,7 +1305,7 @@ mod tests {
         let (first, second) = batch.split_at(4);
         let loads_match = |entries: &[(CacheKey, &Bitset)]| {
             for (k, v) in entries {
-                assert_eq!(tier.load(k).as_ref(), Some(*v));
+                assert_eq!(tier.probe().load(k).as_ref(), Some(*v));
             }
         };
         tier.store_batch(first);
@@ -1197,7 +1356,7 @@ mod tests {
         let stats = tier.stats();
         assert!(stats.evictions >= 2, "evictions: {}", stats.evictions);
         assert!(stats.resident_bytes <= segment_bytes + 8);
-        assert!(tier.load(&key(3)).is_some(), "newest survives");
+        assert!(tier.probe().load(&key(3)).is_some(), "newest survives");
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -1238,8 +1397,8 @@ mod tests {
         });
         assert_eq!(stats.resident_bytes, 2 * segment_bytes);
         assert_eq!(stats.resident_bytes, segments_on_disk);
-        assert!(tier.load(&key(1)).is_none(), "evicted");
-        assert!(tier.load(&key(3)).is_some(), "just written");
+        assert!(tier.probe().load(&key(1)).is_none(), "evicted");
+        assert!(tier.probe().load(&key(3)).is_some(), "just written");
         let _ = std::fs::remove_dir_all(&root);
     }
 }

@@ -20,9 +20,10 @@
 //!   passes run back to back. Its forward lowers each convolution's block
 //!   once and keeps the blocks side by side in the arena, and its backward
 //!   passes read them in place for the weight gradient
-//!   `∂L/∂Wᵀ = cols · ∂L/∂outᵀ` (`gemm_nt` takes the large block as the left
-//!   operand, so only the small `∂L/∂out` is packed; a small
-//!   `[C·KH·KW, OC]` transpose then writes `∂L/∂W`). The input gradient is
+//!   `∂L/∂Wᵀ = cols · ∂L/∂outᵀ`. `kernels::gemm_nt` takes the large block
+//!   as the left operand, so only the small `∂L/∂out` is packed, and its
+//!   register tiles store transposed, so `∂L/∂W` (`[OC, C·KH·KW]`) goes
+//!   straight into the flat parameter-gradient slice. The input gradient is
 //!   `col2im(Wᵀ · ∂L/∂out)`; where no parameterized layer lies upstream it is
 //!   never needed and is skipped. A Dense layer's two degenerate products are
 //!   written out: the weight gradient as the outer product `0.0 + a·g`, the
@@ -675,19 +676,9 @@ impl BatchGradientEngine {
                             let w_len = oc * ckk;
                             // ∂L/∂Wᵀ = cols · ∂L/∂outᵀ: the large block is read
                             // in place as the left operand and only the small
-                            // ∂L/∂out is packed. Each element folds the same
-                            // products over the same ascending `per`, operands
-                            // swapped, so the small transpose into the flat
-                            // slice gives ∂L/∂W.
-                            let dw_t = ScratchArena::sized(&mut arena.grad_cols, ckk * oc);
-                            kernels::gemm_nt(ckk, per, oc, block, god, dw_t);
-                            for oci in 0..oc {
-                                let row = &mut dst[oci * ckk..(oci + 1) * ckk];
-                                for (slot, &v) in row.iter_mut().zip(dw_t[oci..].iter().step_by(oc))
-                                {
-                                    *slot = v;
-                                }
-                            }
+                            // ∂L/∂out is packed. The tiles store transposed,
+                            // so ∂L/∂W lands in the flat slice directly.
+                            kernels::gemm_nt(ckk, per, oc, block, god, &mut dst[..w_len]);
                             for (oci, slot) in dst[w_len..].iter_mut().enumerate() {
                                 *slot = god[oci * per..(oci + 1) * per].iter().sum();
                             }

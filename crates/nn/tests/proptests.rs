@@ -341,7 +341,7 @@ proptest! {
     #[test]
     fn padded_streams_are_rejected(seed in 0u64..50, extra in 1usize..16, byte in 0u8..255) {
         let mut bytes = serialize::to_bytes(&zoo::branching_classifier(seed).expect("valid"));
-        bytes.extend(std::iter::repeat(byte).take(extra));
+        bytes.extend(std::iter::repeat_n(byte, extra));
         // Appended bytes shift the checksum trailer off the real digest.
         prop_assert!(serialize::from_bytes(&bytes).is_err());
     }

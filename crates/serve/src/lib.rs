@@ -23,6 +23,8 @@
 //! The `dnnip-serve` binary speaks the protocol on stdin/stdout by default
 //! and on a Unix domain socket with `--socket PATH`.
 
+#![forbid(unsafe_code)]
+
 pub mod engine;
 pub mod json;
 pub mod protocol;

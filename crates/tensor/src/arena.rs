@@ -28,8 +28,8 @@ pub struct ScratchArena {
     /// The zero-padded `[C, H+2p, W+2p]` copy of the sample a convolution is
     /// lowering, which im2col reads its whole-width runs from.
     pub padded: Vec<f32>,
-    /// Gradient column-matrix scratch: a convolution's `∂L/∂Wᵀ` before its
-    /// transpose into the flat gradient, then `Wᵀ · ∂L/∂out` before col2im.
+    /// Gradient column-matrix scratch: a convolution's `Wᵀ · ∂L/∂out`
+    /// before col2im.
     pub grad_cols: Vec<f32>,
     /// Spare gradient buffers. A backward pass takes each node's `∂L/∂out`
     /// buffer from here and hands every buffer back when it ends, so a chain

@@ -1,40 +1,68 @@
 //! Cache-blocked, register-tiled matrix-multiplication micro-kernels.
 //!
 //! [`gemm`] is the engine behind [`crate::ops::matmul`]; [`gemm_nt`] computes
-//! `a · bᵀ` for the batched gradient engine. Both walk the output matrix in `MR`×`NR` register
-//! tiles: the right-hand operand is first packed, `NR` columns at a time, into
-//! a `[k × NR]` panel laid out so the micro-kernel streams it sequentially,
-//! and each tile keeps its `MR·NR` partial sums in a fixed-size accumulator
-//! array the compiler can hold in vector registers. The inner loops have
-//! constant trip counts (`MR`, `NR`), so they unroll and auto-vectorize —
-//! SIMD lanes map *across output columns*, never across the `k` reduction.
+//! `a · bᵀ` for the batched gradient engine and stores it transposed. Both
+//! walk the output matrix in
+//! `MR`×`NR` register tiles: the right-hand operand is first packed, `NR`
+//! columns at a time, into a `[k × NR]` panel laid out so the micro-kernel
+//! streams it sequentially, and each tile keeps its `MR·NR` partial sums in
+//! vector registers. SIMD lanes map *across output columns*, never across the
+//! `k` reduction.
 //!
 //! # Tile size
 //!
-//! The tile is 6×16, the BLIS-style sgemm tile for a 16-register vector file
-//! (AVX2's `ymm0..15`): a tile row is two 8-lane vectors, so the twelve
-//! two-vector accumulators, the two vectors of the current panel row and one
-//! broadcast of `a[i][p]` fit in sixteen registers without spilling. On the
-//! engine's convolution GEMM shapes 6×16 was faster than 8×8, 12×16 and
-//! 8×32.
+//! The tile is chosen at build time.
 //!
-//! The native build (`target-cpu=native`) runs 256-bit vectors, not 512-bit
-//! ones, even on an AVX-512 host: LLVM prefers 256-bit vectors for such CPUs.
-//! On an AVX-512 Xeon, `objdump -d perfbench/target/release/perfbench`
-//! showed 231 packed `vmulps`/`vaddps` on `ymm` registers, 59 on `xmm` and
-//! none on `zmm`, and native and `x86-64-v3` builds measured the same GEMM
-//! GFLOP/s.
+//! * **AVX-512 builds** (`cfg(target_feature = "avx512f")`, which the repo's
+//!   default `target-cpu=native` turns on for an AVX-512 host) run a 12×16
+//!   tile written in explicit 512-bit intrinsics: a tile row is one `zmm`
+//!   register, so the twelve accumulators, the current panel row and one
+//!   broadcast of `a[i][p]` use 14 of the 32 vector registers. Timed on the
+//!   scaled zoo models' convolution GEMMs (fastest of 3000 calls per
+//!   shape), 12×16 and 16×16 tied and 8×16 was 10–30% slower: the input
+//!   gradient's small `k` (the output channels) leaves too little work per
+//!   8-row tile to hide its loads and stores.
+//! * **Every other build** runs the portable 6×16 tile, the BLIS-style sgemm
+//!   tile for a 16-register vector file (AVX2's `ymm0..15`): a tile row is
+//!   two 8-lane vectors, so the twelve two-vector accumulators, the two
+//!   vectors of the current panel row and one broadcast fit in sixteen
+//!   registers without spilling. Its inner loops have constant trip counts
+//!   (`MR`, `NR`), so they unroll and auto-vectorize. On the engine's
+//!   convolution GEMM shapes 6×16 was faster than 8×8, 12×16 and 8×32.
+//!
+//! The 512-bit tile is written by hand because the compiler does not write
+//! it: LLVM prefers 256-bit vectors on AVX-512 CPUs, and a native build of
+//! the portable tile has packed `vmulps`/`vaddps` on `ymm` and `xmm`
+//! registers only, none on `zmm`. Forcing 512-bit auto-vectorization
+//! (`-C target-feature=-prefer-256-bit`) widens the portable tile too, but it
+//! changes every other loop of the build as well, and on one `cifar-scaled`
+//! sample's convolution GEMMs it stayed slower than the hand-written tile
+//! (142 against 128 µs, fastest of 3000 calls per shape). The intrinsics
+//! live in the `avx512` submodule, the one module in the workspace where `unsafe_code` is allowed; plain asserts bound every
+//! pointer offset it uses before it dereferences one.
 //!
 //! # Full-width panels
 //!
 //! A panel is full width when `NR` output columns remain (`nr == NR`), which
 //! is every panel but the last of a ragged `n`. There, `pack_panel` and
-//! `pack_panel_t` write each panel row, and the micro-kernel stores each
-//! tile row, as one fixed `[f32; NR]` array. A `copy_from_slice` of runtime
-//! length compiles to a `memcpy` call, and on small-`k` products (a
+//! `pack_panel_t` write each panel row, and the portable micro-kernel stores
+//! each tile row, as one fixed `[f32; NR]` array. A `copy_from_slice` of
+//! runtime length compiles to a `memcpy` call, and on small-`k` products (a
 //! convolution's input gradient has `k` = output channels) those calls cost
 //! as much as the arithmetic. Edge panels copy `nr` columns and zero the
-//! rest.
+//! rest; the 512-bit tile writes an edge tile row with one masked store.
+//!
+//! # Transposed store
+//!
+//! [`gemm_nt`] runs the same tiles as [`gemm`] but writes tile element
+//! `(r, c)` to `out[c][r]`, so the product `a · bᵀ` lands as `[n, m]`. The
+//! batched engine's convolution weight gradient computes
+//! `∂L/∂Wᵀ = cols · ∂L/∂outᵀ`, reading the large im2col block in place as the
+//! left operand and packing only the small `∂L/∂out`, and stores it through
+//! this path straight into the `[OC, C·KH·KW]` parameter-gradient slice.
+//! Swapping the operands instead would give that layout in row order but
+//! pack the large block. A transposed tile spills its accumulators once and
+//! writes `nr` runs of `M` contiguous elements.
 //!
 //! # Bit-identity contract
 //!
@@ -43,22 +71,26 @@
 //! exactly the accumulation order of the naive reference loops
 //! ([`crate::ops::matmul_reference`] / [`crate::ops::matmul_nt_reference`]).
 //! Tiling only interleaves *independent* per-element folds; it never splits,
-//! reorders or pairwise-reduces a single fold, and rustc never contracts a
-//! multiply and an add into an FMA. Results are therefore bit-identical to
-//! the references for all inputs, ±Inf and signed zeros included. A NaN
-//! result is NaN at exactly the same positions, but its sign and payload are
-//! not pinned: Rust leaves them unspecified, and LLVM may commute an `fadd`
-//! or `fmul`, which changes which operand's NaN survives. [`bit_mismatch`]
-//! is the comparison this contract is stated in. Edge tiles (when
-//! `m % MR != 0` or `n % NR != 0`) run the same micro-kernel with fewer live
-//! rows/columns; padded panel columns are zeroed and their accumulators
+//! reorders or pairwise-reduces a single fold. Neither tile contracts a
+//! multiply and an add into an FMA: rustc never does so on its own, and the
+//! 512-bit tile issues one `_mm512_mul_ps` and then one `_mm512_add_ps` per
+//! step. Results are therefore bit-identical to the references for all
+//! inputs, ±Inf and signed zeros included, whichever tile the build runs. A
+//! NaN result is NaN at exactly the same positions, but its sign and payload
+//! are not pinned: Rust leaves them unspecified, and LLVM may commute an
+//! `fadd` or `fmul`, which changes which operand's NaN survives.
+//! [`bit_mismatch`] is the comparison this contract is stated in. Edge tiles
+//! (when `m % MR != 0` or `n % NR != 0`) run the same micro-kernel with fewer
+//! live rows/columns; padded panel columns are zeroed and their accumulators
 //! discarded, so they cannot contaminate real outputs. The differential
 //! proptests in `crates/tensor/tests/proptests.rs` pin this contract across
-//! ragged shapes.
+//! ragged shapes, and CI runs them in AVX-512, AVX2 and baseline builds.
 
-/// Rows per register tile (live accumulator rows in the micro-kernel).
-pub const MR: usize = 6;
-/// Columns per register tile: two 256-bit vectors of `f32` per row.
+/// Rows per register tile (live accumulator rows in the micro-kernel): 12
+/// in AVX-512 builds, 6 otherwise.
+pub const MR: usize = tile::MR;
+/// Columns per register tile: one 512-bit or two 256-bit vectors of `f32`
+/// per row.
 pub const NR: usize = 16;
 
 /// First lane at which `a` and `b` break the bit-identity contract, or `None`
@@ -80,44 +112,115 @@ pub fn bit_mismatch(a: &[f32], b: &[f32]) -> Option<usize> {
         .or((a.len() != b.len()).then(|| a.len().min(b.len())))
 }
 
-/// `MR`×`NR` register-tile micro-kernel with `M ∈ 1..=MR` live rows.
-///
-/// `a` holds the tile's rows at stride `lda` (row `r` is
-/// `a[r*lda .. r*lda+k]`), `panel` is the packed `[k × NR]` right-hand panel,
-/// and the first `nr` columns of the tile are written to `out` at stride
-/// `ldc`. Padded panel columns (`c >= nr`) are computed into accumulators that
-/// are simply never written back.
-#[inline]
-fn kernel<const M: usize>(
-    k: usize,
-    a: &[f32],
-    lda: usize,
-    panel: &[f32],
-    out: &mut [f32],
-    ldc: usize,
-    nr: usize,
-) {
-    let rows: [&[f32]; M] = std::array::from_fn(|r| &a[r * lda..r * lda + k]);
-    let mut acc = [[0.0f32; NR]; M];
-    for (p, bp) in panel.chunks_exact(NR).take(k).enumerate() {
-        for r in 0..M {
-            let av = rows[r][p];
-            for (accv, &bv) in acc[r].iter_mut().zip(bp) {
-                *accv += av * bv;
+/// Where a micro-kernel writes tile element `(r, c)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Store {
+    /// To `out[r*ldc + c]`: the product as computed.
+    Rows,
+    /// To `out[c*ldc + r]`: the product transposed.
+    Cols,
+}
+
+/// The transposed store of a finished tile: column `c < nr` of `acc` becomes
+/// the `M` contiguous elements at `out[c*ldc ..]`.
+fn store_cols<const M: usize>(acc: &[[f32; NR]; M], out: &mut [f32], ldc: usize, nr: usize) {
+    for (c, dst) in out.chunks_mut(ldc).take(nr).enumerate() {
+        let dst: &mut [f32; M] = (&mut dst[..M]).try_into().expect("M-long tile column");
+        *dst = std::array::from_fn(|r| acc[r][c]);
+    }
+}
+
+/// Runs the micro-kernel `kernel::<M>(k, a, lda, panel, out, ldc, nr, store)`
+/// for a tile of `$mr` live rows, one monomorphized kernel per listed `M`.
+macro_rules! dispatch_rows {
+    ($mr:expr, $args:tt, $($m:literal)+) => {
+        match $mr {
+            $($m => kernel::<$m> $args,)+
+            mr => unreachable!("a tile has 1..=MR rows, not {mr}"),
+        }
+    };
+}
+
+#[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+#[allow(unsafe_code)]
+mod avx512;
+#[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+use avx512 as tile;
+#[cfg(not(all(target_arch = "x86_64", target_feature = "avx512f")))]
+use portable as tile;
+
+/// The portable tile: `MR` rows of two 256-bit vectors, auto-vectorized.
+#[cfg(not(all(target_arch = "x86_64", target_feature = "avx512f")))]
+mod portable {
+    use super::{store_cols, Store, NR};
+
+    /// Rows per portable register tile.
+    pub(super) const MR: usize = 6;
+
+    /// Runs the tile of `mr ∈ 1..=MR` live rows; see [`kernel`].
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    pub(super) fn tile(
+        mr: usize,
+        k: usize,
+        a: &[f32],
+        lda: usize,
+        panel: &[f32],
+        out: &mut [f32],
+        ldc: usize,
+        nr: usize,
+        store: Store,
+    ) {
+        dispatch_rows!(mr, (k, a, lda, panel, out, ldc, nr, store), 1 2 3 4 5 6)
+    }
+
+    /// `MR`×`NR` register-tile micro-kernel with `M ∈ 1..=MR` live rows.
+    ///
+    /// `a` holds the tile's rows at stride `lda` (row `r` is
+    /// `a[r*lda .. r*lda+k]`), `panel` is the packed `[k × NR]` right-hand
+    /// panel, and the first `nr` columns of the tile are written to `out` at
+    /// stride `ldc`, as rows or transposed as `store` says. Padded panel
+    /// columns (`c >= nr`) are computed into accumulators that are simply
+    /// never written back.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    fn kernel<const M: usize>(
+        k: usize,
+        a: &[f32],
+        lda: usize,
+        panel: &[f32],
+        out: &mut [f32],
+        ldc: usize,
+        nr: usize,
+        store: Store,
+    ) {
+        let rows: [&[f32]; M] = std::array::from_fn(|r| &a[r * lda..r * lda + k]);
+        let mut acc = [[0.0f32; NR]; M];
+        for (p, bp) in panel.chunks_exact(NR).take(k).enumerate() {
+            for r in 0..M {
+                let av = rows[r][p];
+                for (accv, &bv) in acc[r].iter_mut().zip(bp) {
+                    *accv += av * bv;
+                }
             }
         }
-    }
-    if nr == NR {
-        // A full-width tile row is one fixed-size store, not a copy call.
-        for (r, row) in acc.iter().enumerate() {
-            let dst: &mut [f32; NR] = (&mut out[r * ldc..r * ldc + NR])
-                .try_into()
-                .expect("NR-wide tile row");
-            *dst = *row;
-        }
-    } else {
-        for (r, row) in acc.iter().enumerate() {
-            out[r * ldc..r * ldc + nr].copy_from_slice(&row[..nr]);
+        match store {
+            Store::Cols => store_cols(&acc, out, ldc, nr),
+            Store::Rows if nr == NR => {
+                // A full-width tile row is one fixed-size store, not a copy
+                // call.
+                for (r, row) in acc.iter().enumerate() {
+                    let dst: &mut [f32; NR] = (&mut out[r * ldc..r * ldc + NR])
+                        .try_into()
+                        .expect("NR-wide tile row");
+                    *dst = *row;
+                }
+            }
+            Store::Rows => {
+                for (r, row) in acc.iter().enumerate() {
+                    out[r * ldc..r * ldc + nr].copy_from_slice(&row[..nr]);
+                }
+            }
         }
     }
 }
@@ -174,13 +277,15 @@ fn pack_panel_t(b: &[f32], k: usize, j0: usize, nr: usize, panel: &mut [f32]) {
 
 /// Shared tile driver: packs one `NR`-column panel at a time, then sweeps the
 /// `MR`-row tiles of `out` against it (each packed panel is reused by every
-/// row tile, which is where the cache blocking pays off).
+/// row tile, which is where the cache blocking pays off). `out` is `[m, n]`
+/// for [`Store::Rows`] and `[n, m]` for [`Store::Cols`].
 fn gemm_tiles(
     m: usize,
     k: usize,
     n: usize,
     a: &[f32],
     out: &mut [f32],
+    store: Store,
     mut pack: impl FnMut(usize, usize, &mut [f32]),
 ) {
     if m == 0 || n == 0 {
@@ -200,15 +305,11 @@ fn gemm_tiles(
         while i0 < m {
             let mr = MR.min(m - i0);
             let a_tile = &a[i0 * k..];
-            let out_tile = &mut out[i0 * n + j0..];
-            match mr {
-                6 => kernel::<6>(k, a_tile, k, &panel, out_tile, n, nr),
-                5 => kernel::<5>(k, a_tile, k, &panel, out_tile, n, nr),
-                4 => kernel::<4>(k, a_tile, k, &panel, out_tile, n, nr),
-                3 => kernel::<3>(k, a_tile, k, &panel, out_tile, n, nr),
-                2 => kernel::<2>(k, a_tile, k, &panel, out_tile, n, nr),
-                _ => kernel::<1>(k, a_tile, k, &panel, out_tile, n, nr),
-            }
+            let (out_tile, ldc) = match store {
+                Store::Rows => (&mut out[i0 * n + j0..], n),
+                Store::Cols => (&mut out[j0 * m + i0..], m),
+            };
+            tile::tile(mr, k, a_tile, k, &panel, out_tile, ldc, nr, store);
             i0 += mr;
         }
         j0 += nr;
@@ -231,19 +332,21 @@ pub fn gemm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32])
     assert_eq!(a.len(), m * k, "gemm: lhs is not [m, k]");
     assert_eq!(b.len(), k * n, "gemm: rhs is not [k, n]");
     assert_eq!(out.len(), m * n, "gemm: out is not [m, n]");
-    gemm_tiles(m, k, n, a, out, |j0, nr, panel| {
+    gemm_tiles(m, k, n, a, out, Store::Rows, |j0, nr, panel| {
         pack_panel(b, n, j0, nr, panel);
     });
 }
 
-/// Blocked matrix product with the right-hand side transposed, on raw
-/// row-major slices: `out[m, n] = a[m, k] · b[n, k]ᵀ`.
+/// Blocked matrix product with the right-hand side transposed, stored
+/// transposed: `out[n, m] = (a[m, k] · b[n, k]ᵀ)ᵀ`, so `out[j*m + i]` is the
+/// dot product of row `i` of `a` and row `j` of `b`.
 ///
-/// The transpose happens during panel packing, so the micro-kernel (and
-/// therefore the accumulation order) is exactly the one [`gemm`] uses: results
-/// are bit-identical to [`crate::ops::matmul_nt_reference`] *and* to
-/// `gemm(m, k, n, a, transpose(b), out)` for all inputs, in the sense of the
-/// module's contract (NaN at the same positions, sign and payload free).
+/// `a` is read in place as the tile rows and only `b` is packed (transposed,
+/// into the panels); the tiles are stored transposed (see the module docs'
+/// "Transposed store"). Every element is the same fold as in [`gemm`], so
+/// results are bit-identical to the transpose of
+/// [`crate::ops::matmul_nt_reference`], in the sense of the module's
+/// contract. `out` is fully overwritten.
 ///
 /// # Panics
 ///
@@ -251,8 +354,8 @@ pub fn gemm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32])
 pub fn gemm_nt(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
     assert_eq!(a.len(), m * k, "gemm_nt: lhs is not [m, k]");
     assert_eq!(b.len(), n * k, "gemm_nt: rhs is not [n, k]");
-    assert_eq!(out.len(), m * n, "gemm_nt: out is not [m, n]");
-    gemm_tiles(m, k, n, a, out, |j0, nr, panel| {
+    assert_eq!(out.len(), m * n, "gemm_nt: out is not [n, m]");
+    gemm_tiles(m, k, n, a, out, Store::Cols, |j0, nr, panel| {
         pack_panel_t(b, k, j0, nr, panel);
     });
 }
@@ -316,11 +419,12 @@ mod tests {
                 b[p * n + j] = bt[j * k + p];
             }
         }
-        let mut fast = vec![0.0f32; m * n];
+        let mut fast = vec![f32::NAN; n * m]; // [n, m]
         let mut reference = vec![0.0f32; m * n];
         gemm_nt(m, k, n, &a, &bt, &mut fast);
         gemm(m, k, n, &a, &b, &mut reference);
-        assert_eq!(bit_mismatch(&fast, &reference), None);
+        let reference_t: Vec<f32> = (0..n * m).map(|t| reference[(t % m) * n + t / m]).collect();
+        assert_eq!(bit_mismatch(&fast, &reference_t), None);
     }
 
     #[test]
@@ -358,6 +462,7 @@ mod tests {
         let mut out_nt = vec![f32::NAN; 6];
         gemm_nt(3, 0, 2, &[], &[], &mut out_nt);
         assert!(out_nt.iter().all(|v| v.to_bits() == 0.0f32.to_bits()));
+        gemm_nt(0, 4, 3, &[], &ramp(12, 7), &mut []);
         // m == 0 / n == 0: nothing to write.
         gemm(0, 4, 3, &[], &ramp(12, 5), &mut []);
         gemm(3, 4, 0, &ramp(12, 6), &[], &mut []);

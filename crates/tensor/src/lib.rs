@@ -23,7 +23,8 @@
 //!   scoped-thread worker pool shared by every parallel loop in the workspace,
 //!   with serial and threaded execution guaranteed bit-identical.
 //!
-//! The crate deliberately avoids `unsafe`, views and broadcasting magic: all
+//! The crate deliberately avoids views and broadcasting magic, and it denies
+//! `unsafe_code` everywhere but the AVX-512 register tile of [`kernels`]: all
 //! operations copy into freshly-allocated output tensors and validate shapes,
 //! returning [`TensorError`] on mismatch. The networks used by the DATE 2019
 //! reproduction are small enough that clarity and testability win over raw
@@ -48,7 +49,7 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod error;

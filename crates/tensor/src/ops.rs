@@ -106,8 +106,8 @@ pub fn matmul_reference(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     Tensor::from_vec(out, &[m, n])
 }
 
-/// Naive row-dot-product `a · bᵀ` (`[m, k] x [n, k] -> [m, n]`) — the
-/// bit-exact reference for [`crate::kernels::gemm_nt`].
+/// Naive row-dot-product `a · bᵀ` (`[m, k] x [n, k] -> [m, n]`) — transposed,
+/// the bit-exact reference for [`crate::kernels::gemm_nt`].
 ///
 /// Every output element is one sequential dot product of two contiguous rows,
 /// accumulated over ascending `k` from `0.0` — the same per-element fold as
@@ -298,12 +298,13 @@ pub fn argmax_rows(a: &Tensor) -> Result<Vec<usize>> {
 mod tests {
     use super::*;
 
-    /// `a · bᵀ` through the blocked [`crate::kernels::gemm_nt`].
+    /// `a · bᵀ` through the blocked [`crate::kernels::gemm_nt`], which stores
+    /// it as `[n, m]`; transposed back here.
     fn gemm_nt(a: &Tensor, b: &Tensor) -> Tensor {
         let (m, k, n) = matmul_dims(a, b, true, "gemm_nt").unwrap();
         let mut out = vec![f32::NAN; m * n];
         crate::kernels::gemm_nt(m, k, n, a.data(), b.data(), &mut out);
-        Tensor::from_vec(out, &[m, n]).unwrap()
+        transpose(&Tensor::from_vec(out, &[n, m]).unwrap()).unwrap()
     }
 
     #[test]

@@ -21,6 +21,13 @@ use common::salted;
 /// full column panels.
 const TILE_EDGES: [usize; 8] = [1, MR - 1, MR, MR + 1, NR - 1, NR, NR + 1, 2 * NR + 3];
 
+/// The `[cols, rows]` transpose of a row-major `[rows, cols]` matrix.
+fn transposed(x: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+    (0..rows * cols)
+        .map(|e| x[(e % rows) * cols + e / rows])
+        .collect()
+}
+
 /// Strategy producing a tensor of the given shape with values in [-10, 10].
 fn tensor_of(shape: Vec<usize>) -> impl Strategy<Value = Tensor> {
     let n: usize = shape.iter().product();
@@ -209,10 +216,10 @@ proptest! {
     ) {
         let a = Tensor::from_fn(&[m, k], |i| (((i as u64 + seed) * 7) % 19) as f32 * 0.2 - 1.0);
         let b = Tensor::from_fn(&[n, k], |i| (((i as u64 + seed) * 3) % 13) as f32 * 0.2 - 0.9);
-        let mut fast = vec![f32::NAN; m * n];
+        let mut fast = vec![f32::NAN; n * m];
         kernels::gemm_nt(m, k, n, a.data(), b.data(), &mut fast);
         let reference = ops::matmul(&a, &ops::transpose(&b).unwrap()).unwrap();
-        prop_assert_eq!(fast.as_slice(), reference.data());
+        prop_assert_eq!(transposed(&fast, n, m), reference.data());
     }
 
     #[test]
@@ -262,28 +269,36 @@ proptest! {
         let b = Tensor::from_fn(&[k, n], |i| (((i as u64 + seed) * 43) % 37) as f32 * 0.11 - 1.8);
         prop_assert_eq!(ops::matmul(&a, &b).unwrap(), ops::matmul_reference(&a, &b).unwrap());
         let bt = Tensor::from_fn(&[n, k], |i| (((i as u64 + seed) * 53) % 31) as f32 * 0.17 - 2.4);
-        let mut nt = vec![f32::NAN; m * n];
+        // gemm_nt stores the product transposed, as [n, m].
+        let mut nt = vec![f32::NAN; n * m];
         kernels::gemm_nt(m, k, n, a.data(), bt.data(), &mut nt);
         let reference = ops::matmul_nt_reference(&a, &bt).unwrap();
-        prop_assert_eq!(nt.as_slice(), reference.data());
+        prop_assert_eq!(nt, transposed(reference.data(), m, n));
     }
 
     #[test]
     fn gemm_nt_with_swapped_operands_is_the_transpose(
         mi in 0usize..8, ni in 0usize..8, ki in 0usize..8, seed in 0u64..1_000_000
     ) {
-        // (b · aᵀ)ᵀ = a · bᵀ with every product's operands swapped. This is
-        // the identity the engine's conv weight gradient relies on when it
-        // computes ∂L/∂Wᵀ = cols · ∂L/∂outᵀ instead of ∂L/∂out · colsᵀ.
+        // gemm_nt stores a · bᵀ as [n, m], and with its operands swapped it
+        // stores b · aᵀ, whose transpose is a · bᵀ as [m, n]: on NaN/±Inf/
+        // ±0.0-salted data around every tile edge, both agree with the
+        // reference in the sense of the kernels' contract.
         let (m, n, k) = (TILE_EDGES[mi], TILE_EDGES[ni], TILE_EDGES[ki]);
         let a = salted(m * k, seed);
         let b = salted(n * k, seed ^ 0x5eed);
-        let mut direct = vec![f32::NAN; m * n];
+        let reference = ops::matmul_nt_reference(
+            &Tensor::from_vec(a.clone(), &[m, k]).unwrap(),
+            &Tensor::from_vec(b.clone(), &[n, k]).unwrap(),
+        )
+        .unwrap();
+        let mut direct = vec![f32::NAN; n * m];
         kernels::gemm_nt(m, k, n, &a, &b, &mut direct);
-        let mut swapped = vec![f32::NAN; n * m];
+        let expect_t = transposed(reference.data(), m, n);
+        prop_assert_eq!(bit_mismatch(&direct, &expect_t), None);
+        let mut swapped = vec![f32::NAN; m * n];
         kernels::gemm_nt(n, k, m, &b, &a, &mut swapped);
-        let transposed: Vec<f32> = (0..m * n).map(|e| swapped[(e % n) * m + e / n]).collect();
-        prop_assert_eq!(bit_mismatch(&transposed, &direct), None);
+        prop_assert_eq!(bit_mismatch(&swapped, reference.data()), None);
     }
 
     #[test]
