@@ -893,8 +893,8 @@ impl Evaluator {
     /// computes — fanned out over the evaluator's execution policy, so serial
     /// and threaded golden outputs are bit-identical. Nested budgets reuse one
     /// suite's outputs through [`crate::protocol::FunctionalTestSuite::prefix`]
-    /// instead of recomputing them. Convolutions run the blocked im2col + `gemm` kernel of
-    /// [`dnnip_nn::layers::Layer::infer`], the same one an IP user's
+    /// instead of recomputing them. Convolutions run the lowering-free GEMM
+    /// kernel of [`dnnip_nn::layers::Layer::infer`], the same one an IP user's
     /// `FloatIp`/`AcceleratorIp` replay runs.
     ///
     /// # Errors

@@ -13,29 +13,32 @@
 //!   activation outputs from there in place, so nothing is copied between
 //!   nodes. Dense layers over a stacked batch are one matrix–matrix product;
 //!   over a single sample they are an axpy over the weight's rows (`gemm`'s
-//!   fold at m = 1, without packing a panel). Convolutions run as im2col +
-//!   matmul, one sample's column block at a time in a reused scratch buffer,
-//!   multiplied while it is cache-hot.
+//!   fold at m = 1, without packing a panel). Convolutions are lowering-free
+//!   (`dnnip_tensor::conv::ConvPlan`, one per convolution node, built with
+//!   the engine): the GEMM tiles read each sample's zero-padded plane in
+//!   place through offset tables, and no im2col block is ever written.
 //! * **Sample-major parameter gradients** — a sample's forward and backward
-//!   passes run back to back. Its forward lowers each convolution's block
-//!   once and keeps the blocks side by side in the arena, and its backward
-//!   passes read them in place for the weight gradient
-//!   `∂L/∂Wᵀ = cols · ∂L/∂outᵀ`. `kernels::gemm_nt` takes the large block
-//!   as the left operand, so only the small `∂L/∂out` is packed, and its
-//!   register tiles store transposed, so `∂L/∂W` (`[OC, C·KH·KW]`) goes
-//!   straight into the flat parameter-gradient slice. The input gradient is
-//!   `col2im(Wᵀ · ∂L/∂out)`; where no parameterized layer lies upstream it is
-//!   never needed and is skipped. A Dense layer's two degenerate products are
-//!   written out: the weight gradient as the outer product `0.0 + a·g`, the
-//!   input gradient as an axpy over the rows of the precomputed `Wᵀ`. Both
-//!   are the exact folds `gemm` performs for those shapes.
+//!   passes run back to back. Its forward keeps the plane of every padded
+//!   convolution side by side in the arena (an unpadded convolution's plane
+//!   is its input, already in the pass), and its backward passes read them
+//!   in place for the weight gradient `∂L/∂Wᵀ = cols · ∂L/∂outᵀ`: the tiles
+//!   read the plane as the im2col block it stands for, pack only the small
+//!   `∂L/∂out`, and store transposed, so `∂L/∂W` (`[OC, C·KH·KW]`) goes
+//!   straight into the flat parameter-gradient slice. The input gradient
+//!   adds each tap's `Wᵀ · ∂L/∂out` product from registers into the zeroed
+//!   image, col2im's fold without its column buffer; where no parameterized
+//!   layer lies upstream it is never needed and is skipped. A Dense layer's
+//!   two degenerate products are written out: the weight gradient as the
+//!   outer product `0.0 + a·g`, the input gradient as an axpy over the rows
+//!   of the precomputed `Wᵀ`. Both are the exact folds `gemm` performs for
+//!   those shapes.
 //! * **Add and Concat** — an Add hands its gradient to every input, a Concat
 //!   splits it by channel, and a node read by several others sums their
 //!   gradients in the order [`Network::backward`] does. A node read once
 //!   receives its gradient buffer by move, so a chain pays nothing for them.
 //! * **Multi-projection amortization** — several output projections (e.g. one
 //!   per class for the `PerClassMax` coverage policy) share a sample's single
-//!   forward pass and its lowered blocks; only the cheap backward repeats.
+//!   forward pass and its kept planes; only the cheap backward repeats.
 //!
 //! The engine is deterministic and purely functional over `&Network`, so
 //! callers may freely share one engine across worker threads. Per-sample
@@ -44,11 +47,11 @@
 
 use std::sync::Arc;
 
-use dnnip_tensor::conv::{col2im_slice_into, im2col_block_into};
-use dnnip_tensor::{kernels, ops, ScratchArena, Tensor};
+use dnnip_tensor::conv::ConvPlan;
+use dnnip_tensor::{ops, ScratchArena, Tensor};
 
 use crate::graph::{self, NodeOp};
-use crate::layers::{Activation, Conv2d, Layer, LayerCache};
+use crate::layers::{Activation, Layer, LayerCache};
 use crate::{Network, NnError, Result};
 
 /// A completed batched forward pass: every node's stacked output plus the
@@ -64,9 +67,9 @@ pub struct BatchForwardPass {
     /// Per node: a max-pool layer's flat argmax over the batch input (empty
     /// for every other node).
     argmax: Vec<Vec<usize>>,
-    /// Per node: where a convolution's kept im2col block starts in the arena
-    /// (meaningful only for a forward that keeps its blocks).
-    col_offsets: Vec<usize>,
+    /// Per node: where a padded convolution's kept plane starts in the arena
+    /// (meaningful only for a forward that keeps its planes).
+    plane_offsets: Vec<usize>,
     batch: usize,
 }
 
@@ -152,8 +155,8 @@ impl ActivationCapture {
 #[derive(Debug, Clone)]
 pub struct BatchGradientEngine {
     network: Arc<Network>,
-    /// Per layer: `Some((wmat, wmat_t))` for convolution layers, `None` otherwise.
-    conv_mats: Arc<[Option<(Tensor, Tensor)>]>,
+    /// Per node: the plan of a convolution node, `None` for every other node.
+    conv_plans: Arc<[Option<ConvPlan>]>,
     /// Per layer: `Some(weightᵀ)` for Dense layers, `None` otherwise.
     dense_t: Arc<[Option<Tensor>]>,
     /// Per node: whether a parameterized layer lies at or upstream of it. A
@@ -162,14 +165,14 @@ pub struct BatchGradientEngine {
     param_path: Arc<[bool]>,
 }
 
-/// Where a parameter-gradient backward pass writes, and the column blocks
-/// its convolution weight gradients read.
+/// Where a parameter-gradient backward pass writes, and the planes its
+/// convolution weight gradients read.
 struct ParamSink<'a> {
     /// The flat parameter-gradient vector, one range per parameterized layer.
     grads: &'a mut [f32],
-    /// The sample's im2col blocks, side by side in layer order, as its
-    /// forward pass left them.
-    cols: &'a [f32],
+    /// The sample's zero-padded planes of its padded convolutions, side by
+    /// side in node order, as its forward pass left them.
+    planes: &'a [f32],
 }
 
 /// `out = x · mat` for a row vector `x` and a row-major `[x.len(), out.len()]`
@@ -213,20 +216,22 @@ impl BatchGradientEngine {
     /// `Arc<Network>` is shared without copying).
     pub fn new(network: impl Into<Arc<Network>>) -> Self {
         let network = network.into();
-        let conv_mats = network
-            .layers()
+        let nodes = network.nodes();
+        let conv_plans = nodes
             .iter()
-            .map(|layer| match layer {
-                Layer::Conv2d(l) => {
-                    let (w, _) = l.parameters();
-                    let oc = l.out_channels();
-                    let ckk = w.len() / oc;
-                    let wmat = w
-                        .reshape(&[oc, ckk])
-                        .expect("conv weight reshapes to [OC, C*K*K]");
-                    let wmat_t = ops::transpose(&wmat).expect("rank-2 transpose");
-                    Some((wmat, wmat_t))
-                }
+            .map(|node| match node.op() {
+                NodeOp::Layer(i) => match &network.layers()[i] {
+                    Layer::Conv2d(l) => {
+                        let (w, b) = l.parameters();
+                        let chw = nodes[node.inputs()[0]].output_shape();
+                        let chw = [chw[0], chw[1], chw[2]];
+                        Some(
+                            ConvPlan::new(w, b, l.geometry(), chw)
+                                .expect("a built network's convolutions fit their inputs"),
+                        )
+                    }
+                    _ => None,
+                },
                 _ => None,
             })
             .collect::<Vec<_>>()
@@ -252,7 +257,7 @@ impl BatchGradientEngine {
         }
         Self {
             network,
-            conv_mats,
+            conv_plans,
             dense_t,
             param_path: param_path.into(),
         }
@@ -304,18 +309,18 @@ impl BatchGradientEngine {
         let mut grads = vec![0.0f32; self.network.num_parameters()];
         for (s, sample) in samples.iter().enumerate() {
             let pass = self.forward(std::slice::from_ref(sample), &mut arena, true)?;
-            // The kept blocks leave the arena while the backward passes
+            // The kept planes leave the arena while the backward passes
             // borrow it mutably, and go back afterwards for reuse.
-            let cols = std::mem::take(&mut arena.cols);
+            let planes = std::mem::take(&mut arena.planes);
             for (pi, proj) in projections.iter().enumerate() {
                 let sink = ParamSink {
                     grads: &mut grads,
-                    cols: &cols,
+                    planes: &planes,
                 };
                 self.backward_sample(&pass, 0, proj, Some(sink), &mut arena)?;
                 visit(s, pi, &grads);
             }
-            arena.cols = cols;
+            arena.planes = planes;
         }
         Ok(())
     }
@@ -459,75 +464,56 @@ impl BatchGradientEngine {
         Ok(out)
     }
 
-    /// One convolution layer's batched forward through its precomputed weight
-    /// matrix: per-sample im2col + matmul, returning the stacked output. Each
-    /// sample is lowered (through `arena.padded`) into one block of
-    /// `arena.cols` and multiplied while the block is still cache-hot. The
-    /// block starts at `arena.cols`' beginning, or, when `keep` is set (a
-    /// batch of one), after the blocks already kept there, so the sample's
-    /// blocks for every convolution end up side by side in layer order. The
-    /// arithmetic (one im2col block per sample, `kernels::gemm`, bias added
-    /// after the product) is that of `conv2d_forward_im2col`, which
-    /// [`Layer::infer`] runs, so [`Network::forward`] agrees with the engine
-    /// bit for bit.
+    /// One convolution node's batched forward through its plan, returning
+    /// the stacked output. The GEMM tiles read each sample's plane in place
+    /// (`ConvPlan::plane`: a padded copy in `arena.planes`, or the sample
+    /// itself). A copy starts at `arena.planes`' beginning, or, when `keep`
+    /// is set (a batch of one), after the planes already kept there, so the
+    /// sample's planes for every padded convolution end up side by side in
+    /// node order. [`Layer::infer`] runs
+    /// the same forward (`conv2d_forward_gemm`), so [`Network::forward`]
+    /// agrees with the engine bit for bit.
     fn conv_forward_batch(
-        &self,
-        layer_index: usize,
-        l: &Conv2d,
+        plan: &ConvPlan,
         x: &Tensor,
         arena: &mut ScratchArena,
         keep: bool,
     ) -> Result<Tensor> {
-        let (b, c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
-        let geom = l.geometry();
-        let (oh, ow) = geom.output_hw(h, w)?;
-        let oc = l.out_channels();
-        let bd = l.parameters().1.data();
-        let (wmat, _) = self.conv_mats[layer_index]
-            .as_ref()
-            .expect("conv layer has precomputed weight matrices");
-        let (rows, per) = (c * geom.kh * geom.kw, oh * ow);
-        debug_assert!(!keep || b == 1, "only a batch of one keeps its blocks");
-        let base = if keep { arena.cols.len() } else { 0 };
-        let block = &mut ScratchArena::sized(&mut arena.cols, base + rows * per)[base..];
-        let out_len = oc * per;
+        let b = x.shape()[0];
+        let [oc, oh, ow] = plan.output_shape();
+        debug_assert!(!keep || b == 1, "only a batch of one keeps its planes");
+        let base = if keep { arena.planes.len() } else { 0 };
+        let out_len = oc * oh * ow;
         let mut out = vec![0.0f32; b * out_len];
-        let sample_len = c * h * w;
-        for s in 0..b {
-            let sample = &x.data()[s * sample_len..(s + 1) * sample_len];
-            im2col_block_into(sample, c, h, w, geom, block, &mut arena.padded)?;
-            let dst = &mut out[s * out_len..(s + 1) * out_len];
-            kernels::gemm(oc, rows, per, wmat.data(), block, dst);
-            for (oci, &bv) in bd.iter().enumerate() {
-                for v in &mut dst[oci * per..(oci + 1) * per] {
-                    *v += bv;
-                }
-            }
+        let samples = x.data().chunks_exact(x.len() / b.max(1));
+        for (sample, dst) in samples.zip(out.chunks_exact_mut(out_len)) {
+            let plane = plan.plane(sample, &mut arena.planes, base);
+            plan.forward(plane, dst, &mut arena.panel);
         }
         Ok(Tensor::from_vec(out, &[b, oc, oh, ow])?)
     }
 
     /// The engine's one forward pass: stacks `samples` and walks the nodes
     /// over the batch, keeping every node's output for the per-sample
-    /// backward passes. With `keep_cols` (a batch of one), each
-    /// convolution's im2col block stays in `arena.cols`, side by side in
-    /// layer order, for that sample's parameter-gradient backward passes.
+    /// backward passes. With `keep_planes` (a batch of one), each padded
+    /// convolution's plane stays in `arena.planes`, side by side in node
+    /// order, for that sample's parameter-gradient backward passes.
     fn forward(
         &self,
         samples: &[Tensor],
         arena: &mut ScratchArena,
-        keep_cols: bool,
+        keep_planes: bool,
     ) -> Result<BatchForwardPass> {
         let x = ops::stack(samples)?;
         self.network.check_batch_input(&x)?;
-        if keep_cols {
-            arena.cols.clear();
+        if keep_planes {
+            arena.planes.clear();
         }
         let nodes = self.network.nodes();
         let layers = self.network.layers();
         let mut outputs: Vec<Tensor> = Vec::with_capacity(nodes.len());
         let mut argmax = vec![Vec::new(); nodes.len()];
-        let mut col_offsets = vec![0usize; nodes.len()];
+        let mut plane_offsets = vec![0usize; nodes.len()];
         outputs.push(x);
         for (id, node) in nodes.iter().enumerate().skip(1) {
             let x = &outputs[node.inputs()[0]];
@@ -542,9 +528,12 @@ impl BatchGradientEngine {
                     }
                 }
                 NodeOp::Layer(i) => match &layers[i] {
-                    Layer::Conv2d(l) => {
-                        col_offsets[id] = arena.cols.len();
-                        self.conv_forward_batch(i, l, x, arena, keep_cols)?
+                    Layer::Conv2d(_) => {
+                        plane_offsets[id] = arena.planes.len();
+                        let plan = self.conv_plans[id]
+                            .as_ref()
+                            .expect("a convolution node has a plan");
+                        Self::conv_forward_batch(plan, x, arena, keep_planes)?
                     }
                     Layer::Dense(l) if samples.len() == 1 => {
                         // One sample: `gemm`'s fold at m = 1 without repacking
@@ -574,7 +563,7 @@ impl BatchGradientEngine {
         Ok(BatchForwardPass {
             outputs,
             argmax,
-            col_offsets,
+            plane_offsets,
             batch: samples.len(),
         })
     }
@@ -593,8 +582,10 @@ impl BatchGradientEngine {
     /// written into its `grads` (every parameterized range is fully
     /// overwritten — with zeros for a layer no gradient reaches — so the
     /// buffer needs no zeroing between calls), the convolution weight
-    /// gradients read the sample's blocks from its `cols` (as a sample-major
-    /// forward kept them), and gradients flow only into nodes a
+    /// gradients read the sample's planes (the padded copies in its
+    /// `planes`, as a forward of the sample alone kept them, or the layer
+    /// input when a convolution has no padding), and gradients flow only
+    /// into nodes a
     /// parameterized layer lies at or upstream of. When `None`,
     /// parameter-gradient work is skipped entirely — the input-gradient-only
     /// mode the gradient-descent loops use.
@@ -651,45 +642,24 @@ impl BatchGradientEngine {
                     spare.push(cur);
                 }
                 NodeOp::Layer(li) => match &self.network.layers()[li] {
-                    Layer::Conv2d(l) => {
-                        let in_shape = nodes[input].output_shape();
-                        let (c, h, w) = (in_shape[0], in_shape[1], in_shape[2]);
-                        let geom = l.geometry();
-                        let (oh, ow) = geom.output_hw(h, w)?;
-                        let (ckk, per) = (c * geom.kh * geom.kw, oh * ow);
-                        let (_, wmat_t) = self.conv_mats[li]
+                    Layer::Conv2d(_) => {
+                        let plan = self.conv_plans[id]
                             .as_ref()
-                            .expect("conv layer has precomputed weight matrices");
-                        let oc = l.out_channels();
-                        // ∂L/∂out arrives with exactly oc·per elements; its
-                        // flat storage *is* the [OC, OH*OW] matrix, so no
-                        // reshape copy.
-                        debug_assert_eq!(cur.len(), oc * per);
+                            .expect("a convolution node has a plan");
                         let god = cur.as_slice();
+                        let item_len: usize = nodes[input].output_shape().iter().product();
                         if let Some(p) = params.as_mut() {
-                            let at = pass.col_offsets[id];
-                            let block = &p.cols[at..at + ckk * per];
+                            let x = &pass.outputs[input].data()[s * item_len..(s + 1) * item_len];
+                            let plane = plan.kept_plane(x, &p.planes[pass.plane_offsets[id]..]);
                             let range = layout
                                 .layer_range(li)
                                 .expect("parameterized layer present in layout");
-                            let dst = &mut p.grads[range];
-                            let w_len = oc * ckk;
-                            // ∂L/∂Wᵀ = cols · ∂L/∂outᵀ: the large block is read
-                            // in place as the left operand and only the small
-                            // ∂L/∂out is packed. The tiles store transposed,
-                            // so ∂L/∂W lands in the flat slice directly.
-                            kernels::gemm_nt(ckk, per, oc, block, god, &mut dst[..w_len]);
-                            for (oci, slot) in dst[w_len..].iter_mut().enumerate() {
-                                *slot = god[oci * per..(oci + 1) * per].iter().sum();
-                            }
+                            plan.weight_gradient(plane, god, &mut p.grads[range], &mut arena.panel);
                         }
                         if wanted(input) {
-                            // ∂L/∂x = col2im(Wᵀ · ∂L/∂out), product in arena
-                            // scratch.
-                            let gi_cols = ScratchArena::sized(&mut arena.grad_cols, ckk * per);
-                            kernels::gemm(ckk, oc, per, wmat_t.data(), god, gi_cols);
                             let mut nxt = spare.pop().unwrap_or_default();
-                            col2im_slice_into(gi_cols, geom, c, h, w, &mut nxt)?;
+                            let dst = ScratchArena::sized(&mut nxt, item_len);
+                            plan.input_gradient(god, dst, &mut arena.panel);
                             deliver(&mut slots, input, nxt, &mut spare);
                         }
                         spare.push(cur);
@@ -818,6 +788,7 @@ mod tests {
     use crate::graph::GraphBuilder;
     use crate::layers::{Activation, ActivationLayer, Conv2d, Dense, Flatten, MaxPool2d};
     use crate::zoo;
+    use dnnip_tensor::kernels;
 
     fn tiny_cnn() -> Network {
         Network::new(
@@ -1065,6 +1036,151 @@ mod tests {
             .unwrap()
             .is_empty());
         assert_eq!(engine.network().num_classes(), 5);
+    }
+
+    /// A conv net of the given geometry: Conv → Tanh → MaxPool 2×2 → Conv →
+    /// ReLU → Flatten → Dense, on `[c, hw, hw]` inputs.
+    fn conv_net(c: usize, mid: usize, k: usize, stride: usize, pad: usize, hw: usize) -> Network {
+        let conv = |i, o, k, s, p, seed| -> Layer {
+            let mut l = Conv2d::with_seed(i, o, k, s, p, seed);
+            let (_, b) = l.parameters_mut();
+            *b = Tensor::from_fn(&[o], |j| (j as f32 * 0.7).sin() * 0.3);
+            l.into()
+        };
+        let pooled = (hw + 2 * pad - k) / stride / 2 + 1;
+        let mut layers = vec![
+            conv(c, mid, k, stride, pad, 1),
+            ActivationLayer::new(Activation::Tanh).into(),
+            MaxPool2d::new(2, 2).into(),
+            conv(mid, 5, k.min(pooled), 1, pad.min(1), 2),
+            ActivationLayer::new(Activation::Relu).into(),
+            Flatten::new().into(),
+        ];
+        let probe = Network::new(layers.clone(), &[c, hw, hw]).unwrap();
+        let flat = probe.nodes().last().unwrap().output_shape()[0];
+        layers.push(Dense::with_seed(flat, 4, 3).into());
+        Network::new(layers, &[c, hw, hw]).unwrap()
+    }
+
+    /// Samples of `shape` with the salts at batch index ≥ 1: an all-NaN
+    /// sample, one each with a ±Inf, a ±0.0 and a NaN element, and plain
+    /// ones.
+    fn salted_samples(shape: &[usize]) -> Vec<Tensor> {
+        let mut out = samples(7, shape);
+        out[1].data_mut().fill(f32::NAN);
+        out[2].data_mut()[3] = f32::INFINITY;
+        out[2].data_mut()[5] = f32::NEG_INFINITY;
+        out[3].data_mut()[0] = -0.0;
+        out[3].data_mut()[1] = 0.0;
+        out[4].data_mut().fill(-0.0);
+        out[5].data_mut()[2] = f32::NAN;
+        out
+    }
+
+    #[test]
+    fn salted_conv_engine_agrees_with_per_sample_passes_and_the_reference() {
+        // The engine over a salted batch (NaN, ±Inf, ±0.0 at batch index
+        // ≥ 1), with one arena reused across geometries, against each sample
+        // alone through fresh arenas: bit for bit. Finite samples also agree
+        // with the direct-loop reference within tolerance. Channel counts 1,
+        // 3, 13 and 17 straddle the tile edges; stride 2, pads 0 and 2 and
+        // 1×1 kernels cover the lowering-free addressing.
+        let cases = [
+            (1, 8, 3, 1, 1, 10),
+            (3, 13, 3, 2, 1, 13),
+            (13, 17, 1, 1, 0, 6),
+            (17, 3, 3, 1, 0, 9),
+            (3, 16, 2, 1, 2, 7),
+            (1, 32, 3, 2, 2, 12),
+        ];
+        let mut arena = ScratchArena::new();
+        for (i, &(c, mid, k, stride, pad, hw)) in cases.iter().enumerate() {
+            let net = conv_net(c, mid, k, stride, pad, hw);
+            let engine = BatchGradientEngine::new(&net);
+            let inputs = salted_samples(&[c, hw, hw]);
+            let proj = vec![0.5f32, -1.0, 0.25, 2.0];
+            let params = engine.parameter_gradients_batch(&inputs, &proj).unwrap();
+            let pass = engine.forward_batch_with(&inputs, &mut arena).unwrap();
+            for (s, x) in inputs.iter().enumerate() {
+                let ctx = format!("case {i} sample {s}");
+                let alone = engine.parameter_gradients_batch(std::slice::from_ref(x), &proj);
+                let alone = alone.unwrap().pop().unwrap();
+                assert_eq!(kernels::bit_mismatch(&params[s], &alone), None, "{ctx}");
+                let one = engine.forward_batch(std::slice::from_ref(x)).unwrap();
+                let want = engine.input_gradient(&one, 0, &proj).unwrap();
+                let got = engine
+                    .input_gradient_with(&pass, s, &proj, &mut arena)
+                    .unwrap();
+                assert_eq!(
+                    kernels::bit_mismatch(got.data(), want.data()),
+                    None,
+                    "{ctx}"
+                );
+                let logits = &pass.output().data()[s * 4..(s + 1) * 4];
+                assert_eq!(
+                    kernels::bit_mismatch(logits, one.output().data()),
+                    None,
+                    "{ctx}"
+                );
+                if x.data().iter().all(|v| v.is_finite()) {
+                    let reference = net.parameter_gradients(x, &proj).unwrap();
+                    for (a, b) in params[s].iter().zip(&reference) {
+                        assert!((a - b).abs() <= 1e-3 * (1.0 + b.abs()), "{ctx}: {a} vs {b}");
+                    }
+                    let pass_ref = net.forward_cached(&net.batch_one(x).unwrap()).unwrap();
+                    let g = Tensor::from_vec(proj.clone(), &[1, 4]).unwrap();
+                    let reference = net.backward(&pass_ref, &g).unwrap().grad_input;
+                    for (a, b) in got.data().iter().zip(reference.data()) {
+                        assert!((a - b).abs() <= 1e-3 * (1.0 + b.abs()), "{ctx}: {a} vs {b}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_all_nan_sample_past_index_zero_routes_its_pool_gradient_inside_itself() {
+        // Every pool window of the NaN sample has no element above -∞; its
+        // argmax must still index its own window, or the backward of
+        // sample 1 reads outside its slice.
+        let net = conv_net(1, 4, 3, 1, 1, 8);
+        let engine = BatchGradientEngine::new(&net);
+        let good = samples(1, &[1, 8, 8]).pop().unwrap();
+        let nan = Tensor::full(&[1, 8, 8], f32::NAN);
+        let pass = engine.forward_batch(&[good, nan.clone()]).unwrap();
+        let proj = [1.0f32, 0.0, -1.0, 0.5];
+        let got = engine.input_gradient(&pass, 1, &proj).unwrap();
+        let alone = engine.forward_batch(&[nan]).unwrap();
+        let want = engine.input_gradient(&alone, 0, &proj).unwrap();
+        assert_eq!(kernels::bit_mismatch(got.data(), want.data()), None);
+    }
+
+    #[test]
+    fn a_dead_relu_channel_has_the_reference_positive_zero_bias_gradient() {
+        // Bias -100 keeps the ReLU dead and the Dense weights are -0.5, so
+        // ∂L/∂out of the convolution is all -0.0: the bias gradient is +0.0,
+        // as `conv2d_backward` computes it.
+        let mut conv = Conv2d::with_seed(1, 1, 3, 1, 1, 4);
+        *conv.parameters_mut().1 = Tensor::full(&[1], -100.0);
+        let mut dense = Dense::with_seed(9, 2, 5);
+        *dense.parameters_mut().0 = Tensor::full(&[9, 2], -0.5);
+        let net = Network::new(
+            vec![
+                conv.into(),
+                ActivationLayer::new(Activation::Relu).into(),
+                Flatten::new().into(),
+                dense.into(),
+            ],
+            &[1, 3, 3],
+        )
+        .unwrap();
+        let engine = BatchGradientEngine::new(&net);
+        let x = samples(1, &[1, 3, 3]);
+        let ones = [1.0f32, 1.0];
+        let batched = engine.parameter_gradients_batch(&x, &ones).unwrap();
+        let reference = net.parameter_gradients(&x[0], &ones).unwrap();
+        assert_eq!(batched[0][9].to_bits(), 0.0f32.to_bits());
+        assert_eq!(kernels::bit_mismatch(&batched[0], &reference), None);
     }
 
     /// A Dense-only graph with a shared input, an Add, a Concat and a dead

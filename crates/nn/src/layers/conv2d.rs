@@ -1,6 +1,6 @@
 //! 2-D convolution layer.
 
-use dnnip_tensor::conv::{conv2d_backward, conv2d_forward, conv2d_forward_im2col, Conv2dGeometry};
+use dnnip_tensor::conv::{conv2d_backward, conv2d_forward, conv2d_forward_gemm, Conv2dGeometry};
 use dnnip_tensor::{init, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -130,8 +130,8 @@ impl Conv2d {
         Ok(())
     }
 
-    /// Inference: the output alone, through the blocked im2col + `gemm`
-    /// convolution ([`conv2d_forward_im2col`]) — the arithmetic of the batched
+    /// Inference: the output alone, through the lowering-free GEMM
+    /// convolution ([`conv2d_forward_gemm`]) — the arithmetic of the batched
     /// gradient engine, so the two agree bit for bit.
     ///
     /// # Errors
@@ -140,7 +140,7 @@ impl Conv2d {
     /// window does not fit.
     pub fn infer(&self, input: &Tensor) -> Result<Tensor> {
         self.check_input(input)?;
-        Ok(conv2d_forward_im2col(
+        Ok(conv2d_forward_gemm(
             input,
             &self.weight,
             &self.bias,

@@ -110,8 +110,9 @@ impl Layer {
 
     /// Run the layer for inference: the output alone, with no backward cache.
     ///
-    /// A [`Conv2d`] runs the blocked im2col + `gemm` convolution (bit-identical
-    /// to the batched gradient engine); every other layer runs the kernel of
+    /// A [`Conv2d`] runs the lowering-free GEMM convolution,
+    /// `conv2d_forward_gemm` (bit-identical to the batched gradient engine);
+    /// every other layer runs the kernel of
     /// [`Layer::forward`] without building its cache.
     ///
     /// # Errors

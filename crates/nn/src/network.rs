@@ -271,8 +271,8 @@ impl Network {
     /// Forward pass over a batch `[N, ...input_shape]`, returning logits
     /// `[N, classes]`.
     ///
-    /// Runs [`Layer::infer`]: convolutions take the blocked im2col + `gemm`
-    /// kernel, the same arithmetic as
+    /// Runs [`Layer::infer`]: convolutions take the lowering-free GEMM
+    /// kernel (`conv2d_forward_gemm`), the same arithmetic as
     /// [`crate::batch::BatchGradientEngine::forward_batch`], so the logits are
     /// bit-identical to the engine's. Golden outputs, IP replay and
     /// [`Network::predict`] all run here. Each node output is dropped once its

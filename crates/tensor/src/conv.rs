@@ -1,24 +1,34 @@
 //! Convolution and pooling primitives on `[N, C, H, W]` tensors.
 //!
-//! Two independent forward implementations of the 2-D convolution are provided:
-//! a direct 7-deep loop nest ([`conv2d_forward`]) and an im2col + blocked
-//! `gemm` formulation ([`conv2d_forward_im2col`]). They agree within
-//! floating-point rounding. The direct loop starts each sum from the bias,
-//! im2col adds the bias after the product, so the last bits can differ when
-//! the bias is nonzero; with a zero bias they are bit-identical (both sum the
-//! same products in the same order). That gives the test suite a strong
-//! cross-check.
+//! Three formulations of the 2-D convolution are provided:
 //!
-//! In `dnnip-nn`, inference (`Layer::infer`, hence `Network::forward`) and the
-//! batched gradient engine run im2col; `Network::forward_cached`, the
-//! per-sample reference gradients and training run the direct loop nest.
+//! * [`ConvPlan`], the **lowering-free** GEMM convolution: the register tiles
+//!   of [`crate::kernels`] read each sample's zero-padded plane in place
+//!   through offset tables, for the forward ([`conv2d_forward_gemm`] over a
+//!   batch), the weight gradient and the input gradient. It is the one
+//!   convolution the programs run: in `dnnip-nn`, inference
+//!   (`Layer::infer`, hence `Network::forward`) and the batched gradient
+//!   engine.
+//! * The **im2col oracle**: [`im2col_block_into`] lowers a sample into its
+//!   `[C·KH·KW, OH·OW]` column block, [`conv2d_forward_im2col`] multiplies it
+//!   by the weights, and [`col2im_slice_into`] scatters a column-layout
+//!   gradient back onto the image. No program calls them (CI checks this);
+//!   they stay as the oracle the lowering-free kernels are compared with,
+//!   bit for bit.
+//! * A **direct** 7-deep loop nest ([`conv2d_forward`], [`conv2d_backward`]):
+//!   the independent per-sample reference that `Network::forward_cached`, the
+//!   reference gradients and training run. It starts each sum from the bias
+//!   where the GEMM formulations add the bias after the product, so the last
+//!   bits can differ when the bias is nonzero; with a zero bias the forwards
+//!   are bit-identical (both sum the same products in the same order).
 //!
-//! The lowering kernels move whole rows in fixed 8-lane chunks.
-//! [`im2col_block_into`] (under every im2col entry point) reads a zero-padded
-//! copy of the sample, in which each run of an im2col row is one whole
-//! `OW`-wide copy. [`col2im_slice_into`] builds each input-gradient row
-//! destination-major, in registers. Both are bit-identical to the
-//! per-element loops (`tests/lowering.rs` checks them against those loops).
+//! The lowering oracles move whole rows in fixed 8-lane chunks.
+//! [`im2col_block_into`] reads a zero-padded copy of the sample, in which
+//! each run of an im2col row is one whole `OW`-wide copy.
+//! [`col2im_slice_into`] builds each input-gradient row destination-major,
+//! in registers. Both are bit-identical to the per-element loops
+//! (`tests/lowering.rs` checks them against those loops), and
+//! `tests/conv_plan.rs` checks [`ConvPlan`] against them.
 //!
 //! All functions operate on single-precision tensors in the layouts used by
 //! `dnnip-nn`:
@@ -27,8 +37,11 @@
 //! * convolution weights: `[OC, C, KH, KW]`
 //! * convolution bias: `[OC]`
 
+use crate::kernels::{
+    pack_panel, pack_panel_t, row_major, sweep_rows, Lhs, OffsetTable, Run, Store, Strided, NR,
+};
 use crate::shape::{self, conv_out_dim};
-use crate::{Result, Tensor, TensorError};
+use crate::{Result, ScratchArena, Tensor, TensorError};
 
 /// Geometry of a convolution or pooling window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,7 +96,7 @@ fn expect_rank4(t: &Tensor, op: &'static str) -> Result<(usize, usize, usize, us
 /// Each output starts from its bias and accumulates the window's products.
 /// `dnnip-nn` runs this kernel on its cached (training and reference
 /// gradient) path; see the module docs for how it relates to
-/// [`conv2d_forward_im2col`].
+/// [`conv2d_forward_gemm`].
 ///
 /// * `input` — `[N, C, H, W]`
 /// * `weight` — `[OC, C, KH, KW]`
@@ -498,13 +511,12 @@ pub fn im2col_block_into(
     Ok((rows, per))
 }
 
-/// 2-D convolution forward pass via im2col + matrix multiplication.
+/// 2-D convolution forward pass via im2col + matrix multiplication: the
+/// oracle of [`conv2d_forward_gemm`], which no program calls.
 ///
 /// Each sample is lowered into one column matrix and multiplied by the blocked
 /// [`crate::kernels::gemm`]; the bias is added after the product. Matches
 /// [`conv2d_forward`] within rounding, and bit for bit when the bias is zero.
-/// This is the inference kernel of `dnnip-nn` (`Layer::infer`), the same
-/// arithmetic as its batched gradient engine's convolution forward.
 ///
 /// # Errors
 ///
@@ -540,6 +552,445 @@ pub fn conv2d_forward_im2col(
             for v in &mut dst[oci * per..(oci + 1) * per] {
                 *v += b;
             }
+        }
+    }
+    Tensor::from_vec(out, &[n, oc, oh, ow])
+}
+
+/// One convolution layer planned for `[C, H, W]` samples of one size: the
+/// lowering-free GEMM forward, weight gradient and input gradient of the
+/// batched engine and of inference.
+///
+/// No im2col block is ever written. Every product reads the sample's
+/// zero-padded `[C, H+2p, W+2p]` plane (the sample itself when `pad = 0`)
+/// in place through two offset tables built here once: the window origin
+/// of each output position, `oh·s·Wp + ow·s`, and the offset of each tap
+/// `(c, kh, kw)` from that origin, `c·Hp·Wp + kh·Wp + kw`. Entry
+/// `(tap, position)` of the im2col block is `plane[tap + position]`, so the
+/// tiles read the block they used to read, without the copy.
+///
+/// * **Forward.** The output positions are the tile rows, the plane is the
+///   left operand, the panels are `Wᵀ`, packed here once, and the tiles
+///   store transposed into `[OC, OH·OW]`. A panel of `NR` output channels
+///   costs the same however few of them are live, so when the channels
+///   leave part of a panel empty and every `NR` positions are one run of a
+///   plane row (stride 1, `OW` a multiple of `NR`), the output channels are
+///   the rows instead: `W` is the left operand, and each panel is `NR`
+///   positions' windows, one copied run per tap (timings in the doc of the
+///   private `Forward`).
+/// * **Weight gradient.** `∂L/∂Wᵀ = cols · ∂L/∂outᵀ` with the taps as the
+///   rows and the positions as the steps of the plane operand; only the
+///   small `∂L/∂out` is packed, and the tiles store transposed, straight
+///   into `[OC, C·KH·KW]`. The bias gradient folds each channel from `+0.0`.
+/// * **Input gradient.** Tap by tap in `(kh, kw)` order, the product
+///   `Wᵀ_tap · ∂L/∂out` (one row per input channel, folding the output
+///   channels upward from `+0.0`) is computed in registers and added,
+///   masked to the pixels the tap reaches, into the zeroed image. A pixel
+///   receives at most one term per tap, so it sums the terms col2im summed,
+///   in col2im's order.
+///
+/// Every output element is therefore the fold the im2col formulation
+/// computes: [`im2col_block_into`], [`col2im_slice_into`] and
+/// [`conv2d_forward_im2col`] stay as the oracles the tests compare it with,
+/// bit for bit in the sense of [`crate::kernels::bit_mismatch`].
+#[derive(Debug, Clone)]
+pub struct ConvPlan {
+    geom: Conv2dGeometry,
+    /// Input channels, height and width.
+    chw: [usize; 3],
+    /// Output channels, height and width.
+    out: [usize; 3],
+    /// Window origin of each output position in the padded plane.
+    positions: OffsetTable,
+    /// Offset of each tap `(c, kh, kw)` from a window's origin.
+    taps: OffsetTable,
+    /// The forward's weights, laid out for the operand order it runs.
+    forward: Forward,
+    /// `Wᵀ` as `[C·KH·KW, OC]`, the input gradient's left operand; empty in
+    /// a forward-only plan.
+    wmat_t: Vec<f32>,
+    bias: Vec<f32>,
+    /// The runs of input pixels each `(tap, position panel)` pair of the
+    /// input gradient adds into, indexed by `run_starts`; none in a
+    /// forward-only plan.
+    runs: Vec<Run>,
+    run_starts: Vec<usize>,
+}
+
+/// Which operand of the forward's product sits on the tile rows.
+///
+/// With the positions on the rows, a panel of `NR` output channels costs the
+/// same however few of them are live. With the channels on the rows, the
+/// cost grows with their count, plus packing each panel of positions, which
+/// is one copy per tap only when its `NR` positions are one run of a plane
+/// row. Timed per layer (`ConvPlan::forward`, one thread, fastest of 15 ×
+/// 200 calls, 3×3 kernels with pad 1, 2-vCPU AVX-512 host; `x86-64-v3`
+/// builds alike), channels on the rows against positions on the rows:
+///
+/// * 16×16 outputs, one run per panel: 0.52× and 0.64× on `mnist-scaled`'s
+///   8-channel layers; on 8 input channels at most 0.99× at every count
+///   timed from 4 to 31 output channels but 15 (1.06×) and 16 (1.07×), and
+///   1.05× at 32;
+/// * 8×8 and 12×12 outputs, panels gathered element by element: 1.15–2.1×
+///   on 32 and 64 input channels, for 4 to 64 output channels.
+#[derive(Debug, Clone)]
+enum Forward {
+    /// The output positions are the rows: `Wᵀ` packed into
+    /// `[C·KH·KW × NR]` panels, one per `NR` output channels.
+    Positions(Vec<f32>),
+    /// The output channels are the rows: `W` as `[OC, C·KH·KW]`, the left
+    /// operand.
+    Channels(Vec<f32>),
+}
+
+impl ConvPlan {
+    /// Plan the convolution by `weight` (`[OC, C, KH, KW]`) and `bias`
+    /// (`[OC]`) of `[C, H, W]` samples, `chw`: its forward, weight gradient
+    /// and input gradient.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`TensorError`] when the weight, bias, geometry and sample
+    /// size disagree, or the window does not fit.
+    pub fn new(
+        weight: &Tensor,
+        bias: &Tensor,
+        geom: Conv2dGeometry,
+        chw: [usize; 3],
+    ) -> Result<Self> {
+        let mut plan = Self::forward_only(weight, bias, geom, chw)?;
+        let [c, h, w] = chw;
+        let [oc, oh, ow] = plan.out;
+        let Conv2dGeometry {
+            kh,
+            kw,
+            stride,
+            pad,
+        } = geom;
+        let ckk = c * kh * kw;
+        let wd = weight.data();
+        plan.wmat_t = (0..ckk)
+            .flat_map(|t| (0..oc).map(move |o| wd[o * ckk + t]))
+            .collect();
+        let per = oh * ow;
+        for tap in 0..kh * kw {
+            let (khi, kwi) = (tap / kw, tap % kw);
+            for j0 in (0..per).step_by(NR) {
+                let first = plan.runs.len();
+                for lane in 0..NR.min(per - j0) {
+                    let (ohi, owi) = ((j0 + lane) / ow, (j0 + lane) % ow);
+                    let ih = (ohi * stride + khi).checked_sub(pad).filter(|&i| i < h);
+                    let iw = (owi * stride + kwi).checked_sub(pad).filter(|&i| i < w);
+                    let (Some(ih), Some(iw)) = (ih, iw) else {
+                        continue;
+                    };
+                    let dst = ih * w + iw;
+                    match plan.runs[first..].last_mut() {
+                        Some(run) if run.lane + run.len == lane && run.dst + run.len == dst => {
+                            run.len += 1;
+                        }
+                        _ => plan.runs.push(Run { lane, len: 1, dst }),
+                    }
+                }
+                plan.run_starts.push(plan.runs.len());
+            }
+        }
+        Ok(plan)
+    }
+
+    /// The plan of the forward alone: no input-gradient tables.
+    fn forward_only(
+        weight: &Tensor,
+        bias: &Tensor,
+        geom: Conv2dGeometry,
+        chw: [usize; 3],
+    ) -> Result<Self> {
+        let [c, h, w] = chw;
+        let (oc, wc, kh, kw) = expect_rank4(weight, "ConvPlan(weight)")?;
+        check_conv_args(c, wc, kh, kw, bias, oc, geom)?;
+        let (oh, ow) = geom.output_hw(h, w)?;
+        let (hp, wp) = (h + 2 * geom.pad, w + 2 * geom.pad);
+        let stride = geom.stride;
+        let ckk = c * kh * kw;
+        let positions = (0..oh)
+            .flat_map(|ohi| (0..ow).map(move |owi| (ohi * wp + owi) * stride))
+            .collect();
+        let taps = (0..c)
+            .flat_map(|ci| {
+                (0..kh).flat_map(move |khi| (0..kw).map(move |kwi| (ci * hp + khi) * wp + kwi))
+            })
+            .collect();
+        let forward = if stride == 1 && ow % NR == 0 && oc % NR != 0 {
+            Forward::Channels(weight.data().to_vec())
+        } else {
+            // Panel `j` holds output channels `j·NR ..` of `Wᵀ`, which are
+            // rows `j·NR ..` of `W` transposed.
+            let mut panels = vec![0.0f32; ckk * oc.next_multiple_of(NR)];
+            for (j, panel) in panels.chunks_exact_mut(ckk * NR).enumerate() {
+                let j0 = j * NR;
+                pack_panel_t(weight.data(), ckk, j0, NR.min(oc - j0), panel);
+            }
+            Forward::Positions(panels)
+        };
+        Ok(Self {
+            geom,
+            chw,
+            out: [oc, oh, ow],
+            positions: OffsetTable::new(positions),
+            taps: OffsetTable::new(taps),
+            forward,
+            wmat_t: Vec::new(),
+            bias: bias.data().to_vec(),
+            runs: Vec::new(),
+            run_starts: vec![0],
+        })
+    }
+
+    /// The output shape `[OC, OH, OW]` of one sample.
+    pub fn output_shape(&self) -> [usize; 3] {
+        self.out
+    }
+
+    /// Length of a sample's zero-padded plane, `C·(H+2p)·(W+2p)`.
+    fn plane_len(&self) -> usize {
+        let [c, h, w] = self.chw;
+        let pad = self.geom.pad;
+        c * (h + 2 * pad) * (w + 2 * pad)
+    }
+
+    /// The plane the products read for `sample`: the sample itself when
+    /// there is no padding, else its zero-padded copy, written into
+    /// `buf[at..]`. `buf` is resized to end with that copy; what lies before
+    /// `at` is kept, so planes can be kept side by side.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `sample` is not `C·H·W` long.
+    pub fn plane<'a>(&self, sample: &'a [f32], buf: &'a mut Vec<f32>, at: usize) -> &'a [f32] {
+        if self.geom.pad == 0 {
+            assert_eq!(sample.len(), self.plane_len(), "sample is not [C, H, W]");
+            return sample;
+        }
+        let plane = &mut ScratchArena::sized(buf, at + self.plane_len())[at..];
+        self.pad_into(sample, plane);
+        plane
+    }
+
+    /// The plane [`ConvPlan::plane`] returned for `sample`, again: the
+    /// sample itself when there is no padding, else the copy it wrote, at
+    /// the start of `kept`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the plane is longer than `kept`.
+    pub fn kept_plane<'a>(&self, sample: &'a [f32], kept: &'a [f32]) -> &'a [f32] {
+        if self.geom.pad == 0 {
+            sample
+        } else {
+            &kept[..self.plane_len()]
+        }
+    }
+
+    /// Write `sample`'s zero-padded plane into `plane`, `plane_len()` long.
+    /// Every element is written, so `plane` needs no clearing.
+    fn pad_into(&self, sample: &[f32], plane: &mut [f32]) {
+        let [c, h, w] = self.chw;
+        let pad = self.geom.pad;
+        let (hp, wp) = (h + 2 * pad, w + 2 * pad);
+        assert_eq!(sample.len(), c * h * w, "sample is not [C, H, W]");
+        assert_eq!(plane.len(), c * hp * wp, "plane is not [C, H+2p, W+2p]");
+        plane.fill(0.0);
+        for ci in 0..c {
+            let dst = &mut plane[(ci * hp + pad) * wp + pad..];
+            copy_runs(dst, wp, &sample[ci * h * w..], w, w, h);
+        }
+    }
+
+    /// One sample's output `[OC, OH·OW]` into `out` (fully overwritten), from
+    /// its plane: the products, then the bias, as [`conv2d_forward_im2col`]
+    /// computes them. `panel` is scratch.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `plane` is not `C·(H+2p)·(W+2p)` long or `out` not
+    /// `OC·OH·OW` long.
+    pub fn forward(&self, plane: &[f32], out: &mut [f32], panel: &mut Vec<f32>) {
+        let [oc, oh, ow] = self.out;
+        let (ckk, per) = (self.taps.as_slice().len(), oh * ow);
+        assert_eq!(
+            plane.len(),
+            self.plane_len(),
+            "plane is not [C, H+2p, W+2p]"
+        );
+        assert_eq!(out.len(), oc * per, "out is not [OC, OH*OW]");
+        if ckk == 0 {
+            out.fill(0.0);
+        } else {
+            match &self.forward {
+                Forward::Positions(panels) => {
+                    let windows = Lhs {
+                        data: plane,
+                        rows: &self.positions,
+                        steps: &self.taps,
+                    };
+                    for (j, wt) in panels.chunks_exact(ckk * NR).enumerate() {
+                        let j0 = j * NR;
+                        let nr = NR.min(oc - j0);
+                        let dst = &mut out[j0 * per..];
+                        sweep_rows(per, ckk, windows, wt, nr, dst, Store::Cols(per));
+                    }
+                }
+                Forward::Channels(wmat) => {
+                    // Every panel is NR positions of one plane row (see
+                    // `Forward`).
+                    let panel = ScratchArena::sized(panel, ckk * NR);
+                    let positions = self.positions.as_slice();
+                    let wmat = row_major(wmat, ckk);
+                    for j0 in (0..per).step_by(NR) {
+                        pack_windows(plane, self.taps.as_slice(), positions[j0], panel);
+                        sweep_rows(oc, ckk, wmat, panel, NR, &mut out[j0..], Store::Rows(per));
+                    }
+                }
+            }
+        }
+        for (row, &b) in out.chunks_exact_mut(per).zip(&self.bias) {
+            for v in row {
+                *v += b;
+            }
+        }
+    }
+
+    /// One sample's parameter gradient from its plane and `god` =
+    /// `∂L/∂out` (`[OC, OH·OW]`): `∂L/∂W` (`[OC, C·KH·KW]`) then `∂L/∂b`
+    /// (`[OC]`), written into `dst` (fully overwritten). `panel` is scratch.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a slice length disagrees with the plan.
+    pub fn weight_gradient(
+        &self,
+        plane: &[f32],
+        god: &[f32],
+        dst: &mut [f32],
+        panel: &mut Vec<f32>,
+    ) {
+        let [oc, oh, ow] = self.out;
+        let (ckk, per) = (self.taps.as_slice().len(), oh * ow);
+        assert_eq!(
+            plane.len(),
+            self.plane_len(),
+            "plane is not [C, H+2p, W+2p]"
+        );
+        assert_eq!(god.len(), oc * per, "god is not [OC, OH*OW]");
+        assert_eq!(dst.len(), oc * ckk + oc, "dst is not [OC*C*KH*KW + OC]");
+        let (dw, db) = dst.split_at_mut(oc * ckk);
+        if ckk > 0 {
+            let panel = ScratchArena::sized(panel, per * NR);
+            let cols = Lhs {
+                data: plane,
+                rows: &self.taps,
+                steps: &self.positions,
+            };
+            for j0 in (0..oc).step_by(NR) {
+                let nr = NR.min(oc - j0);
+                pack_panel_t(god, per, j0, nr, panel);
+                sweep_rows(
+                    ckk,
+                    per,
+                    cols,
+                    panel,
+                    nr,
+                    &mut dw[j0 * ckk..],
+                    Store::Cols(ckk),
+                );
+            }
+        }
+        // An explicit fold from +0.0: std's `f32: Sum` starts at -0.0, which
+        // would keep a channel whose gradient is all -0.0 at -0.0.
+        for (slot, g) in db.iter_mut().zip(god.chunks_exact(per)) {
+            *slot = g.iter().fold(0.0, |acc, &v| acc + v);
+        }
+    }
+
+    /// One sample's input gradient `[C, H, W]` from `god` = `∂L/∂out`
+    /// (`[OC, OH·OW]`), written into `dst` (fully overwritten). `panel` is
+    /// scratch.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a slice length disagrees with the plan.
+    pub fn input_gradient(&self, god: &[f32], dst: &mut [f32], panel: &mut Vec<f32>) {
+        let [c, h, w] = self.chw;
+        let [oc, oh, ow] = self.out;
+        let per = oh * ow;
+        let taps = self.geom.kh * self.geom.kw;
+        assert_eq!(god.len(), oc * per, "god is not [OC, OH*OW]");
+        assert_eq!(dst.len(), c * h * w, "dst is not [C, H, W]");
+        assert_eq!(self.wmat_t.len(), c * taps * oc, "a forward-only plan");
+        dst.fill(0.0);
+        if oc == 0 {
+            return;
+        }
+        // Every position panel of ∂L/∂out, packed once for all the taps.
+        let panels = ScratchArena::sized(panel, per.div_ceil(NR) * oc * NR);
+        for (j, p) in panels.chunks_exact_mut(oc * NR).enumerate() {
+            pack_panel(god, per, j * NR, NR.min(per - j * NR), p);
+        }
+        let mut starts = self.run_starts.windows(2);
+        for tap in 0..taps {
+            let wt = Lhs {
+                data: &self.wmat_t[tap * oc..],
+                rows: Strided(taps * oc),
+                steps: Strided(1),
+            };
+            for (j, p) in panels.chunks_exact(oc * NR).enumerate() {
+                let span = starts.next().expect("one run list per tap and panel");
+                let runs = &self.runs[span[0]..span[1]];
+                if !runs.is_empty() {
+                    let nr = NR.min(per - j * NR);
+                    sweep_rows(c, oc, wt, p, nr, dst, Store::Add(h * w, runs));
+                }
+            }
+        }
+    }
+}
+
+/// Pack the windows of `NR` output positions whose origins are the run
+/// `origin ..` of one plane row into a `[C·KH·KW × NR]` panel: row `tap` is
+/// `plane[taps[tap] + origin ..][..NR]`, a row of the im2col block.
+fn pack_windows(plane: &[f32], taps: &[usize], origin: usize, panel: &mut [f32]) {
+    for (dst, &t) in panel.chunks_exact_mut(NR).zip(taps) {
+        let src: &[f32; NR] = plane[t + origin..][..NR].try_into().expect("NR-wide run");
+        let dst: &mut [f32; NR] = dst.try_into().expect("NR-wide panel row");
+        *dst = *src;
+    }
+}
+
+/// Lowering-free 2-D convolution forward pass: each sample's zero-padded
+/// plane is read in place by the GEMM tiles ([`ConvPlan::forward`]), and the
+/// bias is added after the product. This is the inference kernel of
+/// `dnnip-nn` (`Layer::infer`) and the arithmetic of its batched gradient
+/// engine's convolution forward, and it is bit-identical to
+/// [`conv2d_forward_im2col`].
+///
+/// # Errors
+///
+/// Same error conditions as [`conv2d_forward`].
+pub fn conv2d_forward_gemm(
+    input: &Tensor,
+    weight: &Tensor,
+    bias: &Tensor,
+    geom: Conv2dGeometry,
+) -> Result<Tensor> {
+    let (n, c, h, w) = expect_rank4(input, "conv2d_forward_gemm")?;
+    let plan = ConvPlan::forward_only(weight, bias, geom, [c, h, w])?;
+    let [oc, oh, ow] = plan.output_shape();
+    let mut out = vec![0.0f32; n * oc * oh * ow];
+    let (mut buf, mut panel) = (Vec::new(), Vec::new());
+    if c * h * w > 0 && oc * oh * ow > 0 {
+        let samples = input.data().chunks_exact(c * h * w);
+        for (sample, dst) in samples.zip(out.chunks_exact_mut(oc * oh * ow)) {
+            plan.forward(plan.plane(sample, &mut buf, 0), dst, &mut panel);
         }
     }
     Tensor::from_vec(out, &[n, oc, oh, ow])
@@ -661,19 +1112,13 @@ pub fn maxpool2d_forward(input: &Tensor, k: usize, stride: usize) -> Result<MaxP
         for ci in 0..c {
             for ohi in 0..oh {
                 for owi in 0..ow {
-                    let mut best = f32::NEG_INFINITY;
-                    let mut best_idx = 0usize;
-                    for khi in 0..k {
-                        for kwi in 0..k {
-                            let ih = ohi * stride + khi;
-                            let iw = owi * stride + kwi;
-                            let idx = ((ni * c + ci) * h + ih) * w + iw;
-                            if ind[idx] > best {
-                                best = ind[idx];
-                                best_idx = idx;
-                            }
-                        }
-                    }
+                    let origin = ((ni * c + ci) * h + ohi * stride) * w + owi * stride;
+                    // The 2×2 window, the zoo's, as straight-line selects.
+                    let (best, best_idx) = if k == 2 {
+                        window_max(ind, origin, w, 2)
+                    } else {
+                        window_max(ind, origin, w, k)
+                    };
                     let o_idx = ((ni * c + ci) * oh + ohi) * ow + owi;
                     out[o_idx] = best;
                     argmax[o_idx] = best_idx;
@@ -685,6 +1130,25 @@ pub fn maxpool2d_forward(input: &Tensor, k: usize, stride: usize) -> Result<MaxP
         output: Tensor::from_vec(out, &[n, c, oh, ow])?,
         argmax,
     })
+}
+
+/// The maximum of the `k`×`k` window whose first element is `x[origin]`
+/// (rows `w` apart) and its flat index: a strict `>` from `-∞` in `(kh, kw)`
+/// order, so the first of equal maxima wins. A window with no element above
+/// `-∞` (all NaN or `-∞`) yields `-∞` at its own first element.
+#[inline(always)]
+fn window_max(x: &[f32], origin: usize, w: usize, k: usize) -> (f32, usize) {
+    let (mut best, mut at) = (f32::NEG_INFINITY, origin);
+    for khi in 0..k {
+        for kwi in 0..k {
+            let idx = origin + khi * w + kwi;
+            if x[idx] > best {
+                best = x[idx];
+                at = idx;
+            }
+        }
+    }
+    (best, at)
 }
 
 /// Max-pooling backward pass: routes each output gradient to the input element
@@ -936,6 +1400,30 @@ mod tests {
         assert_eq!(gi.get(&[0, 0, 3, 1]).unwrap(), 3.0);
         assert_eq!(gi.get(&[0, 0, 3, 3]).unwrap(), 4.0);
         assert_eq!(gi.sum(), 10.0);
+    }
+
+    #[test]
+    fn maxpool_argmax_stays_in_a_window_with_nothing_above_neg_infinity() {
+        // The second sample's windows are all NaN or all -Inf: each argmax
+        // is its own window's first element (not index 0 of the batch), so
+        // the backward routes the gradient inside that sample.
+        let mut data = vec![1.0f32; 16];
+        data.extend([f32::NAN; 8]);
+        data.extend([f32::NEG_INFINITY; 8]);
+        let input = Tensor::from_vec(data, &[2, 1, 4, 4]).unwrap();
+        let pooled = maxpool2d_forward(&input, 2, 2).unwrap();
+        assert_eq!(pooled.argmax[4..], [16, 18, 24, 26]);
+        assert!(pooled.output.data()[4..]
+            .iter()
+            .all(|&v| v == f32::NEG_INFINITY));
+        for k in [2, 3] {
+            let odd = maxpool2d_forward(&input, k, 1).unwrap();
+            let per = odd.argmax.len() / 2;
+            assert!(odd.argmax[per..].iter().all(|&i| (16..32).contains(&i)));
+        }
+        let grad = Tensor::ones(pooled.output.shape());
+        let gi = maxpool2d_backward(&grad, &pooled.argmax, input.shape()).unwrap();
+        assert_eq!(gi.data()[16..].iter().sum::<f32>(), 4.0);
     }
 
     #[test]

@@ -1,13 +1,22 @@
 //! Cache-blocked, register-tiled matrix-multiplication micro-kernels.
 //!
 //! [`gemm`] is the engine behind [`crate::ops::matmul`]; [`gemm_nt`] computes
-//! `a · bᵀ` for the batched gradient engine and stores it transposed. Both
-//! walk the output matrix in
-//! `MR`×`NR` register tiles: the right-hand operand is first packed, `NR`
-//! columns at a time, into a `[k × NR]` panel laid out so the micro-kernel
-//! streams it sequentially, and each tile keeps its `MR·NR` partial sums in
-//! vector registers. SIMD lanes map *across output columns*, never across the
-//! `k` reduction.
+//! `a · bᵀ` and stores it transposed. The lowering-free convolution of
+//! [`crate::conv::ConvPlan`] drives the same tiles directly. Every product
+//! walks its output in `MR`×`NR` register tiles: the right-hand operand is
+//! first packed, `NR` columns at a time, into a `[k × NR]` panel laid out so
+//! the micro-kernel streams it sequentially, and each tile keeps its `MR·NR`
+//! partial sums in vector registers. SIMD lanes map *across output columns*,
+//! never across the `k` reduction.
+//!
+//! # Left-operand addressing
+//!
+//! A tile reads its left operand in place, through row and step offsets:
+//! element `(r, p)` is `data[row_off(r) + step_off(p)]`. A row-major
+//! `[m, k]` matrix is the special case `r·k + p`. A convolution passes two
+//! offset tables instead, so its tiles read the zero-padded input plane as
+//! the im2col block it stands for, without writing that block: see
+//! [`crate::conv::ConvPlan`]. One kernel serves both, in each tile.
 //!
 //! # Tile size
 //!
@@ -38,8 +47,9 @@
 //! changes every other loop of the build as well, and on one `cifar-scaled`
 //! sample's convolution GEMMs it stayed slower than the hand-written tile
 //! (142 against 128 µs, fastest of 3000 calls per shape). The intrinsics
-//! live in the `avx512` submodule, the one module in the workspace where `unsafe_code` is allowed; plain asserts bound every
-//! pointer offset it uses before it dereferences one.
+//! live in the `avx512` submodule, the one module in the workspace where
+//! `unsafe_code` is allowed; plain asserts bound every pointer offset it uses
+//! before it dereferences one.
 //!
 //! # Full-width panels
 //!
@@ -52,17 +62,21 @@
 //! as much as the arithmetic. Edge panels copy `nr` columns and zero the
 //! rest; the 512-bit tile writes an edge tile row with one masked store.
 //!
-//! # Transposed store
+//! # Transposed store and added runs
 //!
 //! [`gemm_nt`] runs the same tiles as [`gemm`] but writes tile element
 //! `(r, c)` to `out[c][r]`, so the product `a · bᵀ` lands as `[n, m]`. The
-//! batched engine's convolution weight gradient computes
-//! `∂L/∂Wᵀ = cols · ∂L/∂outᵀ`, reading the large im2col block in place as the
-//! left operand and packing only the small `∂L/∂out`, and stores it through
-//! this path straight into the `[OC, C·KH·KW]` parameter-gradient slice.
-//! Swapping the operands instead would give that layout in row order but
-//! pack the large block. A transposed tile spills its accumulators once and
-//! writes `nr` runs of `M` contiguous elements.
+//! convolution weight gradient `∂L/∂Wᵀ = cols · ∂L/∂outᵀ` stores through this
+//! path straight into the `[OC, C·KH·KW]` parameter-gradient slice, reading
+//! the input plane in place as the left operand and packing only the small
+//! `∂L/∂out`. A transposed tile spills its accumulators once and writes `nr`
+//! runs of `M` contiguous elements.
+//!
+//! The convolution input gradient adds each finished tile into an image
+//! instead of storing it: runs of tile columns, each added into a run of
+//! contiguous destination elements, the columns in no run dropped. The
+//! 512-bit tile moves each run down to lane 0 with one compress and adds it
+//! with a masked load and store.
 //!
 //! # Bit-identity contract
 //!
@@ -112,13 +126,124 @@ pub fn bit_mismatch(a: &[f32], b: &[f32]) -> Option<usize> {
         .or((a.len() != b.len()).then(|| a.len().min(b.len())))
 }
 
-/// Where a micro-kernel writes tile element `(r, c)`.
+/// Offsets of a tile operand's rows or of its reduction steps.
+pub(crate) trait Offsets: Copy {
+    /// Offset `i`.
+    fn at(self, i: usize) -> usize;
+    /// A bound that `at(i)` does not exceed for any `i < n`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `n` runs past the offsets there are.
+    fn bound(self, n: usize) -> usize;
+    /// Offsets `0 .. n`, in order.
+    fn iter(self, n: usize) -> impl Iterator<Item = usize>;
+}
+
+/// Offsets `i · stride`: the rows of a row-major matrix (`stride` = its row
+/// length) or the steps along one of its rows (`stride` = 1).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Strided(pub usize);
+
+impl Offsets for Strided {
+    #[inline(always)]
+    fn at(self, i: usize) -> usize {
+        i * self.0
+    }
+
+    fn bound(self, n: usize) -> usize {
+        n.saturating_sub(1) * self.0
+    }
+
+    #[inline(always)]
+    fn iter(self, n: usize) -> impl Iterator<Item = usize> {
+        (0..n).map(move |i| i * self.0)
+    }
+}
+
+/// Offsets read from a table, whose maximum is found once, when it is built.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct OffsetTable {
+    offs: Vec<usize>,
+    max: usize,
+}
+
+impl OffsetTable {
+    /// The table of `offs`.
+    pub(crate) fn new(offs: Vec<usize>) -> Self {
+        let max = offs.iter().copied().max().unwrap_or(0);
+        Self { offs, max }
+    }
+
+    /// The offsets, in order.
+    pub(crate) fn as_slice(&self) -> &[usize] {
+        &self.offs
+    }
+}
+
+impl Offsets for &OffsetTable {
+    #[inline(always)]
+    fn at(self, i: usize) -> usize {
+        self.offs[i]
+    }
+
+    fn bound(self, n: usize) -> usize {
+        assert!(
+            n <= self.offs.len(),
+            "{n} offsets asked of a table of {}",
+            self.offs.len()
+        );
+        self.max
+    }
+
+    #[inline(always)]
+    fn iter(self, n: usize) -> impl Iterator<Item = usize> {
+        self.offs[..n].iter().copied()
+    }
+}
+
+/// A tile's left operand: element `(r, p)` is `data[rows.at(r) + steps.at(p)]`.
+///
+/// A row-major `[m, k]` matrix is `rows = Strided(k)`, `steps = Strided(1)`.
+/// A convolution reads its zero-padded input plane in place through two
+/// offset tables instead: the window origin of each output position and the
+/// offset of each tap `(c, kh, kw)` from that origin (see `conv::ConvPlan`).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Lhs<'a, R, S> {
+    pub(crate) data: &'a [f32],
+    pub(crate) rows: R,
+    pub(crate) steps: S,
+}
+
+/// A row-major `[_, k]` matrix as a tile's left operand.
+pub(crate) fn row_major(data: &[f32], k: usize) -> Lhs<'_, Strided, Strided> {
+    Lhs {
+        data,
+        rows: Strided(k),
+        steps: Strided(1),
+    }
+}
+
+/// A run of tile columns added into a destination row: lanes
+/// `lane .. lane+len` of tile row `r` are added to the `len` elements at
+/// `out[r*ldc + dst ..]`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Store {
-    /// To `out[r*ldc + c]`: the product as computed.
-    Rows,
-    /// To `out[c*ldc + r]`: the product transposed.
-    Cols,
+pub(crate) struct Run {
+    pub(crate) lane: usize,
+    pub(crate) len: usize,
+    pub(crate) dst: usize,
+}
+
+/// Where a micro-kernel puts tile element `(r, c)`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Store<'a> {
+    /// Written to `out[r*ldc + c]`: the product as computed.
+    Rows(usize),
+    /// Written to `out[c*ldc + r]`: the product transposed.
+    Cols(usize),
+    /// Added to `out[r*ldc + run.dst + (c - run.lane)]` for the columns of
+    /// each run; columns in no run are dropped.
+    Add(usize, &'a [Run]),
 }
 
 /// The transposed store of a finished tile: column `c < nr` of `acc` becomes
@@ -130,12 +255,12 @@ fn store_cols<const M: usize>(acc: &[[f32; NR]; M], out: &mut [f32], ldc: usize,
     }
 }
 
-/// Runs the micro-kernel `kernel::<M>(k, a, lda, panel, out, ldc, nr, store)`
+/// Runs the micro-kernel `kernel::<M, _, _>(k, a, i0, panel, out, nr, store)`
 /// for a tile of `$mr` live rows, one monomorphized kernel per listed `M`.
 macro_rules! dispatch_rows {
     ($mr:expr, $args:tt, $($m:literal)+) => {
         match $mr {
-            $($m => kernel::<$m> $args,)+
+            $($m => kernel::<$m, R, S> $args,)+
             mr => unreachable!("a tile has 1..=MR rows, not {mr}"),
         }
     };
@@ -152,7 +277,7 @@ use portable as tile;
 /// The portable tile: `MR` rows of two 256-bit vectors, auto-vectorized.
 #[cfg(not(all(target_arch = "x86_64", target_feature = "avx512f")))]
 mod portable {
-    use super::{store_cols, Store, NR};
+    use super::{store_cols, Lhs, Offsets, Store, NR};
 
     /// Rows per portable register tile.
     pub(super) const MR: usize = 6;
@@ -160,53 +285,78 @@ mod portable {
     /// Runs the tile of `mr ∈ 1..=MR` live rows; see [`kernel`].
     #[allow(clippy::too_many_arguments)]
     #[inline]
-    pub(super) fn tile(
+    pub(super) fn tile<R: Offsets, S: Offsets>(
         mr: usize,
         k: usize,
-        a: &[f32],
-        lda: usize,
+        a: Lhs<'_, R, S>,
+        i0: usize,
         panel: &[f32],
         out: &mut [f32],
-        ldc: usize,
         nr: usize,
-        store: Store,
+        store: Store<'_>,
     ) {
-        dispatch_rows!(mr, (k, a, lda, panel, out, ldc, nr, store), 1 2 3 4 5 6)
+        dispatch_rows!(mr, (k, a, i0, panel, out, nr, store), 1 2 3 4 5 6)
     }
 
-    /// `MR`×`NR` register-tile micro-kernel with `M ∈ 1..=MR` live rows.
+    /// The `M`×`NR` tile of products: row `r` folds
+    /// `data[rows[r] + steps.at(p)] * panel[p][..]` over `p = 0..k` from
+    /// `+0.0`.
     ///
-    /// `a` holds the tile's rows at stride `lda` (row `r` is
-    /// `a[r*lda .. r*lda+k]`), `panel` is the packed `[k × NR]` right-hand
-    /// panel, and the first `nr` columns of the tile are written to `out` at
-    /// stride `ldc`, as rows or transposed as `store` says. Padded panel
-    /// columns (`c >= nr`) are computed into accumulators that are simply
-    /// never written back.
-    #[allow(clippy::too_many_arguments)]
-    #[inline]
-    fn kernel<const M: usize>(
+    /// The tile is returned by value, so its accumulators stay in
+    /// registers, and every row is read through a slice of one common
+    /// length, so one bounds check covers a step. Folding into an array the
+    /// store then reads kept some accumulators in memory, stored on every
+    /// step, and indexing `data` directly checks each row: in an
+    /// `x86-64-v3` build those ran the scaled models' convolution products
+    /// 1.6–2.1× and 1.2–1.5× slower.
+    #[inline(always)]
+    fn products<const M: usize, S: Offsets>(
         k: usize,
-        a: &[f32],
-        lda: usize,
+        data: &[f32],
+        rows: [usize; M],
+        steps: S,
         panel: &[f32],
-        out: &mut [f32],
-        ldc: usize,
-        nr: usize,
-        store: Store,
-    ) {
-        let rows: [&[f32]; M] = std::array::from_fn(|r| &a[r * lda..r * lda + k]);
+    ) -> [[f32; NR]; M] {
+        let last = steps.bound(k);
+        let lhs: [&[f32]; M] = std::array::from_fn(|r| &data[rows[r]..][..=last]);
         let mut acc = [[0.0f32; NR]; M];
-        for (p, bp) in panel.chunks_exact(NR).take(k).enumerate() {
+        for (bp, step) in panel.chunks_exact(NR).zip(steps.iter(k)) {
             for r in 0..M {
-                let av = rows[r][p];
+                let av = lhs[r][step];
                 for (accv, &bv) in acc[r].iter_mut().zip(bp) {
                     *accv += av * bv;
                 }
             }
         }
+        acc
+    }
+
+    /// `MR`×`NR` register-tile micro-kernel with `M ∈ 1..=MR` live rows.
+    ///
+    /// Tile row `r` is row `i0 + r` of the left operand `a`, `panel` is the
+    /// packed `[k × NR]` right-hand panel, and the first `nr` columns of the
+    /// tile go to `out` as `store` says. Padded panel columns (`c >= nr`) are
+    /// computed into accumulators that are simply never written back.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    fn kernel<const M: usize, R: Offsets, S: Offsets>(
+        k: usize,
+        a: Lhs<'_, R, S>,
+        i0: usize,
+        panel: &[f32],
+        out: &mut [f32],
+        nr: usize,
+        store: Store<'_>,
+    ) {
+        let rows: [usize; M] = std::array::from_fn(|r| a.rows.at(i0 + r));
+        // The 512-bit tile's bound on every read of the left operand, so an
+        // offset table that runs past its data fails here in both tiles.
+        let top = rows.iter().max().copied().unwrap_or(0) + a.steps.bound(k);
+        assert!(top < a.data.len(), "lhs rows out of bounds");
+        let acc = products::<M, S>(k, a.data, rows, a.steps, panel);
         match store {
-            Store::Cols => store_cols(&acc, out, ldc, nr),
-            Store::Rows if nr == NR => {
+            Store::Cols(ldc) => store_cols(&acc, out, ldc, nr),
+            Store::Rows(ldc) if nr == NR => {
                 // A full-width tile row is one fixed-size store, not a copy
                 // call.
                 for (r, row) in acc.iter().enumerate() {
@@ -216,9 +366,19 @@ mod portable {
                     *dst = *row;
                 }
             }
-            Store::Rows => {
+            Store::Rows(ldc) => {
                 for (r, row) in acc.iter().enumerate() {
                     out[r * ldc..r * ldc + nr].copy_from_slice(&row[..nr]);
+                }
+            }
+            Store::Add(ldc, runs) => {
+                for (r, row) in acc.iter().enumerate() {
+                    for run in runs {
+                        let dst = &mut out[r * ldc + run.dst..][..run.len];
+                        for (d, &v) in dst.iter_mut().zip(&row[run.lane..]) {
+                            *d += v;
+                        }
+                    }
                 }
             }
         }
@@ -227,7 +387,7 @@ mod portable {
 
 /// Pack columns `j0 .. j0+nr` of a row-major `[k, n]` matrix into a `[k × NR]`
 /// panel; panel columns past `nr` are zeroed so edge tiles read defined data.
-fn pack_panel(b: &[f32], n: usize, j0: usize, nr: usize, panel: &mut [f32]) {
+pub(crate) fn pack_panel(b: &[f32], n: usize, j0: usize, nr: usize, panel: &mut [f32]) {
     let rows = b.chunks_exact(n).zip(panel.chunks_exact_mut(NR));
     if nr == NR {
         // Full-width panel: each row is one fixed `[f32; NR]` move.
@@ -240,16 +400,14 @@ fn pack_panel(b: &[f32], n: usize, j0: usize, nr: usize, panel: &mut [f32]) {
     }
     for (brow, dst) in rows {
         dst[..nr].copy_from_slice(&brow[j0..j0 + nr]);
-        for v in &mut dst[nr..] {
-            *v = 0.0;
-        }
+        dst[nr..].fill(0.0);
     }
 }
 
 /// Pack rows `j0 .. j0+nr` of a row-major `[n, k]` matrix, transposed, into a
 /// `[k × NR]` panel (panel entry `(p, c)` = `b[j0+c][p]`); columns past `nr`
 /// are zeroed.
-fn pack_panel_t(b: &[f32], k: usize, j0: usize, nr: usize, panel: &mut [f32]) {
+pub(crate) fn pack_panel_t(b: &[f32], k: usize, j0: usize, nr: usize, panel: &mut [f32]) {
     if nr == NR {
         // Full-width panel: gather each panel row from the NR source rows and
         // store it as one fixed `[f32; NR]` array.
@@ -266,28 +424,50 @@ fn pack_panel_t(b: &[f32], k: usize, j0: usize, nr: usize, panel: &mut [f32]) {
             panel[p * NR + c] = v;
         }
     }
-    if nr < NR {
-        for dst in panel.chunks_exact_mut(NR) {
-            for v in &mut dst[nr..] {
-                *v = 0.0;
-            }
-        }
+    for dst in panel.chunks_exact_mut(NR).take(k) {
+        dst[nr..].fill(0.0);
     }
 }
 
-/// Shared tile driver: packs one `NR`-column panel at a time, then sweeps the
-/// `MR`-row tiles of `out` against it (each packed panel is reused by every
-/// row tile, which is where the cache blocking pays off). `out` is `[m, n]`
-/// for [`Store::Rows`] and `[n, m]` for [`Store::Cols`].
-fn gemm_tiles(
+/// Runs every `MR`-row tile of an `m`-row left operand against one packed
+/// `[k × NR]` panel whose first `nr` columns are live. `out` starts at the
+/// panel's first output column: `out[0]` is element `(0, 0)` of the panel's
+/// block, and `store` says where the others go.
+pub(crate) fn sweep_rows<R: Offsets, S: Offsets>(
     m: usize,
     k: usize,
-    n: usize,
-    a: &[f32],
+    a: Lhs<'_, R, S>,
+    panel: &[f32],
+    nr: usize,
     out: &mut [f32],
-    store: Store,
-    mut pack: impl FnMut(usize, usize, &mut [f32]),
+    store: Store<'_>,
 ) {
+    let mut i0 = 0;
+    while i0 < m {
+        let mr = MR.min(m - i0);
+        let at = match store {
+            Store::Rows(ldc) | Store::Add(ldc, _) => i0 * ldc,
+            Store::Cols(_) => i0,
+        };
+        tile::tile(mr, k, a, i0, panel, &mut out[at..], nr, store);
+        i0 += mr;
+    }
+}
+
+/// Blocked matrix product on raw row-major slices:
+/// `out[m, n] = a[m, k] · b[k, n]`.
+///
+/// `out` is fully overwritten (it needs no zeroing between reuses). Results
+/// are bit-identical to [`crate::ops::matmul_reference`]; see the module docs
+/// for the accumulation-order argument.
+///
+/// # Panics
+///
+/// Panics when any slice length disagrees with the stated dimensions.
+pub fn gemm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+    assert_eq!(a.len(), m * k, "gemm: lhs is not [m, k]");
+    assert_eq!(b.len(), k * n, "gemm: rhs is not [k, n]");
+    assert_eq!(out.len(), m * n, "gemm: out is not [m, n]");
     if m == 0 || n == 0 {
         return;
     }
@@ -297,44 +477,19 @@ fn gemm_tiles(
         return;
     }
     let mut panel = vec![0.0f32; k * NR];
-    let mut j0 = 0;
-    while j0 < n {
+    for j0 in (0..n).step_by(NR) {
         let nr = NR.min(n - j0);
-        pack(j0, nr, &mut panel);
-        let mut i0 = 0;
-        while i0 < m {
-            let mr = MR.min(m - i0);
-            let a_tile = &a[i0 * k..];
-            let (out_tile, ldc) = match store {
-                Store::Rows => (&mut out[i0 * n + j0..], n),
-                Store::Cols => (&mut out[j0 * m + i0..], m),
-            };
-            tile::tile(mr, k, a_tile, k, &panel, out_tile, ldc, nr, store);
-            i0 += mr;
-        }
-        j0 += nr;
+        pack_panel(b, n, j0, nr, &mut panel);
+        sweep_rows(
+            m,
+            k,
+            row_major(a, k),
+            &panel,
+            nr,
+            &mut out[j0..],
+            Store::Rows(n),
+        );
     }
-}
-
-/// Blocked matrix product on raw row-major slices:
-/// `out[m, n] = a[m, k] · b[k, n]`.
-///
-/// `out` is fully overwritten (it needs no zeroing between reuses), which is
-/// what lets the batched gradient engine run this kernel straight into arena
-/// scratch buffers and flat parameter-gradient slices. Results are
-/// bit-identical to [`crate::ops::matmul_reference`]; see the module docs for
-/// the accumulation-order argument.
-///
-/// # Panics
-///
-/// Panics when any slice length disagrees with the stated dimensions.
-pub fn gemm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-    assert_eq!(a.len(), m * k, "gemm: lhs is not [m, k]");
-    assert_eq!(b.len(), k * n, "gemm: rhs is not [k, n]");
-    assert_eq!(out.len(), m * n, "gemm: out is not [m, n]");
-    gemm_tiles(m, k, n, a, out, Store::Rows, |j0, nr, panel| {
-        pack_panel(b, n, j0, nr, panel);
-    });
 }
 
 /// Blocked matrix product with the right-hand side transposed, stored
@@ -355,9 +510,27 @@ pub fn gemm_nt(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f3
     assert_eq!(a.len(), m * k, "gemm_nt: lhs is not [m, k]");
     assert_eq!(b.len(), n * k, "gemm_nt: rhs is not [n, k]");
     assert_eq!(out.len(), m * n, "gemm_nt: out is not [n, m]");
-    gemm_tiles(m, k, n, a, out, Store::Cols, |j0, nr, panel| {
-        pack_panel_t(b, k, j0, nr, panel);
-    });
+    if m == 0 || n == 0 {
+        return;
+    }
+    if k == 0 {
+        out.fill(0.0);
+        return;
+    }
+    let mut panel = vec![0.0f32; k * NR];
+    for j0 in (0..n).step_by(NR) {
+        let nr = NR.min(n - j0);
+        pack_panel_t(b, k, j0, nr, &mut panel);
+        sweep_rows(
+            m,
+            k,
+            row_major(a, k),
+            &panel,
+            nr,
+            &mut out[j0 * m..],
+            Store::Cols(m),
+        );
+    }
 }
 
 #[cfg(test)]
